@@ -27,6 +27,7 @@ from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
 from repro.apps.sor import SOR
 from repro.core import plug
 from repro.service import RuntimeService, ServiceClient
+from repro.telemetry import MetricsRegistry
 from repro.vtime import MachineModel
 
 
@@ -76,10 +77,12 @@ def main():
         print(f"elastic job {big}: done, reshapes={out['reshapes']}, "
               f"relaunches={out['relaunches']}")
 
-        stats = client.stats()
-        print(f"fleet: {stats['workers']} workers "
-              f"({stats['idle_workers']} idle), arena reusing "
-              f"{stats['arena']['segments']} segment(s)")
+        reg = MetricsRegistry()
+        reg.absorb_snapshot(client.stats()["metrics"])
+        print(f"fleet: {reg.value('repro_service_workers_total'):.0f} "
+              f"workers ({reg.value('repro_service_workers_idle'):.0f} "
+              f"idle), arena reusing "
+              f"{reg.value('repro_arena_segments_total'):.0f} segment(s)")
 
     print("\nsame results as a cold Runtime, none of the construction.")
 

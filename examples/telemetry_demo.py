@@ -76,11 +76,12 @@ def main():
                             entry="execute", nranks=2)
         client.result(jid, timeout=120.0)
 
-        stats = client.stats()
-        series = stats["metrics"]["series"]
-        print(f"\nservice stats RPC: {len(series)} metric series "
-              f"(idle workers gauge = "
-              f"{stats['idle_workers']}, deprecated flat key)")
+        svc_reg = MetricsRegistry()
+        svc_reg.absorb_snapshot(client.stats()["metrics"])
+        print(f"\nservice stats RPC: "
+              f"{len(svc_reg.snapshot()['series'])} metric series "
+              f"(repro_service_workers_idle = "
+              f"{svc_reg.value('repro_service_workers_idle'):.0f})")
 
         body = urlopen(f"http://{host}:{port}/metrics",
                        timeout=10).read().decode()

@@ -67,6 +67,24 @@ _OP_MISSING = "missing"
 #: the worker sees it in the error ack and retries with all chunks.
 CAS_CHUNK_MISSING = "CAS_CHUNK_MISSING"
 
+#: how long the drain thread blocks on an empty request queue before
+#: polling again.  An idle funnel is not an orphaned one — a service
+#: can sit between jobs for hours — so the thread only ever leaves on
+#: ``_OP_STOP``.
+IDLE_POLL_SECONDS = 600.0
+#: how long a worker waits for the parent's reply to one request.
+ACK_TIMEOUT_SECONDS = 120.0
+
+
+def funnel_shape(store: "CheckpointStore") -> dict:
+    """What a worker-side :class:`FunnelStore` must mirror of the
+    master store, as its keyword arguments: the async writer's view
+    for the cost model, and the CAS boundary policy when the master
+    is a chunk store (writes then speak the chunk-ref protocol)."""
+    return {"is_async": store.is_async,
+            "depth": store.writer.depth if store.is_async else 0,
+            "chunk_params": getattr(store, "chunk_params", None)}
+
 
 @dataclass
 class PackedSnapshot:
@@ -169,11 +187,8 @@ class CheckpointFunnel:
     # ------------------------------------------------------------------
     def client(self, rank: int) -> "FunnelStore":
         """The store stand-in to hand to worker ``rank``."""
-        return FunnelStore(
-            rank=rank, requests=self.requests, ack=self.acks[rank],
-            is_async=self.store.is_async,
-            depth=self.store.writer.depth if self.store.is_async else 0,
-            chunk_params=getattr(self.store, "chunk_params", None))
+        return FunnelStore(rank=rank, requests=self.requests,
+                           ack=self.acks[rank], **funnel_shape(self.store))
 
     def start(self) -> None:
         """Begin serving; call *after* worker processes are spawned so a
@@ -233,14 +248,21 @@ class CheckpointFunnel:
         except Exception:  # noqa: BLE001 - worker must not hang on us
             return ("error", traceback.format_exc(), None, None)
 
-    def _serve(self) -> None:
+    def _pending(self):
+        """Every request up to ``_OP_STOP`` — however long the queue
+        sits idle in between (``stop()`` is in every owner's
+        ``finally``, and the thread is a daemon)."""
         while True:
             try:
-                op, rank, shard_rank, payload = self.requests.get(timeout=600.0)
-            except _queue.Empty:  # orphaned funnel: give up quietly
+                req = self.requests.get(timeout=IDLE_POLL_SECONDS)
+            except _queue.Empty:
+                continue
+            if req[0] == _OP_STOP:
                 return
-            if op == _OP_STOP:
-                return
+            yield req
+
+    def _serve(self) -> None:
+        for op, rank, shard_rank, payload in self._pending():
             self.acks[rank].put(self._handle(op, shard_rank, payload))
 
 
@@ -304,7 +326,13 @@ class FunnelStore:
     # ------------------------------------------------------------------
     def _rpc(self, op: str, payload) -> tuple:
         self._requests.put((op, self.rank, self._shard_rank, payload))
-        status, a, b, stats = self._ack.get(timeout=120.0)
+        try:
+            status, a, b, stats = self._ack.get(timeout=ACK_TIMEOUT_SECONDS)
+        except _queue.Empty:
+            raise TimeoutError(
+                f"checkpoint funnel: no reply to {op!r} for "
+                f"{self.rank!r} within {ACK_TIMEOUT_SECONDS:.0f}s (is the "
+                f"parent's drain thread serving?)") from None
         if status != "ok":
             raise RuntimeError(f"checkpoint funnel failed in parent:\n{a}")
         return a, b, stats
@@ -486,10 +514,8 @@ class SocketCheckpointFunnel(CheckpointFunnel):
         self._conns: list = []
 
     def client(self, rank: int) -> "SocketFunnelStore":
-        return SocketFunnelStore(
-            rank=rank, address=self.address, is_async=self.store.is_async,
-            depth=self.store.writer.depth if self.store.is_async else 0,
-            chunk_params=getattr(self.store, "chunk_params", None))
+        return SocketFunnelStore(rank=rank, address=self.address,
+                                 **funnel_shape(self.store))
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._accept_loop,

@@ -57,10 +57,22 @@ import numpy as np
 
 from repro.dsm.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from repro.smp.barrier import AdaptiveBarrier
-from repro.trace.plane import tracer as trace_writer
 from repro.util.serialization import nbytes_of
 from repro.vtime.clock import VClock
 from repro.vtime.machine import MachineModel
+
+_tracer = None
+
+
+def trace_writer():
+    """The calling thread's tracer.  Resolved on first use, not at
+    import: the trace plane sits on :mod:`repro.dsm.shmplane`, and this
+    module is part of the ``repro.dsm`` package import."""
+    global _tracer
+    if _tracer is None:
+        from repro.trace.plane import tracer as _tracer
+    return _tracer()
+
 
 #: reserved tag space for collective plumbing (user tags must be < this).
 TAG_COLL = 1 << 30

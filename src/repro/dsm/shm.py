@@ -240,18 +240,17 @@ class SegmentManager:
         self._segments: dict[str, ShmSegment] = {}
 
     # ------------------------------------------------------------------
-    def allocate(self, field: str, shape: tuple, dtype,
-                 name: str | None = None) -> ShmSegment:
-        """``name`` overrides the derived segment name — the service
-        arena leases pre-existing capacity-classed segments whose names
-        are arena-scoped, not launch-scoped."""
-        seg = ShmSegment.allocate(name or segment_name(self.launch_id, field),
+    def allocate(self, field: str, shape: tuple, dtype) -> ShmSegment:
+        seg = ShmSegment.allocate(segment_name(self.launch_id, field),
                                   shape, dtype)
         self._segments[field] = seg
         return seg
 
     def attach(self, field: str, shape: tuple, dtype,
                name: str | None = None) -> ShmSegment:
+        """``name`` overrides the derived segment name — the service
+        arena leases pre-existing capacity-classed segments whose names
+        are arena-scoped, not launch-scoped."""
         seg = ShmSegment.attach(name or segment_name(self.launch_id, field),
                                 shape, dtype)
         self._segments[field] = seg

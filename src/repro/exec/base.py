@@ -107,14 +107,93 @@ class PhaseServices:
     ckpt_strategy: str
     advisor: Any = None
     #: the run's :class:`~repro.telemetry.registry.MetricsRegistry`, or
-    #: ``None`` with telemetry disabled.  Backends that see one create a
-    #: telemetry plane per launch and scrape it back into the registry.
+    #: ``None`` with telemetry disabled.
     metrics: Any = None
     #: the run's :class:`~repro.trace.assemble.TraceCollector`, or
-    #: ``None`` with tracing disabled.  Backends that see one create a
-    #: trace plane per launch (ring capacity comes from the collector —
-    #: small in flight-recorder mode) and scrape it back at drain time.
+    #: ``None`` with tracing disabled (its ``capacity`` sizes the rings —
+    #: small in flight-recorder mode).  :class:`LaunchPlanes` is how a
+    #: launch feeds both.
     trace: Any = None
+
+
+class LaunchPlanes:
+    """One launch's observability planes behind one handle.
+
+    Whoever runs the launch opens it (``ExecutionBackend.open_planes``
+    in the parent; a rank process maps the parent's segments from its
+    :class:`~repro.exec.worker.WorkerEnv`) and every rank drives the
+    same lifecycle through it: :meth:`bind` on the rank's thread,
+    :meth:`park` when it leaves the membership, :meth:`close` when its
+    process exits.  The parent ends with exactly one :meth:`drain`.
+
+    ``trace`` is the ring capacity (0 = tracing off).
+    """
+
+    def __init__(self, max_ranks: int, backend: str, telemetry: bool,
+                 trace: int, launch_id: str | None = None,
+                 create: bool = False) -> None:
+        from repro import telemetry as _tele, trace as _trace
+
+        #: this handle created the segments, so it alone unlinks them.
+        self._owner = create
+        where = {"launch_id": launch_id, "create": create}
+        self.telemetry = self.trace = None
+        #: (plane, thread-local accessor, thread-local bind) per plane.
+        self._bound: list[tuple] = []
+        if telemetry:
+            self.telemetry = _tele.TelemetryPlane(
+                max_ranks, backend=backend, **where)
+            self._bound.append((self.telemetry, _tele.writer, _tele.bind))
+        if trace:
+            self.trace = _trace.TracePlane(
+                max_ranks, capacity=trace, backend=backend, **where)
+            self._bound.append((self.trace, _trace.tracer, _trace.bind))
+
+    def bind(self, rank: int) -> None:
+        """Claim ``rank``'s regions on the calling thread (activates or
+        thaws them); a rank beyond the laid-out regions runs unobserved."""
+        for plane, _, bind in self._bound:
+            if rank < plane.max_ranks:
+                bind(plane.writer(rank))
+
+    def unbind(self) -> None:
+        for _, _, bind in self._bound:
+            bind(None)
+
+    def park(self) -> None:
+        """Freeze the calling thread's regions and unbind: the words
+        stay in the segment for the drain, live scrapes skip them."""
+        for _, current, _ in self._bound:
+            current().freeze()
+        self.unbind()
+
+    def close(self) -> None:
+        """Unbind the calling thread and drop the mappings (a rank
+        process on exit, and the tail of :meth:`drain`); the regions
+        outlive the rank — a crashed rank's included."""
+        self.unbind()
+        for plane, _, _ in self._bound:
+            plane.close()
+
+    def drain(self, services: PhaseServices) -> None:
+        """Fold every region — parked and dead ranks included — into
+        the run's registry and collector, then drop (and, as their
+        creator, unlink) the segments.  Called exactly once per launch,
+        from the backend's ``finally``, after every worker is joined so
+        the scrape is race-free."""
+        try:
+            if self.telemetry is not None:
+                services.metrics.absorb(
+                    self.telemetry.scrape(include_frozen=True))
+            if self.trace is not None:
+                services.trace.absorb(
+                    self.trace.scrape(include_frozen=True),
+                    backend=self.trace.backend)
+        finally:
+            self.close()
+            if self._owner:
+                for plane, _, _ in self._bound:
+                    plane.unlink()
 
 
 class ExecutionBackend(ABC):
@@ -195,65 +274,18 @@ class ExecutionBackend(ABC):
             advisor=services.advisor,
             caps=self.capabilities(spec.config), reshaper=reshaper)
 
-    def telemetry_plane(self, services: PhaseServices, max_ranks: int,
-                        launch_id: str | None = None):
-        """The launch's telemetry plane, or ``None`` when disabled.
-
-        Thread substrates pass no ``launch_id`` and get a process-local
-        plane; process substrates pass their launch id and get a shared
-        segment children attach by deterministic name.
-        """
-        if services.metrics is None:
-            return None
-        from repro.telemetry import TelemetryPlane
-
-        if launch_id is None:
-            return TelemetryPlane.local(max_ranks, backend=self.name)
-        return TelemetryPlane.create(launch_id, max_ranks,
-                                     backend=self.name)
-
-    def scrape_telemetry(self, plane, services: PhaseServices) -> None:
-        """Drain-time scrape: fold every page — parked ones included —
-        into the run's registry, then drop the plane's mapping.  Called
-        exactly once per launch, from the backend's ``finally``."""
-        if plane is None:
-            return
-        try:
-            services.metrics.absorb(plane.scrape(include_frozen=True))
-        finally:
-            plane.close()
-
-    def trace_plane(self, services: PhaseServices, max_ranks: int,
-                    launch_id: str | None = None):
-        """The launch's trace plane, or ``None`` when tracing is off.
-
-        Same shape as :meth:`telemetry_plane`: thread substrates get a
-        process-local plane, process substrates a shared segment the
-        children attach by deterministic name.  Ring capacity comes
-        from the run's collector (small in flight-recorder mode).
-        """
-        if services.trace is None:
-            return None
-        from repro.trace import TracePlane
-
-        capacity = services.trace.capacity
-        if launch_id is None:
-            return TracePlane.local(max_ranks, capacity=capacity,
-                                    backend=self.name)
-        return TracePlane.create(launch_id, max_ranks, capacity=capacity,
-                                 backend=self.name)
-
-    def scrape_trace(self, plane, services: PhaseServices) -> None:
-        """Drain-time ring scrape: fold every rank's records — parked
-        and dead ranks included, their rings outlive them in the
-        segment — into the run's collector, then drop the mapping."""
-        if plane is None:
-            return
-        try:
-            services.trace.absorb(plane.scrape(include_frozen=True),
-                                  backend=self.name)
-        finally:
-            plane.close()
+    def open_planes(self, services: PhaseServices, max_ranks: int,
+                    launch_id: str | None = None) -> "LaunchPlanes":
+        """The launch's observability planes (whichever the run's
+        services ask for).  Thread substrates pass no ``launch_id`` and
+        get process-local planes; process substrates pass their launch
+        id and get shared segments children attach by name."""
+        return LaunchPlanes(
+            max_ranks, self.name,
+            telemetry=services.metrics is not None,
+            trace=services.trace.capacity if services.trace is not None
+            else 0,
+            launch_id=launch_id, create=launch_id is not None)
 
     def run_entry(self, ctx, spec: PhaseSpec) -> Any:
         """Instantiate the woven class, bind it, and call the entry."""

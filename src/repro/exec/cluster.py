@@ -108,8 +108,6 @@ class SimClusterBackend(ExecutionBackend):
 
     def launch(self, spec: PhaseSpec, services: PhaseServices
                ) -> PhaseOutcome:
-        from repro import telemetry, trace
-
         cluster = SimCluster(spec.config.nranks, services.machine,
                              services.log, start_time=spec.start_vtime)
         elastic = self.capabilities(spec.config).elastic_ranks
@@ -117,18 +115,12 @@ class SimClusterBackend(ExecutionBackend):
             if elastic else None
         reshapes: list = []
         # sized past the starting membership so joiners admitted by
-        # elastic growth land on pre-laid-out pages of the same plane.
-        plane = self.telemetry_plane(
-            services, max(4 * spec.config.nranks, 64))
-        trplane = self.trace_plane(
-            services, max(4 * spec.config.nranks, 64))
+        # elastic growth land on pre-laid-out regions of the same planes.
+        planes = self.open_planes(services, max(4 * spec.config.nranks, 64))
 
         def rank_entry(join: JoinReplay | None = None):
             rankctx = current_rank()
-            if plane is not None and rankctx.rank < plane.max_ranks:
-                telemetry.bind(plane.writer(rankctx.rank))
-            if trplane is not None and rankctx.rank < trplane.max_ranks:
-                trace.bind(trplane.writer(rankctx.rank))
+            planes.bind(rankctx.rank)
             team = self.rank_team(spec, services)
             ctx = None
             try:
@@ -156,8 +148,7 @@ class SimClusterBackend(ExecutionBackend):
                     reshapes.extend(ctx.reshapes)
                 if team is not None:
                     team.shutdown()
-                telemetry.bind(None)
-                trace.bind(None)
+                planes.unbind()
 
         if reshaper is not None:
             reshaper.make_rank_entry = rank_entry
@@ -175,8 +166,7 @@ class SimClusterBackend(ExecutionBackend):
             return out
         finally:
             cluster.shutdown()
-            self.scrape_telemetry(plane, services)
-            self.scrape_trace(trplane, services)
+            planes.drain(services)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -37,6 +37,10 @@ all) — and a shrink parks them again.  Only the parent's bookkeeping
 (which ranks will report) changes, via a notify queue.  Relaunch remains
 the path for mode/backend switches and recovery.
 
+This module is the parent side; what a rank process runs — the launch
+envelope, the rank loop, field placement, the reshaper — is
+:mod:`repro.exec.worker`.
+
 Start method: ``fork`` where available (Linux; supports dynamically
 woven classes), else ``spawn`` — under ``spawn`` the woven class is
 shipped as ``(base class, plug set)`` and re-woven in the child, so the
@@ -50,26 +54,13 @@ import queue as _queue
 import time
 import traceback
 
-import numpy as np
-
 from repro.ckpt.failure import InjectedFailure
-from repro.ckpt.funnel import CheckpointFunnel, FunnelStore
-from repro.core.adaptation import AdaptStep
+from repro.ckpt.funnel import CheckpointFunnel
 from repro.core.errors import AdaptationExit
 from repro.core.modes import Capabilities, ExecConfig, Mode
 from repro.dsm import shm
-from repro.dsm.comm import RankContext, _bind
 from repro.dsm.procmail import ProcCommunicator
 from repro.dsm.simcluster import RankFailure
-from repro.elastic import (
-    JoinReplay,
-    RankReshaper,
-    RankRetired,
-    ReshapePlan,
-    apply_new_identity,
-    execute_moves,
-    join_rendezvous,
-)
 from repro.exec.base import (
     PHASE_COMPLETED,
     ExecutionBackend,
@@ -77,20 +68,21 @@ from repro.exec.base import (
     PhaseServices,
     PhaseSpec,
 )
+from repro.exec.worker import (
+    ADAPTED,
+    COMPLETED,
+    ERROR,
+    FAILED,
+    RankWiring,
+    WorkerEnv,
+    place_shared_fields,
+    rank_main,
+)
 from repro.util.events import EventLog
-from repro.vtime.clock import VClock
 from repro.vtime.machine import (
     PROCESS_RANKS_CALIBRATION,
     PROCESS_RANKS_SHM_CALIBRATION,
 )
-
-#: worker report statuses.
-_COMPLETED = "completed"
-_ADAPTED = "adapted"
-_FAILED = "failed"
-_ERROR = "error"
-#: internal segment end: the rank left the membership and re-parked.
-_RETIRED = "retired"
 
 #: once one rank reports a failure, how long its peers get to finish
 #: reporting before the parent terminates them (a rank-scoped failure
@@ -102,481 +94,27 @@ _PEER_GRACE_SECONDS = 3.0
 _TERMINATED_FALLOUT = "terminated: a peer rank failed first"
 
 
-def _preferred_start_method() -> str:
+def preferred_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _portable_woven(woven: type) -> tuple[type, object | None]:
-    """Ship a woven class as ``(base, plugset)`` when it is dynamic.
+def drain_queues(qs, close: bool = False) -> None:
+    """Empty leftover queue traffic so exiting feeders can flush.
 
-    ``plug`` builds its subclass at run time, which pickles by reference
-    only in the process that built it; the base class plus the plug set
-    is portable and re-weaves to an identical class in the child.
+    ``close`` additionally releases the parent's queue handles — only
+    safe once every worker has been joined.
     """
-    base = getattr(woven, "__pp_base__", None)
-    if base is None:
-        return woven, None
-    return base, woven.__pp_plugs__
-
-
-class _ChildTask:
-    """Everything one worker process needs (picklable by construction)."""
-
-    def __init__(self, rank: int, spec: PhaseSpec, services: PhaseServices,
-                 backend: "MultiprocessBackend", channels, result_queue,
-                 notify_queue, store: FunnelStore, launch_id: str,
-                 max_ranks: int) -> None:
-        from dataclasses import replace
-
-        base, self.plugs = _portable_woven(spec.woven)
-        if self.plugs is not None:
-            # ship the importable base, not the dynamic subclass: under
-            # "spawn" the task is pickled, and the child re-weaves.
-            spec = replace(spec, woven=base)
-        if rank != 0 and spec.replay is not None \
-                and spec.replay.snapshot is not None:
-            # only member 0 restores from the snapshot payload
-            # (make_context nulls it for other ranks anyway); don't
-            # serialise it N times under "spawn".
-            from repro.ckpt.replay import ReplayState
-
-            spec = replace(spec, replay=ReplayState(
-                target=spec.replay.target, snapshot=None))
-        self.spec = spec
-        self.machine = services.machine
-        self.policy = services.policy
-        self.ckpt_strategy = services.ckpt_strategy
-        self.backend = backend
-        self.channels = channels
-        self.result_queue = result_queue
-        self.notify_queue = notify_queue
-        self.store = store
-        self.launch_id = launch_id
-        self.max_ranks = max_ranks
-        #: whether the parent created a telemetry segment for this launch
-        #: (children attach it by deterministic name and bind their page).
-        self.telemetry = services.metrics is not None
-        #: whether the parent created a trace segment for this launch,
-        #: and the ring capacity children need to map it (the segment
-        #: shape is capacity-dependent; flight-recorder rings are small).
-        self.trace = services.trace is not None
-        self.trace_capacity = (services.trace.capacity
-                               if services.trace is not None else 0)
-        #: backend-specific launch plumbing (e.g. the sockets backend's
-        #: address-rendezvous queue); filled by ``_launch_extras``.
-        self.extras: dict = {}
-
-    def rebuild_spec(self) -> PhaseSpec:
-        if self.plugs is None:
-            return self.spec
-        from dataclasses import replace
-
-        from repro.core.rewriter import plug
-
-        return replace(self.spec, woven=plug(self.spec.woven, self.plugs))
-
-
-def _place_shared_fields(ctx, instance, comm, launch_id: str,
-                         names_of: dict | None = None
-                         ) -> tuple[shm.SegmentManager, dict]:
-    """Move every partitioned ndarray field into a shared segment.
-
-    Rank 0 allocates and seeds each segment from its constructor-built
-    array (the authoritative copy, matching scatter-from-root
-    semantics); the metadata broadcast orders creation before any
-    attach.  Every rank then rebinds the field to the shared view.
-    Returns the manager plus the ``{field: (shape, dtype, kind)}``
-    metadata (``kind`` is ``"shared"`` or ``"slab"``) —
-    the reshape protocol ships the metadata to un-parked joiners, which
-    attach the *same* segments (an elastic grow allocates nothing).
-
-    Fields declared ``whole_at_safepoints`` cannot alias one segment
-    directly: that declaration means every member re-assembles and then
-    computes over the *whole* array each step (replicated whole-array
-    writes), which would race on aliased pages.  They get a **commit
-    slab** instead (``kind == "slab"`` in the metadata): the instance
-    keeps its private scratch array, and a shared whole-size segment
-    carries the committed state — gather/allgather write only each
-    owner's region into it and read the assembled whole back
-    (:meth:`~repro.core.context.ExecutionContext._slab_sync`), so the
-    root-funnelled payload bytes and the root->joiner refresh sends on
-    reshape both disappear.
-    """
-    manager = shm.SegmentManager(launch_id)
-    rank = ctx.rank
-    fields = sorted(f for f, part in ctx.partitioned.items()
-                    if not part.whole_at_safepoints)
-    slabs = sorted(f for f, part in ctx.partitioned.items()
-                   if part.whole_at_safepoints)
-    if rank == 0:
-        meta = {}
-        names = names_of or {}
-        for f in fields:
-            arr = getattr(instance, f, None)
-            if not isinstance(arr, np.ndarray):
-                continue
-            seg = _open_segment(manager, f, arr.shape, arr.dtype,
-                                names.get(f))
-            view = seg.ndarray()
-            view[...] = arr
-            setattr(instance, f, view)
-            meta[f] = (arr.shape, arr.dtype.str, "shared", names.get(f))
-        for f in slabs:
-            arr = getattr(instance, f, None)
-            if not isinstance(arr, np.ndarray):
-                continue
-            seg = _open_segment(manager, f, arr.shape, arr.dtype,
-                                names.get(f))
-            # seed the committed baseline (every rank's constructor
-            # builds the same array; the scatter-from-root convention
-            # makes rank 0's copy the authoritative one).
-            seg.ndarray()[...] = arr
-            meta[f] = (arr.shape, arr.dtype.str, "slab", names.get(f))
-        if ctx.nranks > 1:
-            comm.bcast(meta, root=0)
-    else:
-        meta = comm.bcast(None, root=0)
-        for f, (shape, dtype, kind, name) in meta.items():
-            seg = manager.attach(f, shape, dtype, name=name)
-            if kind == "shared":
-                setattr(instance, f, seg.ndarray())
-    _index_segments(ctx, manager, meta)
-    return manager, meta
-
-
-def _open_segment(manager: shm.SegmentManager, f: str, shape, dtype,
-                  name: str | None) -> shm.ShmSegment:
-    """Allocate a launch-named segment, or attach an arena-leased one.
-
-    An explicit ``name`` means the parent's arena already created the
-    segment (capacity-classed, reused across service jobs) — rank 0
-    attaches and seeds it instead of allocating.
-    """
-    if name is None:
-        return manager.allocate(f, shape, dtype)
-    return manager.attach(f, shape, dtype, name=name)
-
-
-def _index_segments(ctx, manager: shm.SegmentManager, meta: dict) -> None:
-    """Point the context at the placed segments, by kind."""
-    ctx.shared_fields = {f for f, m in meta.items() if m[2] == "shared"}
-    ctx.slab_whole = {f: manager.get(f).ndarray()
-                      for f, m in meta.items() if m[2] == "slab"}
-
-
-def _attach_shared_fields(ctx, instance, meta: dict, launch_id: str
-                          ) -> shm.SegmentManager:
-    """An un-parked joiner maps the launch's existing segments.
-
-    No broadcast: the segment metadata arrived in the un-park message,
-    and the segments themselves have existed since the launch — this is
-    the pre-sized-symmetric-heap half of the elastic design.
-    """
-    manager = shm.SegmentManager(launch_id)
-    for f, (shape, dtype, kind, name) in meta.items():
-        seg = manager.attach(f, shape, dtype, name=name)
-        if kind == "shared":
-            setattr(instance, f, seg.ndarray())
-    _index_segments(ctx, manager, meta)
-    return manager
-
-
-class ProcessReshaper(RankReshaper):
-    """Elastic membership transitions over parked worker processes.
-
-    A grow un-parks pre-forked processes (rank 0 posts the un-park
-    control message carrying the replay target, the transition epoch and
-    the segment metadata); a shrink sends the retirees back to their
-    control channel via :class:`RankRetired`.  The parent learns of the
-    membership change through the notify queue — it is bookkeeping, not
-    a participant.
-    """
-
-    def __init__(self, task: _ChildTask, comm: ProcCommunicator,
-                 machine, rank: int) -> None:
-        self.task = task
-        self.comm = comm
-        self.machine = machine
-        self.rank = rank
-        #: {field: (shape, dtype, kind)} of the launch's segments;
-        #: filled in once fields are placed/attached.
-        self.segment_meta: dict = {}
-
-    # ------------------------------------------------------------------
-    def reshape(self, ctx, step: AdaptStep, count: int) -> bool:
-        new_n = step.config.nranks
-        if new_n > self.task.max_ranks:
-            # beyond the pre-sized fabric: every rank computes the same
-            # verdict locally, so all fall back to relaunch together.
-            return False
-        plan = ReshapePlan(ctx.nranks, new_n)
-        comm = self.comm
-        rank = ctx.rank
-        comm.barrier()  # quiesce: all prior collectives drained
-        epoch = ctx.rankctx.clock.now
-        if rank == 0:
-            self.task.notify_queue.put(("reshape", count, plan.old_n, new_n))
-            for j in plan.joining:
-                self.task.channels[j].put({
-                    "kind": "unpark", "count": count, "epoch": epoch,
-                    "step": step, "old_n": plan.old_n,
-                    "segments": self.segment_meta,
-                    # the membership epoch the joiner's mailbox must
-                    # match: the switch below bumps every survivor to
-                    # exactly this value.
-                    "mail_epoch": self.comm.mail_epoch + 1})
-        # fence: rank 0's notify/un-park sends precede every peer's
-        # release, so nothing the new membership does can reach the
-        # parent before the membership change itself.
-        comm.barrier()
-        if plan.shrinking:
-            # retiring owners push their (non-shared) regions while they
-            # still hold endpoints in the old membership.
-            execute_moves(ctx, plan, comm)
-            comm.barrier()  # regions landed; clocks coupled
-            if rank in plan.retiring:
-                raise RankRetired(count, rank)
-            comm.reshape(new_n)
-            apply_new_identity(ctx, step, plan, count, self.machine)
-        else:
-            comm.reshape(new_n)
-            join_rendezvous(ctx, plan, step, count, comm, self.machine)
-        return True
-
-    def complete_join(self, ctx, replay: JoinReplay, count: int) -> None:
-        join_rendezvous(ctx, replay.plan, replay.step, count, self.comm,
-                        self.machine)
-
-
-def _wait_for_control(channel) -> dict | None:
-    """Parked: block on the control channel until a directive arrives.
-
-    Control directives are plain dicts; anything else (a stray late
-    collective envelope from an unwound membership) is discarded — dead
-    letters by definition once this rank is out of the membership.
-    """
-    while True:
+    for q in qs:
         try:
-            msg = channel.get(timeout=60.0)
-        except _queue.Empty:
-            continue  # parent still alive (daemon children die with it)
-        if isinstance(msg, dict) and "kind" in msg:
-            return msg
-
-
-def _run_rank_segment(rank: int, task: _ChildTask, log: EventLog,
-                      join_payload: dict | None,
-                      plane: shm.DataPlane | None) -> tuple:
-    """One active segment of a rank's life: entry to report (or re-park).
-
-    Initial members run the phase entry directly; un-parked joiners run
-    it under a :class:`JoinReplay` targeting the transition safe point.
-    Returns ``(status, data, end_vtime, records)``.
-    """
-    spec = task.rebuild_spec()
-    machine = task.machine
-    task.store.plane = plane  # snapshot bytes ride the slab pool too
-    services = PhaseServices(
-        machine=machine, log=log, store=task.store,
-        policy=task.policy, ckpt_strategy=task.ckpt_strategy, advisor=None)
-    if join_payload is None:
-        config = spec.config
-        clock = VClock(spec.start_vtime + machine.spawn_cost * rank)
-    else:
-        config = join_payload["step"].config
-        # un-parking is the elastic analogue of a spawn: the joiner's
-        # clock starts at the transition epoch plus the spawn cost.
-        clock = VClock(join_payload["epoch"] + machine.spawn_cost)
-    clock.contention = machine.contention_factor(rank, config.nranks)
-    mail_epoch = 0 if join_payload is None \
-        else join_payload.get("mail_epoch", 0)
-    comm = task.backend.make_communicator(rank, config.nranks, machine,
-                                          task, plane, mail_epoch)
-    rankctx = RankContext(rank=rank, nranks=config.nranks, clock=clock,
-                          comm=comm)
-    _bind(rankctx)
-    manager: shm.SegmentManager | None = None
-    instance = None
-    ctx = None
-    status, data = _ERROR, "rank reported nothing"
-    try:
-        reshaper = ProcessReshaper(task, comm, machine, rank)
-        ctx = task.backend.make_context(spec, services, rankctx=rankctx,
-                                        reshaper=reshaper)
-        instance = spec.woven(*spec.ctor_args, **spec.ctor_kwargs)
-        if join_payload is None:
-            manager, meta = task.backend.place_fields(ctx, instance, comm,
-                                                      task.launch_id)
-            reshaper.segment_meta = meta
-        else:
-            meta = join_payload["segments"]
-            manager = _attach_shared_fields(ctx, instance, meta,
-                                            task.launch_id)
-            reshaper.segment_meta = meta
-            ctx.config = config
-            ctx.replay = JoinReplay(
-                join_payload["count"], reshaper,
-                ReshapePlan(join_payload["old_n"], config.nranks),
-                join_payload["step"])
-        ctx.bind(instance)
-        result = getattr(instance, spec.entry)(*spec.entry_args)
-        if rank == 0:
-            ctx.ckpt_flush_barrier()
-        status, data = _COMPLETED, result
-    except RankRetired:
-        status, data = _RETIRED, None
-    except AdaptationExit as ae:
-        status, data = _ADAPTED, (ae.snapshot, ae.new_config)
-    except InjectedFailure as fail:
-        status, data = _FAILED, (fail.safepoint, fail.rank)
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        status, data = task.backend.classify_unwind_report(exc)
-    finally:
-        _bind(None)
-        if ctx is not None:
-            ctx.slab_whole = {}
-        if manager is not None:
-            # release the views so the mappings can close; the instance
-            # is dead after this line on every path.
-            for f in manager.fields():
-                try:
-                    setattr(instance, f, None)
-                except Exception:  # noqa: BLE001 - cleanup must not mask
-                    pass
-            manager.close_all()
-    records = list(ctx.reshapes) if ctx is not None else []
-    return status, data, clock.now, records
-
-
-def _rank_main(rank: int, task: _ChildTask,
-               plane: shm.DataPlane | None = None,
-               repark: bool = True,
-               parked: bool | None = None) -> str:
-    """One rank's life: active segments interleaved with parked waits.
-
-    Ranks below the launch configuration's count start active; the
-    surplus (pre-forked up to ``max_ranks``) park on their control
-    channel.  A segment that ends in retirement re-parks — its events
-    ship to the parent immediately so no timeline is lost — and a later
-    un-park starts the next segment.  Any terminal segment end posts the
-    one final report and exits.  Returns how the rank left the phase
-    (``"done"`` reported, ``"retired"`` left the membership with
-    ``repark=False``, ``"stopped"`` released from park) — process
-    entry points ignore it; the service fleet's worker loop keys its
-    idle bookkeeping on it.
-
-    The rank's slab pool (its half of the zero-copy data plane) belongs
-    to the *process*, not the membership: it is built once here and
-    survives park / un-park cycles, so an elastic reshape neither leaks
-    nor re-creates slabs.  The parent unlinks the deterministic slab
-    name grid in its launch ``finally`` either way.  A caller that
-    passes an existing ``plane`` owns its lifetime (the warm fleet
-    keeps one per worker process across jobs); ``repark=False`` makes
-    retirement *return* instead of parking in-phase, handing the
-    process back to that caller.
-    """
-    if parked is None:
-        # the launch path: ranks beyond the launch shape park.  The
-        # service fleet overrides this — a worker parked for a regrown
-        # rank may carry a rank index *below* the original shape.
-        parked = rank >= task.spec.config.nranks
-    join_payload: dict | None = None
-    log = EventLog()
-    own_plane = plane is None
-    if own_plane and task.backend.data_plane:
-        plane = shm.DataPlane(
-            shm.BufferPool(task.launch_id, rank),
-            threshold=task.backend.plane_threshold)
-    tplane = None
-    if getattr(task, "telemetry", False):
-        from repro import telemetry
-
-        # map the parent's telemetry segment and claim this rank's page.
-        # A rank parked from birth leaves its page empty (no writer, no
-        # zero-valued series in scrapes) until its first un-park.
-        tplane = telemetry.TelemetryPlane.attach(
-            task.launch_id, task.max_ranks, backend=task.backend.name)
-        if not parked:
-            telemetry.bind(tplane.writer(rank))
-    trplane = None
-    if getattr(task, "trace", False):
-        from repro import trace
-
-        # same discipline for the trace segment: attach by name, bind
-        # this rank's ring.  The ring outlives the rank in the segment —
-        # that is what the parent's drain scrapes after a crash.
-        trplane = trace.TracePlane.attach(
-            task.launch_id, task.max_ranks,
-            capacity=task.trace_capacity, backend=task.backend.name)
-        if not parked:
-            trace.bind(trplane.writer(rank))
-    try:
-        while True:
-            if parked:
-                ctrl = _wait_for_control(task.channels[rank])
-                if ctrl is None or ctrl["kind"] == "stop":
-                    return "stopped"  # phase over; parked ranks exit silent
-                join_payload = ctrl
-                parked = False
-                if tplane is not None:
-                    # un-park thaws (or first-activates) the rank's page.
-                    telemetry.bind(tplane.writer(rank))
-                if trplane is not None:
-                    from repro import trace
-
-                    trace.bind(trplane.writer(rank))
-            status, data, end_vtime, records = _run_rank_segment(
-                rank, task, log, join_payload, plane)
-            if status == _RETIRED:
-                task.notify_queue.put(("events", rank, list(log)))
-                log = EventLog()
-                if tplane is not None:
-                    # park freezes the page: counts stay visible for the
-                    # drain-time scrape, live scrapes skip it.
-                    from repro.telemetry import writer as tele_writer
-
-                    w = tele_writer()
-                    if w.active:
-                        w.freeze()
-                    telemetry.bind(None)
-                if trplane is not None:
-                    # same freeze for the rank's trace ring: records
-                    # survive the park and the drain-time scrape sees
-                    # them (include_frozen).
-                    from repro import trace
-                    from repro.trace import tracer as trace_tracer
-
-                    tw = trace_tracer()
-                    if tw.active:
-                        tw.freeze()
-                    trace.bind(None)
-                if not repark:
-                    return "retired"
-                parked, join_payload = True, None
-                continue
-            # NB: the communicator is deliberately NOT closed here.  Exit
-            # must wait for the queue feeders to flush: a peer may still
-            # be draining collective payloads this rank sent (member 0
-            # gathers state during a cooperative unwind), and cancelling
-            # the feeder join would drop them.  The parent drains
-            # leftover channel traffic before joining, so a flushing
-            # exit cannot block.
-            task.result_queue.put(
-                (rank, status, data, end_vtime, list(log), records))
-            return "done"
-    finally:
-        if tplane is not None:
-            from repro import telemetry
-
-            telemetry.bind(None)
-            tplane.close()
-        if trplane is not None:
-            from repro import trace
-
-            trace.bind(None)
-            trplane.close()
-        if own_plane and plane is not None:
-            plane.close()
+            while True:
+                q.get_nowait()
+        except (_queue.Empty, OSError, ValueError):
+            pass
+        if close:
+            try:
+                q.close()
+            except (OSError, ValueError):
+                pass
 
 
 class MultiprocessBackend(ExecutionBackend):
@@ -612,7 +150,7 @@ class MultiprocessBackend(ExecutionBackend):
                  max_ranks: int | None = None,
                  data_plane: bool = True,
                  plane_threshold: int | None = None) -> None:
-        self.start_method = start_method or _preferred_start_method()
+        self.start_method = start_method or preferred_start_method()
         self.join_timeout = join_timeout
         self.max_ranks = max_ranks
         self.data_plane = data_plane
@@ -639,12 +177,12 @@ class MultiprocessBackend(ExecutionBackend):
         return machine.with_(**constants)
 
     def make_communicator(self, rank: int, nranks: int, machine,
-                          task: _ChildTask, plane, mail_epoch: int
+                          wiring: RankWiring, plane, mail_epoch: int
                           ) -> ProcCommunicator:
         """Build one rank's communicator (the transport seam subclasses
         override — the sockets backend returns a topology-routing
         communicator over a hybrid queue/TCP fabric here)."""
-        return ProcCommunicator(rank, nranks, machine, task.channels,
+        return ProcCommunicator(rank, nranks, machine, wiring.channels,
                                 plane=plane, mail_epoch=mail_epoch)
 
     def classify_unwind_report(self, exc: BaseException) -> tuple[str, object]:
@@ -652,7 +190,7 @@ class MultiprocessBackend(ExecutionBackend):
         cooperative signals into a ``(status, data)`` report pair.  The
         base backend knows only wreckage; the service fleet adds its
         cooperative job-cancellation signal here."""
-        return _ERROR, traceback.format_exc()
+        return ERROR, traceback.format_exc()
 
     def place_fields(self, ctx, instance, comm, launch_id: str
                      ) -> tuple[shm.SegmentManager | None, dict]:
@@ -660,21 +198,20 @@ class MultiprocessBackend(ExecutionBackend):
         in shared segments; a multi-node backend keeps them private
         (pages cannot alias across physical nodes) and overrides this
         to a no-op."""
-        return _place_shared_fields(ctx, instance, comm, launch_id)
+        return place_shared_fields(ctx, instance, comm, launch_id)
 
     def _make_funnel(self, store, mpctx, max_ranks: int) -> CheckpointFunnel:
         """Checkpoint-funnel seam: queue-based here; the sockets backend
         substitutes the framed-TCP variant riding its transport."""
         return CheckpointFunnel(store, mpctx, max_ranks)
 
-    def _launch_extras(self, mpctx) -> dict:
-        """Extra launch-scoped plumbing shipped to every ``_ChildTask``
-        (``task.extras``); the sockets backend adds its address
-        rendezvous queue here."""
-        return {}
+    def _rendezvous_queue(self, mpctx):
+        """Launch-scoped address-rendezvous queue wired to every rank
+        (``RankWiring.rendezvous``); only the sockets backend has one."""
+        return None
 
     def _after_start(self, spec: PhaseSpec, procs, channels,
-                     extras: dict) -> None:
+                     rendezvous) -> None:
         """Parent-side hook between process start and report collection
         (the sockets backend runs its address rendezvous here)."""
 
@@ -702,52 +239,46 @@ class MultiprocessBackend(ExecutionBackend):
         result_queue = mpctx.Queue()
         notify_queue = mpctx.Queue()
         funnel = self._make_funnel(services.store, mpctx, max_ranks)
-        extras = self._launch_extras(mpctx)
-        # the launch's metrics segment: created before any fork so every
-        # child can attach it by deterministic name.
-        tplane = self.telemetry_plane(services, max_ranks,
-                                      launch_id=launch_id)
-        # and the launch's trace segment, same discipline.  Rings belong
-        # to the segment, not the worker: a dead rank's records survive
-        # for the drain-time scrape — the flight recorder's black box.
-        trplane = self.trace_plane(services, max_ranks,
-                                   launch_id=launch_id)
+        rendezvous = self._rendezvous_queue(mpctx)
+        # the launch's observability segments: created before any fork
+        # so every child can attach them by deterministic name.  Regions
+        # belong to the segment, not the worker: a dead rank's records
+        # survive for the drain-time scrape — the flight recorder's
+        # black box.
+        planes = self.open_planes(services, max_ranks, launch_id=launch_id)
+        env = WorkerEnv.build(spec, services, self, launch_id, max_ranks)
         procs: list = []
         try:
             for r in range(max_ranks):
-                task = _ChildTask(r, spec, services, self, channels,
-                                  result_queue, notify_queue,
-                                  funnel.client(r), launch_id, max_ranks)
-                task.extras = extras
-                p = mpctx.Process(target=_rank_main, args=(r, task),
+                wiring = RankWiring(channels, result_queue, notify_queue,
+                                    funnel.client(r), rendezvous)
+                p = mpctx.Process(target=rank_main,
+                                  args=(r, env.for_rank(r), wiring),
                                   daemon=True, name=f"{self.proc_prefix}{r}")
                 procs.append(p)
                 p.start()
             # serve checkpoints only after all forks: no duplicated thread.
             funnel.start()
-            self._after_start(spec, procs, channels, extras)
+            self._after_start(spec, procs, channels, rendezvous)
             reports, stray_events, active = self._collect(
                 procs, result_queue, notify_queue, n)
         finally:
             # drain before joining: exiting workers block until their
             # queue feeders flush, and nothing reads the rank channels
             # any more once the phase outcome is decided.
-            self._drain(channels + [notify_queue])
+            drain_queues(channels + [notify_queue])
             self._stop_parked(procs, channels)
             self._reap(procs)
             funnel.stop()
-            self._drain(channels + [result_queue, notify_queue], close=True)
-            # every worker is joined: the drain-time scrape (parked pages
-            # included) is race-free, and the segment can go.
-            self.scrape_telemetry(tplane, services)
-            self.scrape_trace(trplane, services)
-            self._unlink_segments(spec, launch_id, max_ranks,
-                                  telemetry=tplane is not None,
-                                  trace=trplane is not None)
+            drain_queues(channels + [result_queue, notify_queue], close=True)
+            # every worker is joined: the drain-time scrape (parked
+            # regions included) is race-free, and the segments can go.
+            planes.drain(services)
+            self._unlink_segments(spec, launch_id, max_ranks)
         self._merge_events(services.log, reports, stray_events)
         end = max([spec.start_vtime]
                   + [rep[3] for rep in reports.values() if rep[3] is not None])
-        if any(rep[1] == _FAILED for rep in reports.values()):
+        if any(rep[1] == FAILED for rep in reports.values()):
             # workers fired their own *copies* of the injector; reflect
             # it on the parent's so recovery does not re-inject forever.
             # Keyed off the reports, not the outcome: a concurrent
@@ -804,7 +335,7 @@ class MultiprocessBackend(ExecutionBackend):
             try:
                 rep = result_queue.get(timeout=0.05)
                 reports[rep[0]] = rep
-                if rep[1] in (_FAILED, _ERROR) and failure_seen_at is None:
+                if rep[1] in (FAILED, ERROR) and failure_seen_at is None:
                     failure_seen_at = time.monotonic()
                 continue
             except _queue.Empty:
@@ -821,7 +352,7 @@ class MultiprocessBackend(ExecutionBackend):
                     while True:
                         rep = result_queue.get_nowait()
                         reports[rep[0]] = rep
-                        if rep[1] in (_FAILED, _ERROR) \
+                        if rep[1] in (FAILED, ERROR) \
                                 and failure_seen_at is None:
                             failure_seen_at = now
                 except _queue.Empty:
@@ -829,7 +360,7 @@ class MultiprocessBackend(ExecutionBackend):
             for r in dead:
                 if r not in reports:
                     p = procs[r]
-                    reports[r] = (r, _ERROR,
+                    reports[r] = (r, ERROR,
                                   f"rank {r} died with exit code "
                                   f"{p.exitcode} before reporting",
                                   None, [], [])
@@ -840,14 +371,14 @@ class MultiprocessBackend(ExecutionBackend):
                 for r in sorted(active):
                     if r not in reports:
                         procs[r].terminate()
-                        reports[r] = (r, _ERROR, _TERMINATED_FALLOUT,
+                        reports[r] = (r, ERROR, _TERMINATED_FALLOUT,
                                       None, [], [])
                 break
             if now > deadline:
                 for r in sorted(active):
                     if r not in reports:
                         procs[r].terminate()
-                        reports[r] = (r, _ERROR, f"rank {r} hung",
+                        reports[r] = (r, ERROR, f"rank {r} hung",
                                       None, [], [])
                 break
         return reports, stray_events, active
@@ -896,34 +427,15 @@ class MultiprocessBackend(ExecutionBackend):
                 pass
 
     @staticmethod
-    def _drain(qs, close: bool = False) -> None:
-        """Empty leftover queue traffic so exiting feeders can flush.
-
-        ``close`` additionally releases the parent's queue handles —
-        only safe once every worker has been joined.
-        """
-        for q in qs:
-            try:
-                while True:
-                    q.get_nowait()
-            except (_queue.Empty, OSError, ValueError):
-                pass
-            if close:
-                try:
-                    q.close()
-                except (OSError, ValueError):
-                    pass
-
-    @staticmethod
     def _unlink_segments(spec: PhaseSpec, launch_id: str,
-                         max_ranks: int, telemetry: bool = False,
-                         trace: bool = False) -> None:
-        """Remove every segment this launch can have created.
+                         max_ranks: int) -> None:
+        """Remove every data segment this launch can have created.
 
         Deterministic names make this independent of worker reports, so
         it covers crashed ranks too: field segments by field name, data
-        plane slabs over the whole rank x slot name grid, and (when the
-        launch carried them) the telemetry and trace plane segments.
+        plane slabs and symmetric heaps over the whole rank x slot name
+        grid.  (The observability segments go with their handle's
+        ``drain``.)
         """
         plugset = getattr(spec.woven, "__pp_plugs__", None)
         fields = plugset.partitioned_fields() if plugset is not None else {}
@@ -931,14 +443,6 @@ class MultiprocessBackend(ExecutionBackend):
             shm.unlink_by_name(shm.segment_name(launch_id, f))
         shm.unlink_pool(launch_id, max_ranks)
         shm.unlink_heaps(launch_id, max_ranks)
-        if telemetry:
-            from repro.telemetry import unlink_telemetry
-
-            unlink_telemetry(launch_id)
-        if trace:
-            from repro.trace import unlink_trace
-
-            unlink_trace(launch_id)
 
     @staticmethod
     def _merge_events(log: EventLog, reports: dict, stray: list) -> None:
@@ -968,21 +472,21 @@ class MultiprocessBackend(ExecutionBackend):
         for r in sorted(reports):
             rep = reports[r]
             by_status.setdefault(rep[1], []).append(rep)
-        if len(by_status) == 1 and _COMPLETED in by_status:
+        if len(by_status) == 1 and COMPLETED in by_status:
             value = reports[0][2] if 0 in reports else None
             return PhaseOutcome(PHASE_COMPLETED, end, value=value,
                                 reshapes=reshapes)
-        adapted = by_status.get(_ADAPTED, [])
+        adapted = by_status.get(ADAPTED, [])
         with_snap = [rep for rep in adapted if rep[2][0] is not None]
         pick = with_snap[0] if with_snap else (adapted[0] if adapted else None)
         if pick is not None:
             snapshot, step = pick[2]
             exc: BaseException = AdaptationExit(snapshot, step)
-        elif _FAILED in by_status:
-            safepoint, rank = by_status[_FAILED][0][2]
+        elif FAILED in by_status:
+            safepoint, rank = by_status[FAILED][0][2]
             exc = InjectedFailure(safepoint, rank)
         else:
-            errors = by_status[_ERROR]
+            errors = by_status[ERROR]
             # prefer the root cause over the shutdown fallout of peers
             # the parent terminated because of it.
             root = [rep for rep in errors if rep[2] != _TERMINATED_FALLOUT]

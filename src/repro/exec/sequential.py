@@ -26,16 +26,10 @@ class SequentialBackend(ExecutionBackend):
 
     def launch(self, spec: PhaseSpec, services: PhaseServices
                ) -> PhaseOutcome:
-        from repro import telemetry, trace
-
         ctx = self.make_context(spec, services)
         ctx.seed_clock(spec.start_vtime)
-        plane = self.telemetry_plane(services, 1)
-        if plane is not None:
-            telemetry.bind(plane.writer(0))
-        trplane = self.trace_plane(services, 1)
-        if trplane is not None:
-            trace.bind(trplane.writer(0))
+        planes = self.open_planes(services, 1)
+        planes.bind(0)
         try:
             value = self.run_entry(ctx, spec)
             ctx.ckpt_flush_barrier()  # pay the in-flight write remainder
@@ -47,10 +41,7 @@ class SequentialBackend(ExecutionBackend):
                 raise
             return out
         finally:
-            telemetry.bind(None)
-            trace.bind(None)
-            self.scrape_telemetry(plane, services)
-            self.scrape_trace(trplane, services)
+            planes.drain(services)
 
     @staticmethod
     def _end(ctx, spec: PhaseSpec) -> float:

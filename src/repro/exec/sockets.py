@@ -44,12 +44,13 @@ import queue as _queue
 import time
 
 from repro.ckpt.funnel import SocketCheckpointFunnel
-from repro.core.modes import Capabilities, ExecConfig, Mode
+from repro.core.modes import Capabilities, ExecConfig
 from repro.dsm.mailbox import Message
 from repro.dsm.shm import SegmentManager
 from repro.dsm.socketmail import HierarchicalCommunicator, SocketTransport
 from repro.exec.base import PhaseSpec
-from repro.exec.multiproc import MultiprocessBackend, _ChildTask
+from repro.exec.multiproc import MultiprocessBackend
+from repro.exec.worker import RankWiring
 from repro.vtime.machine import SOCKET_RANKS_CALIBRATION
 
 #: how long launch-time address exchange may take end to end.
@@ -69,7 +70,6 @@ class SocketsBackend(MultiprocessBackend):
     """
 
     name = "sockets"
-    modes = (Mode.DISTRIBUTED,)
     proc_prefix = "sk-rank-"
 
     def __init__(self, start_method: str | None = None,
@@ -119,24 +119,24 @@ class SocketsBackend(MultiprocessBackend):
         return SocketCheckpointFunnel(store, mpctx, max_ranks,
                                       bind_host=self.hosts[0])
 
-    def _launch_extras(self, mpctx) -> dict:
-        return {"rendezvous": mpctx.Queue()}
+    def _rendezvous_queue(self, mpctx):
+        return mpctx.Queue()
 
     # ------------------------------------------------------------------
     # address rendezvous: child half (in make_communicator) and parent
     # half (in _after_start)
     # ------------------------------------------------------------------
     def make_communicator(self, rank: int, nranks: int, machine,
-                          task: _ChildTask, plane, mail_epoch: int
+                          wiring: RankWiring, plane, mail_epoch: int
                           ) -> HierarchicalCommunicator:
-        transport = SocketTransport(rank, task.channels, self.pnode_of,
+        transport = SocketTransport(rank, wiring.channels, self.pnode_of,
                                     bind_host=self._bind_host(rank))
-        task.extras["rendezvous"].put((rank, transport.address))
+        wiring.rendezvous.put((rank, transport.address))
         buffered: list[Message] = []
         deadline = time.monotonic() + _RENDEZVOUS_SECONDS
         while True:
             try:
-                msg = task.channels[rank].get(
+                msg = wiring.channels[rank].get(
                     timeout=max(0.1, deadline - time.monotonic()))
             except _queue.Empty:
                 transport.close()
@@ -165,7 +165,7 @@ class SocketsBackend(MultiprocessBackend):
         return comm
 
     def _after_start(self, spec: PhaseSpec, procs, channels,
-                     extras: dict) -> None:
+                     rendezvous) -> None:
         """Gather every rank's listener address, broadcast the map.
 
         On a child death mid-rendezvous the map is never posted; the
@@ -173,7 +173,6 @@ class SocketsBackend(MultiprocessBackend):
         attributes the root cause to the dead rank.
         """
         n = spec.config.nranks
-        rendezvous = extras["rendezvous"]
         addresses: dict[int, tuple[str, int]] = {}
         deadline = time.monotonic() + _RENDEZVOUS_SECONDS
         while len(addresses) < n and time.monotonic() < deadline:

@@ -35,19 +35,13 @@ class ThreadTeamBackend(ExecutionBackend):
 
     def launch(self, spec: PhaseSpec, services: PhaseServices
                ) -> PhaseOutcome:
-        from repro import telemetry, trace
-
         team = ThreadTeam(services.machine, size=spec.config.workers,
                           log=services.log)
         # the safe-point protocol and the checkpoint path both run on the
         # calling thread (team workers only execute region bodies), so one
         # page per launch captures the whole team's coordination metrics.
-        plane = self.telemetry_plane(services, 1)
-        if plane is not None:
-            telemetry.bind(plane.writer(0))
-        trplane = self.trace_plane(services, 1)
-        if trplane is not None:
-            trace.bind(trplane.writer(0))
+        planes = self.open_planes(services, 1)
+        planes.bind(0)
         try:
             ctx = self.make_context(spec, services, team=team)
             ctx.seed_clock(spec.start_vtime)
@@ -64,10 +58,7 @@ class ThreadTeamBackend(ExecutionBackend):
                 return out
         finally:
             team.shutdown()
-            telemetry.bind(None)
-            trace.bind(None)
-            self.scrape_telemetry(plane, services)
-            self.scrape_trace(trplane, services)
+            planes.drain(services)
 
     @staticmethod
     def _end(team: ThreadTeam, spec: PhaseSpec) -> float:

@@ -1,10 +1,11 @@
 """The fleet execution backend: a phase launch with zero forks.
 
 One :class:`FleetBackend` instance serves one *job* on one fleet lane.
-``launch`` leases warm workers instead of forking, sends activation
-tickets instead of process arguments, and collects reports with the
-stock multiprocess machinery — ``_collect``, ``_merge_events``,
-``_outcome`` run unchanged over a rank→worker proxy.  Elastic grows
+``launch`` leases warm workers instead of forking, sends the launch
+envelope over their control queues instead of as process arguments,
+and collects reports with the stock multiprocess machinery —
+``_collect``, ``_merge_events``, ``_outcome`` run unchanged over a
+rank→worker proxy.  Elastic grows
 ride the ``_on_reshape`` hook: when rank 0 announces a membership grow,
 the backend leases idle workers and parks them on the lane channels
 where the un-park messages already wait, so the join path is byte-for-
@@ -16,19 +17,13 @@ the driver to the service's job thread.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.errors import WeaveError
-from repro.core.modes import Capabilities, ExecConfig, Mode
 from repro.dsm import shm
 from repro.exec.base import PhaseOutcome, PhaseServices, PhaseSpec
-from repro.exec.multiproc import _FAILED, MultiprocessBackend
-from repro.service.fleet import CANCELLED, WorkerFleet
+from repro.exec.multiproc import MultiprocessBackend, drain_queues
+from repro.exec.worker import FAILED, WorkerEnv
+from repro.service.fleet import CANCELLED, FleetWorkerBackend, WorkerFleet
 from repro.service.steer import JobCancelled
-from repro.telemetry import unlink_telemetry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.ckpt.store import CheckpointStore
 
 
 class _DeadProc:
@@ -97,20 +92,16 @@ class FleetBackend(MultiprocessBackend):
     """Launch phases of one job on a warm :class:`WorkerFleet`."""
 
     name = "fleet"
-    modes = (Mode.DISTRIBUTED,)
     proc_prefix = WorkerFleet.proc_prefix
 
     def __init__(self, fleet: WorkerFleet, job: str, lane: int,
-                 store: "CheckpointStore", join_timeout: float = 120.0,
+                 join_timeout: float = 120.0,
                  lease_timeout: float = 30.0) -> None:
         super().__init__(start_method=fleet.start_method,
-                         join_timeout=join_timeout,
-                         data_plane=fleet.data_plane,
-                         plane_threshold=fleet.plane_threshold)
+                         join_timeout=join_timeout)
         self.fleet = fleet
         self.job = job
         self.lane = lane
-        self.store = store
         self.lease_timeout = lease_timeout
         #: rank -> worker id, maintained across membership changes.
         self.assignment: dict[int, int] = {}
@@ -118,16 +109,7 @@ class FleetBackend(MultiprocessBackend):
         self._pending: dict[int, int] = {}
         #: the live membership size (scheduler reads this for fair-share).
         self.current_nranks = 0
-        self._ticket = None
-
-    def capabilities(self, config: ExecConfig) -> Capabilities:
-        return Capabilities(rank_collectives=True, shared_fields=True,
-                            elastic_ranks=True)
-
-    def _fabric_size(self, spec: PhaseSpec) -> int:
-        # the lane fabric is fleet-wide: any grow up to the whole fleet
-        # can be served in place.
-        return self.fleet.workers
+        self._env: WorkerEnv | None = None
 
     # ------------------------------------------------------------------
     def launch(self, spec: PhaseSpec, services: PhaseServices
@@ -144,25 +126,25 @@ class FleetBackend(MultiprocessBackend):
                 f"fleet could not supply {n} idle workers for job "
                 f"{self.job} within {self.lease_timeout}s")
         launch_id = shm.new_launch_id(self.job)
-        # per-launch telemetry/trace planes, fleet-wide pages: a grow
-        # can activate any worker, so every potential rank owns a page.
-        tplane = self.telemetry_plane(services, fleet.workers,
-                                      launch_id=launch_id)
-        trplane = self.trace_plane(services, fleet.workers,
-                                   launch_id=launch_id)
+        # the lane fabric is fleet-wide — any grow up to the whole fleet
+        # is served in place — so every potential rank owns a region of
+        # the launch's observability planes.
+        planes = self.open_planes(services, fleet.workers,
+                                  launch_id=launch_id)
         self.assignment = dict(enumerate(wids))
         self._pending = {}
         self.current_nranks = n
-        fleet.funnel.register(self.job, self.store)
-        ticket = fleet.make_ticket(self.job, self.lane, launch_id, spec,
-                                   services, self.store)
-        self._ticket = ticket
+        # the job's namespaced store: where its funnelled writes land.
+        fleet.funnel.register(self.job, services.store)
+        env = self._env = WorkerEnv.build(
+            spec, services, FleetWorkerBackend(fleet.steer[self.lane].name),
+            launch_id, fleet.workers, job=self.job, lane=self.lane)
         lane_qs = fleet.data[self.lane]
         result_queue = fleet.results[self.lane]
         notify_queue = fleet.notifies[self.lane]
         try:
             for r, w in enumerate(wids):
-                fleet.activate(w, ticket, rank=r)
+                fleet.activate(w, env, rank=r)
             reports, stray_events, active = self._collect(
                 _RankProcs(self), result_queue, notify_queue, n)
         finally:
@@ -176,35 +158,24 @@ class FleetBackend(MultiprocessBackend):
             owed = set(self.assignment.values()) | set(self._pending.values())
             stragglers = fleet.await_idle(
                 owed, timeout=15.0,
-                drain=lambda: self._drain(
+                drain=lambda: drain_queues(
                     lane_qs + [result_queue, notify_queue]))
             for w in stragglers:
                 fleet.respawn(w)
-            self._drain(lane_qs + [result_queue, notify_queue])
+            drain_queues(lane_qs + [result_queue, notify_queue])
             fleet.funnel.unregister(self.job)
-            if fleet.arena is not None:
-                fleet.arena.release(self.job)
-            # workers are idle (or respawned) by here: their pages are
+            fleet.arena.release(self.job)
+            # workers are idle (or respawned) by here: their regions are
             # quiescent, so the scrape is race-free.
-            self.scrape_telemetry(tplane, services)
-            if tplane is not None:
-                unlink_telemetry(launch_id)
-            self.scrape_trace(trplane, services)
-            if trplane is not None:
-                from repro.trace import unlink_trace
-                unlink_trace(launch_id)
-            # per-job shared-memory names: symmetric heap grid always,
-            # launch-named field segments when the arena is off.
+            planes.drain(services)
+            # the one other per-job shared-memory name grid: field
+            # segments are arena leases, slabs are fleet-scoped.
             shm.unlink_heaps(launch_id, fleet.workers)
-            plugset = getattr(spec.woven, "__pp_plugs__", None)
-            fields = plugset.partitioned_fields() if plugset else {}
-            for f in fields:
-                shm.unlink_by_name(shm.segment_name(launch_id, f))
         self._merge_events(services.log, reports, stray_events)
         end = max([spec.start_vtime]
                   + [rep[3] for rep in reports.values()
                      if rep[3] is not None])
-        if any(rep[1] == _FAILED for rep in reports.values()):
+        if any(rep[1] == FAILED for rep in reports.values()):
             spec.injector.mark_fired()
         cancelled = [rep for rep in reports.values()
                      if rep[1] == CANCELLED]
@@ -230,7 +201,7 @@ class FleetBackend(MultiprocessBackend):
                     continue
                 self.assignment[r] = wids[0]
                 self._pending[r] = wids[0]
-                self.fleet.park(wids[0], self._ticket, rank=r)
+                self.fleet.activate(wids[0], self._env, rank=r, park=True)
         else:
             for r in range(new_n, old_n):
                 self.assignment.pop(r, None)

@@ -13,7 +13,7 @@ import socket
 import time
 
 from repro.dsm.socketmail import recv_framed, send_framed
-from repro.exec.multiproc import _portable_woven
+from repro.exec.worker import portable_woven
 
 
 class ServiceError(RuntimeError):
@@ -58,7 +58,7 @@ class ServiceClient:
         small flight-recorder rings) records the job's timeline; fetch
         the assembled Chrome trace document with :meth:`trace`.
         """
-        base, plugs = _portable_woven(woven)
+        base, plugs = portable_woven(woven)
         request = {
             "woven": base, "plugs": plugs, "ctor_args": tuple(ctor_args),
             "ctor_kwargs": ctor_kwargs or {}, "entry": entry,

@@ -31,7 +31,7 @@ import traceback
 from repro.ckpt.policy import Never
 from repro.ckpt.store import CheckpointStore, RunLedger
 from repro.core.advisor import SelfAdaptationAdvisor
-from repro.core.modes import Capabilities, ExecConfig, Mode
+from repro.core.modes import ExecConfig, Mode
 from repro.core.rewriter import plug
 from repro.core.runtime import Runtime
 from repro.dsm.socketmail import recv_framed, send_framed
@@ -52,10 +52,6 @@ class _FleetPricing(MultiprocessBackend):
 
     name = "fleet"
 
-    def capabilities(self, config: ExecConfig) -> Capabilities:
-        return Capabilities(rank_collectives=True, shared_fields=True,
-                            elastic_ranks=True)
-
 
 class RuntimeService:
     """The daemon: fleet + queue + scheduler + socket front door."""
@@ -63,18 +59,13 @@ class RuntimeService:
     def __init__(self, workers: int = 4, lanes: int = 2,
                  ckpt_dir: str | None = None,
                  machine: MachineModel | None = None,
-                 policy=None, data_plane: bool = True,
-                 plane_threshold: int | None = None,
-                 max_queue: int = 256, arena: bool = True,
+                 policy=None, max_queue: int = 256,
                  join_timeout: float = 120.0,
                  host: str = "127.0.0.1",
                  ckpt_cas: bool = False) -> None:
         if lanes < 1 or workers < 1:
             raise ValueError("need at least one worker and one lane")
-        self.fleet = WorkerFleet(workers=workers, lanes=lanes,
-                                 data_plane=data_plane,
-                                 plane_threshold=plane_threshold,
-                                 arena=arena)
+        self.fleet = WorkerFleet(workers=workers, lanes=lanes)
         self.machine = machine if machine is not None else MachineModel()
         self.policy = policy if policy is not None else Never()
         self.ckpt_dir = ckpt_dir or tempfile.mkdtemp(prefix="repro-svc-")
@@ -127,20 +118,19 @@ class RuntimeService:
             "repro_service_jobs_running",
             lambda: float(len(self._running)),
             help="Jobs currently holding a lane")
-        if self.fleet.arena is not None:
-            arena = self.fleet.arena
-            self.metrics.gauge_fn(
-                "repro_arena_segments_total",
-                lambda: float(arena.stats()["segments"]),
-                help="Shared segments the arena ever allocated")
-            self.metrics.gauge_fn(
-                "repro_arena_segments_free",
-                lambda: float(arena.stats()["free"]),
-                help="Arena segments on the free lists")
-            self.metrics.gauge_fn(
-                "repro_arena_segments_leased",
-                lambda: float(arena.stats()["leased"]),
-                help="Arena segments leased to running jobs")
+        arena = self.fleet.arena
+        self.metrics.gauge_fn(
+            "repro_arena_segments_total",
+            lambda: float(arena.stats()["segments"]),
+            help="Shared segments the arena ever allocated")
+        self.metrics.gauge_fn(
+            "repro_arena_segments_free",
+            lambda: float(arena.stats()["free"]),
+            help="Arena segments on the free lists")
+        self.metrics.gauge_fn(
+            "repro_arena_segments_leased",
+            lambda: float(arena.stats()["leased"]),
+            help="Arena segments leased to running jobs")
         self._metrics_sock: socket.socket | None = None
         self.metrics_address: tuple[str, int] | None = None
 
@@ -368,7 +358,6 @@ class RuntimeService:
             ledger = RunLedger(self.ckpt_dir,
                                name=f"run_status_{job.tag}.json")
             backend = FleetBackend(self.fleet, job.tag, job.lane,
-                                   store=store,
                                    join_timeout=self.join_timeout)
             job.backend = backend
             registry = BackendRegistry()
@@ -529,20 +518,9 @@ class RuntimeService:
         return {"ok": True, "trace": doc}
 
     def _op_stats(self) -> dict:
-        """The ``stats`` RPC: a serialized metrics-registry snapshot.
-
-        ``metrics`` is the API — the same wire shape as
-        ``RunResult.metrics`` and ``BENCH_*.json``'s embedded section.
-        The flat ``idle_workers``/``queued``/``running``/``workers``/
-        ``lanes``/``arena`` keys are a deprecated adapter kept for one
-        release; new consumers should read the snapshot's
-        ``repro_service_*``/``repro_arena_*`` gauges instead.
-        """
-        out = {"ok": True, "metrics": self.metrics.snapshot(),
-               "idle_workers": self.fleet.idle_count(),
-               "queued": self.queue.depth(),
-               "running": len(self._running),
-               "workers": self.fleet.workers, "lanes": self.fleet.lanes}
-        if self.fleet.arena is not None:
-            out["arena"] = self.fleet.arena.stats()
-        return out
+        """The ``stats`` RPC: a serialized metrics-registry snapshot —
+        the same wire shape as ``RunResult.metrics`` and
+        ``BENCH_*.json``'s embedded section.  Fleet, queue and arena
+        occupancy are its ``repro_service_*`` / ``repro_arena_*``
+        gauges."""
+        return {"ok": True, "metrics": self.metrics.snapshot()}

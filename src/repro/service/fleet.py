@@ -3,9 +3,10 @@
 One fork per worker for the *fleet's* lifetime, not one per rank per
 job.  Between jobs a worker blocks on its control channel — the same
 park the elastic membership protocol uses for surplus ranks — and a job
-activation is a control message, not a fork: the worker rebuilds the
-woven class from the ticket, maps the leased segments, and runs
-:func:`repro.exec.multiproc._rank_main` exactly as a cold launch would.
+activation is a control message, not a fork: the worker receives the
+job's :class:`~repro.exec.worker.WorkerEnv` (the same envelope a cold
+launch hands its forks), wires it to the fleet's queues, and runs
+:func:`repro.exec.worker.rank_main` exactly as a cold launch would.
 Everything expensive is process-scoped and survives jobs:
 
 * the worker's :class:`~repro.dsm.shm.BufferPool` slab ring and
@@ -18,11 +19,11 @@ Everything expensive is process-scoped and survives jobs:
   (:class:`~repro.service.funnel.FleetFunnel`), routing each write to
   the owning job's namespaced store.
 
-Per-job state is narrow by construction: a launch id (field segments
-when the arena is off, symmetric heaps always), a steer block serial,
-and the job ticket itself.  Workers report back on a fleet-wide event
-queue (``("joined", ...)`` on ticket pickup, ``("idle", ...)`` on
-return), which is what the fleet's lease/await bookkeeping runs on.
+Per-job state is narrow by construction: a launch id (symmetric heaps
+and the observability planes), a steer block serial, and the job's
+envelope itself.  Workers report back on a fleet-wide event queue
+(``("joined", ...)`` on envelope pickup, ``("idle", ...)`` on return),
+which is what the fleet's lease/await bookkeeping runs on.
 """
 
 from __future__ import annotations
@@ -30,66 +31,33 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ckpt.funnel import FunnelStore
 from repro.dsm import shm
-from repro.exec.base import PhaseServices, PhaseSpec
 from repro.exec.multiproc import (
     MultiprocessBackend,
-    _ChildTask,
-    _place_shared_fields,
-    _portable_woven,
-    _preferred_start_method,
-    _rank_main,
-    _wait_for_control,
+    drain_queues,
+    preferred_start_method,
+)
+from repro.exec.worker import (
+    RankWiring,
+    WorkerEnv,
+    place_shared_fields,
+    rank_main,
+    wait_for_control,
 )
 from repro.service.arena import SegmentArena
 from repro.service.funnel import FleetFunnel
 from repro.service.steer import JobCancelled, SteerBlock, SteerClient, steer_name
-from repro.util.events import EventLog
 
 #: worker report status for a steering cancel (extends the base set).
 CANCELLED = "cancelled"
 
 
-@dataclass
-class JobTicket:
-    """Everything a worker needs to serve one rank of one job.
-
-    Travels through a control queue, so everything here is pickled:
-    the woven class ships portable (base + plug set, re-woven in the
-    worker) and no queue rides along — the worker already holds the
-    fleet's queues from its fork.
-    """
-
-    job: str
-    lane: int
-    launch_id: str
-    spec: PhaseSpec            # woven replaced by its portable base
-    plugs: object | None
-    machine: object
-    policy: object
-    ckpt_strategy: str
-    backend: "_FleetWorkerBackend"
-    max_ranks: int
-    funnel_async: bool
-    funnel_depth: int
-    #: the job store's chunking policy when it is a CAS store — workers
-    #: then funnel chunk refs + missing payloads instead of snapshots.
-    chunk_params: object | None = None
-    #: whether the parent created a telemetry plane for this launch —
-    #: workers attach their rank page only when told to.
-    telemetry: bool = False
-    #: same deal for the trace plane (plus its ring capacity, which
-    #: the attaching worker needs to compute the segment shape).
-    trace: bool = False
-    trace_capacity: int = 0
-
-
-class _FleetWorkerBackend(MultiprocessBackend):
+class FleetWorkerBackend(MultiprocessBackend):
     """The worker-side backend a fleet job runs under.
 
     Picklable by construction (no queues, no fleet reference): it adds
@@ -101,25 +69,20 @@ class _FleetWorkerBackend(MultiprocessBackend):
 
     name = "fleet-worker"
 
-    def __init__(self, steer_block: str | None, use_arena: bool,
-                 data_plane: bool, plane_threshold: int | None,
-                 start_method: str) -> None:
-        super().__init__(start_method=start_method, data_plane=data_plane,
-                         plane_threshold=plane_threshold)
+    def __init__(self, steer_block: str) -> None:
+        super().__init__()
         self.steer_block = steer_block
-        self.use_arena = use_arena
 
     def make_context(self, spec, services, rankctx=None, team=None,
                      reshaper=None):
         ctx = super().make_context(spec, services, rankctx=rankctx,
                                    team=team, reshaper=reshaper)
-        if self.steer_block is not None:
-            ctx.steer = SteerClient(self.steer_block)
+        ctx.steer = SteerClient(self.steer_block)
         return ctx
 
     def place_fields(self, ctx, instance, comm, launch_id: str):
         names = None
-        if self.use_arena and ctx.rank == 0:
+        if ctx.rank == 0:
             specs = []
             for f in sorted(ctx.partitioned):
                 arr = getattr(instance, f, None)
@@ -128,8 +91,8 @@ class _FleetWorkerBackend(MultiprocessBackend):
             # rank 0 alone knows the field shapes (it builds the
             # instance first), so the arena lease is its RPC to make.
             names, _, _ = ctx.store._rpc("arena", specs)
-        return _place_shared_fields(ctx, instance, comm, launch_id,
-                                    names_of=names)
+        return place_shared_fields(ctx, instance, comm, launch_id,
+                                   names_of=names)
 
     def classify_unwind_report(self, exc: BaseException):
         if isinstance(exc, JobCancelled):
@@ -151,14 +114,12 @@ class _WorkerBoot:
     events: object       # fleet-wide worker lifecycle events
     requests: object     # fleet funnel requests
     ack: object          # this worker's funnel ack queue
-    data_plane: bool
-    plane_threshold: int | None
 
 
 def _worker_main(boot: _WorkerBoot) -> None:
     """A fleet worker's life: park on control, serve a rank, repeat.
 
-    ``activate`` runs rank ``msg["rank"]`` of the ticket's job;
+    ``activate`` runs rank ``msg["rank"]`` of the envelope's job;
     ``park`` blocks on the job's lane channel instead, waiting for the
     un-park message a growing membership's rank 0 posts (the elastic
     joiner path, with the fleet standing in for the pre-forked surplus).
@@ -166,63 +127,43 @@ def _worker_main(boot: _WorkerBoot) -> None:
     returns here — to the *fleet's* pool — rather than parking inside
     the job.
     """
-    plane: shm.DataPlane | None = None
-    if boot.data_plane:
-        plane = shm.DataPlane(shm.BufferPool(boot.fleet_id, boot.wid),
-                              threshold=boot.plane_threshold)
+    plane = shm.DataPlane(shm.BufferPool(boot.fleet_id, boot.wid))
     try:
         while True:
-            msg = _wait_for_control(boot.control)
+            msg = wait_for_control(boot.control)
             kind = msg.get("kind")
             if kind == "stop":
                 return
             if kind not in ("activate", "park"):
                 continue
-            t: JobTicket = msg["ticket"]
+            env: WorkerEnv = msg["env"]
             rank: int = msg["rank"]
-            boot.events.put(("joined", boot.wid, t.job, rank))
+            boot.events.put(("joined", boot.wid, env.job, rank))
             how = "error"
             try:
-                store = FunnelStore(
-                    rank=(t.job, boot.wid), requests=boot.requests,
-                    ack=boot.ack, is_async=t.funnel_async,
-                    depth=t.funnel_depth, chunk_params=t.chunk_params)
-                services = PhaseServices(
-                    machine=t.machine, log=EventLog(), store=None,
-                    policy=t.policy, ckpt_strategy=t.ckpt_strategy,
-                    advisor=None)
-                task = _ChildTask(
-                    rank, t.spec, services, t.backend,
-                    boot.lanes[t.lane], boot.results[t.lane],
-                    boot.notifies[t.lane], store, t.launch_id,
-                    t.max_ranks)
-                if t.plugs is not None:
-                    # the ticket pre-portabled the spec; restore the
-                    # plug set so the worker re-weaves.
-                    task.plugs = t.plugs
-                # the boot services carry no registry; the ticket says
-                # whether the job's parent is scraping a plane.
-                task.telemetry = t.telemetry
-                task.trace = t.trace
-                task.trace_capacity = t.trace_capacity
-                if plane is not None:
-                    # symmetric heaps are the one per-job plane piece:
-                    # window allocations must not collide across jobs.
-                    plane.heap_launch_id = t.launch_id
-                how = _rank_main(rank, task, plane=plane, repark=False,
-                                 parked=(kind == "park"))
+                # the envelope crossed the control queue; the queues it
+                # runs over are this worker's own, held since its fork.
+                wiring = RankWiring(
+                    boot.lanes[env.lane], boot.results[env.lane],
+                    boot.notifies[env.lane],
+                    FunnelStore(rank=(env.job, boot.wid),
+                                requests=boot.requests, ack=boot.ack,
+                                **env.funnel))
+                # symmetric heaps are the one per-job plane piece:
+                # window allocations must not collide across jobs.
+                plane.heap_launch_id = env.launch_id
+                how = rank_main(rank, env, wiring, plane=plane,
+                                repark=False, parked=(kind == "park"))
             except BaseException:  # noqa: BLE001 - the worker survives;
                 how = "error"      # the parent times the rank out
             finally:
-                if plane is not None:
-                    if plane.heap is not None:
-                        plane.heap.close()
-                        plane.heap = None
-                    plane.heap_launch_id = None
-                boot.events.put(("idle", boot.wid, t.job, how))
+                if plane.heap is not None:
+                    plane.heap.close()
+                    plane.heap = None
+                plane.heap_launch_id = None
+                boot.events.put(("idle", boot.wid, env.job, how))
     finally:
-        if plane is not None:
-            plane.close()
+        plane.close()
 
 
 class WorkerFleet:
@@ -237,13 +178,10 @@ class WorkerFleet:
     proc_prefix = "fleet-w"
 
     def __init__(self, workers: int = 4, lanes: int = 1,
-                 data_plane: bool = True, plane_threshold: int | None = None,
-                 start_method: str | None = None, arena: bool = True) -> None:
+                 start_method: str | None = None) -> None:
         self.workers = workers
         self.lanes = lanes
-        self.data_plane = data_plane
-        self.plane_threshold = plane_threshold
-        self.start_method = start_method or _preferred_start_method()
+        self.start_method = start_method or preferred_start_method()
         self.fleet_id = shm.new_launch_id("fleet")
         self.mpctx = mp.get_context(self.start_method)
         self.control = [self.mpctx.Queue() for _ in range(workers)]
@@ -252,8 +190,7 @@ class WorkerFleet:
         self.results = [self.mpctx.Queue() for _ in range(lanes)]
         self.notifies = [self.mpctx.Queue() for _ in range(lanes)]
         self.events = self.mpctx.Queue()
-        self.arena: SegmentArena | None = \
-            SegmentArena(self.fleet_id) if arena else None
+        self.arena = SegmentArena(self.fleet_id)
         self.funnel = FleetFunnel(self.mpctx, workers, self.arena)
         self.steer = [SteerBlock(steer_name(self.fleet_id, lane))
                       for lane in range(lanes)]
@@ -285,8 +222,7 @@ class WorkerFleet:
             fleet_id=self.fleet_id, wid=wid, control=self.control[wid],
             lanes=self.data, results=self.results, notifies=self.notifies,
             events=self.events, requests=self.funnel.requests,
-            ack=self.funnel.acks[wid], data_plane=self.data_plane,
-            plane_threshold=self.plane_threshold)
+            ack=self.funnel.acks[wid])
         p = self.mpctx.Process(target=_worker_main, args=(boot,),
                                daemon=True,
                                name=f"{self.proc_prefix}{wid}")
@@ -335,16 +271,14 @@ class WorkerFleet:
                 self._busy[w] = job
             return wids
 
-    def activate(self, wid: int, ticket: JobTicket, rank: int) -> None:
-        self.control[wid].put({"kind": "activate", "ticket": ticket,
-                               "rank": rank})
-
-    def park(self, wid: int, ticket: JobTicket, rank: int) -> None:
-        """Park a leased worker on the job's lane channel as rank
-        ``rank`` — it consumes the un-park message a growing membership
-        posts there and joins via entry replay."""
-        self.control[wid].put({"kind": "park", "ticket": ticket,
-                               "rank": rank})
+    def activate(self, wid: int, env: WorkerEnv, rank: int,
+                 park: bool = False) -> None:
+        """Hand a leased worker rank ``rank`` of the envelope's job.
+        With ``park`` it first waits on the job's lane channel: it
+        consumes the un-park message a growing membership posts there
+        and joins via entry replay."""
+        self.control[wid].put({"kind": "park" if park else "activate",
+                               "env": env.for_rank(rank), "rank": rank})
 
     def await_idle(self, wids: set[int], timeout: float,
                    drain=None) -> list[int]:
@@ -381,7 +315,7 @@ class WorkerFleet:
                 pass
         for s in range(shm.POOL_SLOTS):
             shm.unlink_by_name(shm.pool_slab_name(self.fleet_id, wid, s))
-        MultiprocessBackend._drain([self.control[wid]])
+        drain_queues([self.control[wid]])
         self._spawn(wid)
         with self._cv:
             self._busy.pop(wid, None)
@@ -389,30 +323,6 @@ class WorkerFleet:
             self._cv.notify_all()
 
     # ------------------------------------------------------------------
-    def make_ticket(self, job: str, lane: int, launch_id: str,
-                    spec: PhaseSpec, services: PhaseServices,
-                    store) -> JobTicket:
-        base, plugs = _portable_woven(spec.woven)
-        if plugs is not None:
-            spec = replace(spec, woven=base)
-        wbackend = _FleetWorkerBackend(
-            steer_block=self.steer[lane].name,
-            use_arena=self.arena is not None,
-            data_plane=self.data_plane,
-            plane_threshold=self.plane_threshold,
-            start_method=self.start_method)
-        return JobTicket(
-            job=job, lane=lane, launch_id=launch_id, spec=spec,
-            plugs=plugs, machine=services.machine, policy=services.policy,
-            ckpt_strategy=services.ckpt_strategy, backend=wbackend,
-            max_ranks=self.workers, funnel_async=store.is_async,
-            funnel_depth=store.writer.depth if store.is_async else 0,
-            chunk_params=getattr(store, "chunk_params", None),
-            telemetry=services.metrics is not None,
-            trace=services.trace is not None,
-            trace_capacity=(services.trace.capacity
-                            if services.trace is not None else 0))
-
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Drain the fleet: stop workers, funnel, queues; unlink every
@@ -443,12 +353,11 @@ class WorkerFleet:
             self._pump_thread.join(timeout=5.0)
         flat = (self.control + [q for lane in self.data for q in lane]
                 + self.results + self.notifies + [self.events])
-        MultiprocessBackend._drain(flat, close=True)
+        drain_queues(flat, close=True)
         for blk in self.steer:
             blk.close()
             blk.unlink()
-        if self.arena is not None:
-            self.arena.unlink_all()
+        self.arena.unlink_all()
         shm.unlink_pool(self.fleet_id, self.workers)
         self._started = False
 

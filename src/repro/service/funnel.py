@@ -14,11 +14,10 @@ asks during field placement, when it alone knows the field shapes).
 
 from __future__ import annotations
 
-import queue as _queue
 import traceback
 from typing import TYPE_CHECKING
 
-from repro.ckpt.funnel import _OP_STOP, CheckpointFunnel
+from repro.ckpt.funnel import CheckpointFunnel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ckpt.store import CheckpointStore
@@ -30,7 +29,7 @@ _OP_ARENA = "arena"
 class FleetFunnel(CheckpointFunnel):
     """Parent side: drains all jobs' worker requests into their stores."""
 
-    def __init__(self, mpctx, workers: int, arena: "SegmentArena | None"
+    def __init__(self, mpctx, workers: int, arena: "SegmentArena"
                  ) -> None:
         # no single master store: every write names its job's sub-store.
         super().__init__(store=None, mpctx=mpctx, nranks=workers)
@@ -50,25 +49,15 @@ class FleetFunnel(CheckpointFunnel):
             "fleet workers build their FunnelStore from the boot queues")
 
     # ------------------------------------------------------------------
-    def _lease(self, job: str, specs) -> tuple:
-        try:
-            if self.arena is None:
-                return ("ok", None, None, None)
-            return ("ok", self.arena.lease(job, specs), None, None)
-        except Exception:  # noqa: BLE001 - worker must not hang on us
-            return ("error", traceback.format_exc(), None, None)
-
     def _serve(self) -> None:
-        while True:
-            try:
-                op, key, shard_rank, payload = self.requests.get(timeout=600.0)
-            except _queue.Empty:  # orphaned funnel: give up quietly
-                return
-            if op == _OP_STOP:
-                return
+        for op, key, shard_rank, payload in self._pending():
             job, wid = key
             if op == _OP_ARENA:
-                self.acks[wid].put(self._lease(job, payload))
+                try:
+                    reply = ("ok", self.arena.lease(job, payload), None, None)
+                except Exception:  # noqa: BLE001 - worker must not hang
+                    reply = ("error", traceback.format_exc(), None, None)
+                self.acks[wid].put(reply)
                 continue
             store = self._stores.get(job)
             if store is None:

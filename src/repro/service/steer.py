@@ -98,7 +98,7 @@ class SteerBlock:
 class SteerClient:
     """Worker side: rank 0 polls, every rank can raise the cancel.
 
-    Built from the block *name* (ships in the job ticket); the mapping
+    Built from the block *name* (ships in the job envelope); the mapping
     is attached lazily in the worker process.
     """
 

@@ -17,8 +17,6 @@ from repro.telemetry.plane import (
     TelemetryPlane,
     TelemetryWriter,
     bind,
-    telemetry_name,
-    unlink_telemetry,
     writer,
 )
 from repro.telemetry.prom import (
@@ -44,8 +42,6 @@ __all__ = [
     "parse_prometheus",
     "schema",
     "snapshot_samples",
-    "telemetry_name",
     "to_prometheus",
-    "unlink_telemetry",
     "writer",
 ]

@@ -1,69 +1,41 @@
-"""The shared-memory telemetry plane: per-rank pages, lock-free writers.
+"""The shared-memory telemetry plane: per-rank metric pages.
 
-One :class:`TelemetryPlane` serves one world (one phase launch): a flat
-``float64`` buffer of ``max_ranks`` fixed-layout pages (see
-:mod:`repro.telemetry.schema`), backed by one dedicated shared-memory
-segment for process substrates (``ppshm-<launch id>-telemetry``, swept
-by the parent's deterministic-name cleanup like every other segment of
-the launch) or a plain process-local array for thread substrates — the
-scrape path is identical either way.
+One :class:`TelemetryPlane` is a :class:`~repro.dsm.shmplane.RankPlane`
+whose regions are fixed-layout **pages** (see
+:mod:`repro.telemetry.schema`): segment naming, the
+EMPTY/ACTIVE/FROZEN page lifecycle, the single-writer discipline, the
+bounded seqlock read and the thread-local writer binding all live in
+the primitive.  What lives here is the schema half:
 
-**Writer discipline** (mpmetrics-style, single writer per page):
-
-* each rank writes *only its own page*, so no write ever races another
-  write — the plane needs no locks at all;
 * every slot is guarded by its own sequence word: the writer bumps it
-  to odd, mutates the payload words, bumps it back to even.  A scraper
-  that observes an odd or changed sequence retries, so cross-process
-  readers can never see a torn multi-word value (the histogram
-  count/sum/bucket triple is the case that matters);
-* a page header flag says whether the page is empty, live, or frozen —
-  a parked worker's page is frozen (its counts stay visible in the
-  segment but the scraper skips it) until the rank is un-parked.
+  to odd, mutates the payload words, bumps it back to even, so a
+  cross-process scraper can never see a torn multi-word value (the
+  histogram count/sum/bucket triple is the case that matters);
+* the scrape decodes each live page into :class:`MetricSample` rows.
 
-The writer the hot paths see is bound **thread-locally**: in-process
-backends run ranks as threads of one interpreter, so a module global
-would collide.  Instrumented library code (the data plane, mailboxes,
-the safe-point protocol) calls :func:`writer` and gets either the
-bound rank's :class:`TelemetryWriter` or the shared no-op
-:class:`NullWriter` — telemetry off costs one attribute load and a
-branch.  Nothing here ever touches a virtual clock: all timestamps are
-wall-side (``perf_counter``), so results are bit-identical with
-telemetry on or off.
+Instrumented library code (the data plane, mailboxes, the safe-point
+protocol) calls :func:`writer`.  All timestamps are wall-side
+(``perf_counter``), so results are bit-identical with telemetry on or
+off.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from time import perf_counter, sleep
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dsm import shm
+from time import perf_counter
+from typing import Iterator
 
 import numpy as np
 
+from repro.dsm import shmplane
 from repro.telemetry.schema import (
     COUNTER,
     HISTOGRAM,
-    PAGE_ACTIVE,
-    PAGE_FROZEN,
     PAGE_WORDS,
     SCHEMA,
     VTIME_SECONDS,
     WALL_SECONDS,
 )
-
-
-def telemetry_name(launch_id: str) -> str:
-    """The deterministic segment name of one launch's metrics plane."""
-    # imported here (and in create/attach below), not at module top:
-    # shm's hot paths import this module's writer, so the dependency
-    # must stay one-way at import time.
-    from repro.dsm import shm
-
-    return f"{shm.SHM_PREFIX}-{launch_id}-telemetry"
 
 
 @dataclass
@@ -92,10 +64,8 @@ class MetricSample:
                             self.hist, self.buckets, self.help)
 
 
-class NullWriter:
+class NullWriter(shmplane.NullWriter):
     """The disabled hot path: every operation is a no-op."""
-
-    active = False
 
     def inc(self, slot: int, value: float = 1.0) -> None:
         pass
@@ -112,38 +82,24 @@ class NullWriter:
 
 NULL_WRITER = NullWriter()
 
-_tl = threading.local()
+#: ``writer()`` is the telemetry writer bound to the calling thread
+#: (:data:`NULL_WRITER` outside an instrumented rank, or with telemetry
+#: disabled); ``bind(w)`` binds ``w`` as this thread's hot-path writer
+#: (``None`` unbinds).
+writer, bind = shmplane.binder(NULL_WRITER)
 
 
-def writer() -> "TelemetryWriter | NullWriter":
-    """The telemetry writer bound to the calling thread (no-op writer
-    outside an instrumented rank, or with telemetry disabled)."""
-    return getattr(_tl, "tele", NULL_WRITER)
-
-
-def bind(w: "TelemetryWriter | None") -> None:
-    """Bind ``w`` as this thread's hot-path writer (None unbinds)."""
-    if w is None:
-        _tl.tele = NULL_WRITER
-    else:
-        _tl.tele = w
-
-
-class TelemetryWriter:
+class TelemetryWriter(shmplane.RegionWriter):
     """One rank's lock-free write handle onto its own page."""
 
-    active = True
-
     def __init__(self, page: np.ndarray, rank: int) -> None:
-        self._page = page
-        self.rank = rank
+        super().__init__(page, rank)
         #: wall anchor for the vtime-vs-wall skew gauge.
         self.bound_at = perf_counter()
-        page[0] = PAGE_ACTIVE
 
     # -- seqlocked slot mutations (single writer: this rank) -----------
     def inc(self, slot: int, value: float = 1.0) -> None:
-        p = self._page
+        p = self._region
         o = SCHEMA[slot].offset
         s = p[o] + 1.0
         p[o] = s            # odd: write in progress
@@ -151,7 +107,7 @@ class TelemetryWriter:
         p[o] = s + 1.0      # even: consistent
 
     def set(self, slot: int, value: float) -> None:
-        p = self._page
+        p = self._region
         o = SCHEMA[slot].offset
         s = p[o] + 1.0
         p[o] = s
@@ -160,7 +116,7 @@ class TelemetryWriter:
 
     def observe(self, slot: int, value: float) -> None:
         spec = SCHEMA[slot]
-        p = self._page
+        p = self._region
         o = spec.offset
         s = p[o] + 1.0
         p[o] = s
@@ -174,102 +130,32 @@ class TelemetryWriter:
         self.set(VTIME_SECONDS, vtime)
         self.set(WALL_SECONDS, perf_counter() - self.bound_at)
 
-    # -- page lifecycle ------------------------------------------------
-    def freeze(self) -> None:
-        """Mark the page parked: counts stay, scrapes skip it."""
-        self._page[0] = PAGE_FROZEN
 
-    def thaw(self) -> None:
-        self._page[0] = PAGE_ACTIVE
-
-
-class TelemetryPlane:
+class TelemetryPlane(shmplane.RankPlane):
     """All pages of one world, plus the parent's scrape path."""
 
-    def __init__(self, max_ranks: int, backend: str = "",
-                 segment: shm.ShmSegment | None = None) -> None:
-        self.max_ranks = max_ranks
-        self.backend = backend
-        self._seg = segment
-        if segment is not None:
-            self._buf = segment.ndarray()
-        else:
-            self._buf = np.zeros(max_ranks * PAGE_WORDS, dtype=np.float64)
+    kind = "telemetry"
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def local(cls, max_ranks: int, backend: str = "") -> "TelemetryPlane":
-        """A process-local plane (thread substrates; no segment)."""
-        return cls(max_ranks, backend=backend)
-
-    @classmethod
-    def create(cls, launch_id: str, max_ranks: int,
-               backend: str = "") -> "TelemetryPlane":
-        """Allocate the launch's telemetry segment (parent side)."""
-        from repro.dsm import shm
-
-        seg = shm.ShmSegment.allocate(telemetry_name(launch_id),
-                                      (max_ranks * PAGE_WORDS,), np.float64)
-        seg.ndarray()[:] = 0.0
-        return cls(max_ranks, backend=backend, segment=seg)
-
-    @classmethod
-    def attach(cls, launch_id: str, max_ranks: int,
-               backend: str = "") -> "TelemetryPlane":
-        """Map an existing telemetry segment (rank-process side)."""
-        from repro.dsm import shm
-
-        seg = shm.ShmSegment.attach(telemetry_name(launch_id),
-                                    (max_ranks * PAGE_WORDS,), np.float64)
-        return cls(max_ranks, backend=backend, segment=seg)
-
-    # ------------------------------------------------------------------
-    def page(self, rank: int) -> np.ndarray:
-        if not (0 <= rank < self.max_ranks):
-            raise ValueError(f"rank {rank} outside plane of "
-                             f"{self.max_ranks} pages")
-        return self._buf[rank * PAGE_WORDS:(rank + 1) * PAGE_WORDS]
+    def __init__(self, max_ranks: int, backend: str = "", **where) -> None:
+        super().__init__(max_ranks, PAGE_WORDS, backend, **where)
 
     def writer(self, rank: int) -> TelemetryWriter:
         """This rank's write handle; activates (or thaws) its page."""
-        return TelemetryWriter(self.page(rank), rank)
+        return TelemetryWriter(self.region(rank), rank)
 
     # ------------------------------------------------------------------
     # the scrape path (parent / reader side)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _read_slot(page: np.ndarray, offset: int,
-                   words: int) -> np.ndarray:
-        """Seqlock read: retry until an even, unchanged sequence brackets
-        the payload copy.
-
-        Every failed poll yields the interpreter (``sleep(0)``): with
-        in-process writers a reader that spins without yielding burns
-        its whole GIL slice observing one preempted writer frozen
-        mid-store — the yield is what lets the writer's few remaining
-        bytecodes run, so the retry actually samples a *new* state.
-        Bounded all the same — a wedged writer (a rank killed mid-store)
-        must not hang the scraper; the final best-effort copy is then no
-        worse than what a lock would have left behind."""
-        vals = page[offset + 1:offset + words].copy()
-        for _ in range(4096):
-            s1 = page[offset]
-            if s1 % 2.0 != 0.0:
-                sleep(0.0)
-                continue
-            vals = page[offset + 1:offset + words].copy()
-            if page[offset] == s1:
-                return vals
-            sleep(0.0)
-        return vals
-
     def _page_samples(self, rank: int) -> Iterator[MetricSample]:
-        page = self.page(rank)
+        page = self.region(rank)
         labels_extra = {"rank": str(rank)}
         if self.backend:
             labels_extra["backend"] = self.backend
         for spec in SCHEMA:
-            vals = self._read_slot(page, spec.offset, spec.words)
+            # best-effort: a bounded-out copy is still reported.
+            vals, _ = shmplane.read_stable(page, spec.offset,
+                                           spec.offset + 1,
+                                           spec.offset + spec.words)
             labels = tuple(sorted(
                 dict(spec.labels, **labels_extra).items()))
             if spec.kind == HISTOGRAM:
@@ -294,26 +180,6 @@ class TelemetryPlane:
         folds a finished world's parked pages in as well.
         """
         out: list[MetricSample] = []
-        wanted = ({PAGE_ACTIVE, PAGE_FROZEN} if include_frozen
-                  else {PAGE_ACTIVE})
-        for rank in range(self.max_ranks):
-            if float(self.page(rank)[0]) in wanted:
-                out.extend(self._page_samples(rank))
+        for rank in self.live(include_frozen):
+            out.extend(self._page_samples(rank))
         return out
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self._buf = np.zeros(0, dtype=np.float64)
-        if self._seg is not None:
-            self._seg.close()
-
-    def unlink(self) -> None:
-        if self._seg is not None:
-            self._seg.unlink()
-
-
-def unlink_telemetry(launch_id: str) -> None:
-    """Parent crash-path sweep for the launch's telemetry segment."""
-    from repro.dsm import shm
-
-    shm.unlink_by_name(telemetry_name(launch_id))

@@ -31,6 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from repro.dsm.shmplane import HEADER_WORDS
+
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
@@ -146,15 +148,10 @@ SCHEMA: tuple[MetricSpec, ...] = (
        "Chunk fetches performed restoring state into this rank."),
 )
 
-# layout pass: assign word offsets (header first, then slots in order).
-#: words reserved at the head of each page (state flag + padding).
-PAGE_HEADER_WORDS = 8
-#: page state flag values (word 0 of each page).
-PAGE_EMPTY, PAGE_ACTIVE, PAGE_FROZEN = 0.0, 1.0, 2.0
-
-
+# layout pass: assign word offsets (the region header — state flag +
+# padding — first, then slots in order).
 def _layout() -> tuple[tuple[MetricSpec, ...], int]:
-    off = PAGE_HEADER_WORDS
+    off = HEADER_WORDS
     out = []
     for spec in SCHEMA:
         out.append(MetricSpec(spec.name, spec.kind, spec.help,

@@ -22,9 +22,7 @@ from repro.trace.plane import (
     TracePlane,
     TraceWriter,
     bind,
-    trace_name,
     tracer,
-    unlink_trace,
 )
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "TraceWriter",
     "bind",
     "schema",
-    "trace_name",
     "tracer",
-    "unlink_trace",
     "validate_chrome_trace",
 ]

@@ -1,17 +1,12 @@
-"""The shared-memory trace plane: per-rank ring buffers, lock-free writers.
+"""The shared-memory trace plane: per-rank ring buffers.
 
-One :class:`TracePlane` serves one world (one phase launch): a flat
-``float64`` buffer of ``max_ranks`` fixed-layout rings (see
-:mod:`repro.trace.schema`), backed by one dedicated shared-memory
-segment for process substrates (``ppshm-<launch id>-trace``, swept by
-the parent's deterministic-name cleanup like every other segment of the
-launch) or a plain process-local array for thread substrates — the
-scrape path is identical either way.
+One :class:`TracePlane` is a :class:`~repro.dsm.shmplane.RankPlane`
+whose regions are fixed-layout **rings** (see
+:mod:`repro.trace.schema`): segment naming, the EMPTY/ACTIVE/FROZEN
+ring lifecycle, the single-writer discipline, the bounded seqlock read
+and the thread-local tracer binding all live in the primitive.  What
+lives here is the schema half:
 
-**Writer discipline** (the telemetry plane's, applied to a ring):
-
-* each rank appends *only to its own ring*, so no write ever races
-  another write — the plane needs no locks at all;
 * every record carries a generation-stamped seqlock commit word: the
   writer stores ``2g+1`` (odd), fills the payload, stores ``2g+2``
   (even), then publishes the cursor.  A scraper that sees anything but
@@ -20,32 +15,22 @@ scrape path is identical either way.
   half-written record can never escape;
 * the ring wraps overwrite-oldest: record ``g`` lives in slot
   ``g % capacity``, so the newest ``capacity`` records always survive
-  — which is the entire point of the flight-recorder mode;
-* a ring header flag says whether the ring is empty, live, or frozen —
-  a parked worker's ring is frozen (records stay visible for the
-  drain-time scrape) until the rank is un-parked.
+  — which is the entire point of the flight-recorder mode.
 
-The tracer the hot paths see is bound **thread-locally**, exactly like
-the telemetry writer: instrumented code calls :func:`tracer` and gets
-either the bound rank's :class:`TraceWriter` or the shared no-op
-:class:`NullTracer` — tracing off costs one attribute load and a
-branch.  Nothing here ever touches a virtual clock: all timestamps are
-wall-side (``perf_counter``, CLOCK_MONOTONIC on Linux — one epoch for
-every process on the host, so cross-rank timestamps are directly
-comparable), and results are bit-identical with tracing on or off.
+Instrumented code calls :func:`tracer`.  All timestamps are wall-side
+(``perf_counter``, CLOCK_MONOTONIC on Linux — one epoch for every
+process on the host, so cross-rank timestamps are directly comparable),
+and results are bit-identical with tracing on or off.
 """
 
 from __future__ import annotations
 
-import threading
-from time import perf_counter, sleep
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dsm import shm
+from time import perf_counter
 
 import numpy as np
 
+from repro.dsm import shmplane
+from repro.dsm.shmplane import HEADER_WORDS
 from repro.trace.schema import (
     DEFAULT_CAPACITY,
     KIND_INSTANT,
@@ -54,28 +39,14 @@ from repro.trace.schema import (
     KIND_SPAN,
     RECORD_WORDS,
     RECV,
-    RING_ACTIVE,
     RING_CURSOR,
-    RING_FROZEN,
-    RING_HEADER_WORDS,
     RING_SEQ,
-    RING_STATE,
     SEND,
     ring_words,
 )
 
 
-def trace_name(launch_id: str) -> str:
-    """The deterministic segment name of one launch's trace plane."""
-    # imported here (and in create/attach below), not at module top:
-    # shm's hot paths import this module's tracer, so the dependency
-    # must stay one-way at import time.
-    from repro.dsm import shm
-
-    return f"{shm.SHM_PREFIX}-{launch_id}-trace"
-
-
-class NullTracer:
+class NullTracer(shmplane.NullWriter):
     """The disabled hot path: every operation is a no-op.
 
     ``send`` returns sequence 0 — the "untraced" message id, which the
@@ -83,8 +54,6 @@ class NullTracer:
     payload traffic coexist on one :class:`~repro.dsm.mailbox.Message`
     field.
     """
-
-    active = False
 
     def instant(self, code: int, a: float = 0.0, b: float = 0.0,
                 c: float = 0.0, d: float = 0.0) -> None:
@@ -101,33 +70,17 @@ class NullTracer:
              t0: float) -> None:
         pass
 
-    def freeze(self) -> None:
-        pass
-
-    def thaw(self) -> None:
-        pass
-
 
 NULL_TRACER = NullTracer()
 
-_tl = threading.local()
+#: ``tracer()`` is the trace writer bound to the calling thread
+#: (:data:`NULL_TRACER` outside an instrumented rank, or with tracing
+#: disabled); ``bind(w)`` binds ``w`` as this thread's hot-path tracer
+#: (``None`` unbinds).
+tracer, bind = shmplane.binder(NULL_TRACER)
 
 
-def tracer() -> "TraceWriter | NullTracer":
-    """The trace writer bound to the calling thread (no-op tracer
-    outside an instrumented rank, or with tracing disabled)."""
-    return getattr(_tl, "tracer", NULL_TRACER)
-
-
-def bind(w: "TraceWriter | None") -> None:
-    """Bind ``w`` as this thread's hot-path tracer (None unbinds)."""
-    if w is None:
-        _tl.tracer = NULL_TRACER
-    else:
-        _tl.tracer = w
-
-
-class TraceWriter:
+class TraceWriter(shmplane.RegionWriter):
     """One rank's lock-free append handle onto its own ring.
 
     Re-binding after a park / un-park cycle resumes from the published
@@ -135,23 +88,17 @@ class TraceWriter:
     generations and message ids stay monotonic across its whole life.
     """
 
-    active = True
-
-    def __init__(self, buf: np.ndarray, rank: int, capacity: int,
-                 base: int) -> None:
-        self._buf = buf
-        self.rank = rank
+    def __init__(self, ring: np.ndarray, rank: int, capacity: int) -> None:
+        super().__init__(ring, rank)
         self._cap = capacity
-        self._base = base
-        self._next = int(buf[base + RING_CURSOR])
-        self._seq = int(buf[base + RING_SEQ])
-        buf[base + RING_STATE] = RING_ACTIVE
+        self._next = int(ring[RING_CURSOR])
+        self._seq = int(ring[RING_SEQ])
 
     # -- the seqlocked append (single writer: this rank) ---------------
     def _record(self, kind: float, code: int, t0: float, dur: float,
                 a: float, b: float, c: float, d: float) -> None:
-        buf, g = self._buf, self._next
-        s = self._base + RING_HEADER_WORDS + (g % self._cap) * RECORD_WORDS
+        buf, g = self._region, self._next
+        s = HEADER_WORDS + (g % self._cap) * RECORD_WORDS
         buf[s] = 2.0 * g + 1.0   # odd: write in progress
         buf[s + 1] = g
         buf[s + 2] = kind
@@ -164,7 +111,7 @@ class TraceWriter:
         buf[s + 9] = d
         buf[s] = 2.0 * g + 2.0   # even, generation-stamped: committed
         self._next = g + 1
-        buf[self._base + RING_CURSOR] = float(g + 1)
+        buf[RING_CURSOR] = float(g + 1)
 
     # -- the instrumentation API ---------------------------------------
     def instant(self, code: int, a: float = 0.0, b: float = 0.0,
@@ -185,7 +132,7 @@ class TraceWriter:
         """
         s = self._seq + 1
         self._seq = s
-        self._buf[self._base + RING_SEQ] = float(s)
+        self._region[RING_SEQ] = float(s)
         self._record(KIND_SEND, SEND, perf_counter(), 0.0,
                      float(dst), float(tag), float(epoch), float(s))
         return s
@@ -197,16 +144,8 @@ class TraceWriter:
         self._record(KIND_RECV, RECV, t0, perf_counter() - t0,
                      float(src), float(tag), float(epoch), float(seq))
 
-    # -- ring lifecycle ------------------------------------------------
-    def freeze(self) -> None:
-        """Mark the ring parked: records stay, live scrapes skip it."""
-        self._buf[self._base + RING_STATE] = RING_FROZEN
 
-    def thaw(self) -> None:
-        self._buf[self._base + RING_STATE] = RING_ACTIVE
-
-
-def _read_ring(buf: np.ndarray, base: int, capacity: int) -> list[tuple]:
+def _read_ring(ring: np.ndarray, capacity: int) -> list[tuple]:
     """Scrape one ring: every committed record still in its slot.
 
     Reads the published cursor, then seqlock-validates each of the last
@@ -216,95 +155,33 @@ def _read_ring(buf: np.ndarray, base: int, capacity: int) -> list[tuple]:
     (the writer wrapped past our cursor snapshot) — and is dropped, so
     the scraper never yields a torn record and, once the writer is
     quiescent, yields exactly the newest ``min(cursor, capacity)``
-    records.  The retry loop is bounded and yields the interpreter on
-    every failed poll for the same reason the telemetry scraper does.
+    records.
     """
-    cursor = int(buf[base + RING_CURSOR])
-    lo = max(0, cursor - capacity)
-    head = base + RING_HEADER_WORDS
+    cursor = int(ring[RING_CURSOR])
     out: list[tuple] = []
-    for g in range(lo, cursor):
-        s = head + (g % capacity) * RECORD_WORDS
-        want = 2.0 * g + 2.0
-        for _ in range(4096):
-            c1 = float(buf[s])
-            if c1 > want:
-                break        # lapped: this generation is gone
-            if c1 == want:
-                vals = tuple(float(v) for v in buf[s + 1:s + RECORD_WORDS])
-                if float(buf[s]) == want and int(vals[0]) == g:
-                    out.append(vals)
-                    break
-            sleep(0.0)       # mid-write: yield so the writer finishes
+    for g in range(max(0, cursor - capacity), cursor):
+        s = HEADER_WORDS + (g % capacity) * RECORD_WORDS
+        vals, ok = shmplane.read_stable(ring, s, s + 1, s + RECORD_WORDS,
+                                        want=2.0 * g + 2.0)
+        if ok and int(vals[0]) == g:
+            out.append(tuple(vals.tolist()))
     return out
 
 
-class TracePlane:
+class TracePlane(shmplane.RankPlane):
     """All rings of one world, plus the parent's scrape path."""
 
+    kind = "trace"
+
     def __init__(self, max_ranks: int, capacity: int = DEFAULT_CAPACITY,
-                 backend: str = "",
-                 segment: "shm.ShmSegment | None" = None) -> None:
-        self.max_ranks = max_ranks
+                 backend: str = "", **where) -> None:
         self.capacity = capacity
-        self.backend = backend
-        self._ring_words = ring_words(capacity)
-        self._seg = segment
-        if segment is not None:
-            self._buf = segment.ndarray()
-        else:
-            self._buf = np.zeros(max_ranks * self._ring_words,
-                                 dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def local(cls, max_ranks: int, capacity: int = DEFAULT_CAPACITY,
-              backend: str = "") -> "TracePlane":
-        """A process-local plane (thread substrates; no segment)."""
-        return cls(max_ranks, capacity=capacity, backend=backend)
-
-    @classmethod
-    def create(cls, launch_id: str, max_ranks: int,
-               capacity: int = DEFAULT_CAPACITY,
-               backend: str = "") -> "TracePlane":
-        """Allocate the launch's trace segment (parent side)."""
-        from repro.dsm import shm
-
-        seg = shm.ShmSegment.allocate(
-            trace_name(launch_id),
-            (max_ranks * ring_words(capacity),), np.float64)
-        seg.ndarray()[:] = 0.0
-        return cls(max_ranks, capacity=capacity, backend=backend,
-                   segment=seg)
-
-    @classmethod
-    def attach(cls, launch_id: str, max_ranks: int,
-               capacity: int = DEFAULT_CAPACITY,
-               backend: str = "") -> "TracePlane":
-        """Map an existing trace segment (rank-process side)."""
-        from repro.dsm import shm
-
-        seg = shm.ShmSegment.attach(
-            trace_name(launch_id),
-            (max_ranks * ring_words(capacity),), np.float64)
-        return cls(max_ranks, capacity=capacity, backend=backend,
-                   segment=seg)
-
-    # ------------------------------------------------------------------
-    def ring(self, rank: int) -> np.ndarray:
-        if not (0 <= rank < self.max_ranks):
-            raise ValueError(f"rank {rank} outside plane of "
-                             f"{self.max_ranks} rings")
-        return self._buf[rank * self._ring_words:
-                         (rank + 1) * self._ring_words]
+        super().__init__(max_ranks, ring_words(capacity), backend, **where)
 
     def writer(self, rank: int) -> TraceWriter:
         """This rank's append handle; activates (or thaws) its ring."""
-        self.ring(rank)  # bounds check
-        return TraceWriter(self._buf, rank, self.capacity,
-                           rank * self._ring_words)
+        return TraceWriter(self.region(rank), rank, self.capacity)
 
-    # ------------------------------------------------------------------
     def scrape(self, include_frozen: bool = False
                ) -> dict[int, list[tuple]]:
         """Committed records of every live ring, keyed by rank.
@@ -313,31 +190,9 @@ class TracePlane:
         skipped; pass ``include_frozen`` for the drain-time scrape that
         folds a finished world's parked rings in as well.
         """
-        wanted = ({RING_ACTIVE, RING_FROZEN} if include_frozen
-                  else {RING_ACTIVE})
         out: dict[int, list[tuple]] = {}
-        for rank in range(self.max_ranks):
-            base = rank * self._ring_words
-            if float(self._buf[base + RING_STATE]) not in wanted:
-                continue
-            recs = _read_ring(self._buf, base, self.capacity)
+        for rank in self.live(include_frozen):
+            recs = _read_ring(self.region(rank), self.capacity)
             if recs:
                 out[rank] = recs
         return out
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self._buf = np.zeros(0, dtype=np.float64)
-        if self._seg is not None:
-            self._seg.close()
-
-    def unlink(self) -> None:
-        if self._seg is not None:
-            self._seg.unlink()
-
-
-def unlink_trace(launch_id: str) -> None:
-    """Parent crash-path sweep for the launch's trace segment."""
-    from repro.dsm import shm
-
-    shm.unlink_by_name(trace_name(launch_id))

@@ -6,11 +6,11 @@ module alone, so the shared-memory trace plane needs no negotiation.
 
 A rank's **ring** is a flat ``float64`` region::
 
-    [header : RING_HEADER_WORDS] [record 0] [record 1] ... [record C-1]
+    [header : HEADER_WORDS] [record 0] [record 1] ... [record C-1]
 
-* header word 0 — ring state (``RING_EMPTY`` / ``RING_ACTIVE`` /
-  ``RING_FROZEN``; park freezes, un-park thaws, exactly like a
-  telemetry page);
+* header word 0 — the region's lifecycle state (``EMPTY`` / ``ACTIVE``
+  / ``FROZEN`` of :mod:`repro.dsm.shmplane`; park freezes, un-park
+  thaws, exactly like a telemetry page);
 * header word 1 — the **write cursor**: total records ever appended.
   Record ``g`` lives in slot ``g % capacity`` — overwrite-oldest
   wraparound by construction;
@@ -30,6 +30,8 @@ play).
 
 from __future__ import annotations
 
+from repro.dsm.shmplane import HEADER_WORDS
+
 #: words per record: commit, gidx, kind, code, t0, dur, a, b, c, d.
 RECORD_WORDS = 10
 #: payload word meanings (offsets within a record).
@@ -38,12 +40,8 @@ W_COMMIT, W_GIDX, W_KIND, W_CODE, W_T0, W_DUR, W_A, W_B, W_C, W_D = range(10)
 #: record kinds (word 2).
 KIND_SPAN, KIND_INSTANT, KIND_SEND, KIND_RECV = 1.0, 2.0, 3.0, 4.0
 
-#: words reserved at the head of each ring.
-RING_HEADER_WORDS = 8
-#: header word offsets.
-RING_STATE, RING_CURSOR, RING_SEQ = 0, 1, 2
-#: ring state flag values (header word 0).
-RING_EMPTY, RING_ACTIVE, RING_FROZEN = 0.0, 1.0, 2.0
+#: header word offsets (word 0 is the region's lifecycle state).
+RING_CURSOR, RING_SEQ = 1, 2
 
 #: default ring capacity (records per rank) — full-timeline tracing.
 DEFAULT_CAPACITY = 2048
@@ -56,7 +54,7 @@ FLIGHT_LAST_N = 64
 
 def ring_words(capacity: int) -> int:
     """Words one rank's ring occupies."""
-    return RING_HEADER_WORDS + capacity * RECORD_WORDS
+    return HEADER_WORDS + capacity * RECORD_WORDS
 
 
 #: the span/instant name table — codes are indexes into this tuple, so

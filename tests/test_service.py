@@ -30,6 +30,7 @@ from repro.core import ExecConfig, Runtime, plug
 from repro.dsm import shm
 from repro.service import JobQueue, RuntimeService, ServiceClient
 from repro.service.scheduler import QueueFull
+from repro.telemetry import MetricsRegistry
 from repro.vtime import MachineModel
 
 pytestmark = pytest.mark.skipif(
@@ -46,6 +47,13 @@ KW = {"n": N, "iterations": ITERS}
 def _no_leaks():
     left = shm.live_segments()
     assert left == [], f"leaked segments: {left}"
+
+
+def _gauge(client, name):
+    """One service gauge off the ``stats`` RPC's registry snapshot."""
+    reg = MetricsRegistry()
+    reg.absorb_snapshot(client.stats()["metrics"])
+    return reg.value(name)
 
 
 def _submit(client, **kw):
@@ -83,14 +91,15 @@ def test_consecutive_jobs_recycle_not_grow(tmp_path):
         out = client.result(_submit(client), timeout=120.0)
         assert out["status"] == "done" and out["value"] == REF
         segments_after_first = len(shm.live_segments())
-        arena_after_first = client.stats()["arena"]["segments"]
+        arena_after_first = _gauge(client, "repro_arena_segments_total")
+        assert arena_after_first > 0
         for _ in range(3):
             out = client.result(_submit(client), timeout=120.0)
             assert out["status"] == "done" and out["value"] == REF
-        stats = client.stats()
-        assert stats["arena"]["segments"] == arena_after_first
-        assert stats["arena"]["leased"] == 0
-        assert stats["idle_workers"] == 3
+        assert _gauge(client, "repro_arena_segments_total") \
+            == arena_after_first
+        assert _gauge(client, "repro_arena_segments_leased") == 0
+        assert _gauge(client, "repro_service_workers_idle") == 3
         assert len(shm.live_segments()) == segments_after_first
     _no_leaks()
 
@@ -105,9 +114,8 @@ def test_concurrent_jobs_both_lanes(tmp_path):
             out = client.result(jid, timeout=120.0)
             assert out["status"] == "done", out
             assert out["value"] == REF
-        stats = client.stats()
-        assert stats["idle_workers"] == 4
-        assert stats["arena"]["leased"] == 0
+        assert _gauge(client, "repro_service_workers_idle") == 4
+        assert _gauge(client, "repro_arena_segments_leased") == 0
         # fleet still alive: every worker process parked, none dead
         assert all(p.is_alive() for p in svc.fleet.procs)
     left = [p.name for p in mp.active_children()
@@ -137,7 +145,7 @@ def test_cancel_returns_workers_to_pool(tmp_path):
         # the fleet recovered: same workers run the next job
         out = client.result(_submit(client), timeout=120.0)
         assert out["status"] == "done" and out["value"] == REF
-        assert client.stats()["idle_workers"] == 3
+        assert _gauge(client, "repro_service_workers_idle") == 3
     _no_leaks()
 
 

@@ -473,15 +473,19 @@ class TestExposition:
             stats = client.stats()
             assert stats["ok"]
             # ... the stats RPC returns the service-wide registry with
-            # per-job labels, plus the deprecated flat-key adapter.
+            # per-job labels; fleet, queue and arena occupancy are its
+            # gauges (the one vocabulary — no flat keys beside it).
             reg = MetricsRegistry()
             reg.absorb_snapshot(stats["metrics"])
             assert reg.value("repro_exec_safepoints_total",
                              {"job": f"j{jid}"}) == 2 * ITERS
             assert reg.value("repro_service_workers_total") == 2
-            for legacy in ("idle_workers", "queued", "running",
-                           "workers", "lanes", "arena"):
-                assert legacy in stats
+            assert reg.value("repro_service_lanes_total") == 1
+            assert reg.value("repro_service_workers_idle") == 2
+            assert reg.value("repro_service_jobs_queued") == 0
+            assert reg.value("repro_service_jobs_running") == 0
+            assert reg.value("repro_arena_segments_total") > 0
+            assert set(stats) == {"ok", "metrics"}
 
             # curl-style scrape, conformance-parsed off the wire
             body = urlopen(f"http://{host}:{port}/metrics",
