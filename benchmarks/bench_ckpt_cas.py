@@ -16,10 +16,10 @@ mid-chain, so the byte accounting spans two shard-set shapes.  A third
 scenario funnels two identical jobs through the multi-tenant runtime
 service, whose per-job namespaces share one CAS.
 
-Reported: total checkpoint bytes on disk (recipes + chunks vs delta
+Reported: total checkpoint bytes on disk (recipes + packs vs delta
 chains), the byte-reduction ratio, and the wall time to reassemble the
-newest shard set (the CAS restore fans chunk fetches and shard reads
-over thread pools).  The headline series lands machine-readable in
+newest shard set (the CAS restore reads each pack once, in offset
+order).  The headline series lands machine-readable in
 ``results/BENCH_ckpt_cas.json``.
 """
 
@@ -57,7 +57,7 @@ RANKS, RANKS_AFTER = 3, 4
 
 
 def _disk_bytes(ckpt_dir) -> int:
-    """Total checkpoint footprint: recipes/snapshots plus chunk files."""
+    """Total checkpoint footprint: recipes/snapshots plus CAS packs."""
     return sum(f.stat().st_size for f in ckpt_dir.rglob("*") if f.is_file())
 
 

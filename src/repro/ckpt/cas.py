@@ -3,10 +3,10 @@
 :class:`CasCheckpointStore` keeps checkpoint *payloads* out of the
 checkpoint *files*.  Each field's portable encoding is split at
 content-defined boundaries (:mod:`repro.ckpt.chunker`) and the pieces
-land in a :class:`ChunkStore` — one file per distinct chunk, keyed by
-content digest.  The checkpoint file itself becomes a **recipe**: the
-ordinary envelope container with no sections, whose header maps every
-field to its ordered ``(digest, length)`` chunk refs.
+land in a :class:`ChunkStore`, keyed by content digest.  The checkpoint
+file itself becomes a **recipe**: the ordinary envelope container with
+no sections, whose header maps every field to its ordered
+``(digest, length)`` chunk refs.
 
 What that buys over the delta store:
 
@@ -20,10 +20,7 @@ What that buys over the delta store:
   store once.  A second job checkpointing the same state stores almost
   nothing.
 * **self-contained restores** — a recipe needs no chain: any recipe
-  plus the CAS is a complete state, so corruption never cascades and
-  chunk fetches parallelise freely (:meth:`CasCheckpointStore.read`
-  fans out over a small thread pool; shard reassembly fans out over
-  shards too).
+  plus the CAS is a complete state, so corruption never cascades.
 
 Unchanged fields are detected by the delta store's value hash — one
 streaming pass off the array buffer, against the previous write's
@@ -31,16 +28,25 @@ baseline — so steady-state saves re-chunk only the fields that moved;
 everything else is a recipe ref reuse with zero hashing of chunk
 bytes.
 
-Durability ordering: chunk files are written (each atomically) before
-the recipe that references them, so a crash can orphan chunks but
-never publish a recipe with missing bytes.  Orphans are reclaimed by
+On disk the CAS is a directory of **packs**: everything one checkpoint
+write adds goes out as a single self-describing file — an entry table
+(digest, storage flags, stored length per entry) followed by the stored
+payloads — through one :func:`~repro.ckpt.writer.atomic_write_bytes`.
+One durable write per checkpoint, not one per chunk.
+
+Durability ordering: the pack is durable before the recipe that
+references it is published, so a crash can orphan entries but never
+publish a recipe with missing bytes.  Orphans are reclaimed by
 :meth:`CasCheckpointStore.gc` — mark (scan every recipe file in the
-directory, namespaces and shards included) and sweep (delete chunks
-nothing references).  The in-memory refcounts are bookkeeping for the
-fast path and the stats surface; the disk scan is authoritative, so GC
-is correct across process restarts and crashes.  GC runs on anchor
-retirement (:meth:`prune`/:meth:`clear`) and on service job-namespace
-teardown.
+directory, namespaces and shards included) and sweep (unlink packs
+nothing references, rewrite partly-live ones).  One store-wide lock,
+owned by the shared :class:`ChunkStore`, is held across "pack durable →
+recipe published" and across "mark → sweep": a GC from one namespace
+can never sweep the entries another namespace has made durable but not
+yet referenced.  The in-memory refcounts are bookkeeping for the stats
+surface; the disk scan is authoritative, so GC is correct across
+process restarts and crashes.  GC runs on anchor retirement
+(:meth:`prune`/:meth:`clear`) and on service job-namespace teardown.
 
 Every chunk read is digest-verified after decompression, so a flipped
 bit on disk is detected *per chunk* and named per field
@@ -50,16 +56,23 @@ checkpoint exactly as it does for a torn full snapshot.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
+import struct
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable
 
-from repro.ckpt.chunker import DEFAULT_PARAMS, ChunkParams, chunk_digest, chunk_refs
+from repro.ckpt.chunker import (
+    DEFAULT_PARAMS,
+    DIGEST_SIZE,
+    ChunkParams,
+    chunk_digest,
+    chunk_refs,
+)
 from repro.ckpt.delta import content_hash_value
 from repro.ckpt.snapshot import (
     KIND_FULL,
@@ -78,26 +91,39 @@ from repro.util.serialization import dumps_portable, loads_portable, pack_sectio
 #: under a directory is one store for every sub-store above it.
 _ANY_PCR_RE = re.compile(r"^ckpt_\d{9}(\.j\w+)?(\.r\d+)?\.pcr$")
 
-#: restore fan-out width.  Checkpoint chunks are a few KiB each, so the
-#: win is overlapping read syscalls and zlib inflate; a handful of
-#: threads saturates that long before it saturates a disk.
-FETCH_WORKERS = 4
+#: pack file: head (magic, entry count), then ``count`` table entries
+#: (binary digest, storage flags, stored length), then the stored
+#: payloads back to back in table order.  The table sits at the head so
+#: opening a store reads tables, never payloads.
+_PACK_MAGIC = b"PPK1"
+_PACK_HEAD = struct.Struct("<4sI")
+_PACK_ENTRY = struct.Struct(f"<{DIGEST_SIZE}sBI")
+_PACK_SUFFIX = ".pack"
 
 
 class ChunkCorrupt(SnapshotCorrupt):
     """A chunk is missing, torn, or fails its content digest."""
 
 
-class ChunkStore:
-    """Flat content-addressed chunk files under ``<dir>``.
+def _absent(digest: str) -> ChunkCorrupt:
+    return ChunkCorrupt(f"chunk {digest} missing from CAS")
 
-    One file per distinct chunk at ``<digest[:2]>/<digest>.chunk``: a
-    flag byte (the section transform negotiated by
-    :func:`~repro.util.serialization.pack_section`) followed by the
-    stored payload.  Writes are atomic and idempotent — the digest IS
-    the identity, so concurrent writers of the same chunk race
-    harmlessly to identical bytes.  Thread-safe throughout; reads are
-    digest-verified after undoing the storage transform.
+
+class ChunkStore:
+    """Content-addressed chunks in append-only pack files under ``<dir>``.
+
+    A batch of new chunks (:meth:`put_many` — one checkpoint write)
+    becomes one pack, written atomically; a pack is never modified
+    afterwards, only unlinked or superseded by :meth:`sweep`.  The
+    ``digest -> (pack, offset, length, flags)`` index lives in memory
+    and is rebuilt from the pack tables on first use, so presence
+    checks and dedup hits are dict lookups.  An entry a truncated pack
+    no longer fully holds is simply absent.  Reads are digest-verified
+    after undoing the storage transform.
+
+    Thread-safe: every method takes :attr:`lock`, the one in-process
+    lock the recipe stores above also hold across publish and GC.  One
+    store object per directory per process is the supported shape.
     """
 
     def __init__(self, directory: str | os.PathLike,
@@ -105,7 +131,14 @@ class ChunkStore:
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.compress_min_bytes = compress_min_bytes
-        self._lock = threading.Lock()
+        #: store-wide lock (re-entrant: the recipe store holds it around
+        #: calls back into this class).
+        self.lock = threading.RLock()
+        #: digest -> (pack file name, payload offset, stored length,
+        #: flags); None until first use.
+        self._index: dict[str, tuple[str, int, int, int]] | None = None
+        #: pack file name -> entries in its table (live or not).
+        self._packs: dict[str, int] = {}
         #: live references: digest -> times referenced by written
         #: recipes.  Advisory (rebuilt by every GC mark phase).
         self._refs: Counter[str] = Counter()
@@ -118,130 +151,266 @@ class ChunkStore:
         self.bytes_swept = 0
 
     # ------------------------------------------------------------------
-    def path_for(self, digest: str) -> Path:
-        return self.dir / digest[:2] / f"{digest}.chunk"
+    # the index
+    # ------------------------------------------------------------------
+    def _entries(self) -> dict[str, tuple[str, int, int, int]]:
+        """The index, built on first use.  Caller holds :attr:`lock`."""
+        if self._index is None:
+            self._index = {}
+            self._scan()
+        return self._index
 
+    def _scan(self) -> None:
+        """Index every pack on disk this object has not seen yet."""
+        for name in sorted(os.listdir(self.dir)):
+            if name.endswith(_PACK_SUFFIX) and name not in self._packs:
+                self._load_pack(name)
+
+    def _load_pack(self, name: str) -> None:
+        """Read one pack's table (not its payloads) into the index.
+
+        A pack whose head or table does not parse holds nothing
+        fetchable: it registers with zero entries, so the next sweep
+        unlinks it.
+        """
+        self._packs[name] = 0
+        try:
+            with open(self.dir / name, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                head = fh.read(_PACK_HEAD.size)
+                if len(head) < _PACK_HEAD.size:
+                    return
+                magic, count = _PACK_HEAD.unpack(head)
+                table_nbytes = count * _PACK_ENTRY.size
+                if magic != _PACK_MAGIC \
+                        or _PACK_HEAD.size + table_nbytes > size:
+                    return
+                table = fh.read(table_nbytes)
+        except OSError:
+            return
+        self._packs[name] = count
+        offset = _PACK_HEAD.size + table_nbytes
+        for raw, flags, length in _PACK_ENTRY.iter_unpack(table):
+            if offset + length <= size:  # a torn tail is an absent entry
+                self._index[raw.hex()] = (name, offset, length, flags)
+            offset += length
+
+    def _write_pack(self, entries: list[tuple[str, int, Any]]) -> int:
+        """One durable pack of ``(digest, flags, stored)``; its size.
+
+        Named by its table's hash, so identical batches race to
+        identical files.  Caller holds :attr:`lock`.
+        """
+        table = b"".join(
+            _PACK_ENTRY.pack(bytes.fromhex(digest), flags, len(stored))
+            for digest, flags, stored in entries)
+        name = hashlib.blake2b(table, digest_size=8).hexdigest() \
+            + _PACK_SUFFIX
+        data = b"".join([_PACK_HEAD.pack(_PACK_MAGIC, len(entries)), table,
+                         *(stored for _, _, stored in entries)])
+        atomic_write_bytes(self.dir / name, data)
+        offset = _PACK_HEAD.size + len(table)
+        for digest, flags, stored in entries:
+            self._index[digest] = (name, offset, len(stored), flags)
+            offset += len(stored)
+        self._packs[name] = len(entries)
+        return len(data)
+
+    # ------------------------------------------------------------------
     def has(self, digest: str) -> bool:
-        return self.path_for(digest).exists()
+        with self.lock:
+            return digest in self._entries()
 
     def missing(self, digests: Iterable[str]) -> list[str]:
         """The subset of ``digests`` not yet stored (order kept, deduped)."""
-        out, seen = [], set()
-        for d in digests:
-            if d not in seen and not self.has(d):
-                out.append(d)
-            seen.add(d)
-        return out
+        with self.lock:
+            index = self._entries()
+            return [d for d in dict.fromkeys(digests) if d not in index]
+
+    def locate(self, digest: str) -> tuple[Path, int, int]:
+        """``(file, offset, length)`` of one chunk's stored payload."""
+        with self.lock:
+            try:
+                name, offset, length, _ = self._entries()[digest]
+            except KeyError:
+                raise _absent(digest) from None
+            return self.dir / name, offset, length
+
+    def digests(self) -> set[str]:
+        """Every chunk currently stored."""
+        with self.lock:
+            return set(self._entries())
 
     # ------------------------------------------------------------------
-    def put(self, digest: str, payload) -> tuple[bool, int]:
-        """Store one chunk; returns ``(newly_stored, stored_nbytes)``.
+    def put_many(self, chunks: Iterable[tuple[str, Any]]
+                 ) -> list[tuple[bool, int]]:
+        """Store a batch as one durable pack.
 
-        A present digest is a dedup hit: nothing is written, the raw
-        length counts as bytes saved.
+        Returns ``(newly_stored, stored_nbytes)`` per chunk, in order.
+        A digest the index already holds — or an earlier item of this
+        batch carries — is a dedup hit: it is dropped, never appended,
+        and its raw length counts as bytes saved.  ``stored_nbytes`` is
+        the entry's on-disk footprint (table entry + stored payload).
         """
-        path = self.path_for(digest)
-        if path.exists():
-            with self._lock:
-                self.chunks_deduped += 1
-                self.bytes_deduped += len(payload)
-            return False, path.stat().st_size
-        flags, stored = pack_section(bytes(payload), self.compress_min_bytes)
-        data = bytes([flags]) + stored
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, data)
-        with self._lock:
-            self.chunks_stored += 1
-            self.bytes_stored += len(data)
-        return True, len(data)
+        with self.lock:
+            index = self._entries()
+            out: list[tuple[bool, int]] = []
+            fresh: dict[str, int] = {}
+            entries: list[tuple[str, int, Any]] = []
+            for digest, payload in chunks:
+                known = index.get(digest)
+                length = fresh.get(digest) if known is None else known[2]
+                if length is not None:
+                    self.chunks_deduped += 1
+                    self.bytes_deduped += len(payload)
+                    out.append((False, _PACK_ENTRY.size + length))
+                    continue
+                flags, stored = pack_section(payload, self.compress_min_bytes)
+                fresh[digest] = len(stored)
+                entries.append((digest, flags, stored))
+                out.append((True, _PACK_ENTRY.size + len(stored)))
+            if entries:
+                self.chunks_stored += len(entries)
+                self.bytes_stored += \
+                    self._write_pack(entries) - _PACK_HEAD.size
+            return out
+
+    def put(self, digest: str, payload) -> tuple[bool, int]:
+        """Store one chunk (a durable one-entry pack); see :meth:`put_many`."""
+        return self.put_many([(digest, payload)])[0]
+
+    def fetch_many(self, digests: Iterable[str]
+                   ) -> dict[str, tuple[bytes, int] | ChunkCorrupt]:
+        """``digest -> (payload, stored_nbytes)``, read in disk order.
+
+        Each pack is opened once and read by ascending offset.  A chunk
+        that is absent, torn, or whose decoded bytes no longer hash to
+        its digest maps to the :class:`ChunkCorrupt` instead of raising,
+        so one bad chunk poisons only what references it — the caller
+        decides.  Holds :attr:`lock` throughout: a concurrent sweep
+        cannot unlink a pack between lookup and read.
+        """
+        out: dict[str, Any] = {}
+        with self.lock:
+            index = self._entries()
+            wanted = set(digests)
+            if not wanted <= index.keys():
+                self._scan()  # another store object may have published
+            by_pack: dict[str, list[tuple[int, str]]] = {}
+            for digest in wanted:
+                loc = index.get(digest)
+                if loc is None:
+                    out[digest] = _absent(digest)
+                else:
+                    by_pack.setdefault(loc[0], []).append((loc[1], digest))
+            for name in sorted(by_pack):
+                try:
+                    fd = os.open(self.dir / name, os.O_RDONLY)
+                except OSError:
+                    out.update((d, _absent(d)) for _, d in by_pack[name])
+                    continue
+                try:
+                    for _, digest in sorted(by_pack[name]):
+                        out[digest] = self._read_entry(fd, digest)
+                finally:
+                    os.close(fd)
+        return out
+
+    def _read_entry(self, fd: int, digest: str):
+        _, offset, length, flags = self._index[digest]
+        try:
+            stored = os.pread(fd, length, offset)
+        except OSError:
+            return _absent(digest)
+        try:
+            payload = unpack_section(flags, stored)
+        except Exception as exc:  # zlib.error on a flipped bit
+            return ChunkCorrupt(f"chunk {digest} failed to decode: {exc}")
+        if chunk_digest(payload) != digest:
+            return ChunkCorrupt(f"chunk {digest} failed content verification")
+        return payload, _PACK_ENTRY.size + length
 
     def fetch(self, digest: str) -> tuple[bytes, int]:
         """One chunk's payload and its stored (on-disk) size.
 
-        Raises :class:`ChunkCorrupt` when the file is absent, torn, or
+        Raises :class:`ChunkCorrupt` when the chunk is absent, torn, or
         its decompressed bytes no longer hash to ``digest``.
         """
-        try:
-            data = self.path_for(digest).read_bytes()
-        except OSError as exc:
-            raise ChunkCorrupt(f"chunk {digest} missing from CAS") from exc
-        if not data:
-            raise ChunkCorrupt(f"chunk {digest} is empty on disk")
-        try:
-            payload = unpack_section(data[0], data[1:])
-        except Exception as exc:  # zlib.error on a flipped bit
-            raise ChunkCorrupt(
-                f"chunk {digest} failed to decode: {exc}") from exc
-        if chunk_digest(payload) != digest:
-            raise ChunkCorrupt(f"chunk {digest} failed content verification")
-        return payload, len(data)
-
-    def get(self, digest: str) -> bytes:
-        return self.fetch(digest)[0]
+        got = self.fetch_many([digest])[digest]
+        if isinstance(got, ChunkCorrupt):
+            raise got
+        return got
 
     # ------------------------------------------------------------------
     def incref(self, digests: Iterable[str]) -> None:
-        with self._lock:
+        with self.lock:
             self._refs.update(digests)
 
     def decref(self, digests: Iterable[str]) -> None:
-        with self._lock:
+        with self.lock:
             self._refs.subtract(digests)
             self._refs += Counter()  # drop keys at zero
 
     def refcount(self, digest: str) -> int:
-        with self._lock:
+        with self.lock:
             return self._refs[digest]
 
     # ------------------------------------------------------------------
-    def digests(self) -> set[str]:
-        """Every chunk currently on disk."""
-        out = set()
-        for sub in self.dir.iterdir():
-            if not sub.is_dir():
-                continue
-            for f in sub.iterdir():
-                if f.suffix == ".chunk":
-                    out.add(f.stem)
-        return out
-
-    def stored_bytes(self) -> int:
-        """On-disk footprint of every stored chunk."""
-        total = 0
-        for sub in self.dir.iterdir():
-            if not sub.is_dir():
-                continue
-            for f in sub.iterdir():
-                if f.suffix == ".chunk":
-                    try:
-                        total += f.stat().st_size
-                    except OSError:
-                        pass
-        return total
-
     def sweep(self, live: set[str]) -> tuple[int, int]:
-        """Delete every chunk not in ``live``; ``(chunks, bytes)`` freed.
+        """Drop every chunk not in ``live``; ``(chunks, bytes)`` freed.
 
-        The refcounts are reset to the mark result — the disk scan, not
-        the counter, decides what dies, so a counter lost to a restart
-        can never leak or over-free chunks.
+        A pack with no live entry is unlinked; a partly-live one is
+        compacted — its survivors go out as a new durable pack *before*
+        the old file is unlinked, so a crash in between leaves a
+        duplicate the next sweep removes, never a gap.  The refcounts
+        are reset to the mark result — the disk scan, not the counter,
+        decides what dies, so a counter lost to a restart can never
+        leak or over-free chunks.
         """
-        n = nbytes = 0
-        for digest in self.digests() - live:
-            path = self.path_for(digest)
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            n += 1
-            nbytes += size
-        with self._lock:
+        with self.lock:
+            index = self._entries()
+            held: dict[str, list[str]] = {name: [] for name in self._packs}
+            for digest, loc in index.items():
+                held[loc[0]].append(digest)
+            n = nbytes = 0
+            for name in list(held):
+                keep = [d for d in held[name] if d in live]
+                if keep and len(keep) == self._packs[name]:
+                    continue
+                path = self.dir / name
+                try:
+                    fd = os.open(path, os.O_RDONLY)
+                except OSError:
+                    keep = []  # the file is gone, and its entries with it
+                else:
+                    try:
+                        nbytes += os.fstat(fd).st_size
+                        survivors = []
+                        for digest in sorted(keep, key=index.__getitem__):
+                            _, offset, length, flags = index[digest]
+                            survivors.append(
+                                (digest, flags, os.pread(fd, length, offset)))
+                    finally:
+                        os.close(fd)
+                if keep:
+                    nbytes -= self._write_pack(survivors)
+                    # the survivors now live in the new pack, which may
+                    # be a file this loop has yet to visit.
+                    held[index[keep[0]][0]] = keep
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                del self._packs[name]
+                for digest in held[name]:
+                    if index[digest][0] == name:
+                        del index[digest]
+                        n += 1
             self._refs = Counter({d: c for d, c in self._refs.items()
                                   if d in live and c > 0})
             self.chunks_swept += n
             self.bytes_swept += nbytes
-        return n, nbytes
+            return n, nbytes
 
 
 class CasCheckpointStore(CheckpointStore):
@@ -249,18 +418,18 @@ class CasCheckpointStore(CheckpointStore):
 
     Drop-in for :class:`~repro.ckpt.store.CheckpointStore`: same file
     naming, pruning, shard and namespace mechanics — but ``write``
-    emits a recipe plus the chunks the CAS lacks, and ``read`` fetches
-    and verifies chunks on a thread pool.  Shards and namespaces share
-    the parent's :class:`ChunkStore`, which is where the cross-rank and
-    cross-job dedup comes from.
+    emits a recipe plus one pack of the chunks the CAS lacks, and
+    ``read`` fetches and verifies chunks in disk order.  Shards and
+    namespaces share the parent's :class:`ChunkStore`, which is where
+    the cross-rank and cross-job dedup comes from — and whose lock
+    orders every publish against every GC.
     """
 
     def __init__(self, directory: str | os.PathLike,
                  chunk_params: ChunkParams = DEFAULT_PARAMS,
                  compress_min_bytes: int | None = None,
                  shard_suffix: str = "", ns_suffix: str = "",
-                 cas: ChunkStore | None = None,
-                 fetch_workers: int = FETCH_WORKERS) -> None:
+                 cas: ChunkStore | None = None) -> None:
         super().__init__(directory, compress_min_bytes=compress_min_bytes,
                          shard_suffix=shard_suffix, ns_suffix=ns_suffix)
         #: boundary policy — also shipped to funnel workers so they chunk
@@ -269,7 +438,6 @@ class CasCheckpointStore(CheckpointStore):
         self.cas = cas if cas is not None \
             else ChunkStore(self.dir / "cas",
                             compress_min_bytes=compress_min_bytes)
-        self.fetch_workers = max(1, fetch_workers)
         #: change-detection baseline: field -> (value hash, chunk refs).
         #: Volatile, like the delta store's — losing it to a restart
         #: just means the next write re-chunks everything it still has.
@@ -287,14 +455,13 @@ class CasCheckpointStore(CheckpointStore):
             self.dir, chunk_params=self.chunk_params,
             compress_min_bytes=self.compress_min_bytes,
             shard_suffix=f".r{rank}", ns_suffix=self.ns_suffix,
-            cas=self.cas, fetch_workers=self.fetch_workers)
+            cas=self.cas)
 
     def _make_namespace(self, ns_suffix: str) -> "CasCheckpointStore":
         return CasCheckpointStore(
             self.dir, chunk_params=self.chunk_params,
             compress_min_bytes=self.compress_min_bytes,
-            ns_suffix=ns_suffix, cas=self.cas,
-            fetch_workers=self.fetch_workers)
+            ns_suffix=ns_suffix, cas=self.cas)
 
     # ------------------------------------------------------------------
     # write path
@@ -306,9 +473,9 @@ class CasCheckpointStore(CheckpointStore):
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
         stats = {"chunks_new": 0, "chunks_dedup": 0, "dedup_saved_bytes": 0}
-        new_bytes = 0
         recipe: dict[str, list[list]] = {}
         base: dict[str, tuple[bytes, list[tuple[str, int]]]] = {}
+        chunks: list[tuple[str, memoryview]] = []
         for name, value in snap.fields.items():
             vhash = content_hash_value(value)
             cached = self._base.get(name)
@@ -319,23 +486,26 @@ class CasCheckpointStore(CheckpointStore):
                 stats["chunks_dedup"] += len(refs)
                 stats["dedup_saved_bytes"] += sum(ln for _, ln in refs)
             else:
-                blob = dumps_portable(value)
-                mv = memoryview(blob)
+                mv = memoryview(dumps_portable(value))
                 refs = []
-                for digest, a, b in chunk_refs(blob, self.chunk_params):
-                    new, stored = self.cas.put(digest, mv[a:b])
-                    if new:
-                        stats["chunks_new"] += 1
-                        new_bytes += stored
-                    else:
-                        stats["chunks_dedup"] += 1
-                        stats["dedup_saved_bytes"] += b - a
+                for digest, a, b in chunk_refs(mv, self.chunk_params):
+                    chunks.append((digest, mv[a:b]))
                     refs.append((digest, b - a))
             recipe[name] = [[d, ln] for d, ln in refs]
             base[name] = (vhash, [(d, ln) for d, ln in refs])
         self._base = base
-        path = self._commit_recipe(snap.header(KIND_RECIPE), recipe,
-                                   snap.safepoint_count, new_bytes, stats)
+        with self.cas.lock:
+            new_bytes = 0
+            for (new, stored), (_, piece) in zip(self.cas.put_many(chunks),
+                                                 chunks):
+                if new:
+                    stats["chunks_new"] += 1
+                    new_bytes += stored
+                else:
+                    stats["chunks_dedup"] += 1
+                    stats["dedup_saved_bytes"] += len(piece)
+            path = self._commit_recipe(snap.header(KIND_RECIPE), recipe,
+                                       snap.safepoint_count, new_bytes, stats)
         if tr.active:
             tr.span(_tc.CKPT_CHUNK, tw0,
                     a=float(stats["chunks_new"]),
@@ -345,13 +515,17 @@ class CasCheckpointStore(CheckpointStore):
     def _commit_recipe(self, header: dict, recipe: dict,
                        count: int, new_chunk_bytes: int,
                        stats: dict[str, int]) -> Path:
-        """Persist one recipe (chunks are already durable) + accounting."""
+        """Persist one recipe + accounting.
+
+        The caller holds the CAS lock since before its pack went out, so
+        no sweep can run between "pack durable" and "recipe published".
+        """
         header["recipe"] = recipe
         header["fields"] = list(recipe)
         data = encode_container(header, {}, None)
         self.cas.incref(d for refs in recipe.values() for d, _ in refs)
         # what this checkpoint actually cost the disk: the recipe plus
-        # only the chunks that weren't already stored.
+        # only the pack entries that weren't already stored.
         self.last_write_nbytes = len(data) + new_chunk_bytes
         self.last_write_kind = KIND_RECIPE
         self.total_bytes_written += self.last_write_nbytes
@@ -365,37 +539,40 @@ class CasCheckpointStore(CheckpointStore):
 
         ``chunks`` carries only the payloads the worker's presence
         handshake found absent; each is digest-verified before storage
-        (the funnel crosses process/wire boundaries).  A referenced
+        (the funnel crosses process/wire boundaries).  Handshakes of
+        concurrent ranks race, so some arrive already stored — those
+        are dropped against the index, not stored twice.  A referenced
         digest that is neither stored nor shipped — the handshake lost
         a race against GC — raises :class:`ChunkCorrupt`, which the
         worker answers by resending everything.
         """
         stats = {"chunks_new": 0, "chunks_dedup": 0, "dedup_saved_bytes": 0}
-        new_bytes = 0
         for digest, payload in chunks.items():
             if chunk_digest(payload) != digest:
                 raise ChunkCorrupt(
                     f"funnelled chunk {digest} failed content verification")
-            new, stored = self.cas.put(digest, payload)
-            if new:
-                stats["chunks_new"] += 1
-                new_bytes += stored
-        for name, refs in recipe.items():
-            for digest, length in refs:
-                if digest in chunks:
-                    continue
-                if not self.cas.has(digest):
-                    raise ChunkCorrupt(
-                        f"CAS_CHUNK_MISSING: chunk {digest} of field "
-                        f"{name!r} vanished between handshake and write")
-                stats["chunks_dedup"] += 1
-                stats["dedup_saved_bytes"] += length
-        # worker-side recipes can't seed this store's baseline (the
-        # value hashes live with the worker), so drop any stale one.
-        self._base = {}
-        return self._commit_recipe(header, recipe,
-                                   int(header["safepoint_count"]),
-                                   new_bytes, stats)
+        with self.cas.lock:
+            new_bytes = 0
+            for new, stored in self.cas.put_many(chunks.items()):
+                if new:
+                    stats["chunks_new"] += 1
+                    new_bytes += stored
+            for name, refs in recipe.items():
+                for digest, length in refs:
+                    if digest in chunks:
+                        continue
+                    if not self.cas.has(digest):
+                        raise ChunkCorrupt(
+                            f"CAS_CHUNK_MISSING: chunk {digest} of field "
+                            f"{name!r} vanished between handshake and write")
+                    stats["chunks_dedup"] += 1
+                    stats["dedup_saved_bytes"] += length
+            # worker-side recipes can't seed this store's baseline (the
+            # value hashes live with the worker), so drop any stale one.
+            self._base = {}
+            return self._commit_recipe(header, recipe,
+                                       int(header["safepoint_count"]),
+                                       new_bytes, stats)
 
     # ------------------------------------------------------------------
     # read path
@@ -418,106 +595,56 @@ class CasCheckpointStore(CheckpointStore):
         recipe = header.get("recipe")
         if not isinstance(recipe, dict):
             raise SnapshotCorrupt(f"recipe missing from checkpoint {count}")
-        payloads, stored_nbytes = self._fetch_chunks(
-            {d for refs in recipe.values() for d, _ in refs})
+        chunks = self.cas.fetch_many(
+            d for refs in recipe.values() for d, _ in refs)
         fields: dict[str, Any] = {}
         for name in header["fields"]:
-            parts = [payloads[d] for d, _ in recipe[name]]
-            for part in parts:
-                if isinstance(part, self._Missing):
+            parts = []
+            for digest, _ in recipe[name]:
+                got = chunks[digest]
+                if isinstance(got, ChunkCorrupt):
                     raise SnapshotCorrupt(
                         f"field {name!r} of checkpoint {count} lost a "
-                        f"chunk: {part.exc}") from part.exc
+                        f"chunk: {got}") from got
+                parts.append(got[0])
             try:
                 fields[name] = loads_portable(b"".join(parts))
             except Exception as exc:
                 raise SnapshotCorrupt(
                     f"field {name!r} of checkpoint {count} failed to "
                     f"decode: {exc}") from exc
-        self.last_restore_fetches = len(payloads)
-        self.restore_fetches_total += len(payloads)
+        stored_nbytes = sum(got[1] for got in chunks.values())
+        self.last_restore_fetches = len(chunks)
+        self.restore_fetches_total += len(chunks)
         self.restore_seconds_total += perf_counter() - t0
         snap = Snapshot(app=header["app"],
                         safepoint_count=header["safepoint_count"],
                         fields=fields, mode=header["mode"],
                         meta=header["meta"])
         snap.meta["disk_nbytes"] = len(data) + stored_nbytes
-        snap.meta["cas_fetches"] = len(payloads)
+        snap.meta["cas_fetches"] = len(chunks)
         if tr.active:
-            tr.span(_tc.CKPT_FETCH, tw0, a=float(len(payloads)),
+            tr.span(_tc.CKPT_FETCH, tw0, a=float(len(chunks)),
                     b=float(count))
         return snap
-
-    class _Missing:
-        """Sentinel carrying the fetch failure for one digest."""
-
-        def __init__(self, exc: ChunkCorrupt) -> None:
-            self.exc = exc
-
-    def _fetch_chunks(self, digests: set[str]
-                      ) -> tuple[dict[str, bytes], int]:
-        """Fetch unique chunks on the pool; ``(digest -> payload, bytes)``.
-
-        A failed chunk maps to a :class:`_Missing` sentinel so one bad
-        chunk poisons only the fields that reference it — the caller
-        decides per field.
-        """
-        payloads: dict[str, Any] = {}
-        stored = 0
-        ordered = sorted(digests)
-        with ThreadPoolExecutor(
-                max_workers=min(self.fetch_workers, max(1, len(ordered))),
-                thread_name_prefix="cas-fetch") as pool:
-            for digest, result in zip(ordered,
-                                      pool.map(self._fetch_one, ordered)):
-                if isinstance(result, self._Missing):
-                    payloads[digest] = result
-                else:
-                    payloads[digest] = result[0]
-                    stored += result[1]
-        return payloads, stored
-
-    def _fetch_one(self, digest: str):
-        try:
-            return self.cas.fetch(digest)
-        except ChunkCorrupt as exc:
-            return self._Missing(exc)
-
-    def _read_shards(self, count: int, nranks: int) -> list[Snapshot]:
-        """Shard reassembly fan-out: all non-root shards in parallel.
-
-        Each shard read already parallelises its own chunk fetches; the
-        outer pool overlaps the per-shard recipe decode and field
-        assembly on top.
-        """
-        if nranks <= 2:
-            return super()._read_shards(count, nranks)
-        with ThreadPoolExecutor(
-                max_workers=min(self.fetch_workers, nranks - 1),
-                thread_name_prefix="cas-shard") as pool:
-            return list(pool.map(lambda r: self.shard(r).read(count),
-                                 range(1, nranks)))
 
     # ------------------------------------------------------------------
     def verify(self, count: int) -> list[str]:
         """Names of fields whose chunks fail verification at ``count``.
 
-        The corruption-isolation contract: flipping one byte of one
-        stored chunk damages exactly the fields referencing that chunk
-        — everything else still restores.
+        The corruption-isolation contract: damaging one stored chunk
+        damages exactly the fields referencing that chunk — everything
+        else still restores.
         """
         header, _ = decode_envelope(self.path_for(count).read_bytes())
         if header.get("kind", KIND_FULL) != KIND_RECIPE:
             return []
         recipe = header["recipe"]
-        bad: set[str] = set()
-        for digest in {d for refs in recipe.values() for d, _ in refs}:
-            try:
-                self.cas.fetch(digest)
-            except ChunkCorrupt:
-                bad.add(digest)
-        return sorted(name for name, refs in recipe.items()
-                      if any(d in bad for d, _ in refs))
+        chunks = self.cas.fetch_many(
+            d for refs in recipe.values() for d, _ in refs)
+        return sorted(
+            name for name, refs in recipe.items()
+            if any(isinstance(chunks[d], ChunkCorrupt) for d, _ in refs))
 
     # ------------------------------------------------------------------
     # garbage collection
@@ -542,21 +669,28 @@ class CasCheckpointStore(CheckpointStore):
         return live
 
     def gc(self) -> tuple[int, int]:
-        """Mark-and-sweep unreferenced chunks; ``(chunks, bytes)`` freed."""
+        """Mark-and-sweep unreferenced chunks; ``(chunks, bytes)`` freed.
+
+        Mark and sweep run under the CAS lock, so every write is either
+        wholly before (its recipe is marked) or wholly after (its pack
+        is not yet on disk) — never pack-durable-but-unreferenced.
+        """
         from repro.trace import schema as _tc
         from repro.trace.plane import tracer as trace_writer
 
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
-        self.flush()  # recipes queued on an async writer must count
-        swept = self.cas.sweep(self.live_digests())
+        with self.cas.lock:
+            self.flush()  # recipes queued on an async writer must count
+            swept = self.cas.sweep(self.live_digests())
         if tr.active:
             tr.span(_tc.CKPT_GC, tw0, a=float(swept[0]), b=float(swept[1]))
         return swept
 
     def unreferenced(self) -> set[str]:
-        """Chunks on disk no recipe references (empty unless GC is due)."""
-        return self.cas.digests() - self.live_digests()
+        """Stored chunks no recipe references (empty unless GC is due)."""
+        with self.cas.lock:
+            return self.cas.digests() - self.live_digests()
 
     def prune(self, keep: int = 1) -> None:
         super().prune(keep)

@@ -5,7 +5,13 @@ The load-bearing guarantees:
 
 * chunking is deterministic in the bytes alone, boundaries respect
   min/max, and an insertion re-chunks only its neighbourhood — every
-  later chunk keeps its digest (that locality IS the dedup);
+  later chunk keeps its digest (that locality IS the dedup); the tiled
+  hash cuts exactly where the whole-array reference form (kept here as
+  the oracle) cuts;
+* a checkpoint's new chunks go out as one pack, durable before its
+  recipe: a crash in between leaves orphans GC reclaims, a damaged
+  pack damages exactly the fields referencing the damaged entries, and
+  no GC can sweep another writer's durable-but-unpublished entries;
 * restored values are bit-identical with the CAS on or off, on every
   stock backend, through shard reassembly and across restart and
   adaptation chains;
@@ -18,9 +24,12 @@ The load-bearing guarantees:
 """
 
 import multiprocessing as mp
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
 from repro.apps.sor import SOR
@@ -34,7 +43,10 @@ from repro.ckpt import (
     FailureInjector,
     InjectedFailure,
 )
+from repro.ckpt import cas as cas_mod
+from repro.ckpt import chunker
 from repro.ckpt.chunker import (
+    TILE,
     WINDOW,
     chunk_bounds,
     chunk_digest,
@@ -87,6 +99,14 @@ def run_sor(tmp_path, config, tag, **kw):
     res = rt.run(WOVEN, ctor_kwargs={"n": N, "iterations": ITERS},
                  entry="execute", config=config, fresh=True, **kw)
     return rt, res
+
+
+def flip_stored_byte(cas, digest, bit):
+    """Damage the middle byte of one chunk's stored payload in place."""
+    path, offset, length = cas.locate(digest)
+    raw = bytearray(path.read_bytes())
+    raw[offset + length // 2] ^= bit
+    path.write_bytes(bytes(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +175,121 @@ class TestChunker:
 
 
 # ---------------------------------------------------------------------------
+# the chunker oracle: the whole-array form the tiled hash must equal
+# ---------------------------------------------------------------------------
+def reference_hashes(buf: np.ndarray) -> np.ndarray:
+    """The unrolled buzhash over the whole buffer at once: ``H[k]``
+    covers the window starting at byte ``k`` — the XOR of ``WINDOW``
+    table lookups, each rotated by its age.  The production chunker up
+    to PR 14; kept verbatim as the oracle."""
+    def rotl(x, k):
+        k &= 63
+        if k == 0:
+            return x
+        return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+    n = buf.size
+    t = chunker._TABLE[buf]
+    h = np.zeros(n - WINDOW + 1, dtype=np.uint64)
+    for age in range(WINDOW):
+        h ^= rotl(t[WINDOW - 1 - age: n - age], age)
+    return h
+
+
+def reference_bounds(data, params) -> list[int]:
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = buf.size
+    if n == 0:
+        return [0]
+    if n <= max(params.min_size, WINDOW):
+        return [0, n]
+    h = reference_hashes(buf)
+    cand = np.flatnonzero((h & np.uint64(params.mask)) == 0) + WINDOW
+    bounds = [0]
+    last = 0
+    for p in map(int, cand):
+        if p - last < params.min_size:
+            continue
+        while p - last > params.max_size:
+            last += params.max_size
+            bounds.append(last)
+        if p - last >= params.min_size:
+            last = p
+            bounds.append(p)
+        if n - last <= params.min_size:
+            break
+    while n - last > params.max_size:
+        last += params.max_size
+        bounds.append(last)
+    if bounds[-1] != n:
+        if len(bounds) > 1 and n - bounds[-2] <= params.max_size \
+                and n - bounds[-1] < params.min_size:
+            bounds.pop()
+        bounds.append(n)
+    return bounds
+
+
+#: a valid policy whose mask (2**33 - 1) is wider than 32 bits.
+WIDE = ChunkParams(min_size=1 << 6, avg_size=1 << 33, max_size=1 << 34)
+TINY = ChunkParams(min_size=WINDOW, avg_size=1 << 5, max_size=1 << 7)
+ORACLE_PARAMS = [SMALL, TINY, ChunkParams(), WIDE]
+
+#: buffer lengths that matter: around the window, around one and two
+#: tile edges (a window straddling a tile boundary), and in between.
+_LENGTHS = st.one_of(
+    st.integers(0, 4 * WINDOW),
+    st.integers(TILE - 2 * WINDOW, TILE + 3 * WINDOW),
+    st.integers(2 * TILE - 2 * WINDOW, 2 * TILE + 3 * WINDOW),
+    st.integers(0, 2 * TILE + 5000))
+
+
+@st.composite
+def buffers(draw):
+    n = draw(_LENGTHS)
+    kind = draw(st.sampled_from(["random", "constant", "periodic",
+                                 "lowentropy"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        return rng.bytes(n)
+    if kind == "constant":
+        return bytes([draw(st.integers(0, 255))]) * n
+    if kind == "periodic":
+        unit = rng.bytes(draw(st.integers(1, 3 * WINDOW)))
+        return (unit * (n // len(unit) + 1))[:n]
+    return rng.integers(0, 3, size=n, dtype=np.uint8).tobytes()
+
+
+class TestChunkerOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(data=buffers(), params=st.sampled_from(ORACLE_PARAMS))
+    def test_bounds_equal_the_reference_form(self, data, params):
+        assert chunk_bounds(data, params) == reference_bounds(data, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=buffers(), bits=st.integers(1, 10),
+           shift=st.integers(0, 54))
+    def test_every_hash_bit_matches(self, data, bits, shift):
+        """Valid wide masks almost never match, so the bounds test says
+        little about the high half of the hash: compare the candidate
+        set under arbitrary 64-bit masks, high bits included."""
+        buf = np.frombuffer(data, dtype=np.uint8)
+        if buf.size < WINDOW:
+            return
+        mask = ((1 << bits) - 1) << shift
+        want = np.flatnonzero(
+            (reference_hashes(buf) & np.uint64(mask)) == 0) + WINDOW
+        assert np.array_equal(chunker._cut_candidates(buf, mask), want)
+
+    @pytest.mark.parametrize("n", [TILE + WINDOW - 1, TILE + WINDOW,
+                                   3 * TILE + 7])
+    def test_tile_edges_on_real_sized_fields(self, n):
+        data = np.random.default_rng(n).bytes(n)
+        for params in (SMALL, ChunkParams()):
+            assert chunk_bounds(data, params) == \
+                reference_bounds(data, params)
+
+
+# ---------------------------------------------------------------------------
 # the chunk store
 # ---------------------------------------------------------------------------
 class TestChunkStore:
@@ -182,10 +317,7 @@ class TestChunkStore:
         payload = np.random.default_rng(1).bytes(4096)
         digest = chunk_digest(payload)
         cas.put(digest, payload)
-        path = cas.path_for(digest)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x40
-        path.write_bytes(bytes(raw))
+        flip_stored_byte(cas, digest, 0x40)
         with pytest.raises(ChunkCorrupt):
             cas.fetch(digest)
 
@@ -331,6 +463,327 @@ class TestCasStore:
 
 
 # ---------------------------------------------------------------------------
+# packs: one durable file per write, index rebuilt from tables
+# ---------------------------------------------------------------------------
+def pack_files(cas):
+    return sorted(p for p in cas.dir.iterdir() if p.suffix == ".pack")
+
+
+def some_chunks(n, seed=0, size=700):
+    rng = np.random.default_rng(seed)
+    payloads = [rng.bytes(size + i) for i in range(n)]
+    return [(chunk_digest(p), p) for p in payloads]
+
+
+class Crash(BaseException):
+    """A process death at a chosen point (not an ``Exception``: nothing
+    in the store may catch it)."""
+
+
+class TestPacks:
+    def test_a_batch_is_one_pack_and_reopens_from_its_table(self, tmp_path):
+        cas = ChunkStore(tmp_path / "cas")
+        chunks = some_chunks(5)
+        got = cas.put_many(chunks + chunks[:2])  # in-batch duplicates
+        assert [new for new, _ in got] == [True] * 5 + [False] * 2
+        assert len(pack_files(cas)) == 1
+        assert cas.chunks_stored == 5 and cas.chunks_deduped == 2
+        assert cas.bytes_stored == pack_files(cas)[0].stat().st_size \
+            - cas_mod._PACK_HEAD.size
+        # a batch of known digests writes nothing at all
+        assert not any(new for new, _ in cas.put_many(chunks))
+        assert len(pack_files(cas)) == 1
+        # a bare put is a durable one-entry pack
+        extra = some_chunks(1, seed=9)[0]
+        assert cas.put(*extra)[0]
+        assert len(pack_files(cas)) == 2
+        reopened = ChunkStore(tmp_path / "cas")
+        assert reopened.digests() == {d for d, _ in chunks} | {extra[0]}
+        for digest, payload in chunks + [extra]:
+            assert reopened.fetch(digest)[0] == payload
+            path, offset, length = reopened.locate(digest)
+            assert path.read_bytes()[offset:offset + length] == payload
+
+    def test_storage_flags_survive_the_table(self, tmp_path):
+        cas = ChunkStore(tmp_path / "cas", compress_min_bytes=64)
+        squashy, noisy = b"ab" * 2000, np.random.default_rng(3).bytes(4000)
+        cas.put_many([(chunk_digest(squashy), squashy),
+                      (chunk_digest(noisy), noisy)])
+        reopened = ChunkStore(tmp_path / "cas")
+        assert reopened.locate(chunk_digest(squashy))[2] < len(squashy)
+        assert reopened.fetch(chunk_digest(squashy))[0] == squashy
+        assert reopened.fetch(chunk_digest(noisy))[0] == noisy
+
+    def test_fetch_sees_packs_published_by_another_store_object(
+            self, tmp_path):
+        reader = ChunkStore(tmp_path / "cas")
+        assert reader.digests() == set()  # index built, and empty
+        (digest, payload), = some_chunks(1)
+        ChunkStore(tmp_path / "cas").put(digest, payload)
+        assert reader.fetch(digest)[0] == payload
+
+    def test_crash_between_pack_and_recipe_leaves_only_orphans(
+            self, tmp_path, monkeypatch):
+        store = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        app = Drift(n=120)
+        store.write(snap_of(app, 1))
+        before = store.cas.digests()
+        app.grid = app.grid + 1.0
+        app.step = 2
+
+        def die(path, data):
+            raise Crash
+
+        monkeypatch.setattr(store, "_put", die)
+        with pytest.raises(Crash):
+            store.write(snap_of(app, 2))
+        reopened = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        assert reopened.counts() == [1]  # no recipe was published
+        orphans = reopened.unreferenced()
+        assert orphans and orphans == reopened.cas.digests() - before
+        n, nbytes = reopened.gc()
+        assert n == len(orphans) and nbytes > 0
+        assert reopened.unreferenced() == set()
+        assert reopened.cas.digests() == before
+        assert len(pack_files(reopened.cas)) == 1
+        assert reopened.read(1).safepoint_count == 1
+
+    def test_truncated_pack_damages_exactly_its_lost_entries(self, tmp_path):
+        store = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        rng = np.random.default_rng(5)
+        app = Drift(n=120)
+        store.write(snap_of(app, 1))
+        first_pack, = pack_files(store.cas)
+        app.grid = rng.standard_normal(app.grid.shape)
+        app.state = rng.standard_normal(8)
+        app.step = 2
+        store.write(snap_of(app, 2))
+        blobs = store.read(2).field_blobs()
+        victim, = set(pack_files(store.cas)) - {first_pack}
+        size = victim.stat().st_size
+        cut = size - size // 3  # tears the tail third of the payloads
+        with open(victim, "r+b") as fh:
+            fh.truncate(cut)
+
+        reopened = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        lost = store.cas.digests() - reopened.cas.digests()
+        assert lost and all(
+            store.cas.locate(d)[0] == victim
+            and sum(store.cas.locate(d)[1:]) > cut for d in lost)
+        expected = sorted(
+            name for name, blob in blobs.items()
+            if lost & {d for d, _, _ in chunk_refs(blob, SMALL)})
+        assert reopened.verify(2) == expected and "grid" in expected
+        assert reopened.verify(1) == []
+        with pytest.raises(SnapshotCorrupt):
+            reopened.read(2)
+        assert reopened.read_latest().safepoint_count == 1
+        # absent entries are simply stored again by the next write
+        reopened.write(snap_of(app, 3))
+        assert reopened.last_write_stats["chunks_new"] == len(lost)
+        np.testing.assert_array_equal(reopened.read(3).fields["grid"],
+                                      app.grid)
+        assert reopened.verify(2) == []  # ... which heals count 2 too
+
+    def test_unparseable_pack_is_ignored_then_swept(self, tmp_path):
+        store = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        store.write(snap_of(Drift(n=60), 1))
+        junk = store.cas.dir / ("0" * 16 + ".pack")
+        junk.write_bytes(b"PPK1\xff\xff\xff\x7fnot a table")
+        reopened = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        assert reopened.read(1).safepoint_count == 1
+        assert reopened.unreferenced() == set()
+        reopened.gc()
+        assert not junk.exists() and len(pack_files(reopened.cas)) == 1
+
+    def test_two_shards_shipping_the_same_digests_store_each_once(
+            self, tmp_path):
+        """Both ranks' presence handshakes race, so the un-owned halves
+        of STRATEGY_LOCAL shards arrive twice: the second copy must be
+        dropped against the index, not appended."""
+        root = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        snap = snap_of(Drift(n=100), 4)
+        recipe, chunks = {}, {}
+        for name, blob in snap.field_blobs().items():
+            recipe[name] = []
+            for digest, a, b in chunk_refs(blob, SMALL):
+                recipe[name].append([digest, b - a])
+                chunks[digest] = blob[a:b]
+        root.shard(0).write_chunked(snap.header(KIND_RECIPE), recipe,
+                                    dict(chunks))
+        assert root.shard(0).last_write_stats["chunks_new"] == len(chunks)
+        packs, = pack_files(root.cas)
+        stored = root.cas.bytes_stored
+        root.shard(1).write_chunked(snap.header(KIND_RECIPE), recipe,
+                                    dict(chunks))
+        assert root.shard(1).last_write_stats["chunks_new"] == 0
+        assert pack_files(root.cas) == [packs]
+        assert root.cas.bytes_stored == stored
+        assert root.cas.chunks_stored == len(chunks)
+        assert root.cas.chunks_deduped == len(chunks)
+        # the second write cost the disk its recipe and nothing else
+        assert root.shard(1).last_write_nbytes == \
+            root.shard(1).path_for(4).stat().st_size
+        assert root.shard(1).read(4).field_blobs() == snap.field_blobs()
+
+    def test_gc_compacts_a_partly_live_pack(self, tmp_path):
+        cas = ChunkStore(tmp_path / "cas")
+        chunks = some_chunks(6)
+        cas.put_many(chunks)
+        old, = pack_files(cas)
+        old_size = old.stat().st_size
+        live = {d for d, _ in chunks[::2]}
+        n, nbytes = cas.sweep(live)
+        new, = pack_files(cas)
+        assert new != old and n == 3
+        assert nbytes == old_size - new.stat().st_size > 0
+        assert cas.digests() == live
+        for reader in (cas, ChunkStore(tmp_path / "cas")):
+            for digest, payload in chunks:
+                if digest in live:
+                    assert reader.fetch(digest)[0] == payload
+                else:
+                    with pytest.raises(ChunkCorrupt, match="missing"):
+                        reader.fetch(digest)
+        assert cas.sweep(live) == (0, 0)  # fully live: left alone
+        assert pack_files(cas) == [new]
+
+    @pytest.mark.parametrize("durable_first", [True, False])
+    def test_compaction_is_crash_safe(self, tmp_path, monkeypatch,
+                                      durable_first):
+        """New pack durable, *then* old unlinked: dying on either side
+        of the new pack's write keeps every live digest fetchable, and
+        the next sweep leaves exactly one pack."""
+        cas = ChunkStore(tmp_path / "cas")
+        chunks = some_chunks(6)
+        cas.put_many(chunks)
+        live = {d for d, _ in chunks[1::2]}
+        real = cas_mod.atomic_write_bytes
+
+        def dying_write(path, data):
+            if durable_first:
+                real(path, data)
+            raise Crash
+
+        monkeypatch.setattr(cas_mod, "atomic_write_bytes", dying_write)
+        with pytest.raises(Crash):
+            cas.sweep(live)
+        monkeypatch.setattr(cas_mod, "atomic_write_bytes", real)
+        assert len(pack_files(cas)) == (2 if durable_first else 1)
+        reopened = ChunkStore(tmp_path / "cas")
+        for digest, payload in chunks:
+            if digest in live:
+                assert reopened.fetch(digest)[0] == payload
+        reopened.sweep(live)
+        assert len(pack_files(reopened)) == 1
+        assert reopened.digests() == live
+        again = ChunkStore(tmp_path / "cas")
+        for digest, payload in chunks:
+            if digest in live:
+                assert again.fetch(digest)[0] == payload
+
+
+def guarded(errors, fn, *args):
+    """A thread running ``fn(*args)`` whose failure lands in ``errors``."""
+    def run():
+        try:
+            fn(*args)
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+    return threading.Thread(target=run, daemon=True)
+
+
+class TestGcVersusConcurrentWrite:
+    def test_gc_cannot_sweep_a_durable_but_unpublished_pack(self, tmp_path):
+        """Service teardown GC of job A while job B sits between "pack
+        durable" and "recipe published": the one store lock makes GC
+        wait, so B's recipe restores bit-identically."""
+        root = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        job_a, job_b = root.namespace("a"), root.namespace("b")
+        job_a.write(snap_of(Drift(n=60), 1))
+        app = Drift(n=100)
+        app.grid += 3.0
+        pack_durable, go_on = threading.Event(), threading.Event()
+        publish = job_b._put
+
+        def paused_put(path, data):  # the recipe, after the pack
+            pack_durable.set()
+            assert go_on.wait(30.0), "test never released the writer"
+            publish(path, data)
+
+        job_b._put = paused_put
+        errors = []
+        writer = guarded(errors, job_b.write, snap_of(app, 7))
+        writer.start()
+        assert pack_durable.wait(30.0), "writer never reached its recipe"
+        assert job_b.counts() == []  # durable entries, no recipe yet
+        collector = guarded(errors, job_a.clear)  # A's teardown: GC
+        collector.start()
+        collector.join(0.5)
+        assert collector.is_alive(), "GC ran inside another write's window"
+        go_on.set()
+        writer.join(30.0)
+        collector.join(30.0)
+        assert not writer.is_alive() and not collector.is_alive()
+        assert errors == []
+        assert job_b.verify(7) == []
+        restored = job_b.read(7)
+        np.testing.assert_array_equal(restored.fields["grid"], app.grid)
+        assert restored.field_blobs() == snap_of(app, 7).field_blobs()
+        assert root.unreferenced() == set()
+
+
+    def test_writers_and_collectors_hammering_one_cas(self, tmp_path):
+        """More threads than cores, a shortened switch interval, writers
+        in their own namespaces pruning (= GC) after every save while a
+        collector GCs in a loop: every surviving recipe must restore
+        bit-identically and nothing may be left unreferenced."""
+        import sys
+        import time
+
+        root = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        stop = time.monotonic() + 2.0
+        errors, last = [], {}
+
+        def writer(tag):
+            store = root.namespace(f"w{tag}")
+            app = Drift(n=48)
+            count = 0
+            while time.monotonic() < stop:
+                count += 1
+                app.grid[tag % 48] += 1.0  # shares most chunks with peers
+                app.step = count
+                store.write(snap_of(app, count))
+                store.prune(keep=2)
+                last[tag] = (count, app.grid.copy())
+
+        def collector():
+            while time.monotonic() < stop:
+                root.gc()
+
+        threads = [guarded(errors, writer, t) for t in range(4)] \
+            + [guarded(errors, collector)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(last) == 4
+        for tag, (count, grid) in last.items():
+            store = root.namespace(f"w{tag}")
+            assert store.verify(count) == []
+            np.testing.assert_array_equal(store.read(count).fields["grid"],
+                                          grid)
+        assert root.unreferenced() == set()
+
+
+# ---------------------------------------------------------------------------
 # corruption isolation
 # ---------------------------------------------------------------------------
 class TestCorruptionIsolation:
@@ -357,10 +810,7 @@ class TestCorruptionIsolation:
         victim = sorted(fresh)[len(fresh) // 2]
         expected = sorted(name for name, ds in per_field.items()
                           if victim in ds)
-        path = store.cas.path_for(victim)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01
-        path.write_bytes(bytes(raw))
+        flip_stored_byte(store.cas, victim, 0x01)
 
         assert store.verify(2) == expected == ["grid"]
         assert store.verify(1) == []  # count 1 references other chunks
