@@ -4,8 +4,8 @@
 checkpoint *files*.  Each field's portable encoding is split at
 content-defined boundaries (:mod:`repro.ckpt.chunker`) and the pieces
 land in a :class:`ChunkStore`, keyed by content digest.  The checkpoint
-file itself becomes a **recipe**: the ordinary envelope container with
-no sections, whose header maps every field to its ordered
+file itself becomes a **recipe**: the ordinary checkpoint container
+with no sections, whose header maps every field to its ordered
 ``(digest, length)`` chunk refs.
 
 What that buys over the delta store:
@@ -81,6 +81,7 @@ from repro.ckpt.snapshot import (
     SnapshotCorrupt,
     decode_envelope,
     encode_container,
+    image_nbytes,
 )
 from repro.ckpt.store import CheckpointStore
 from repro.ckpt.writer import atomic_write_bytes
@@ -206,15 +207,15 @@ class ChunkStore:
             for digest, flags, stored in entries)
         name = hashlib.blake2b(table, digest_size=8).hexdigest() \
             + _PACK_SUFFIX
-        data = b"".join([_PACK_HEAD.pack(_PACK_MAGIC, len(entries)), table,
-                         *(stored for _, _, stored in entries)])
-        atomic_write_bytes(self.dir / name, data)
+        atomic_write_bytes(self.dir / name,
+                           [_PACK_HEAD.pack(_PACK_MAGIC, len(entries)), table,
+                            *(stored for _, _, stored in entries)])
         offset = _PACK_HEAD.size + len(table)
         for digest, flags, stored in entries:
             self._index[digest] = (name, offset, len(stored), flags)
             offset += len(stored)
         self._packs[name] = len(entries)
-        return len(data)
+        return offset
 
     # ------------------------------------------------------------------
     def has(self, digest: str) -> bool:
@@ -522,15 +523,15 @@ class CasCheckpointStore(CheckpointStore):
         """
         header["recipe"] = recipe
         header["fields"] = list(recipe)
-        data = encode_container(header, {}, None)
+        image = encode_container(header, {}, None)
         self.cas.incref(d for refs in recipe.values() for d, _ in refs)
         # what this checkpoint actually cost the disk: the recipe plus
         # only the pack entries that weren't already stored.
-        self.last_write_nbytes = len(data) + new_chunk_bytes
+        self.last_write_nbytes = image_nbytes(image) + new_chunk_bytes
         self.last_write_kind = KIND_RECIPE
         self.total_bytes_written += self.last_write_nbytes
         self.last_write_stats = dict(stats)
-        self._put(self.path_for(count), data)
+        self._put(self.path_for(count), image)
         return self.path_for(count)
 
     def write_chunked(self, header: dict, recipe: dict,

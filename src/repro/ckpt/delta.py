@@ -49,9 +49,14 @@ from repro.ckpt.snapshot import (
     decode_envelope,
     decode_section,
     encode_container,
+    image_nbytes,
 )
 from repro.ckpt.store import CheckpointStore
-from repro.util.serialization import dumps_portable, loads_portable
+from repro.util.serialization import (
+    dumps_portable,
+    loads_portable,
+    portable_pieces,
+)
 
 #: hard cap on chain length at read time (cycle / runaway-chain guard).
 MAX_CHAIN = 4096
@@ -185,7 +190,7 @@ class IncrementalCheckpointStore(CheckpointStore):
         )
 
         if delta_ok:
-            changed = {name: dumps_portable(snap.fields[name])
+            changed = {name: portable_pieces(snap.fields[name])
                        for name in snap.fields
                        if hashes[name] != self._base_hashes[name]}
             carried = [name for name in snap.fields if name not in changed]
@@ -193,22 +198,22 @@ class IncrementalCheckpointStore(CheckpointStore):
             header["base"] = self._base_count
             header["fields"] = list(changed)
             header["carry"] = carried
-            data = encode_container(header, changed, self.compress_min_bytes)
+            image = encode_container(header, changed, self.compress_min_bytes)
             self.last_write_kind = KIND_DELTA
             self._chain_len += 1
         else:
-            data = snap.encode(compress_min_bytes=self.compress_min_bytes)
+            image = snap.image(self.compress_min_bytes)
             self.last_write_kind = KIND_FULL
             self._chain_len = 0
 
-        self.last_write_nbytes = len(data)
-        self.total_bytes_written += len(data)
+        self.last_write_nbytes = image_nbytes(image)
+        self.total_bytes_written += self.last_write_nbytes
         self._base_count = count
         self._base_hashes = hashes
         # adaptive anchor policies retarget their cadence from the
         # observed full/delta size ratio; fixed policies no-op.
-        self.anchor.observe(self.last_write_kind, len(data))
-        self._put(self.path_for(count), data)
+        self.anchor.observe(self.last_write_kind, self.last_write_nbytes)
+        self._put(self.path_for(count), image)
         return self.path_for(count)
 
     # ------------------------------------------------------------------

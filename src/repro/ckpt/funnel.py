@@ -21,7 +21,9 @@ the same store object either way.
 Snapshot *bytes* ride the shared-memory data plane when the worker has
 one (:class:`~repro.dsm.shm.DataPlane`): large array fields are copied
 into leased slabs and the request queue carries only descriptors — the
-parent copies them out, recycles the slots, and writes.  The write RPC
+parent builds the snapshot from read-only views of the slabs, writes
+the image straight from them, and recycles the slots once the write has
+returned (no store keeps a field value past ``write``).  The write RPC
 is synchronous (the worker blocks on the ack), so the slab borrow is
 bounded and the field values the parent encodes are exactly the
 captured ones; checkpoint bytes are bit-identical with and without the
@@ -74,6 +76,8 @@ CAS_CHUNK_MISSING = "CAS_CHUNK_MISSING"
 IDLE_POLL_SECONDS = 600.0
 #: how long a worker waits for the parent's reply to one request.
 ACK_TIMEOUT_SECONDS = 120.0
+#: how long ``CheckpointFunnel.stop`` waits for the drain thread.
+STOP_TIMEOUT_SECONDS = 30.0
 
 
 def funnel_shape(store: "CheckpointStore") -> dict:
@@ -91,8 +95,8 @@ class PackedSnapshot:
     """A snapshot whose large array fields travelled as slab refs.
 
     Only C-contiguous non-object arrays are packed — everything else
-    stays inline — so unpacking reproduces bit-identical field values
-    (and therefore bit-identical checkpoint bytes) in the parent.
+    stays inline — so the parent's views of the slabs encode to
+    bit-identical checkpoint bytes.
     """
 
     app: str
@@ -109,12 +113,6 @@ class PackedSnapshot:
         return PackedSnapshot(app=snap.app,
                               safepoint_count=snap.safepoint_count,
                               mode=snap.mode, meta=snap.meta, fields=fields)
-
-    def unpack(self, client: PoolClient) -> Snapshot:
-        fields = {name: client.fetch(v) if isinstance(v, ShmRef) else v
-                  for name, v in self.fields.items()}
-        return Snapshot(app=self.app, safepoint_count=self.safepoint_count,
-                        fields=fields, mode=self.mode, meta=self.meta)
 
 
 @dataclass
@@ -181,8 +179,11 @@ class CheckpointFunnel:
         self.requests = mpctx.Queue()
         self.acks = [mpctx.Queue() for _ in range(nranks)]
         self._thread: threading.Thread | None = None
-        #: attach cache over the workers' slab rings (descriptor unpack).
+        #: attach cache over the workers' slab rings (the parent writes
+        #: from views through it).
         self._client = PoolClient()
+        #: ``(op, shard rank)`` of the request being served, else None.
+        self._busy: tuple | None = None
 
     # ------------------------------------------------------------------
     def client(self, rank: int) -> "FunnelStore":
@@ -198,11 +199,24 @@ class CheckpointFunnel:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop serving once every worker has exited; idempotent."""
+        """Stop serving once every worker has exited; idempotent.
+
+        Raises :class:`TimeoutError` if the drain thread is still busy
+        after :data:`STOP_TIMEOUT_SECONDS` — its write may be reading
+        slab views, so the mappings are left alone rather than closed
+        under it.
+        """
         if self._thread is None:
             return
         self.requests.put((_OP_STOP, 0, None, None))
-        self._thread.join(timeout=30.0)
+        self._thread.join(timeout=STOP_TIMEOUT_SECONDS)
+        if self._thread.is_alive():
+            busy = self._busy
+            doing = ("not yet at the stop request" if busy is None else
+                     f"serving {busy[0]!r} (shard {busy[1]!r})")
+            raise TimeoutError(
+                f"checkpoint funnel {self._thread.name!r}: drain thread "
+                f"{doing} after {STOP_TIMEOUT_SECONDS:.0f}s")
         self._thread = None
         self._client.close_all()
 
@@ -220,6 +234,7 @@ class CheckpointFunnel:
         job's namespaced sub-store through here.
         """
         base = self.store if store is None else store
+        self._busy = (op, shard_rank)
         try:
             if op == _OP_WRITE:
                 target = (base if shard_rank is None
@@ -228,9 +243,9 @@ class CheckpointFunnel:
                     target.write_chunked(payload.header(),
                                          payload.field_refs,
                                          payload.resolve_chunks(self._client))
+                elif isinstance(payload, PackedSnapshot):
+                    self._write_from_slabs(target, payload)
                 else:
-                    if isinstance(payload, PackedSnapshot):
-                        payload = payload.unpack(self._client)
                     target.write(payload)
                 return ("ok", target.last_write_nbytes,
                         target.last_write_kind,
@@ -247,6 +262,24 @@ class CheckpointFunnel:
             return ("error", f"unknown funnel op {op!r}", None, None)
         except Exception:  # noqa: BLE001 - worker must not hang on us
             return ("error", traceback.format_exc(), None, None)
+        finally:
+            self._busy = None
+
+    def _write_from_slabs(self, target: "CheckpointStore",
+                          packed: PackedSnapshot) -> None:
+        """Write a packed snapshot straight from read-only slab views,
+        then recycle its slots — whether or not the write succeeded."""
+        refs = [v for v in packed.fields.values() if isinstance(v, ShmRef)]
+        try:
+            fields = {name: self._client.view(v) if isinstance(v, ShmRef)
+                      else v for name, v in packed.fields.items()}
+            target.write(Snapshot(app=packed.app,
+                                  safepoint_count=packed.safepoint_count,
+                                  fields=fields, mode=packed.mode,
+                                  meta=packed.meta))
+        finally:
+            for ref in refs:
+                self._client.release(ref)
 
     def _pending(self):
         """Every request up to ``_OP_STOP`` — however long the queue

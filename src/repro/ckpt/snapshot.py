@@ -6,33 +6,56 @@ deliberately mode-independent (Section IV.A: "the checkpoint data is the
 same in all environments"), which is what lets a run checkpointed under
 MPI-style execution restart as a sequential or threaded run.
 
-Container format (version 2): a pickled envelope ``{header, sections}``
-where each section is ``(flags, stored_blob, crc32)``.  ``flags`` carries
-per-section transforms (today: ``SEC_ZLIB`` for transparent zlib
-compression, negotiated by size threshold at encode time); the CRC is
-over the *stored* bytes so corruption is detected before decompression.
-Version-1 files (sections as ``(blob, crc32)`` pairs, no flags) are still
-readable.  The same envelope shape also carries incremental *delta*
-records (``header["kind"] == "delta"``) — those are produced and resolved
-by :mod:`repro.ckpt.delta`; decoding one directly raises
-:class:`SnapshotCorrupt` because a delta alone is not a restorable state.
+Capture copies each field once into memory the snapshot owns (a plain
+array directly, anything else through its portable encoding), and a
+full save then hands the disk views of those copies: an encoded image is
+a *list of buffers*, never one ``bytes``.
+
+Container format (version 3)::
+
+    b"PCR3" | u32 table length | pickled {header, sections} | payloads
+
+``sections`` maps each name to ``(flags, nbytes, crc32)`` in payload
+order; each payload is the field's portable encoding
+(:func:`~repro.util.serialization.dumps_portable`) byte for byte, which
+a plain array contributes as two buffers (tag + ``.npy`` header, then a
+read-only view of its data).  ``flags`` carries per-section transforms
+(today: ``SEC_ZLIB`` for transparent zlib compression, negotiated by
+size threshold at encode time); the CRC is chained over the *stored*
+pieces, so corruption is detected before decompression.  Reads slice a
+``memoryview`` of the file; only the small table is unpickled.  Version
+1 and 2 files (a ``PKL4``-tagged pickled envelope carrying the stored
+blobs inline) are still readable; nothing writes them.  The same
+container also carries incremental *delta* records (``header["kind"] ==
+"delta"``, produced and resolved by :mod:`repro.ckpt.delta`; decoding one
+directly raises :class:`SnapshotCorrupt` because a delta alone is not a
+restorable state) and CAS chunk recipes (no sections).
 """
 
 from __future__ import annotations
 
+import pickle
+import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.util.serialization import (
+    PICKLE_PROTOCOL,
     crc32_of,
     dumps_portable,
     loads_portable,
     nbytes_of,
     pack_section,
+    portable_copy,
+    portable_pieces,
     unpack_section,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+_MAGIC = b"PCR3"
+_HEAD = struct.Struct("<4sI")
 
 #: container kinds: a full restorable state, an incremental delta, or a
 #: chunk recipe (a manifest of CAS chunk refs — see :mod:`repro.ckpt.cas`).
@@ -46,33 +69,64 @@ class SnapshotCorrupt(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# container helpers (shared with repro.ckpt.delta)
+# container helpers (shared with repro.ckpt.delta and repro.ckpt.cas)
 # ---------------------------------------------------------------------------
-def encode_container(header: dict, blobs: dict[str, bytes],
-                     compress_min_bytes: int | None = None) -> bytes:
-    """Assemble the on-disk envelope from pre-encoded field blobs."""
-    sections = {}
-    for name, blob in blobs.items():
-        flags, stored = pack_section(blob, compress_min_bytes)
-        sections[name] = (flags, stored, crc32_of(stored))
-    return dumps_portable({"header": header, "sections": sections})
+def encode_container(header: dict, sections: dict[str, list],
+                     compress_min_bytes: int | None = None) -> list:
+    """The on-disk image of pre-encoded sections (name -> buffers), as
+    a list of buffers to write back to back."""
+    table, payloads = {}, []
+    for name, pieces in sections.items():
+        flags = 0
+        if compress_min_bytes is not None \
+                and image_nbytes(pieces) >= compress_min_bytes:
+            flags, stored = pack_section(b"".join(pieces), compress_min_bytes)
+            pieces = [stored]
+        crc = 0
+        for piece in pieces:
+            crc = zlib.crc32(piece, crc)
+        table[name] = (flags, image_nbytes(pieces), crc)
+        payloads += pieces
+    blob = pickle.dumps({"header": header, "sections": table},
+                        protocol=PICKLE_PROTOCOL)
+    return [_HEAD.pack(_MAGIC, len(blob)) + blob, *payloads]
 
 
-def decode_envelope(data: bytes) -> tuple[dict, dict]:
-    """Parse and version-check an envelope; returns ``(header, sections)``."""
+def image_nbytes(image: list) -> int:
+    """Total size of a list of byte buffers (what the disk receives)."""
+    return sum(len(piece) for piece in image)
+
+
+def decode_envelope(data) -> tuple[dict, dict]:
+    """Parse and version-check a container; returns ``(header, sections)``
+    with sections ``name -> (flags, stored, crc32)`` (version 1 entries:
+    ``(stored, crc32)``), ``stored`` a zero-copy slice of ``data``."""
+    view = memoryview(data)
     try:
-        envelope = loads_portable(data)
-        header = envelope["header"]
-        sections = envelope["sections"]
+        if bytes(view[:4]) != _MAGIC:  # version 1/2: a pickled envelope
+            envelope = loads_portable(data)
+            header, sections = envelope["header"], envelope["sections"]
+            versions = (1, 2)
+        else:
+            start = _HEAD.size + _HEAD.unpack_from(view)[1]
+            table = pickle.loads(view[_HEAD.size:start])
+            header, sections = table["header"], {}
+            for name, (flags, nbytes, crc) in table["sections"].items():
+                sections[name] = (flags, view[start:start + nbytes], crc)
+                start += nbytes
+            if start != len(view):
+                raise ValueError(f"table describes {start} bytes, the "
+                                 f"container holds {len(view)}")
+            versions = (FORMAT_VERSION,)
+        version = header.get("version")
     except Exception as exc:
         raise SnapshotCorrupt(f"malformed snapshot container: {exc}") from exc
-    if header.get("version") not in (1, FORMAT_VERSION):
-        raise SnapshotCorrupt(
-            f"unsupported snapshot version {header.get('version')!r}")
+    if version not in versions:
+        raise SnapshotCorrupt(f"unsupported snapshot version {version!r}")
     return header, sections
 
 
-def decode_section(sections: dict, name: str) -> bytes:
+def decode_section(sections: dict, name: str) -> bytes | memoryview:
     """Checksum-verify one section and undo its storage transforms."""
     try:
         entry = sections[name]
@@ -105,15 +159,15 @@ class Snapshot:
                 **meta: Any) -> "Snapshot":
         """Snapshot ``field_names`` of ``instance`` at safe point ``count``.
 
-        Values are captured *by encoding* immediately, so later mutation of
+        Each value is copied once, immediately, into memory the snapshot
+        owns — equal to its portable round trip — so later mutation of
         the live object cannot corrupt a pending checkpoint.
         """
         missing = [f for f in field_names if not hasattr(instance, f)]
         if missing:
             raise AttributeError(
                 f"SafeData fields not present on instance: {missing}")
-        fields = {f: loads_portable(dumps_portable(getattr(instance, f)))
-                  for f in field_names}
+        fields = {f: portable_copy(getattr(instance, f)) for f in field_names}
         return cls(app=app or type(instance).__name__,
                    safepoint_count=count, fields=fields, mode=mode,
                    meta=dict(meta))
@@ -145,10 +199,17 @@ class Snapshot:
             "fields": list(self.fields),
         }
 
+    def image(self, compress_min_bytes: int | None = None) -> list:
+        """The full record as the buffers a store writes back to back
+        (plain arrays as views of the captured copies, not copies)."""
+        pieces = {name: portable_pieces(value)
+                  for name, value in self.fields.items()}
+        return encode_container(self.header(KIND_FULL), pieces,
+                                compress_min_bytes)
+
     def encode(self, compress_min_bytes: int | None = None) -> bytes:
         """Serialise to the portable container format (a full record)."""
-        return encode_container(self.header(KIND_FULL), self.field_blobs(),
-                                compress_min_bytes)
+        return b"".join(self.image(compress_min_bytes))
 
     @classmethod
     def decode(cls, data: bytes) -> "Snapshot":

@@ -10,9 +10,10 @@ The store has two orthogonal extensions:
 
 * **async writes** — :meth:`attach_writer` plugs in an
   :class:`~repro.ckpt.writer.AsyncCheckpointWriter`; ``write`` then
-  returns after encoding (the in-memory copy) and the fsync+rename runs
-  on the worker thread.  :meth:`flush` is the durability barrier and MUST
-  be called before any read that needs to observe the latest write.
+  returns once the image is copied into the writer's queue and the
+  fsync+rename runs on the worker thread.  :meth:`flush` is the
+  durability barrier and MUST be called before any read that needs to
+  observe the latest write.
 * **incremental deltas** — see
   :class:`repro.ckpt.delta.IncrementalCheckpointStore`, a subclass that
   writes only changed fields between periodic full anchors.
@@ -33,7 +34,12 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.ckpt.snapshot import KIND_FULL, Snapshot, SnapshotCorrupt
+from repro.ckpt.snapshot import (
+    KIND_FULL,
+    Snapshot,
+    SnapshotCorrupt,
+    image_nbytes,
+)
 from repro.ckpt.writer import atomic_write_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,25 +176,28 @@ class CheckpointStore:
         return self.dir / (f"ckpt_{count:09d}"
                            f"{self.ns_suffix}{self.shard_suffix}.pcr")
 
-    def _put(self, path: Path, data: bytes) -> None:
-        """Persist one encoded image, sync or via the async writer."""
+    def _put(self, path: Path, image: list) -> None:
+        """Persist one encoded image (a list of buffers), sync or via the
+        async writer."""
         if self.writer is not None:
-            self.writer.submit(path, data)
+            self.writer.submit(path, image)
         else:
-            atomic_write_bytes(path, data)
+            atomic_write_bytes(path, image)
 
     def write(self, snap: Snapshot) -> Path:
         """Persist ``snap``; returns the final path.
 
         With no writer attached the image is durable on return; with an
-        async writer it is durable only after :meth:`flush`.
+        async writer it is durable only after :meth:`flush`.  Either way
+        nothing here keeps a reference to a field value once this
+        returns (the funnel writes straight from slab views).
         """
-        data = snap.encode(compress_min_bytes=self.compress_min_bytes)
-        self.last_write_nbytes = len(data)
+        image = snap.image(self.compress_min_bytes)
+        self.last_write_nbytes = image_nbytes(image)
         self.last_write_kind = KIND_FULL
-        self.total_bytes_written += len(data)
+        self.total_bytes_written += self.last_write_nbytes
         final = self.path_for(snap.safepoint_count)
-        self._put(final, data)
+        self._put(final, image)
         return final
 
     def counts(self) -> list[int]:

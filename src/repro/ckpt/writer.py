@@ -4,7 +4,9 @@ The paper's headline checkpoint cost (Figures 3-4) is dominated by the
 synchronous write of the application data at the safe point.  Following
 the standard double-buffering discipline for overlapping I/O with
 computation, :class:`AsyncCheckpointWriter` lets ``CheckpointStore.write``
-return as soon as the encoded bytes are handed over (an in-memory copy);
+return as soon as the image is handed over — ``submit`` joins its
+buffers into bytes the writer owns, the one in-memory copy on that path;
+a synchronous store writes the buffers straight to the file instead — and
 a dedicated worker thread performs the atomic temp-file + fsync + rename
 sequence while the application computes on.
 
@@ -32,13 +34,30 @@ import tempfile
 import threading
 from pathlib import Path
 from time import perf_counter
+from typing import Sequence
 
 from repro.trace import schema as _tc
 from repro.trace.plane import tracer as trace_writer
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
+#: file buffer of :func:`atomic_write_bytes`: small pieces (a CAS pack's
+#: ~4 KiB entries) coalesce into few syscalls, pieces larger than it
+#: (a captured array) go to the file directly.
+WRITE_BUFFER_BYTES = 1 << 20
+
+
+def _pieces(data) -> Sequence:
+    """One bytes-like object, or a sequence of them, as a sequence."""
+    return (data,) if isinstance(data, (bytes, bytearray, memoryview)) \
+        else data
+
+
+def atomic_write_bytes(path: Path, data) -> None:
     """Write ``data`` to ``path`` atomically and durably.
+
+    ``data`` is one bytes-like object or a sequence of them, written in
+    order (a checkpoint image is a list of buffers, some of them views
+    of the captured arrays, so nothing is joined first).
 
     temp file in the same directory -> write -> fsync(file) ->
     rename over the target -> fsync(directory), so a crash at any point
@@ -46,12 +65,14 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     rename itself survives a power cut.
     """
     path = Path(path)
+    pieces = _pieces(data)
     tr = trace_writer()  # no-op on the async worker thread (unbound)
     tw0 = perf_counter() if tr.active else 0.0
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "wb", buffering=WRITE_BUFFER_BYTES) as fh:
+            for piece in pieces:
+                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -61,7 +82,7 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
             os.unlink(tmp)
         raise
     if tr.active:
-        tr.span(_tc.CKPT_WRITE, tw0, a=float(len(data)))
+        tr.span(_tc.CKPT_WRITE, tw0, a=float(sum(map(len, pieces))))
 
 
 def fsync_dir(directory: Path) -> None:
@@ -118,16 +139,20 @@ class AsyncCheckpointWriter:
             raise AsyncWriteFailed(
                 f"background checkpoint write failed: {err}") from err
 
-    def submit(self, path: Path, data: bytes) -> None:
+    def submit(self, path: Path, data) -> None:
         """Hand a finished checkpoint image to the worker.
 
-        Returns once the bytes are enqueued (the in-memory copy already
-        happened at encode time); blocks only when ``depth`` images are
-        already queued behind the one in flight.
+        ``data`` is bytes or a list of buffers; it is joined into bytes
+        the writer owns — the one in-memory copy on this path, needed
+        because the caller's buffers may be views of memory it recycles
+        on return (a funnel's slabs).  Returns once the bytes are
+        enqueued; blocks only when ``depth`` images are already queued
+        behind the one in flight.
         """
         if self._closed:
             raise RuntimeError("writer is closed")
         self._raise_pending()
+        data = b"".join(_pieces(data))
         self._ensure_thread()
         with self._lock:
             # concurrently reachable: STRATEGY_LOCAL shard stores share

@@ -6,6 +6,11 @@ migrate across the heterogeneous resources of a Grid.  We satisfy it by
 serialising numpy arrays in their portable ``.npy``-style representation
 (dtype string + shape + C-order bytes) and everything else with pickle
 protocol 4, and by checksumming every section.
+
+Plain arrays — the bulk of any checkpoint — also have a copy-free form of
+the same encoding (:func:`portable_pieces`) and a direct private copy
+(:func:`portable_copy`), so a checkpoint can be captured and written
+without building its bytes in memory first.
 """
 
 from __future__ import annotations
@@ -16,6 +21,11 @@ import zlib
 from typing import Any
 
 import numpy as np
+
+try:  # numpy >= 2 keeps the .npy writer in a private module
+    from numpy.lib._format_impl import _write_array_header
+except ImportError:  # pragma: no cover - numpy 1.x
+    from numpy.lib.format import _write_array_header
 
 #: pickle protocol pinned for cross-version portability of checkpoints.
 PICKLE_PROTOCOL = 4
@@ -35,6 +45,52 @@ def dumps_portable(obj: Any) -> bytes:
         np.save(buf, obj, allow_pickle=False)
         return _ARRAY_TAG + buf.getvalue()
     return _PICKLE_TAG + pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
+
+
+def _plain_array(obj: Any) -> bool:
+    """A plain ndarray whose ``.npy`` payload is its raw memory: exact
+    type, legacy non-object dtype (``np.save`` pickles anything else)."""
+    return (type(obj) is np.ndarray and not obj.dtype.hasobject
+            and getattr(type(obj.dtype), "_legacy", True))
+
+
+def _npy_order(arr: np.ndarray) -> str:
+    """The memory order ``np.save`` records (and ``np.load`` yields)."""
+    return "F" if arr.flags.f_contiguous and not arr.flags.c_contiguous \
+        else "C"
+
+
+def portable_copy(obj: Any) -> Any:
+    """A private copy of ``obj``, equal to its portable round trip
+    ``loads_portable(dumps_portable(obj))``.
+
+    A plain array is copied directly — same dtype, shape and the memory
+    order the ``.npy`` round trip yields, writeable, owning its memory;
+    everything else takes the round trip.
+    """
+    if _plain_array(obj):
+        return obj.copy(order=_npy_order(obj))
+    return loads_portable(dumps_portable(obj))
+
+
+def portable_pieces(obj: Any) -> list:
+    """:func:`dumps_portable` as buffers whose concatenation equals it.
+
+    A plain array is two pieces: the tag plus numpy's own ``.npy``
+    header, and a read-only byte view of the array's data (a copy only
+    when the array is not contiguous).  Anything else is one ``bytes``.
+    """
+    if not _plain_array(obj):
+        return [dumps_portable(obj)]
+    head = io.BytesIO()
+    head.write(_ARRAY_TAG)
+    _write_array_header(head, np.lib.format.header_data_from_array_1_0(obj),
+                        None)
+    if obj.itemsize == 0:
+        return [head.getvalue()]
+    data = obj.T if _npy_order(obj) == "F" else np.ascontiguousarray(obj)
+    return [head.getvalue(),
+            memoryview(data.reshape(-1).view(np.uint8)).toreadonly()]
 
 
 def loads_portable(data: bytes) -> Any:

@@ -234,7 +234,7 @@ class TestChainCorruption:
 
         header["base"] = 7
         header["safepoint_count"] = 7
-        store.path_for(7).write_bytes(encode_container(header, {}))
+        store.path_for(7).write_bytes(b"".join(encode_container(header, {})))
         with pytest.raises(SnapshotCorrupt, match="base"):
             store.read(7)
 
