@@ -537,9 +537,6 @@ class SocketCheckpointFunnel(CheckpointFunnel):
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((bind_host, 0))
         self._listener.listen()
-        # bounded accept wait: stop() cannot count on a cross-thread
-        # listener close interrupting a blocking accept().
-        self._listener.settimeout(0.25)
         #: (host, port) the workers' stores dial.
         self.address: tuple[str, int] = self._listener.getsockname()
         self._thread: threading.Thread | None = None
@@ -556,13 +553,15 @@ class SocketCheckpointFunnel(CheckpointFunnel):
         self._thread.start()
 
     def stop(self) -> None:
+        from repro.dsm.socketmail import wake_accept
+
         if self._thread is None:
             return
         self._stopping.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        wake_accept(self._listener, self.address)
+        self._thread.join(timeout=10.0)
+        self._thread = None
+        self._listener.close()
         for conn in self._conns:  # unblock serve threads parked in recv
             try:
                 conn.shutdown(2)  # SHUT_RDWR
@@ -572,23 +571,20 @@ class SocketCheckpointFunnel(CheckpointFunnel):
                 conn.close()
             except OSError:
                 pass
-        self._thread.join(timeout=10.0)
-        self._thread = None
         for t in self._conn_threads:
             t.join(timeout=5.0)
         self._client.close_all()
 
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        import socket as _socket
-
-        while not self._stopping.is_set():
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except _socket.timeout:
-                continue
             except OSError:
-                return  # listener closed: shutdown
+                return  # listener shut down: stop() woke us
+            if self._stopping.is_set():
+                conn.close()  # wake_accept's self-connect
+                return
             self._conns.append(conn)
             t = threading.Thread(target=self._serve_conn, args=(conn,),
                                  daemon=True, name="ckpt-funnel-conn")

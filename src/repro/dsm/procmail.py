@@ -8,15 +8,17 @@ scatter/gather, halo exchange, reductions, one-sided put/get/fence)
 runs unchanged over real processes — the collectives are bridged, not
 reimplemented.
 
-Transport: one ``multiprocessing.Queue`` per rank.  Any process may put
-into any rank's queue; only the owning rank gets from its own.  Because
-queue order is arrival order, not ``(source, tag)`` order, the owner
-keeps a local pending buffer for envelopes that did not match an
-outstanding selective receive.
+Transport: one :class:`Channel` per rank — a pipe whose ``put`` pickles
+and writes the frame in the calling thread, so an envelope is in the
+peer's pipe when ``put`` returns.  Any process may put into any rank's
+channel; only the owning rank gets from its own.  Because channel order
+is arrival order, not ``(source, tag)`` order, the owner keeps a local
+pending buffer for envelopes that did not match an outstanding
+selective receive.
 
 Matching is additionally **epoch-scoped**: every envelope carries the
 sender's membership epoch, and the receiver only matches envelopes of
-its *own* epoch.  The mp.Queue channels deliberately outlive elastic
+its *own* epoch.  The rank channels deliberately outlive elastic
 membership switches (the pre-sized fabric), so without the epoch a
 retired rank's still-queued frames could satisfy a later membership
 segment's selective receive on the same ``(source, tag)`` — a
@@ -32,9 +34,19 @@ address spaces there is no clock list to ``sync_max`` over.
 
 from __future__ import annotations
 
+import io
+import multiprocessing as mp
+import os
 import queue as _queue
+import select
+import struct
 import threading
 import time
+import weakref
+from collections import deque
+from multiprocessing import context as _mpcontext
+from multiprocessing import util as _mputil
+from multiprocessing.reduction import ForkingPickler
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -62,12 +74,237 @@ if TYPE_CHECKING:  # pragma: no cover
 _TAG_BARRIER_IN = TAG_COLL + 20
 _TAG_BARRIER_OUT = TAG_COLL + 21
 
+#: ``multiprocessing.connection`` frame headers: the read end is a stock
+#: ``Connection``, so frames use its layout (size, or -1 then a u64).
+_SIZE = struct.Struct("!i")
+_BIG_SIZE = struct.Struct("!Q")
+
+
+def _frame(obj) -> memoryview | bytes:
+    """``obj`` pickled behind its size header, built in one buffer."""
+    buf = io.BytesIO()
+    buf.write(bytes(_SIZE.size))
+    ForkingPickler(buf).dump(obj)
+    view = buf.getbuffer()
+    size = len(view) - _SIZE.size
+    if size <= 0x7FFFFFFF:
+        _SIZE.pack_into(view, 0, size)
+        return view
+    view.release()
+    return (_SIZE.pack(-1) + _BIG_SIZE.pack(size)
+            + buf.getvalue()[_SIZE.size:])
+
+
+class _Outbox:
+    """One process's send side of a :class:`Channel`.
+
+    ``send`` writes a whole frame straight into the non-blocking pipe
+    when the pipe has room and no other writer holds the cross-process
+    write lock.  Otherwise the frame — or the rest of a partly written
+    one, with the lock still held — joins a FIFO that a flusher thread
+    drains with blocking writes, and every later frame from this process
+    queues behind it.  So per-sender order holds and ``send`` never
+    waits for a reader.  The flusher is started on demand and exits once
+    the FIFO is empty, so an idle channel holds no thread.
+    """
+
+    def __init__(self, writer, wlock) -> None:
+        self.writer = writer
+        self.wlock = wlock
+        self.lock = threading.Lock()
+        #: (frame, whether this process already holds the write lock)
+        self.backlog: deque = deque()
+        self.thread: threading.Thread | None = None
+        self.running = False
+        #: close the write end when the flusher is done with it.
+        self.release = False
+        self.joiner = None
+        self.cancelled = False
+
+    def send(self, frame) -> None:
+        with self.lock:
+            held = False
+            if not self.backlog and self.wlock.acquire(False):
+                try:
+                    sent = os.write(self.writer.fileno(), frame)
+                except BlockingIOError:
+                    sent = 0
+                except BaseException:
+                    self.wlock.release()
+                    raise
+                if sent == len(frame):
+                    self.wlock.release()
+                    return
+                held = sent > 0
+                if held:
+                    frame = memoryview(frame)[sent:]
+                else:
+                    self.wlock.release()
+            self.backlog.append((frame, held))
+            if not self.running:
+                self._start()
+
+    def _start(self) -> None:
+        self.running = True
+        self.thread = threading.Thread(target=self._run, daemon=True,
+                                       name="channel-flusher")
+        self.thread.start()
+        if self.joiner is None and not self.cancelled:
+            # like mp.Queue's feeder join: process exit waits for it
+            self.joiner = _mputil.Finalize(
+                self, _Outbox._finish, [weakref.ref(self)], exitpriority=-5)
+
+    def _run(self) -> None:
+        fd = self.writer.fileno()
+        poller = select.poll()
+        poller.register(fd, select.POLLOUT)
+        while True:
+            with self.lock:
+                if not self.backlog:
+                    self.running = False
+                    if self.release:
+                        self.writer.close()
+                    return
+                frame, held = self.backlog[0]
+            try:
+                if not held:
+                    self.wlock.acquire()
+                try:
+                    while len(frame):
+                        try:
+                            frame = memoryview(frame)[os.write(fd, frame):]
+                        except BlockingIOError:
+                            poller.poll()
+                finally:
+                    self.wlock.release()
+            except OSError:
+                # every read end is closed (a broken pipe): no process
+                # can ever receive what is queued here.
+                with self.lock:
+                    self.backlog.clear()
+                continue
+            with self.lock:
+                self.backlog.popleft()
+
+    def close(self) -> None:
+        """Close the write end, after the flusher if one is running."""
+        with self.lock:
+            self.release = True
+            if self.running:
+                return
+        self.writer.close()
+
+    def cancel(self) -> None:
+        self.cancelled = True
+        if self.joiner is not None:
+            self.joiner.cancel()
+
+    @staticmethod
+    def _finish(ref) -> None:
+        out = ref()
+        if out is not None and out.thread is not None:
+            out.thread.join()
+
+
+class Channel:
+    """A rank inbox between processes, written without a feeder thread.
+
+    ``multiprocessing.Queue.put`` only hands the object to a feeder
+    thread, which pickles and writes it later and must win the GIL from
+    the sender's compute to do so.  A barrier release then sat in the
+    releasing rank's process until that rank next blocked, while the
+    feeder preempted its kernels.  Here ``put`` pickles and writes the
+    frame in the calling thread, so the envelope is in the peer's pipe
+    when ``put`` returns.
+
+    ``put`` still never blocks on a peer that is not reading: a frame
+    the non-blocking pipe cannot take whole goes to this process's
+    flusher (:class:`_Outbox`).  The flusher is joined at process exit,
+    as ``mp.Queue``'s feeder is, unless :meth:`cancel_join_thread` was
+    called.  A cross-process write lock keeps frames atomic, and ``get``
+    reads whole frames under a read lock, so a parent draining a channel
+    never tears a frame its owner is reading.  The surface is the part
+    of ``mp.Queue`` the mailboxes use (``put``, ``get``, ``get_nowait``,
+    ``close``, ``cancel_join_thread``); like a queue, a channel reaches a
+    child only as a process argument.
+    """
+
+    def __init__(self, ctx=None) -> None:
+        ctx = ctx or mp.get_context()
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._rlock = ctx.Lock()
+        self._wlock = ctx.Lock()
+        os.set_blocking(self._writer.fileno(), False)
+        self._after_fork()
+        _mputil.register_after_fork(self, Channel._after_fork)
+
+    def __getstate__(self):
+        _mpcontext.assert_spawning(self)
+        return self._reader, self._writer, self._rlock, self._wlock
+
+    def __setstate__(self, state) -> None:
+        self._reader, self._writer, self._rlock, self._wlock = state
+        self._after_fork()
+        _mputil.register_after_fork(self, Channel._after_fork)
+
+    def _after_fork(self) -> None:
+        """Fresh process-local state: no inherited backlog or flusher."""
+        self._closed = self._reader.closed
+        self._out = _Outbox(self._writer, self._wlock)
+        self._poller = select.poll()
+        if not self._closed:
+            self._poller.register(self._reader.fileno(), select.POLLIN)
+
+    # ------------------------------------------------------------------
+    def put(self, obj) -> None:
+        if self._closed:
+            raise ValueError("channel is closed")
+        self._out.send(_frame(obj))
+
+    def get(self, block: bool = True, timeout: float | None = None):
+        """Next frame; ``queue.Empty`` when none arrives in time."""
+        if self._closed:
+            raise ValueError("channel is closed")
+        if not block:
+            timeout = 0.0
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._rlock.acquire(block, timeout):
+            raise _queue.Empty
+        try:
+            if deadline is not None:
+                wait = max(0.0, deadline - time.monotonic())
+                if not self._poller.poll(wait * 1000.0):
+                    raise _queue.Empty
+            blob = self._reader.recv_bytes()
+        finally:
+            self._rlock.release()
+        return ForkingPickler.loads(blob)
+
+    def get_nowait(self):
+        return self.get(False)
+
+    def close(self) -> None:
+        """Release this process's ends; queued frames still go out."""
+        if self._closed:
+            return
+        self._closed = True
+        self._reader.close()
+        self._out.close()
+
+    def cancel_join_thread(self) -> None:
+        """Let this process exit without delivering what its flusher
+        still holds (the unwind path: the phase outcome is decided)."""
+        self._out.cancel()
+
 
 class ProcessMailbox:
-    """Selective receive for one rank over a ``multiprocessing.Queue``.
+    """Selective receive for one rank over a :class:`Channel`.
 
-    ``put`` may be called from any process; ``get``/``poll`` only from
-    the owning rank's process (the pending buffer is process-local).
+    The channel is duck-typed — ``put``, ``get(timeout=)`` and
+    ``get_nowait`` raising ``queue.Empty`` — so a thread ``queue.Queue``
+    or an ``mp.Queue`` serves too.  ``put`` may be called from any
+    process; ``get``/``poll`` only from the owning rank's process (the
+    pending buffer is process-local).
     ``epoch`` scopes the match key: only envelopes stamped with the
     mailbox's current epoch are eligible, stale ones are dead letters
     (dropped on drain), future ones wait in the pending buffer for the
@@ -196,11 +433,11 @@ class ProcessMailbox:
                 return True
 
     def close(self) -> None:
-        """Refuse further traffic; drop whatever the feeder still holds.
+        """Refuse further traffic; drop whatever the flusher still holds.
 
         Called on the unwind path only — by then the phase outcome is
         decided and in-flight envelopes are dead letters.  Cancelling the
-        feeder join keeps a worker's exit from blocking on a queue the
+        flusher join keeps a worker's exit from blocking on a channel the
         parent will never drain again.
         """
         self._closed = True
@@ -223,7 +460,7 @@ class ProcCommunicator(Communicator):
     ``VClock.sync_max`` across threads), and — when a
     :class:`~repro.dsm.shm.DataPlane` is wired — the transport hooks:
     large array payloads cross as shared-memory slab descriptors
-    instead of pickles through the queue pipes (and, for movement code
+    instead of pickles through the channel pipes (and, for movement code
     that opted a source segment in via ``DataPlane.register_borrow``,
     as borrowed regions with zero intermediate copies).  One-sided
     windows allocated through :meth:`win_alloc` land on the plane's
@@ -270,9 +507,10 @@ class ProcCommunicator(Communicator):
     # ------------------------------------------------------------------
     def _egress(self, obj: Any, owned: bool, dest: int) -> Any:
         if self.plane is None:
-            # keep the defensive copy: mp.Queue's feeder thread pickles
-            # *after* put returns, so an un-owned payload could still be
-            # mutated by the sender while in flight.
+            # keep the defensive copy: the duck-typed channel may be a
+            # by-reference thread queue, or an mp.Queue whose feeder
+            # pickles *after* put returns, so an un-owned payload could
+            # still be mutated by the sender while in flight.
             return super()._egress(obj, owned, dest)
         return self.plane.outbound(obj, owned)
 

@@ -13,13 +13,13 @@ outlives a launch.
 It also owns the **message data plane** (:class:`BufferPool`,
 :class:`DataPlane`): large array payloads between processes travel
 through pooled shared-memory slabs instead of being pickled through
-``multiprocessing.Queue`` pipes.  Three tiers, picked per payload:
+the rank channels' pipes.  Three tiers, picked per payload:
 
 * **inline** — payloads under :data:`SHM_THRESHOLD` are pickled through
-  the queue as before (a descriptor round-trip costs more than it
+  the channel as before (a descriptor round-trip costs more than it
   saves for small envelopes);
 * **slab**   — the sender copies the array once into a leased slab from
-  its per-rank ring and the queue carries only a tiny
+  its per-rank ring and the channel carries only a tiny
   :class:`ShmRef` descriptor; the receiver copies out of the slab and
   recycles it.  Two memcpys replace pickle + pipe write + pipe read +
   unpickle;
@@ -78,6 +78,27 @@ _launch_seq = itertools.count()
 #: would capture each other's no-op lambdas as "originals" and leave
 #: tracking disabled for the whole process.
 _tracker_patch_lock = threading.Lock()
+
+
+def _hold_for_fork() -> None:
+    _tracker_patch_lock.acquire()
+    _live_lock.acquire()
+
+
+def _release_after_fork() -> None:
+    _live_lock.release()
+    _tracker_patch_lock.release()
+
+
+# A fork while another thread holds either lock (one parent launching
+# two worlds from two threads) would give the child a lock nobody in it
+# ever releases — its first segment attach then hangs — and possibly a
+# half-patched resource tracker.  Holding both across the fork hands
+# the child free locks and the real tracker functions.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_hold_for_fork,
+                        after_in_parent=_release_after_fork,
+                        after_in_child=_release_after_fork)
 
 
 def live_segments() -> list[str]:
@@ -334,12 +355,14 @@ class ShmRef:
     capacity: int
     offset: int
     shape: tuple
-    dtype: str
+    #: the full dtype, not ``dtype.str``: the string collapses every
+    #: structured dtype of one itemsize to the same ``"|Vn"`` token.
+    dtype: np.dtype
     kind: str = "slab"
 
     @property
     def nbytes(self) -> int:
-        return int(np.dtype(self.dtype).itemsize
+        return int(self.dtype.itemsize
                    * np.prod(self.shape, dtype=np.int64))
 
 
@@ -512,6 +535,13 @@ class BufferPool:
             unlink_by_name(pool_slab_name(self.launch_id, self.rank, s))
 
 
+def _raw(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as opaque items of its itemsize.  Assigning these copies
+    every byte; a structured dtype's own assignment copies its fields
+    and leaves the padding behind."""
+    return arr.view(np.dtype((np.void, arr.dtype.itemsize)))
+
+
 class ShmLease:
     """A claimed slab slot; write the payload, then ship the ref."""
 
@@ -521,11 +551,11 @@ class ShmLease:
 
     def fill(self, arr: np.ndarray) -> ShmRef:
         """Copy ``arr`` into the slab (the one send-side copy) and
-        return the descriptor to put on the queue."""
-        self._slab.view(arr.shape, arr.dtype)[...] = arr
+        return the descriptor to put on the channel."""
+        _raw(self._slab.view(arr.shape, arr.dtype))[...] = _raw(arr)
         return ShmRef(name=self._slab.name, capacity=self._slab.capacity,
                       offset=_SLAB_HEADER, shape=tuple(arr.shape),
-                      dtype=np.dtype(arr.dtype).str)
+                      dtype=arr.dtype)
 
     def cancel(self) -> None:
         """Release an unused lease (send aborted before the put)."""
@@ -557,7 +587,7 @@ class PoolClient:
     def view(self, ref: ShmRef) -> np.ndarray:
         """Read-only view of the referenced region (no copy)."""
         shm = self._mapping(ref)
-        v = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
+        v = np.ndarray(ref.shape, dtype=ref.dtype,
                        buffer=shm.buf[ref.offset:ref.offset + ref.nbytes])
         v.flags.writeable = False
         return v
@@ -571,8 +601,9 @@ class PoolClient:
 
     def fetch(self, ref: ShmRef) -> np.ndarray:
         """Materialise the payload: copy out, recycle, return the copy."""
-        arr = self.view(ref).copy()
-        arr.flags.writeable = True
+        view = self.view(ref)
+        arr = np.empty(view.shape, view.dtype)
+        _raw(arr)[...] = _raw(view)
         self.release(ref)
         return arr
 
@@ -790,8 +821,8 @@ class DataPlane:
         if off < 0 or off + arr.nbytes > base_view.nbytes:
             return None
         return ShmRef(name=name, capacity=capacity, offset=int(off),
-                      shape=tuple(arr.shape),
-                      dtype=np.dtype(arr.dtype).str, kind="borrow")
+                      shape=tuple(arr.shape), dtype=arr.dtype,
+                      kind="borrow")
 
     # ------------------------------------------------------------------
     def pack_lease(self, nbytes: int) -> "ShmLease | None":

@@ -5,7 +5,8 @@ Transport` seam.  A :class:`SocketTransport` gives one rank a hybrid
 endpoint list:
 
 * **co-located peers** (same physical node) keep the process fabric —
-  envelopes through ``mp.Queue`` channels, large payloads as
+  envelopes through the rank :class:`~repro.dsm.procmail.Channel`
+  pipes, large payloads as
   shared-memory slab descriptors via the data plane; nothing crosses a
   wire;
 * **remote peers** are reached over length-prefixed TCP frames
@@ -14,7 +15,7 @@ endpoint list:
 
 Inbound TCP frames are handled by a per-rank **progress thread**: it
 accepts peer connections and *re-injects* each received envelope into
-the rank's own queue channel, so the receive side stays a single
+the rank's own channel, so the receive side stays a single
 :class:`~repro.dsm.procmail.ProcessMailbox` with its selective-receive,
 FIFO-per-(source, tag), epoch-scoped and deadline semantics — remote
 and local traffic are indistinguishable above the seam.  Two frame
@@ -94,6 +95,23 @@ def _recv_exact(conn: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
+def wake_accept(listener: socket.socket, address) -> None:
+    """Wake a thread blocked in ``listener.accept()``.
+
+    A cross-thread ``close()`` of the listener does not; shutting it
+    down does (Linux).  Where shutdown is refused, a self-connect hands
+    ``accept`` a connection, which the accept loop must drop on seeing
+    its stop flag.
+    """
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        try:
+            socket.create_connection(address, 1.0).close()
+        except OSError:
+            pass
+
+
 def send_framed(conn: socket.socket, obj) -> None:
     """Pickle ``obj`` and write it as one length-prefixed frame.
 
@@ -124,8 +142,7 @@ def recv_framed(conn: socket.socket):
 class SocketPeer:
     """Egress stub for a remote rank: ``put`` frames the envelope.
 
-    The pickle happens synchronously inside ``put`` (unlike mp.Queue's
-    feeder thread, which pickles after put returns), so senders need no
+    The pickle happens synchronously inside ``put``, so senders need no
     defensive copy for socket-bound payloads — the bytes are captured
     before ``put`` returns.
     """
@@ -142,15 +159,17 @@ class SocketPeer:
 
 
 class SocketTransport(Transport):
-    """One rank's hybrid fabric: queues within the node, TCP across.
+    """One rank's hybrid fabric: channels within the node, TCP across.
 
-    ``channels`` is the full pre-sized mp.Queue list (one per fabric
-    slot); ``pnode_of`` maps a rank to its *physical* node (the
-    deployment layout — distinct from ``MachineModel.node_of``, which is
-    the modelled topology feeding the clocks).  Construction binds the
-    rank's listener (port 0 — the OS picks); the caller publishes
-    ``self.address`` to peers and installs the gathered map with
-    :meth:`set_addresses` before the first remote send.
+    ``channels`` is the full pre-sized rank-channel list (one
+    :class:`~repro.dsm.procmail.Channel` per fabric slot in a launch;
+    any mailbox channel serves); ``pnode_of`` maps a rank to its
+    *physical* node (the deployment layout — distinct from
+    ``MachineModel.node_of``, which is the modelled topology feeding
+    the clocks).  Construction binds the rank's listener (port 0 — the
+    OS picks); the caller publishes ``self.address`` to peers and
+    installs the gathered map with :meth:`set_addresses` before the
+    first remote send.
     """
 
     def __init__(self, rank: int, channels, pnode_of: Callable[[int], int],
@@ -169,9 +188,6 @@ class SocketTransport(Transport):
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((bind_host, 0))
         self._listener.listen()
-        # a bounded accept wait: close() cannot count on a cross-thread
-        # listener close interrupting a blocking accept().
-        self._listener.settimeout(0.25)
         #: (host, port) peers reach this rank's progress thread at.
         self.address: tuple[str, int] = self._listener.getsockname()
         self._readers: list[threading.Thread] = []
@@ -240,13 +256,14 @@ class SocketTransport(Transport):
     # ingress: the progress thread
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return  # listener closed: shutdown
+                return  # listener shut down: close() woke us
+            if self._stop.is_set():
+                conn.close()  # wake_accept's self-connect
+                return
             self._accepted.append(conn)
             t = threading.Thread(target=self._read_loop, args=(conn,),
                                  name=f"sk-reader-{self.rank}", daemon=True)
@@ -313,10 +330,10 @@ class SocketTransport(Transport):
     # ------------------------------------------------------------------
     def close(self) -> None:
         self._stop.set()
-        try:
+        if self._listener.fileno() != -1:
+            wake_accept(self._listener, self.address)
+            self._acceptor.join(timeout=5.0)
             self._listener.close()
-        except OSError:
-            pass
         with self._send_lock:
             for conn in self._conns.values():
                 try:
@@ -336,7 +353,6 @@ class SocketTransport(Transport):
                 conn.close()
             except OSError:
                 pass
-        self._acceptor.join(timeout=5.0)
         for t in self._readers:
             t.join(timeout=5.0)
 
@@ -346,7 +362,7 @@ class HierarchicalCommunicator(ProcCommunicator):
 
     The algorithm layer is inherited whole; this class decides, per
     destination, *which* fabric a payload rides: co-located ranks get
-    the zero-copy slab plane through queues, remote ranks get TCP
+    the zero-copy slab plane through channels, remote ranks get TCP
     frames (pickled synchronously at ``put`` — no defensive copy, and
     never a raw shm descriptor, which would be meaningless off-node).
     One-sided windows on the symmetric heap are written/read directly

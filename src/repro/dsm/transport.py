@@ -6,13 +6,14 @@ process subclass) speaks to mailboxes only: it ``put``s envelopes into
 :class:`Transport` is the factory for that endpoint list — the one
 object that knows how bytes physically move:
 
-* :class:`QueueTransport` — one ``multiprocessing.Queue`` per rank,
-  every endpoint a :class:`~repro.dsm.procmail.ProcessMailbox` (the
-  PR-5 shm slab/borrow/inline tiers sit *above* this, in the data
-  plane's payload packing — the transport carries descriptors);
+* :class:`QueueTransport` — one :class:`~repro.dsm.procmail.Channel`
+  (a pipe written in the sender's thread) per rank, every endpoint a
+  :class:`~repro.dsm.procmail.ProcessMailbox` (the shm
+  slab/borrow/inline tiers sit *above* this, in the data plane's
+  payload packing — the transport carries descriptors);
 * :class:`~repro.dsm.socketmail.SocketTransport` — remote peers behind
   length-prefixed TCP frames, co-located peers (same physical node)
-  still on queues + slabs, with a per-rank progress thread serving
+  still on channels + slabs, with a per-rank progress thread serving
   one-sided traffic.
 
 Keeping the seam this narrow is what lets the whole collective /
@@ -50,8 +51,8 @@ class Transport(ABC):
 
     def frame_counts(self) -> dict[int, int]:
         """Wire frames sent per destination rank (empty when the
-        transport has no framed links — queues move envelopes, not
-        frames).  The topology tests assert on this: co-located traffic
+        transport has no wire links — rank channels are local pipes).
+        The topology tests assert on this: co-located traffic
         must never show up here."""
         return {}
 
@@ -60,7 +61,12 @@ class Transport(ABC):
 
 
 class QueueTransport(Transport):
-    """The single-host process fabric: one mp.Queue channel per rank."""
+    """The single-host process fabric: one channel per rank.
+
+    The launches pass :class:`~repro.dsm.procmail.Channel` objects; any
+    object with the mailbox's duck-typed channel surface serves (the
+    tests use thread ``queue.Queue`` objects).
+    """
 
     def __init__(self, channels) -> None:
         self.channels = channels

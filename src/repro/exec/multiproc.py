@@ -59,7 +59,7 @@ from repro.ckpt.funnel import CheckpointFunnel
 from repro.core.errors import AdaptationExit
 from repro.core.modes import Capabilities, ExecConfig, Mode
 from repro.dsm import shm
-from repro.dsm.procmail import ProcCommunicator
+from repro.dsm.procmail import Channel, ProcCommunicator
 from repro.dsm.simcluster import RankFailure
 from repro.exec.base import (
     PHASE_COMPLETED,
@@ -99,10 +99,11 @@ def preferred_start_method() -> str:
 
 
 def drain_queues(qs, close: bool = False) -> None:
-    """Empty leftover queue traffic so exiting feeders can flush.
+    """Empty leftover queue/channel traffic so exiting senders can flush
+    (an ``mp.Queue`` feeder or a channel flusher is joined at exit).
 
-    ``close`` additionally releases the parent's queue handles — only
-    safe once every worker has been joined.
+    ``close`` additionally releases the parent's handles — only safe
+    once every worker has been joined.
     """
     for q in qs:
         try:
@@ -132,7 +133,7 @@ class MultiprocessBackend(ExecutionBackend):
 
     ``data_plane`` (default on) routes large array payloads — collective
     traffic and funnelled checkpoint snapshots — through pooled
-    shared-memory slabs instead of pickling them through the queue
+    shared-memory slabs instead of pickling them through the channel
     pipes; ``plane_threshold`` overrides the inline/slab crossover
     (bytes).  Results, checkpoint bytes and virtual time are identical
     either way: only the wall-clock transport changes.
@@ -235,7 +236,7 @@ class MultiprocessBackend(ExecutionBackend):
         max_ranks = self._fabric_size(spec)
         mpctx = mp.get_context(self.start_method)
         launch_id = shm.new_launch_id()
-        channels = [mpctx.Queue() for _ in range(max_ranks)]
+        channels = [Channel(mpctx) for _ in range(max_ranks)]
         result_queue = mpctx.Queue()
         notify_queue = mpctx.Queue()
         funnel = self._make_funnel(services.store, mpctx, max_ranks)
@@ -264,8 +265,8 @@ class MultiprocessBackend(ExecutionBackend):
                 procs, result_queue, notify_queue, n)
         finally:
             # drain before joining: exiting workers block until their
-            # queue feeders flush, and nothing reads the rank channels
-            # any more once the phase outcome is decided.
+            # channel flushers and queue feeders flush, and nothing reads
+            # the rank channels any more once the phase outcome is decided.
             drain_queues(channels + [notify_queue])
             self._stop_parked(procs, channels)
             self._reap(procs)

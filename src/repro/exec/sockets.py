@@ -4,7 +4,7 @@ Structurally a :class:`~repro.exec.multiproc.MultiprocessBackend` —
 rank processes, the parent-side funnel/unwind/unlink discipline — but
 the communication fabric is the hybrid transport of
 :mod:`repro.dsm.socketmail`: ranks are assigned to *physical nodes*
-(``pnode_of``), co-located ranks keep the zero-copy queue/slab fabric,
+(``pnode_of``), co-located ranks keep the zero-copy channel/slab fabric,
 and every cross-node byte rides length-prefixed TCP frames.  In CI the
 "nodes" are a partition of localhost processes (every listener binds
 loopback); a real deployment supplies ``hosts`` so each node's ranks
@@ -58,7 +58,7 @@ _RENDEZVOUS_SECONDS = 60.0
 
 
 class SocketsBackend(MultiprocessBackend):
-    """Multi-node SPMD: queue/slab fabric within a node, TCP across.
+    """Multi-node SPMD: channel/slab fabric within a node, TCP across.
 
     ``ranks_per_node`` partitions the rank space into physical nodes
     (rank ``r`` lives on node ``r // ranks_per_node``); ``hosts``

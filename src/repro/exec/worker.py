@@ -467,10 +467,10 @@ def rank_main(rank: int, env: WorkerEnv, wiring: RankWiring,
                 parked, join_payload = True, None
                 continue
             # NB: the communicator is deliberately NOT closed here.  Exit
-            # must wait for the queue feeders to flush: a peer may still
-            # be draining collective payloads this rank sent (member 0
+            # must wait for the channel flushers: a peer may still be
+            # draining collective payloads this rank sent (member 0
             # gathers state during a cooperative unwind), and cancelling
-            # the feeder join would drop them.  The parent drains
+            # the flusher join would drop them.  The parent drains
             # leftover channel traffic before joining, so a flushing
             # exit cannot block.
             wiring.results.put(

@@ -13,7 +13,8 @@ Everything expensive is process-scoped and survives jobs:
   :class:`~repro.dsm.shm.DataPlane` (fleet-scoped names) — collective
   payloads and packed snapshots of *every* job ride the same slabs;
 * the mailbox fabrics: each of the fleet's ``lanes`` (concurrent job
-  slots) owns a fleet-wide rank-channel fabric plus result/notify
+  slots) owns a fleet-wide fabric of rank
+  :class:`~repro.dsm.procmail.Channel` objects plus result/notify
   queues, created once and drained between jobs;
 * the checkpoint funnel: one drain thread for all jobs
   (:class:`~repro.service.funnel.FleetFunnel`), routing each write to
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.ckpt.funnel import FunnelStore
 from repro.dsm import shm
+from repro.dsm.procmail import Channel
 from repro.exec.multiproc import (
     MultiprocessBackend,
     drain_queues,
@@ -103,7 +105,7 @@ class FleetWorkerBackend(MultiprocessBackend):
 @dataclass
 class _WorkerBoot:
     """One worker's share of the fleet plumbing (Process ctor args —
-    queues are picklable there, unlike through other queues)."""
+    queues and channels are picklable there, unlike through queues)."""
 
     fleet_id: str
     wid: int
@@ -185,7 +187,7 @@ class WorkerFleet:
         self.fleet_id = shm.new_launch_id("fleet")
         self.mpctx = mp.get_context(self.start_method)
         self.control = [self.mpctx.Queue() for _ in range(workers)]
-        self.data = [[self.mpctx.Queue() for _ in range(workers)]
+        self.data = [[Channel(self.mpctx) for _ in range(workers)]
                      for _ in range(lanes)]
         self.results = [self.mpctx.Queue() for _ in range(lanes)]
         self.notifies = [self.mpctx.Queue() for _ in range(lanes)]

@@ -30,7 +30,15 @@ from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
 from repro.apps.sor import SOR
 from repro.ckpt import EveryN
 from repro.ckpt.failure import FailureInjector
-from repro.core import AdaptStep, AdaptationPlan, ExecConfig, Runtime, plug
+from repro.core import (
+    AdaptationPlan,
+    AdaptStep,
+    ExecConfig,
+    PlugSet,
+    Runtime,
+    SafeData,
+    plug,
+)
 from repro.dsm import shm
 from repro.dsm.mailbox import Message
 from repro.dsm.procmail import ProcessMailbox
@@ -42,6 +50,24 @@ MACHINE = MachineModel(nodes=2, cores_per_node=4)
 N, ITERS = 48, 10
 WOVEN = plug(SOR, SOR_ADAPTIVE)
 REF = SOR(n=N, iterations=ITERS).execute()
+
+#: an aligned record (4 bytes of padding per item) and enough of them
+#: to cross the slab threshold.
+REC = np.dtype([("i", "<i4"), ("x", "<f8")], align=True)
+TAG_N = shm.SHM_THRESHOLD // REC.itemsize * 2
+
+
+class TaggedSOR(SOR):
+    """SOR carrying one structured checkpointed field."""
+
+    def __init__(self, **kw) -> None:
+        super().__init__(**kw)
+        self.tags = np.zeros(TAG_N, dtype=REC)
+        self.tags["i"] = np.arange(TAG_N)
+        self.tags["x"] = np.arange(TAG_N) / 4
+
+
+TAGGED = plug(TaggedSOR, SOR_ADAPTIVE + PlugSet(SafeData("tags")))
 
 
 def assert_no_segments():
@@ -239,6 +265,36 @@ class TestBufferPool:
             pool.unlink_all()
         assert_no_segments()
 
+    @pytest.mark.parametrize("dtype", [
+        np.dtype([("i", "<i4"), ("x", "<f8")]),                  # packed
+        np.dtype([("i", "<i4"), ("x", "<f8")], align=True),      # padded
+        np.dtype({"names": ["a", "b"], "formats": ["<i2", ">f4"],
+                  "offsets": [0, 8], "itemsize": 16}),           # gaps
+        np.dtype([("p", "<f8", (2,)), ("q", [("u", "u1")])]),    # nested
+    ], ids=["packed", "aligned", "offsets", "nested"])
+    def test_structured_dtypes_round_trip_exactly(self, dtype):
+        """A slab descriptor carries the full dtype (``dtype.str`` was
+        ``"|Vn"`` for every structured dtype) and the slab copies every
+        byte, padding included."""
+        n = shm.SHM_THRESHOLD // dtype.itemsize + 7
+        arr = np.zeros(n, dtype=dtype)
+        raw = arr.view(np.uint8)
+        raw[...] = np.arange(raw.size) % 251  # fields and padding alike
+        pool = shm.BufferPool(shm.new_launch_id(), 0)
+        plane = shm.DataPlane(pool)
+        try:
+            for sent in (plane.outbound(arr), plane.pack_exact(arr)):
+                assert isinstance(sent, shm.ShmRef)
+                assert sent.dtype == dtype
+                back = plane.inbound(sent)
+                assert back.dtype == dtype and back.shape == arr.shape
+                assert back.tobytes() == arr.tobytes()
+            assert pool.in_flight() == 0
+        finally:
+            plane.close()
+            pool.unlink_all()
+        assert_no_segments()
+
     def test_one_payload_larger_than_the_ring_never_stalls(self):
         """A single payload with more large arrays than the ring has
         slots can never be satisfied by a recycle (nothing ships until
@@ -336,6 +392,21 @@ class TestPlaneParity:
         assert on.keys() == off.keys() and len(on) > 0
         for name in on:
             assert on[name] == off[name], f"checkpoint {name} diverged"
+        assert_no_segments()
+
+    def test_funnelled_structured_field_keeps_its_dtype(self, tmp_path):
+        """A structured SafeData field past the slab threshold rides the
+        funnel's slabs and is written with its dtype, not as ``|Vn``."""
+        cfg = ExecConfig.distributed(2).with_backend("multiproc")
+        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "tags",
+                     policy=EveryN(4))
+        res = rt.run(TAGGED, ctor_kwargs={"n": N, "iterations": ITERS},
+                     entry="execute", config=cfg, fresh=True)
+        assert res.value == pytest.approx(REF)
+        tags = rt.store.read_latest().fields["tags"]
+        assert tags.dtype == REC
+        np.testing.assert_array_equal(tags["i"], np.arange(TAG_N))
+        np.testing.assert_array_equal(tags["x"], np.arange(TAG_N) / 4)
         assert_no_segments()
 
     def test_plane_parity_under_local_shard_strategy(self, tmp_path):

@@ -11,8 +11,9 @@ here so the same thing would take a fraction of a second.
 Also pinned: a worker whose request is never answered gets an error
 that names the funnel and the op, not a bare ``queue.Empty``; a drain
 thread that outlives ``stop()``'s wait is an error naming the funnel and
-its request, not an abandoned thread writing from unmapped slabs; and a
-write that fails in the parent still recycles every slab it borrowed.
+its request, not an abandoned thread writing from unmapped slabs; a
+write that fails in the parent still recycles every slab it borrowed;
+and stopping the socket funnel wakes its listener at once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ import pytest
 
 from repro.ckpt import funnel as funnel_mod
 from repro.ckpt import store as store_mod
-from repro.ckpt.funnel import CheckpointFunnel, FunnelStore
+from repro.ckpt.funnel import (
+    CheckpointFunnel,
+    FunnelStore,
+    SocketCheckpointFunnel,
+)
 from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.store import CheckpointStore
 from repro.dsm import shm
@@ -214,3 +219,17 @@ def test_failed_write_still_recycles_the_slabs(monkeypatch, tmp_path):
     assert shm.live_segments() == []
     if os.path.isdir("/dev/shm"):
         assert [n for n in os.listdir("/dev/shm") if launch in n] == []
+
+
+def test_socket_funnel_stop_wakes_its_listener(tmp_path):
+    """The sockets backend's funnel is stopped once per launch: waking
+    its blocking ``accept`` (no timed accept poll) keeps that free."""
+    for _ in range(5):
+        funnel = SocketCheckpointFunnel(CheckpointStore(tmp_path),
+                                        mp.get_context(), nranks=1)
+        funnel.start()
+        time.sleep(0.005)  # the acceptor is parked in accept()
+        t0 = time.perf_counter()
+        funnel.stop()
+        assert time.perf_counter() - t0 < 0.05
+        assert funnel._thread is None

@@ -10,6 +10,8 @@ a direct ``/dev/shm`` scan where the platform provides one.
 
 import multiprocessing
 import os
+import threading
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -35,6 +37,12 @@ def assert_no_segments():
         left = [f for f in os.listdir("/dev/shm")
                 if f.startswith(shm.SHM_PREFIX)]
         assert left == [], f"leaked /dev/shm segments: {left}"
+
+
+def _map_in_child(real_register) -> None:
+    with shm._no_resource_tracking():
+        pass
+    raise SystemExit(0 if resource_tracker.register is real_register else 1)
 
 
 def run(tmp_path, tag, **kw):
@@ -89,6 +97,34 @@ class TestSegmentPrimitives:
 
     def test_launch_ids_are_unique(self):
         assert shm.new_launch_id() != shm.new_launch_id()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="fork start method only")
+    def test_fork_while_another_thread_maps_a_segment(self):
+        """One parent launching two worlds from two threads: a fork while
+        the other thread is inside the tracker patch must hand the child
+        a free lock and the real tracker — a copy of the held lock hung
+        the child's first segment attach forever."""
+        real = resource_tracker.register
+        entered, leave = threading.Event(), threading.Event()
+
+        def hold():
+            with shm._no_resource_tracking():
+                entered.set()
+                leave.wait(10.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert entered.wait(10.0)
+        threading.Timer(0.2, leave.set).start()
+        ctx = multiprocessing.get_context("fork")
+        p = ctx.Process(target=_map_in_child, args=(real,), daemon=True)
+        p.start()
+        p.join(timeout=10.0)
+        holder.join(timeout=10.0)
+        if p.is_alive():
+            p.terminate()
+        assert p.exitcode == 0, "child hung on (or ran with) the patch"
 
 
 # ---------------------------------------------------------------------------

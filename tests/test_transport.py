@@ -2,10 +2,12 @@
 
 The :class:`~repro.dsm.transport.Transport` seam promises that the
 endpoint list it builds behaves identically no matter what carries the
-bytes — in-process queues (:class:`~repro.dsm.transport.QueueTransport`)
-or length-prefixed TCP frames re-injected by a progress thread
+bytes — in-process queues or the launches' pipe
+:class:`~repro.dsm.procmail.Channel` under a
+:class:`~repro.dsm.transport.QueueTransport`, or length-prefixed TCP
+frames re-injected by a progress thread
 (:class:`~repro.dsm.socketmail.SocketTransport`).  The same suite runs
-against both: per-(source, tag) FIFO under interleaved selective
+against all three: per-(source, tag) FIFO under interleaved selective
 receives, poll/pending drain behaviour, the single monotonic deadline,
 and large-payload integrity (the socket fabric must frame and reassemble
 multi-megabyte pickles exactly).
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.dsm.mailbox import Message
-from repro.dsm.procmail import ProcessMailbox
+from repro.dsm.procmail import Channel, ProcessMailbox
 from repro.dsm.socketmail import SocketTransport
 from repro.dsm.transport import QueueTransport
 
@@ -45,8 +47,11 @@ class _Fabric:
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.channels = [queue.Queue() for _ in range(NRANKS)]
-        if kind == "queue":
+        if kind == "pipe":  # the launches' rank channel
+            self.channels = [Channel() for _ in range(NRANKS)]
+        else:
+            self.channels = [queue.Queue() for _ in range(NRANKS)]
+        if kind in ("queue", "pipe"):
             transport = QueueTransport(self.channels)
             self.transports = [transport] * NRANKS
         else:  # every rank its own "physical node": all traffic framed
@@ -75,9 +80,12 @@ class _Fabric:
         if self.kind == "sockets":
             for t in self.transports:
                 t.close()
+        if self.kind == "pipe":
+            for ch in self.channels:
+                ch.close()
 
 
-@pytest.fixture(params=["queue", "sockets"])
+@pytest.fixture(params=["queue", "pipe", "sockets"])
 def fabric(request):
     f = _Fabric(request.param)
     yield f
@@ -173,6 +181,17 @@ class TestSocketFraming:
         finally:
             t0.close()
             t1.close()
+
+    def test_close_wakes_the_listener_instead_of_waiting_a_poll(self):
+        """``close`` wakes the progress thread's blocking ``accept``
+        (no timed accept poll to wait out), every cycle."""
+        for _ in range(20):
+            t = SocketTransport(0, [queue.Queue()], lambda r: r)
+            time.sleep(0.005)  # the acceptor is parked in accept()
+            t0 = time.perf_counter()
+            t.close()
+            assert time.perf_counter() - t0 < 0.05
+            assert not t._acceptor.is_alive()
 
     def test_transport_is_bound_to_its_rank(self):
         t = SocketTransport(0, [queue.Queue()], lambda r: r)
