@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from paper_report import FigureReport, RESULTS_DIR
-from repro.ckpt.funnel import CheckpointFunnel
+from repro.ckpt.funnel import CheckpointFunnel, FunnelStore
 from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.store import CheckpointStore
 from repro.dsm import shm
@@ -164,9 +164,9 @@ def _movement_worker(rank, nranks, channels, launch_id, transport,
             seg.unlink()
 
 
-def _ckpt_worker(rank, nranks, store_client, launch_id, use_plane,
-                 out_queue):
+def _ckpt_worker(rank, nranks, link, launch_id, use_plane, out_queue):
     """Rank 0 funnels snapshots to the parent store; peers idle."""
+    store_client = FunnelStore(rank, link, is_async=False, depth=0)
     plane = None
     if use_plane:
         plane = shm.DataPlane(shm.BufferPool(launch_id, rank))
@@ -201,15 +201,19 @@ def _launch(target, nranks, transport, store=None, telemetry=False,
         for r in range(nranks):
             if target is _ckpt_worker:
                 if funnel is None:
-                    funnel = CheckpointFunnel(store, ctx, nranks)
-                args = (r, nranks, funnel.client(r), launch_id,
-                        transport != "queue", out_queue)
+                    funnel = CheckpointFunnel()
+                    funnel.register("", store)
+                link = funnel.pipe()
+                args = (r, nranks, link, launch_id, transport != "queue",
+                        out_queue)
             else:
                 args = (r, nranks, channels, launch_id, transport,
                         out_queue, telemetry, trace)
             p = ctx.Process(target=target, args=args, daemon=True)
             procs.append(p)
             p.start()
+            if target is _ckpt_worker:
+                link.close()  # the worker holds its end now
         if funnel is not None:
             funnel.start()
         reports = [out_queue.get(timeout=120.0) for _ in range(nranks)]

@@ -126,17 +126,15 @@ def scatter_blocks(comm: "Communicator", arr: np.ndarray | None,
     if ctx.rank == root:
         assert arr is not None
         n = arr.shape[layout.axis]
-        meta = (arr.shape, arr.dtype.str, n)
         for r in range(comm.nranks):
             if r == root:
                 continue
             # ``np.take`` builds a fresh staging buffer nothing else
             # aliases: the owned send skips the defensive copy.
             part = _take(arr, layout.owned(n, r, comm.nranks), layout.axis)
-            comm._send_owned((meta, part), r, _TAG_SCATTER)
+            comm._send_owned(part, r, _TAG_SCATTER)
         return _take(arr, layout.owned(n, root, comm.nranks), layout.axis)
-    _meta, part = comm.recv(source=root, tag=_TAG_SCATTER)
-    return part
+    return comm.recv(source=root, tag=_TAG_SCATTER)
 
 
 def gather_blocks(comm: "Communicator", local: np.ndarray, layout: Layout,

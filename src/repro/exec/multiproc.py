@@ -53,6 +53,7 @@ import multiprocessing as mp
 import queue as _queue
 import time
 import traceback
+from multiprocessing.connection import Connection
 
 from repro.ckpt.failure import InjectedFailure
 from repro.ckpt.funnel import CheckpointFunnel
@@ -201,10 +202,10 @@ class MultiprocessBackend(ExecutionBackend):
         to a no-op."""
         return place_shared_fields(ctx, instance, comm, launch_id)
 
-    def _make_funnel(self, store, mpctx, max_ranks: int) -> CheckpointFunnel:
-        """Checkpoint-funnel seam: queue-based here; the sockets backend
-        substitutes the framed-TCP variant riding its transport."""
-        return CheckpointFunnel(store, mpctx, max_ranks)
+    def _funnel_link(self, funnel: CheckpointFunnel):
+        """One rank's checkpoint-funnel link: a pipe here; the sockets
+        backend's ranks dial the funnel's TCP listener instead."""
+        return funnel.pipe()
 
     def _rendezvous_queue(self, mpctx):
         """Launch-scoped address-rendezvous queue wired to every rank
@@ -239,7 +240,8 @@ class MultiprocessBackend(ExecutionBackend):
         channels = [Channel(mpctx) for _ in range(max_ranks)]
         result_queue = mpctx.Queue()
         notify_queue = mpctx.Queue()
-        funnel = self._make_funnel(services.store, mpctx, max_ranks)
+        funnel = CheckpointFunnel()
+        funnel.register("", services.store)
         rendezvous = self._rendezvous_queue(mpctx)
         # the launch's observability segments: created before any fork
         # so every child can attach them by deterministic name.  Regions
@@ -251,13 +253,16 @@ class MultiprocessBackend(ExecutionBackend):
         procs: list = []
         try:
             for r in range(max_ranks):
+                link = self._funnel_link(funnel)
                 wiring = RankWiring(channels, result_queue, notify_queue,
-                                    funnel.client(r), rendezvous)
+                                    link, rendezvous)
                 p = mpctx.Process(target=rank_main,
                                   args=(r, env.for_rank(r), wiring),
                                   daemon=True, name=f"{self.proc_prefix}{r}")
                 procs.append(p)
                 p.start()
+                if isinstance(link, Connection):
+                    link.close()  # the rank holds the worker end now
             # serve checkpoints only after all forks: no duplicated thread.
             funnel.start()
             self._after_start(spec, procs, channels, rendezvous)

@@ -25,10 +25,11 @@ What changes against the parent class, and why:
 * **no elastic ranks** — membership transitions would need a second
   rendezvous for joiner listeners; a rank-count adaptation falls back
   to the relaunch path, honestly declared via ``Capabilities``;
-* **checkpoint funnel** — the framed-TCP variant
-  (:class:`~repro.ckpt.funnel.SocketCheckpointFunnel`): snapshots ride
-  the wire like any other cross-node payload, always inline (a slab
-  descriptor is meaningless off-node).
+* **checkpoint funnel link** — each rank dials the one
+  :class:`~repro.ckpt.funnel.CheckpointFunnel`'s TCP listener (bound on
+  ``hosts[0]``) instead of taking a pipe: snapshots ride the wire like
+  any other cross-node payload, always inline (a slab descriptor is
+  meaningless off-node).
 
 Results, checkpoint bytes and virtual time are identical to every
 other backend: the modelled :class:`~repro.vtime.machine.MachineModel`
@@ -43,7 +44,7 @@ from __future__ import annotations
 import queue as _queue
 import time
 
-from repro.ckpt.funnel import SocketCheckpointFunnel
+from repro.ckpt.funnel import CheckpointFunnel
 from repro.core.modes import Capabilities, ExecConfig
 from repro.dsm.mailbox import Message
 from repro.dsm.shm import SegmentManager
@@ -115,9 +116,8 @@ class SocketsBackend(MultiprocessBackend):
         # shape, park nothing.
         return spec.config.nranks
 
-    def _make_funnel(self, store, mpctx, max_ranks: int):
-        return SocketCheckpointFunnel(store, mpctx, max_ranks,
-                                      bind_host=self.hosts[0])
+    def _funnel_link(self, funnel: CheckpointFunnel):
+        return funnel.listen(self.hosts[0])
 
     def _rendezvous_queue(self, mpctx):
         return mpctx.Queue()

@@ -92,7 +92,7 @@ class WorkerEnv:
     launch_id: str
     max_ranks: int
     #: :func:`~repro.ckpt.funnel.funnel_shape` of the master store —
-    #: what a worker that builds its own funnel client must mirror.
+    #: what the rank's funnel client must mirror.
     funnel: dict
     #: whether the parent opened a metrics plane for this launch.
     telemetry: bool
@@ -145,8 +145,9 @@ class RankWiring:
     channels: list
     results: object
     notify: object
-    #: the rank's checkpoint-funnel client.
-    store: FunnelStore
+    #: the rank's checkpoint-funnel link: a pipe end, or the funnel
+    #: listener's ``(host, port)`` (see :class:`FunnelStore`).
+    funnel: object
     #: the sockets backend's address-rendezvous queue.
     rendezvous: object | None = None
 
@@ -202,7 +203,7 @@ def place_shared_fields(ctx, instance, comm, launch_id: str,
         kind = "slab" if part.whole_at_safepoints else "shared"
         if kind == "shared":
             setattr(instance, f, view)
-        meta[f] = (arr.shape, arr.dtype.str, kind, name)
+        meta[f] = (arr.shape, arr.dtype, kind, name)
     if ctx.nranks > 1:
         comm.bcast(meta, root=0)
     _index_segments(ctx, manager, meta)
@@ -318,7 +319,8 @@ def wait_for_control(channel) -> dict:
 
 
 def run_rank_segment(rank: int, env: WorkerEnv, wiring: RankWiring,
-                     log: EventLog, join_payload: dict | None,
+                     store: FunnelStore, log: EventLog,
+                     join_payload: dict | None,
                      plane: shm.DataPlane | None) -> tuple:
     """One active segment of a rank's life: entry to report (or re-park).
 
@@ -329,9 +331,8 @@ def run_rank_segment(rank: int, env: WorkerEnv, wiring: RankWiring,
     spec = env.rebuild_spec()
     machine = env.machine
     backend = env.backend
-    wiring.store.plane = plane  # snapshot bytes ride the slab pool too
     services = PhaseServices(
-        machine=machine, log=log, store=wiring.store,
+        machine=machine, log=log, store=store,
         policy=env.policy, ckpt_strategy=env.ckpt_strategy, advisor=None)
     if join_payload is None:
         config = spec.config
@@ -440,6 +441,8 @@ def rank_main(rank: int, env: WorkerEnv, wiring: RankWiring,
         plane = shm.DataPlane(
             shm.BufferPool(env.launch_id, rank),
             threshold=env.backend.plane_threshold)
+    store = FunnelStore(rank, wiring.funnel, job=env.job, **env.funnel)
+    store.plane = plane  # snapshot bytes ride the slab pool too
     # map the parent's plane segments and claim this rank's regions.  A
     # rank parked from birth leaves them empty (no writer, no
     # zero-valued series in scrapes) until its first un-park.
@@ -457,7 +460,7 @@ def rank_main(rank: int, env: WorkerEnv, wiring: RankWiring,
                 parked = False
                 planes.bind(rank)
             status, data, end_vtime, records = run_rank_segment(
-                rank, env, wiring, log, join_payload, plane)
+                rank, env, wiring, store, log, join_payload, plane)
             if status == RETIRED:
                 wiring.notify.put(("events", rank, list(log)))
                 log = EventLog()

@@ -37,7 +37,7 @@ def _capacity(nbytes: int) -> int:
 class SegmentArena:
     """Capacity-classed free lists of fleet-scoped shared segments.
 
-    Thread-safe: leases arrive on the fleet funnel's drain thread while
+    Thread-safe: leases arrive on the fleet funnel's serving thread while
     releases arrive on per-job service threads.
     """
 
@@ -53,7 +53,7 @@ class SegmentArena:
         self._all: list[str] = []
 
     # ------------------------------------------------------------------
-    def lease(self, job: str, specs: list[tuple[str, tuple, str]]
+    def lease(self, job: str, specs: list[tuple[str, tuple, np.dtype]]
               ) -> dict[str, str]:
         """Lease one segment per ``(field, shape, dtype)`` spec.
 

@@ -16,9 +16,10 @@ Everything expensive is process-scoped and survives jobs:
   slots) owns a fleet-wide fabric of rank
   :class:`~repro.dsm.procmail.Channel` objects plus result/notify
   queues, created once and drained between jobs;
-* the checkpoint funnel: one drain thread for all jobs
-  (:class:`~repro.service.funnel.FleetFunnel`), routing each write to
-  the owning job's namespaced store.
+* the checkpoint funnel: one serving thread for all jobs
+  (a :class:`~repro.ckpt.funnel.CheckpointFunnel` with the fleet's
+  segment arena), one pipe link per worker, routing each write to the
+  owning job's namespaced store.
 
 Per-job state is narrow by construction: a launch id (symmetric heaps
 and the observability planes), a steer block serial, and the job's
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ckpt.funnel import FunnelStore
+from repro.ckpt.funnel import CheckpointFunnel
 from repro.dsm import shm
 from repro.dsm.procmail import Channel
 from repro.exec.multiproc import (
@@ -52,7 +53,6 @@ from repro.exec.worker import (
     wait_for_control,
 )
 from repro.service.arena import SegmentArena
-from repro.service.funnel import FleetFunnel
 from repro.service.steer import JobCancelled, SteerBlock, SteerClient, steer_name
 
 #: worker report status for a steering cancel (extends the base set).
@@ -89,10 +89,10 @@ class FleetWorkerBackend(MultiprocessBackend):
             for f in sorted(ctx.partitioned):
                 arr = getattr(instance, f, None)
                 if isinstance(arr, np.ndarray):
-                    specs.append((f, arr.shape, arr.dtype.str))
+                    specs.append((f, arr.shape, arr.dtype))
             # rank 0 alone knows the field shapes (it builds the
             # instance first), so the arena lease is its RPC to make.
-            names, _, _ = ctx.store._rpc("arena", specs)
+            names = ctx.store.lease_fields(specs)
         return place_shared_fields(ctx, instance, comm, launch_id,
                                    names_of=names)
 
@@ -114,8 +114,7 @@ class _WorkerBoot:
     results: list        # lanes' result queues
     notifies: list       # lanes' notify queues
     events: object       # fleet-wide worker lifecycle events
-    requests: object     # fleet funnel requests
-    ack: object          # this worker's funnel ack queue
+    funnel: object       # this worker's funnel pipe end
 
 
 def _worker_main(boot: _WorkerBoot) -> None:
@@ -147,10 +146,7 @@ def _worker_main(boot: _WorkerBoot) -> None:
                 # runs over are this worker's own, held since its fork.
                 wiring = RankWiring(
                     boot.lanes[env.lane], boot.results[env.lane],
-                    boot.notifies[env.lane],
-                    FunnelStore(rank=(env.job, boot.wid),
-                                requests=boot.requests, ack=boot.ack,
-                                **env.funnel))
+                    boot.notifies[env.lane], boot.funnel)
                 # symmetric heaps are the one per-job plane piece:
                 # window allocations must not collide across jobs.
                 plane.heap_launch_id = env.launch_id
@@ -193,14 +189,13 @@ class WorkerFleet:
         self.notifies = [self.mpctx.Queue() for _ in range(lanes)]
         self.events = self.mpctx.Queue()
         self.arena = SegmentArena(self.fleet_id)
-        self.funnel = FleetFunnel(self.mpctx, workers, self.arena)
+        self.funnel = CheckpointFunnel(arena=self.arena)
         self.steer = [SteerBlock(steer_name(self.fleet_id, lane))
                       for lane in range(lanes)]
         self.procs: list = [None] * workers
         self._cv = threading.Condition()
         self._idle: set[int] = set()
         self._busy: dict[int, str] = {}
-        self._stopping = False
         self._pump_thread: threading.Thread | None = None
         self._started = False
 
@@ -220,26 +215,25 @@ class WorkerFleet:
         return self
 
     def _spawn(self, wid: int) -> None:
+        link = self.funnel.pipe()
         boot = _WorkerBoot(
             fleet_id=self.fleet_id, wid=wid, control=self.control[wid],
             lanes=self.data, results=self.results, notifies=self.notifies,
-            events=self.events, requests=self.funnel.requests,
-            ack=self.funnel.acks[wid])
+            events=self.events, funnel=link)
         p = self.mpctx.Process(target=_worker_main, args=(boot,),
                                daemon=True,
                                name=f"{self.proc_prefix}{wid}")
         self.procs[wid] = p
         p.start()
+        link.close()  # the worker holds its end now
 
     def _pump(self) -> None:
-        import queue as _queue
-
-        while not self._stopping:
+        while True:
             try:
-                ev = self.events.get(timeout=0.25)
-            except _queue.Empty:
-                continue
+                ev = self.events.get()  # shutdown() posts the "stop"
             except (OSError, ValueError):
+                return
+            if ev[0] == "stop":
                 return
             if ev[0] == "idle":
                 with self._cv:
@@ -331,7 +325,7 @@ class WorkerFleet:
         fleet-scoped shared-memory name."""
         if not self._started:
             return
-        self._stopping = True
+        self.events.put(("stop",))
         for w in range(self.workers):
             try:
                 self.control[w].put({"kind": "stop"})

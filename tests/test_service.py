@@ -29,6 +29,7 @@ from repro.ckpt.policy import EveryN
 from repro.core import ExecConfig, Runtime, plug
 from repro.dsm import shm
 from repro.service import JobQueue, RuntimeService, ServiceClient
+from repro.service.fleet import WorkerFleet
 from repro.service.scheduler import QueueFull
 from repro.telemetry import MetricsRegistry
 from repro.vtime import MachineModel
@@ -214,6 +215,25 @@ def test_two_worlds_one_parent(tmp_path):
         t.join(timeout=120.0)
     assert not errors, errors
     assert results == {"a": REF, "b": REF}
+    _no_leaks()
+
+
+def test_event_pump_exits_promptly_on_shutdown(monkeypatch):
+    """The fleet's event pump blocks in ``get()`` until ``shutdown()``
+    posts its stop event: no polling quantum between the two."""
+    exits = []
+    pump = WorkerFleet._pump
+
+    def timed_pump(self):
+        pump(self)
+        exits.append(time.perf_counter())
+
+    monkeypatch.setattr(WorkerFleet, "_pump", timed_pump)
+    fleet = WorkerFleet(workers=1).start()
+    time.sleep(0.3)  # parked in its blocking get
+    t0 = time.perf_counter()
+    fleet.shutdown()
+    assert exits and exits[0] - t0 < 0.05, exits and exits[0] - t0
     _no_leaks()
 
 

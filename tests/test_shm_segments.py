@@ -10,8 +10,10 @@ a direct ``/dev/shm`` scan where the platform provides one.
 
 import multiprocessing
 import os
+import pickle
 import threading
 from multiprocessing import resource_tracker
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.ckpt import EveryN
 from repro.ckpt.failure import FailureInjector, InjectedFailure
 from repro.core import ExecConfig, Runtime, plug
 from repro.dsm import shm
+from repro.exec.worker import attach_shared_fields, place_shared_fields
 from repro.vtime import MachineModel
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
@@ -97,6 +100,30 @@ class TestSegmentPrimitives:
 
     def test_launch_ids_are_unique(self):
         assert shm.new_launch_id() != shm.new_launch_id()
+
+    def test_placed_structured_field_keeps_its_dtype(self):
+        """Ranks other than 0, and elastic joiners, attach a partitioned
+        field from rank 0's placement metadata: an aligned structured
+        dtype must arrive whole, not collapsed to ``|Vn``."""
+        dt = np.dtype([("a", "<i4"), ("b", "<f8")], align=True)
+        field = np.zeros(6, dtype=dt)
+        field["a"], field["b"] = np.arange(6), np.linspace(0.0, 1.0, 6)
+        launch = shm.new_launch_id()
+        root = SimpleNamespace(rank=0, nranks=1, partitioned={
+            "F": SimpleNamespace(whole_at_safepoints=False)})
+        owner = SimpleNamespace(F=field)
+        manager, meta = place_shared_fields(root, owner, None, launch)
+        meta = pickle.loads(pickle.dumps(meta))  # as a joiner receives it
+        peer = SimpleNamespace(F=None)
+        attached = attach_shared_fields(SimpleNamespace(rank=1), peer, meta,
+                                        launch)
+        assert peer.F.dtype == dt
+        assert peer.F.tobytes() == field.tobytes()
+        owner.F = peer.F = None
+        attached.close_all()
+        manager.close_all()
+        assert shm.unlink_by_name(shm.segment_name(launch, "F"))
+        assert_no_segments()
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="fork start method only")
