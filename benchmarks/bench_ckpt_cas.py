@@ -6,7 +6,7 @@ delta store cannot see because its unit of change is a whole field:
 * **SOR, STRATEGY_LOCAL** — every rank saves a full-shape grid each
   checkpoint; the regions a rank doesn't own are byte-identical across
   the shard set, and the grid changes every safe point so whole-field
-  deltas degenerate to fulls.  Content-defined chunks store the shared
+  deltas degenerate to fulls.  Fixed 4 KiB blocks store the shared
   regions once.
 * **MolDyn, STRATEGY_LOCAL** — positions and velocities are replicated
   (identical on every rank); only the partitioned forces differ.
@@ -140,6 +140,6 @@ def test_cas_vs_delta_bytes_and_restore(benchmark, tmp_path):
             headline["service_chunk_dedup"] = svc_ratio
 
     report.emit(benchmark, json_name="ckpt_cas", extra=headline)
-    # the acceptance gate: content-defined chunking must beat the delta
-    # store's bytes by 1.5x on the shard-redundant SOR chain
+    # the acceptance gate: block-level dedup must beat the delta store's
+    # bytes by 1.5x on the shard-redundant SOR chain
     assert headline["sor_byte_reduction"] >= 1.5, headline

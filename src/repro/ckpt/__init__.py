@@ -24,13 +24,13 @@ Implements the paper's Section IV.A machinery:
   the safe point pays only an in-memory copy; ``flush()`` is the
   durability barrier at adaptation/failure boundaries.
 * :class:`CasCheckpointStore` + :class:`ChunkStore` — the checkpoint
-  object store: content-defined chunking into a refcounted dedup CAS
-  shared across shards, namespaces and jobs, with recipe checkpoints,
-  parallel chunk-fetch restores and mark-and-sweep GC.
+  object store: each field cut into a header chunk and fixed 4 KiB data
+  blocks, hashed straight from its memory, into a dedup CAS shared
+  across shards, namespaces and jobs, with recipe checkpoints, pack
+  files, disk-ordered chunk-fetch restores and mark-and-sweep GC.
 """
 
 from repro.ckpt.cas import CasCheckpointStore, ChunkCorrupt, ChunkStore
-from repro.ckpt.chunker import ChunkParams
 from repro.ckpt.delta import IncrementalCheckpointStore
 from repro.ckpt.failure import FailureInjector, InjectedFailure
 from repro.ckpt.policy import (
@@ -60,7 +60,6 @@ __all__ = [
     "CheckpointPolicy",
     "CheckpointStore",
     "ChunkCorrupt",
-    "ChunkParams",
     "ChunkStore",
     "EveryN",
     "FailureInjector",

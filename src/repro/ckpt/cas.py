@@ -1,17 +1,18 @@
 """The checkpoint object store: chunk recipes over a dedup CAS.
 
 :class:`CasCheckpointStore` keeps checkpoint *payloads* out of the
-checkpoint *files*.  Each field's portable encoding is split at
-content-defined boundaries (:mod:`repro.ckpt.chunker`) and the pieces
-land in a :class:`ChunkStore`, keyed by content digest.  The checkpoint
+checkpoint *files*.  Each field's portable encoding is cut into a
+header chunk and fixed 4 KiB data blocks (:mod:`repro.ckpt.chunker`),
+hashed straight from the field's memory, and the pieces land in a
+:class:`ChunkStore`, keyed by content digest.  The checkpoint
 file itself becomes a **recipe**: the ordinary checkpoint container
 with no sections, whose header maps every field to its ordered
 ``(digest, length)`` chunk refs.
 
 What that buys over the delta store:
 
-* **sub-field writes** — touch one array element and only the chunks
-  around it get new digests; the rest of the field re-references bytes
+* **sub-field writes** — touch one array element and only the block
+  holding it gets a new digest; the rest of the field re-references bytes
   already on disk.  The delta store's unit of change is a whole field.
 * **cross-everything dedup** — the CAS is shared by the master store,
   its per-rank shards, and every job namespace in the directory.  A
@@ -22,11 +23,10 @@ What that buys over the delta store:
 * **self-contained restores** — a recipe needs no chain: any recipe
   plus the CAS is a complete state, so corruption never cascades.
 
-Unchanged fields are detected by the delta store's value hash — one
-streaming pass off the array buffer, against the previous write's
-baseline — so steady-state saves re-chunk only the fields that moved;
-everything else is a recipe ref reuse with zero hashing of chunk
-bytes.
+Every write hashes every block once; there is no separate
+change-detection pass.  A value hash of an unchanged field would cost
+as much as hashing its blocks, and the CAS index already drops every
+block it holds, so unchanged bytes are never stored twice.
 
 On disk the CAS is a directory of **packs**: everything one checkpoint
 write adds goes out as a single self-describing file — an entry table
@@ -66,14 +66,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable
 
-from repro.ckpt.chunker import (
-    DEFAULT_PARAMS,
-    DIGEST_SIZE,
-    ChunkParams,
-    chunk_digest,
-    chunk_refs,
-)
-from repro.ckpt.delta import content_hash_value
+from repro.ckpt.chunker import DIGEST_SIZE, chunk_digest, field_chunks
 from repro.ckpt.snapshot import (
     KIND_FULL,
     KIND_RECIPE,
@@ -85,7 +78,11 @@ from repro.ckpt.snapshot import (
 )
 from repro.ckpt.store import CheckpointStore
 from repro.ckpt.writer import atomic_write_bytes
-from repro.util.serialization import dumps_portable, loads_portable, pack_section, unpack_section
+from repro.util.serialization import (
+    loads_portable,
+    pack_section,
+    unpack_section,
+)
 
 #: any recipe/checkpoint file in a shared directory — master, namespaced
 #: and sharded forms alike.  GC's mark phase scans them all: the CAS
@@ -427,22 +424,14 @@ class CasCheckpointStore(CheckpointStore):
     """
 
     def __init__(self, directory: str | os.PathLike,
-                 chunk_params: ChunkParams = DEFAULT_PARAMS,
                  compress_min_bytes: int | None = None,
                  shard_suffix: str = "", ns_suffix: str = "",
                  cas: ChunkStore | None = None) -> None:
         super().__init__(directory, compress_min_bytes=compress_min_bytes,
                          shard_suffix=shard_suffix, ns_suffix=ns_suffix)
-        #: boundary policy — also shipped to funnel workers so they chunk
-        #: identically to the parent (digest equality is the protocol).
-        self.chunk_params = chunk_params
         self.cas = cas if cas is not None \
             else ChunkStore(self.dir / "cas",
                             compress_min_bytes=compress_min_bytes)
-        #: change-detection baseline: field -> (value hash, chunk refs).
-        #: Volatile, like the delta store's — losing it to a restart
-        #: just means the next write re-chunks everything it still has.
-        self._base: dict[str, tuple[bytes, list[tuple[str, int]]]] = {}
         #: per-write stats (mirrored into telemetry by the context).
         self.last_write_stats: dict[str, int] | None = None
         #: restore-side counters (scraped as runtime gauges).
@@ -453,15 +442,13 @@ class CasCheckpointStore(CheckpointStore):
     # ------------------------------------------------------------------
     def _make_shard(self, rank: int) -> "CasCheckpointStore":
         return CasCheckpointStore(
-            self.dir, chunk_params=self.chunk_params,
-            compress_min_bytes=self.compress_min_bytes,
+            self.dir, compress_min_bytes=self.compress_min_bytes,
             shard_suffix=f".r{rank}", ns_suffix=self.ns_suffix,
             cas=self.cas)
 
     def _make_namespace(self, ns_suffix: str) -> "CasCheckpointStore":
         return CasCheckpointStore(
-            self.dir, chunk_params=self.chunk_params,
-            compress_min_bytes=self.compress_min_bytes,
+            self.dir, compress_min_bytes=self.compress_min_bytes,
             ns_suffix=ns_suffix, cas=self.cas)
 
     # ------------------------------------------------------------------
@@ -475,26 +462,11 @@ class CasCheckpointStore(CheckpointStore):
         tw0 = perf_counter() if tr.active else 0.0
         stats = {"chunks_new": 0, "chunks_dedup": 0, "dedup_saved_bytes": 0}
         recipe: dict[str, list[list]] = {}
-        base: dict[str, tuple[bytes, list[tuple[str, int]]]] = {}
         chunks: list[tuple[str, memoryview]] = []
         for name, value in snap.fields.items():
-            vhash = content_hash_value(value)
-            cached = self._base.get(name)
-            if cached is not None and cached[0] == vhash:
-                # unchanged field: reuse the previous recipe's refs —
-                # no encode, no re-chunk, no per-chunk hashing.
-                refs = cached[1]
-                stats["chunks_dedup"] += len(refs)
-                stats["dedup_saved_bytes"] += sum(ln for _, ln in refs)
-            else:
-                mv = memoryview(dumps_portable(value))
-                refs = []
-                for digest, a, b in chunk_refs(mv, self.chunk_params):
-                    chunks.append((digest, mv[a:b]))
-                    refs.append((digest, b - a))
-            recipe[name] = [[d, ln] for d, ln in refs]
-            base[name] = (vhash, [(d, ln) for d, ln in refs])
-        self._base = base
+            pieces = field_chunks(value)
+            recipe[name] = [[d, len(p)] for d, p in pieces]
+            chunks += pieces
         with self.cas.lock:
             new_bytes = 0
             for (new, stored), (_, piece) in zip(self.cas.put_many(chunks),
@@ -568,9 +540,6 @@ class CasCheckpointStore(CheckpointStore):
                             f"{name!r} vanished between handshake and write")
                     stats["chunks_dedup"] += 1
                     stats["dedup_saved_bytes"] += length
-            # worker-side recipes can't seed this store's baseline (the
-            # value hashes live with the worker), so drop any stale one.
-            self._base = {}
             return self._commit_recipe(header, recipe,
                                        int(header["safepoint_count"]),
                                        new_bytes, stats)
@@ -699,5 +668,4 @@ class CasCheckpointStore(CheckpointStore):
 
     def clear(self) -> None:
         super().clear()
-        self._base = {}
         self.gc()

@@ -32,8 +32,9 @@ bit-identical with and without the plane, over either link.
 
 When the master store is a :class:`~repro.ckpt.cas.CasCheckpointStore`
 the funnel speaks **chunk refs** instead of snapshots: the worker
-chunks and hashes its fields locally (skipping unchanged fields via a
-value-hash baseline), asks the parent which digests its CAS lacks
+cuts and hashes its fields locally, straight from their memory
+(:func:`~repro.ckpt.chunker.field_chunks`), asks the parent which
+digests its CAS lacks
 (``_OP_MISSING`` — the presence handshake), and ships *only those
 chunk payloads* with the recipe.  Replicated SafeData and halo/stale
 regions other ranks already funnelled are never transferred at all —
@@ -57,14 +58,14 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.ckpt.cas import CasCheckpointStore
+from repro.ckpt.chunker import field_chunks
 from repro.ckpt.snapshot import KIND_FULL, KIND_RECIPE, Snapshot
 from repro.dsm.shm import PoolClient, ShmRef
 from repro.trace import schema as _tc
 from repro.trace.plane import tracer as trace_writer
-from repro.util.serialization import dumps_portable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ckpt.chunker import ChunkParams
     from repro.ckpt.store import CheckpointStore
     from repro.dsm.shm import DataPlane
     from repro.service.arena import SegmentArena
@@ -87,11 +88,11 @@ STOP_TIMEOUT_SECONDS = 30.0
 def funnel_shape(store: "CheckpointStore") -> dict:
     """What a worker-side :class:`FunnelStore` must mirror of the
     master store, as its keyword arguments: the async writer's view
-    for the cost model, and the CAS boundary policy when the master
-    is a chunk store (writes then speak the chunk-ref protocol)."""
+    for the cost model, and whether the master is a chunk store (writes
+    then speak the chunk-ref protocol)."""
     return {"is_async": store.is_async,
             "depth": store.writer.depth if store.is_async else 0,
-            "chunk_params": getattr(store, "chunk_params", None)}
+            "cas": isinstance(store, CasCheckpointStore)}
 
 
 @dataclass
@@ -310,8 +311,7 @@ class FunnelStore:
     """
 
     def __init__(self, rank: int, link, is_async: bool, depth: int,
-                 shard_rank: int | None = None,
-                 chunk_params: "ChunkParams | None" = None,
+                 shard_rank: int | None = None, cas: bool = False,
                  job: str = "") -> None:
         self.rank = rank
         self.job = job
@@ -329,13 +329,9 @@ class FunnelStore:
         self.last_write_nbytes = 0
         self.last_write_kind = KIND_FULL
         self.last_write_stats: dict | None = None
-        #: when the master store is a CAS store this is its boundary
-        #: policy and writes go through the chunk-ref protocol.
-        self.chunk_params = chunk_params
-        #: worker-side change-detection baseline, mirroring the CAS
-        #: store's: field -> (value hash, refs).  Skips re-chunking and
-        #: re-hashing fields that didn't move between checkpoints.
-        self._cas_base: dict[str, tuple[bytes, list]] = {}
+        #: the master store is a CAS store: writes go through the
+        #: chunk-ref protocol.
+        self.chunked = cas
         self._shard_cache: dict[int, FunnelStore] = {}
         #: the rank's shared-memory data plane, wired post-fork by the
         #: worker; honoured only on a pipe link.
@@ -345,13 +341,12 @@ class FunnelStore:
     def shard(self, rank: int) -> "FunnelStore":
         if self._shard_rank is not None:
             raise ValueError("shard stores cannot be sharded again")
-        # cached so the shard's chunk baseline survives across
-        # checkpoints, like the master store's cached shard sub-stores.
+        # cached like the master store's shard sub-stores.
         sub = self._shard_cache.get(rank)
         if sub is None:
             sub = FunnelStore(rank=self.rank, link=self._link, is_async=False,
                               depth=0, shard_rank=rank,
-                              chunk_params=self.chunk_params, job=self.job)
+                              cas=self.chunked, job=self.job)
             sub._root = self
             self._shard_cache[rank] = sub
         sub.plane = self.plane
@@ -399,7 +394,7 @@ class FunnelStore:
     def write(self, snap: "Snapshot") -> None:
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
-        if self.chunk_params is not None:
+        if self.chunked:
             nbytes = self._write_chunked(snap)
         else:
             fields, plane = snap.fields, self._slabs()
@@ -419,65 +414,40 @@ class FunnelStore:
     # the chunk-ref write protocol (CAS master store)
     # ------------------------------------------------------------------
     def _write_chunked(self, snap: "Snapshot") -> int:
-        from repro.ckpt.chunker import chunk_refs
-        from repro.ckpt.delta import content_hash_value
-
         tr = trace_writer()
-        # 1. chunk + hash locally, skipping unchanged fields.
+        # 1. cut + hash locally, straight from the fields' memory.
         tc0 = perf_counter() if tr.active else 0.0
         field_refs: dict[str, list] = {}
-        blobs: dict[str, bytes] = {}
-        new_base: dict[str, tuple[bytes, list]] = {}
+        payloads: dict[str, memoryview] = {}
         for name, value in snap.fields.items():
-            vhash = content_hash_value(value)
-            cached = self._cas_base.get(name)
-            if cached is not None and cached[0] == vhash:
-                refs = cached[1]
-            else:
-                blob = dumps_portable(value)
-                blobs[name] = blob
-                refs = [(d, b - a)
-                        for d, a, b in chunk_refs(blob, self.chunk_params)]
-            field_refs[name] = refs
-            new_base[name] = (vhash, refs)
+            refs = field_refs[name] = []
+            for digest, piece in field_chunks(value):
+                refs.append((digest, len(piece)))
+                payloads.setdefault(digest, piece)
         if tr.active:
             tr.span(_tc.CKPT_CHUNK, tc0,
                     a=float(sum(len(r) for r in field_refs.values())))
         # 2. presence handshake: which digests must actually travel?
         tp0 = perf_counter() if tr.active else 0.0
-        ordered = list(dict.fromkeys(
-            d for refs in field_refs.values() for d, _ in refs))
+        ordered = list(payloads)
         missing, _, _ = self._rpc(_OP_MISSING, ordered)
         try:
-            nbytes = self._ship(snap, field_refs, blobs, set(missing))
+            nbytes = self._ship(snap, field_refs, payloads, missing)
         except RuntimeError as exc:
             if CAS_CHUNK_MISSING not in str(exc):
                 raise
             # the handshake raced a GC in the parent: one retry with
             # every chunk payload aboard settles it.
-            nbytes = self._ship(snap, field_refs, blobs, set(ordered))
+            nbytes = self._ship(snap, field_refs, payloads, ordered)
         if tr.active:
             tr.span(_tc.CKPT_PACK, tp0, a=float(len(missing)))
-        self._cas_base = new_base
         return nbytes
 
-    def _ship(self, snap: "Snapshot", field_refs: dict, blobs: dict,
-              needed: set) -> int:
-        """One chunked-write RPC carrying the payloads in ``needed``."""
-        pieces: dict[str, memoryview] = {}
-        for name, refs in field_refs.items():
-            if all(d not in needed or d in pieces for d, _ in refs):
-                continue
-            # an unchanged (baseline-cached) field whose chunk the
-            # parent nonetheless lacks is re-encoded to slice it out.
-            mv = memoryview(blobs.get(name)
-                            or dumps_portable(snap.fields[name]))
-            off = 0
-            for d, ln in refs:
-                if d in needed and d not in pieces:
-                    pieces[d] = mv[off:off + ln]
-                off += ln
-        chunks: Any = b"".join(pieces.values()) if pieces else None
+    def _ship(self, snap: "Snapshot", field_refs: dict, payloads: dict,
+              needed: list) -> int:
+        """One chunked-write RPC carrying the payloads of ``needed``."""
+        chunks: Any = (b"".join(payloads[d] for d in needed) if needed
+                       else None)
         plane = self._slabs()
         if plane is not None and chunks is not None:
             # the missing chunks ride the slab plane as one buffer.
@@ -485,7 +455,7 @@ class FunnelStore:
             chunks = plane.pack_exact(np.frombuffer(chunks, dtype=np.uint8))
         return self._send_write(
             snap, refs=field_refs, chunks=chunks,
-            index=[(d, len(p)) for d, p in pieces.items()])
+            index=[(d, len(payloads[d])) for d in needed])
 
     def flush(self) -> None:
         self._rpc(_OP_FLUSH, None)

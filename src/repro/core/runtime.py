@@ -118,7 +118,6 @@ class Runtime:
                  ckpt_async: bool = False,
                  ckpt_async_depth: int = 2,
                  ckpt_cas: bool = False,
-                 ckpt_cas_params=None,
                  registry=None,
                  store: CheckpointStore | None = None,
                  ledger: RunLedger | None = None,
@@ -141,17 +140,13 @@ class Runtime:
         if store is not None:
             self.store: CheckpointStore = store
         elif ckpt_cas:
-            # the checkpoint object store: content-defined chunk recipes
+            # the checkpoint object store: fixed-block chunk recipes
             # over a dedup CAS (takes precedence over ckpt_delta — a
             # recipe already writes only the chunks that changed).
             from repro.ckpt.cas import CasCheckpointStore
-            from repro.ckpt.chunker import DEFAULT_PARAMS
 
             self.store = CasCheckpointStore(
-                ckpt_dir,
-                chunk_params=(ckpt_cas_params if ckpt_cas_params is not None
-                              else DEFAULT_PARAMS),
-                compress_min_bytes=ckpt_compress_min_bytes)
+                ckpt_dir, compress_min_bytes=ckpt_compress_min_bytes)
         elif ckpt_delta:
             self.store = IncrementalCheckpointStore(
                 ckpt_dir, anchor=ckpt_anchor_every,

@@ -673,9 +673,11 @@ class SymmetricHeap:
         _track(name)
         self.name = name
         self._cursor = 0
-        #: window name -> (offset, shape, dtype str); identical on every
-        #: rank by the SPMD allocation discipline.
-        self._alloc: dict[str, tuple[int, tuple, str]] = {}
+        #: window name -> (offset, shape, dtype); identical on every
+        #: rank by the SPMD allocation discipline.  The full dtype, not
+        #: ``dtype.str``, which collapses every structured dtype of one
+        #: itemsize to the same ``"|Vn"`` token.
+        self._alloc: dict[str, tuple[int, tuple, np.dtype]] = {}
         self._peers: dict[int, shared_memory.SharedMemory] = {}
 
     # ------------------------------------------------------------------
@@ -690,7 +692,7 @@ class SymmetricHeap:
         Fresh segments are zero pages, so a first allocation is
         zero-initialised without touching the memory.
         """
-        spec = (tuple(shape), np.dtype(dtype).str)
+        spec = (tuple(shape), np.dtype(dtype))
         if name in self._alloc:
             off, got_shape, got_dtype = self._alloc[name]
             if (got_shape, got_dtype) != spec:
@@ -710,9 +712,8 @@ class SymmetricHeap:
 
     def _view(self, buf, name: str) -> np.ndarray:
         off, shape, dtype = self._alloc[name]
-        nb = int(np.dtype(dtype).itemsize * np.prod(shape, dtype=np.int64))
-        return np.ndarray(shape, dtype=np.dtype(dtype),
-                          buffer=buf[off:off + nb])
+        nb = int(dtype.itemsize * np.prod(shape, dtype=np.int64))
+        return np.ndarray(shape, dtype=dtype, buffer=buf[off:off + nb])
 
     def window(self, name: str) -> np.ndarray:
         """This rank's instance of window ``name``."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import threading
 import zlib
 from typing import Any
 
@@ -32,6 +33,13 @@ PICKLE_PROTOCOL = 4
 
 _ARRAY_TAG = b"NPYA"
 _PICKLE_TAG = b"PKL4"
+
+#: ``np.load`` parses the ``.npy`` header with ``ast.literal_eval``.  On
+#: CPython 3.11 the AST constructor keeps its recursion depth in
+#: per-interpreter state, so two threads decoding at once can fail with
+#: ``SystemError: AST constructor recursion depth mismatch``: decodes
+#: take turns.
+_NPY_LOAD_LOCK = threading.Lock()
 
 
 def dumps_portable(obj: Any) -> bytes:
@@ -97,7 +105,8 @@ def loads_portable(data: bytes) -> Any:
     """Inverse of :func:`dumps_portable`."""
     tag, payload = data[:4], data[4:]
     if tag == _ARRAY_TAG:
-        return np.load(io.BytesIO(payload), allow_pickle=False)
+        with _NPY_LOAD_LOCK:
+            return np.load(io.BytesIO(payload), allow_pickle=False)
     if tag == _PICKLE_TAG:
         return pickle.loads(payload)
     raise ValueError(f"unknown serialization tag {tag!r}")

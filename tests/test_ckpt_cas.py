@@ -1,13 +1,14 @@
-"""The chunked checkpoint object store: CDC chunker, dedup CAS,
+"""The chunked checkpoint object store: fixed-block chunker, dedup CAS,
 recipe checkpoints, chunk-ref funnel, GC, corruption isolation.
 
 The load-bearing guarantees:
 
-* chunking is deterministic in the bytes alone, boundaries respect
-  min/max, and an insertion re-chunks only its neighbourhood — every
-  later chunk keeps its digest (that locality IS the dedup); the tiled
-  hash cuts exactly where the whole-array reference form (kept here as
-  the oracle) cuts;
+* chunking is deterministic in the bytes alone: a field is its header
+  chunk plus ``BLOCK``-byte blocks of its own memory, the pieces join
+  into exactly its portable encoding, and an in-place edit changes the
+  digests of exactly the blocks it touches (that locality IS the
+  dedup); the chunks equal blocks cut from the joined encoding (the
+  oracle);
 * a checkpoint's new chunks go out as one pack, durable before its
   recipe: a crash in between leaves orphans GC reclaims, a damaged
   pack damages exactly the fields referencing the damaged entries, and
@@ -23,6 +24,7 @@ The load-bearing guarantees:
   still references.
 """
 
+import hashlib
 import multiprocessing as mp
 import threading
 
@@ -37,7 +39,6 @@ from repro.ckpt import (
     CasCheckpointStore,
     CheckpointStore,
     ChunkCorrupt,
-    ChunkParams,
     ChunkStore,
     EveryN,
     FailureInjector,
@@ -45,13 +46,7 @@ from repro.ckpt import (
 )
 from repro.ckpt import cas as cas_mod
 from repro.ckpt import chunker
-from repro.ckpt.chunker import (
-    TILE,
-    WINDOW,
-    chunk_bounds,
-    chunk_digest,
-    chunk_refs,
-)
+from repro.ckpt.chunker import BLOCK, chunk_digest, chunk_refs, field_chunks
 from repro.ckpt.snapshot import KIND_RECIPE, Snapshot, SnapshotCorrupt
 from repro.core import (
     STRATEGY_LOCAL,
@@ -64,7 +59,9 @@ from repro.core import (
     SafePointAfter,
     plug,
 )
+from repro.util.serialization import dumps_portable
 from repro.vtime import MachineModel
+from test_ckpt_format import PROPS, large_arrays, small_arrays, values
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
 N, ITERS = 40, 12
@@ -85,16 +82,12 @@ ALL_CONFIGS = [
 HAS_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="needs fork")
 
-#: small boundaries so modest buffers produce many chunks in tests.
-SMALL = ChunkParams(min_size=1 << 6, avg_size=1 << 8, max_size=1 << 10)
-
-
 def run_sor(tmp_path, config, tag, **kw):
     rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / tag,
                  policy=kw.pop("policy", EveryN(4)),
                  ckpt_cas=kw.pop("ckpt_cas", True), **{
                      k: kw.pop(k) for k in ("ckpt_strategy", "telemetry",
-                                            "trace", "ckpt_cas_params")
+                                            "trace")
                      if k in kw})
     res = rt.run(WOVEN, ctor_kwargs={"n": N, "iterations": ITERS},
                  entry="execute", config=config, fresh=True, **kw)
@@ -110,137 +103,181 @@ def flip_stored_byte(cas, digest, bit):
 
 
 # ---------------------------------------------------------------------------
-# the chunker
+# the chunker: a header chunk, then fixed blocks of the field's memory
 # ---------------------------------------------------------------------------
+def data_digests(value) -> list[str]:
+    """Digests of ``value``'s data blocks (its header chunk dropped)."""
+    return [d for d, _ in field_chunks(value)[1:]]
+
+
 class TestChunker:
     def _data(self, n=50_000, seed=7):
         return np.random.default_rng(seed).bytes(n)
 
     def test_bounds_partition_the_payload(self):
         data = self._data()
-        bounds = chunk_bounds(data, SMALL)
-        assert bounds[0] == 0 and bounds[-1] == len(data)
-        assert bounds == sorted(set(bounds))
-        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
-        assert all(s <= SMALL.max_size for s in sizes)
-        # every chunk but the tail respects the minimum
-        assert all(s >= SMALL.min_size for s in sizes[:-1])
-        assert len(sizes) > 20  # ~n / avg_size, not a degenerate split
+        refs = chunk_refs(data)
+        assert [a for _, a, _ in refs] == list(range(0, len(data), BLOCK))
+        assert [b for _, _, b in refs[:-1]] == [a for _, a, _ in refs[1:]]
+        assert refs[-1][2] == len(data)
+        sizes = [b - a for _, a, b in refs]
+        assert set(sizes[:-1]) == {BLOCK} and 0 < sizes[-1] <= BLOCK
 
     def test_deterministic_in_the_bytes_alone(self):
         data = self._data()
-        assert chunk_bounds(data, SMALL) == chunk_bounds(data, SMALL)
-        r1 = chunk_refs(data, SMALL)
-        r2 = chunk_refs(bytes(data), SMALL)
-        assert r1 == r2
+        assert chunk_refs(data) == chunk_refs(bytearray(data))
+        arr = np.frombuffer(data, dtype=np.float64)
+        assert [d for d, _ in field_chunks(arr)] == \
+            [d for d, _ in field_chunks(arr.copy())]
 
     def test_refs_concatenate_back_to_the_blob(self):
         data = self._data()
-        refs = chunk_refs(data, SMALL)
+        refs = chunk_refs(data)
         assert b"".join(data[a:b] for _, a, b in refs) == data
         for digest, a, b in refs:
             assert chunk_digest(data[a:b]) == digest
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_insertion_keeps_later_digests(self, seed):
-        """The CDC property: a front insertion shifts every byte, yet
-        all chunks past the edit's neighbourhood keep their identity."""
-        data = self._data(seed=seed)
-        before = {d for d, _, _ in chunk_refs(data, SMALL)}
-        after = {d for d, _, _ in chunk_refs(b"wedge" + data, SMALL)}
-        shared = len(before & after)
-        assert shared >= 0.8 * len(before), \
-            f"only {shared}/{len(before)} digests survived a front insert"
+        """Fixed blocks keep every later digest across an insertion only
+        when it is block-aligned: whole rows of ``BLOCK`` bytes, as in a
+        512-column float64 grid.  An unaligned insertion shifts, and so
+        re-hashes, every later block — the trade fixed blocks make for
+        fields that are updated in place and never shift."""
+        rng = np.random.default_rng(seed)
+        grid = rng.standard_normal((40, BLOCK // 8))
+        at = int(rng.integers(1, 40))
+        before = data_digests(grid)
+        grown = np.insert(grid, at, rng.standard_normal(BLOCK // 8), axis=0)
+        after = data_digests(grown)
+        assert after[:at] == before[:at] and after[at + 1:] == before[at:]
+        wedged = data_digests(np.insert(grid.ravel(), 0, 1.0))
+        assert not set(wedged) & set(before)
 
     def test_constant_data_degrades_to_fixed_split(self):
-        """Pathological payload (no window ever matches the mask): the
-        max_size force-cut turns it into a fixed-size split."""
-        bounds = chunk_bounds(b"\x00" * 10_000, SMALL)
-        sizes = {b - a for a, b in zip(bounds, bounds[1:-1])}
-        assert sizes == {SMALL.max_size}
+        """Constant bytes split like any others, and their equal blocks
+        share one digest: dedup within a field."""
+        refs = chunk_refs(b"\x00" * 10_000)
+        assert [b - a for _, a, b in refs] == \
+            [BLOCK, BLOCK, 10_000 - 2 * BLOCK]
+        assert refs[0][0] == refs[1][0] != refs[2][0]
+        digests = data_digests(np.zeros(4 * BLOCK // 8))
+        assert len(digests) == 4 and len(set(digests)) == 1
 
     def test_small_payload_is_a_single_chunk(self):
-        assert chunk_bounds(b"x" * SMALL.min_size, SMALL) == \
-            [0, SMALL.min_size]
-        assert chunk_bounds(b"", SMALL) == [0]
-        assert chunk_refs(b"", SMALL) == []
+        block = b"x" * BLOCK
+        assert chunk_refs(block) == [(chunk_digest(block), 0, BLOCK)]
+        assert chunk_refs(b"") == []
+        assert len(field_chunks(np.zeros(3))) == 2  # header, one block
+        assert len(field_chunks(np.zeros((0, 4)))) == 1  # header only
+        assert len(field_chunks(7)) == 1  # one pickled chunk
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            ChunkParams(avg_size=3000)
-        with pytest.raises(ValueError, match="min <= avg"):
-            ChunkParams(min_size=1 << 13, avg_size=1 << 12)
-        with pytest.raises(ValueError):
-            ChunkParams(min_size=WINDOW - 1, avg_size=1 << 12)
+    def test_params_validation(self, tmp_path):
+        """There is no chunk-size policy left to validate: ``BLOCK`` is a
+        constant, and the old knobs are refused rather than ignored."""
+        with pytest.raises(TypeError):
+            chunk_refs(b"x" * 100, 64)
+        with pytest.raises(TypeError, match="chunk_params"):
+            CasCheckpointStore(tmp_path / "c", chunk_params=None)
+        with pytest.raises(TypeError, match="ckpt_cas_params"):
+            Runtime(ckpt_dir=tmp_path / "r", ckpt_cas=True,
+                    ckpt_cas_params=None)
+        assert not hasattr(chunker, "ChunkParams")
+
+
+class TestFixedBlocks:
+    @PROPS
+    @given(value=values)
+    def test_pieces_are_the_portable_encoding(self, value):
+        pieces = field_chunks(value)
+        assert b"".join(p for _, p in pieces) == dumps_portable(value)
+        assert all(0 < len(p) <= BLOCK for _, p in pieces)
+        assert all(d == chunk_digest(bytes(p)) for d, p in pieces)
+
+    def test_data_blocks_view_the_field_memory(self):
+        grid = np.random.default_rng(0).standard_normal((100, 100))
+        _, *blocks = field_chunks(grid)
+        assert all(np.shares_memory(np.frombuffer(p, np.uint8), grid)
+                   for _, p in blocks)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_in_place_edit_keeps_every_other_digest(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = rng.standard_normal((200, 300))
+        before = data_digests(grid)
+        touched = rng.choice(grid.size, size=5, replace=False)
+        grid.reshape(-1)[touched] += 1.0
+        after = data_digests(grid)
+        assert len(after) == len(before)
+        changed = {i for i, (a, b) in enumerate(zip(before, after)) if a != b}
+        assert changed == {int(i) * 8 // BLOCK for i in touched}
+
+    def test_one_element_touch_rewrites_one_block_and_the_recipe(
+            self, tmp_path):
+        store = CasCheckpointStore(tmp_path / "c")
+        app = Drift(n=300)
+        store.write(snap_of(app, 1))
+        app.grid[150, 150] += 1.0
+        store.write(snap_of(app, 2))
+        assert store.last_write_stats["chunks_new"] == 1
+        assert store.last_write_nbytes == store.path_for(2).stat().st_size \
+            + cas_mod._PACK_ENTRY.size + BLOCK
+        np.testing.assert_array_equal(store.read(2).fields["grid"], app.grid)
+
+    @needs_fork
+    def test_second_shard_of_a_checkpoint_costs_its_recipe(
+            self, tmp_path, monkeypatch):
+        """The ``ckpt_cas_write`` ledger configuration (SOR n=384, two
+        multiproc ranks, STRATEGY_LOCAL, every second safe point): both
+        ranks' shards hold the same full-shape grid, so whichever shard
+        of a checkpoint is written second stores its recipe and nothing
+        else — at most 2% of the first shard's bytes."""
+        costs: dict[int, list[int]] = {}
+        real = CasCheckpointStore.write_chunked
+
+        def recording(self, header, recipe, chunks):
+            path = real(self, header, recipe, chunks)
+            costs.setdefault(header["safepoint_count"], []).append(
+                self.last_write_nbytes)
+            return path
+
+        monkeypatch.setattr(CasCheckpointStore, "write_chunked", recording)
+        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c",
+                     policy=EveryN(2), ckpt_strategy=STRATEGY_LOCAL,
+                     ckpt_cas=True)
+        config = ExecConfig.distributed(2).with_backend("multiproc")
+        res = rt.run(WOVEN, ctor_kwargs={"n": 384, "iterations": 8},
+                     entry="execute", config=config, fresh=True)
+        assert res.value == SOR(n=384, iterations=8).execute()
+        assert sorted(costs) == [2, 4, 6, 8]
+        for count, (first, second) in costs.items():
+            assert first > 1_000_000 and second <= 0.02 * first, count
 
 
 # ---------------------------------------------------------------------------
-# the chunker oracle: the whole-array form the tiled hash must equal
+# the chunker oracle: blocks cut from the joined encoding
 # ---------------------------------------------------------------------------
-def reference_hashes(buf: np.ndarray) -> np.ndarray:
-    """The unrolled buzhash over the whole buffer at once: ``H[k]``
-    covers the window starting at byte ``k`` — the XOR of ``WINDOW``
-    table lookups, each rotated by its age.  The production chunker up
-    to PR 14; kept verbatim as the oracle."""
-    def rotl(x, k):
-        k &= 63
-        if k == 0:
-            return x
-        return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
-
-    n = buf.size
-    t = chunker._TABLE[buf]
-    h = np.zeros(n - WINDOW + 1, dtype=np.uint64)
-    for age in range(WINDOW):
-        h ^= rotl(t[WINDOW - 1 - age: n - age], age)
-    return h
+def _cut(blob: bytes) -> list[bytes]:
+    return [blob[a:a + BLOCK] for a in range(0, len(blob), BLOCK)]
 
 
-def reference_bounds(data, params) -> list[int]:
-    buf = np.frombuffer(data, dtype=np.uint8)
-    n = buf.size
-    if n == 0:
-        return [0]
-    if n <= max(params.min_size, WINDOW):
-        return [0, n]
-    h = reference_hashes(buf)
-    cand = np.flatnonzero((h & np.uint64(params.mask)) == 0) + WINDOW
-    bounds = [0]
-    last = 0
-    for p in map(int, cand):
-        if p - last < params.min_size:
-            continue
-        while p - last > params.max_size:
-            last += params.max_size
-            bounds.append(last)
-        if p - last >= params.min_size:
-            last = p
-            bounds.append(p)
-        if n - last <= params.min_size:
-            break
-    while n - last > params.max_size:
-        last += params.max_size
-        bounds.append(last)
-    if bounds[-1] != n:
-        if len(bounds) > 1 and n - bounds[-2] <= params.max_size \
-                and n - bounds[-1] < params.min_size:
-            bounds.pop()
-        bounds.append(n)
-    return bounds
+def reference_chunks(arr: np.ndarray) -> list[tuple[str, bytes]]:
+    """An array's chunks cut from its joined ``dumps_portable`` bytes:
+    the header (everything before the ``arr.nbytes`` of data), then the
+    data, each in fixed blocks, each keyed by BLAKE2b-160 of a copy."""
+    blob = dumps_portable(arr)
+    head = len(blob) - arr.nbytes
+    return [(hashlib.blake2b(b, digest_size=20).hexdigest(), b)
+            for b in _cut(blob[:head]) + _cut(blob[head:])]
 
 
-#: a valid policy whose mask (2**33 - 1) is wider than 32 bits.
-WIDE = ChunkParams(min_size=1 << 6, avg_size=1 << 33, max_size=1 << 34)
-TINY = ChunkParams(min_size=WINDOW, avg_size=1 << 5, max_size=1 << 7)
-ORACLE_PARAMS = [SMALL, TINY, ChunkParams(), WIDE]
-
-#: buffer lengths that matter: around the window, around one and two
-#: tile edges (a window straddling a tile boundary), and in between.
+#: data lengths that matter: tiny, around one and two block edges, and
+#: in between.
 _LENGTHS = st.one_of(
-    st.integers(0, 4 * WINDOW),
-    st.integers(TILE - 2 * WINDOW, TILE + 3 * WINDOW),
-    st.integers(2 * TILE - 2 * WINDOW, 2 * TILE + 3 * WINDOW),
-    st.integers(0, 2 * TILE + 5000))
+    st.integers(0, 64),
+    st.integers(BLOCK - 16, BLOCK + 16),
+    st.integers(2 * BLOCK - 16, 2 * BLOCK + 16),
+    st.integers(0, 8 * BLOCK + 5000))
 
 
 @st.composite
@@ -254,39 +291,38 @@ def buffers(draw):
     if kind == "constant":
         return bytes([draw(st.integers(0, 255))]) * n
     if kind == "periodic":
-        unit = rng.bytes(draw(st.integers(1, 3 * WINDOW)))
+        unit = rng.bytes(draw(st.integers(1, 48)))
         return (unit * (n // len(unit) + 1))[:n]
     return rng.integers(0, 3, size=n, dtype=np.uint8).tobytes()
 
 
 class TestChunkerOracle:
     @settings(max_examples=120, deadline=None)
-    @given(data=buffers(), params=st.sampled_from(ORACLE_PARAMS))
-    def test_bounds_equal_the_reference_form(self, data, params):
-        assert chunk_bounds(data, params) == reference_bounds(data, params)
+    @given(data=buffers())
+    def test_bounds_equal_the_reference_form(self, data):
+        arr = np.frombuffer(data, dtype=np.uint8)
+        got = [(d, bytes(p)) for d, p in field_chunks(arr)]
+        assert got == reference_chunks(arr)
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=buffers(), bits=st.integers(1, 10),
-           shift=st.integers(0, 54))
-    def test_every_hash_bit_matches(self, data, bits, shift):
-        """Valid wide masks almost never match, so the bounds test says
-        little about the high half of the hash: compare the candidate
-        set under arbitrary 64-bit masks, high bits included."""
-        buf = np.frombuffer(data, dtype=np.uint8)
-        if buf.size < WINDOW:
-            return
-        mask = ((1 << bits) - 1) << shift
-        want = np.flatnonzero(
-            (reference_hashes(buf) & np.uint64(mask)) == 0) + WINDOW
-        assert np.array_equal(chunker._cut_candidates(buf, mask), want)
+    @PROPS
+    @given(arr=st.one_of(small_arrays(), large_arrays()))
+    def test_every_hash_bit_matches(self, arr):
+        """Digests taken from the field's own memory — F-ordered,
+        transposed, strided and byte-swapped layouts included — equal
+        the reference digests of the joined encoding, bit for bit."""
+        assert [d for d, _ in field_chunks(arr)] == \
+            [d for d, _ in reference_chunks(arr)]
 
-    @pytest.mark.parametrize("n", [TILE + WINDOW - 1, TILE + WINDOW,
-                                   3 * TILE + 7])
+    @pytest.mark.parametrize("n", [8 * BLOCK + 15, 8 * BLOCK + 16,
+                                   24 * BLOCK + 7])
     def test_tile_edges_on_real_sized_fields(self, n):
-        data = np.random.default_rng(n).bytes(n)
-        for params in (SMALL, ChunkParams()):
-            assert chunk_bounds(data, params) == \
-                reference_bounds(data, params)
+        """Real-sized fields whose data ends just past a block edge:
+        whole blocks, then the short tail."""
+        arr = np.frombuffer(np.random.default_rng(n).bytes(n), np.uint8)
+        got = field_chunks(arr)
+        assert [len(p) for _, p in got[1:]] == \
+            [BLOCK] * (n // BLOCK) + [n % BLOCK]
+        assert [(d, bytes(p)) for d, p in got] == reference_chunks(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +560,7 @@ class TestPacks:
 
     def test_crash_between_pack_and_recipe_leaves_only_orphans(
             self, tmp_path, monkeypatch):
-        store = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        store = CasCheckpointStore(tmp_path / "c")
         app = Drift(n=120)
         store.write(snap_of(app, 1))
         before = store.cas.digests()
@@ -537,7 +573,7 @@ class TestPacks:
         monkeypatch.setattr(store, "_put", die)
         with pytest.raises(Crash):
             store.write(snap_of(app, 2))
-        reopened = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        reopened = CasCheckpointStore(tmp_path / "c")
         assert reopened.counts() == [1]  # no recipe was published
         orphans = reopened.unreferenced()
         assert orphans and orphans == reopened.cas.digests() - before
@@ -549,7 +585,7 @@ class TestPacks:
         assert reopened.read(1).safepoint_count == 1
 
     def test_truncated_pack_damages_exactly_its_lost_entries(self, tmp_path):
-        store = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        store = CasCheckpointStore(tmp_path / "c")
         rng = np.random.default_rng(5)
         app = Drift(n=120)
         store.write(snap_of(app, 1))
@@ -558,21 +594,20 @@ class TestPacks:
         app.state = rng.standard_normal(8)
         app.step = 2
         store.write(snap_of(app, 2))
-        blobs = store.read(2).field_blobs()
         victim, = set(pack_files(store.cas)) - {first_pack}
         size = victim.stat().st_size
         cut = size - size // 3  # tears the tail third of the payloads
         with open(victim, "r+b") as fh:
             fh.truncate(cut)
 
-        reopened = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        reopened = CasCheckpointStore(tmp_path / "c")
         lost = store.cas.digests() - reopened.cas.digests()
         assert lost and all(
             store.cas.locate(d)[0] == victim
             and sum(store.cas.locate(d)[1:]) > cut for d in lost)
         expected = sorted(
-            name for name, blob in blobs.items()
-            if lost & {d for d, _, _ in chunk_refs(blob, SMALL)})
+            name for name, value in snap_of(app, 2).fields.items()
+            if lost & {d for d, _ in field_chunks(value)})
         assert reopened.verify(2) == expected and "grid" in expected
         assert reopened.verify(1) == []
         with pytest.raises(SnapshotCorrupt):
@@ -586,11 +621,11 @@ class TestPacks:
         assert reopened.verify(2) == []  # ... which heals count 2 too
 
     def test_unparseable_pack_is_ignored_then_swept(self, tmp_path):
-        store = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        store = CasCheckpointStore(tmp_path / "c")
         store.write(snap_of(Drift(n=60), 1))
         junk = store.cas.dir / ("0" * 16 + ".pack")
         junk.write_bytes(b"PPK1\xff\xff\xff\x7fnot a table")
-        reopened = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        reopened = CasCheckpointStore(tmp_path / "c")
         assert reopened.read(1).safepoint_count == 1
         assert reopened.unreferenced() == set()
         reopened.gc()
@@ -601,14 +636,14 @@ class TestPacks:
         """Both ranks' presence handshakes race, so the un-owned halves
         of STRATEGY_LOCAL shards arrive twice: the second copy must be
         dropped against the index, not appended."""
-        root = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        root = CasCheckpointStore(tmp_path / "c")
         snap = snap_of(Drift(n=100), 4)
         recipe, chunks = {}, {}
-        for name, blob in snap.field_blobs().items():
+        for name, value in snap.fields.items():
             recipe[name] = []
-            for digest, a, b in chunk_refs(blob, SMALL):
-                recipe[name].append([digest, b - a])
-                chunks[digest] = blob[a:b]
+            for digest, piece in field_chunks(value):
+                recipe[name].append([digest, len(piece)])
+                chunks[digest] = piece
         root.shard(0).write_chunked(snap.header(KIND_RECIPE), recipe,
                                     dict(chunks))
         assert root.shard(0).last_write_stats["chunks_new"] == len(chunks)
@@ -698,7 +733,7 @@ class TestGcVersusConcurrentWrite:
         """Service teardown GC of job A while job B sits between "pack
         durable" and "recipe published": the one store lock makes GC
         wait, so B's recipe restores bit-identically."""
-        root = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        root = CasCheckpointStore(tmp_path / "c")
         job_a, job_b = root.namespace("a"), root.namespace("b")
         job_a.write(snap_of(Drift(n=60), 1))
         app = Drift(n=100)
@@ -741,7 +776,7 @@ class TestGcVersusConcurrentWrite:
         import sys
         import time
 
-        root = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        root = CasCheckpointStore(tmp_path / "c")
         stop = time.monotonic() + 2.0
         errors, last = [], {}
 
@@ -793,7 +828,7 @@ class TestCorruptionIsolation:
         """Flip one byte of one stored chunk: ``verify`` names exactly
         the fields referencing that chunk, other checkpoints restore,
         and ``read_latest`` degrades to the previous good one."""
-        store = CasCheckpointStore(tmp_path / "c", chunk_params=SMALL)
+        store = CasCheckpointStore(tmp_path / "c")
         rng = np.random.default_rng(seed)
         app = Drift(n=120)
         store.write(snap_of(app, 1))
@@ -803,9 +838,8 @@ class TestCorruptionIsolation:
         app.step = 2
         store.write(snap_of(app, 2))
         snap2 = store.read(2)
-        per_field = {
-            name: {d for d, _, _ in chunk_refs(blob, SMALL)}
-            for name, blob in snap2.field_blobs().items()}
+        per_field = {name: {d for d, _ in field_chunks(value)}
+                     for name, value in snap2.fields.items()}
         fresh = per_field["grid"] - per_field["state"] - per_field["step"]
         victim = sorted(fresh)[len(fresh) // 2]
         expected = sorted(name for name, ds in per_field.items()
@@ -881,7 +915,7 @@ class TestLocalStrategy:
     def _crash(self, tmp_path, config, fail_at=7):
         rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c",
                      policy=EveryN(3), ckpt_strategy=STRATEGY_LOCAL,
-                     ckpt_cas=True, ckpt_cas_params=SMALL)
+                     ckpt_cas=True)
         with pytest.raises(InjectedFailure):
             rt.run(WOVEN, ctor_kwargs={"n": N, "iterations": ITERS},
                    entry="execute", config=config,

@@ -10,7 +10,11 @@ and any damage to an image is a :class:`SnapshotCorrupt`.
 
 from __future__ import annotations
 
+import gc
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -250,3 +254,60 @@ def test_unknown_container_versions_are_rejected():
         Snapshot.decode(old)
     with pytest.raises(SnapshotCorrupt, match="malformed"):
         Snapshot.decode(b"PCR3")
+
+
+def test_concurrent_decodes_are_bit_identical():
+    """CAS and full restores both decode through ``np.load``, whose
+    ``.npy`` header parse builds an AST.  CPython 3.11 keeps the AST
+    constructor's recursion depth in per-interpreter state, so a thread
+    switch inside one parse (here forced by a garbage-collector callback
+    that yields the GIL) lets another thread's parse corrupt it:
+    ``SystemError: AST constructor recursion depth mismatch``.  Eight
+    threads, at different stack depths, decode mixed and structured
+    payloads at once under a 1 us switch interval; each must get
+    exactly what a serial decode gives (field by field for structs: a
+    padded struct's padding is not data)."""
+    rng = np.random.default_rng(3)
+    arrays = [np.frombuffer(rng.bytes(dt.itemsize * 600), dtype=dt)
+              .reshape(20, 30).copy() for dt in DTYPES + [PADDED]]
+    arrays += [np.asfortranarray(a) for a in arrays[:3]]
+    blobs = [dumps_portable(a) for a in arrays]
+    want = [loads_portable(b) for b in blobs]
+    start, errors = threading.Barrier(8), []
+
+    def decode_all(depth):
+        if depth:  # the AST constructor's depth starts at the caller's
+            return decode_all(depth - 1)
+        try:
+            start.wait(30.0)
+            for _ in range(50):
+                for blob, ref in zip(blobs, want):
+                    got = loads_portable(blob)
+                    if (got.dtype != ref.dtype or got.shape != ref.shape
+                            or got.strides != ref.strides
+                            or any(got[f].tobytes("A") != ref[f].tobytes("A")
+                                   for f in ref.dtype.names or [...])):
+                        errors.append((ref.dtype, got.dtype, got.shape))
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def yield_gil(phase, info):
+        time.sleep(0)
+
+    threads = [threading.Thread(target=decode_all, args=(3 * k,),
+                                daemon=True) for k in range(8)]
+    interval, threshold = sys.getswitchinterval(), gc.get_threshold()
+    sys.setswitchinterval(1e-6)
+    gc.set_threshold(10)
+    gc.callbacks.append(yield_gil)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+    finally:
+        gc.callbacks.remove(yield_gil)
+        gc.set_threshold(*threshold)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -241,6 +241,28 @@ class TestSymmetricHeap:
             h.close()
             shm.unlink_heaps(launch, 1)
 
+    def test_structured_windows_keep_their_dtype(self):
+        """A window remembers its full dtype: an aligned structured one
+        comes back structured, not as ``|V16``, and re-allocating it with
+        another structured dtype of the same size is an error."""
+        launch = shm.new_launch_id()
+        h = shm.SymmetricHeap(launch, 0)
+        cell = np.dtype([("tag", "i1"), ("w", "<f8")], align=True)
+        other = np.dtype([("a", "<f8"), ("b", "<f8")])
+        assert cell.itemsize == other.itemsize == 16
+        try:
+            w = h.alloc("cells", (4,), cell)
+            assert w.dtype == cell and h.window("cells").dtype == cell
+            w["w"] = np.arange(4.0)
+            np.testing.assert_array_equal(h.window("cells")["w"],
+                                          np.arange(4.0))
+            assert h.alloc("cells", (4,), cell).dtype == cell
+            with pytest.raises(ValueError, match="different spec"):
+                h.alloc("cells", (4,), other)
+        finally:
+            h.close()
+            shm.unlink_heaps(launch, 1)
+
     def test_exhaustion_raises_memory_error(self):
         launch = shm.new_launch_id()
         h = shm.SymmetricHeap(launch, 0, nbytes=1 << 12)
