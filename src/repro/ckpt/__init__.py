@@ -28,6 +28,10 @@ Implements the paper's Section IV.A machinery:
   blocks, hashed straight from its memory, into a dedup CAS shared
   across shards, namespaces and jobs, with recipe checkpoints, pack
   files, disk-ordered chunk-fetch restores and mark-and-sweep GC.
+* :mod:`repro.ckpt.restore` — copy-once restores: every store's ``open``
+  returns a record whose array fields are read straight into the
+  restored arrays and verified there, and shard sets reassemble with
+  each shard reading only the rows its rank owned.
 """
 
 from repro.ckpt.cas import CasCheckpointStore, ChunkCorrupt, ChunkStore

@@ -48,10 +48,14 @@ surface; the disk scan is authoritative, so GC is correct across
 process restarts and crashes.  GC runs on anchor retirement
 (:meth:`prune`/:meth:`clear`) and on service job-namespace teardown.
 
-Every chunk read is digest-verified after decompression, so a flipped
-bit on disk is detected *per chunk* and named per field
-(:meth:`verify`); ``read_latest`` then degrades to the previous
-checkpoint exactly as it does for a torn full snapshot.
+Restores copy once (:class:`RecipeRecord`): an array field's header
+chunk sizes the restored array, and its data blocks are read with
+``os.preadv`` straight into their slices of it, pack by pack in disk
+order.  Every chunk is digest-verified where it lands (after
+decompression, for a compressed entry), so a flipped bit on disk is
+detected *per chunk* and named per field (:meth:`verify`);
+``read_latest`` then degrades to the previous checkpoint exactly as it
+does for a torn full snapshot.
 """
 
 from __future__ import annotations
@@ -66,7 +70,16 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.ckpt.chunker import DIGEST_SIZE, chunk_digest, field_chunks
+from repro.ckpt.restore import (
+    MemoryRecord,
+    Record,
+    overlaps,
+    preadv_all,
+    sized_header,
+)
 from repro.ckpt.snapshot import (
     KIND_FULL,
     KIND_RECIPE,
@@ -105,6 +118,22 @@ class ChunkCorrupt(SnapshotCorrupt):
 
 def _absent(digest: str) -> ChunkCorrupt:
     return ChunkCorrupt(f"chunk {digest} missing from CAS")
+
+
+def _disk_runs(entries: list) -> Iterable[list]:
+    """Group offset-ordered ``(offset, length, flags, ...)`` pack entries
+    into runs read back to back (:func:`preadv_all`): raw entries that
+    are contiguous on disk; a compressed entry is a run of its own."""
+    run: list = []
+    end = -1
+    for entry in entries:
+        if run and (entry[2] or run[0][2] or entry[0] != end):
+            yield run
+            run = []
+        run.append(entry)
+        end = entry[0] + entry[1]
+    if run:
+        yield run
 
 
 class ChunkStore:
@@ -339,6 +368,77 @@ class ChunkStore:
             raise got
         return got
 
+    def fetch_into(self, targets: list[tuple[str, memoryview]]
+                   ) -> dict[str, int | ChunkCorrupt]:
+        """Read chunks straight into caller buffers, one ``(digest,
+        buffer)`` per destination (a digest may repeat), each buffer the
+        chunk's raw length.
+
+        Entries that sit back to back in one pack are read by one
+        ``os.preadv``, in disk order; each buffer is then
+        digest-verified in place.  A compressed entry is decompressed
+        and copied.  Returns ``digest -> stored_nbytes``, or the
+        :class:`ChunkCorrupt` of a chunk that is absent, torn or fails
+        verification (its buffers then hold garbage).  Holds
+        :attr:`lock` throughout, as :meth:`fetch_many` does.
+        """
+        out: dict[str, Any] = {}
+        with self.lock:
+            index = self._entries()
+            if not all(d in index for d, _ in targets):
+                self._scan()  # another store object may have published
+            by_pack: dict[str, list] = {}
+            for digest, buf in targets:
+                loc = index.get(digest)
+                if loc is None:
+                    out[digest] = _absent(digest)
+                else:  # (offset, stored length, flags, digest, buffer)
+                    by_pack.setdefault(loc[0], []).append(
+                        (loc[1], loc[2], loc[3], digest, buf))
+            for name in sorted(by_pack):
+                try:
+                    fd = os.open(self.dir / name, os.O_RDONLY)
+                except OSError:
+                    out.update((e[3], _absent(e[3])) for e in by_pack[name])
+                    continue
+                try:
+                    by_pack[name].sort(key=lambda e: e[0])
+                    for run in _disk_runs(by_pack[name]):
+                        self._read_run(fd, run, out)
+                finally:
+                    os.close(fd)
+        return out
+
+    def _read_run(self, fd: int, run: list, out: dict) -> None:
+        """Read one run into its buffers and verify each in place."""
+        offset, _, flags, digest, buf = run[0]
+        if flags:  # compressed: decode, verify, copy
+            got = self._read_entry(fd, digest)
+            if not isinstance(got, ChunkCorrupt) and len(got[0]) != len(buf):
+                got = ChunkCorrupt(f"chunk {digest} has the wrong length")
+            if not isinstance(got, ChunkCorrupt):
+                buf[:] = got[0]
+                got = got[1]
+            out.setdefault(digest, got)
+            return
+        if any(len(e[4]) != e[1] for e in run):
+            for e in run:  # the recipe and the pack disagree
+                out.setdefault(e[3], ChunkCorrupt(
+                    f"chunk {e[3]} has the wrong length"))
+            return
+        try:
+            whole = preadv_all(fd, [e[4] for e in run], offset)
+        except OSError:
+            whole = False
+        for _, length, _, digest, buf in run:
+            if not whole:
+                out[digest] = _absent(digest)
+            elif chunk_digest(buf) != digest:
+                out[digest] = ChunkCorrupt(
+                    f"chunk {digest} failed content verification")
+            else:
+                out.setdefault(digest, _PACK_ENTRY.size + length)
+
     # ------------------------------------------------------------------
     def incref(self, digests: Iterable[str]) -> None:
         with self.lock:
@@ -409,6 +509,110 @@ class ChunkStore:
             self.chunks_swept += n
             self.bytes_swept += nbytes
             return n, nbytes
+
+
+class RecipeRecord(Record):
+    """A recipe checkpoint opened for a copy-once restore.
+
+    An array field's first chunk carries its ``.npy`` header; the array
+    is allocated from it and every data block that lies wholly inside a
+    wanted range is read straight into its slice of the array
+    (:meth:`ChunkStore.fetch_into`) and digest-verified there.  Blocks
+    that straddle a range's edge — or a header chunk that also holds
+    data, as older recipes cut — are fetched and their overlap copied.
+    Each distinct chunk read counts once in :attr:`fetches`.
+    """
+
+    def __init__(self, store: "CasCheckpointStore", header: dict,
+                 count: int, nbytes: int) -> None:
+        super().__init__(header, nbytes)
+        self.store = store
+        self.count = count
+        self.recipe: dict = header["recipe"]
+        self._stored: set[str] = set()
+        self._first: dict[str, bytes] = {}
+        self._t0 = perf_counter()
+
+    def close(self) -> None:
+        st = self.store
+        st.last_restore_fetches = self.fetches
+        st.restore_fetches_total += self.fetches
+        st.restore_seconds_total += perf_counter() - self._t0
+
+    def _lost(self, name: str, exc: Exception) -> SnapshotCorrupt:
+        return SnapshotCorrupt(f"field {name!r} of checkpoint {self.count} "
+                               f"lost a chunk: {exc}")
+
+    def _refs(self, name: str) -> list:
+        refs = self.recipe.get(name)
+        if not refs:
+            raise SnapshotCorrupt(
+                f"field {name!r} missing from recipe {self.count}")
+        return refs
+
+    def _account(self, name: str, got: dict) -> None:
+        """Raise for a lost chunk; count each chunk's first read."""
+        for digest, stored in got.items():
+            if isinstance(stored, ChunkCorrupt):
+                raise self._lost(name, stored) from stored
+            if digest not in self._stored:
+                self._stored.add(digest)
+                self.nbytes_read += stored
+                self.fetches += 1
+
+    def _fetch(self, name: str, digests: set[str]) -> dict[str, bytes]:
+        """Payloads of ``digests`` (the first chunk from the cache)."""
+        out = {d: self._first[name] for d in digests
+               if d == self.recipe[name][0][0] and name in self._first}
+        got = self.store.cas.fetch_many(digests - out.keys())
+        self._account(name, {d: g if isinstance(g, ChunkCorrupt) else g[1]
+                             for d, g in got.items()})
+        out.update((d, g[0]) for d, g in got.items())
+        return out
+
+    def _head(self, name: str):
+        """An array field whose header lies in its first chunk."""
+        refs = self._refs(name)
+        first = refs[0][0]
+        if name not in self._first:
+            self._first[name] = self._fetch(name, {first})[first]
+        return sized_header(self._first[name], sum(n for _, n in refs),
+                            f"field {name!r} of checkpoint {self.count}")
+
+    def _whole(self, name: str) -> Any:
+        refs = self._refs(name)
+        parts = self._fetch(name, {d for d, _ in refs})
+        try:
+            return loads_portable(b"".join(parts[d] for d, _ in refs))
+        except Exception as exc:
+            raise SnapshotCorrupt(
+                f"field {name!r} of checkpoint {self.count} failed to "
+                f"decode: {exc}") from exc
+
+    def _read_data(self, name: str, start: int, raw: np.ndarray,
+                   ranges: list[tuple[int, int]]) -> None:
+        """Blocks wholly inside ``ranges`` straight into ``raw``; blocks
+        that only overlap them fetched, and the overlap copied."""
+        if not ranges:
+            return
+        refs = self._refs(name)
+        hi = np.cumsum([n for _, n in refs]) - start  # data coordinates
+        lo = hi - [n for _, n in refs]
+        a, b = np.array(ranges).T
+        j = np.minimum(np.searchsorted(b, lo, side="right"), len(b) - 1)
+        touched = (b[j] > lo) & (a[j] < hi) & (hi > 0)
+        inside = touched & (a[j] <= lo) & (b[j] >= hi)
+        dest = memoryview(raw)
+        los, his = lo.tolist(), hi.tolist()
+        self._account(name, self.store.cas.fetch_into(
+            [(refs[k][0], dest[los[k]:his[k]])
+             for k in np.flatnonzero(inside).tolist()]))
+        partial = np.flatnonzero(touched & ~inside).tolist()
+        blobs = self._fetch(name, {refs[k][0] for k in partial})
+        for k in partial:
+            src = np.frombuffer(blobs[refs[k][0]], dtype=np.uint8)
+            for p, q in overlaps(ranges, los[k], his[k]):
+                raw[p:q] = src[p - los[k]:q - los[k]]
 
 
 class CasCheckpointStore(CheckpointStore):
@@ -547,7 +751,7 @@ class CasCheckpointStore(CheckpointStore):
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
-    def read(self, count: int) -> Snapshot:
+    def open(self, count: int) -> Record:
         data = self.path_for(count).read_bytes()
         header, _sections = decode_envelope(data)
         if header.get("kind", KIND_FULL) != KIND_RECIPE:
@@ -555,46 +759,23 @@ class CasCheckpointStore(CheckpointStore):
             # read; their payload is inline, not chunked.
             snap = Snapshot.decode(data)
             snap.meta["disk_nbytes"] = len(data)
-            return snap
+            return MemoryRecord(snap)
+        if not isinstance(header.get("recipe"), dict):
+            raise SnapshotCorrupt(f"recipe missing from checkpoint {count}")
+        return RecipeRecord(self, header, count, len(data))
+
+    def read(self, count: int) -> Snapshot:
         from repro.trace import schema as _tc
         from repro.trace.plane import tracer as trace_writer
 
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
-        t0 = perf_counter()
-        recipe = header.get("recipe")
-        if not isinstance(recipe, dict):
-            raise SnapshotCorrupt(f"recipe missing from checkpoint {count}")
-        chunks = self.cas.fetch_many(
-            d for refs in recipe.values() for d, _ in refs)
-        fields: dict[str, Any] = {}
-        for name in header["fields"]:
-            parts = []
-            for digest, _ in recipe[name]:
-                got = chunks[digest]
-                if isinstance(got, ChunkCorrupt):
-                    raise SnapshotCorrupt(
-                        f"field {name!r} of checkpoint {count} lost a "
-                        f"chunk: {got}") from got
-                parts.append(got[0])
-            try:
-                fields[name] = loads_portable(b"".join(parts))
-            except Exception as exc:
-                raise SnapshotCorrupt(
-                    f"field {name!r} of checkpoint {count} failed to "
-                    f"decode: {exc}") from exc
-        stored_nbytes = sum(got[1] for got in chunks.values())
-        self.last_restore_fetches = len(chunks)
-        self.restore_fetches_total += len(chunks)
-        self.restore_seconds_total += perf_counter() - t0
-        snap = Snapshot(app=header["app"],
-                        safepoint_count=header["safepoint_count"],
-                        fields=fields, mode=header["mode"],
-                        meta=header["meta"])
-        snap.meta["disk_nbytes"] = len(data) + stored_nbytes
-        snap.meta["cas_fetches"] = len(chunks)
+        with self.open(count) as rec:
+            snap = rec.snapshot()
+        if rec.fetches:
+            snap.meta["cas_fetches"] = rec.fetches
         if tr.active:
-            tr.span(_tc.CKPT_FETCH, tw0, a=float(len(chunks)),
+            tr.span(_tc.CKPT_FETCH, tw0, a=float(rec.fetches),
                     b=float(count))
         return snap
 

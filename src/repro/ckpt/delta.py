@@ -41,6 +41,7 @@ from typing import Any
 import numpy as np
 
 from repro.ckpt.policy import AnchorEvery, AnchorPolicy
+from repro.ckpt.restore import MemoryRecord, Record
 from repro.ckpt.snapshot import (
     KIND_DELTA,
     KIND_FULL,
@@ -238,19 +239,21 @@ class IncrementalCheckpointStore(CheckpointStore):
                     f"delta at count {cur} has invalid base {base!r}")
             cur = base
 
-        # replay the chain: anchor first, then each delta towards `count`.
-        anchor_header, anchor_sections = chain[-1]
-        fields: dict[str, Any] = {
-            name: loads_portable(decode_section(anchor_sections, name))
-            for name in anchor_header["fields"]}
-        for header, sections in reversed(chain[:-1]):
-            missing = [n for n in header.get("carry", []) if n not in fields]
+        # check the chain oldest first (every carried field must be
+        # stored by an older link), then decode each field once, from
+        # the newest link that stores it.
+        order: dict[str, int] = {}
+        for depth in range(len(chain) - 1, -1, -1):
+            header = chain[depth][0]
+            missing = [n for n in header.get("carry", []) if n not in order]
             if missing:
                 raise SnapshotCorrupt(
                     f"delta at count {header['safepoint_count']} carries "
                     f"fields absent from its chain: {missing}")
-            for name in header["fields"]:
-                fields[name] = loads_portable(decode_section(sections, name))
+            order.update((name, depth) for name in header["fields"])
+        fields: dict[str, Any] = {
+            name: loads_portable(decode_section(chain[depth][1], name))
+            for name, depth in order.items()}
 
         top = chain[0][0]
         snap = Snapshot(app=top["app"],
@@ -258,6 +261,10 @@ class IncrementalCheckpointStore(CheckpointStore):
                         fields=fields, mode=top["mode"], meta=top["meta"])
         snap.meta["disk_nbytes"] = disk_nbytes  # whole chain was read
         return snap
+
+    def open(self, count: int) -> Record:
+        """A delta chain restores through :meth:`read` (decoded whole)."""
+        return MemoryRecord(self.read(count))
 
     # ------------------------------------------------------------------
     def chain_of(self, count: int) -> list[int]:

@@ -22,8 +22,10 @@ a plain array contributes as two buffers (tag + ``.npy`` header, then a
 read-only view of its data).  ``flags`` carries per-section transforms
 (today: ``SEC_ZLIB`` for transparent zlib compression, negotiated by
 size threshold at encode time); the CRC is chained over the *stored*
-pieces, so corruption is detected before decompression.  Reads slice a
-``memoryview`` of the file; only the small table is unpickled.  Version
+pieces, so corruption is detected before decompression.  In-memory
+decodes slice a ``memoryview`` of the image; only the small table is
+unpickled.  Stores read files through :mod:`repro.ckpt.restore`, which
+lands each array's bytes straight in the restored array.  Version
 1 and 2 files (a ``PKL4``-tagged pickled envelope carrying the stored
 blobs inline) are still readable; nothing writes them.  The same
 container also carries incremental *delta* records (``header["kind"] ==
@@ -97,31 +99,54 @@ def image_nbytes(image: list) -> int:
     return sum(len(piece) for piece in image)
 
 
+def container_layout(head: bytes, read_table, size: int
+                     ) -> tuple[dict, dict[str, tuple[int, int, int, int]]]:
+    """Header and section layout of a version 3 container of ``size``
+    bytes: ``name -> (flags, offset, nbytes, crc32)`` in payload order.
+
+    ``head`` is the container's first bytes; ``read_table(n)`` returns
+    the ``n`` table bytes that follow them.  Raises
+    :class:`SnapshotCorrupt` unless the payloads end exactly at ``size``.
+    """
+    try:
+        magic, table_nbytes = _HEAD.unpack_from(head)
+        if magic != _MAGIC:
+            raise ValueError(f"magic {magic!r}")
+        start = _HEAD.size + table_nbytes
+        table = pickle.loads(read_table(table_nbytes))
+        header, layout = table["header"], {}
+        for name, (flags, nbytes, crc) in table["sections"].items():
+            layout[name] = (flags, start, nbytes, crc)
+            start += nbytes
+        if start != size:
+            raise ValueError(f"table describes {start} bytes, the "
+                             f"container holds {size}")
+        version = header.get("version")
+    except Exception as exc:
+        raise SnapshotCorrupt(f"malformed snapshot container: {exc}") from exc
+    if version != FORMAT_VERSION:
+        raise SnapshotCorrupt(f"unsupported snapshot version {version!r}")
+    return header, layout
+
+
 def decode_envelope(data) -> tuple[dict, dict]:
     """Parse and version-check a container; returns ``(header, sections)``
     with sections ``name -> (flags, stored, crc32)`` (version 1 entries:
     ``(stored, crc32)``), ``stored`` a zero-copy slice of ``data``."""
     view = memoryview(data)
-    try:
-        if bytes(view[:4]) != _MAGIC:  # version 1/2: a pickled envelope
-            envelope = loads_portable(data)
-            header, sections = envelope["header"], envelope["sections"]
-            versions = (1, 2)
-        else:
-            start = _HEAD.size + _HEAD.unpack_from(view)[1]
-            table = pickle.loads(view[_HEAD.size:start])
-            header, sections = table["header"], {}
-            for name, (flags, nbytes, crc) in table["sections"].items():
-                sections[name] = (flags, view[start:start + nbytes], crc)
-                start += nbytes
-            if start != len(view):
-                raise ValueError(f"table describes {start} bytes, the "
-                                 f"container holds {len(view)}")
-            versions = (FORMAT_VERSION,)
+    if bytes(view[:4]) == _MAGIC:
+        header, layout = container_layout(
+            view[:_HEAD.size],
+            lambda n: view[_HEAD.size:_HEAD.size + n], len(view))
+        return header, {name: (flags, view[at:at + n], crc)
+                        for name, (flags, at, n, crc) in layout.items()}
+    try:  # version 1/2: a pickled envelope
+        envelope = loads_portable(data)
+        header, sections = envelope["header"], envelope["sections"]
         version = header.get("version")
     except Exception as exc:
         raise SnapshotCorrupt(f"malformed snapshot container: {exc}") from exc
-    if version not in versions:
+    if version not in (1, 2):
         raise SnapshotCorrupt(f"unsupported snapshot version {version!r}")
     return header, sections
 

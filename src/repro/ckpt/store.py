@@ -32,8 +32,10 @@ import os
 import re
 import threading
 from pathlib import Path
+from time import perf_counter
 from typing import TYPE_CHECKING
 
+from repro.ckpt.restore import Record, assemble, open_file
 from repro.ckpt.snapshot import (
     KIND_FULL,
     Snapshot,
@@ -209,12 +211,25 @@ class CheckpointStore:
                 out.append(int(m.group(1)))
         return sorted(out)
 
+    def open(self, count: int) -> Record:
+        """The checkpoint at ``count``, opened for a copy-once restore
+        (:mod:`repro.ckpt.restore`): header read, fields still on disk."""
+        return open_file(self.path_for(count))
+
     def read(self, count: int) -> Snapshot:
-        data = self.path_for(count).read_bytes()
-        snap = Snapshot.decode(data)
-        # actual bytes pulled off the disk (compression makes this differ
-        # from the payload size); the restore cost model charges these.
-        snap.meta["disk_nbytes"] = len(data)
+        from repro.trace import schema as _tc
+        from repro.trace.plane import tracer as trace_writer
+
+        tr = trace_writer()
+        tw0 = perf_counter() if tr.active else 0.0
+        with self.open(count) as rec:
+            snap = rec.snapshot()
+        # ``disk_nbytes``: the bytes actually pulled off the disk
+        # (compression makes this differ from the payload size); the
+        # restore cost model charges these.
+        if tr.active:
+            tr.span(_tc.CKPT_READ, tw0, a=float(snap.meta["disk_nbytes"]),
+                    b=float(count))
         return snap
 
     def read_latest(self) -> Snapshot | None:
@@ -257,61 +272,45 @@ class CheckpointStore:
         full-size array valid only in that rank's owned region, plus the
         replicated non-partitioned SafeData).  Given the ``partitioned``
         declarations (field -> :class:`~repro.core.templates.Partitioned`,
-        for the layouts), the owned regions are recombined into whole
-        arrays — so a run that only ever saved shards is restartable, in
-        any mode, exactly like a master-format checkpoint.
+        for the layouts), each whole array is allocated once and every
+        shard reads only its owner's rows straight into it
+        (:func:`~repro.ckpt.restore.assemble`) — so a run that only ever
+        saved shards is restartable, in any mode, exactly like a
+        master-format checkpoint.
 
         Returns None when no complete, intact shard set exists at
         ``count`` — recovery then degrades to an older checkpoint, the
         same contract as :meth:`read_latest`.
         """
-        import numpy as np
+        from repro.trace import schema as _tc
+        from repro.trace.plane import tracer as trace_writer
 
         ranks = _ranks if _ranks is not None \
             else self.shard_counts().get(count, [])
         if 0 not in ranks:
             return None
+        tr = trace_writer()
+        tw0 = perf_counter() if tr.active else 0.0
+        records: list[Record] = []
         try:
-            root = self.shard(0).read(count)
+            records.append(self.shard(0).open(count))
+            # shard 0's metadata names the membership that saved this
+            # count; surplus shard files (an earlier, wider run at the
+            # same count) are ignored, a missing member makes the set
+            # incomplete.
+            nranks = int(records[0].header["meta"].get("nranks", len(ranks)))
+            if not set(range(nranks)) <= set(ranks):
+                return None
+            records += [self.shard(r).open(count) for r in range(1, nranks)]
+            snap = assemble(records, partitioned or {})
         except (SnapshotCorrupt, OSError):
             return None
-        # shard 0's metadata names the membership that saved this count;
-        # surplus shard files (an earlier, wider run at the same count)
-        # are ignored, a missing member makes the set incomplete.
-        nranks = int(root.meta.get("nranks", len(ranks)))
-        if not set(range(nranks)) <= set(ranks):
-            return None
-        try:
-            shards = [root] + self._read_shards(count, nranks)
-        except (SnapshotCorrupt, OSError):
-            return None
-        fields: dict = {}
-        for name, value in root.fields.items():
-            part = (partitioned or {}).get(name)
-            if part is None or part.whole_at_safepoints \
-                    or not isinstance(value, np.ndarray):
-                fields[name] = value  # replicated: any shard's copy is it
-                continue
-            whole = value.copy()
-            axis = part.layout.axis
-            n = whole.shape[axis]
-            sl: list = [slice(None)] * whole.ndim
-            for r, sh in enumerate(shards):
-                idx = part.layout.owned(n, r, nranks)
-                sl[axis] = idx
-                whole[tuple(sl)] = np.take(sh.fields[name], idx, axis=axis)
-            fields[name] = whole
-        snap = Snapshot(app=root.app, safepoint_count=count, fields=fields,
-                        mode=root.mode, meta=dict(root.meta))
-        snap.meta["assembled_from_shards"] = nranks
-        snap.meta["disk_nbytes"] = sum(
-            int(sh.meta.get("disk_nbytes", sh.nbytes)) for sh in shards)
-        snap.meta.pop("shard", None)
+        finally:
+            for rec in records:
+                rec.close()
+        if tr.active:
+            tr.span(_tc.CKPT_ASSEMBLE, tw0, a=float(nranks), b=float(count))
         return snap
-
-    def _read_shards(self, count: int, nranks: int) -> "list[Snapshot]":
-        """Read shards 1..nranks-1 (hook: the CAS store parallelises)."""
-        return [self.shard(r).read(count) for r in range(1, nranks)]
 
     def assemble_latest_from_shards(self, partitioned: dict | None = None
                                     ) -> Snapshot | None:

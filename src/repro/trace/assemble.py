@@ -54,6 +54,9 @@ _ARG_NAMES: dict[int, tuple[str, ...]] = {
     _sc.RENDEZVOUS: ("vtime", "count"),
     _sc.SWITCH: ("vtime", "nranks"),
     _sc.TCP_FRAME: ("dst", "nbytes"),
+    _sc.CKPT_FETCH: ("chunks", "count"),
+    _sc.CKPT_READ: ("nbytes", "count"),
+    _sc.CKPT_ASSEMBLE: ("nranks", "count"),
 }
 
 _KIND_NAMES = {_sc.KIND_SPAN: "span", _sc.KIND_INSTANT: "instant",

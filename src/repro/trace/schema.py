@@ -83,13 +83,16 @@ NAMES: tuple[str, ...] = (
     "ckpt_chunk",         # CKPT_CHUNK — chunk + hash a snapshot's fields
     "ckpt_pack",          # CKPT_PACK — CAS handshake + missing-chunk ship
     "ckpt_gc",            # CKPT_GC — CAS mark-and-sweep pass
-    "ckpt_fetch",         # CKPT_FETCH — parallel chunk fetch of a restore
+    "ckpt_fetch",         # CKPT_FETCH — chunk fetch of one recipe restore
+    "ckpt_read",          # CKPT_READ — copy-once read of one container file
+    "ckpt_assemble",      # CKPT_ASSEMBLE — shard set reassembled
 )
 
 (PHASE, SAFEPOINT, CHECKPOINT, CHECKPOINT_LOCAL, CAPTURE, CKPT_WRITE,
  CKPT_FLUSH, CKPT_FUNNEL, RESTORE, ADAPT_EXIT, TEAM_RESIZE, MOVES,
  RENDEZVOUS, SWITCH, SEND, RECV, TCP_FRAME, EVENT, CKPT_CHUNK,
- CKPT_PACK, CKPT_GC, CKPT_FETCH) = range(len(NAMES))
+ CKPT_PACK, CKPT_GC, CKPT_FETCH, CKPT_READ,
+ CKPT_ASSEMBLE) = range(len(NAMES))
 
 
 def name_of(code: float | int) -> str:

@@ -10,23 +10,28 @@ protocol 4, and by checksumming every section.
 Plain arrays — the bulk of any checkpoint — also have a copy-free form of
 the same encoding (:func:`portable_pieces`) and a direct private copy
 (:func:`portable_copy`), so a checkpoint can be captured and written
-without building its bytes in memory first.
+without building its bytes in memory first.  The read side mirrors it:
+:func:`npy_header` parses an encoding's header from its first bytes and
+:func:`npy_empty` allocates the array ``np.load`` would return, so a
+reader can land the data bytes straight in their destination.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import pickle
+import struct
 import threading
 import zlib
 from typing import Any
 
 import numpy as np
 
-try:  # numpy >= 2 keeps the .npy writer in a private module
-    from numpy.lib._format_impl import _write_array_header
+try:  # numpy >= 2 keeps the .npy reader and writer in a private module
+    from numpy.lib._format_impl import _read_array_header, _write_array_header
 except ImportError:  # pragma: no cover - numpy 1.x
-    from numpy.lib.format import _write_array_header
+    from numpy.lib.format import _read_array_header, _write_array_header
 
 #: pickle protocol pinned for cross-version portability of checkpoints.
 PICKLE_PROTOCOL = 4
@@ -34,12 +39,14 @@ PICKLE_PROTOCOL = 4
 _ARRAY_TAG = b"NPYA"
 _PICKLE_TAG = b"PKL4"
 
-#: ``np.load`` parses the ``.npy`` header with ``ast.literal_eval``.  On
+_NPY_MAGIC = b"\x93NUMPY"
+
+#: numpy parses the ``.npy`` header with ``ast.literal_eval``.  On
 #: CPython 3.11 the AST constructor keeps its recursion depth in
-#: per-interpreter state, so two threads decoding at once can fail with
-#: ``SystemError: AST constructor recursion depth mismatch``: decodes
-#: take turns.
-_NPY_LOAD_LOCK = threading.Lock()
+#: per-interpreter state, so two threads parsing at once can fail with
+#: ``SystemError: AST constructor recursion depth mismatch``: header
+#: parses take turns (the data copy does not).
+_NPY_HEADER_LOCK = threading.Lock()
 
 
 def dumps_portable(obj: Any) -> bytes:
@@ -101,14 +108,73 @@ def portable_pieces(obj: Any) -> list:
             memoryview(data.reshape(-1).view(np.uint8)).toreadonly()]
 
 
-def loads_portable(data: bytes) -> Any:
-    """Inverse of :func:`dumps_portable`."""
-    tag, payload = data[:4], data[4:]
+def npy_header(prefix) -> tuple[np.dtype, tuple, bool, int] | None:
+    """``(dtype, shape, fortran_order, data_start)`` of the array encoding
+    whose first bytes are ``prefix``; ``data_start`` is the tag plus
+    header length, where the array data begins.
+
+    None when ``prefix`` is not an array encoding (a pickled value) or
+    does not yet hold the whole header.  Raises ValueError on a malformed
+    header or one ``np.load`` would refuse (object dtypes).
+    """
+    view = memoryview(prefix)
+    if bytes(view[:4]) != _ARRAY_TAG:
+        return None
+    if len(view) < 12:
+        return None
+    if bytes(view[4:10]) != _NPY_MAGIC:
+        raise ValueError("array encoding lacks the .npy magic")
+    version = (view[10], view[11])
+    if version == (1, 0):
+        start = 14 + struct.unpack_from("<H", view, 12)[0]
+    elif version in ((2, 0), (3, 0)):
+        start = 16 + struct.unpack_from("<I", view, 12)[0]
+    else:
+        raise ValueError(f"unsupported .npy version {version}")
+    if len(view) < start:
+        return None
+    fp = io.BytesIO(view[12:start])
+    try:
+        with _NPY_HEADER_LOCK:
+            shape, fortran, dtype = _read_array_header(fp, version)
+    except Exception as exc:  # a damaged header can fail to tokenize
+        raise ValueError(f"malformed .npy header: {exc}") from exc
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded without pickle")
+    return dtype, shape, fortran, start
+
+
+def npy_empty(dtype: np.dtype, shape: tuple, fortran: bool
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The (uninitialised) array ``np.load`` returns for this header,
+    and a writable flat ``uint8`` view of its memory in encoding order —
+    filling the view with an encoding's data bytes completes the load."""
+    flat = np.empty(math.prod(shape), dtype=dtype)
+    raw = flat.view(np.uint8) if dtype.itemsize else np.empty(0, np.uint8)
+    if fortran:
+        return flat.reshape(shape[::-1]).transpose(), raw
+    return flat.reshape(shape), raw
+
+
+def loads_portable(data) -> Any:
+    """Inverse of :func:`dumps_portable`; an array's data is copied once,
+    straight from ``data`` into the returned array."""
+    view = memoryview(data)
+    tag = bytes(view[:4])
     if tag == _ARRAY_TAG:
-        with _NPY_LOAD_LOCK:
-            return np.load(io.BytesIO(payload), allow_pickle=False)
+        head = npy_header(view)
+        if head is None:
+            raise ValueError("array encoding ends inside its .npy header")
+        dtype, shape, fortran, start = head
+        arr, raw = npy_empty(dtype, shape, fortran)
+        body = view[start:]
+        if len(body) != raw.nbytes:
+            raise ValueError(f"array data holds {len(body)} bytes, its "
+                             f"header describes {raw.nbytes}")
+        raw[:] = np.frombuffer(body, dtype=np.uint8)
+        return arr
     if tag == _PICKLE_TAG:
-        return pickle.loads(payload)
+        return pickle.loads(view[4:])
     raise ValueError(f"unknown serialization tag {tag!r}")
 
 
