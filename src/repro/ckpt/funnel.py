@@ -12,10 +12,9 @@ So checkpoint traffic is funnelled: a worker-side :class:`FunnelStore`
 sends each request over its *link* — an ``mp.Pipe`` end, or a TCP
 connection to the funnel's listener for a rank on another node — and
 blocks on the reply.  The parent-side :class:`CheckpointFunnel` serves
-every link from one thread blocked in
-:func:`multiprocessing.connection.wait`, replies on the link each
-request came in on, and drops a link whose worker died (EOF, or a frame
-torn mid-message) without disturbing the others.  Writes route by job
+every link from one :class:`~repro.dsm.links.LinkLoop` thread and
+replies on the link each request came in on; a worker that dies or
+stalls mid-frame costs only its own link.  Writes route by job
 to a registered store (a launch's master store under ``""``, one
 namespaced store per service job) or its per-rank shard sub-store for
 ``STRATEGY_LOCAL``; the reply carries the bytes written so the worker's
@@ -48,11 +47,9 @@ once with every chunk payload inline.
 from __future__ import annotations
 
 import multiprocessing as mp
-import socket
-import threading
 import traceback
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import Connection
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -61,6 +58,7 @@ import numpy as np
 from repro.ckpt.cas import CasCheckpointStore
 from repro.ckpt.chunker import field_chunks
 from repro.ckpt.snapshot import KIND_FULL, KIND_RECIPE, Snapshot
+from repro.dsm.links import LinkLoop, dial
 from repro.dsm.shm import PoolClient, ShmRef
 from repro.trace import schema as _tc
 from repro.trace.plane import tracer as trace_writer
@@ -138,13 +136,9 @@ class CheckpointFunnel:
         self.arena = arena
         #: job tag -> the store that job's writes land in.
         self._stores: dict[str, CheckpointStore] = {}
-        #: the parent ends of every live worker link (``pipe()`` appends,
-        #: the serving thread appends and drops: atomic list operations).
-        self._links: list[Connection] = []
-        self._listener: socket.socket | None = None
-        #: ``pipe()`` and ``stop()`` wake the serving thread's wait.
-        self._wake_r, self._wake_w = mp.Pipe(duplex=False)
-        self._thread: threading.Thread | None = None
+        #: serves every worker link: pipe ends and accepted TCP links.
+        self._loop = LinkLoop("ckpt-funnel")
+        self._address: tuple[str, int] | None = None
         #: attach cache over the workers' slab rings (the parent writes
         #: from views through it).
         self._client = PoolClient()
@@ -163,23 +157,20 @@ class CheckpointFunnel:
         it to one worker process and closes its own copy as soon as that
         process has started, so the worker's exit reaches us as EOF."""
         ours, theirs = mp.Pipe()
-        self._links.append(ours)
-        self._wake_w.send_bytes(b"")
+        self._loop.add(ours, self._handle)
         return theirs
 
-    def listen(self, host: str) -> tuple[str, int]:
+    def tcp(self, host: str) -> tuple[str, int]:
         """Accept TCP links on ``host``, bound on the first call (before
         :meth:`start`); returns the ``(host, port)`` workers dial."""
-        if self._listener is None:
-            self._listener = socket.create_server((host, 0))
-        return self._listener.getsockname()[:2]
+        if self._address is None:
+            self._address = self._loop.bind(host, self._handle)
+        return self._address
 
     def start(self) -> None:
         """Begin serving; call *after* worker processes are spawned so a
         fork cannot duplicate the serving thread into a child."""
-        self._thread = threading.Thread(target=self._serve, daemon=True,
-                                        name="ckpt-funnel")
-        self._thread.start()
+        self._loop.start()
 
     def stop(self) -> None:
         """Stop serving once every worker has exited; idempotent.
@@ -189,55 +180,22 @@ class CheckpointFunnel:
         slab views, so the mappings are left alone rather than closed
         under it.
         """
-        if self._thread is not None:
-            self._wake_w.send_bytes(b"stop")
-            self._thread.join(timeout=STOP_TIMEOUT_SECONDS)
-            if self._thread.is_alive():
-                busy = self._busy
-                doing = ("not yet at the stop request" if busy is None else
-                         f"serving {busy[0]!r} (shard {busy[1]!r})")
-                raise TimeoutError(
-                    f"checkpoint funnel {self._thread.name!r}: drain thread "
-                    f"{doing} after {STOP_TIMEOUT_SECONDS:.0f}s")
-            self._thread = None
-        for conn in (self._wake_r, self._wake_w, self._listener,
-                     *self._links):
-            if conn is not None:
-                conn.close()
-        self._links, self._listener = [], None
+        if not self._loop.stop(STOP_TIMEOUT_SECONDS):
+            busy = self._busy
+            doing = ("not yet at the stop request" if busy is None else
+                     f"serving {busy[0]!r} (shard {busy[1]!r})")
+            raise TimeoutError(
+                f"checkpoint funnel {self._loop.name!r}: drain thread "
+                f"{doing} after {STOP_TIMEOUT_SECONDS:.0f}s")
         self._client.close_all()
 
     # ------------------------------------------------------------------
-    def _serve(self) -> None:
-        while True:
-            ready = [self._wake_r, *self._links]
-            if self._listener is not None:
-                ready.append(self._listener)
-            for conn in wait(ready):
-                if conn is self._wake_r:
-                    if conn.recv_bytes():
-                        return  # stop(); else the link set changed
-                elif conn is self._listener:
-                    sock, _ = conn.accept()
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    self._links.append(Connection(sock.detach()))
-                else:
-                    self._serve_link(conn)
-
-    def _serve_link(self, conn: Connection) -> None:
-        """Answer one request; drop the link if its worker is gone."""
-        try:
-            op, job, shard_rank, payload = conn.recv()
-            conn.send(self._handle(op, job, shard_rank, payload))
-        except (EOFError, OSError):  # the worker exited, maybe mid-frame
-            self._links.remove(conn)
-            conn.close()
-
-    def _handle(self, op: str, job: str, shard_rank, payload) -> tuple:
+    def _handle(self, _link, request: tuple) -> tuple:
         """Perform one funnel request against the job's store.
 
         Never raises — errors travel back to the worker in the reply.
         """
+        op, job, shard_rank, payload = request
         self._busy = (op, shard_rank)
         try:
             if op == _OP_ARENA:
@@ -365,10 +323,7 @@ class FunnelStore:
     def _rpc(self, op: str, payload) -> tuple:
         root = self._root
         if not isinstance(root._link, Connection):  # dial after fork
-            sock = socket.create_connection(root._link, timeout=30.0)
-            sock.setblocking(True)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            root._link = Connection(sock.detach())
+            root._link = dial(root._link)
         conn = root._link
         conn.send((op, self.job, self._shard_rank, payload))
         if not conn.poll(ACK_TIMEOUT_SECONDS):

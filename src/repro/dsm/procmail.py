@@ -34,12 +34,10 @@ address spaces there is no clock list to ``sync_max`` over.
 
 from __future__ import annotations
 
-import io
 import multiprocessing as mp
 import os
 import queue as _queue
 import select
-import struct
 import threading
 import time
 import weakref
@@ -59,6 +57,7 @@ from repro.dsm.comm import (
     axis_read,
     axis_write,
 )
+from repro.dsm.links import frame
 from repro.dsm.mailbox import ANY_SOURCE, ANY_TAG, MailboxClosed, Message
 from repro.dsm.transport import QueueTransport, Transport
 from repro.telemetry import schema as _ts
@@ -73,26 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: collective-plumbing tags private to the process transport.
 _TAG_BARRIER_IN = TAG_COLL + 20
 _TAG_BARRIER_OUT = TAG_COLL + 21
-
-#: ``multiprocessing.connection`` frame headers: the read end is a stock
-#: ``Connection``, so frames use its layout (size, or -1 then a u64).
-_SIZE = struct.Struct("!i")
-_BIG_SIZE = struct.Struct("!Q")
-
-
-def _frame(obj) -> memoryview | bytes:
-    """``obj`` pickled behind its size header, built in one buffer."""
-    buf = io.BytesIO()
-    buf.write(bytes(_SIZE.size))
-    ForkingPickler(buf).dump(obj)
-    view = buf.getbuffer()
-    size = len(view) - _SIZE.size
-    if size <= 0x7FFFFFFF:
-        _SIZE.pack_into(view, 0, size)
-        return view
-    view.release()
-    return (_SIZE.pack(-1) + _BIG_SIZE.pack(size)
-            + buf.getvalue()[_SIZE.size:])
 
 
 class _Outbox:
@@ -259,7 +238,7 @@ class Channel:
     def put(self, obj) -> None:
         if self._closed:
             raise ValueError("channel is closed")
-        self._out.send(_frame(obj))
+        self._out.send(frame(obj))
 
     def get(self, block: bool = True, timeout: float | None = None):
         """Next frame; ``queue.Empty`` when none arrives in time."""

@@ -9,25 +9,25 @@ endpoint list:
   pipes, large payloads as
   shared-memory slab descriptors via the data plane; nothing crosses a
   wire;
-* **remote peers** are reached over length-prefixed TCP frames
-  (8-byte big-endian size + pickled :class:`Message`), one cached
-  connection per destination, established lazily on first send.
+* **remote peers** are reached over TCP: one cached
+  :class:`~multiprocessing.connection.Connection` per destination,
+  dialled on first send, one pickled :class:`Message` per frame.
 
-Inbound TCP frames are handled by a per-rank **progress thread**: it
-accepts peer connections and *re-injects* each received envelope into
-the rank's own channel, so the receive side stays a single
-:class:`~repro.dsm.procmail.ProcessMailbox` with its selective-receive,
-FIFO-per-(source, tag), epoch-scoped and deadline semantics — remote
-and local traffic are indistinguishable above the seam.  Two frame
-kinds are served *in* the progress thread instead (that is what makes
-the one-sided API genuinely one-sided across nodes — the target CPU
-never participates):
+Inbound frames are served by the rank's **progress thread**, one
+:class:`~repro.dsm.links.LinkLoop` however many peers connect, which
+*re-injects* each envelope into the rank's own channel: the receive
+side stays one :class:`~repro.dsm.procmail.ProcessMailbox` with its
+selective-receive, FIFO-per-(source, tag), epoch-scoped and deadline
+semantics, and remote and local traffic are indistinguishable above
+the seam.  Two frame kinds are served *in* the progress thread (that
+is what makes the one-sided API genuinely one-sided across nodes):
 
 * ``TAG_PUT`` into a known window is applied directly to the window
   memory and re-injected as a ``PUT_APPLIED`` envelope (the fence still
   drains it for virtual-time coupling, but has nothing left to copy);
 * ``TAG_GETREQ`` reads the requested window region and replies with a
-  ``TAG_GETREP`` frame.
+  ``TAG_GETREP`` frame; one that arrives before ``attach`` (a fast
+  peer) is held and answered on ``attach``.
 
 :class:`HierarchicalCommunicator` adds the routing policy on top:
 placement-aware egress (slabs within a node, frames across),
@@ -42,9 +42,10 @@ is a real modelled send/recv, so virtual time stays faithful; the
 from __future__ import annotations
 
 import pickle
-import socket
-import struct
 import threading
+import time
+from functools import partial
+from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -59,6 +60,7 @@ from repro.dsm.comm import (
     axis_read,
     axis_write,
 )
+from repro.dsm.links import LinkLoop, dial
 from repro.dsm.mailbox import Message
 from repro.dsm.procmail import ProcCommunicator, ProcessMailbox
 from repro.dsm.transport import Transport
@@ -76,68 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _TAG_HIER_BCAST = TAG_COLL + 30
 _TAG_HIER_GATHER = TAG_COLL + 31
 _TAG_HIER_REDUCE = TAG_COLL + 32
-
-_LEN = struct.Struct(">Q")
-
-
-def _recv_exact(conn: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes, or None on a clean/broken EOF."""
-    chunks = []
-    while n:
-        try:
-            b = conn.recv(min(n, 1 << 20))
-        except OSError:
-            return None
-        if not b:
-            return None
-        chunks.append(b)
-        n -= len(b)
-    return b"".join(chunks)
-
-
-def wake_accept(listener: socket.socket, address) -> None:
-    """Wake a thread blocked in ``listener.accept()``.
-
-    A cross-thread ``close()`` of the listener does not; shutting it
-    down does (Linux).  Where shutdown is refused, a self-connect hands
-    ``accept`` a connection, which the accept loop must drop on seeing
-    its stop flag.
-    """
-    try:
-        listener.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        try:
-            socket.create_connection(address, 1.0).close()
-        except OSError:
-            pass
-
-
-def send_framed(conn: socket.socket, obj) -> None:
-    """Pickle ``obj`` and write it as one length-prefixed frame.
-
-    The shared wire discipline of this module: the rank fabric, the
-    socket checkpoint funnel and the runtime-service client API all
-    speak ``>Q``-prefixed pickle frames, so any of them can be read
-    with :func:`recv_framed`.
-    """
-    import pickle
-
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    conn.sendall(_LEN.pack(len(blob)) + blob)
-
-
-def recv_framed(conn: socket.socket):
-    """Read one length-prefixed pickle frame; None on EOF/reset."""
-    import pickle
-
-    head = _recv_exact(conn, _LEN.size)
-    if head is None:
-        return None
-    blob = _recv_exact(conn, _LEN.unpack(head)[0])
-    if blob is None:
-        return None
-    return pickle.loads(blob)
-
 
 class SocketPeer:
     """Egress stub for a remote rank: ``put`` frames the envelope.
@@ -178,23 +118,15 @@ class SocketTransport(Transport):
         self.channels = channels
         self.pnode_of = pnode_of
         self._addresses: dict[int, tuple[str, int]] = {}
-        self._conns: dict[int, socket.socket] = {}
+        self._conns: dict[int, Connection] = {}
         self._send_lock = threading.Lock()
         self._frames: dict[int, int] = {}
         self._comm: "HierarchicalCommunicator | None" = None
-        self._attached = threading.Event()
-        self._stop = threading.Event()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((bind_host, 0))
-        self._listener.listen()
+        self._loop = LinkLoop(f"sk-progress-{rank}")
         #: (host, port) peers reach this rank's progress thread at.
-        self.address: tuple[str, int] = self._listener.getsockname()
-        self._readers: list[threading.Thread] = []
-        self._accepted: list[socket.socket] = []
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name=f"sk-progress-{rank}", daemon=True)
-        self._acceptor.start()
+        self.address: tuple[str, int] = self._loop.bind(bind_host,
+                                                        self._dispatch)
+        self._loop.start()
 
     # ------------------------------------------------------------------
     def set_addresses(self, addresses: dict[int, tuple[str, int]]) -> None:
@@ -204,7 +136,7 @@ class SocketTransport(Transport):
     def attach(self, comm: "HierarchicalCommunicator") -> None:
         """Give the progress thread the window registry it serves."""
         self._comm = comm
-        self._attached.set()
+        self._loop.wake()  # answer the window requests held for it
 
     def colocated(self, peer: int) -> bool:
         return self.pnode_of(peer) == self.pnode_of(self.rank)
@@ -239,10 +171,8 @@ class SocketTransport(Transport):
                     raise RuntimeError(
                         f"rank {self.rank}: no address for remote rank "
                         f"{dest} (rendezvous incomplete)")
-                conn = socket.create_connection(addr, timeout=30.0)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._conns[dest] = conn
-            conn.sendall(_LEN.pack(len(blob)) + blob)
+                conn = self._conns[dest] = dial(addr)
+            conn.send_bytes(blob)
             self._frames[dest] = self._frames.get(dest, 0) + 1
         tele = telemetry_writer()
         if tele.active:
@@ -255,35 +185,13 @@ class SocketTransport(Transport):
     # ------------------------------------------------------------------
     # ingress: the progress thread
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener shut down: close() woke us
-            if self._stop.is_set():
-                conn.close()  # wake_accept's self-connect
-                return
-            self._accepted.append(conn)
-            t = threading.Thread(target=self._read_loop, args=(conn,),
-                                 name=f"sk-reader-{self.rank}", daemon=True)
-            t.start()
-            self._readers.append(t)
-
-    def _read_loop(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stop.is_set():
-                head = _recv_exact(conn, _LEN.size)
-                if head is None:
-                    return
-                blob = _recv_exact(conn, _LEN.unpack(head)[0])
-                if blob is None:
-                    return
-                self._dispatch(pickle.loads(blob))
-
-    def _dispatch(self, msg: Message) -> None:
+    def _dispatch(self, _link, msg: Message) -> None:
         if msg.tag == TAG_GETREQ:
-            self._serve_get(msg)
+            # served once attached: a fast peer may ask before this rank
+            # built its communicator ("not exposed" if not within 30 s).
+            self._loop.hold(lambda: self._comm is not None,
+                            partial(self._serve_get, msg),
+                            time.monotonic() + 30.0)
             return
         if msg.tag == TAG_PUT:
             name, axis, idx, values = msg.payload
@@ -309,9 +217,6 @@ class SocketTransport(Transport):
         return comm._window(self.rank, name)
 
     def _serve_get(self, msg: Message) -> None:
-        # Block (bounded) until the communicator is attached: a fast
-        # peer can issue a get before this rank finished construction.
-        self._attached.wait(timeout=30.0)
         name, idx, axis = msg.payload
         win = self._serve_window(name)
         if win is None:
@@ -329,32 +234,11 @@ class SocketTransport(Transport):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._stop.set()
-        if self._listener.fileno() != -1:
-            wake_accept(self._listener, self.address)
-            self._acceptor.join(timeout=5.0)
-            self._listener.close()
+        self._loop.stop(5.0)
         with self._send_lock:
             for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            self._conns.clear()
-        # unblock readers parked in recv(): their fds must close, a
-        # cross-thread close of the peer's end is not guaranteed to wake
-        # them.
-        for conn in self._accepted:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
                 conn.close()
-            except OSError:
-                pass
-        for t in self._readers:
-            t.join(timeout=5.0)
+            self._conns.clear()
 
 
 class HierarchicalCommunicator(ProcCommunicator):

@@ -12,9 +12,9 @@ object that knows how bytes physically move:
   slab/borrow/inline tiers sit *above* this, in the data plane's
   payload packing — the transport carries descriptors);
 * :class:`~repro.dsm.socketmail.SocketTransport` — remote peers behind
-  length-prefixed TCP frames, co-located peers (same physical node)
-  still on channels + slabs, with a per-rank progress thread serving
-  one-sided traffic.
+  TCP links (:mod:`repro.dsm.links` frames), co-located peers (same
+  physical node) still on channels + slabs, with one progress thread
+  per rank serving inbound links and one-sided traffic.
 
 Keeping the seam this narrow is what lets the whole collective /
 one-sided / movement stack run unchanged over threads, queues, shared

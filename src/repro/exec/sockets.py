@@ -117,7 +117,7 @@ class SocketsBackend(MultiprocessBackend):
         return spec.config.nranks
 
     def _funnel_link(self, funnel: CheckpointFunnel):
-        return funnel.listen(self.hosts[0])
+        return funnel.tcp(self.hosts[0])
 
     def _rendezvous_queue(self, mpctx):
         return mpctx.Queue()

@@ -10,8 +10,8 @@ capacity-classed shared-memory segments instead of unlink/re-allocating
 per run, and a :class:`~repro.service.scheduler.JobQueue` admits and
 fair-shares jobs over the fleet, reshaping running jobs in place when a
 higher-priority job arrives.  Clients talk to the daemon over a local
-socket with the transport layer's length-prefixed frames
-(:mod:`repro.dsm.socketmail`).
+socket in the one wire format of :mod:`repro.dsm.links`, whose serving
+loop is the daemon's front door.
 """
 
 from repro.service.arena import SegmentArena

@@ -1,7 +1,9 @@
 """Client API for the runtime service: submit / status / result / cancel.
 
-One request-reply frame pair per call over a fresh loopback connection
-— the protocol is stateless on purpose, so a client object is just an
+One request-reply frame pair per call over a fresh loopback
+:class:`~multiprocessing.connection.Connection` (the one wire format of
+:mod:`repro.dsm.links`, served by the daemon's front-door loop) — the
+protocol is stateless on purpose, so a client object is just an
 address and can outlive service restarts.  Woven classes ship portable
 (base class + plug set, re-woven daemon-side), the same convention the
 spawn start method uses, so anything submittable is anything picklable.
@@ -9,10 +11,7 @@ spawn start method uses, so anything submittable is anything picklable.
 
 from __future__ import annotations
 
-import socket
-import time
-
-from repro.dsm.socketmail import recv_framed, send_framed
+from repro.dsm.links import dial
 from repro.exec.worker import portable_woven
 
 
@@ -30,13 +29,17 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     def _call(self, req: dict, timeout: float | None = None) -> dict:
-        with socket.create_connection(self.address,
-                                      timeout=timeout or self.timeout) as c:
-            c.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            send_framed(c, req)
-            reply = recv_framed(c)
-        if reply is None:
-            raise ServiceError("service closed the connection")
+        timeout = timeout or self.timeout
+        try:
+            with dial(self.address, timeout) as conn:
+                conn.send(req)
+                if not conn.poll(timeout):
+                    raise TimeoutError(
+                        f"service at {self.address}: no reply to "
+                        f"{req.get('op')!r} within {timeout:.1f}s")
+                reply = conn.recv()
+        except EOFError:
+            raise ServiceError("service closed the connection") from None
         if not reply.get("ok"):
             raise ServiceError(reply.get("error", "request failed"))
         return reply
@@ -76,17 +79,14 @@ class ServiceClient:
 
     def result(self, job: int, timeout: float | None = None) -> dict:
         """Block until the job reaches a terminal state (or ``timeout``);
-        returns the status view (``status``/``value``/``vtime``/...)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        returns the status view (``status``/``value``/``vtime``/...).
+        The daemon parks the call until the job finishes, so waiting
+        costs one idle connection and no daemon thread."""
         while True:
-            wait = 5.0
-            if deadline is not None:
-                wait = min(wait, deadline - time.monotonic())
-                if wait <= 0:
-                    return self.status(job)
+            wait = 3600.0 if timeout is None else max(timeout, 0.0)
             reply = self._call({"op": "result", "job": job, "wait": wait},
                                timeout=wait + self.timeout)
-            if reply.get("ready"):
+            if reply["ready"] or timeout is not None:
                 return reply
 
     def cancel(self, job: int) -> dict:

@@ -4,9 +4,10 @@
 :class:`~repro.service.fleet.WorkerFleet`, the master
 :class:`~repro.ckpt.store.CheckpointStore` whose per-job namespaces
 isolate checkpoint files, the
-:class:`~repro.service.scheduler.JobQueue`, and a loopback socket
-server speaking the transport layer's length-prefixed pickle frames
-(:func:`repro.dsm.socketmail.send_framed`).  Each admitted job runs a
+:class:`~repro.service.scheduler.JobQueue`, and a loopback front door:
+one :class:`~repro.dsm.links.LinkLoop` thread serving the RPC port and
+the HTTP metrics port for every client, a waiting ``result`` call
+parked in it.  Each admitted job runs a
 full :class:`~repro.core.runtime.Runtime` pass on a service thread —
 pcr start-up check, phase driver, restarts and adaptations included —
 against a per-job :class:`~repro.service.backend.FleetBackend`, so a
@@ -22,7 +23,6 @@ a grow back when the queue drains and workers idle.
 
 from __future__ import annotations
 
-import socket
 import tempfile
 import threading
 import time
@@ -34,7 +34,7 @@ from repro.core.advisor import SelfAdaptationAdvisor
 from repro.core.modes import ExecConfig, Mode
 from repro.core.rewriter import plug
 from repro.core.runtime import Runtime
-from repro.dsm.socketmail import recv_framed, send_framed
+from repro.dsm.links import LinkLoop
 from repro.exec.multiproc import MultiprocessBackend
 from repro.exec.registry import BackendRegistry
 from repro.service.backend import FleetBackend
@@ -92,7 +92,8 @@ class RuntimeService:
         self._threads: list[threading.Thread] = []
         self._sched_wake = threading.Event()
         self._stopping = threading.Event()
-        self._sock: socket.socket | None = None
+        #: the front door: the RPC port and the metrics port.
+        self._front = LinkLoop("svc-front")
         self.address: tuple[str, int] | None = None
         self._started = False
         # the service-wide metrics registry: every finished job's
@@ -131,7 +132,6 @@ class RuntimeService:
             "repro_arena_segments_leased",
             lambda: float(arena.stats()["leased"]),
             help="Arena segments leased to running jobs")
-        self._metrics_sock: socket.socket | None = None
         self.metrics_address: tuple[str, int] | None = None
 
     # ------------------------------------------------------------------
@@ -143,16 +143,8 @@ class RuntimeService:
                              name="svc-sched")
         t.start()
         self._threads.append(t)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((self._host, 0))
-        self._sock.listen()
-        self._sock.settimeout(0.25)
-        self.address = self._sock.getsockname()
-        t = threading.Thread(target=self._accept_loop, daemon=True,
-                             name="svc-accept")
-        t.start()
-        self._threads.append(t)
+        self.address = self._front.bind(self._host, self._dispatch)
+        self._front.start()
         self._started = True
         return self
 
@@ -166,53 +158,23 @@ class RuntimeService:
         protocol for ``curl`` and a Prometheus scrape target, with no
         server framework.  Idempotent; returns ``(host, port)``.
         """
-        if self._metrics_sock is not None:
-            return self.metrics_address
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host or self._host, 0))
-        sock.listen()
-        sock.settimeout(0.25)
-        self._metrics_sock = sock
-        self.metrics_address = sock.getsockname()
-        t = threading.Thread(target=self._metrics_loop, daemon=True,
-                             name="svc-metrics")
-        t.start()
-        self._threads.append(t)
+        if self.metrics_address is None:
+            self.metrics_address = self._front.bind(
+                host or self._host, self._serve_metrics, http=True)
         return self.metrics_address
 
-    def _metrics_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._metrics_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            with conn:
-                try:
-                    conn.settimeout(5.0)
-                    # drain the request head; the path is irrelevant —
-                    # there is exactly one resource to serve.
-                    head = b""
-                    while b"\r\n\r\n" not in head and len(head) < 65536:
-                        chunk = conn.recv(4096)
-                        if not chunk:
-                            break
-                        head += chunk
-                    body = self.metrics.to_prometheus().encode("utf-8")
-                    conn.sendall(
-                        b"HTTP/1.0 200 OK\r\n"
-                        b"Content-Type: " + CONTENT_TYPE.encode() + b"\r\n"
-                        + f"Content-Length: {len(body)}\r\n\r\n".encode()
-                        + body)
-                except OSError:
-                    continue
+    def _serve_metrics(self, _link, _head: bytes) -> bytes:
+        # the request path is irrelevant: there is one resource to serve.
+        body = self.metrics.to_prometheus().encode("utf-8")
+        return (b"HTTP/1.0 200 OK\r\n"
+                b"Content-Type: " + CONTENT_TYPE.encode() + b"\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
 
     def stop(self) -> None:
         if not self._started:
             return
         self._stopping.set()
+        self._sched_wake.set()
         # cancel whatever is still waiting, steer whatever is running.
         while True:
             job = self.queue.peek()
@@ -226,14 +188,9 @@ class RuntimeService:
                 self.fleet.steer[job.lane].cancel()
         for job in running:
             job.done.wait(timeout=self.join_timeout)
-        for s in (self._sock, self._metrics_sock):
-            if s is not None:
-                try:
-                    s.close()
-                except OSError:
-                    pass
         for t in self._threads:
             t.join(timeout=5.0)
+        self._front.stop(5.0)  # after the job threads' last wake
         self.fleet.shutdown()
         self._started = False
 
@@ -411,58 +368,50 @@ class RuntimeService:
                 self._lanes_free.add(job.lane)
             job.done.set()
             self._sched_wake.set()
+            self._front.wake()  # answer the result calls parked on it
 
     # ------------------------------------------------------------------
     # the socket front door
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve_conn, args=(conn,),
-                                 daemon=True, name="svc-conn")
-            t.start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stopping.is_set():
-                try:
-                    req = recv_framed(conn)
-                except (OSError, EOFError):
-                    return
-                if req is None:
-                    return
-                try:
-                    send_framed(conn, self._dispatch(req))
-                except OSError:
-                    return
-
-    def _dispatch(self, req: dict) -> dict:
+    def _dispatch(self, link, req: dict) -> dict | None:
+        """Answer one RPC (None: the link is parked); errors travel
+        back to the client in the reply."""
         try:
             op = req.get("op")
             if op == "submit":
                 return self._op_submit(req)
-            if op == "status":
-                return self._op_status(req)
-            if op == "result":
-                return self._op_result(req)
-            if op == "cancel":
-                return self._op_cancel(req)
             if op == "stats":
-                return self._op_stats()
-            if op == "trace":
-                return self._op_trace(req)
+                # one registry snapshot, the wire shape of
+                # RunResult.metrics; fleet, queue and arena occupancy
+                # are its repro_service_* / repro_arena_* gauges.
+                return {"ok": True, "metrics": self.metrics.snapshot()}
             if op == "shutdown":
                 threading.Thread(target=self.stop, daemon=True,
                                  name="svc-stop").start()
                 return {"ok": True}
-            return {"ok": False, "error": f"unknown op {op!r}"}
+            if op not in ("status", "result", "cancel", "trace"):
+                return {"ok": False, "error": f"unknown op {op!r}"}
+            job = self.queue.get(int(req["job"]))
+            if job is None:
+                return {"ok": False, "error": "no such job"}
+            if op == "cancel":
+                return self._op_cancel(job)
+            if op == "trace":
+                return self._op_trace(job)
+            if op == "status":
+                return self._view(job)
+            # park the link: the loop replies once the job is done (its
+            # _run_job wakes the loop) or the wait runs out.
+            self._front.hold(job.done.is_set, lambda: self._view(job),
+                             time.monotonic() + (req.get("wait") or 0), link)
+            return None
         except Exception:  # noqa: BLE001 - protocol errors go to the client
             return {"ok": False, "error": traceback.format_exc()}
+
+    @staticmethod
+    def _view(job) -> dict:
+        """The ``status`` / ``result`` reply."""
+        return {**job.snapshot(), "ok": True, "ready": job.done.is_set()}
 
     def _op_submit(self, req: dict) -> dict:
         try:
@@ -473,28 +422,7 @@ class RuntimeService:
         self._sched_wake.set()
         return {"ok": True, "job": job.id}
 
-    def _op_status(self, req: dict) -> dict:
-        job = self.queue.get(int(req["job"]))
-        if job is None:
-            return {"ok": False, "error": "no such job"}
-        out = job.snapshot()
-        out["ok"] = True
-        return out
-
-    def _op_result(self, req: dict) -> dict:
-        job = self.queue.get(int(req["job"]))
-        if job is None:
-            return {"ok": False, "error": "no such job"}
-        job.done.wait(timeout=req.get("wait", 0) or 0)
-        out = job.snapshot()
-        out["ok"] = True
-        out["ready"] = job.done.is_set()
-        return out
-
-    def _op_cancel(self, req: dict) -> dict:
-        job = self.queue.get(int(req["job"]))
-        if job is None:
-            return {"ok": False, "error": "no such job"}
+    def _op_cancel(self, job) -> dict:
         if self.queue.cancel_waiting(job.id):
             self._sched_wake.set()
             return {"ok": True, "was": "queued"}
@@ -503,12 +431,10 @@ class RuntimeService:
             return {"ok": True, "was": "running"}
         return {"ok": True, "was": job.status}
 
-    def _op_trace(self, req: dict) -> dict:
-        """The ``trace`` RPC: a finished job's assembled Chrome trace
-        document (submit the job with ``trace=True``/``"flight"``)."""
-        job = self.queue.get(int(req["job"]))
-        if job is None:
-            return {"ok": False, "error": "no such job"}
+    @staticmethod
+    def _op_trace(job) -> dict:
+        """A finished job's assembled Chrome trace document (submit the
+        job with ``trace=True``/``"flight"``)."""
         if not job.done.is_set():
             return {"ok": False, "error": "job still running"}
         doc = (job.result or {}).get("trace")
@@ -516,11 +442,3 @@ class RuntimeService:
             return {"ok": False,
                     "error": "job ran without tracing (trace=False)"}
         return {"ok": True, "trace": doc}
-
-    def _op_stats(self) -> dict:
-        """The ``stats`` RPC: a serialized metrics-registry snapshot —
-        the same wire shape as ``RunResult.metrics`` and
-        ``BENCH_*.json``'s embedded section.  Fleet, queue and arena
-        occupancy are its ``repro_service_*`` / ``repro_arena_*``
-        gauges."""
-        return {"ok": True, "metrics": self.metrics.snapshot()}

@@ -13,7 +13,8 @@ gets an error that names the funnel, the op and the rank, not a bare
 timeout; a serving thread that outlives ``stop()``'s wait is an error
 naming the funnel and its request, not an abandoned thread writing from
 unmapped slabs; ``stop()`` returns at once; and a worker that dies
-mid-frame costs only its own link.  On the pipe link: a write that
+mid-frame costs only its own link, and one that stalls mid-frame
+while alive holds up no other link.  On the pipe link: a write that
 fails in the parent still recycles every slab it borrowed, for full and
 for chunk-ref (CAS) writes alike.
 """
@@ -51,7 +52,7 @@ needs_fork = pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
 
 
 def _link(funnel: CheckpointFunnel, kind: str):
-    return funnel.pipe() if kind == "pipe" else funnel.listen("127.0.0.1")
+    return funnel.pipe() if kind == "pipe" else funnel.tcp("127.0.0.1")
 
 
 def _client(funnel: CheckpointFunnel, kind: str, store,
@@ -73,7 +74,8 @@ def test_launch_funnel_serves_after_idling(link, tmp_path):
     funnel.start()
     try:
         time.sleep(QUIET)
-        assert funnel._thread.is_alive(), "serving thread gave up while idle"
+        assert funnel._loop.thread.is_alive(), \
+            "serving thread gave up while idle"
         client.write(_snapshot(3))
         client.flush()
         assert client.last_write_nbytes > 0
@@ -84,7 +86,7 @@ def test_launch_funnel_serves_after_idling(link, tmp_path):
             client.lease_fields([])
     finally:
         funnel.stop()
-    assert funnel._thread is None
+    assert funnel._loop.thread is None
 
 
 def test_fleet_funnel_serves_after_idling(tmp_path):
@@ -97,7 +99,8 @@ def test_fleet_funnel_serves_after_idling(tmp_path):
     funnel.start()
     try:
         time.sleep(QUIET)
-        assert funnel._thread.is_alive(), "serving thread gave up while idle"
+        assert funnel._loop.thread.is_alive(), \
+            "serving thread gave up while idle"
         # the next job's first RPC: rank 0's arena lease ...
         names = client.lease_fields([("G", (16, 16), np.dtype("<f8"))])
         assert set(names) == {"G"} and arena.stats()["leased"] == 1
@@ -155,13 +158,14 @@ def test_stop_names_a_drain_thread_it_cannot_join(link, monkeypatch,
                            match=r"checkpoint funnel 'ckpt-funnel': drain "
                                  r"thread serving 'write' \(shard None\)"):
             funnel.stop()
-        assert funnel._thread is not None and funnel._thread.is_alive()
+        thread = funnel._loop.thread
+        assert thread is not None and thread.is_alive()
     finally:
         store.release.set()
         writer.join(10.0)
         assert not writer.is_alive()
         funnel.stop()           # the write finished: now it joins
-    assert funnel._thread is None
+    assert funnel._loop.thread is None
     assert store.counts() == [4]
 
 
@@ -180,7 +184,7 @@ def test_stop_returns_promptly(link, tmp_path):
         t0 = time.perf_counter()
         funnel.stop()
         assert time.perf_counter() - t0 < 0.05
-        assert funnel._thread is None
+        assert funnel._loop.thread is None
 
 
 def _torn_frame(link) -> None:
@@ -212,11 +216,38 @@ def test_torn_frame_drops_only_that_link(link, tmp_path):
         assert p.exitcode == 0
         client.write(_snapshot(2))  # the healthy link is still served
         deadline = time.monotonic() + 5.0
-        while len(funnel._links) > 1 and time.monotonic() < deadline:
+        while len(funnel._loop.links) > 1 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert len(funnel._links) == 1, "the torn link was not dropped"
+        assert len(funnel._loop.links) == 1, "the torn link was not dropped"
         assert store.counts() == [1, 2]
     finally:
+        funnel.stop()
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_a_link_stalled_mid_frame_holds_up_no_other(link, monkeypatch,
+                                                     tmp_path):
+    """A worker that is alive but has sent only part of a frame must not
+    hold up another worker's write: the funnel used to block reading
+    the rest of that frame until the stalled worker exited."""
+    monkeypatch.setattr(funnel_mod, "ACK_TIMEOUT_SECONDS", 2.0)
+    store = CheckpointStore(tmp_path)
+    funnel = CheckpointFunnel()
+    funnel.register("", store)
+    client = _client(funnel, link, store)
+    stalled = _link(funnel, link)
+    funnel.start()
+    try:
+        if link == "tcp":
+            stalled = socket.create_connection(stalled)
+        os.write(stalled.fileno(), struct.pack("!i", 100) + b"abc")
+        time.sleep(0.2)         # the half frame reaches the funnel first
+        t0 = time.monotonic()
+        client.write(_snapshot(1))
+        assert time.monotonic() - t0 < 2.0
+        assert store.counts() == [1]
+    finally:
+        stalled.close()
         funnel.stop()
 
 

@@ -183,15 +183,16 @@ class TestSocketFraming:
             t1.close()
 
     def test_close_wakes_the_listener_instead_of_waiting_a_poll(self):
-        """``close`` wakes the progress thread's blocking ``accept``
-        (no timed accept poll to wait out), every cycle."""
+        """``close`` wakes the progress thread's blocking wait (no
+        timed accept poll to wait out), every cycle."""
         for _ in range(20):
             t = SocketTransport(0, [queue.Queue()], lambda r: r)
-            time.sleep(0.005)  # the acceptor is parked in accept()
+            progress = t._loop.thread
+            time.sleep(0.005)  # the progress thread is parked in its wait
             t0 = time.perf_counter()
             t.close()
             assert time.perf_counter() - t0 < 0.05
-            assert not t._acceptor.is_alive()
+            assert not progress.is_alive()
 
     def test_transport_is_bound_to_its_rank(self):
         t = SocketTransport(0, [queue.Queue()], lambda r: r)
