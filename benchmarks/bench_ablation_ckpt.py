@@ -9,20 +9,13 @@
    is a trade-off between checkpointing overhead and computation lost
    when a failure occurs": checkpoint every N for several N, reporting
    both the overhead and the worst-case recomputation window.
-3. **Anchor cadence** — for incremental checkpointing, fixed full-anchor
-   intervals vs the adaptive policy that retargets the cadence from the
-   observed delta/full size ratio (k* = sqrt(2 f/d)).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from conftest import SOR_ITERS, p_config, run_pp_sor
 from paper_report import FigureReport
-from repro.ckpt.delta import IncrementalCheckpointStore
-from repro.ckpt.policy import AdaptiveAnchor, EveryN, Never
-from repro.ckpt.snapshot import Snapshot
+from repro.ckpt.policy import EveryN, Never
 from repro.core import Runtime
 from repro.core.context import STRATEGY_LOCAL, STRATEGY_MASTER
 from conftest import PAPER_CLUSTER
@@ -86,59 +79,3 @@ def test_ablation_safepoint_granularity(benchmark, tmp_path):
     exposures = [r[4] for r in rows]
     assert exposures[0] < exposures[-1]
 
-
-class _DriftApp:
-    """Delta-friendly checkpoint state: a large static table plus a small
-    evolving vector (model parameters vs solver state)."""
-
-    def __init__(self, n=200_000):
-        self.table = np.arange(n, dtype=np.float64)
-        self.state = np.zeros(64)
-        self.step = 0
-
-
-def test_ablation_anchor_policy(benchmark, tmp_path):
-    report = FigureReport(
-        "Ablation anchor-policy",
-        "Fixed full-anchor cadence vs adaptive (delta/full-ratio driven), "
-        "40 incremental checkpoints of a delta-friendly workload",
-        ["policy", "interval", "anchors", "MB written", "vs every-8"])
-
-    ncheckpoints = 40
-
-    def fill(store):
-        app = _DriftApp()
-        anchors = 0
-        for count in range(1, ncheckpoints + 1):
-            app.state += 1.0
-            app.step = count
-            store.write(Snapshot.capture(
-                app, ["table", "state", "step"], count))
-            anchors += store.last_write_kind == "full"
-        return anchors, store.total_bytes_written
-
-    def experiment():
-        measured = []
-        for label, anchor in (("every-2", 2), ("every-8", 8),
-                              ("every-16", 16),
-                              ("adaptive", AdaptiveAnchor())):
-            store = IncrementalCheckpointStore(
-                tmp_path / f"ab3-{label}", anchor=anchor)
-            anchors, nbytes = fill(store)
-            interval = anchor.interval if isinstance(anchor, AdaptiveAnchor) \
-                else anchor
-            measured.append((label, interval, anchors, nbytes))
-        baseline = next(m[3] for m in measured if m[0] == "every-8")
-        for label, interval, anchors, nbytes in measured:
-            report.add(label, interval, anchors, nbytes / 1e6,
-                       nbytes / baseline)
-        return report
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    report.emit(benchmark)
-    by_label = {r[0]: r for r in report.rows}
-    # the adaptive policy learns the tiny-delta ratio, stretches the
-    # chain past the default cadence, and writes fewer anchor bytes
-    assert by_label["adaptive"][1] > 8
-    assert by_label["adaptive"][3] < by_label["every-8"][3]
-    assert by_label["adaptive"][3] < by_label["every-2"][3]

@@ -1,13 +1,14 @@
-"""The checkpoint object store vs the delta store: bytes and restore.
+"""The checkpoint object store vs the container store: bytes and restore.
 
 Two workloads where checkpoint cost is dominated by redundancy the
-delta store cannot see because its unit of change is a whole field:
+container store (``Runtime(ckpt_cas=False)``, a whole file per
+checkpoint) cannot see:
 
 * **SOR, STRATEGY_LOCAL** — every rank saves a full-shape grid each
   checkpoint; the regions a rank doesn't own are byte-identical across
-  the shard set, and the grid changes every safe point so whole-field
-  deltas degenerate to fulls.  Fixed 4 KiB blocks store the shared
-  regions once.
+  the shard set, and the grid changes every safe point, so no whole
+  field is ever unchanged.  Fixed 4 KiB blocks store the shared regions
+  once.
 * **MolDyn, STRATEGY_LOCAL** — positions and velocities are replicated
   (identical on every rank); only the partitioned forces differ.
 
@@ -16,8 +17,8 @@ mid-chain, so the byte accounting spans two shard-set shapes.  A third
 scenario funnels two identical jobs through the multi-tenant runtime
 service, whose per-job namespaces share one CAS.
 
-Reported: total checkpoint bytes on disk (recipes + packs vs delta
-chains), the byte-reduction ratio, and the wall time to reassemble the
+Reported: total checkpoint bytes on disk (recipes + packs vs container
+files), the byte-reduction ratio, and the wall time to reassemble the
 newest shard set (the CAS restore reads each pack once, in offset
 order).  The headline series lands machine-readable in
 ``results/BENCH_ckpt_cas.json``.
@@ -83,33 +84,32 @@ def _restore_wall(rt, woven) -> float:
     return wall
 
 
-def test_cas_vs_delta_bytes_and_restore(benchmark, tmp_path):
+def test_cas_vs_full_bytes_and_restore(benchmark, tmp_path):
     report = FigureReport(
-        "Ckpt CAS", "Chunked object store vs delta store "
+        "Ckpt CAS", "Chunked object store vs container store "
         f"(STRATEGY_LOCAL, {RANKS}->{RANKS_AFTER} ranks)",
-        ["scenario", "delta bytes", "cas bytes", "reduction",
-         "delta restore s", "cas restore s"])
+        ["scenario", "full bytes", "cas bytes", "reduction",
+         "full restore s", "cas restore s"])
     headline: dict[str, float] = {}
 
     def experiment():
         values = {}
         for name, (app, plugs, kwargs, iters, adapt_at) in \
                 WORKLOADS.items():
-            rt_d, woven, res_d = _run_chain(
-                app, plugs, kwargs, adapt_at, tmp_path, f"{name}-delta",
-                ckpt_delta=True, ckpt_anchor_every=4)
+            rt_f, woven, res_f = _run_chain(
+                app, plugs, kwargs, adapt_at, tmp_path, f"{name}-full")
             rt_c, _, res_c = _run_chain(
                 app, plugs, kwargs, adapt_at, tmp_path, f"{name}-cas",
                 ckpt_cas=True)
-            assert res_c.value == res_d.value  # CAS on/off parity
+            assert res_c.value == res_f.value  # CAS on/off parity
             values[name] = res_c.value
-            delta_bytes = _disk_bytes(rt_d.store.dir)
+            full_bytes = _disk_bytes(rt_f.store.dir)
             cas_bytes = _disk_bytes(rt_c.store.dir)
-            ratio = delta_bytes / cas_bytes
-            wall_d = _restore_wall(rt_d, woven)
+            ratio = full_bytes / cas_bytes
+            wall_f = _restore_wall(rt_f, woven)
             wall_c = _restore_wall(rt_c, woven)
-            report.add(name, delta_bytes, cas_bytes, ratio,
-                       wall_d, wall_c)
+            report.add(name, full_bytes, cas_bytes, ratio,
+                       wall_f, wall_c)
             headline[f"{name}_byte_reduction"] = ratio
             headline[f"{name}_cas_restore_wall_s"] = wall_c
         return values
@@ -140,6 +140,6 @@ def test_cas_vs_delta_bytes_and_restore(benchmark, tmp_path):
             headline["service_chunk_dedup"] = svc_ratio
 
     report.emit(benchmark, json_name="ckpt_cas", extra=headline)
-    # the acceptance gate: block-level dedup must beat the delta store's
-    # bytes by 1.5x on the shard-redundant SOR chain
+    # the acceptance gate: block-level dedup must beat the container
+    # store's bytes by 1.5x on the shard-redundant SOR chain
     assert headline["sor_byte_reduction"] >= 1.5, headline

@@ -17,14 +17,11 @@ Implements the paper's Section IV.A machinery:
   after a set of safe points" (every-N, explicit counts, never).
 * :class:`FailureInjector` — synthetic failures at a chosen safe point,
   standing in for the machine crashes the paper's cluster suffered.
-* :class:`IncrementalCheckpointStore` + :class:`AnchorPolicy` — delta
-  checkpointing: only changed fields are written between periodic full
-  anchors, with chain-replay on restore.
 * :class:`AsyncCheckpointWriter` — double-buffered background writer so
   the safe point pays only an in-memory copy; ``flush()`` is the
   durability barrier at adaptation/failure boundaries.
-* :class:`CasCheckpointStore` + :class:`ChunkStore` — the checkpoint
-  object store: each field cut into a header chunk and fixed 4 KiB data
+* :class:`CasCheckpointStore` + :class:`ChunkStore` — the incremental
+  checkpoint store: each field cut into a header chunk and fixed 4 KiB data
   blocks, hashed straight from its memory, into a dedup CAS shared
   across shards, namespaces and jobs, with recipe checkpoints, pack
   files, disk-ordered chunk-fetch restores and mark-and-sweep GC.
@@ -35,13 +32,8 @@ Implements the paper's Section IV.A machinery:
 """
 
 from repro.ckpt.cas import CasCheckpointStore, ChunkCorrupt, ChunkStore
-from repro.ckpt.delta import IncrementalCheckpointStore
 from repro.ckpt.failure import FailureInjector, InjectedFailure
 from repro.ckpt.policy import (
-    AdaptiveAnchor,
-    AlwaysAnchor,
-    AnchorEvery,
-    AnchorPolicy,
     AtCounts,
     CheckpointPolicy,
     EveryN,
@@ -52,11 +44,10 @@ from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.store import CheckpointStore, RunLedger
 from repro.ckpt.writer import AsyncCheckpointWriter, AsyncWriteFailed
 
+# old name of the CAS store, kept only because bench/adapters.py imports it
+IncrementalCheckpointStore = CasCheckpointStore
+
 __all__ = [
-    "AdaptiveAnchor",
-    "AlwaysAnchor",
-    "AnchorEvery",
-    "AnchorPolicy",
     "AsyncCheckpointWriter",
     "AsyncWriteFailed",
     "AtCounts",

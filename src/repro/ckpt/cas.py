@@ -9,19 +9,21 @@ file itself becomes a **recipe**: the ordinary checkpoint container
 with no sections, whose header maps every field to its ordered
 ``(digest, length)`` chunk refs.
 
-What that buys over the delta store:
+What that buys over rewriting the whole container each time
+(:class:`~repro.ckpt.store.CheckpointStore`, the default store):
 
 * **sub-field writes** — touch one array element and only the block
   holding it gets a new digest; the rest of the field re-references bytes
-  already on disk.  The delta store's unit of change is a whole field.
+  already on disk.
 * **cross-everything dedup** — the CAS is shared by the master store,
   its per-rank shards, and every job namespace in the directory.  A
   STRATEGY_LOCAL save writes one full-shape array per rank; the
   regions a rank doesn't own are byte-identical across shards and
   store once.  A second job checkpointing the same state stores almost
   nothing.
-* **self-contained restores** — a recipe needs no chain: any recipe
-  plus the CAS is a complete state, so corruption never cascades.
+* **self-contained restores** — no checkpoint depends on another's
+  file: any recipe plus the CAS is a complete state, so corruption
+  never cascades.
 
 Every write hashes every block once; there is no separate
 change-detection pass.  A value hash of an unchanged field would cost
@@ -45,7 +47,7 @@ recipe published" and across "mark → sweep": a GC from one namespace
 can never sweep the entries another namespace has made durable but not
 yet referenced.  The in-memory refcounts are bookkeeping for the stats
 surface; the disk scan is authoritative, so GC is correct across
-process restarts and crashes.  GC runs on anchor retirement
+process restarts and crashes.  GC runs on checkpoint retirement
 (:meth:`prune`/:meth:`clear`) and on service job-namespace teardown.
 
 Restores copy once (:class:`RecipeRecord`): an array field's header
@@ -74,8 +76,8 @@ import numpy as np
 
 from repro.ckpt.chunker import DIGEST_SIZE, chunk_digest, field_chunks
 from repro.ckpt.restore import (
-    MemoryRecord,
     Record,
+    open_file,
     overlaps,
     preadv_all,
     sized_header,
@@ -752,17 +754,15 @@ class CasCheckpointStore(CheckpointStore):
     # read path
     # ------------------------------------------------------------------
     def open(self, count: int) -> Record:
-        data = self.path_for(count).read_bytes()
-        header, _sections = decode_envelope(data)
-        if header.get("kind", KIND_FULL) != KIND_RECIPE:
-            # plain files (a store switched to CAS mid-directory) still
-            # read; their payload is inline, not chunked.
-            snap = Snapshot.decode(data)
-            snap.meta["disk_nbytes"] = len(data)
-            return MemoryRecord(snap)
-        if not isinstance(header.get("recipe"), dict):
+        rec = open_file(self.path_for(count))
+        if rec.header.get("kind", KIND_FULL) != KIND_RECIPE:
+            # a plain container (a store switched to CAS mid-directory):
+            # its payload is inline, and it restores like any other.
+            return rec
+        rec.close()
+        if not isinstance(rec.header.get("recipe"), dict):
             raise SnapshotCorrupt(f"recipe missing from checkpoint {count}")
-        return RecipeRecord(self, header, count, len(data))
+        return RecipeRecord(self, rec.header, count, rec.nbytes_read)
 
     def read(self, count: int) -> Snapshot:
         from repro.trace import schema as _tc

@@ -2,8 +2,8 @@
 
 Worker processes must not write checkpoint files themselves: the master
 :class:`~repro.ckpt.store.CheckpointStore` carries state that has to
-stay consistent across phases — incremental delta baselines, adaptive
-anchor policies, async-writer queues, byte accounting — and it lives in
+stay consistent across phases — the CAS chunk index, async-writer
+queues, byte accounting — and it lives in
 the parent process, where the :class:`~repro.exec.driver.PhaseDriver`
 reads checkpoints back for restarts and adaptations.
 

@@ -78,106 +78,3 @@ class Never(CheckpointPolicy):
     def _due(self, count: int) -> bool:
         return False
 
-
-# ---------------------------------------------------------------------------
-# anchor policies (incremental checkpointing)
-# ---------------------------------------------------------------------------
-class AnchorPolicy(ABC):
-    """Decides which checkpoints in an incremental chain are full anchors.
-
-    An incremental store writes most checkpoints as deltas against the
-    previous one; every so often it must write a *full* snapshot so that
-    (a) restore replays a bounded chain and (b) a corrupt file loses at
-    most one anchor interval.  ``due(chain_len)`` is asked with the number
-    of consecutive deltas since the last anchor and answers whether the
-    next write must be full.
-    """
-
-    @abstractmethod
-    def due(self, chain_len: int) -> bool:
-        """Must the next checkpoint be a full anchor?"""
-
-    def observe(self, kind: str, nbytes: int) -> None:
-        """Feedback hook: one completed write (``"full"``/``"delta"``,
-        encoded size).  The incremental store calls this after every
-        write; adaptive policies retarget their cadence from it, fixed
-        policies ignore it."""
-
-
-class AnchorEvery(AnchorPolicy):
-    """Full anchor every ``k`` checkpoints (chain length capped at k-1)."""
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("anchor interval must be >= 1")
-        self.k = k
-
-    def due(self, chain_len: int) -> bool:
-        return chain_len >= self.k - 1
-
-
-class AlwaysAnchor(AnchorEvery):
-    """Every checkpoint is full — disables delta encoding."""
-
-    def __init__(self) -> None:
-        super().__init__(1)
-
-
-class AdaptiveAnchor(AnchorPolicy):
-    """Anchor cadence driven by the observed delta/full size ratio.
-
-    A fixed cadence k is only right for one workload: tiny deltas want
-    long chains (fulls are almost pure waste), wholesale-changing state
-    wants short ones (a delta costs as much as a full but adds chain
-    risk and replay work).  With per-delta write cost d and full-anchor
-    cost f, an interval of k amortises the anchor over the chain
-    (amortised write ≈ f/k + d) while the expected restore replays half
-    a chain (read ≈ f + k·d/2); minimising the sum over k gives
-    k* = sqrt(2·f/d) — the incremental-checkpointing analogue of Young's
-    checkpoint-interval formula.
-
-    The store reports every write through :meth:`observe`; the policy
-    keeps exponential moving averages of full and delta sizes and tracks
-    k* within ``[min_interval, max_interval]``.  Until both kinds have
-    been seen it behaves like ``AnchorEvery(start)``.  Policies hold
-    per-store state, so each store (and each STRATEGY_LOCAL shard store)
-    gets its own copy.
-    """
-
-    def __init__(self, start: int = 8, min_interval: int = 2,
-                 max_interval: int = 64, smoothing: float = 0.5) -> None:
-        if not (1 <= min_interval <= start <= max_interval):
-            raise ValueError(
-                "need 1 <= min_interval <= start <= max_interval")
-        if not (0.0 < smoothing <= 1.0):
-            raise ValueError("smoothing must be in (0, 1]")
-        self.interval = start
-        self.min_interval = min_interval
-        self.max_interval = max_interval
-        self.smoothing = smoothing
-        self._full_ema: float | None = None
-        self._delta_ema: float | None = None
-
-    def _ema(self, prev: float | None, nbytes: int) -> float:
-        if prev is None:
-            return float(nbytes)
-        return (1.0 - self.smoothing) * prev + self.smoothing * nbytes
-
-    def observe(self, kind: str, nbytes: int) -> None:
-        """Feed one completed checkpoint write (called by the store)."""
-        if kind == "full":
-            self._full_ema = self._ema(self._full_ema, nbytes)
-        else:
-            self._delta_ema = self._ema(self._delta_ema, nbytes)
-        if self._full_ema is None or self._delta_ema is None:
-            return  # warm-up: keep the configured start cadence
-        if self._delta_ema <= 0.0:
-            # deltas are (near) free: stretch the chain as far as allowed
-            self.interval = self.max_interval
-            return
-        target = (2.0 * self._full_ema / self._delta_ema) ** 0.5
-        self.interval = max(self.min_interval,
-                            min(self.max_interval, round(target)))
-
-    def due(self, chain_len: int) -> bool:
-        return chain_len >= self.interval - 1

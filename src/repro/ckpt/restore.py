@@ -18,9 +18,9 @@ shard fetches only the blocks overlapping those rows; a container shard
 still streams its whole section (the CRC covers all of it), with the
 rows it did not own read into a small reused scratch buffer.
 
-zlib-flagged sections, pickled values, version 1/2 files and delta
-chains take the decode path: the value is decoded whole, and ``fill``
-copies out of it (:class:`MemoryRecord` and the base-class fallbacks).
+zlib-flagged sections and pickled values take the decode path: the
+value is decoded whole, and ``fill`` copies out of it (the base-class
+fallbacks).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ import numpy as np
 
 from repro.ckpt.snapshot import (
     _HEAD,
-    _MAGIC,
-    KIND_FULL,
     Snapshot,
     SnapshotCorrupt,
     container_layout,
@@ -203,8 +201,8 @@ class Record:
 
 
 class MemoryRecord(Record):
-    """A checkpoint already decoded in memory (version 1/2 files, delta
-    chains, plain files in a CAS directory)."""
+    """A checkpoint already decoded in memory: the reference the on-disk
+    records are checked against."""
 
     def __init__(self, snap: Snapshot) -> None:
         super().__init__(snap.header(), int(snap.meta.get("disk_nbytes", 0)))
@@ -302,30 +300,20 @@ class FileRecord(Record):
             raise SnapshotCorrupt(f"checksum mismatch in field {name!r}")
 
 
-def open_file(path: str | os.PathLike) -> Record:
+def open_file(path: str | os.PathLike) -> "FileRecord":
     """Open one checkpoint file for a copy-once restore.
 
-    A version 3 full container becomes a :class:`FileRecord` holding the
-    open file; anything else (a version 1/2 envelope) is decoded in
-    memory.  Raises :class:`SnapshotCorrupt` for a malformed container
-    and ``OSError`` when the file cannot be read.
+    Returns a :class:`FileRecord` holding the open file, its header and
+    section table read.  Raises :class:`SnapshotCorrupt` for anything
+    but a well-formed version 3 container and ``OSError`` when the file
+    cannot be read.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
         size = os.fstat(fd).st_size
-        head = os.pread(fd, _HEAD.size, 0)
-        if head[:4] != _MAGIC:
-            data = head + os.pread(fd, size, len(head))
-            snap = Snapshot.decode(data)
-            snap.meta["disk_nbytes"] = len(data)
-            os.close(fd)
-            return MemoryRecord(snap)
         header, layout = container_layout(
-            head, lambda n: os.pread(fd, n, _HEAD.size), size)
-        if header.get("kind", KIND_FULL) != KIND_FULL:
-            raise SnapshotCorrupt(
-                f"a {header.get('kind')!r} record cannot be restored "
-                "standalone")
+            os.pread(fd, _HEAD.size, 0),
+            lambda n: os.pread(fd, n, _HEAD.size), size)
         first = min((at for _, at, _, _ in layout.values()), default=size)
         return FileRecord(fd, header, layout, first)
     except BaseException:

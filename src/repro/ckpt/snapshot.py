@@ -25,13 +25,10 @@ size threshold at encode time); the CRC is chained over the *stored*
 pieces, so corruption is detected before decompression.  In-memory
 decodes slice a ``memoryview`` of the image; only the small table is
 unpickled.  Stores read files through :mod:`repro.ckpt.restore`, which
-lands each array's bytes straight in the restored array.  Version
-1 and 2 files (a ``PKL4``-tagged pickled envelope carrying the stored
-blobs inline) are still readable; nothing writes them.  The same
-container also carries incremental *delta* records (``header["kind"] ==
-"delta"``, produced and resolved by :mod:`repro.ckpt.delta`; decoding one
-directly raises :class:`SnapshotCorrupt` because a delta alone is not a
-restorable state) and CAS chunk recipes (no sections).
+lands each array's bytes straight in the restored array.  Any other
+version (the pickled envelopes of versions 1 and 2 included) is
+:class:`SnapshotCorrupt`.  The same container also carries CAS chunk
+recipes (``header["kind"] == "recipe"``, no sections).
 """
 
 from __future__ import annotations
@@ -59,10 +56,9 @@ FORMAT_VERSION = 3
 _MAGIC = b"PCR3"
 _HEAD = struct.Struct("<4sI")
 
-#: container kinds: a full restorable state, an incremental delta, or a
-#: chunk recipe (a manifest of CAS chunk refs — see :mod:`repro.ckpt.cas`).
+#: container kinds: a full restorable state, or a chunk recipe (a
+#: manifest of CAS chunk refs — see :mod:`repro.ckpt.cas`).
 KIND_FULL = "full"
-KIND_DELTA = "delta"
 KIND_RECIPE = "recipe"
 
 
@@ -71,7 +67,7 @@ class SnapshotCorrupt(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# container helpers (shared with repro.ckpt.delta and repro.ckpt.cas)
+# container helpers (shared with repro.ckpt.restore and repro.ckpt.cas)
 # ---------------------------------------------------------------------------
 def encode_container(header: dict, sections: dict[str, list],
                      compress_min_bytes: int | None = None) -> list:
@@ -131,37 +127,22 @@ def container_layout(head: bytes, read_table, size: int
 
 def decode_envelope(data) -> tuple[dict, dict]:
     """Parse and version-check a container; returns ``(header, sections)``
-    with sections ``name -> (flags, stored, crc32)`` (version 1 entries:
-    ``(stored, crc32)``), ``stored`` a zero-copy slice of ``data``."""
+    with sections ``name -> (flags, stored, crc32)``, ``stored`` a
+    zero-copy slice of ``data``."""
     view = memoryview(data)
-    if bytes(view[:4]) == _MAGIC:
-        header, layout = container_layout(
-            view[:_HEAD.size],
-            lambda n: view[_HEAD.size:_HEAD.size + n], len(view))
-        return header, {name: (flags, view[at:at + n], crc)
-                        for name, (flags, at, n, crc) in layout.items()}
-    try:  # version 1/2: a pickled envelope
-        envelope = loads_portable(data)
-        header, sections = envelope["header"], envelope["sections"]
-        version = header.get("version")
-    except Exception as exc:
-        raise SnapshotCorrupt(f"malformed snapshot container: {exc}") from exc
-    if version not in (1, 2):
-        raise SnapshotCorrupt(f"unsupported snapshot version {version!r}")
-    return header, sections
+    header, layout = container_layout(
+        view[:_HEAD.size], lambda n: view[_HEAD.size:_HEAD.size + n],
+        len(view))
+    return header, {name: (flags, view[at:at + n], crc)
+                    for name, (flags, at, n, crc) in layout.items()}
 
 
 def decode_section(sections: dict, name: str) -> bytes | memoryview:
     """Checksum-verify one section and undo its storage transforms."""
     try:
-        entry = sections[name]
+        flags, blob, crc = sections[name]
     except KeyError as exc:
         raise SnapshotCorrupt(f"missing section {name!r}") from exc
-    if len(entry) == 2:  # version-1 layout: (blob, crc), never compressed
-        blob, crc = entry
-        flags = 0
-    else:
-        flags, blob, crc = entry
     if crc32_of(blob) != crc:
         raise SnapshotCorrupt(f"checksum mismatch in field {name!r}")
     return unpack_section(flags, blob)
@@ -239,10 +220,6 @@ class Snapshot:
     @classmethod
     def decode(cls, data: bytes) -> "Snapshot":
         header, sections = decode_envelope(data)
-        if header.get("kind", KIND_FULL) != KIND_FULL:
-            raise SnapshotCorrupt(
-                "incremental delta record cannot be decoded standalone; "
-                "resolve it through IncrementalCheckpointStore.read")
         fields: dict[str, Any] = {}
         for name in header["fields"]:
             fields[name] = loads_portable(decode_section(sections, name))

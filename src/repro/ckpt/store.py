@@ -14,9 +14,9 @@ The store has two orthogonal extensions:
   fsync+rename runs on the worker thread.  :meth:`flush` is the
   durability barrier and MUST be called before any read that needs to
   observe the latest write.
-* **incremental deltas** — see
-  :class:`repro.ckpt.delta.IncrementalCheckpointStore`, a subclass that
-  writes only changed fields between periodic full anchors.
+* **incremental writes** — see
+  :class:`repro.ckpt.cas.CasCheckpointStore`, a subclass that writes
+  chunk recipes and stores only the 4 KiB blocks its CAS lacks.
 
 :class:`RunLedger` implements the paper's start-up protocol: "at
 application start-up, the pcr module verifies if the last execution was
@@ -76,7 +76,7 @@ class CheckpointStore:
         self.compress_min_bytes = compress_min_bytes
         #: bytes written by the most recent :meth:`write` (cost accounting).
         self.last_write_nbytes = 0
-        #: kind of the most recent write: "full" or "delta".
+        #: kind of the most recent write: "full" or "recipe".
         self.last_write_kind = KIND_FULL
         #: cumulative bytes handed to the disk across the store's lifetime.
         self.total_bytes_written = 0
@@ -118,14 +118,11 @@ class CheckpointStore:
         """The per-rank shard sub-store for STRATEGY_LOCAL writes.
 
         Shards share the parent's directory, compression threshold and
-        incremental behaviour (with the anchor-policy configuration
-        copied per shard, so adaptive policies track each rank's own
-        sizes).  Shard writes are always *synchronous*: the local
-        strategy fences every save between two global barriers, so an
-        async writer would stall at the closing barrier anyway, and a
-        per-rank inline write is exactly what the virtual-time model
-        charges.  Cached per rank so delta baselines persist across
-        phases.
+        store kind (a CAS store's shards share its chunk store).  Shard
+        writes are always *synchronous*: the local strategy fences every
+        save between two global barriers, so an async writer would stall
+        at the closing barrier anyway, and a per-rank inline write is
+        exactly what the virtual-time model charges.  Cached per rank.
         """
         if self.shard_suffix:
             raise ValueError("shard stores cannot be sharded again")
@@ -152,8 +149,7 @@ class CheckpointStore:
         Namespaces are invisible to the master store's listing, recovery
         and ``clear`` — and vice versa — so two concurrent jobs saving
         the same field names can never alias each other's bytes.
-        Cached per tag, like shards, so incremental delta baselines
-        persist across a job's phases.
+        Cached per tag, like shards.
         """
         if self.shard_suffix:
             raise ValueError("shard stores cannot be namespaced")
@@ -329,25 +325,13 @@ class CheckpointStore:
         return None
 
     # ------------------------------------------------------------------
-    def _protected_counts(self, kept: list[int]) -> set[int]:
-        """Counts that must survive a prune (hook for delta chains)."""
-        return set(kept)
-
     def prune(self, keep: int = 1) -> None:
-        """Delete all but the ``keep`` newest checkpoints.
-
-        Incremental stores additionally keep every file a survivor's
-        delta chain depends on (see :meth:`_protected_counts`).
-        """
+        """Delete all but the ``keep`` newest checkpoints."""
         if keep < 0:
             raise ValueError("keep must be >= 0")
         self.flush()  # never prune around an in-flight write
         counts = self.counts()
-        kept = counts[max(0, len(counts) - keep):]
-        needed = self._protected_counts(kept)
-        for c in counts:
-            if c in needed:
-                continue
+        for c in counts[:max(0, len(counts) - keep)]:
             try:
                 self.path_for(c).unlink()
             except OSError:
@@ -357,8 +341,8 @@ class CheckpointStore:
         self.prune(keep=0)
         if self.shard_suffix:
             return
-        # reset live shard sub-stores (delta baselines included), then
-        # sweep leftover shard files from ranks of earlier runs.
+        # clear live shard sub-stores, then sweep leftover shard files
+        # from ranks of earlier runs.
         with self._shard_lock:
             shards = list(self._shards.values())
         for sub in shards:

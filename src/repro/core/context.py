@@ -708,8 +708,8 @@ class ExecutionContext:
 
         Each rank writes through its own shard sub-store
         (:meth:`CheckpointStore.shard`), so shard files get the master
-        path's atomic-write discipline and — under an incremental master
-        store — per-rank delta encoding with the same anchor policy.
+        path's atomic-write discipline and — under a CAS master store —
+        the master's shared chunk store.
         """
         assert self.rankctx is not None and self.store is not None
         shard = self.store.shard(self.rank)
@@ -741,7 +741,7 @@ class ExecutionContext:
     @staticmethod
     def _count_chunk_stats(tele, store) -> None:
         """Mirror a CAS store's per-write chunk stats into this rank's
-        telemetry page (no-op for plain/delta stores)."""
+        telemetry page (no-op for container stores)."""
         stats = getattr(store, "last_write_stats", None)
         if not stats:
             return

@@ -32,9 +32,9 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.ckpt.delta import IncrementalCheckpointStore
+from repro.ckpt.cas import CasCheckpointStore
 from repro.ckpt.failure import FailureInjector
-from repro.ckpt.policy import AdaptiveAnchor, AnchorPolicy, CheckpointPolicy, Never
+from repro.ckpt.policy import CheckpointPolicy, Never
 from repro.ckpt.replay import ReplayState
 from repro.ckpt.store import CheckpointStore, RunLedger
 from repro.ckpt.writer import AsyncCheckpointWriter
@@ -113,7 +113,6 @@ class Runtime:
                  restart_penalty: float = 0.02,
                  adapt_penalty: float = 0.01,
                  ckpt_delta: bool = False,
-                 ckpt_anchor_every: int | str | AnchorPolicy = 8,
                  ckpt_compress_min_bytes: int | None = None,
                  ckpt_async: bool = False,
                  ckpt_async_depth: int = 2,
@@ -127,30 +126,20 @@ class Runtime:
         self.machine = machine if machine is not None else MachineModel()
         if ckpt_dir is None:
             ckpt_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
-        # checkpointing subsystem knobs: incremental (delta) snapshots
-        # with periodic full anchors (fixed cadence, an AnchorPolicy, or
-        # "adaptive" for the delta/full-ratio-driven policy), per-section
-        # zlib compression, and an asynchronous double-buffered writer.
-        # Defaults reproduce the paper's full synchronous snapshot at
-        # every checkpoint.  An injected ``store``/``ledger`` (the
-        # service's per-job namespaced sub-stores) overrides all of the
-        # construction knobs above — the caller owns its configuration.
-        if ckpt_anchor_every == "adaptive":
-            ckpt_anchor_every = AdaptiveAnchor()
+        # checkpointing subsystem knobs: the incremental CAS store
+        # (fixed-block chunk recipes over a dedup CAS, writing only the
+        # blocks it does not hold yet), per-section zlib compression, and
+        # an asynchronous double-buffered writer.  Defaults reproduce the
+        # paper's full synchronous snapshot at every checkpoint.  An
+        # injected ``store``/``ledger`` (the service's per-job namespaced
+        # sub-stores) overrides all of the construction knobs above — the
+        # caller owns its configuration.
         if store is not None:
             self.store: CheckpointStore = store
-        elif ckpt_cas:
-            # the checkpoint object store: fixed-block chunk recipes
-            # over a dedup CAS (takes precedence over ckpt_delta — a
-            # recipe already writes only the chunks that changed).
-            from repro.ckpt.cas import CasCheckpointStore
-
+        # ckpt_delta is ckpt_cas's old name, kept only for bench/adapters.py
+        elif ckpt_cas or ckpt_delta:
             self.store = CasCheckpointStore(
                 ckpt_dir, compress_min_bytes=ckpt_compress_min_bytes)
-        elif ckpt_delta:
-            self.store = IncrementalCheckpointStore(
-                ckpt_dir, anchor=ckpt_anchor_every,
-                compress_min_bytes=ckpt_compress_min_bytes)
         else:
             self.store = CheckpointStore(
                 ckpt_dir, compress_min_bytes=ckpt_compress_min_bytes)

@@ -11,8 +11,8 @@ What stays in the parent, and why:
 
 * **the checkpoint store** — snapshots are funnelled to the master
   :class:`~repro.ckpt.store.CheckpointStore`
-  (:mod:`repro.ckpt.funnel`), so delta baselines, adaptive anchors and
-  shard sub-stores keep their cross-phase state and the
+  (:mod:`repro.ckpt.funnel`), so the CAS chunk index and shard
+  sub-stores keep their cross-phase state and the
   :class:`~repro.exec.driver.PhaseDriver` restarts/adapts identically
   to every other backend;
 * **segment unlinking** — workers create/attach but never unlink; the

@@ -47,6 +47,7 @@ from repro.ckpt import (
 from repro.ckpt import cas as cas_mod
 from repro.ckpt import chunker
 from repro.ckpt.chunker import BLOCK, chunk_digest, chunk_refs, field_chunks
+from repro.ckpt.restore import FileRecord
 from repro.ckpt.snapshot import KIND_RECIPE, Snapshot, SnapshotCorrupt
 from repro.core import (
     STRATEGY_LOCAL,
@@ -415,7 +416,7 @@ class TestCasStore:
         assert stats["chunks_new"] > 0 and stats["chunks_dedup"] == 0
 
     def test_one_element_touch_writes_a_few_chunks(self, tmp_path):
-        """The sub-field contract the delta store can't make: touch one
+        """The sub-field contract a whole-field store can't make: touch one
         element of a 720 KB grid and the next write costs kilobytes."""
         store = CasCheckpointStore(tmp_path / "c")
         app = Drift(n=300)
@@ -491,9 +492,11 @@ class TestCasStore:
 
     def test_plain_files_still_read(self, tmp_path):
         """A directory switched to CAS mid-life: pre-existing full
-        snapshots read through the recipe store unchanged."""
+        snapshots read through the recipe store unchanged, copy-once."""
         CheckpointStore(tmp_path / "c").write(snap_of(Drift(), 1))
         store = CasCheckpointStore(tmp_path / "c")
+        with store.open(1) as rec:
+            assert isinstance(rec, FileRecord)
         assert store.read(1).field_blobs() == \
             CheckpointStore(tmp_path / "c").read(1).field_blobs()
 

@@ -22,11 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.ckpt import CasCheckpointStore, CheckpointStore
 from repro.ckpt.snapshot import (
     Snapshot,
     SnapshotCorrupt,
     decode_envelope,
     decode_section,
+    encode_container,
 )
 from repro.dsm.shm import SHM_THRESHOLD
 from repro.util.serialization import crc32_of, dumps_portable, loads_portable
@@ -199,25 +201,6 @@ def test_a_torn_table_is_corrupt(fields, data):
         Snapshot.decode(image[:cut] + image[start:])
 
 
-@PROPS
-@given(field_sets)
-def test_version2_images_still_decode(fields):
-    """A version 2 image, built the old way: one pickled envelope with
-    every stored blob inline."""
-    snap = _capture(fields)
-    header = snap.header()
-    header["version"] = 2
-    sections = {}
-    for name, value in snap.fields.items():
-        blob = dumps_portable(value)
-        sections[name] = (0, blob, crc32_of(blob))
-    old = dumps_portable({"header": header, "sections": sections})
-    back = Snapshot.decode(old)
-    assert back.safepoint_count == 7
-    for name, live in fields.items():
-        assert dumps_portable(back.fields[name]) == dumps_portable(live)
-
-
 # ---------------------------------------------------------------------------
 # copy-once: the image views the captured arrays
 # ---------------------------------------------------------------------------
@@ -245,15 +228,31 @@ def test_padded_structs_round_trip_their_fields():
                 np.testing.assert_array_equal(arr[f], old[f])
 
 
-def test_unknown_container_versions_are_rejected():
-    snap = _capture({"step": 1})
-    header = snap.header()
-    header["version"] = 9
-    old = dumps_portable({"header": header, "sections": {}})
-    with pytest.raises(SnapshotCorrupt, match="version 9"):
-        Snapshot.decode(old)
+def test_unknown_container_versions_are_rejected(tmp_path):
+    """Only version 3 reads: a version 1/2 pickled envelope and a
+    container whose header names another version are both corrupt, and
+    ``read_latest`` skips either for the newest version 3 file."""
     with pytest.raises(SnapshotCorrupt, match="malformed"):
         Snapshot.decode(b"PCR3")
+    blob = dumps_portable(1)
+    for version in (1, 2, 9):
+        header = _capture({"step": 1}).header()
+        header["version"] = version
+        envelope = dumps_portable({"header": header, "sections": {
+            "step": (0, blob, crc32_of(blob))}})
+        with pytest.raises(SnapshotCorrupt, match="malformed"):
+            Snapshot.decode(envelope)
+        relabelled = b"".join(encode_container(header, {"step": [blob]}))
+        with pytest.raises(SnapshotCorrupt, match=f"version {version}"):
+            Snapshot.decode(relabelled)
+        for cls in (CheckpointStore, CasCheckpointStore):
+            store = cls(tmp_path / f"{cls.__name__}-{version}")
+            store.write(Snapshot(app="P", safepoint_count=1,
+                                 fields={"step": 1}))
+            store.path_for(2).write_bytes(envelope)
+            store.path_for(3).write_bytes(relabelled)
+            assert store.counts() == [1, 2, 3]
+            assert store.read_latest().safepoint_count == 1
 
 
 def test_concurrent_decodes_are_bit_identical():

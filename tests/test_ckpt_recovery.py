@@ -1,14 +1,19 @@
 """Recovery-path integration: corrupt-checkpoint degradation, the
 restart-adaptation read-by-count fix, and crash recovery through the
-incremental + async checkpointing subsystem."""
+CAS + async checkpointing subsystem."""
 
 import pytest
 
 from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE, SOR_CKPT
 from repro.apps.sor import SOR
-from repro.ckpt import EveryN, FailureInjector, InjectedFailure
-from repro.ckpt.delta import IncrementalCheckpointStore
-from repro.ckpt.snapshot import KIND_DELTA, KIND_FULL
+from repro.ckpt import (
+    CasCheckpointStore,
+    EveryN,
+    FailureInjector,
+    IncrementalCheckpointStore,
+    InjectedFailure,
+)
+from repro.ckpt.snapshot import KIND_RECIPE, decode_envelope
 from repro.core import (
     AdaptStep,
     AdaptationPlan,
@@ -18,6 +23,7 @@ from repro.core import (
     plug,
 )
 from repro.vtime import MachineModel
+from test_ckpt_cas import flip_stored_byte
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
 N, ITERS = 40, 10
@@ -74,17 +80,25 @@ class TestCorruptionDegradation:
         assert rt.store.read_latest() is None
         assert run_sor(rt).value == REF
 
-    def test_corrupt_delta_chain_degrades_and_recovers(self, tmp_path):
-        rt = self._crash_with_two_checkpoints(
-            tmp_path, ckpt_delta=True, ckpt_anchor_every=2)
-        # count 3 is the anchor, count 6 a delta on it
-        assert isinstance(rt.store, IncrementalCheckpointStore)
-        p = rt.store.path_for(6)
-        data = bytearray(p.read_bytes())
-        data[-5] ^= 0xFF
-        p.write_bytes(bytes(data))
-        assert rt.store.read_latest().safepoint_count == 3
-        assert run_sor(rt).value == REF
+    def test_corrupt_cas_block_degrades_and_recovers(self, tmp_path):
+        rt = self._crash_with_two_checkpoints(tmp_path, ckpt_cas=True)
+
+        def grid_blocks(count):
+            header, _ = decode_envelope(rt.store.path_for(count).read_bytes())
+            return {d for d, _ in header["recipe"]["G"]}
+
+        # damage one pack block only the newest recipe references
+        newest_only = grid_blocks(6) - grid_blocks(3)
+        flip_stored_byte(rt.store.cas, sorted(newest_only)[0], 0x10)
+        assert rt.store.verify(6) == ["G"] and rt.store.verify(3) == []
+        latest = rt.store.read_latest()
+        assert latest.safepoint_count == 3
+        ref = SOR(n=N, iterations=3)
+        ref.execute()
+        assert latest.fields["G"].tobytes() == ref.G.tobytes()
+        res = run_sor(rt)  # pcr replays from count 3
+        assert res.value == REF
+        assert res.events.of_kind("pcr_replay_engaged")[-1].data["count"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +142,15 @@ class TestRestartAdaptationByCount:
 
 
 # ---------------------------------------------------------------------------
-# incremental + async end-to-end
+# CAS + async end-to-end
 # ---------------------------------------------------------------------------
-class TestDeltaAsyncRuntime:
+class TestCasAsyncRuntime:
     @pytest.mark.parametrize("kw", [
-        dict(ckpt_delta=True, ckpt_anchor_every=3),
+        dict(ckpt_cas=True),
         dict(ckpt_async=True),
-        dict(ckpt_delta=True, ckpt_async=True, ckpt_anchor_every=3),
-        dict(ckpt_delta=True, ckpt_async=True,
-             ckpt_compress_min_bytes=1024),
-    ], ids=["delta", "async", "delta+async", "delta+async+zlib"])
+        dict(ckpt_cas=True, ckpt_async=True),
+        dict(ckpt_cas=True, ckpt_async=True, ckpt_compress_min_bytes=1024),
+    ], ids=["cas", "async", "cas+async", "cas+async+zlib"])
     def test_crash_recovery_matches_reference(self, tmp_path, kw):
         rt = make_rt(tmp_path, policy=EveryN(2), **kw)
         res = run_sor(rt, injector=FailureInjector(fail_at=7),
@@ -145,17 +158,17 @@ class TestDeltaAsyncRuntime:
         assert res.value == REF
         assert res.restarts == 1
 
-    def test_delta_checkpoints_written_between_anchors(self, tmp_path):
-        rt = make_rt(tmp_path, policy=EveryN(1), ckpt_delta=True,
-                     ckpt_anchor_every=4)
+    def test_old_spelling_writes_cas_recipes(self, tmp_path):
+        """``ckpt_delta`` is the old name of ``ckpt_cas``, and
+        ``IncrementalCheckpointStore`` of the CAS store."""
+        assert IncrementalCheckpointStore is CasCheckpointStore
+        rt = make_rt(tmp_path, policy=EveryN(1), ckpt_delta=True)
+        assert isinstance(rt.store, CasCheckpointStore)
         res = run_sor(rt, fresh=True)
         assert res.value == REF
-        kinds = [e.data["ckpt_kind"]
-                 for e in res.events.of_kind("checkpoint")]
-        assert kinds[0] == KIND_FULL
-        assert KIND_DELTA in kinds
-        # anchors recur: counts 1, 5, 9 with k=4
-        assert kinds.count(KIND_FULL) == 3
+        kinds = {e.data["ckpt_kind"]
+                 for e in res.events.of_kind("checkpoint")}
+        assert kinds == {KIND_RECIPE}
 
     def test_async_events_tagged_and_cheaper(self, tmp_path):
         rt_sync = make_rt(tmp_path / "s", policy=EveryN(2))
@@ -169,19 +182,19 @@ class TestDeltaAsyncRuntime:
         # at worst), and both runs do identical compute.
         assert res_async.vtime <= res_sync.vtime * 1.001
 
-    def test_restart_adaptation_through_delta_store(self, tmp_path):
+    def test_restart_adaptation_through_cas_store(self, tmp_path):
         plan = AdaptationPlan(
             [AdaptStep(at=5, config=ExecConfig.shared(2), via_restart=True)])
-        rt = make_rt(tmp_path, policy=EveryN(2), ckpt_delta=True,
-                     ckpt_anchor_every=3, ckpt_async=True)
+        rt = make_rt(tmp_path, policy=EveryN(2), ckpt_cas=True,
+                     ckpt_async=True)
         res = rt.run(W_ADAPT, ctor_kwargs={"n": N, "iterations": ITERS},
                      entry="execute", config=ExecConfig.sequential(),
                      plan=plan, fresh=True)
         assert res.value == REF
         assert res.adaptations[0].via_restart
 
-    def test_distributed_recovery_with_delta_async(self, tmp_path):
-        rt = make_rt(tmp_path, policy=EveryN(3), ckpt_delta=True,
+    def test_distributed_recovery_with_cas_async(self, tmp_path):
+        rt = make_rt(tmp_path, policy=EveryN(3), ckpt_cas=True,
                      ckpt_async=True)
         res = rt.run(W_ADAPT, ctor_kwargs={"n": N, "iterations": ITERS},
                      entry="execute", config=ExecConfig.distributed(2),

@@ -26,11 +26,9 @@ from repro.ckpt import (
     CheckpointStore,
     EveryN,
     FailureInjector,
-    IncrementalCheckpointStore,
     InjectedFailure,
 )
 from repro.ckpt import cas as cas_mod
-from repro.ckpt import delta as delta_mod
 from repro.ckpt import restore
 from repro.ckpt.chunker import BLOCK, field_chunks
 from repro.ckpt.restore import MemoryRecord, assemble, owned_ranges
@@ -397,28 +395,3 @@ def test_shard_recovery_records_an_assemble_span(tmp_path):
 def test_full_recovery_records_a_read_span(tmp_path):
     spans = _recover(tmp_path)
     assert spans["ckpt_read"]["args"]["nbytes"] > 48 * 48 * 8
-
-
-# ---------------------------------------------------------------------------
-# delta chains decode each field once
-# ---------------------------------------------------------------------------
-def test_delta_chain_decodes_each_field_once(tmp_path, monkeypatch):
-    store = IncrementalCheckpointStore(tmp_path, anchor=8)
-    live = {"G": np.zeros(64), "H": np.ones(64), "k": 0}
-    for count in range(1, 5):
-        live["G"] = live["G"] + 1.0  # G changes every time, H never
-        live["k"] = count
-        store.write(_capture(live, count))
-    calls = []
-    real = delta_mod.loads_portable
-
-    def counting(blob):
-        calls.append(1)
-        return real(blob)
-
-    monkeypatch.setattr(delta_mod, "loads_portable", counting)
-    snap = store.read(4)
-    assert len(calls) == 3
-    assert list(snap.fields) == ["G", "H", "k"]
-    np.testing.assert_array_equal(snap.fields["G"], np.full(64, 4.0))
-    assert snap.fields["k"] == 4

@@ -1,11 +1,11 @@
-"""Delta checkpointing on the STRATEGY_LOCAL per-rank shard path, and
-the adaptive anchor policy driven by the observed delta/full ratio."""
+"""The STRATEGY_LOCAL per-rank shard path: shard sub-stores beside the
+master namespace, stale-shard sweeps, and reassembly of a master-format
+snapshot from a shard set."""
 
 import numpy as np
 import pytest
 
-from repro.ckpt import AdaptiveAnchor, EveryN, IncrementalCheckpointStore
-from repro.ckpt.snapshot import KIND_DELTA, KIND_FULL, Snapshot
+from repro.ckpt import CasCheckpointStore, EveryN
 from repro.core import (
     ExecConfig,
     PlugSet,
@@ -21,8 +21,7 @@ MACHINE = MachineModel(nodes=2, cores_per_node=4)
 
 
 class Drift:
-    """A large static table plus a small evolving state — the workload
-    where delta checkpointing pays."""
+    """A large static table plus a small evolving state."""
 
     def __init__(self, n=20000, iterations=10):
         self.table = np.arange(n, dtype=np.float64)  # never changes
@@ -47,40 +46,23 @@ PLUGS = PlugSet(SafeData("table", "state", "step"), SafePointAfter("tick"))
 WOVEN = plug(Drift, PLUGS)
 
 
-def run_local_delta(tmp_path, nranks=3, iterations=10, anchor=4):
+def run_local(tmp_path, nranks=3, iterations=10):
     rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c",
                  policy=EveryN(1), ckpt_strategy=STRATEGY_LOCAL,
-                 ckpt_delta=True, ckpt_anchor_every=anchor)
+                 ckpt_cas=True)
     res = rt.run(WOVEN, ctor_kwargs={"iterations": iterations},
                  entry="execute", config=ExecConfig.distributed(nranks),
                  fresh=True)
     return rt, res
 
 
-class TestLocalShardDeltas:
-    def test_shards_write_deltas_between_anchors(self, tmp_path):
-        rt, res = run_local_delta(tmp_path)
-        evs = [e for e in res.events.of_kind("checkpoint")
-               if e.data["strategy"] == "local"]
-        assert evs, "no local checkpoints taken"
-        kinds = {e.data["count"]: e.data["ckpt_kind"]
-                 for e in evs if e.rank == 0}
-        # anchor=4: counts 1 and 5 are full, the rest are deltas
-        assert kinds[1] == KIND_FULL and kinds[5] == KIND_FULL
-        assert all(kinds[c] == KIND_DELTA for c in (2, 3, 4, 6, 7, 8))
-        # the delta skips the static table: far smaller than the anchor
-        written = {e.data["count"]: e.data["written"]
-                   for e in evs if e.rank == 0}
-        assert written[2] < written[1] / 10
-
-    def test_every_rank_writes_its_own_delta_chain(self, tmp_path):
-        rt, res = run_local_delta(tmp_path, nranks=3)
+class TestLocalShards:
+    def test_every_rank_writes_its_own_shards(self, tmp_path):
+        rt, _ = run_local(tmp_path, nranks=3)
         for rank in range(3):
             shard = rt.store.shard(rank)
-            assert isinstance(shard, IncrementalCheckpointStore)
-            counts = shard.counts()
-            assert counts == list(range(1, 11))
-            # chains resolve to complete, correct states
+            assert isinstance(shard, CasCheckpointStore)
+            assert shard.counts() == list(range(1, 11))
             snap = shard.read(7)
             assert snap.safepoint_count == 7
             assert snap.fields["step"] == 7
@@ -88,25 +70,24 @@ class TestLocalShardDeltas:
                                           np.full(8, 7.0))
             np.testing.assert_array_equal(
                 snap.fields["table"], np.arange(20000, dtype=np.float64))
-            assert shard.chain_of(7) == [7, 6, 5]
 
     def test_shard_files_live_beside_master_namespace(self, tmp_path):
-        rt, _ = run_local_delta(tmp_path, nranks=2)
+        rt, _ = run_local(tmp_path, nranks=2)
         shards = sorted(p.name for p in rt.store.dir.glob("ckpt_*.r*.pcr"))
         assert len(shards) == 20  # 10 checkpoints x 2 ranks
         # master-format listing must not see shard files
         assert rt.store.counts() == []
 
     def test_fresh_run_sweeps_stale_shards(self, tmp_path):
-        rt, _ = run_local_delta(tmp_path, nranks=3)
+        rt, _ = run_local(tmp_path, nranks=3)
         assert list(rt.store.dir.glob("ckpt_*.r*.pcr"))
-        rt2, _ = run_local_delta(tmp_path, nranks=2)
+        rt2, _ = run_local(tmp_path, nranks=2)
         ranks = {p.name.split(".")[-2] for p in
                  rt2.store.dir.glob("ckpt_*.r*.pcr")}
         assert ranks == {"r0", "r1"}  # rank 2's stale shards are gone
 
     def test_shard_store_validation(self, tmp_path):
-        rt, _ = run_local_delta(tmp_path, nranks=2)
+        rt, _ = run_local(tmp_path, nranks=2)
         with pytest.raises(ValueError, match="sharded again"):
             rt.store.shard(0).shard(0)
         with pytest.raises(ValueError, match=">= 0"):
@@ -118,15 +99,14 @@ class TestShardAssembly:
     snapshot from same-shape per-rank shards, making the local strategy
     survivable (shards used to be write-only cost accounting)."""
 
-    def _crash_sor(self, tmp_path, nranks=3, fail_at=7, delta=False):
+    def _crash_sor(self, tmp_path, nranks=3, fail_at=7):
         from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
         from repro.apps.sor import SOR
         from repro.ckpt import FailureInjector, InjectedFailure
 
         woven = plug(SOR, SOR_ADAPTIVE)
         rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c",
-                     policy=EveryN(3), ckpt_strategy=STRATEGY_LOCAL,
-                     ckpt_delta=delta, ckpt_anchor_every=2)
+                     policy=EveryN(3), ckpt_strategy=STRATEGY_LOCAL)
         with pytest.raises(InjectedFailure):
             rt.run(woven, ctor_kwargs={"n": 24, "iterations": 10},
                    entry="execute", config=ExecConfig.distributed(nranks),
@@ -180,17 +160,6 @@ class TestShardAssembly:
         assert res.value == ref
         assert res.restarts == 1
 
-    def test_delta_shards_assemble_through_their_chains(self, tmp_path):
-        rt, woven = self._crash_sor(tmp_path, delta=True)
-        parts = woven.__pp_plugs__.partitioned_fields()
-        snap = rt.store.assemble_from_shards(6, parts)
-        assert snap is not None
-        from repro.apps.sor import SOR
-
-        ref = SOR(n=24, iterations=6)
-        ref.execute()
-        assert np.array_equal(snap.fields["G"], ref.G)
-
     def test_incomplete_shard_set_returns_none(self, tmp_path):
         rt, woven = self._crash_sor(tmp_path)
         parts = woven.__pp_plugs__.partitioned_fields()
@@ -202,67 +171,6 @@ class TestShardAssembly:
         assert older is not None and older.safepoint_count == 3
 
     def test_assemble_without_any_shards(self, tmp_path):
-        store = IncrementalCheckpointStore(tmp_path / "empty")
+        store = CasCheckpointStore(tmp_path / "empty")
         assert store.assemble_from_shards(1, {}) is None
         assert store.assemble_latest_from_shards({}) is None
-
-
-class TestAdaptiveAnchor:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveAnchor(start=1, min_interval=2)
-        with pytest.raises(ValueError):
-            AdaptiveAnchor(smoothing=0.0)
-
-    def test_starts_like_fixed_cadence(self):
-        a = AdaptiveAnchor(start=8)
-        assert not a.due(6)
-        assert a.due(7)
-        # warm-up: fulls alone (no delta observed yet) keep the start
-        a.observe("full", 1_000_000)
-        assert a.interval == 8
-
-    def test_small_deltas_stretch_the_chain(self):
-        a = AdaptiveAnchor(start=8, max_interval=64)
-        a.observe("full", 1_000_000)
-        a.observe("delta", 20_000)
-        assert a.interval == 10  # sqrt(2 * 1e6 / 2e4)
-        a.observe("delta", 100)  # EMA pulls the delta estimate down
-        assert a.interval > 10
-
-    def test_wholesale_deltas_shorten_the_chain(self):
-        a = AdaptiveAnchor(start=8, min_interval=2)
-        a.observe("full", 1000)
-        a.observe("delta", 900)
-        assert a.interval == 2
-
-    def test_free_deltas_hit_the_cap(self):
-        a = AdaptiveAnchor(start=8, max_interval=32)
-        a.observe("full", 1000)
-        a.observe("delta", 0)
-        assert a.interval == 32
-
-    def test_store_feeds_the_policy(self, tmp_path):
-        """End to end: with tiny deltas the adaptive store writes fewer
-        full anchors (fewer bytes) than the fixed default cadence."""
-        def fill(store):
-            app = Drift(n=20000)
-            for count in range(1, 41):
-                app.state += 1.0
-                app.step = count
-                store.write(Snapshot.capture(
-                    app, ["table", "state", "step"], count))
-            return store.total_bytes_written
-
-        fixed = fill(IncrementalCheckpointStore(tmp_path / "fixed",
-                                                anchor=8))
-        adaptive_policy = AdaptiveAnchor()
-        adaptive = fill(IncrementalCheckpointStore(tmp_path / "adaptive",
-                                                   anchor=adaptive_policy))
-        assert adaptive_policy.interval > 8  # it learned the ratio
-        assert adaptive < fixed
-
-    def test_runtime_accepts_adaptive_string(self, tmp_path):
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c",
-                     ckpt_delta=True, ckpt_anchor_every="adaptive")
-        assert isinstance(rt.store.anchor, AdaptiveAnchor)
