@@ -452,7 +452,7 @@ COLL_ELEMS = 128 * 1024  # 1 MiB of float64
 COLL_ROUNDS = 4
 COLL_RANKS = 4
 
-TREE_MACHINE = MachineModel(nodes=2, cores_per_node=4, coll_algo="tree")
+HIER_MACHINE = MachineModel(nodes=2, cores_per_node=4)
 
 
 def _coll_worker(rank, nranks, channels, layout, addr_q, map_q, out_queue):
@@ -472,7 +472,7 @@ def _coll_worker(rank, nranks, channels, layout, addr_q, map_q, out_queue):
     addr_q.put((rank, transport.address))
     addresses = map_q.get(timeout=60.0)
     transport.set_addresses(addresses)
-    comm = HierarchicalCommunicator(rank, nranks, TREE_MACHINE, transport)
+    comm = HierarchicalCommunicator(rank, nranks, HIER_MACHINE, transport)
     clock = VClock()
     _bind(RankContext(rank=rank, nranks=nranks, clock=clock, comm=comm))
     data = np.arange(COLL_ELEMS, dtype=np.float64) * (rank + 1)
@@ -519,7 +519,7 @@ def _launch_coll(nranks, layout):
 
 
 def test_hier_collectives_intra_vs_inter(benchmark):
-    """The topology-routing variant: the same tree collectives cost
+    """The topology-routing variant: the same flat collectives cost
     queue handoffs when ranks share a node and framed TCP round trips
     when they do not.  Both layouts must agree bit-exactly on the data;
     the frame counters prove which fabric carried it."""

@@ -110,8 +110,6 @@ class Runtime:
                  policy: CheckpointPolicy | None = None,
                  ckpt_strategy: str = STRATEGY_MASTER,
                  log: EventLog | None = None,
-                 restart_penalty: float = 0.02,
-                 adapt_penalty: float = 0.01,
                  ckpt_delta: bool = False,
                  ckpt_compress_min_bytes: int | None = None,
                  ckpt_async: bool = False,
@@ -150,10 +148,6 @@ class Runtime:
         self.policy = policy if policy is not None else Never()
         self.ckpt_strategy = ckpt_strategy
         self.log = log if log is not None else EventLog()
-        #: modelled process-teardown + relaunch cost (JVM/job-submit class).
-        self.restart_penalty = restart_penalty
-        #: modelled coordination cost of a live cross-mode adaptation.
-        self.adapt_penalty = adapt_penalty
         #: execution-backend registry (None = the process-wide default).
         self.registry = registry
         # the run's metrics plane: wall-side only (never consulted by a
@@ -318,9 +312,7 @@ class Runtime:
             machine=self.machine, log=self.log, store=self.store,
             policy=self.policy, ckpt_strategy=self.ckpt_strategy,
             advisor=advisor, metrics=self.metrics, trace=collector)
-        driver = PhaseDriver(services, self.ledger, registry=self.registry,
-                             restart_penalty=self.restart_penalty,
-                             adapt_penalty=self.adapt_penalty)
+        driver = PhaseDriver(services, self.ledger, registry=self.registry)
         result = driver.drive(
             woven, ctor_args, ctor_kwargs, entry, entry_args, config,
             plan, injector, replay, auto_recover=auto_recover,

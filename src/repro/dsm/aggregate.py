@@ -12,9 +12,10 @@ primitives the paper lists:
   instance);
 * a **combine** function reducing per-member return values to one value.
 
-Field-role metadata (Replicated / Partitioned / Local, Section IV.B) lives
-here too: the adaptation protocol reads it to decide how aggregate state is
-merged into a single instance and how an instance becomes an aggregate.
+The field-role vocabulary of Section IV.B (Replicated / Partitioned /
+Local) is declared here too, as :class:`FieldSpec`.  Nothing in the
+runtime reads it: the adaptation protocol takes a field's role from the
+plug set (``PlugSet.partitioned_fields``).
 """
 
 from __future__ import annotations

@@ -10,41 +10,24 @@ Every operation charges virtual time: the sender computes the arrival time
 from the machine's network model (placement-aware: intra- vs inter-node);
 the receiver couples its clock to it.
 
-Collective algorithms are selectable (``MachineModel.coll_algo``):
-
-* ``"flat"`` (default) — real point-to-point messages through the root,
-  a flat algorithm whose linear-in-P root cost is exactly the behaviour
-  the paper's Figure 4/5 discussion describes for collecting checkpoint
-  data at the master.  The default, so the paper's numbers reproduce
-  unchanged.
-* ``"tree"`` — binomial-tree bcast / gather / reduce
-  (``ceil(log2 P)`` rounds).  Costs are not separately modelled: every
-  tree edge is a real ``send``/``recv`` pair, so each algorithm charges
-  virtual time faithfully by construction.  Tree reduce assumes an
-  associative ``op`` (it folds subtree-wise, in a deterministic order
-  that differs from the flat left fold).
-* ``"auto"`` — per-collective choice: each call picks flat or tree from
-  the machine's modelled cost for this payload size and rank count
-  (:meth:`MachineModel.collective_algo`).  The decision inputs are
-  SPMD-symmetric (rank count always; payload size only where every rank
-  contributes the same logical bytes — the documented contract of
-  gather/reduce), so all ranks pick the same algorithm without
-  negotiating.
+Collectives are the paper's flat root funnel: real point-to-point
+messages through the root, whose linear-in-P root cost is exactly the
+behaviour the paper's Figure 4/5 discussion describes for collecting
+checkpoint data at the master.
 
 The communicator also exposes a **one-sided** window API modelled on
 OpenSHMEM: ``win_expose`` publishes an array as a named window,
 ``put`` writes a region of a remote window without the target calling
-``recv``, ``fence(schedule)`` makes a deterministic set of incoming
-puts visible, ``get`` reads a remote region, ``quiet`` completes the
-caller's outstanding puts.  Cost accounting mirrors send/recv exactly
-(a put charges the origin like a send; the fence charges the target's
-ingress like a recv), so porting a protocol from send/recv to
-put+fence moves no virtual time — only the synchronisation shape.
-``fence`` takes an explicit source schedule because one-sided arrivals
-are unordered across origins: draining them in arrival order would
-make the target's clock coupling nondeterministic, while a schedule
-derived from the (deterministic) communication pattern keeps virtual
-time bit-reproducible.
+``recv``, and ``fence(schedule)`` makes a deterministic set of incoming
+puts visible.  Cost accounting mirrors send/recv exactly (a put
+charges the origin like a send; the fence charges the target's ingress
+like a recv), so porting a protocol from send/recv to put+fence moves
+no virtual time — only the synchronisation shape.  ``fence`` takes an
+explicit source schedule because one-sided arrivals are unordered
+across origins: draining them in arrival order would make the target's
+clock coupling nondeterministic, while a schedule derived from the
+(deterministic) communication pattern keeps virtual time
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -78,18 +61,14 @@ def trace_writer():
 TAG_COLL = 1 << 30
 MAX_USER_TAG = TAG_COLL - 1
 
-#: one-sided plumbing tags: put envelopes, remote-get request/reply.
+#: one-sided plumbing tag: put envelopes.
 TAG_PUT = TAG_COLL + 6
-TAG_GETREQ = TAG_COLL + 7
-TAG_GETREP = TAG_COLL + 8
 
 #: payload marker for puts a transport already applied to the target
-#: window (direct symmetric-heap writes): the fence still drains the
-#: envelope for clock coupling, but has nothing left to copy.
+#: window (a socket rank's progress thread writes cross-node puts on
+#: arrival): the fence still drains the envelope for clock coupling,
+#: but has nothing left to copy.
 PUT_APPLIED = "<put-applied>"
-
-#: modelled wire size of a one-sided get request (a window descriptor).
-_GETREQ_NBYTES = 64
 
 _tl = threading.local()
 
@@ -127,16 +106,6 @@ def _copy_payload(obj: Any) -> Any:
     return obj  # scalars / immutables / user objects sent by reference
 
 
-def axis_read(arr: np.ndarray, idx, axis: int) -> np.ndarray:
-    """Region of ``arr`` along ``axis``: ``(lo, hi)`` bounds -> a view,
-    an index vector -> a fresh ``np.take`` buffer."""
-    if isinstance(idx, tuple):
-        sl: list = [slice(None)] * arr.ndim
-        sl[axis] = slice(idx[0], idx[1])
-        return arr[tuple(sl)]
-    return np.take(arr, idx, axis=axis)
-
-
 def axis_write(arr: np.ndarray, idx, axis: int, vals) -> None:
     """Assign ``vals`` into the region of ``arr`` described by ``idx``."""
     sl: list = [slice(None)] * arr.ndim
@@ -155,7 +124,6 @@ class Communicator:
             raise ValueError("one clock per rank required")
         self.nranks = nranks
         self.machine = machine
-        self.coll_algo = getattr(machine, "coll_algo", "flat")
         self.clocks = list(clocks)
         self.mailboxes = [Mailbox(r) for r in range(nranks)]
         self._barrier = AdaptiveBarrier(nranks) if nranks > 1 else None
@@ -301,15 +269,14 @@ class Communicator:
         return self.recv(source=source, tag=tag)
 
     # ------------------------------------------------------------------
-    # one-sided windows (OpenSHMEM-style put / get / fence / quiet)
+    # one-sided windows (OpenSHMEM-style put / fence)
     # ------------------------------------------------------------------
     def win_expose(self, name: str, arr: np.ndarray) -> np.ndarray:
         """Publish ``arr`` as this rank's window ``name``.
 
-        Incoming puts land in ``arr`` when this rank fences; peers in
-        the same address space (and remote progress threads, on socket
-        transports) may ``get`` regions of it.  Re-exposing a name
-        rebinds it.
+        Incoming puts land in ``arr`` when this rank fences (or, on
+        socket transports, when the progress thread applies a
+        cross-node put).  Re-exposing a name rebinds it.
         """
         ctx = self._ctx()
         with self._win_lock:
@@ -325,22 +292,6 @@ class Communicator:
     def _window(self, owner: int, name: str) -> np.ndarray | None:
         with self._win_lock:
             return self._windows.get((owner, name))
-
-    def win_alloc(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Collectively allocate and expose a symmetric window.
-
-        Every rank calls with identical arguments (SPMD) and gets back
-        its local instance, zero-initialised.  The base transport backs
-        it with a private array; heap-carrying transports override this
-        to place it on the shared symmetric heap, which is what enables
-        direct remote writes and co-located one-sided ``get``.  Like
-        OpenSHMEM's ``shmem_malloc``, the allocation ends in an implicit
-        barrier: when it returns, every rank's window exists and is
-        addressable.
-        """
-        win = self.win_expose(name, np.zeros(shape, dtype=dtype))
-        self.barrier()
-        return win
 
     def put(self, name: str, values: np.ndarray, dest: int, idx,
             axis: int = 0, owned: bool = False) -> None:
@@ -361,11 +312,6 @@ class Communicator:
             raise ValueError("self-put: write the local window directly")
         nbytes = nbytes_of(values)
         ctx.clock.charge_comm(self.machine.p2p_cost(nbytes, ctx.rank, dest))
-        self._deliver_put(ctx, name, values, dest, idx, axis, owned, nbytes)
-
-    def _deliver_put(self, ctx: RankContext, name: str, values, dest: int,
-                     idx, axis: int, owned: bool, nbytes: int) -> None:
-        """Transport half of :meth:`put` (overridden by heap routes)."""
         seq = trace_writer().send(dest, TAG_PUT, epoch=self.mail_epoch)
         self.mailboxes[dest].put(Message(
             src=ctx.rank, dst=dest, tag=TAG_PUT,
@@ -394,73 +340,16 @@ class Communicator:
                    else self.machine.network.inter_latency))
             name, axis, idx, packed = msg.payload
             if isinstance(packed, str) and packed == PUT_APPLIED:
-                continue  # transport wrote the window directly
+                continue  # the progress thread wrote the window
             win = self._window(ctx.rank, name)
             if win is None:
                 raise RuntimeError(
                     f"rank {ctx.rank}: put into unexposed window {name!r}")
             axis_write(win, idx, axis, self._ingress_value(packed))
 
-    def quiet(self) -> None:
-        """Complete this rank's outstanding puts (OpenSHMEM ``quiet``).
-
-        All transports here deliver puts synchronously at issue — the
-        envelope is deposited (or the heap written) before :meth:`put`
-        returns, and per-(origin, target) ordering is FIFO — so there
-        is nothing left to drain.  Kept as an explicit point in the API
-        so protocols state their ordering intent and a future
-        asynchronous transport has a seam to hook.
-        """
-        self._ctx()
-
-    def get(self, name: str, src: int, idx, axis: int = 0) -> np.ndarray:
-        """Read region ``idx`` of ``src``'s window ``name`` (one-sided).
-
-        The origin is charged a modelled round trip — request envelope
-        out, region transfer back — and the target's clock is untouched
-        (its CPU never participates; in the remote case a progress
-        thread serves the window).  Callers bound racing writers with
-        fences, exactly as OpenSHMEM requires.
-        """
-        ctx = self._ctx()
-        if not (0 <= src < self.nranks):
-            raise ValueError(f"bad get source rank {src}")
-        if src == ctx.rank:
-            win = self._window(ctx.rank, name)
-            if win is None:
-                raise RuntimeError(f"get from unexposed window {name!r}")
-            return np.ascontiguousarray(axis_read(win, idx, axis))
-        vals = self._fetch_window(ctx, name, src, idx, axis)
-        ctx.clock.charge_comm(
-            self.machine.p2p_cost(_GETREQ_NBYTES, ctx.rank, src)
-            + self.machine.p2p_cost(nbytes_of(vals), src, ctx.rank))
-        return vals
-
-    def _fetch_window(self, ctx: RankContext, name: str, src: int, idx,
-                      axis: int) -> np.ndarray:
-        """Transport half of :meth:`get` (overridden by heap/socket
-        routes).  The base transport shares one address space, so the
-        peer's window is readable directly."""
-        win = self._window(src, name)
-        if win is None:
-            raise RuntimeError(
-                f"rank {src} has not exposed window {name!r}")
-        return np.array(axis_read(win, idx, axis))
-
     # ------------------------------------------------------------------
     # collectives (SPMD: every rank must call in the same order)
     # ------------------------------------------------------------------
-    def _algo(self, nbytes: int = 0) -> str:
-        """The algorithm this collective call runs: the machine knob
-        verbatim, or — under ``"auto"`` — the advisor's per-call choice
-        from rank count and payload size.  Every input is identical on
-        every rank (``nbytes`` by the SPMD symmetric-contribution
-        contract of the callers that pass it), so the choice needs no
-        agreement protocol."""
-        if self.coll_algo != "auto":
-            return self.coll_algo
-        return self.machine.collective_algo(self.nranks, nbytes)
-
     def barrier(self) -> None:
         ctx = self._ctx()
         if self.nranks == 1:
@@ -475,80 +364,10 @@ class Communicator:
         ctx.clock.advance_to(self._epoch)
         ctx.clock.charge_comm(self.machine.oversub_epoch_cost(self.nranks))
 
-    # ------------------------------------------------------------------
-    # binomial-tree helpers: ranks are relabelled so the root is virtual
-    # rank 0; every edge is a real send/recv pair, so each algorithm's
-    # virtual-time cost emerges from the network model untouched.
-    # ------------------------------------------------------------------
-    def _vrank(self, rank: int, root: int) -> int:
-        return (rank - root) % self.nranks
-
-    def _actual(self, vrank: int, root: int) -> int:
-        return (vrank + root) % self.nranks
-
-    def _tree_bcast(self, obj: Any, root: int) -> Any:
-        ctx = self._ctx()
-        n = self.nranks
-        vr = self._vrank(ctx.rank, root)
-        mask = 1
-        while mask < n:  # receive from the parent (lowest set bit)
-            if vr & mask:
-                obj = self.recv(source=self._actual(vr - mask, root),
-                                tag=TAG_COLL + 1)
-                break
-            mask <<= 1
-        mask >>= 1
-        while mask > 0:  # relay down the subtree, widest child first
-            if vr + mask < n:
-                self.send(obj, self._actual(vr + mask, root), TAG_COLL + 1)
-            mask >>= 1
-        return obj
-
-    def _tree_gather(self, obj: Any, root: int) -> list[Any] | None:
-        ctx = self._ctx()
-        n = self.nranks
-        vr = self._vrank(ctx.rank, root)
-        got: dict[int, Any] = {ctx.rank: _copy_payload(obj)}
-        mask = 1
-        while mask < n:
-            if vr & mask:  # forward the collected subtree to the parent
-                self._send_owned(got, self._actual(vr - mask, root),
-                                 TAG_COLL + 3)
-                return None
-            src = vr + mask
-            if src < n:
-                got.update(self.recv(source=self._actual(src, root),
-                                     tag=TAG_COLL + 3))
-            mask <<= 1
-        return [got[r] for r in sorted(got)] if n > 1 else [got[ctx.rank]]
-
-    def _tree_reduce(self, obj: Any, fold: Callable[[Any, Any], Any],
-                     root: int) -> Any | None:
-        ctx = self._ctx()
-        n = self.nranks
-        vr = self._vrank(ctx.rank, root)
-        acc = _copy_payload(obj)
-        mask = 1
-        while mask < n:
-            if vr & mask:
-                self._send_owned(acc, self._actual(vr - mask, root),
-                                 TAG_COLL + 3)
-                return None
-            src = vr + mask
-            if src < n:  # deterministic order: nearest subtree first
-                acc = fold(acc, self.recv(
-                    source=self._actual(src, root), tag=TAG_COLL + 3))
-            mask <<= 1
-        return acc
-
     def bcast(self, obj: Any, root: int = 0) -> Any:
         ctx = self._ctx()
         if self.nranks == 1:
             return obj
-        # non-roots hold no payload, so the auto decision for bcast is
-        # made on rank count alone (the latency term dominates it).
-        if self._algo() == "tree":
-            return self._tree_bcast(obj, root)
         if ctx.rank == root:
             for r in range(self.nranks):
                 if r != root:
@@ -571,8 +390,6 @@ class Communicator:
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         ctx = self._ctx()
-        if self.nranks > 1 and self._algo(nbytes_of(obj)) == "tree":
-            return self._tree_gather(obj, root)
         if ctx.rank == root:
             out: list[Any] = [None] * self.nranks
             out[root] = _copy_payload(obj)
@@ -596,18 +413,10 @@ class Communicator:
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None,
                root: int = 0) -> Any | None:
-        """Fold ``op`` (default: +, elementwise for arrays) at ``root``.
-
-        Flat: gather everything at the root and left-fold in rank order.
-        Tree: partial results combine up the binomial tree — moves
-        ``O(log P)`` payloads per member instead of ``P`` through the
-        root, at the price of a subtree-wise (associativity-assuming)
-        fold order.
-        """
+        """Fold ``op`` (default: +, elementwise for arrays) at ``root``:
+        gather everything at the root and left-fold in rank order."""
         ctx = self._ctx()
         fold = op if op is not None else _default_add
-        if self.nranks > 1 and self._algo(nbytes_of(obj)) == "tree":
-            return self._tree_reduce(obj, fold, root)
         vals = self.gather(obj, root=root)
         if ctx.rank != root:
             return None

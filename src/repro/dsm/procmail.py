@@ -4,7 +4,7 @@ The in-process :class:`~repro.dsm.mailbox.Mailbox` gives every simulated
 rank selective receive over ``(source, tag)``; this module provides the
 same contract across *process* boundaries so the whole
 :class:`~repro.dsm.comm.Communicator` algorithm layer (point-to-point,
-scatter/gather, halo exchange, reductions, one-sided put/get/fence)
+scatter/gather, halo exchange, reductions, one-sided put/fence)
 runs unchanged over real processes — the collectives are bridged, not
 reimplemented.
 
@@ -49,14 +49,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.dsm.comm import (
-    PUT_APPLIED,
-    TAG_COLL,
-    TAG_PUT,
-    Communicator,
-    axis_read,
-    axis_write,
-)
+from repro.dsm.comm import TAG_COLL, Communicator
 from repro.dsm.links import frame
 from repro.dsm.mailbox import ANY_SOURCE, ANY_TAG, MailboxClosed, Message
 from repro.dsm.transport import QueueTransport, Transport
@@ -65,7 +58,6 @@ from repro.telemetry.plane import writer as telemetry_writer
 from repro.trace.plane import tracer as trace_writer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dsm.comm import RankContext
     from repro.dsm.shm import DataPlane
     from repro.vtime.machine import MachineModel
 
@@ -432,23 +424,20 @@ class ProcessMailbox:
 class ProcCommunicator(Communicator):
     """The MPI-like collective layer over per-rank process mailboxes.
 
-    Inherits every algorithm (send/recv costs, flat and tree
-    collectives, the one-sided window protocol, the in-place partition
-    movements consume it unchanged); overrides construction (no shared
-    clock list), the barrier (message-based epoch agreement instead of
-    ``VClock.sync_max`` across threads), and — when a
+    Inherits every algorithm (send/recv costs, the flat root-funnel
+    collectives, the one-sided put/fence window protocol; the in-place
+    partition movements consume it unchanged); overrides construction
+    (no shared clock list), the barrier (message-based epoch agreement
+    instead of ``VClock.sync_max`` across threads), and — when a
     :class:`~repro.dsm.shm.DataPlane` is wired — the transport hooks:
-    large array payloads cross as shared-memory slab descriptors
-    instead of pickles through the channel pipes (and, for movement code
-    that opted a source segment in via ``DataPlane.register_borrow``,
-    as borrowed regions with zero intermediate copies).  One-sided
-    windows allocated through :meth:`win_alloc` land on the plane's
-    symmetric heap when it has one: a ``put`` to such a window is a
-    direct write into the target rank's heap pages, and ``get`` reads
-    them — true one-sided progress, no target CPU.  Virtual time is
-    charged on the logical payload before packing, so the cost model
-    cannot tell the transports apart (cross-backend vtime parity is
-    preserved by construction).
+    large array payloads, puts included, cross as shared-memory slab
+    descriptors instead of pickles through the channel pipes (and, for
+    movement code that opted a source segment in via
+    ``DataPlane.register_borrow``, as borrowed regions with zero
+    intermediate copies).  Virtual time is charged on the logical
+    payload before packing, so the cost model cannot tell the
+    transports apart (cross-backend vtime parity is preserved by
+    construction).
 
     The endpoint fabric comes from a :class:`Transport` (defaulting to
     :class:`QueueTransport` over ``channels``); it may be pre-sized
@@ -471,7 +460,6 @@ class ProcCommunicator(Communicator):
         # list or thread barrier to build in a per-process communicator.
         self.nranks = nranks
         self.machine = machine
-        self.coll_algo = getattr(machine, "coll_algo", "flat")
         self.plane = plane
         self.transport = transport
         self.mailboxes = transport.endpoints(rank)
@@ -515,66 +503,6 @@ class ProcCommunicator(Communicator):
         self.nranks = new_n
         self.mail_epoch += 1
         self.mailboxes[self._rank].set_epoch(self.mail_epoch)
-
-    # ------------------------------------------------------------------
-    # one-sided traffic over the symmetric heap (when the plane has one)
-    # ------------------------------------------------------------------
-    def win_alloc(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        if self.plane is None:
-            return super().win_alloc(name, shape, dtype)
-        if self.plane.heap is None:
-            # first symmetric allocation of this process: provision the
-            # rank's heap segment (the parent sweeps the deterministic
-            # name grid in its launch ``finally`` regardless).
-            from repro.dsm.shm import SymmetricHeap
-
-            lid = (self.plane.heap_launch_id
-                   or self.plane.pool.launch_id)
-            self.plane.heap = SymmetricHeap(lid, self._rank)
-        win = self.win_expose(
-            name, self.plane.heap.alloc(name, shape, dtype))
-        # implicit barrier, like shmem_malloc: afterwards every rank's
-        # segment exists, so peer_view attaches cannot race creation.
-        self.barrier()
-        return win
-
-    def _put_direct(self, dest: int, name: str) -> np.ndarray | None:
-        """The target's window when this rank can write it in place.
-
-        Symmetry is the authorisation: a heap window exists at the same
-        name (and offset) on every rank, so holding it locally proves
-        the target exposed it too.  Routing subclasses narrow this to
-        reachable (co-located) destinations.
-        """
-        heap = self.plane.heap if self.plane is not None else None
-        if heap is not None and heap.has(name):
-            return heap.peer_view(dest, name)
-        return None
-
-    def _deliver_put(self, ctx: "RankContext", name: str, values, dest: int,
-                     idx, axis: int, owned: bool, nbytes: int) -> None:
-        win = self._put_direct(dest, name)
-        if win is not None:
-            # the one-sided fast path: one region copy into the target's
-            # heap pages; the envelope still crosses for fence coupling.
-            axis_write(win, idx, axis, values)
-            payload = (name, axis, idx, PUT_APPLIED)
-        else:
-            payload = (name, axis, idx, self._egress(values, owned, dest))
-        seq = trace_writer().send(dest, TAG_PUT, epoch=self.mail_epoch)
-        self.mailboxes[dest].put(Message(
-            src=ctx.rank, dst=dest, tag=TAG_PUT, payload=payload,
-            nbytes=nbytes, arrival=ctx.clock.now, epoch=self.mail_epoch,
-            seq=seq))
-
-    def _fetch_window(self, ctx: "RankContext", name: str, src: int, idx,
-                      axis: int) -> np.ndarray:
-        win = self._put_direct(src, name)
-        if win is None:
-            raise RuntimeError(
-                "one-sided get across processes needs a symmetric-heap "
-                f"window (win_alloc); {name!r} is not heap-backed")
-        return np.ascontiguousarray(axis_read(win, idx, axis))
 
     # ------------------------------------------------------------------
     def barrier(self) -> None:

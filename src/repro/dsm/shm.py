@@ -122,7 +122,7 @@ def new_launch_id(ns: str = "") -> str:
     """A name component unique to one phase launch of this process.
 
     ``ns`` embeds a caller-chosen namespace (e.g. a service job id) in
-    the component, so the deterministic segment/slab/heap names of two
+    the component, so the deterministic segment/slab names of two
     worlds constructed by one parent can never alias each other — the
     pid+sequence pair alone already guarantees that within a process,
     but the namespace keeps the grid disjoint *by construction* and
@@ -617,145 +617,6 @@ class PoolClient:
         self._cache.clear()
 
 
-# ---------------------------------------------------------------------------
-# the symmetric heap: one-sided windows over shared segments
-# ---------------------------------------------------------------------------
-#: default payload capacity of one rank's symmetric heap segment.
-HEAP_BYTES = 1 << 22
-
-#: heap allocations are aligned to a cache line, like slab payloads.
-_HEAP_ALIGN = 64
-
-
-def heap_name(launch_id: str, rank: int) -> str:
-    """Deterministic name of one rank's heap, parent-computable."""
-    return f"{SHM_PREFIX}-{launch_id}-heap-r{rank}"
-
-
-def unlink_heaps(launch_id: str, max_ranks: int) -> int:
-    """Parent crash-path cleanup of every heap a launch can have created
-    (deterministic name grid, no worker reports needed)."""
-    removed = 0
-    for r in range(max_ranks):
-        if unlink_by_name(heap_name(launch_id, r)):
-            removed += 1
-    return removed
-
-
-class SymmetricHeap:
-    """One rank's half of an OpenSHMEM-style symmetric heap.
-
-    Every rank creates its own segment (``ppshm-<launch>-heap-r<rank>``)
-    and runs the same deterministic bump allocator over it: because the
-    one-sided API is SPMD (:meth:`~repro.dsm.comm.Communicator.win_alloc`
-    is collective with identical arguments), every rank's ``name`` lands
-    at the *same offset* in every rank's segment — which is the whole
-    trick: a peer's window is reachable by attaching the peer's segment
-    and reading at one's own locally-computed offset, no metadata
-    exchange.  Co-located communicators use :meth:`peer_view` for direct
-    one-sided loads/stores; remote windows are served by the owner's
-    progress thread instead (the segment is not reachable off-node).
-
-    Like the slab pool, the heap belongs to the process, not the
-    membership, and the parent unlinks the deterministic name grid in
-    its launch ``finally`` (:func:`unlink_heaps`).
-    """
-
-    def __init__(self, launch_id: str, rank: int,
-                 nbytes: int = HEAP_BYTES) -> None:
-        self.launch_id = launch_id
-        self.rank = rank
-        self.nbytes = nbytes
-        name = heap_name(launch_id, rank)
-        with _no_resource_tracking():
-            self._shm = shared_memory.SharedMemory(create=True, size=nbytes,
-                                                   name=name)
-        _track(name)
-        self.name = name
-        self._cursor = 0
-        #: window name -> (offset, shape, dtype); identical on every
-        #: rank by the SPMD allocation discipline.  The full dtype, not
-        #: ``dtype.str``, which collapses every structured dtype of one
-        #: itemsize to the same ``"|Vn"`` token.
-        self._alloc: dict[str, tuple[int, tuple, np.dtype]] = {}
-        self._peers: dict[int, shared_memory.SharedMemory] = {}
-
-    # ------------------------------------------------------------------
-    def has(self, name: str) -> bool:
-        return name in self._alloc
-
-    def alloc(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Bump-allocate window ``name`` (idempotent for an identical
-        re-allocation — a protocol re-entering a phase keeps its
-        offset; contents are whatever the last epoch left there).
-
-        Fresh segments are zero pages, so a first allocation is
-        zero-initialised without touching the memory.
-        """
-        spec = (tuple(shape), np.dtype(dtype))
-        if name in self._alloc:
-            off, got_shape, got_dtype = self._alloc[name]
-            if (got_shape, got_dtype) != spec:
-                raise ValueError(
-                    f"heap window {name!r} re-allocated with a different "
-                    f"spec: {spec} vs {(got_shape, got_dtype)}")
-            return self.window(name)
-        nb = int(np.dtype(dtype).itemsize * np.prod(shape, dtype=np.int64))
-        off = self._cursor
-        if off + nb > self.nbytes:
-            raise MemoryError(
-                f"symmetric heap exhausted: {name!r} needs {nb} bytes at "
-                f"offset {off} of {self.nbytes}")
-        self._cursor = (off + nb + _HEAP_ALIGN - 1) & ~(_HEAP_ALIGN - 1)
-        self._alloc[name] = (off, spec[0], spec[1])
-        return self.window(name)
-
-    def _view(self, buf, name: str) -> np.ndarray:
-        off, shape, dtype = self._alloc[name]
-        nb = int(dtype.itemsize * np.prod(shape, dtype=np.int64))
-        return np.ndarray(shape, dtype=dtype, buffer=buf[off:off + nb])
-
-    def window(self, name: str) -> np.ndarray:
-        """This rank's instance of window ``name``."""
-        return self._view(self._shm.buf, name)
-
-    def peer_view(self, peer: int, name: str) -> np.ndarray:
-        """Window ``name`` in ``peer``'s segment (same offset — the
-        symmetry invariant).  Co-located peers only: the attach maps
-        the peer's shared pages into this address space."""
-        if peer == self.rank:
-            return self.window(name)
-        shm = self._peers.get(peer)
-        if shm is None:
-            pname = heap_name(self.launch_id, peer)
-            with _no_resource_tracking():
-                shm = shared_memory.SharedMemory(name=pname)
-            self._peers[peer] = shm
-            _track(pname)
-        return self._view(shm.buf, name)
-
-    def close(self) -> None:
-        """Drop mappings (the parent unlinks the segments by name)."""
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-        _untrack(self.name)
-        for peer, shm in self._peers.items():
-            try:
-                shm.close()
-            except BufferError:
-                pass
-            _untrack(heap_name(self.launch_id, peer))
-        self._peers.clear()
-
-    def unlink_all(self) -> None:
-        """Owner-side teardown for heaps outside a backend launch
-        (tests, benchmarks) where no parent sweeps the name grid."""
-        self.close()
-        unlink_by_name(self.name)
-
-
 class DataPlane:
     """Payload packing policy over one rank's pool + attach client.
 
@@ -769,20 +630,11 @@ class DataPlane:
     virtual time is transport-independent by construction.
     """
 
-    def __init__(self, pool: BufferPool, threshold: int | None = None,
-                 heap: SymmetricHeap | None = None) -> None:
+    def __init__(self, pool: BufferPool,
+                 threshold: int | None = None) -> None:
         self.pool = pool
         self.client = PoolClient()
         self.threshold = SHM_THRESHOLD if threshold is None else threshold
-        #: the rank's symmetric heap, when the backend provisions one —
-        #: communicators route heap-backed one-sided windows through it.
-        self.heap = heap
-        #: overrides the name component of a lazily provisioned heap.
-        #: The service fleet keys one pool per *worker* (arena-scoped,
-        #: reused across jobs) but heaps are *rank*-addressed, so two
-        #: concurrent jobs sharing the arena launch id would collide on
-        #: ``heap_name`` — each job activation pins its own id here.
-        self.heap_launch_id: str | None = None
         #: id(array) -> (segment name, capacity, base view) of arrays a
         #: caller declared borrowable (direct path; see register_borrow).
         self._borrow: dict[int, tuple[str, int, np.ndarray]] = {}
@@ -940,5 +792,3 @@ class DataPlane:
     def close(self) -> None:
         self.client.close_all()
         self.pool.close()
-        if self.heap is not None:
-            self.heap.close()

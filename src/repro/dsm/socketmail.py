@@ -19,47 +19,28 @@ Inbound frames are served by the rank's **progress thread**, one
 side stays one :class:`~repro.dsm.procmail.ProcessMailbox` with its
 selective-receive, FIFO-per-(source, tag), epoch-scoped and deadline
 semantics, and remote and local traffic are indistinguishable above
-the seam.  Two frame kinds are served *in* the progress thread (that
-is what makes the one-sided API genuinely one-sided across nodes):
-
-* ``TAG_PUT`` into a known window is applied directly to the window
-  memory and re-injected as a ``PUT_APPLIED`` envelope (the fence still
-  drains it for virtual-time coupling, but has nothing left to copy);
-* ``TAG_GETREQ`` reads the requested window region and replies with a
-  ``TAG_GETREP`` frame; one that arrives before ``attach`` (a fast
-  peer) is held and answered on ``attach``.
+the seam.  A ``TAG_PUT`` into a window the rank has exposed is applied
+*in* the progress thread, straight to the window memory, and
+re-injected as a ``PUT_APPLIED`` envelope: the fence still drains it
+for virtual-time coupling but has nothing left to copy, so the target
+CPU never touches a cross-node put's payload.  A put that arrives
+before its window exists (a fast peer) is re-injected as it came, and
+the target's fence writes it once the window is exposed.
 
 :class:`HierarchicalCommunicator` adds the routing policy on top:
-placement-aware egress (slabs within a node, frames across),
-heap-direct one-sided traffic for co-located peers, remote windows via
-the progress thread, and — when the collective algorithm resolves to
-``"tree"`` — leader-per-node collectives: one rank per physical node
-relays on the wire, members fan out/in over shared memory.  Every hop
-is a real modelled send/recv, so virtual time stays faithful; the
-``"flat"`` algorithm is inherited unchanged and bit-exact.
+placement-aware egress — slabs within a node, frames across.  The
+collectives are the inherited flat root funnel; every hop is a real
+modelled send/recv, so virtual time is the same on every fabric.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-import time
-from functools import partial
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
-from repro.dsm.comm import (
-    _GETREQ_NBYTES,
-    PUT_APPLIED,
-    TAG_COLL,
-    TAG_GETREP,
-    TAG_GETREQ,
-    TAG_PUT,
-    axis_read,
-    axis_write,
-)
+from repro.dsm.comm import PUT_APPLIED, TAG_PUT, axis_write
 from repro.dsm.links import LinkLoop, dial
 from repro.dsm.mailbox import Message
 from repro.dsm.procmail import ProcCommunicator, ProcessMailbox
@@ -70,14 +51,9 @@ from repro.trace import schema as _tc
 from repro.trace.plane import tracer as trace_writer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dsm.comm import RankContext
     from repro.dsm.shm import DataPlane
     from repro.vtime.machine import MachineModel
 
-#: leader-per-node collective plumbing tags.
-_TAG_HIER_BCAST = TAG_COLL + 30
-_TAG_HIER_GATHER = TAG_COLL + 31
-_TAG_HIER_REDUCE = TAG_COLL + 32
 
 class SocketPeer:
     """Egress stub for a remote rank: ``put`` frames the envelope.
@@ -136,7 +112,6 @@ class SocketTransport(Transport):
     def attach(self, comm: "HierarchicalCommunicator") -> None:
         """Give the progress thread the window registry it serves."""
         self._comm = comm
-        self._loop.wake()  # answer the window requests held for it
 
     def colocated(self, peer: int) -> bool:
         return self.pnode_of(peer) == self.pnode_of(self.rank)
@@ -186,17 +161,11 @@ class SocketTransport(Transport):
     # ingress: the progress thread
     # ------------------------------------------------------------------
     def _dispatch(self, _link, msg: Message) -> None:
-        if msg.tag == TAG_GETREQ:
-            # served once attached: a fast peer may ask before this rank
-            # built its communicator ("not exposed" if not within 30 s).
-            self._loop.hold(lambda: self._comm is not None,
-                            partial(self._serve_get, msg),
-                            time.monotonic() + 30.0)
-            return
-        if msg.tag == TAG_PUT:
+        comm = self._comm
+        if msg.tag == TAG_PUT and comm is not None:
             name, axis, idx, values = msg.payload
-            win = self._serve_window(name)
-            if win is not None and not isinstance(values, str):
+            win = comm._window(self.rank, name)
+            if win is not None:
                 # one-sided apply in the progress thread: the target CPU
                 # never touches the payload; its fence only couples time.
                 axis_write(win, idx, axis, values)
@@ -205,32 +174,6 @@ class SocketTransport(Transport):
                               nbytes=msg.nbytes, arrival=msg.arrival,
                               epoch=msg.epoch, seq=msg.seq)
         self.channels[self.rank].put(msg)
-
-    def _serve_window(self, name: str) -> np.ndarray | None:
-        """This rank's window ``name`` as the progress thread sees it."""
-        comm = self._comm
-        if comm is None:
-            return None
-        heap = comm.plane.heap if comm.plane is not None else None
-        if heap is not None and heap.has(name):
-            return heap.window(name)
-        return comm._window(self.rank, name)
-
-    def _serve_get(self, msg: Message) -> None:
-        name, idx, axis = msg.payload
-        win = self._serve_window(name)
-        if win is None:
-            reply = Message(src=self.rank, dst=msg.src, tag=TAG_GETREP,
-                            payload=RuntimeError(
-                                f"rank {self.rank}: window {name!r} is not "
-                                "exposed"),
-                            nbytes=0, arrival=0.0, epoch=msg.epoch)
-        else:
-            vals = np.ascontiguousarray(axis_read(win, idx, axis))
-            reply = Message(src=self.rank, dst=msg.src, tag=TAG_GETREP,
-                            payload=vals, nbytes=vals.nbytes,
-                            arrival=0.0, epoch=msg.epoch)
-        self.send_frame(msg.src, reply)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -249,10 +192,8 @@ class HierarchicalCommunicator(ProcCommunicator):
     the zero-copy slab plane through channels, remote ranks get TCP
     frames (pickled synchronously at ``put`` — no defensive copy, and
     never a raw shm descriptor, which would be meaningless off-node).
-    One-sided windows on the symmetric heap are written/read directly
-    for co-located peers and served by the remote rank's progress
-    thread otherwise.  Under the ``"tree"`` algorithm, collectives run
-    leader-per-node so each inter-node link carries each payload once.
+    A one-sided put to a remote rank is applied by that rank's
+    progress thread.
     """
 
     def __init__(self, rank: int, nranks: int, machine: "MachineModel",
@@ -277,181 +218,3 @@ class HierarchicalCommunicator(ProcCommunicator):
         # captured synchronously — by-reference is value-safe here, and
         # a slab descriptor would dangle on the far node.
         return obj
-
-    def _put_direct(self, dest: int, name: str) -> np.ndarray | None:
-        if not self.colocated(dest):
-            return None
-        return super()._put_direct(dest, name)
-
-    def _fetch_window(self, ctx: "RankContext", name: str, src: int, idx,
-                      axis: int) -> np.ndarray:
-        win = self._put_direct(src, name)
-        if win is not None:  # co-located: read the heap pages in place
-            return np.ascontiguousarray(axis_read(win, idx, axis))
-        self.mailboxes[src].put(Message(
-            src=ctx.rank, dst=src, tag=TAG_GETREQ, payload=(name, idx, axis),
-            nbytes=_GETREQ_NBYTES, arrival=ctx.clock.now,
-            epoch=self.mail_epoch))
-        rep = self.mailboxes[ctx.rank].get(source=src, tag=TAG_GETREP)
-        if isinstance(rep.payload, Exception):
-            raise rep.payload
-        return rep.payload
-
-    # ------------------------------------------------------------------
-    # leader-per-node collectives (the "tree" routing on this fabric)
-    # ------------------------------------------------------------------
-    def _groups(self) -> tuple[dict[int, list[int]], list[int]]:
-        """Active members grouped by physical node, plus the leaders
-        (lowest rank per node, ordered by their node's first rank)."""
-        groups: dict[int, list[int]] = {}
-        for r in range(self.nranks):
-            groups.setdefault(self.pnode_of(r), []).append(r)
-        leaders = [members[0] for members in groups.values()]
-        return groups, leaders
-
-    def _multi_node(self) -> bool:
-        return len({self.pnode_of(r) for r in range(self.nranks)}) > 1
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        if self.nranks > 1 and self._multi_node() and self._algo() == "tree":
-            return self._hier_bcast(obj, root)
-        return super().bcast(obj, root)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        from repro.util.serialization import nbytes_of
-        if (self.nranks > 1 and self._multi_node()
-                and self._algo(nbytes_of(obj)) == "tree"):
-            return self._hier_gather(obj, root)
-        return super().gather(obj, root)
-
-    def reduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None,
-               root: int = 0) -> Any | None:
-        from repro.dsm.comm import _default_add
-        from repro.util.serialization import nbytes_of
-        if (self.nranks > 1 and self._multi_node()
-                and self._algo(nbytes_of(obj)) == "tree"):
-            return self._hier_reduce(obj, op or _default_add, root)
-        return super().reduce(obj, op=op, root=root)
-
-    def _leader_tree(self, me: int, leaders: list[int],
-                     root_leader: int) -> tuple[int | None, list[int]]:
-        """Binomial-tree parent and children of ``me`` within the leader
-        set, relabelled so ``root_leader`` is virtual rank 0."""
-        n = len(leaders)
-        pos = leaders.index(me)
-        rpos = leaders.index(root_leader)
-        vr = (pos - rpos) % n
-        parent = None
-        mask = 1
-        while mask < n:
-            if vr & mask:
-                parent = leaders[((vr - mask) + rpos) % n]
-                break
-            mask <<= 1
-        children = []
-        # children: all set-bit extensions below the lowest set bit
-        cm = 1
-        limit = mask if parent is not None else n
-        while cm < limit and vr + cm < n:
-            children.append(leaders[((vr + cm) + rpos) % n])
-            cm <<= 1
-        # widest child first, matching _tree_bcast's relay order
-        children.reverse()
-        return parent, children
-
-    def _hier_bcast(self, obj: Any, root: int) -> Any:
-        ctx = self._ctx()
-        groups, leaders = self._groups()
-        my_node = self.pnode_of(ctx.rank)
-        my_leader = groups[my_node][0]
-        root_leader = groups[self.pnode_of(root)][0]
-        # hop 1: the payload reaches the root's node leader
-        if ctx.rank == root and root != root_leader:
-            self.send(obj, root_leader, _TAG_HIER_BCAST)
-        if ctx.rank == root_leader and root != root_leader:
-            obj = self.recv(source=root, tag=_TAG_HIER_BCAST)
-        # hop 2: binomial tree across node leaders (the only wire hops)
-        if ctx.rank in leaders and len(leaders) > 1:
-            parent, children = self._leader_tree(ctx.rank, leaders,
-                                                 root_leader)
-            if parent is not None:
-                obj = self.recv(source=parent, tag=_TAG_HIER_BCAST)
-            for child in children:
-                self.send(obj, child, _TAG_HIER_BCAST)
-        # hop 3: leaders fan out to their node members over shared memory
-        if ctx.rank == my_leader:
-            for r in groups[my_node]:
-                if r not in (my_leader, root):
-                    self.send(obj, r, _TAG_HIER_BCAST)
-        elif ctx.rank != root:
-            obj = self.recv(source=my_leader, tag=_TAG_HIER_BCAST)
-        return obj
-
-    def _hier_gather(self, obj: Any, root: int) -> list[Any] | None:
-        ctx = self._ctx()
-        groups, leaders = self._groups()
-        my_node = self.pnode_of(ctx.rank)
-        my_leader = groups[my_node][0]
-        root_leader = groups[self.pnode_of(root)][0]
-        from repro.dsm.comm import _copy_payload
-        if ctx.rank != my_leader:
-            # owned dict of copied values: safe for by-reference channels
-            self._send_owned({ctx.rank: _copy_payload(obj)}, my_leader,
-                             _TAG_HIER_GATHER)
-            if ctx.rank != root:
-                return None
-            # the root still receives the final result from its leader
-            got = self.recv(source=root_leader, tag=_TAG_HIER_GATHER)
-            return [got[r] for r in range(self.nranks)]
-        # leader: collect the node's contributions in rank order
-        got: dict[int, Any] = {ctx.rank: _copy_payload(obj)}
-        for r in groups[my_node]:
-            if r != ctx.rank:
-                got.update(self.recv(source=r, tag=_TAG_HIER_GATHER))
-        # leaders fold up the binomial tree toward the root's leader
-        if len(leaders) > 1:
-            parent, children = self._leader_tree(ctx.rank, leaders,
-                                                 root_leader)
-            for child in children:
-                got.update(self.recv(source=child, tag=_TAG_HIER_GATHER))
-            if parent is not None:
-                self._send_owned(got, parent, _TAG_HIER_GATHER)
-                return None
-        if ctx.rank == root:
-            return [got[r] for r in range(self.nranks)]
-        self._send_owned(got, root, _TAG_HIER_GATHER)
-        return None
-
-    def _hier_reduce(self, obj: Any, fold: Callable[[Any, Any], Any],
-                     root: int) -> Any | None:
-        ctx = self._ctx()
-        groups, leaders = self._groups()
-        my_node = self.pnode_of(ctx.rank)
-        my_leader = groups[my_node][0]
-        root_leader = groups[self.pnode_of(root)][0]
-        if ctx.rank != my_leader:
-            self.send(obj, my_leader, _TAG_HIER_REDUCE)
-            if ctx.rank != root:
-                return None
-            return self.recv(source=root_leader, tag=_TAG_HIER_REDUCE)
-        from repro.dsm.comm import _copy_payload
-        acc = _copy_payload(obj)
-        # fold the node's members in ascending rank order (deterministic)
-        for r in groups[my_node]:
-            if r != ctx.rank:
-                acc = fold(acc, self.recv(source=r, tag=_TAG_HIER_REDUCE))
-        # fold subtrees up the leader tree (associativity assumed, like
-        # _tree_reduce: nearest subtree first)
-        if len(leaders) > 1:
-            parent, children = self._leader_tree(ctx.rank, leaders,
-                                                 root_leader)
-            for child in reversed(children):  # nearest first
-                acc = fold(acc, self.recv(source=child,
-                                          tag=_TAG_HIER_REDUCE))
-            if parent is not None:
-                self._send_owned(acc, parent, _TAG_HIER_REDUCE)
-                return None
-        if ctx.rank == root:
-            return acc
-        self._send_owned(acc, root, _TAG_HIER_REDUCE)
-        return None

@@ -50,19 +50,20 @@ from repro.exec.base import (
 )
 from repro.exec.registry import BackendRegistry, default_registry
 
+#: modelled process-teardown + relaunch cost (JVM/job-submit class).
+RESTART_PENALTY = 0.02
+#: modelled coordination cost of a live cross-mode adaptation.
+ADAPT_PENALTY = 0.01
+
 
 class PhaseDriver:
     """Drives one application run as a chain of backend launches."""
 
     def __init__(self, services: PhaseServices, ledger,
-                 registry: BackendRegistry | None = None,
-                 restart_penalty: float = 0.02,
-                 adapt_penalty: float = 0.01) -> None:
+                 registry: BackendRegistry | None = None) -> None:
         self.services = services
         self.ledger = ledger
         self.registry = registry if registry is not None else default_registry()
-        self.restart_penalty = restart_penalty
-        self.adapt_penalty = adapt_penalty
 
     # ------------------------------------------------------------------
     def drive(self,
@@ -164,9 +165,9 @@ class PhaseDriver:
                             f"at safe point {step.at}") from ae
                     disk.meta["from_disk"] = True
                     snap = disk
-                    vtime = out.end_vtime + self.restart_penalty
+                    vtime = out.end_vtime + RESTART_PENALTY
                 else:
-                    vtime = out.end_vtime + self.adapt_penalty
+                    vtime = out.end_vtime + ADAPT_PENALTY
                 adaptations.append(AdaptationRecord(
                     at_count=step.at, from_config=config,
                     to_config=step.config, via_restart=step.via_restart,
@@ -219,5 +220,5 @@ class PhaseDriver:
                 replay = None  # no checkpoint: recompute from scratch
             if recover_config is not None:
                 config = recover_config(restarts)
-            vtime = out.end_vtime + self.restart_penalty
+            vtime = out.end_vtime + RESTART_PENALTY
             continue

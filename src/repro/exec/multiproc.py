@@ -439,8 +439,7 @@ class MultiprocessBackend(ExecutionBackend):
 
         Deterministic names make this independent of worker reports, so
         it covers crashed ranks too: field segments by field name, data
-        plane slabs and symmetric heaps over the whole rank x slot name
-        grid.  (The observability segments go with their handle's
+        plane slabs over the whole rank x slot name grid.  (The observability segments go with their handle's
         ``drain``.)
         """
         plugset = getattr(spec.woven, "__pp_plugs__", None)
@@ -448,7 +447,6 @@ class MultiprocessBackend(ExecutionBackend):
         for f in fields:
             shm.unlink_by_name(shm.segment_name(launch_id, f))
         shm.unlink_pool(launch_id, max_ranks)
-        shm.unlink_heaps(launch_id, max_ranks)
 
     @staticmethod
     def _merge_events(log: EventLog, reports: dict, stray: list) -> None:

@@ -224,8 +224,7 @@ def attach_shared_fields(ctx, instance, meta: dict, launch_id: str
 
     A joiner needs no broadcast: the segment metadata arrived in the
     un-park message, and the segments themselves have existed since the
-    launch — this is the pre-sized-symmetric-heap half of the elastic
-    design.
+    launch — this is the pre-sized-segment half of the elastic design.
     """
     manager = shm.SegmentManager(launch_id)
     for f, (shape, dtype, kind, name) in meta.items():

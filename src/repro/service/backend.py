@@ -168,9 +168,6 @@ class FleetBackend(MultiprocessBackend):
             # workers are idle (or respawned) by here: their regions are
             # quiescent, so the scrape is race-free.
             planes.drain(services)
-            # the one other per-job shared-memory name grid: field
-            # segments are arena leases, slabs are fleet-scoped.
-            shm.unlink_heaps(launch_id, fleet.workers)
         self._merge_events(services.log, reports, stray_events)
         end = max([spec.start_vtime]
                   + [rep[3] for rep in reports.values()

@@ -21,8 +21,8 @@ Everything expensive is process-scoped and survives jobs:
   segment arena), one pipe link per worker, routing each write to the
   owning job's namespaced store.
 
-Per-job state is narrow by construction: a launch id (symmetric heaps
-and the observability planes), a steer block serial, and the job's
+Per-job state is narrow by construction: a launch id (the
+observability planes), a steer block serial, and the job's
 envelope itself.  Workers report back on a fleet-wide event queue
 (``("joined", ...)`` on envelope pickup, ``("idle", ...)`` on return),
 which is what the fleet's lease/await bookkeeping runs on.
@@ -147,18 +147,11 @@ def _worker_main(boot: _WorkerBoot) -> None:
                 wiring = RankWiring(
                     boot.lanes[env.lane], boot.results[env.lane],
                     boot.notifies[env.lane], boot.funnel)
-                # symmetric heaps are the one per-job plane piece:
-                # window allocations must not collide across jobs.
-                plane.heap_launch_id = env.launch_id
                 how = rank_main(rank, env, wiring, plane=plane,
                                 repark=False, parked=(kind == "park"))
             except BaseException:  # noqa: BLE001 - the worker survives;
                 how = "error"      # the parent times the rank out
             finally:
-                if plane.heap is not None:
-                    plane.heap.close()
-                    plane.heap = None
-                plane.heap_launch_id = None
                 boot.events.put(("idle", boot.wid, env.job, how))
     finally:
         plane.close()

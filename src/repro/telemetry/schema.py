@@ -3,9 +3,8 @@
 The schema is *static* — registered once here, never at runtime — which
 is what makes the shared-memory plane negotiation-free: every rank (and
 the scraping parent) computes identical word offsets from this module
-alone, the same trick the symmetric heap plays with its SPMD bump
-allocator.  A page is a flat ``float64`` array; each metric occupies a
-fixed slot guarded by its own sequence word (see
+alone, with no metadata exchange.  A page is a flat ``float64`` array;
+each metric occupies a fixed slot guarded by its own sequence word (see
 :mod:`repro.telemetry.plane` for the seqlock discipline).
 
 Metric names follow one scheme end-to-end — Prometheus text, the

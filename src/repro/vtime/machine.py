@@ -92,17 +92,6 @@ class MachineModel:
     oversub_thrash: float = 2.5
     #: fixed cost to spawn one thread / rank (team creation, replay entry).
     spawn_cost: float = 120e-6
-    #: collective algorithm the communicators run: ``"flat"`` (default)
-    #: is the paper's root-funnel shape — linear-in-P at the root,
-    #: exactly the Figure 4/5 checkpoint-collection behaviour — and
-    #: ``"tree"`` selects binomial-tree bcast/gather/reduce.  Virtual
-    #: time needs no separate constants per algorithm: every tree edge
-    #: is a real modelled p2p message, so each algorithm's cost emerges
-    #: from the network model faithfully.  ``"auto"`` delegates to
-    #: :meth:`collective_algo` per call — flat vs tree chosen from the
-    #: payload size and rank count of *that* collective.  The paper's
-    #: Figure 4/5 runs keep the default, so their numbers are bit-exact.
-    coll_algo: str = "flat"
     network: NetworkModel = field(default_factory=NetworkModel)
     disk: DiskModel = field(default_factory=DiskModel)
 
@@ -174,33 +163,6 @@ class MachineModel:
     def p2p_cost(self, nbytes: int, src: int, dst: int) -> float:
         """Message cost between two ranks given their node placement."""
         return self.network.p2p_cost(nbytes, self.same_node(src, dst))
-
-    def collective_algo(self, nranks: int, nbytes: int = 0) -> str:
-        """Flat or tree for one collective of ``nbytes`` among ``nranks``.
-
-        Modelled critical paths on the (conservative) inter-node link:
-
-        * flat — the root serialises ``P - 1`` messages:
-          ``(P-1) * (latency + b/B)``;
-        * tree — ``ceil(log2 P)`` rounds, each one link latency, but
-          interior ranks store-and-forward their subtree's bytes, so
-          the byte term pays twice on the deepest path:
-          ``rounds * latency + 2 * rounds * b/B``.
-
-        Latency-bound (small) payloads therefore flip to tree as soon
-        as ``rounds < P - 1``; bandwidth-bound payloads need the rank
-        count to beat the relay doubling (``2 * rounds < P - 1``).
-        Every input is SPMD-symmetric, so all ranks of a collective
-        compute the same verdict with no agreement round.
-        """
-        if nranks <= 2:
-            return "flat"
-        link = self.network
-        rounds = math.ceil(math.log2(nranks))
-        per_byte = nbytes / link.inter_bandwidth
-        flat = (nranks - 1) * (link.inter_latency + per_byte)
-        tree = rounds * link.inter_latency + 2 * rounds * per_byte
-        return "tree" if tree < flat else "flat"
 
     def oversub_epoch_cost(self, nranks: int) -> float:
         """Context-switch overhead charged per rank per sync epoch.

@@ -14,8 +14,7 @@ Three layers under test:
 * end-to-end parity — the multiprocessing backend with the plane on
   produces bit-identical results and identical checkpoint bytes to the
   plane-off (queue-pickle) transport and to the threaded backends, and
-  the tree collectives compute the same values as the paper's flat
-  root-funnel ones.
+  the paper's flat root-funnel collectives give closed-form values.
 """
 
 import os
@@ -464,136 +463,37 @@ class TestPlaneParity:
 
 
 # ---------------------------------------------------------------------------
-# collective algorithms
+# the flat collectives
 # ---------------------------------------------------------------------------
-class TestTreeCollectives:
+class TestFlatCollectives:
+    """The paper's root funnel, checked against closed-form values."""
+
     @pytest.mark.parametrize("nranks", [2, 3, 4, 5, 8])
-    def test_tree_matches_flat_values(self, nranks):
+    def test_flat_collectives_give_closed_form_values(self, nranks):
         from repro.dsm.comm import current_rank
         from repro.dsm.simcluster import SimCluster
 
         def entry():
             ctx = current_rank()
             c = ctx.comm
-            arr = np.arange(6.0) * (ctx.rank + 1)
-            root = 1 if c.nranks > 1 else 0  # non-zero root exercised too
-            b = c.bcast(np.arange(4.0) if ctx.rank == root else None,
-                        root=root)
-            g = c.gather(arr, root=0)
+            b = c.bcast(np.arange(4.0) if ctx.rank == 1 else None, root=1)
+            g = c.gather(np.arange(6.0) * (ctx.rank + 1), root=0)
             r = c.reduce(float(ctx.rank + 1), root=0)
             ag = c.allgather(ctx.rank * 2)
             return (b.tolist(),
                     None if g is None else [x.tolist() for x in g],
                     r, ag)
 
-        results = {}
-        for algo in ("flat", "tree"):
-            cl = SimCluster(nranks, MachineModel(coll_algo=algo))
-            try:
-                results[algo] = cl.run(entry)
-            finally:
-                cl.shutdown()
-            assert cl.max_time > 0
-        assert results["flat"] == results["tree"]
-
-    def test_flat_remains_the_default_algorithm(self):
-        from repro.dsm.comm import Communicator
-        from repro.vtime.clock import VClock
-
-        m = MachineModel()
-        assert m.coll_algo == "flat"
-        comm = Communicator(2, m, [VClock(), VClock()])
-        assert comm.coll_algo == "flat"
-        comm.close()
-
-    def test_tree_bcast_scales_root_cost_sublinearly(self):
-        """The point of the tree: the root's serialized egress stops
-        growing linearly in P — a flat bcast pays P-1 back-to-back
-        transfers on the root's link, the binomial tree ``log2 P``.
-        (Gather is excluded on purpose: all contributions must
-        physically reach the root, so no algorithm can shrink its
-        ingress *bytes* — trees only shave its latency terms.)"""
-        from repro.dsm.comm import current_rank
-        from repro.dsm.simcluster import SimCluster
-
-        def entry():
-            ctx = current_rank()
-            data = np.full(64 * 1024 // 8, float(ctx.rank))
-            ctx.comm.barrier()  # align clocks: spawn stagger out of scope
-            t0 = ctx.clock.now
-            ctx.comm.bcast(data if ctx.rank == 0 else None, root=0)
-            ctx.comm.barrier()
-            return ctx.clock.now - t0
-
-        cost = {}
-        for algo in ("flat", "tree"):
-            per_p = {}
-            for p in (4, 16):
-                cl = SimCluster(p, MachineModel(nodes=1, cores_per_node=32,
-                                                coll_algo=algo))
-                try:
-                    per_p[p] = max(cl.run(entry))
-                finally:
-                    cl.shutdown()
-            cost[algo] = per_p
-        flat_growth = cost["flat"][16] / cost["flat"][4]
-        tree_growth = cost["tree"][16] / cost["tree"][4]
-        assert tree_growth < flat_growth, (cost, "tree lost its log-P edge")
-        # and at fixed P the tree is outright cheaper than the funnel
-        assert cost["tree"][16] < cost["flat"][16], cost
-
-
-class TestAutoAlgorithmChoice:
-    """``coll_algo="auto"``: the machine model picks flat vs tree per
-    collective from its own network constants — no agreement round, and
-    ``"flat"`` stays the bit-exact default for the paper runs."""
-
-    def test_advisor_verdicts_track_the_modelled_critical_paths(self):
-        m = MachineModel()
-        # degenerate team sizes: nothing to fan out, flat by definition
-        assert m.collective_algo(1) == "flat"
-        assert m.collective_algo(2, nbytes=1 << 30) == "flat"
-        # latency-bound: tree wins as soon as rounds < P - 1
-        assert m.collective_algo(4, nbytes=0) == "tree"
-        assert m.collective_algo(64, nbytes=0) == "tree"
-        # bandwidth-bound at modest P: store-and-forward doubling loses
-        # (P=5 -> 3 rounds, 2*3 >= 4 relay cost beats 4 serialised sends)
-        assert m.collective_algo(5, nbytes=1 << 30) == "flat"
-        # ... but enough ranks beat the doubling even for huge payloads
-        assert m.collective_algo(64, nbytes=1 << 30) == "tree"
-
-    def test_auto_is_consulted_per_call_with_payload_size(self):
-        from repro.dsm.comm import Communicator
-        from repro.vtime.clock import VClock
-
-        m = MachineModel(coll_algo="auto")
-        comm = Communicator(5, m, [VClock() for _ in range(5)])
+        cl = SimCluster(nranks, MACHINE)
         try:
-            assert comm.coll_algo == "auto"
-            assert comm._algo(nbytes=0) == "tree"
-            assert comm._algo(nbytes=1 << 30) == "flat"
+            got = cl.run(entry)
         finally:
-            comm.close()
-
-    @pytest.mark.parametrize("nranks", [3, 5, 8])
-    def test_auto_matches_flat_values_bit_exactly(self, nranks):
-        from repro.dsm.comm import current_rank
-        from repro.dsm.simcluster import SimCluster
-
-        def entry():
-            ctx = current_rank()
-            c = ctx.comm
-            b = c.bcast(np.arange(4.0) if ctx.rank == 0 else None, root=0)
-            g = c.gather(np.arange(3.0) * (ctx.rank + 1), root=0)
-            r = c.reduce(float(ctx.rank + 1), root=0)
-            return (b.tolist(),
-                    None if g is None else [x.tolist() for x in g], r)
-
-        results = {}
-        for algo in ("flat", "auto"):
-            cl = SimCluster(nranks, MachineModel(coll_algo=algo))
-            try:
-                results[algo] = cl.run(entry)
-            finally:
-                cl.shutdown()
-        assert results["flat"] == results["auto"]
+            cl.shutdown()
+        assert cl.max_time > 0
+        gathered = [[float(i * (r + 1)) for i in range(6)]
+                    for r in range(nranks)]
+        total = nranks * (nranks + 1) / 2
+        evens = [2 * r for r in range(nranks)]
+        assert got[0] == ([0.0, 1.0, 2.0, 3.0], gathered, total, evens)
+        for rank in range(1, nranks):
+            assert got[rank] == ([0.0, 1.0, 2.0, 3.0], None, None, evens)

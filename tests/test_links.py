@@ -9,8 +9,8 @@ Its three users, each the way a stalled or slow peer would hit it:
 
 * a sockets rank's progress thread — one thread whatever the number of
   inbound peers, a peer stalled mid-frame holds up no other peer, and a
-  window request that arrives before ``attach`` is answered on
-  ``attach`` while later frames keep flowing;
+  one-sided put that arrives before ``attach`` holds up no later frame
+  and lands when the rank exposes its window and fences;
 * the service daemon's front door — one thread for the RPC and metrics
   ports and any number of parked ``result`` long-polls, a client
   stalled mid-frame holds up no other client, and an idle service
@@ -31,7 +31,6 @@ import struct
 import threading
 import time
 from multiprocessing.connection import Connection
-from types import SimpleNamespace
 from urllib.request import urlopen
 
 import numpy as np
@@ -40,15 +39,17 @@ import pytest
 from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
 from repro.apps.sor import SOR
 from repro.core import plug
-from repro.dsm.comm import _GETREQ_NBYTES, TAG_GETREP, TAG_GETREQ
+from repro.dsm.comm import TAG_PUT, RankContext, _bind
 from repro.dsm.links import LinkLoop, dial
 from repro.dsm.mailbox import Message
-from repro.dsm.socketmail import SocketTransport
+from repro.dsm.socketmail import HierarchicalCommunicator, SocketTransport
 from repro.service import RuntimeService, ServiceClient
 from repro.vtime import MachineModel
+from repro.vtime.clock import VClock
 
 #: how long any other link may wait behind a stalled one.
 SERVED_WITHIN = 2.0
+MACHINE = MachineModel(nodes=2, cores_per_node=4)
 needs_fork = pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
                                 reason="the service pre-forks its fleet")
 
@@ -265,25 +266,31 @@ class TestProgressThread:
             t0.close()
             t1.close()
 
-    def test_a_get_before_attach_is_answered_on_attach(self):
-        """Rank 1 asks for rank 0's window before rank 0 built its
-        communicator, then sends a plain frame: the frame is delivered
-        at once, and the request is answered when rank 0 attaches."""
+    def test_a_put_before_attach_lands_on_the_fence(self):
+        """Rank 1 puts into rank 0's window before rank 0 built its
+        communicator, then sends a plain frame: neither is held up, the
+        put is passed on unapplied, and once rank 0 attaches and exposes
+        the window its fence writes the values."""
         channels, (t0, t1) = _fabric(2)
-        win = np.arange(12.0).reshape(3, 4)
+        vals = np.array([7.0, 8.0])
         try:
             t1.send_frame(0, Message(
-                src=1, dst=0, tag=TAG_GETREQ, payload=("W", (1, 3), 0),
-                nbytes=_GETREQ_NBYTES, arrival=0.0))
+                src=1, dst=0, tag=TAG_PUT, payload=("W", 0, (1, 3), vals),
+                nbytes=vals.nbytes, arrival=0.0))
             t1.send_frame(0, _msg(1, 5, "after"))
-            assert channels[0].get(timeout=SERVED_WITHIN).payload == "after"
-            with pytest.raises(queue.Empty):
-                channels[1].get(timeout=0.1)  # held, not refused
-            t0.attach(SimpleNamespace(plane=None,
-                                      _window=lambda rank, name: win))
-            rep = channels[1].get(timeout=SERVED_WITHIN)
-            assert rep.tag == TAG_GETREP
-            np.testing.assert_array_equal(rep.payload, win[1:3])
+            deadline = time.monotonic() + SERVED_WITHIN
+            while channels[0].qsize() < 2:
+                assert time.monotonic() < deadline, "a frame was held"
+                time.sleep(0.01)
+            comm = HierarchicalCommunicator(0, 2, MACHINE, t0)
+            _bind(RankContext(rank=0, nranks=2, clock=VClock(), comm=comm))
+            try:
+                assert comm.recv(source=1, tag=5) == "after"
+                win = comm.win_expose("W", np.zeros(4))
+                comm.fence([1])
+            finally:
+                _bind(None)
+            np.testing.assert_array_equal(win, [0, 7, 8, 0])
         finally:
             t0.close()
             t1.close()
@@ -298,7 +305,7 @@ KW = {"n": 40, "iterations": 12}
 
 def _service(tmp_path, workers: int = 2) -> RuntimeService:
     return RuntimeService(workers=workers, lanes=1,
-                          machine=MachineModel(nodes=2, cores_per_node=4),
+                          machine=MACHINE,
                           ckpt_dir=str(tmp_path / "svc"))
 
 

@@ -1,21 +1,19 @@
-"""The one-sided data plane: put / get / fence over windows and heaps.
+"""The one-sided data plane: put / fence over windows, and the
+topology-aware routing under it.
 
-Three layers:
+Two layers:
 
 * **window protocol** — ``win_expose`` + ``put`` + ``fence(schedule)``
   on the process transport: values land exactly once, in disjoint
   regions, with the deterministic schedule coupling the clocks (the
   memory-ordering contract halo exchange and the elastic reshape are
   ported onto);
-* **symmetric heap** — ``win_alloc`` places windows in per-rank shm
-  segments at symmetric offsets, enabling direct remote writes
-  (``PUT_APPLIED`` fast path) and one-sided ``get``;
-* **topology-aware routing** — a 2-node x 2-rank
+* **topology-aware routing** — a 2-node
   :class:`~repro.dsm.socketmail.HierarchicalCommunicator` layout:
   co-located ranks exchange through queues/slabs with **zero TCP
-  frames** between them (the ISSUE's acceptance assertion), remote
-  ranks through frames; leader-per-node tree collectives put each
-  payload on each inter-node link exactly once.
+  frames** between them, remote ranks through frames, and the flat
+  root-funnel collectives give the in-process cluster's values bit for
+  bit while framing only messages to another node.
 """
 
 import queue
@@ -24,7 +22,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.dsm import shm
 from repro.dsm.comm import RankContext, _bind
 from repro.dsm.partition import BlockLayout, exchange_halo, local_slice
 from repro.dsm.procmail import ProcCommunicator
@@ -166,153 +163,6 @@ class TestPutFence:
 
         _run_ranks(2, body)
 
-    def test_self_get_reads_local_window(self):
-        def body(rank, comm):
-            comm.win_expose("w", np.arange(6.0))
-            out = comm.get("w", rank, (2, 5))
-            comm.barrier()
-            return out
-
-        r = _run_ranks(2, body)
-        np.testing.assert_array_equal(r[0], [2, 3, 4])
-
-    def test_remote_get_needs_a_heap_on_the_process_transport(self):
-        def body(rank, comm):
-            comm.win_expose("w", np.zeros(2))
-            if rank == 1:
-                with pytest.raises(RuntimeError, match="symmetric-heap"):
-                    comm.get("w", 0, (0, 2))
-            comm.barrier()
-            return None
-
-        _run_ranks(2, body)
-
-    def test_quiet_is_a_valid_ordering_point(self):
-        def body(rank, comm):
-            comm.win_expose("w", np.zeros(2))
-            if rank == 0:
-                comm.put("w", np.ones(2), 1, (0, 2))
-                comm.quiet()
-                comm.fence([])
-            else:
-                comm.fence([0])
-            return None
-
-        _run_ranks(2, body)
-
-
-# ---------------------------------------------------------------------------
-# the symmetric heap
-# ---------------------------------------------------------------------------
-class TestSymmetricHeap:
-    def test_symmetric_offsets_and_peer_views(self):
-        launch = shm.new_launch_id()
-        heaps = [shm.SymmetricHeap(launch, r) for r in range(2)]
-        try:
-            # identical SPMD alloc sequence -> identical offsets
-            for h in heaps:
-                h.alloc("a", (16,), np.float64)
-                h.alloc("b", (4, 4), np.int64)
-            heaps[0].window("a")[:] = 1.5
-            heaps[1].window("b")[:] = 7
-            # rank 0 reads rank 1's "b" through a peer view, in place
-            np.testing.assert_array_equal(heaps[0].peer_view(1, "b"),
-                                          np.full((4, 4), 7))
-            # ... and writes rank 1's "a" one-sidedly
-            heaps[0].peer_view(1, "a")[:] = 9.0
-            np.testing.assert_array_equal(heaps[1].window("a"),
-                                          np.full(16, 9.0))
-        finally:
-            for h in heaps:
-                h.close()
-            shm.unlink_heaps(launch, 2)
-
-    def test_alloc_is_idempotent_but_spec_changes_are_errors(self):
-        launch = shm.new_launch_id()
-        h = shm.SymmetricHeap(launch, 0)
-        try:
-            a = h.alloc("x", (8,), np.float64)
-            b = h.alloc("x", (8,), np.float64)
-            assert a.__array_interface__["data"][0] \
-                == b.__array_interface__["data"][0]
-            with pytest.raises(ValueError, match="different spec"):
-                h.alloc("x", (9,), np.float64)
-        finally:
-            h.close()
-            shm.unlink_heaps(launch, 1)
-
-    def test_structured_windows_keep_their_dtype(self):
-        """A window remembers its full dtype: an aligned structured one
-        comes back structured, not as ``|V16``, and re-allocating it with
-        another structured dtype of the same size is an error."""
-        launch = shm.new_launch_id()
-        h = shm.SymmetricHeap(launch, 0)
-        cell = np.dtype([("tag", "i1"), ("w", "<f8")], align=True)
-        other = np.dtype([("a", "<f8"), ("b", "<f8")])
-        assert cell.itemsize == other.itemsize == 16
-        try:
-            w = h.alloc("cells", (4,), cell)
-            assert w.dtype == cell and h.window("cells").dtype == cell
-            w["w"] = np.arange(4.0)
-            np.testing.assert_array_equal(h.window("cells")["w"],
-                                          np.arange(4.0))
-            assert h.alloc("cells", (4,), cell).dtype == cell
-            with pytest.raises(ValueError, match="different spec"):
-                h.alloc("cells", (4,), other)
-        finally:
-            h.close()
-            shm.unlink_heaps(launch, 1)
-
-    def test_exhaustion_raises_memory_error(self):
-        launch = shm.new_launch_id()
-        h = shm.SymmetricHeap(launch, 0, nbytes=1 << 12)
-        try:
-            with pytest.raises(MemoryError):
-                h.alloc("big", (1 << 12,), np.float64)
-        finally:
-            h.close()
-            shm.unlink_heaps(launch, 1)
-
-    def test_win_alloc_put_get_fence_over_heap(self):
-        """The full OpenSHMEM shape on the process transport: collective
-        allocation, direct remote write (PUT_APPLIED fast path), fence
-        observation, one-sided get."""
-        launch = shm.new_launch_id()
-        nranks = 2
-        channels = [queue.Queue() for _ in range(nranks)]
-        planes = [shm.DataPlane(shm.BufferPool(launch, r))
-                  for r in range(nranks)]
-
-        def make_comm(rank):
-            return ProcCommunicator(rank, nranks, MACHINE, channels,
-                                    plane=planes[rank])
-
-        def body(rank, comm):
-            win = comm.win_alloc("sym", (8,), np.float64)
-            if rank == 0:
-                comm.put("sym", np.full(4, 3.0), 1, (0, 4))
-                comm.fence([])
-            else:
-                comm.fence([0])
-                assert win[:4].tolist() == [3.0] * 4  # landed in my heap
-            comm.barrier()
-            # one-sided read of the peer's heap window
-            peer = 1 - rank
-            got = comm.get("sym", peer, (0, 4))
-            comm.barrier()
-            return got.copy()
-
-        try:
-            r = _run_ranks(nranks, body, make_comm=make_comm)
-            np.testing.assert_array_equal(r[0], [3, 3, 3, 3])  # wrote it
-            np.testing.assert_array_equal(r[1], np.zeros(4))
-        finally:
-            for p in planes:
-                p.close()
-            shm.unlink_pool(launch, nranks)
-            shm.unlink_heaps(launch, nranks)
-
-
 # ---------------------------------------------------------------------------
 # topology-aware routing: 2 "physical nodes" x 2 ranks on loopback
 # ---------------------------------------------------------------------------
@@ -370,74 +220,39 @@ class TestHierarchicalTopology:
                 t.close()
 
     @pytest.mark.parametrize("nranks,rpn", [(4, 2), (5, 2), (6, 3)])
-    def test_tree_collectives_match_flat_values(self, nranks, rpn):
-        machines = {algo: MachineModel(nodes=2, cores_per_node=4,
-                                       coll_algo=algo)
-                    for algo in ("flat", "tree")}
+    def test_flat_collectives_match_simcluster_and_cross_nodes_only(
+            self, nranks, rpn):
+        """The flat collectives on the hierarchical fabric give the
+        in-process cluster's values bit for bit, and only messages to
+        another physical node go on the wire."""
+        from repro.dsm.comm import current_rank
+        from repro.dsm.simcluster import SimCluster
 
         def body(rank, comm):
             arr = np.arange(4.0) * (rank + 1)
-            root = 1 if comm.nranks > 1 else 0
-            b = comm.bcast(np.arange(5.0) if rank == root else None,
-                           root=root)
+            b = comm.bcast(np.arange(5.0) if rank == 1 else None, root=1)
             g = comm.gather(arr, root=0)
-            s = comm.reduce(float(rank + 1), root=0)
-            comm.barrier()
-            return (b.tolist(),
-                    None if g is None else [x.tolist() for x in g], s)
+            s = comm.reduce(arr, root=0)
+            ag = comm.allgather(float(rank) / 3.0)
+            return (b.tobytes(),
+                    None if g is None else [x.tobytes() for x in g],
+                    None if s is None else s.tobytes(), ag)
 
-        results = {}
-        for algo, machine in machines.items():
-            transports, make_comm = _hier_fabric(nranks, rpn, machine)
-            try:
-                results[algo] = _run_ranks(nranks, body,
-                                           make_comm=make_comm,
-                                           machine=machine)
-            finally:
-                for t in transports:
-                    t.close()
-        assert results["flat"] == results["tree"]
-
-    def test_tree_bcast_crosses_each_node_link_once(self):
-        """Leader-per-node routing: a broadcast from rank 0 in a
-        2-node x 2-rank layout puts exactly one frame on the wire —
-        leader 0 -> leader 2 — and the members get queue copies."""
-        machine = MachineModel(nodes=2, cores_per_node=4,
-                               coll_algo="tree")
-        transports, make_comm = _hier_fabric(4, 2, machine)
-
-        def body(rank, comm):
-            return comm.bcast(np.arange(8.0) if rank == 0 else None,
-                              root=0).tolist()
-
+        cl = SimCluster(nranks, MACHINE)
         try:
-            r = _run_ranks(4, body, make_comm=make_comm, machine=machine)
-            assert all(v == list(np.arange(8.0)) for v in r)
+            expected = cl.run(
+                lambda: body(current_rank().rank, current_rank().comm))
+        finally:
+            cl.shutdown()
+        transports, make_comm = _hier_fabric(nranks, rpn, MACHINE)
+        try:
+            got = _run_ranks(nranks, body, make_comm=make_comm)
             frames = {rank: t.frame_counts()
                       for rank, t in enumerate(transports)}
-            assert frames == {0: {2: 1}, 1: {}, 2: {}, 3: {}}, frames
         finally:
             for t in transports:
                 t.close()
-
-    def test_remote_get_served_by_progress_thread(self):
-        """A get across the node boundary: the target rank's CPU is
-        busy elsewhere (parked in a barrier it will reach later); the
-        progress thread serves the window read."""
-        transports, make_comm = _hier_fabric(2, 1, MACHINE)
-
-        def body(rank, comm):
-            comm.win_expose("w", np.arange(10.0) * (rank + 1))
-            comm.barrier()
-            got = comm.get("w", 1 - rank, (2, 6))
-            comm.barrier()
-            comm.win_drop("w")
-            return got.copy()
-
-        try:
-            r = _run_ranks(2, body, make_comm=make_comm)
-            np.testing.assert_array_equal(r[0], [4, 6, 8, 10])   # rank 1's
-            np.testing.assert_array_equal(r[1], [2, 3, 4, 5])    # rank 0's
-        finally:
-            for t in transports:
-                t.close()
+        assert got == expected
+        assert sum(sum(f.values()) for f in frames.values()) > 0
+        for rank, f in frames.items():
+            assert all(d // rpn != rank // rpn for d in f), frames
