@@ -45,9 +45,9 @@ nothing references, rewrite partly-live ones).  One store-wide lock,
 owned by the shared :class:`ChunkStore`, is held across "pack durable →
 recipe published" and across "mark → sweep": a GC from one namespace
 can never sweep the entries another namespace has made durable but not
-yet referenced.  The in-memory refcounts are bookkeeping for the stats
-surface; the disk scan is authoritative, so GC is correct across
-process restarts and crashes.  GC runs on checkpoint retirement
+yet referenced.  No reference count is kept: the disk scan alone
+decides what dies, so GC is correct across process restarts and
+crashes.  GC runs on checkpoint retirement
 (:meth:`prune`/:meth:`clear`) and on service job-namespace teardown.
 
 Restores copy once (:class:`RecipeRecord`): an array field's header
@@ -67,7 +67,6 @@ import os
 import re
 import struct
 import threading
-from collections import Counter
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable
@@ -168,9 +167,6 @@ class ChunkStore:
         self._index: dict[str, tuple[str, int, int, int]] | None = None
         #: pack file name -> entries in its table (live or not).
         self._packs: dict[str, int] = {}
-        #: live references: digest -> times referenced by written
-        #: recipes.  Advisory (rebuilt by every GC mark phase).
-        self._refs: Counter[str] = Counter()
         # cumulative traffic counters (the telemetry surface).
         self.chunks_stored = 0
         self.bytes_stored = 0
@@ -442,30 +438,13 @@ class ChunkStore:
                 out.setdefault(digest, _PACK_ENTRY.size + length)
 
     # ------------------------------------------------------------------
-    def incref(self, digests: Iterable[str]) -> None:
-        with self.lock:
-            self._refs.update(digests)
-
-    def decref(self, digests: Iterable[str]) -> None:
-        with self.lock:
-            self._refs.subtract(digests)
-            self._refs += Counter()  # drop keys at zero
-
-    def refcount(self, digest: str) -> int:
-        with self.lock:
-            return self._refs[digest]
-
-    # ------------------------------------------------------------------
     def sweep(self, live: set[str]) -> tuple[int, int]:
         """Drop every chunk not in ``live``; ``(chunks, bytes)`` freed.
 
         A pack with no live entry is unlinked; a partly-live one is
         compacted — its survivors go out as a new durable pack *before*
         the old file is unlinked, so a crash in between leaves a
-        duplicate the next sweep removes, never a gap.  The refcounts
-        are reset to the mark result — the disk scan, not the counter,
-        decides what dies, so a counter lost to a restart can never
-        leak or over-free chunks.
+        duplicate the next sweep removes, never a gap.
         """
         with self.lock:
             index = self._entries()
@@ -506,8 +485,6 @@ class ChunkStore:
                     if index[digest][0] == name:
                         del index[digest]
                         n += 1
-            self._refs = Counter({d: c for d, c in self._refs.items()
-                                  if d in live and c > 0})
             self.chunks_swept += n
             self.bytes_swept += nbytes
             return n, nbytes
@@ -702,7 +679,6 @@ class CasCheckpointStore(CheckpointStore):
         header["recipe"] = recipe
         header["fields"] = list(recipe)
         image = encode_container(header, {}, None)
-        self.cas.incref(d for refs in recipe.values() for d, _ in refs)
         # what this checkpoint actually cost the disk: the recipe plus
         # only the pack entries that weren't already stored.
         self.last_write_nbytes = image_nbytes(image) + new_chunk_bytes

@@ -10,8 +10,6 @@ The paper's distributed execution model (Section III.C) is SPMD over
 * partitioners — BLOCK / CYCLIC / HYBRID layouts over numpy arrays, with
   optional halo (ghost) rows for stencil codes, and exact round-trip
   ``gather(scatter(x)) == x``.
-* :class:`ObjectAggregate` — the paper's ``Replicate`` abstraction: one
-  instance per rank; calls can be broadcast, delegated or reduced.
 * :class:`SimCluster` — launches ``nranks`` rank threads running the same
   entry point, each with a virtual clock placed on the machine model's
   node/core grid (over-decomposition charges core contention).
@@ -28,15 +26,11 @@ from repro.dsm.partition import (
     CyclicLayout,
     HybridLayout,
     Layout,
-    gather_blocks,
     local_slice,
-    scatter_blocks,
 )
-from repro.dsm.aggregate import AggregateMember, ObjectAggregate
 from repro.dsm.simcluster import RankFailure, SimCluster
 
 __all__ = [
-    "AggregateMember",
     "BlockLayout",
     "Communicator",
     "CyclicLayout",
@@ -44,12 +38,9 @@ __all__ = [
     "Layout",
     "Mailbox",
     "Message",
-    "ObjectAggregate",
     "RankContext",
     "RankFailure",
     "SimCluster",
     "current_rank",
-    "gather_blocks",
     "local_slice",
-    "scatter_blocks",
 ]

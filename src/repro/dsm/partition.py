@@ -7,13 +7,11 @@ implements those layouts over a chosen axis, plus the scatter / gather /
 halo-exchange data movements the ``ScatterBefore`` / ``GatherAfter``
 templates need.
 
-Two storage conventions are supported:
-
-* *compact* — each rank holds only its partition (``scatter_blocks`` /
-  ``gather_blocks``); used by hand-written MPI-style baselines.
-* *in-place* — each rank holds a full-size array of which only its owned
-  region is valid (``scatter_inplace`` / ``gather_inplace``); this is what
-  the weaver uses so domain code can keep indexing globally.
+One storage convention is supported, *in-place*: each rank holds a
+full-size array of which only its owned region is valid
+(``scatter_inplace`` / ``gather_inplace``).  The weaver and the
+hand-written MPI-style baselines both use it, so domain code keeps
+indexing globally.
 
 Invariant (property-tested): gather∘scatter is the identity for every
 layout, axis, rank count and array shape.
@@ -111,51 +109,6 @@ def _put(arr: np.ndarray, idx: np.ndarray, axis: int,
     sl: list = [slice(None)] * arr.ndim
     sl[axis] = idx
     arr[tuple(sl)] = vals
-
-
-# ---------------------------------------------------------------------------
-# compact-storage movements
-# ---------------------------------------------------------------------------
-def scatter_blocks(comm: "Communicator", arr: np.ndarray | None,
-                   layout: Layout, root: int = 0) -> np.ndarray:
-    """Distribute ``arr`` (valid at root) by ``layout``; returns local part."""
-    from repro.dsm.comm import current_rank
-
-    ctx = current_rank()
-    assert ctx is not None
-    if ctx.rank == root:
-        assert arr is not None
-        n = arr.shape[layout.axis]
-        for r in range(comm.nranks):
-            if r == root:
-                continue
-            # ``np.take`` builds a fresh staging buffer nothing else
-            # aliases: the owned send skips the defensive copy.
-            part = _take(arr, layout.owned(n, r, comm.nranks), layout.axis)
-            comm._send_owned(part, r, _TAG_SCATTER)
-        return _take(arr, layout.owned(n, root, comm.nranks), layout.axis)
-    return comm.recv(source=root, tag=_TAG_SCATTER)
-
-
-def gather_blocks(comm: "Communicator", local: np.ndarray, layout: Layout,
-                  shape: tuple[int, ...], root: int = 0) -> np.ndarray | None:
-    """Reassemble the full array of ``shape`` at ``root``."""
-    from repro.dsm.comm import current_rank
-
-    ctx = current_rank()
-    assert ctx is not None
-    n = shape[layout.axis]
-    if ctx.rank == root:
-        out = np.empty(shape, dtype=local.dtype)
-        _put(out, layout.owned(n, root, comm.nranks), layout.axis, local)
-        for src in range(comm.nranks):
-            if src == root:
-                continue
-            part = comm.recv(source=src, tag=_TAG_GATHER)
-            _put(out, layout.owned(n, src, comm.nranks), layout.axis, part)
-        return out
-    comm.send(local, root, _TAG_GATHER)
-    return None
 
 
 # ---------------------------------------------------------------------------

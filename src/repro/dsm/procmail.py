@@ -196,8 +196,8 @@ class Channel:
     reads whole frames under a read lock, so a parent draining a channel
     never tears a frame its owner is reading.  The surface is the part
     of ``mp.Queue`` the mailboxes use (``put``, ``get``, ``get_nowait``,
-    ``close``, ``cancel_join_thread``); like a queue, a channel reaches a
-    child only as a process argument.
+    ``close``, ``cancel_join_thread``) plus ``fileno`` for waits; like a
+    queue, a channel reaches a child only as a process argument.
     """
 
     def __init__(self, ctx=None) -> None:
@@ -253,6 +253,11 @@ class Channel:
 
     def get_nowait(self):
         return self.get(False)
+
+    def fileno(self) -> int:
+        """The read end's descriptor: a channel is a waitable for
+        ``multiprocessing.connection.wait`` (readable = a frame began)."""
+        return self._reader.fileno()
 
     def close(self) -> None:
         """Release this process's ends; queued frames still go out."""

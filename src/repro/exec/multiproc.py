@@ -34,8 +34,16 @@ membership transition run by the workers themselves (the protocol in
 to the transition safe point and map the existing segments, no fork, no
 allocation, no re-scatter (shared partitions need no data movement at
 all) — and a shrink parks them again.  Only the parent's bookkeeping
-(which ranks will report) changes, via a notify queue.  Relaunch remains
-the path for mode/backend switches and recovery.
+(which ranks will report) changes, via rank 0's reshape note.  Relaunch
+remains the path for mode/backend switches and recovery.
+
+Collection: every message a rank sends its parent — its final report,
+rank 0's reshape notes, a retired rank's event timeline, a sockets
+rank's listener address — is a tagged tuple on the launch's one inbox
+:class:`~repro.dsm.procmail.Channel`.  The parent blocks in one
+``multiprocessing.connection.wait`` over that inbox and the sentinels
+of the ranks it still owes a report; its only timeouts are the join
+deadline and the peer grace.
 
 This module is the parent side; what a rank process runs — the launch
 envelope, the rank loop, field placement, the reshaper — is
@@ -53,7 +61,7 @@ import multiprocessing as mp
 import queue as _queue
 import time
 import traceback
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 
 from repro.ckpt.failure import InjectedFailure
 from repro.ckpt.funnel import CheckpointFunnel
@@ -99,24 +107,29 @@ def preferred_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def drain_queues(qs, close: bool = False) -> None:
+def drain_queues(qs, close: bool = False) -> list:
     """Empty leftover queue/channel traffic so exiting senders can flush
-    (an ``mp.Queue`` feeder or a channel flusher is joined at exit).
+    (an ``mp.Queue`` feeder or a channel flusher is joined at exit);
+    returns what was drained.
 
     ``close`` additionally releases the parent's handles — only safe
-    once every worker has been joined.
+    once every worker has been joined — and lets this process exit
+    without delivering what no process can read any more.
     """
+    left = []
     for q in qs:
         try:
             while True:
-                q.get_nowait()
+                left.append(q.get_nowait())
         except (_queue.Empty, OSError, ValueError):
             pass
         if close:
             try:
+                q.cancel_join_thread()
                 q.close()
             except (OSError, ValueError):
                 pass
+    return left
 
 
 class MultiprocessBackend(ExecutionBackend):
@@ -207,16 +220,6 @@ class MultiprocessBackend(ExecutionBackend):
         backend's ranks dial the funnel's TCP listener instead."""
         return funnel.pipe()
 
-    def _rendezvous_queue(self, mpctx):
-        """Launch-scoped address-rendezvous queue wired to every rank
-        (``RankWiring.rendezvous``); only the sockets backend has one."""
-        return None
-
-    def _after_start(self, spec: PhaseSpec, procs, channels,
-                     rendezvous) -> None:
-        """Parent-side hook between process start and report collection
-        (the sockets backend runs its address rendezvous here)."""
-
     # ------------------------------------------------------------------
     def _fabric_size(self, spec: PhaseSpec) -> int:
         """Ranks to pre-fork: the launch shape plus every in-place
@@ -238,11 +241,9 @@ class MultiprocessBackend(ExecutionBackend):
         mpctx = mp.get_context(self.start_method)
         launch_id = shm.new_launch_id()
         channels = [Channel(mpctx) for _ in range(max_ranks)]
-        result_queue = mpctx.Queue()
-        notify_queue = mpctx.Queue()
+        inbox = Channel(mpctx)
         funnel = CheckpointFunnel()
         funnel.register("", services.store)
-        rendezvous = self._rendezvous_queue(mpctx)
         # the launch's observability segments: created before any fork
         # so every child can attach them by deterministic name.  Regions
         # belong to the segment, not the worker: a dead rank's records
@@ -251,13 +252,13 @@ class MultiprocessBackend(ExecutionBackend):
         planes = self.open_planes(services, max_ranks, launch_id=launch_id)
         env = WorkerEnv.build(spec, services, self, launch_id, max_ranks)
         procs: list = []
+        reports: dict = {}
         try:
             for r in range(max_ranks):
                 link = self._funnel_link(funnel)
-                wiring = RankWiring(channels, result_queue, notify_queue,
-                                    link, rendezvous)
                 p = mpctx.Process(target=rank_main,
-                                  args=(r, env.for_rank(r), wiring),
+                                  args=(r, env.for_rank(r),
+                                        RankWiring(channels, inbox, link)),
                                   daemon=True, name=f"{self.proc_prefix}{r}")
                 procs.append(p)
                 p.start()
@@ -265,22 +266,25 @@ class MultiprocessBackend(ExecutionBackend):
                     link.close()  # the rank holds the worker end now
             # serve checkpoints only after all forks: no duplicated thread.
             funnel.start()
-            self._after_start(spec, procs, channels, rendezvous)
             reports, stray_events, active = self._collect(
-                procs, result_queue, notify_queue, n)
+                procs, inbox, n, channels)
         finally:
             # drain before joining: exiting workers block until their
-            # channel flushers and queue feeders flush, and nothing reads
-            # the rank channels any more once the phase outcome is decided.
-            drain_queues(channels + [notify_queue])
-            self._stop_parked(procs, channels)
+            # channel flushers flush.  Rank channel leftovers are dead
+            # letters once the outcome is decided; the inbox may still
+            # carry a retired rank's timeline, sent after the reports.
+            late = drain_queues([inbox])
+            drain_queues(channels)
+            self._stop_parked(procs, channels, reports)
             self._reap(procs)
             funnel.stop()
-            drain_queues(channels + [result_queue, notify_queue], close=True)
+            drain_queues(channels, close=True)
+            late += drain_queues([inbox], close=True)
             # every worker is joined: the drain-time scrape (parked
             # regions included) is race-free, and the segments can go.
             planes.drain(services)
             self._unlink_segments(spec, launch_id, max_ranks)
+        stray_events += [ev for m in late if m[0] == "events" for ev in m[2]]
         self._merge_events(services.log, reports, stray_events)
         end = max([spec.start_vtime]
                   + [rep[3] for rep in reports.values() if rep[3] is not None])
@@ -295,107 +299,97 @@ class MultiprocessBackend(ExecutionBackend):
         return self._outcome(reports, end)
 
     # ------------------------------------------------------------------
-    def _collect(self, procs, result_queue, notify_queue, n0: int
+    def _collect(self, procs, inbox: Channel, n0: int, channels
                  ) -> tuple[dict, list, set]:
         """Gather one report per *active* rank; cut stragglers loose on
         failure.
 
+        One wait covers the inbox and the sentinel of every rank still
+        owed a report.  On each wake the collector notes which of those
+        ranks have exited, then drains the inbox: a rank's exit joins
+        its channel flusher, so anything it sent is in the pipe before
+        its sentinel fires, and an exited rank still without a report
+        after that drain died before reporting.
+
         The active set starts as the launch configuration's ranks and
-        follows the reshape notifications rank 0 posts before each
-        membership switch (the switch fence orders the notification
-        before anything the new membership sends).  Parked ranks never
-        report; retired ranks ship their event timeline through the
-        notify queue when they re-park.
+        follows the reshape notes rank 0 posts before each membership
+        switch (the switch fence orders the note before anything the
+        new membership sends).  Parked ranks never report; retired
+        ranks ship their event timeline when they re-park.  Every
+        message also goes to :meth:`_on_message`.
         """
         reports: dict[int, tuple] = {}
         stray_events: list = []
         active = set(range(n0))
         deadline = time.monotonic() + self.join_timeout
         failure_seen_at: float | None = None
-
-        def _drain_notify() -> None:
-            nonlocal active
+        while True:
+            missing = [r for r in sorted(active) if r not in reports]
+            exited = [r for r in missing if procs[r].exitcode is not None]
             try:
                 while True:
-                    note = notify_queue.get_nowait()
-                    if note[0] == "reshape":
-                        active = set(range(note[3]))
-                        self._on_reshape(note)
-                    elif note[0] == "events":
-                        stray_events.extend(note[2])
+                    msg = inbox.get_nowait()
+                    if msg[0] == "report":
+                        reports[msg[1]] = msg[1:]
+                        if msg[2] in (FAILED, ERROR) \
+                                and failure_seen_at is None:
+                            failure_seen_at = time.monotonic()
+                    elif msg[0] == "reshape":
+                        active = set(range(msg[3]))
+                    elif msg[0] == "events":
+                        stray_events.extend(msg[2])
+                    self._on_message(msg, channels)
             except _queue.Empty:
                 pass
-
-        while True:
-            _drain_notify()
+            now = time.monotonic()
+            for r in exited:
+                if r not in reports:
+                    reports[r] = (r, ERROR,
+                                  f"rank {r} died with exit code "
+                                  f"{procs[r].exitcode} before reporting",
+                                  None, [], [])
+                    if failure_seen_at is None:
+                        failure_seen_at = now
             missing = [r for r in sorted(active) if r not in reports]
             if not missing:
                 # cross-check against rank 0's authoritative reshape
-                # records: a notify could in principle still be in a
-                # queue feeder while the final reports are already in.
+                # records: a note can still sit in rank 0's channel
+                # flusher while the final reports are already in.
                 final_n = self._final_membership(reports, n0)
                 if len(active) != final_n:
                     active = set(range(final_n))
                     continue
                 break
-            try:
-                rep = result_queue.get(timeout=0.05)
-                reports[rep[0]] = rep
-                if rep[1] in (FAILED, ERROR) and failure_seen_at is None:
-                    failure_seen_at = time.monotonic()
-                continue
-            except _queue.Empty:
-                pass
-            now = time.monotonic()
-            dead = [r for r in sorted(active)
-                    if r not in reports and not procs[r].is_alive()
-                    and procs[r].exitcode is not None]
-            if dead:
-                # a rank can flush its report and exit between the poll
-                # above and the liveness scan: drain once more before
-                # declaring anyone dead-without-reporting.
-                try:
-                    while True:
-                        rep = result_queue.get_nowait()
-                        reports[rep[0]] = rep
-                        if rep[1] in (FAILED, ERROR) \
-                                and failure_seen_at is None:
-                            failure_seen_at = now
-                except _queue.Empty:
-                    pass
-            for r in dead:
-                if r not in reports:
-                    p = procs[r]
-                    reports[r] = (r, ERROR,
-                                  f"rank {r} died with exit code "
-                                  f"{p.exitcode} before reporting",
-                                  None, [], [])
-                    if failure_seen_at is None:
-                        failure_seen_at = now
             if failure_seen_at is not None \
                     and now - failure_seen_at > _PEER_GRACE_SECONDS:
-                for r in sorted(active):
-                    if r not in reports:
-                        procs[r].terminate()
-                        reports[r] = (r, ERROR, _TERMINATED_FALLOUT,
-                                      None, [], [])
+                for r in missing:
+                    procs[r].terminate()
+                    reports[r] = (r, ERROR, _TERMINATED_FALLOUT,
+                                  None, [], [])
                 break
             if now > deadline:
-                for r in sorted(active):
-                    if r not in reports:
-                        procs[r].terminate()
-                        reports[r] = (r, ERROR, f"rank {r} hung",
-                                      None, [], [])
+                for r in missing:
+                    procs[r].terminate()
+                    reports[r] = (r, ERROR, f"rank {r} hung",
+                                  None, [], [])
                 break
+            until = deadline if failure_seen_at is None else min(
+                deadline, failure_seen_at + _PEER_GRACE_SECONDS)
+            sentinels = [procs[r].sentinel for r in missing]
+            wait([inbox] + [s for s in sentinels if s is not None],
+                 timeout=max(0.0, until - now))
         return reports, stray_events, active
 
-    def _on_reshape(self, note: tuple) -> None:
-        """Membership-change hook: called from report collection on each
-        ``("reshape", count, old_n, new_n)`` notification rank 0 posts
-        before a membership switch.  The base backend pre-parks its
-        whole fabric at launch so nothing is needed; the service fleet
-        overrides this to park idle workers on the lanes a grow is
-        about to un-park."""
+    def _on_message(self, msg: tuple, channels) -> None:
+        """Per-message hook: called from report collection on every
+        inbox message, after the collector's own bookkeeping.  Kinds:
+        ``("report", rank, status, data, end, events, records)``,
+        ``("reshape", count, old_n, new_n)`` — rank 0's note before a
+        membership switch — ``("events", rank, events)`` from a retired
+        rank, and ``("address", rank, address, n)`` from a sockets rank.
+        The base backend pre-parks its whole fabric at launch, so it
+        needs nothing here; the service fleet parks idle workers on a
+        grow, the sockets backend broadcasts the address map."""
 
     @staticmethod
     def _final_membership(reports: dict, n0: int) -> int:
@@ -408,10 +402,15 @@ class MultiprocessBackend(ExecutionBackend):
         return resh[-1].to_config.nranks if resh else n0
 
     @staticmethod
-    def _stop_parked(procs, channels) -> None:
-        """Release every still-parked process from its control wait."""
+    def _stop_parked(procs, channels, reports: dict) -> None:
+        """Release every still-parked process from its control wait.
+
+        A rank that reported is exiting on its own: a put into its
+        channel could meet the channel's write lock held by a thread the
+        exit killed, and the flusher it would start would never finish.
+        """
         for r, p in enumerate(procs):
-            if p.is_alive():
+            if r not in reports and p.is_alive():
                 try:
                     channels[r].put({"kind": "stop"})
                 except (OSError, ValueError):

@@ -15,9 +15,11 @@ What changes against the parent class, and why:
 * **communicator** — a :class:`~repro.dsm.socketmail.
   HierarchicalCommunicator` over a per-rank
   :class:`~repro.dsm.socketmail.SocketTransport`; listener addresses
-  are exchanged through a parent-mediated rendezvous (children post
-  ``(rank, address)`` on a queue, the parent broadcasts the gathered
-  map on the control channels) before the first remote send;
+  are exchanged through a parent-mediated rendezvous (each child posts
+  an ``("address", ...)`` message on the launch inbox, the parent's
+  collector gathers them and broadcasts the map on the control
+  channels) before the first remote send.  A child that dies before
+  posting its address is seen through its process sentinel at once;
 * **no shared fields** — partitioned fields stay private per rank:
   pages cannot alias across physical nodes, so scatter / halo / gather
   perform real data movement over the transport (which is exactly what
@@ -49,7 +51,7 @@ from repro.core.modes import Capabilities, ExecConfig
 from repro.dsm.mailbox import Message
 from repro.dsm.shm import SegmentManager
 from repro.dsm.socketmail import HierarchicalCommunicator, SocketTransport
-from repro.exec.base import PhaseSpec
+from repro.exec.base import PhaseOutcome, PhaseServices, PhaseSpec
 from repro.exec.multiproc import MultiprocessBackend
 from repro.exec.worker import RankWiring
 from repro.vtime.machine import SOCKET_RANKS_CALIBRATION
@@ -87,6 +89,8 @@ class SocketsBackend(MultiprocessBackend):
             raise ValueError("ranks_per_node must be >= 1")
         self.ranks_per_node = ranks_per_node
         self.hosts = list(hosts) if hosts else ["127.0.0.1"]
+        #: the current launch's gathered listener addresses.
+        self._addresses: dict[int, tuple[str, int]] = {}
 
     # ------------------------------------------------------------------
     def pnode_of(self, rank: int) -> int:
@@ -119,19 +123,21 @@ class SocketsBackend(MultiprocessBackend):
     def _funnel_link(self, funnel: CheckpointFunnel):
         return funnel.tcp(self.hosts[0])
 
-    def _rendezvous_queue(self, mpctx):
-        return mpctx.Queue()
-
     # ------------------------------------------------------------------
     # address rendezvous: child half (in make_communicator) and parent
-    # half (in _after_start)
+    # half (in _on_message)
     # ------------------------------------------------------------------
+    def launch(self, spec: PhaseSpec, services: PhaseServices
+               ) -> PhaseOutcome:
+        self._addresses = {}
+        return super().launch(spec, services)
+
     def make_communicator(self, rank: int, nranks: int, machine,
                           wiring: RankWiring, plane, mail_epoch: int
                           ) -> HierarchicalCommunicator:
         transport = SocketTransport(rank, wiring.channels, self.pnode_of,
                                     bind_host=self._bind_host(rank))
-        wiring.rendezvous.put((rank, transport.address))
+        wiring.inbox.put(("address", rank, transport.address, nranks))
         buffered: list[Message] = []
         deadline = time.monotonic() + _RENDEZVOUS_SECONDS
         while True:
@@ -164,27 +170,18 @@ class SocketsBackend(MultiprocessBackend):
             inbox._admit(m)
         return comm
 
-    def _after_start(self, spec: PhaseSpec, procs, channels,
-                     rendezvous) -> None:
+    def _on_message(self, msg: tuple, channels) -> None:
         """Gather every rank's listener address, broadcast the map.
 
         On a child death mid-rendezvous the map is never posted; the
-        survivors time out their wait and report, and ``_collect``
-        attributes the root cause to the dead rank.
+        collector sees the death through the child's sentinel, and the
+        peer grace cuts the survivors' wait short.
         """
-        n = spec.config.nranks
-        addresses: dict[int, tuple[str, int]] = {}
-        deadline = time.monotonic() + _RENDEZVOUS_SECONDS
-        while len(addresses) < n and time.monotonic() < deadline:
-            try:
-                rank, addr = rendezvous.get(timeout=0.5)
-            except _queue.Empty:
-                if any(not procs[r].is_alive()
-                       and procs[r].exitcode is not None for r in range(n)):
-                    return
-                continue
-            addresses[rank] = addr
-        if len(addresses) < n:
+        if msg[0] != "address":
             return
-        for r in range(n):
-            channels[r].put({"kind": "addresses", "map": addresses})
+        _, rank, address, n = msg
+        self._addresses[rank] = address
+        if len(self._addresses) == n:
+            for r in range(n):
+                channels[r].put({"kind": "addresses",
+                                 "map": self._addresses})

@@ -143,13 +143,13 @@ class RankWiring:
 
     #: the launch's rank channels (mailbox fabric + control directives).
     channels: list
-    results: object
-    notify: object
+    #: the parent's inbox :class:`~repro.dsm.procmail.Channel`: every
+    #: message a rank sends its parent goes here as a tagged tuple (see
+    #: ``MultiprocessBackend._on_message`` for the kinds).
+    inbox: object
     #: the rank's checkpoint-funnel link: a pipe end, or the funnel
     #: listener's ``(host, port)`` (see :class:`FunnelStore`).
     funnel: object
-    #: the sockets backend's address-rendezvous queue.
-    rendezvous: object | None = None
 
 
 def place_shared_fields(ctx, instance, comm, launch_id: str,
@@ -242,8 +242,8 @@ class ProcessReshaper(RankReshaper):
     control message carrying the replay target, the transition epoch and
     the segment metadata); a shrink sends the retirees back to their
     control channel via :class:`RankRetired`.  The parent learns of the
-    membership change through the notify queue — it is bookkeeping, not
-    a participant.
+    membership change through rank 0's note on its inbox — it is
+    bookkeeping, not a participant.
     """
 
     def __init__(self, env: WorkerEnv, wiring: RankWiring, comm) -> None:
@@ -268,7 +268,7 @@ class ProcessReshaper(RankReshaper):
         comm.barrier()  # quiesce: all prior collectives drained
         epoch = ctx.rankctx.clock.now
         if rank == 0:
-            self.wiring.notify.put(("reshape", count, plan.old_n, new_n))
+            self.wiring.inbox.put(("reshape", count, plan.old_n, new_n))
             for j in plan.joining:
                 self.wiring.channels[j].put({
                     "kind": "unpark", "count": count, "epoch": epoch,
@@ -278,7 +278,7 @@ class ProcessReshaper(RankReshaper):
                     # match: the switch below bumps every survivor to
                     # exactly this value.
                     "mail_epoch": self.comm.mail_epoch + 1})
-        # fence: rank 0's notify/un-park sends precede every peer's
+        # fence: rank 0's note/un-park sends precede every peer's
         # release, so nothing the new membership does can reach the
         # parent before the membership change itself.
         comm.barrier()
@@ -461,7 +461,7 @@ def rank_main(rank: int, env: WorkerEnv, wiring: RankWiring,
             status, data, end_vtime, records = run_rank_segment(
                 rank, env, wiring, store, log, join_payload, plane)
             if status == RETIRED:
-                wiring.notify.put(("events", rank, list(log)))
+                wiring.inbox.put(("events", rank, list(log)))
                 log = EventLog()
                 planes.park()
                 if not repark:
@@ -475,8 +475,8 @@ def rank_main(rank: int, env: WorkerEnv, wiring: RankWiring,
             # the flusher join would drop them.  The parent drains
             # leftover channel traffic before joining, so a flushing
             # exit cannot block.
-            wiring.results.put(
-                (rank, status, data, end_vtime, list(log), records))
+            wiring.inbox.put(
+                ("report", rank, status, data, end_vtime, list(log), records))
             return "done"
     finally:
         planes.close()

@@ -6,7 +6,7 @@ envelope over their control queues instead of as process arguments,
 and collects reports with the stock multiprocess machinery —
 ``_collect``, ``_merge_events``, ``_outcome`` run unchanged over a
 rank→worker proxy.  Elastic grows
-ride the ``_on_reshape`` hook: when rank 0 announces a membership grow,
+ride the ``_on_message`` hook: when rank 0 announces a membership grow,
 the backend leases idle workers and parks them on the lane channels
 where the un-park messages already wait, so the join path is byte-for-
 byte the elastic joiner path of a cold launch.  Worker-side
@@ -27,13 +27,11 @@ from repro.service.steer import JobCancelled
 
 
 class _DeadProc:
-    """Stand-in for a rank with no worker behind it at all."""
+    """Stand-in for a rank with no worker behind it at all: no
+    sentinel to wait on, and dead from the first look."""
 
     exitcode = 1
-
-    @staticmethod
-    def is_alive() -> bool:
-        return False
+    sentinel = None
 
     @staticmethod
     def terminate() -> None:
@@ -44,13 +42,12 @@ _DEAD = _DeadProc()
 
 
 class _GuardedProc:
-    """Liveness passthrough with ``terminate`` disarmed.
+    """Exit code and sentinel passthrough with ``terminate`` disarmed.
 
     Used when a rank's worker is no longer leased to this job — back in
     the pool, or already serving another job.  Its *liveness* is still
-    the truth (a worker that flushed its report and re-parked is alive,
-    not dead; the report is merely behind a queue feeder), but the
-    collector's reaping must never touch it.
+    the truth (a worker that sent its report and re-parked is alive,
+    not dead), but the collector's reaping must never touch it.
     """
 
     def __init__(self, proc) -> None:
@@ -60,8 +57,9 @@ class _GuardedProc:
     def exitcode(self):
         return self._proc.exitcode
 
-    def is_alive(self) -> bool:
-        return self._proc.is_alive()
+    @property
+    def sentinel(self):
+        return self._proc.sentinel
 
     def terminate(self) -> None:
         pass
@@ -140,13 +138,12 @@ class FleetBackend(MultiprocessBackend):
             spec, services, FleetWorkerBackend(fleet.steer[self.lane].name),
             launch_id, fleet.workers, job=self.job, lane=self.lane)
         lane_qs = fleet.data[self.lane]
-        result_queue = fleet.results[self.lane]
-        notify_queue = fleet.notifies[self.lane]
+        inbox = fleet.inboxes[self.lane]
         try:
             for r, w in enumerate(wids):
                 fleet.activate(w, env, rank=r)
             reports, stray_events, active = self._collect(
-                _RankProcs(self), result_queue, notify_queue, n)
+                _RankProcs(self), inbox, n, lane_qs)
         finally:
             # release joiners whose un-park never arrived (a message to
             # a consumed park lands in a drained queue — harmless).
@@ -158,11 +155,10 @@ class FleetBackend(MultiprocessBackend):
             owed = set(self.assignment.values()) | set(self._pending.values())
             stragglers = fleet.await_idle(
                 owed, timeout=15.0,
-                drain=lambda: drain_queues(
-                    lane_qs + [result_queue, notify_queue]))
+                drain=lambda: drain_queues(lane_qs + [inbox]))
             for w in stragglers:
                 fleet.respawn(w)
-            drain_queues(lane_qs + [result_queue, notify_queue])
+            drain_queues(lane_qs + [inbox])
             fleet.funnel.unregister(self.job)
             fleet.arena.release(self.job)
             # workers are idle (or respawned) by here: their regions are
@@ -183,8 +179,10 @@ class FleetBackend(MultiprocessBackend):
         return self._outcome(reports, end)
 
     # ------------------------------------------------------------------
-    def _on_reshape(self, note: tuple) -> None:
-        _, _count, old_n, new_n = note
+    def _on_message(self, msg: tuple, channels) -> None:
+        if msg[0] != "reshape":
+            return
+        _, _count, old_n, new_n = msg
         self.current_nranks = new_n
         if new_n > old_n:
             # rank 0 already posted the un-park messages to the lane

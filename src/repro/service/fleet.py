@@ -5,7 +5,7 @@ job.  Between jobs a worker blocks on its control channel — the same
 park the elastic membership protocol uses for surplus ranks — and a job
 activation is a control message, not a fork: the worker receives the
 job's :class:`~repro.exec.worker.WorkerEnv` (the same envelope a cold
-launch hands its forks), wires it to the fleet's queues, and runs
+launch hands its forks), wires it to the fleet's channels, and runs
 :func:`repro.exec.worker.rank_main` exactly as a cold launch would.
 Everything expensive is process-scoped and survives jobs:
 
@@ -14,8 +14,8 @@ Everything expensive is process-scoped and survives jobs:
   payloads and packed snapshots of *every* job ride the same slabs;
 * the mailbox fabrics: each of the fleet's ``lanes`` (concurrent job
   slots) owns a fleet-wide fabric of rank
-  :class:`~repro.dsm.procmail.Channel` objects plus result/notify
-  queues, created once and drained between jobs;
+  :class:`~repro.dsm.procmail.Channel` objects plus one parent inbox
+  channel, created once and drained between jobs;
 * the checkpoint funnel: one serving thread for all jobs
   (a :class:`~repro.ckpt.funnel.CheckpointFunnel` with the fleet's
   segment arena), one pipe link per worker, routing each write to the
@@ -111,8 +111,7 @@ class _WorkerBoot:
     wid: int
     control: object
     lanes: list          # lanes[lane][rank] -> channel
-    results: list        # lanes' result queues
-    notifies: list       # lanes' notify queues
+    inboxes: list        # lanes' parent inbox channels
     events: object       # fleet-wide worker lifecycle events
     funnel: object       # this worker's funnel pipe end
 
@@ -142,11 +141,10 @@ def _worker_main(boot: _WorkerBoot) -> None:
             boot.events.put(("joined", boot.wid, env.job, rank))
             how = "error"
             try:
-                # the envelope crossed the control queue; the queues it
-                # runs over are this worker's own, held since its fork.
-                wiring = RankWiring(
-                    boot.lanes[env.lane], boot.results[env.lane],
-                    boot.notifies[env.lane], boot.funnel)
+                # the envelope crossed the control queue; the channels
+                # it runs over are this worker's own, held since its fork.
+                wiring = RankWiring(boot.lanes[env.lane],
+                                    boot.inboxes[env.lane], boot.funnel)
                 how = rank_main(rank, env, wiring, plane=plane,
                                 repark=False, parked=(kind == "park"))
             except BaseException:  # noqa: BLE001 - the worker survives;
@@ -178,8 +176,7 @@ class WorkerFleet:
         self.control = [self.mpctx.Queue() for _ in range(workers)]
         self.data = [[Channel(self.mpctx) for _ in range(workers)]
                      for _ in range(lanes)]
-        self.results = [self.mpctx.Queue() for _ in range(lanes)]
-        self.notifies = [self.mpctx.Queue() for _ in range(lanes)]
+        self.inboxes = [Channel(self.mpctx) for _ in range(lanes)]
         self.events = self.mpctx.Queue()
         self.arena = SegmentArena(self.fleet_id)
         self.funnel = CheckpointFunnel(arena=self.arena)
@@ -211,8 +208,8 @@ class WorkerFleet:
         link = self.funnel.pipe()
         boot = _WorkerBoot(
             fleet_id=self.fleet_id, wid=wid, control=self.control[wid],
-            lanes=self.data, results=self.results, notifies=self.notifies,
-            events=self.events, funnel=link)
+            lanes=self.data, inboxes=self.inboxes, events=self.events,
+            funnel=link)
         p = self.mpctx.Process(target=_worker_main, args=(boot,),
                                daemon=True,
                                name=f"{self.proc_prefix}{wid}")
@@ -341,7 +338,7 @@ class WorkerFleet:
         if self._pump_thread is not None:
             self._pump_thread.join(timeout=5.0)
         flat = (self.control + [q for lane in self.data for q in lane]
-                + self.results + self.notifies + [self.events])
+                + self.inboxes + [self.events])
         drain_queues(flat, close=True)
         for blk in self.steer:
             blk.close()

@@ -12,12 +12,11 @@ from repro.util.serialization import (
     loads_portable,
     nbytes_of,
 )
-from repro.util.timing import ThreadTimer, WallTimer
+from repro.util.timing import WallTimer
 
 __all__ = [
     "Event",
     "EventLog",
-    "ThreadTimer",
     "WallTimer",
     "crc32_of",
     "dumps_portable",

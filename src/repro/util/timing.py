@@ -1,50 +1,17 @@
-"""Timers used by the virtual-time instrumentation.
+"""The wall-clock timer behind the virtual-time instrumentation.
 
-Two kinds of time matter to the cost model:
-
-* ``ThreadTimer`` measures CPU time consumed *by the calling thread only*
-  (``time.thread_time``).  Because CPython's GIL serialises pure-Python
-  bytecode, wall-clock time measured inside a worker thread is inflated by
-  the time spent waiting for the GIL; per-thread CPU time is not.  This is
-  what we charge to a rank's virtual clock for a compute chunk.
-* ``WallTimer`` measures ordinary wall-clock time and is used for the
-  harness-level reporting (pytest-benchmark measures wall time itself).
+``WallTimer`` measures ordinary wall-clock seconds
+(``time.perf_counter``).  A woven region times each chunk with it and
+charges the rank's virtual clock through
+``GLOBAL_CALIBRATOR.charge_for`` (:mod:`repro.vtime.calibrate`): a pinned
+or learnt per-unit rate when the region is keyed, the measured seconds
+themselves otherwise.  The hand-written baselines time their chunks the
+same way, and the harness uses it for wall-clock reporting.
 """
 
 from __future__ import annotations
 
 import time
-
-
-class ThreadTimer:
-    """Context manager measuring per-thread CPU seconds.
-
-    Usage::
-
-        with ThreadTimer() as t:
-            work()
-        clock.charge_compute(t.elapsed)
-    """
-
-    __slots__ = ("_start", "elapsed")
-
-    def __init__(self) -> None:
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "ThreadTimer":
-        self._start = time.thread_time()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.thread_time() - self._start
-
-    def start(self) -> None:
-        self._start = time.thread_time()
-
-    def stop(self) -> float:
-        self.elapsed = time.thread_time() - self._start
-        return self.elapsed
 
 
 class WallTimer:

@@ -358,7 +358,7 @@ class TestChunkStore:
         with pytest.raises(ChunkCorrupt):
             cas.fetch(digest)
 
-    def test_refcounts_and_sweep(self, tmp_path):
+    def test_sweep_keeps_only_live(self, tmp_path):
         cas = ChunkStore(tmp_path / "cas")
         digests = []
         for i in range(4):
@@ -366,12 +366,6 @@ class TestChunkStore:
             d = chunk_digest(payload)
             cas.put(d, payload)
             digests.append(d)
-        cas.incref(digests)
-        cas.incref(digests[:2])
-        assert cas.refcount(digests[0]) == 2
-        cas.decref(digests)
-        assert cas.refcount(digests[0]) == 1
-        assert cas.refcount(digests[2]) == 0
         live = set(digests[:2])
         n, nbytes = cas.sweep(live)
         assert n == 2 and nbytes > 0

@@ -10,9 +10,7 @@ from repro.dsm import (
     CyclicLayout,
     HybridLayout,
     SimCluster,
-    gather_blocks,
     local_slice,
-    scatter_blocks,
 )
 from repro.dsm.comm import current_rank
 from repro.dsm.partition import (
@@ -77,35 +75,6 @@ class TestLayoutOwnership:
         lay = BlockLayout(halo=2)
         assert lay.halo_bounds(10, 0, 2) == (0, 7)
         assert lay.halo_bounds(10, 1, 2) == (3, 10)
-
-
-class TestCompactMovements:
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_gather_scatter_roundtrip(self, layout, p):
-        full = np.arange(48.0).reshape(6, 8)
-
-        def entry():
-            ctx = current_rank()
-            arr = full if ctx.rank == 0 else None
-            part = scatter_blocks(ctx.comm, arr, layout, root=0)
-            return gather_blocks(ctx.comm, part, layout, full.shape, root=0)
-
-        res = SimCluster(p, MACHINE).run(entry)
-        np.testing.assert_array_equal(res[0], full)
-        assert all(r is None for r in res[1:])
-
-    def test_scatter_block_sizes(self):
-        lay = BlockLayout(axis=0)
-        full = np.arange(10.0).reshape(10, 1)
-
-        def entry():
-            ctx = current_rank()
-            arr = full if ctx.rank == 0 else None
-            return scatter_blocks(ctx.comm, arr, lay, root=0).shape[0]
-
-        res = SimCluster(3, MACHINE).run(entry)
-        assert res == [4, 3, 3]
 
 
 class TestInplaceMovements:
@@ -183,83 +152,3 @@ class TestInplaceMovements:
         res = SimCluster(p, MACHINE).run(entry)
         np.testing.assert_array_equal(res[0], full)
 
-
-class TestAggregates:
-    def test_invoke_all_and_reduce(self):
-        from repro.dsm import AggregateMember, ObjectAggregate
-
-        class Counter:
-            def __init__(self, rank):
-                self.rank = rank
-
-            def score(self):
-                return self.rank + 1
-
-        def entry():
-            ctx = current_rank()
-            member = AggregateMember(Counter(ctx.rank), ctx)
-            agg = ObjectAggregate(member, ctx.comm)
-            total = agg.invoke_reduce("score")
-            assert agg.size == ctx.nranks
-            return total
-
-        res = SimCluster(4, MACHINE).run(entry)
-        assert res == [10, 10, 10, 10]
-
-    def test_invoke_on_with_broadcast(self):
-        from repro.dsm import AggregateMember, ObjectAggregate
-
-        class Holder:
-            def __init__(self, rank):
-                self.rank = rank
-
-            def ident(self):
-                return f"member-{self.rank}"
-
-        def entry():
-            ctx = current_rank()
-            agg = ObjectAggregate(AggregateMember(Holder(ctx.rank), ctx),
-                                  ctx.comm)
-            return agg.invoke_on(2, "ident", broadcast_result=True)
-
-        res = SimCluster(4, MACHINE).run(entry)
-        assert res == ["member-2"] * 4
-
-    def test_invoke_scattered(self):
-        from repro.dsm import AggregateMember, ObjectAggregate
-
-        class Adder:
-            def __init__(self, rank):
-                self.rank = rank
-
-            def add(self, x):
-                return self.rank + x
-
-        def entry():
-            ctx = current_rank()
-            agg = ObjectAggregate(AggregateMember(Adder(ctx.rank), ctx),
-                                  ctx.comm)
-            args = [(100,), (200,), (300,)] if ctx.rank == 0 else None
-            return agg.invoke_scattered("add", args)
-
-        res = SimCluster(3, MACHINE).run(entry)
-        assert res == [100, 201, 302]
-
-    def test_representative_is_member_zero(self):
-        from repro.dsm import AggregateMember
-
-        def entry():
-            ctx = current_rank()
-            m = AggregateMember(object(), ctx)
-            return m.is_representative
-
-        res = SimCluster(3, MACHINE).run(entry)
-        assert res == [True, False, False]
-
-    def test_partitioned_field_spec_needs_layout(self):
-        from repro.dsm.aggregate import FieldRole, FieldSpec
-
-        with pytest.raises(ValueError):
-            FieldSpec("G", FieldRole.PARTITIONED)
-        spec = FieldSpec("G", FieldRole.PARTITIONED, BlockLayout())
-        assert spec.layout is not None

@@ -108,6 +108,11 @@ class TestGrowShrinkWithoutRelaunch:
         grew = [e for e in reshapes if e.data["grew"]]
         shrank = [e for e in reshapes if not e.data["grew"]]
         assert grew and shrank
+        if label == "multiproc":
+            # ranks 2 and 3 join at the grow and retire at the shrink:
+            # their own grow events reach the parent only in the
+            # timeline each ships when it re-parks.
+            assert {e.rank for e in grew if e.rank >= 2} == {2, 3}
         # vtime stays monotone through both transitions.  Only a single
         # rank's stream is ordered (ranks append to the shared log in
         # host order): safepoint events are rank 0's own sequence.
