@@ -304,8 +304,11 @@ class MultiprocessBackend(ExecutionBackend):
         """Gather one report per *active* rank; cut stragglers loose on
         failure.
 
-        One wait covers the inbox and the sentinel of every rank still
-        owed a report.  On each wake the collector notes which of those
+        Inbox kinds: ``("report", rank, status, data, end, events,
+        records)``, ``("reshape", count, old_n, new_n)``, ``("events",
+        rank, events)`` from a retired rank and ``("address", rank,
+        address, n)`` from a sockets rank.  One wait covers the inbox
+        and the sentinel of every rank still owed a report.  On each wake the collector notes which of those
         ranks have exited, then drains the inbox: a rank's exit joins
         its channel flusher, so anything it sent is in the pipe before
         its sentinel fires, and an exited rank still without a report
@@ -315,11 +318,14 @@ class MultiprocessBackend(ExecutionBackend):
         follows the reshape notes rank 0 posts before each membership
         switch (the switch fence orders the note before anything the
         new membership sends).  Parked ranks never report; retired
-        ranks ship their event timeline when they re-park.  Every
-        message also goes to :meth:`_on_message`.
+        ranks ship their event timeline when they re-park.  Each note
+        also goes to :meth:`_on_reshape`.  Sockets ranks post their
+        listener addresses; once all of a launch's are in, the map goes
+        out on every rank channel (no multiprocess rank posts one).
         """
         reports: dict[int, tuple] = {}
         stray_events: list = []
+        addresses: dict[int, tuple] = {}
         active = set(range(n0))
         deadline = time.monotonic() + self.join_timeout
         failure_seen_at: float | None = None
@@ -336,9 +342,15 @@ class MultiprocessBackend(ExecutionBackend):
                             failure_seen_at = time.monotonic()
                     elif msg[0] == "reshape":
                         active = set(range(msg[3]))
+                        self._on_reshape(msg)
                     elif msg[0] == "events":
                         stray_events.extend(msg[2])
-                    self._on_message(msg, channels)
+                    elif msg[0] == "address":
+                        addresses[msg[1]] = msg[2]
+                        if len(addresses) == msg[3]:
+                            for r in range(msg[3]):
+                                channels[r].put({"kind": "addresses",
+                                                 "map": addresses})
             except _queue.Empty:
                 pass
             now = time.monotonic()
@@ -380,16 +392,11 @@ class MultiprocessBackend(ExecutionBackend):
                  timeout=max(0.0, until - now))
         return reports, stray_events, active
 
-    def _on_message(self, msg: tuple, channels) -> None:
-        """Per-message hook: called from report collection on every
-        inbox message, after the collector's own bookkeeping.  Kinds:
-        ``("report", rank, status, data, end, events, records)``,
-        ``("reshape", count, old_n, new_n)`` — rank 0's note before a
-        membership switch — ``("events", rank, events)`` from a retired
-        rank, and ``("address", rank, address, n)`` from a sockets rank.
-        The base backend pre-parks its whole fabric at launch, so it
-        needs nothing here; the service fleet parks idle workers on a
-        grow, the sockets backend broadcasts the address map."""
+    def _on_reshape(self, note: tuple) -> None:
+        """Hook: rank 0 announced a membership switch with ``("reshape",
+        count, old_n, new_n)``.  The base backend pre-parks its whole
+        fabric at launch, so it needs nothing here; the service fleet
+        parks idle workers on a grow."""
 
     @staticmethod
     def _final_membership(reports: dict, n0: int) -> int:

@@ -51,7 +51,7 @@ from repro.core.modes import Capabilities, ExecConfig
 from repro.dsm.mailbox import Message
 from repro.dsm.shm import SegmentManager
 from repro.dsm.socketmail import HierarchicalCommunicator, SocketTransport
-from repro.exec.base import PhaseOutcome, PhaseServices, PhaseSpec
+from repro.exec.base import PhaseSpec
 from repro.exec.multiproc import MultiprocessBackend
 from repro.exec.worker import RankWiring
 from repro.vtime.machine import SOCKET_RANKS_CALIBRATION
@@ -89,8 +89,6 @@ class SocketsBackend(MultiprocessBackend):
             raise ValueError("ranks_per_node must be >= 1")
         self.ranks_per_node = ranks_per_node
         self.hosts = list(hosts) if hosts else ["127.0.0.1"]
-        #: the current launch's gathered listener addresses.
-        self._addresses: dict[int, tuple[str, int]] = {}
 
     # ------------------------------------------------------------------
     def pnode_of(self, rank: int) -> int:
@@ -124,14 +122,8 @@ class SocketsBackend(MultiprocessBackend):
         return funnel.tcp(self.hosts[0])
 
     # ------------------------------------------------------------------
-    # address rendezvous: child half (in make_communicator) and parent
-    # half (in _on_message)
+    # address rendezvous: child half (the parent half is in _collect)
     # ------------------------------------------------------------------
-    def launch(self, spec: PhaseSpec, services: PhaseServices
-               ) -> PhaseOutcome:
-        self._addresses = {}
-        return super().launch(spec, services)
-
     def make_communicator(self, rank: int, nranks: int, machine,
                           wiring: RankWiring, plane, mail_epoch: int
                           ) -> HierarchicalCommunicator:
@@ -169,19 +161,3 @@ class SocketsBackend(MultiprocessBackend):
         for m in buffered:  # pending is scanned before the channel: FIFO
             inbox._admit(m)
         return comm
-
-    def _on_message(self, msg: tuple, channels) -> None:
-        """Gather every rank's listener address, broadcast the map.
-
-        On a child death mid-rendezvous the map is never posted; the
-        collector sees the death through the child's sentinel, and the
-        peer grace cuts the survivors' wait short.
-        """
-        if msg[0] != "address":
-            return
-        _, rank, address, n = msg
-        self._addresses[rank] = address
-        if len(self._addresses) == n:
-            for r in range(n):
-                channels[r].put({"kind": "addresses",
-                                 "map": self._addresses})

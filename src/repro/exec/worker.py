@@ -145,7 +145,7 @@ class RankWiring:
     channels: list
     #: the parent's inbox :class:`~repro.dsm.procmail.Channel`: every
     #: message a rank sends its parent goes here as a tagged tuple (see
-    #: ``MultiprocessBackend._on_message`` for the kinds).
+    #: ``MultiprocessBackend._collect`` for the kinds).
     inbox: object
     #: the rank's checkpoint-funnel link: a pipe end, or the funnel
     #: listener's ``(host, port)`` (see :class:`FunnelStore`).

@@ -6,7 +6,7 @@ envelope over their control queues instead of as process arguments,
 and collects reports with the stock multiprocess machinery —
 ``_collect``, ``_merge_events``, ``_outcome`` run unchanged over a
 rank→worker proxy.  Elastic grows
-ride the ``_on_message`` hook: when rank 0 announces a membership grow,
+ride the ``_on_reshape`` hook: when rank 0 announces a membership grow,
 the backend leases idle workers and parks them on the lane channels
 where the un-park messages already wait, so the join path is byte-for-
 byte the elastic joiner path of a cold launch.  Worker-side
@@ -179,10 +179,8 @@ class FleetBackend(MultiprocessBackend):
         return self._outcome(reports, end)
 
     # ------------------------------------------------------------------
-    def _on_message(self, msg: tuple, channels) -> None:
-        if msg[0] != "reshape":
-            return
-        _, _count, old_n, new_n = msg
+    def _on_reshape(self, note: tuple) -> None:
+        _, _count, old_n, new_n = note
         self.current_nranks = new_n
         if new_n > old_n:
             # rank 0 already posted the un-park messages to the lane

@@ -2,15 +2,14 @@
 
 Usage::
 
-    python tests/reach/report.py DUMP_DIR [--src src] [--tests-prefix tests]
-                                 [--flagged-only]
+    python tests/reach/report.py DUMP_DIR [--src src] [--flagged-only]
 
 Reads every JSON dump ``sitecustomize.py`` wrote to ``DUMP_DIR``, lists
 every function and method under ``src/`` (by AST, so a function no run
 imported still counts) and prints, per function, the entry labels
 (``REACH_ENTRY``) of the runs that reached it.  Two groups are flagged:
 functions reached by nothing, and functions reached only by runs whose
-label starts with ``--tests-prefix``.  The last line is the totals.
+label starts with ``tests``.  The last line is the totals.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ import os
 from collections import defaultdict
 from pathlib import Path
 
+#: entry labels of the tier-1 suite's runs start with this.
+TESTS_PREFIX = "tests"
 
 def defined_functions(src: Path) -> list[tuple[str, str, int]]:
     """``(path relative to src, qualname, first line)`` of every def;
@@ -60,7 +61,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dumps", type=Path)
     ap.add_argument("--src", type=Path, default=Path("src"))
-    ap.add_argument("--tests-prefix", default="tests")
     ap.add_argument("--flagged-only", action="store_true")
     args = ap.parse_args(argv)
     reach = load_reach(args.dumps)
@@ -72,12 +72,12 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{os.path.join(str(args.src), path)}:{line} {qual}"
         if not entries:
             nothing.append(where)
-        elif all(e.startswith(args.tests_prefix) for e in entries):
+        elif all(e.startswith(TESTS_PREFIX) for e in entries):
             tests_only.append(where)
         elif not args.flagged_only:
             print(f"{where}  <- {', '.join(sorted(entries))}")
     for label, group in (("reached by nothing", nothing),
-                         (f"reached only by {args.tests_prefix}*",
+                         (f"reached only by {TESTS_PREFIX}*",
                           tests_only)):
         print(f"\n# {label}: {len(group)}")
         for where in group:
@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     total = len(nothing) + len(tests_only)
     print(f"\n# totals: {len(defs)} functions, "
           f"{len(nothing)} reached by nothing, {len(tests_only)} only by "
-          f"{args.tests_prefix}*, {total} flagged")
+          f"{TESTS_PREFIX}*, {total} flagged")
     return 0
 
 
