@@ -205,6 +205,14 @@ class ExecutionContext:
         instance.__pp_ctx__ = self
         self.instance = instance
 
+    def unbind(self) -> None:
+        """Detach from the instance at phase end: the two point at each
+        other, so bound they would keep the run's arrays alive until a
+        full garbage-collection pass."""
+        instance, self.instance = self.instance, None
+        if instance is not None:
+            instance.__pp_ctx__ = None
+
     # ------------------------------------------------------------------
     # wrapper services: replay / region / barriers / locks
     # ------------------------------------------------------------------

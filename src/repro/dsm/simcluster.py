@@ -196,8 +196,11 @@ class SimCluster:
         or raises — by then every rank thread has been joined, so for
         cooperative unwinds (which must keep the communicator up while
         late ranks drain) this runs strictly after the draining is done.
+        The gathered failures go too: the one :meth:`run` raised holds
+        its frame, and so this cluster, in its traceback.
         """
         self.comm.close()
+        self._errors = []
 
     def _pick_error(self) -> RankFailure:
         """Prefer the root-cause failure over shutdown fallout in peers."""

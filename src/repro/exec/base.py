@@ -291,14 +291,24 @@ class ExecutionBackend(ABC):
         """Instantiate the woven class, bind it, and call the entry."""
         instance = spec.woven(*spec.ctor_args, **spec.ctor_kwargs)
         ctx.bind(instance)
-        return getattr(instance, spec.entry)(*spec.entry_args)
+        try:
+            return getattr(instance, spec.entry)(*spec.entry_args)
+        finally:
+            ctx.unbind()
 
     @staticmethod
     def normalise_unwind(exc: BaseException, end_vtime: float
                          ) -> PhaseOutcome | None:
-        """Map a cooperative unwind to its outcome; ``None`` otherwise."""
+        """Map a cooperative unwind to its outcome; ``None`` otherwise.
+
+        A cooperative signal's traceback is dropped: it is control flow,
+        and its frames (the launch's among them, which holds the
+        outcome) would form a cycle that keeps the run's arrays alive.
+        """
         if isinstance(exc, AdaptationExit):
-            return PhaseOutcome(PHASE_ADAPTED, end_vtime, adaptation=exc)
+            return PhaseOutcome(PHASE_ADAPTED, end_vtime,
+                                adaptation=exc.with_traceback(None))
         if isinstance(exc, InjectedFailure):
-            return PhaseOutcome(PHASE_FAILED, end_vtime, failure=exc)
+            return PhaseOutcome(PHASE_FAILED, end_vtime,
+                                failure=exc.with_traceback(None))
         return None

@@ -165,6 +165,8 @@ class SimClusterBackend(ExecutionBackend):
             out.reshapes = reshapes
             return out
         finally:
+            if reshaper is not None:
+                reshaper.make_rank_entry = None  # the closure holds it
             cluster.shutdown()
             planes.drain(services)
 

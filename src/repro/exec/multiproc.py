@@ -68,7 +68,7 @@ from repro.ckpt.funnel import CheckpointFunnel
 from repro.core.errors import AdaptationExit
 from repro.core.modes import Capabilities, ExecConfig, Mode
 from repro.dsm import shm
-from repro.dsm.procmail import Channel, ProcCommunicator
+from repro.dsm.procmail import Channel, Fence, ProcCommunicator
 from repro.dsm.simcluster import RankFailure
 from repro.exec.base import (
     PHASE_COMPLETED,
@@ -198,7 +198,8 @@ class MultiprocessBackend(ExecutionBackend):
         override — the sockets backend returns a topology-routing
         communicator over a hybrid queue/TCP fabric here)."""
         return ProcCommunicator(rank, nranks, machine, wiring.channels,
-                                plane=plane, mail_epoch=mail_epoch)
+                                plane=plane, mail_epoch=mail_epoch,
+                                fence=wiring.fence)
 
     def classify_unwind_report(self, exc: BaseException) -> tuple[str, object]:
         """Turn a worker-side unwind that is not one of the built-in
@@ -242,6 +243,7 @@ class MultiprocessBackend(ExecutionBackend):
         launch_id = shm.new_launch_id()
         channels = [Channel(mpctx) for _ in range(max_ranks)]
         inbox = Channel(mpctx)
+        fence = Fence(max_ranks, mpctx)
         funnel = CheckpointFunnel()
         funnel.register("", services.store)
         # the launch's observability segments: created before any fork
@@ -258,7 +260,8 @@ class MultiprocessBackend(ExecutionBackend):
                 link = self._funnel_link(funnel)
                 p = mpctx.Process(target=rank_main,
                                   args=(r, env.for_rank(r),
-                                        RankWiring(channels, inbox, link)),
+                                        RankWiring(channels, inbox, link,
+                                                   fence)),
                                   daemon=True, name=f"{self.proc_prefix}{r}")
                 procs.append(p)
                 p.start()

@@ -127,6 +127,8 @@ class SocketsBackend(MultiprocessBackend):
     def make_communicator(self, rank: int, nranks: int, machine,
                           wiring: RankWiring, plane, mail_epoch: int
                           ) -> HierarchicalCommunicator:
+        # no fence: members may sit on different hosts, which share no
+        # semaphore, so the barrier stays message-based.
         transport = SocketTransport(rank, wiring.channels, self.pnode_of,
                                     bind_host=self._bind_host(rank))
         wiring.inbox.put(("address", rank, transport.address, nranks))

@@ -150,6 +150,9 @@ class RankWiring:
     #: the rank's checkpoint-funnel link: a pipe end, or the funnel
     #: listener's ``(host, port)`` (see :class:`FunnelStore`).
     funnel: object
+    #: the launch's :class:`~repro.dsm.procmail.Fence`: the barrier of
+    #: ranks that share a host.
+    fence: object
 
 
 def place_shared_fields(ctx, instance, comm, launch_id: str,
@@ -388,6 +391,7 @@ def run_rank_segment(rank: int, env: WorkerEnv, wiring: RankWiring,
         _bind(None)
         if ctx is not None:
             ctx.slab_whole = {}
+            ctx.unbind()
         if manager is not None:
             # release the views so the mappings can close; the instance
             # is dead after this line on every path.

@@ -139,6 +139,9 @@ class FleetBackend(MultiprocessBackend):
             launch_id, fleet.workers, job=self.job, lane=self.lane)
         lane_qs = fleet.data[self.lane]
         inbox = fleet.inboxes[self.lane]
+        # the lane's last job may have left posts or arrivals in its
+        # fence (a rank that unwound mid-barrier); none may count here.
+        fleet.fences[self.lane].reset()
         try:
             for r, w in enumerate(wids):
                 fleet.activate(w, env, rank=r)

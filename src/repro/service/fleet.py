@@ -14,8 +14,10 @@ Everything expensive is process-scoped and survives jobs:
   payloads and packed snapshots of *every* job ride the same slabs;
 * the mailbox fabrics: each of the fleet's ``lanes`` (concurrent job
   slots) owns a fleet-wide fabric of rank
-  :class:`~repro.dsm.procmail.Channel` objects plus one parent inbox
-  channel, created once and drained between jobs;
+  :class:`~repro.dsm.procmail.Channel` objects, one parent inbox
+  channel and one rank barrier (:class:`~repro.dsm.procmail.Fence`),
+  created once; the channels are drained between jobs and the fence is
+  reset when a job takes the lane;
 * the checkpoint funnel: one serving thread for all jobs
   (a :class:`~repro.ckpt.funnel.CheckpointFunnel` with the fleet's
   segment arena), one pipe link per worker, routing each write to the
@@ -39,7 +41,7 @@ import numpy as np
 
 from repro.ckpt.funnel import CheckpointFunnel
 from repro.dsm import shm
-from repro.dsm.procmail import Channel
+from repro.dsm.procmail import Channel, Fence
 from repro.exec.multiproc import (
     MultiprocessBackend,
     drain_queues,
@@ -112,6 +114,7 @@ class _WorkerBoot:
     control: object
     lanes: list          # lanes[lane][rank] -> channel
     inboxes: list        # lanes' parent inbox channels
+    fences: list         # lanes' rank barriers
     events: object       # fleet-wide worker lifecycle events
     funnel: object       # this worker's funnel pipe end
 
@@ -144,7 +147,8 @@ def _worker_main(boot: _WorkerBoot) -> None:
                 # the envelope crossed the control queue; the channels
                 # it runs over are this worker's own, held since its fork.
                 wiring = RankWiring(boot.lanes[env.lane],
-                                    boot.inboxes[env.lane], boot.funnel)
+                                    boot.inboxes[env.lane], boot.funnel,
+                                    boot.fences[env.lane])
                 how = rank_main(rank, env, wiring, plane=plane,
                                 repark=False, parked=(kind == "park"))
             except BaseException:  # noqa: BLE001 - the worker survives;
@@ -177,6 +181,7 @@ class WorkerFleet:
         self.data = [[Channel(self.mpctx) for _ in range(workers)]
                      for _ in range(lanes)]
         self.inboxes = [Channel(self.mpctx) for _ in range(lanes)]
+        self.fences = [Fence(workers, self.mpctx) for _ in range(lanes)]
         self.events = self.mpctx.Queue()
         self.arena = SegmentArena(self.fleet_id)
         self.funnel = CheckpointFunnel(arena=self.arena)
@@ -208,8 +213,8 @@ class WorkerFleet:
         link = self.funnel.pipe()
         boot = _WorkerBoot(
             fleet_id=self.fleet_id, wid=wid, control=self.control[wid],
-            lanes=self.data, inboxes=self.inboxes, events=self.events,
-            funnel=link)
+            lanes=self.data, inboxes=self.inboxes, fences=self.fences,
+            events=self.events, funnel=link)
         p = self.mpctx.Process(target=_worker_main, args=(boot,),
                                daemon=True,
                                name=f"{self.proc_prefix}{wid}")

@@ -290,15 +290,18 @@ class ThreadTeam:
             self.log.emit("region_end", vtime=end, size=self._active_target)
 
         # Prefer a real error over the broken-barrier fallout it caused.
-        real = [e for e in self._errors if not isinstance(e, BrokenTeamBarrier)]
-        if master_exc is not None and not isinstance(master_exc, BrokenTeamBarrier):
-            raise master_exc
-        if real:
-            raise real[0]
+        # The chosen error's traceback holds this frame: no local may
+        # still point at an error once it is raised (a reference cycle).
+        errors, self._errors = self._errors, []
         if master_exc is not None:
-            raise master_exc
-        if self._errors:
-            raise self._errors[0]
+            errors.insert(0, master_exc)
+            master_exc = None
+        real = [e for e in errors if not isinstance(e, BrokenTeamBarrier)]
+        try:
+            if real or errors:
+                raise (real or errors)[0]
+        finally:
+            errors = real = None
         return self._region_return
 
     def _worker_main(self, w: Worker, region: RegionState) -> None:

@@ -145,6 +145,9 @@ SCHEMA: tuple[MetricSpec, ...] = (
        "CAS already held them."),
     _c("repro_ckpt_restore_fetches_total",
        "Chunk fetches performed restoring state into this rank."),
+    _c("repro_dsm_barrier_wait_seconds_total",
+       "Wall seconds this rank spent in process-rank barriers (a message "
+       "barrier's receives count as mailbox waits too)."),
 )
 
 # layout pass: assign word offsets (the region header — state flag +
@@ -198,3 +201,4 @@ CKPT_CHUNKS_NEW = _slot("repro_ckpt_chunks_written_total")
 CKPT_CHUNKS_DEDUP = _slot("repro_ckpt_chunks_deduped_total")
 CKPT_DEDUP_SAVED = _slot("repro_ckpt_dedup_bytes_saved_total")
 CKPT_FETCHES = _slot("repro_ckpt_restore_fetches_total")
+BARRIER_WAIT_SECONDS = _slot("repro_dsm_barrier_wait_seconds_total")

@@ -57,6 +57,7 @@ _ARG_NAMES: dict[int, tuple[str, ...]] = {
     _sc.CKPT_FETCH: ("chunks", "count"),
     _sc.CKPT_READ: ("nbytes", "count"),
     _sc.CKPT_ASSEMBLE: ("nranks", "count"),
+    _sc.BARRIER: ("vtime", "nranks"),
 }
 
 _KIND_NAMES = {_sc.KIND_SPAN: "span", _sc.KIND_INSTANT: "instant",

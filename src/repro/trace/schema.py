@@ -86,13 +86,14 @@ NAMES: tuple[str, ...] = (
     "ckpt_fetch",         # CKPT_FETCH — chunk fetch of one recipe restore
     "ckpt_read",          # CKPT_READ — copy-once read of one container file
     "ckpt_assemble",      # CKPT_ASSEMBLE — shard set reassembled
+    "barrier",            # BARRIER — one process-rank barrier
 )
 
 (PHASE, SAFEPOINT, CHECKPOINT, CHECKPOINT_LOCAL, CAPTURE, CKPT_WRITE,
  CKPT_FLUSH, CKPT_FUNNEL, RESTORE, ADAPT_EXIT, TEAM_RESIZE, MOVES,
  RENDEZVOUS, SWITCH, SEND, RECV, TCP_FRAME, EVENT, CKPT_CHUNK,
  CKPT_PACK, CKPT_GC, CKPT_FETCH, CKPT_READ,
- CKPT_ASSEMBLE) = range(len(NAMES))
+ CKPT_ASSEMBLE, BARRIER) = range(len(NAMES))
 
 
 def name_of(code: float | int) -> str:

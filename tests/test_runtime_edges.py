@@ -1,5 +1,7 @@
 """Runtime edge cases: validation, recovery limits, strategies, results."""
 
+import gc
+
 import pytest
 
 from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE, SOR_CKPT, SOR_DIST
@@ -188,3 +190,40 @@ class TestHybridEdges:
             W, ctor_kwargs={"n": N, "iterations": ITERS}, entry="execute",
             config=ExecConfig.sequential(), plan=plan, fresh=True)
         assert res.value == REF
+
+
+class TestNoReferenceCycles:
+    """A finished run frees its grid by reference counting alone: the
+    context and the instance, a cooperative unwind's traceback and a
+    cluster's gathered failures must not hold each other in cycles
+    that only a full garbage-collection pass would break."""
+
+    CHAIN = AdaptationPlan([
+        AdaptStep(at=2, config=ExecConfig.shared(2)),
+        AdaptStep(at=4, config=ExecConfig.distributed(2)),
+        AdaptStep(at=6, config=ExecConfig.sequential())])
+
+    @pytest.mark.parametrize("config,plan", [
+        (ExecConfig.sequential(), None),
+        (ExecConfig.shared(2), None),
+        (ExecConfig.sequential(), CHAIN),
+    ], ids=["sequential", "threads", "relaunch-chain"])
+    def test_run_leaves_nothing_for_the_collector(self, tmp_path, config,
+                                                  plan):
+        W = plug(SOR, SOR_ADAPTIVE)
+        rt = make_rt(tmp_path)
+
+        def run():
+            res = rt.run(W, ctor_kwargs={"n": N, "iterations": ITERS},
+                         entry="execute", config=config, plan=plan,
+                         fresh=True)
+            assert res.value == REF
+
+        run()  # first-use imports and caches may build cycles once
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
