@@ -227,9 +227,6 @@ class Channel:
         """Fresh process-local state: no inherited backlog or flusher."""
         self._closed = self._reader.closed
         self._out = _Outbox(self._writer, self._wlock)
-        self._poller = select.poll()
-        if not self._closed:
-            self._poller.register(self._reader.fileno(), select.POLLIN)
 
     # ------------------------------------------------------------------
     def put(self, obj) -> None:
@@ -244,17 +241,25 @@ class Channel:
         if not block:
             timeout = 0.0
         deadline = None if timeout is None else time.monotonic() + timeout
-        if not self._rlock.acquire(block, timeout):
-            raise _queue.Empty
-        try:
-            if deadline is not None:
-                wait = max(0.0, deadline - time.monotonic())
-                if not self._poller.poll(wait * 1000.0):
-                    raise _queue.Empty
-            blob = self._reader.recv_bytes()
-        finally:
-            self._rlock.release()
-        return ForkingPickler.loads(blob)
+        # wait for a frame without the read lock: a reader killed while
+        # waiting must not take the lock with it.  The lock covers only
+        # the read, after a re-check (another reader may have won).  The
+        # poller is this call's: two threads' waits may not share one.
+        poller = select.poll()
+        poller.register(self._reader.fileno(), select.POLLIN)
+        while True:
+            left = None if deadline is None else \
+                max(0.0, deadline - time.monotonic())
+            if not poller.poll(None if left is None else left * 1e3):
+                raise _queue.Empty
+            if not self._rlock.acquire(True, left):
+                raise _queue.Empty
+            try:
+                blob = self._reader.recv_bytes() if poller.poll(0) else None
+            finally:
+                self._rlock.release()
+            if blob is not None:
+                return ForkingPickler.loads(blob)
 
     def get_nowait(self):
         return self.get(False)

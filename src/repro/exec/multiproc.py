@@ -288,6 +288,12 @@ class MultiprocessBackend(ExecutionBackend):
             planes.drain(services)
             self._unlink_segments(spec, launch_id, max_ranks)
         stray_events += [ev for m in late if m[0] == "events" for ev in m[2]]
+        return self._finish(spec, services, reports, stray_events)
+
+    def _finish(self, spec: PhaseSpec, services: PhaseServices,
+                reports: dict, stray_events: list) -> PhaseOutcome:
+        """The collected launch's tail: merge the rank timelines, reflect
+        an injected failure on the parent, normalise the outcome."""
         self._merge_events(services.log, reports, stray_events)
         end = max([spec.start_vtime]
                   + [rep[3] for rep in reports.values() if rep[3] is not None])
@@ -321,10 +327,10 @@ class MultiprocessBackend(ExecutionBackend):
         follows the reshape notes rank 0 posts before each membership
         switch (the switch fence orders the note before anything the
         new membership sends).  Parked ranks never report; retired
-        ranks ship their event timeline when they re-park.  Each note
-        also goes to :meth:`_on_reshape`.  Sockets ranks post their
-        listener addresses; once all of a launch's are in, the map goes
-        out on every rank channel (no multiprocess rank posts one).
+        ranks ship their event timeline when they re-park.  Sockets
+        ranks post their listener addresses; once all of a launch's are
+        in, the map goes out on every rank channel (no multiprocess rank
+        posts one).  Every message also goes to :meth:`_on_message`.
         """
         reports: dict[int, tuple] = {}
         stray_events: list = []
@@ -345,7 +351,6 @@ class MultiprocessBackend(ExecutionBackend):
                             failure_seen_at = time.monotonic()
                     elif msg[0] == "reshape":
                         active = set(range(msg[3]))
-                        self._on_reshape(msg)
                     elif msg[0] == "events":
                         stray_events.extend(msg[2])
                     elif msg[0] == "address":
@@ -354,6 +359,7 @@ class MultiprocessBackend(ExecutionBackend):
                             for r in range(msg[3]):
                                 channels[r].put({"kind": "addresses",
                                                  "map": addresses})
+                    self._on_message(msg)
             except _queue.Empty:
                 pass
             now = time.monotonic()
@@ -395,11 +401,11 @@ class MultiprocessBackend(ExecutionBackend):
                  timeout=max(0.0, until - now))
         return reports, stray_events, active
 
-    def _on_reshape(self, note: tuple) -> None:
-        """Hook: rank 0 announced a membership switch with ``("reshape",
-        count, old_n, new_n)``.  The base backend pre-parks its whole
-        fabric at launch, so it needs nothing here; the service fleet
-        parks idle workers on a grow."""
+    def _on_message(self, msg: tuple) -> None:
+        """Hook: every inbox message, after the collector's own handling.
+        The base backend pre-parks its whole fabric, so it needs nothing
+        here; the service fleet leases workers on a grow note and
+        returns them to its pool on their ``"idle"``."""
 
     @staticmethod
     def _final_membership(reports: dict, n0: int) -> int:

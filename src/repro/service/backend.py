@@ -2,33 +2,41 @@
 
 One :class:`FleetBackend` instance serves one *job* on one fleet lane.
 ``launch`` leases warm workers instead of forking, sends the launch
-envelope over their control queues instead of as process arguments,
-and collects reports with the stock multiprocess machinery —
-``_collect``, ``_merge_events``, ``_outcome`` run unchanged over a
-rank→worker proxy.  Elastic grows
-ride the ``_on_reshape`` hook: when rank 0 announces a membership grow,
-the backend leases idle workers and parks them on the lane channels
-where the un-park messages already wait, so the join path is byte-for-
-byte the elastic joiner path of a cold launch.  Worker-side
-cancellation reports (the steering block's cancel) surface here as a
-:class:`~repro.service.steer.JobCancelled` raise, which unwinds through
-the driver to the service's job thread.
+envelope over their control channels, collects with the stock
+multiprocess ``_collect`` over a rank→worker view and ends with its
+``_finish``.  The lane inbox also carries each worker's ``"idle"``,
+posted behind its report: the per-message hook then gives the worker
+back to the pool (a shrink's retiree while the job still runs), and
+``launch`` returns only once every worker it leased came back or died
+— a dead one respawned at once, one still out after
+:data:`RETURN_SECONDS` terminated and respawned.  Elastic grows ride
+the same hook: on rank 0's grow note the backend parks idle workers on
+the lane channels where the un-park messages already wait, the elastic
+joiner path of a cold launch.  A steering cancel surfaces as a
+:class:`~repro.service.steer.JobCancelled` raise to the job thread.
 """
 
 from __future__ import annotations
+
+import time
+from multiprocessing.connection import wait
 
 from repro.core.errors import WeaveError
 from repro.dsm import shm
 from repro.exec.base import PhaseOutcome, PhaseServices, PhaseSpec
 from repro.exec.multiproc import MultiprocessBackend, drain_queues
-from repro.exec.worker import FAILED, WorkerEnv
+from repro.exec.worker import WorkerEnv
 from repro.service.fleet import CANCELLED, FleetWorkerBackend, WorkerFleet
 from repro.service.steer import JobCancelled
 
+#: how long a job's workers get to come back after its collection
+#: before they are terminated and respawned.
+RETURN_SECONDS = 15.0
+
 
 class _DeadProc:
-    """Stand-in for a rank with no worker behind it at all: no
-    sentinel to wait on, and dead from the first look."""
+    """Stand-in for a rank with no leased worker behind it: no sentinel
+    to wait on, and dead from the first look."""
 
     exitcode = 1
     sentinel = None
@@ -41,36 +49,9 @@ class _DeadProc:
 _DEAD = _DeadProc()
 
 
-class _GuardedProc:
-    """Exit code and sentinel passthrough with ``terminate`` disarmed.
-
-    Used when a rank's worker is no longer leased to this job — back in
-    the pool, or already serving another job.  Its *liveness* is still
-    the truth (a worker that sent its report and re-parked is alive,
-    not dead), but the collector's reaping must never touch it.
-    """
-
-    def __init__(self, proc) -> None:
-        self._proc = proc
-
-    @property
-    def exitcode(self):
-        return self._proc.exitcode
-
-    @property
-    def sentinel(self):
-        return self._proc.sentinel
-
-    def terminate(self) -> None:
-        pass
-
-
 class _RankProcs:
-    """Rank-indexed view of the job's workers for ``_collect``.
-
-    Guarded: once a rank's worker leaves this job's lease, the
-    collector sees its real liveness but cannot terminate it.
-    """
+    """Rank-indexed view of the job's workers for ``_collect``; a rank
+    whose worker came back (after its report, or without one) is dead."""
 
     def __init__(self, backend: "FleetBackend") -> None:
         self.backend = backend
@@ -78,12 +59,9 @@ class _RankProcs:
     def __getitem__(self, rank: int):
         b = self.backend
         wid = b.assignment.get(rank)
-        if wid is None:
+        if wid is None or wid not in b.leased:
             return _DEAD
-        proc = b.fleet.procs[wid]
-        if b.fleet.job_of(wid) != b.job:
-            return _GuardedProc(proc)
-        return proc
+        return b.fleet.procs[wid]
 
 
 class FleetBackend(MultiprocessBackend):
@@ -103,8 +81,12 @@ class FleetBackend(MultiprocessBackend):
         self.lease_timeout = lease_timeout
         #: rank -> worker id, maintained across membership changes.
         self.assignment: dict[int, int] = {}
+        #: workers leased to this launch that have not come back.
+        self.leased: set[int] = set()
         #: ranks parked for a grow whose un-park may not be consumed.
         self._pending: dict[int, int] = {}
+        #: retirees back before the shrink note that retires their rank.
+        self._early: set[int] = set()
         #: the live membership size (scheduler reads this for fair-share).
         self.current_nranks = 0
         self._env: WorkerEnv | None = None
@@ -118,7 +100,7 @@ class FleetBackend(MultiprocessBackend):
             raise WeaveError(
                 f"job {self.job} wants {n} ranks; fleet has "
                 f"{fleet.workers} workers")
-        wids = fleet.lease(n, self.job, timeout=self.lease_timeout)
+        wids = fleet.lease(n, timeout=self.lease_timeout)
         if wids is None:
             raise RuntimeError(
                 f"fleet could not supply {n} idle workers for job "
@@ -130,8 +112,11 @@ class FleetBackend(MultiprocessBackend):
         planes = self.open_planes(services, fleet.workers,
                                   launch_id=launch_id)
         self.assignment = dict(enumerate(wids))
+        self.leased = set(wids)
         self._pending = {}
+        self._early = set()
         self.current_nranks = n
+        fleet.changed.set()
         # the job's namespaced store: where its funnelled writes land.
         fleet.funnel.register(self.job, services.store)
         env = self._env = WorkerEnv.build(
@@ -145,60 +130,91 @@ class FleetBackend(MultiprocessBackend):
         try:
             for r, w in enumerate(wids):
                 fleet.activate(w, env, rank=r)
-            reports, stray_events, active = self._collect(
+            reports, stray_events, _ = self._collect(
                 _RankProcs(self), inbox, n, lane_qs)
         finally:
             # release joiners whose un-park never arrived (a message to
-            # a consumed park lands in a drained queue — harmless).
+            # a consumed park lands in a drained channel — harmless).
             for r in list(self._pending):
                 try:
                     lane_qs[r].put({"kind": "stop"})
                 except (OSError, ValueError):
                     pass
-            owed = set(self.assignment.values()) | set(self._pending.values())
-            stragglers = fleet.await_idle(
-                owed, timeout=15.0,
-                drain=lambda: drain_queues(lane_qs + [inbox]))
-            for w in stragglers:
-                fleet.respawn(w)
+            late = self._await_return(inbox)
             drain_queues(lane_qs + [inbox])
             fleet.funnel.unregister(self.job)
             fleet.arena.release(self.job)
             # workers are idle (or respawned) by here: their regions are
             # quiescent, so the scrape is race-free.
             planes.drain(services)
-        self._merge_events(services.log, reports, stray_events)
-        end = max([spec.start_vtime]
-                  + [rep[3] for rep in reports.values()
-                     if rep[3] is not None])
-        if any(rep[1] == FAILED for rep in reports.values()):
-            spec.injector.mark_fired()
         cancelled = [rep for rep in reports.values()
                      if rep[1] == CANCELLED]
         if cancelled:
             # cooperative, not wreckage: unwind to the service's job
             # thread before _outcome can mistake it for an error.
             raise JobCancelled(cancelled[0][2])
-        return self._outcome(reports, end)
+        return self._finish(spec, services, reports, stray_events + late)
+
+    def _await_return(self, inbox) -> list:
+        """Wait until every worker still leased posts ``"idle"`` or dies;
+        respawn the dead at once and the rest at the deadline.  Returns
+        the timelines retirees shipped late."""
+        for w in self._early:
+            self._return(w)
+        late: list = []
+        deadline = time.monotonic() + RETURN_SECONDS
+        while self.leased:
+            # exits noted before the drain: an exit flushes the worker's
+            # frames, so a dead worker with no "idle" after it sent none.
+            dead = {w for w in self.leased
+                    if self.fleet.procs[w].exitcode is not None}
+            for msg in drain_queues([inbox]):
+                if msg[0] == "idle":
+                    self._on_message(msg)
+                elif msg[0] == "events":
+                    late += msg[2]
+            left = deadline - time.monotonic()
+            for w in list(self.leased if left <= 0 else self.leased & dead):
+                self.leased.discard(w)
+                self.fleet.respawn(w)
+            if self.leased:
+                wait([inbox] + [self.fleet.procs[w].sentinel
+                                for w in self.leased], timeout=left)
+        return late
+
+    def _return(self, wid: int) -> None:
+        self.leased.discard(wid)
+        self.fleet.release(wid)
 
     # ------------------------------------------------------------------
-    def _on_reshape(self, note: tuple) -> None:
-        _, _count, old_n, new_n = note
+    def _on_message(self, msg: tuple) -> None:
+        if msg[0] == "idle" and msg[1] in self.leased:
+            if msg[3] == "retired" and msg[1] in self.assignment.values():
+                self._early.add(msg[1])  # its shrink note is in flight
+            else:
+                self._return(msg[1])
+        if msg[0] != "reshape":
+            return
+        _, _count, old_n, new_n = msg
         self.current_nranks = new_n
         if new_n > old_n:
             # rank 0 already posted the un-park messages to the lane
             # channels; supply workers to consume them.
             for r in range(old_n, new_n):
-                wids = self.fleet.lease(1, self.job,
-                                        timeout=self.lease_timeout)
+                wids = self.fleet.lease(1, timeout=self.lease_timeout)
                 if wids is None:
                     # no worker: the rendezvous will stall and the
                     # collector's deadline reaps the job.
                     continue
                 self.assignment[r] = wids[0]
+                self.leased.add(wids[0])
                 self._pending[r] = wids[0]
                 self.fleet.activate(wids[0], self._env, rank=r, park=True)
         else:
             for r in range(new_n, old_n):
-                self.assignment.pop(r, None)
                 self._pending.pop(r, None)
+                wid = self.assignment.pop(r, None)
+                if wid in self._early:
+                    self._early.discard(wid)
+                    self._return(wid)
+        self.fleet.changed.set()

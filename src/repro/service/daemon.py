@@ -90,7 +90,9 @@ class RuntimeService:
         self._lanes_free = set(range(lanes))
         self._running: dict[int, object] = {}   # job id -> Job
         self._threads: list[threading.Thread] = []
-        self._sched_wake = threading.Event()
+        #: set by submit, cancel, job end and stop, and by the fleet: a
+        #: worker back in the pool, a job's launch or reshape note.
+        self._sched_wake = self.fleet.changed
         self._stopping = threading.Event()
         #: the front door: the RPC port and the metrics port.
         self._front = LinkLoop("svc-front")
@@ -208,7 +210,7 @@ class RuntimeService:
 
     def _scheduler(self) -> None:
         while not self._stopping.is_set():
-            self._sched_wake.wait(timeout=0.1)
+            self._sched_wake.wait()
             self._sched_wake.clear()
             if self._stopping.is_set():
                 return

@@ -25,9 +25,15 @@ Everything expensive is process-scoped and survives jobs:
 
 Per-job state is narrow by construction: a launch id (the
 observability planes), a steer block serial, and the job's
-envelope itself.  Workers report back on a fleet-wide event queue
-(``("joined", ...)`` on envelope pickup, ``("idle", ...)`` on return),
-which is what the fleet's lease/await bookkeeping runs on.
+envelope itself.  Every message between the parent and a worker is on
+a :class:`~repro.dsm.procmail.Channel`: directives on the worker's
+control channel, and everything back — rank reports and notes, then
+``("idle", wid, job, how)`` when the worker returns — on the inbox of
+the lane it served.  One sender on one channel keeps its order, so a
+worker's report always precedes its ``"idle"``.  The job's collector
+(:class:`~repro.service.backend.FleetBackend`) reads both and gives
+the worker back with :meth:`WorkerFleet.release`; no thread of the
+fleet's own watches the workers.
 """
 
 from __future__ import annotations
@@ -107,15 +113,14 @@ class FleetWorkerBackend(MultiprocessBackend):
 @dataclass
 class _WorkerBoot:
     """One worker's share of the fleet plumbing (Process ctor args —
-    queues and channels are picklable there, unlike through queues)."""
+    channels cross a process start only as its arguments)."""
 
     fleet_id: str
     wid: int
-    control: object
+    control: Channel
     lanes: list          # lanes[lane][rank] -> channel
     inboxes: list        # lanes' parent inbox channels
     fences: list         # lanes' rank barriers
-    events: object       # fleet-wide worker lifecycle events
     funnel: object       # this worker's funnel pipe end
 
 
@@ -140,21 +145,21 @@ def _worker_main(boot: _WorkerBoot) -> None:
             if kind not in ("activate", "park"):
                 continue
             env: WorkerEnv = msg["env"]
-            rank: int = msg["rank"]
-            boot.events.put(("joined", boot.wid, env.job, rank))
+            inbox = boot.inboxes[env.lane]
             how = "error"
             try:
-                # the envelope crossed the control queue; the channels
+                # the envelope crossed the control channel; the channels
                 # it runs over are this worker's own, held since its fork.
-                wiring = RankWiring(boot.lanes[env.lane],
-                                    boot.inboxes[env.lane], boot.funnel,
-                                    boot.fences[env.lane])
-                how = rank_main(rank, env, wiring, plane=plane,
+                wiring = RankWiring(boot.lanes[env.lane], inbox,
+                                    boot.funnel, boot.fences[env.lane])
+                how = rank_main(msg["rank"], env, wiring, plane=plane,
                                 repark=False, parked=(kind == "park"))
             except BaseException:  # noqa: BLE001 - the worker survives;
-                how = "error"      # the parent times the rank out
+                how = "error"      # with no report, its rank reads dead
             finally:
-                boot.events.put(("idle", boot.wid, env.job, how))
+                # behind the report on the same channel: the collector
+                # reads the report first.
+                inbox.put(("idle", boot.wid, env.job, how))
     finally:
         plane.close()
 
@@ -164,8 +169,8 @@ class WorkerFleet:
 
     ``workers`` processes serve up to ``lanes`` concurrent jobs; a job
     of ``n`` ranks leases ``n`` workers and a lane.  Thread-safe — the
-    scheduler, per-job service threads and the event pump all touch the
-    lease state under one condition variable.
+    scheduler and the per-job service threads touch the lease state
+    under one condition variable.
     """
 
     proc_prefix = "fleet-w"
@@ -177,21 +182,22 @@ class WorkerFleet:
         self.start_method = start_method or preferred_start_method()
         self.fleet_id = shm.new_launch_id("fleet")
         self.mpctx = mp.get_context(self.start_method)
-        self.control = [self.mpctx.Queue() for _ in range(workers)]
+        self.control = [Channel(self.mpctx) for _ in range(workers)]
         self.data = [[Channel(self.mpctx) for _ in range(workers)]
                      for _ in range(lanes)]
         self.inboxes = [Channel(self.mpctx) for _ in range(lanes)]
         self.fences = [Fence(workers, self.mpctx) for _ in range(lanes)]
-        self.events = self.mpctx.Queue()
         self.arena = SegmentArena(self.fleet_id)
         self.funnel = CheckpointFunnel(arena=self.arena)
         self.steer = [SteerBlock(steer_name(self.fleet_id, lane))
                       for lane in range(lanes)]
         self.procs: list = [None] * workers
+        #: set on every change a scheduler acts on: a worker back in
+        #: the pool, or (set by a job's backend) a membership launched
+        #: or reshaped.
+        self.changed = threading.Event()
         self._cv = threading.Condition()
         self._idle: set[int] = set()
-        self._busy: dict[int, str] = {}
-        self._pump_thread: threading.Thread | None = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -201,9 +207,6 @@ class WorkerFleet:
         for w in range(self.workers):
             self._spawn(w)
         self.funnel.start()
-        self._pump_thread = threading.Thread(target=self._pump, daemon=True,
-                                             name="fleet-events")
-        self._pump_thread.start()
         with self._cv:
             self._idle = set(range(self.workers))
         self._started = True
@@ -214,7 +217,7 @@ class WorkerFleet:
         boot = _WorkerBoot(
             fleet_id=self.fleet_id, wid=wid, control=self.control[wid],
             lanes=self.data, inboxes=self.inboxes, fences=self.fences,
-            events=self.events, funnel=link)
+            funnel=link)
         p = self.mpctx.Process(target=_worker_main, args=(boot,),
                                daemon=True,
                                name=f"{self.proc_prefix}{wid}")
@@ -222,33 +225,14 @@ class WorkerFleet:
         p.start()
         link.close()  # the worker holds its end now
 
-    def _pump(self) -> None:
-        while True:
-            try:
-                ev = self.events.get()  # shutdown() posts the "stop"
-            except (OSError, ValueError):
-                return
-            if ev[0] == "stop":
-                return
-            if ev[0] == "idle":
-                with self._cv:
-                    self._busy.pop(ev[1], None)
-                    self._idle.add(ev[1])
-                    self._cv.notify_all()
-
     # ------------------------------------------------------------------
     def idle_count(self) -> int:
         with self._cv:
             return len(self._idle)
 
-    def job_of(self, wid: int) -> str | None:
-        with self._cv:
-            return self._busy.get(wid)
-
-    def lease(self, n: int, job: str, timeout: float = 30.0
-              ) -> list[int] | None:
-        """Claim ``n`` idle workers for ``job`` (None if the fleet cannot
-        supply them within ``timeout``)."""
+    def lease(self, n: int, timeout: float = 30.0) -> list[int] | None:
+        """Claim ``n`` idle workers (None if the fleet cannot supply them
+        within ``timeout``)."""
         deadline = time.monotonic() + timeout
         with self._cv:
             while len(self._idle) < n:
@@ -257,10 +241,16 @@ class WorkerFleet:
                     return None
                 self._cv.wait(left)
             wids = sorted(self._idle)[:n]
-            for w in wids:
-                self._idle.discard(w)
-                self._busy[w] = job
+            self._idle.difference_update(wids)
             return wids
+
+    def release(self, wid: int) -> None:
+        """Return a leased worker to the pool (its job read its
+        ``"idle"``, or it was respawned)."""
+        with self._cv:
+            self._idle.add(wid)
+            self._cv.notify_all()
+        self.changed.set()
 
     def activate(self, wid: int, env: WorkerEnv, rank: int,
                  park: bool = False) -> None:
@@ -271,56 +261,36 @@ class WorkerFleet:
         self.control[wid].put({"kind": "park" if park else "activate",
                                "env": env.for_rank(rank), "rank": rank})
 
-    def await_idle(self, wids: set[int], timeout: float,
-                   drain=None) -> list[int]:
-        """Wait until every worker in ``wids`` is back in the pool;
-        returns the stragglers.  ``drain`` (optional callable) runs each
-        poll round to keep lane pipes moving while workers flush."""
-        deadline = time.monotonic() + timeout
-        while True:
-            if drain is not None:
-                drain()
-            with self._cv:
-                missing = [w for w in wids if w not in self._idle]
-                if not missing:
-                    return []
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    return missing
-                self._cv.wait(min(left, 0.2))
-
     def respawn(self, wid: int) -> None:
-        """Replace a wedged worker (terminated mid-job or unresponsive).
+        """Replace a leased worker that died or never came back, and
+        return the replacement to the pool.
 
-        The replacement re-creates the worker's slab ring, so the old
-        one's fleet-scoped names are unlinked first.
+        The replacement gets a fresh control channel (the old one may
+        hold a stale directive) and re-creates the worker's slab ring,
+        so the old one's fleet-scoped names are unlinked first.
         """
         p = self.procs[wid]
-        if p is not None:
-            if p.is_alive():
-                p.terminate()
-            p.join(timeout=5.0)
-            try:
-                p.close()
-            except ValueError:
-                pass
+        if p.is_alive():
+            p.terminate()
+        p.join(timeout=5.0)
+        try:
+            p.close()
+        except ValueError:
+            pass
         for s in range(shm.POOL_SLOTS):
             shm.unlink_by_name(shm.pool_slab_name(self.fleet_id, wid, s))
-        drain_queues([self.control[wid]])
+        old, self.control[wid] = self.control[wid], Channel(self.mpctx)
+        old.cancel_join_thread()
+        old.close()
         self._spawn(wid)
-        with self._cv:
-            self._busy.pop(wid, None)
-            self._idle.add(wid)
-            self._cv.notify_all()
+        self.release(wid)
 
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Drain the fleet: stop workers, funnel, queues; unlink every
+        """Drain the fleet: stop workers, funnel, channels; unlink every
         fleet-scoped shared-memory name."""
         if not self._started:
             return
-        self.events.put(("stop",))
         for w in range(self.workers):
             try:
                 self.control[w].put({"kind": "stop"})
@@ -340,10 +310,8 @@ class WorkerFleet:
                 except ValueError:
                     pass
         self.funnel.stop()
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=5.0)
         flat = (self.control + [q for lane in self.data for q in lane]
-                + self.inboxes + [self.events])
+                + self.inboxes)
         drain_queues(flat, close=True)
         for blk in self.steer:
             blk.close()

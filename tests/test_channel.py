@@ -15,6 +15,8 @@ the part that made the feeder safe:
   closed on the unwind path;
 * a parent draining a channel while its owner reads never tears a
   frame, and a forked child starts with none of its parent's backlog;
+* a reader killed while it waits in ``get`` leaves the channel
+  readable by the next process;
 * a channel crosses a ``spawn`` start as a process argument;
 * a closed mailbox refuses ``put`` with ``MailboxClosed``.
 
@@ -272,6 +274,38 @@ def test_parent_drain_racing_the_owner_never_tears_a_frame():
     assert torn == 0
     assert 0 <= got <= 60
     assert writer.exitcode == 0 and owner.exitcode == 0
+
+
+def _blocked_reader(channel) -> None:
+    channel.get(timeout=60.0)
+
+
+def _read_one(channel, out) -> None:
+    try:
+        out.put(("got", channel.get(timeout=1.0)))
+    except queue.Empty:
+        out.put(("empty", None))
+
+
+def test_a_reader_killed_in_get_leaves_the_channel_readable():
+    """A fleet rank the collector terminates is usually blocked in
+    ``get``.  Waiting must not hold the read lock, or the lock dies
+    with the reader and every later ``get`` on the channel times out."""
+    ch, out = Channel(FORK), Channel(FORK)
+    victim = FORK.Process(target=_blocked_reader, args=(ch,), daemon=True)
+    victim.start()
+    time.sleep(0.3)  # parked in its get
+    victim.kill()
+    victim.join(timeout=5.0)
+    assert victim.exitcode == -9  # killed, not returned from its get
+    ch.put("after")
+    reader = FORK.Process(target=_read_one, args=(ch, out), daemon=True)
+    reader.start()
+    try:
+        assert out.get(timeout=10.0) == ("got", "after")
+        reader.join(timeout=10.0)
+    finally:
+        _reap([victim, reader])
 
 
 def test_forked_child_starts_without_the_parents_backlog():

@@ -18,6 +18,7 @@ What must hold for a warm world to be safe to share:
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import threading
 import time
 
@@ -28,8 +29,10 @@ from repro.apps.sor import SOR
 from repro.ckpt.policy import EveryN
 from repro.core import ExecConfig, Runtime, plug
 from repro.dsm import shm
+from repro.dsm.comm import current_rank
+from repro.exec.multiproc import _PEER_GRACE_SECONDS
 from repro.service import JobQueue, RuntimeService, ServiceClient
-from repro.service.fleet import WorkerFleet
+from repro.service.backend import FleetBackend, _RankProcs
 from repro.service.scheduler import QueueFull
 from repro.telemetry import MetricsRegistry
 from repro.vtime import MachineModel
@@ -165,6 +168,88 @@ def test_cancel_queued_job(tmp_path):
     _no_leaks()
 
 
+class DyingSOR(SOR):
+    """SOR whose first rank to claim ``marker`` writes its rank there
+    and leaves its process at iteration 3 with exit code 3."""
+
+    def __init__(self, marker: str = "", **kw) -> None:
+        super().__init__(**kw)
+        self.marker = marker
+
+    def end_iteration(self) -> None:
+        super().end_iteration()
+        rc = current_rank()
+        if rc is None or self.iterations_done != 3:
+            return
+        try:
+            fd = os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return
+        os.write(fd, str(rc.rank).encode())
+        os.close(fd)
+        os._exit(3)
+
+
+def test_worker_death_is_named_and_the_fleet_recovers(tmp_path):
+    """A rank's worker dies mid-job: the job errors with a failure
+    naming that rank within the peer grace, both workers are respawned
+    at once, and the lane serves the next jobs bit-identically."""
+    marker = tmp_path / "dead-rank"
+    with RuntimeService(workers=3, lanes=1, machine=MACHINE,
+                        ckpt_dir=str(tmp_path / "svc")) as svc:
+        client = ServiceClient(svc.address)
+        jid = client.submit(plug(DyingSOR, SOR_ADAPTIVE),
+                            ctor_kwargs={**KW, "marker": str(marker)},
+                            entry="execute", nranks=2)
+        out = client.result(jid, timeout=120.0)
+        assert out["status"] == "error", out
+        dead = int(marker.read_text())
+        assert "RankFailure" in out["error"], out["error"]
+        assert (f"rank {dead} died with exit code 3 before reporting"
+                in out["error"]), out["error"]
+        assert out["run_s"] < _PEER_GRACE_SECONDS + 2.0, out["run_s"]
+        for _ in range(3):
+            out = client.result(_submit(client), timeout=60.0)
+            assert out["status"] == "done", out
+            assert out["value"] == REF
+        assert _gauge(client, "repro_service_workers_idle") == 3
+    _no_leaks()
+
+
+class _PoolSpy:
+    """Just enough fleet for a backend's inbox hook: records releases."""
+
+    start_method = "fork"
+    procs = [f"worker-{w}" for w in range(8)]
+
+    def __init__(self) -> None:
+        self.released: list[int] = []
+        self.changed = threading.Event()
+
+    def release(self, wid: int) -> None:
+        self.released.append(wid)
+
+
+def test_a_retiree_back_before_its_shrink_note_stays_leased():
+    """A retiree's ``"idle"`` can overtake rank 0's shrink note (the
+    note may still sit in rank 0's flusher).  Its worker stays with the
+    job until the note drops its rank, so the collector never reads a
+    retired rank as dead; a rank's own worker goes back after its
+    report."""
+    fleet = _PoolSpy()
+    b = FleetBackend(fleet, "j1", lane=0)
+    b.assignment, b.leased = {0: 5, 1: 6, 2: 7}, {5, 6, 7}
+    b._on_message(("idle", 7, "j1", "retired"))
+    assert fleet.released == [] and _RankProcs(b)[2] == "worker-7"
+    b._on_message(("reshape", 4, 3, 2))
+    assert fleet.released == [7] and b.current_nranks == 2
+    assert fleet.changed.is_set()
+    b._on_message(("report", 1, "completed", None, 1.0, [], []))
+    b._on_message(("idle", 6, "j1", "done"))
+    assert fleet.released == [7, 6] and b.leased == {5}
+    assert _RankProcs(b)[1].exitcode is not None
+
+
 # ---------------------------------------------------------------------------
 # isolation
 # ---------------------------------------------------------------------------
@@ -218,22 +303,26 @@ def test_two_worlds_one_parent(tmp_path):
     _no_leaks()
 
 
-def test_event_pump_exits_promptly_on_shutdown(monkeypatch):
-    """The fleet's event pump blocks in ``get()`` until ``shutdown()``
-    posts its stop event: no polling quantum between the two."""
-    exits = []
-    pump = WorkerFleet._pump
+def test_idle_service_never_schedules_and_stops_at_once(tmp_path,
+                                                        monkeypatch):
+    """The scheduler sleeps until a change it acts on: an idle service
+    runs no scheduling round, and ``stop()`` wakes it at once."""
+    rounds = []
+    schedule_once = RuntimeService._schedule_once
 
-    def timed_pump(self):
-        pump(self)
-        exits.append(time.perf_counter())
+    def counted(self):
+        rounds.append(time.monotonic())
+        schedule_once(self)
 
-    monkeypatch.setattr(WorkerFleet, "_pump", timed_pump)
-    fleet = WorkerFleet(workers=1).start()
-    time.sleep(0.3)  # parked in its blocking get
+    monkeypatch.setattr(RuntimeService, "_schedule_once", counted)
+    svc = RuntimeService(workers=1, lanes=1, machine=MACHINE,
+                         ckpt_dir=str(tmp_path / "svc")).start()
+    time.sleep(1.0)
     t0 = time.perf_counter()
-    fleet.shutdown()
-    assert exits and exits[0] - t0 < 0.05, exits and exits[0] - t0
+    svc.stop()
+    took = time.perf_counter() - t0
+    assert rounds == []
+    assert took < 0.05, took
     _no_leaks()
 
 
