@@ -81,12 +81,6 @@ class AdaptationPlan:
                 return s
         return None
 
-    def next_step_after(self, count: int) -> AdaptStep | None:
-        for s in self.steps:
-            if s.at > count:
-                return s
-        return None
-
     # -- pickling (the lock is process-local state) ---------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

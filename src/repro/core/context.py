@@ -311,8 +311,8 @@ class ExecutionContext:
                 f"Gather/Halo templates require a Partitioned declaration")
         return part
 
-    def _rank_comm_guarded(self, op: Callable[[], None]) -> None:
-        """Run a rank-level collective exactly once per rank.
+    def _rank_comm_guarded(self, op: Callable[..., None], *args) -> None:
+        """Run a rank-level collective, ``op(*args)``, exactly once per rank.
 
         Outside a team region the rank thread runs it directly.  Inside a
         hybrid region only the team master performs communication, with
@@ -321,28 +321,50 @@ class ExecutionContext:
         if self.team is not None and self.team.in_region():
             self.team.barrier()
             if self.team.is_master():
-                op()
+                op(*args)
             self.team.barrier()
         else:
-            op()
+            op(*args)
 
     def _shared(self, field: str) -> bool:
         """Is ``field`` one physically shared copy across ranks?"""
         return self.caps.shared_fields and field in self.shared_fields
 
-    def _shared_sync(self, kind: str, field: str) -> None:
+    def _move(self, kind: str, field: str) -> None:
+        """One Scatter / Gather / AllGather / Halo movement of ``field``.
+
+        Nothing moves outside distributed execution, nor while replaying
+        (the data will come from the snapshot at the restore point).
+        Otherwise one of three paths runs once per rank: a shared field
+        only synchronises, a slab-backed whole (not for halo) moves
+        through its slab, and anything else moves as messages.
+        """
+        if not self.distributed or self.replay_active():
+            return
+        part = self._part(field)
+        if kind == "halo" and (not isinstance(part.layout, BlockLayout)
+                               or part.layout.halo < 1):
+            raise WeaveError(
+                f"HaloExchange needs BlockLayout(halo>=1) on {field!r}")
+        if self._shared(field):
+            sync = self._shared_sync
+        elif kind != "halo" and field in self.slab_whole:
+            sync = self._slab_sync
+        else:
+            sync = self._message_sync
+        self._rank_comm_guarded(sync, kind, field, part)
+
+    def _shared_sync(self, kind: str, field: str, part) -> None:
         """Data movement on a shared field: synchronisation only.
 
-        Every rank reads and writes the same pages, so scatter / gather
-        / halo reduce to a barrier that orders the writes of the
-        producing ranks before the reads of the consuming ones.
+        Every rank reads and writes the same pages (for halo, neighbour
+        planes are the same physical pages), so scatter / gather / halo
+        reduce to a barrier that orders the writes of the producing
+        ranks before the reads of the consuming ones.
         """
-        def _do() -> None:
-            self.rankctx.comm.barrier()
-            self.log.emit(kind, vtime=self.rankctx.clock.now,
-                          rank=self.rank, field=field, shared=True)
-
-        self._rank_comm_guarded(_do)
+        self.rankctx.comm.barrier()
+        self.log.emit(kind, vtime=self.rankctx.clock.now,
+                      rank=self.rank, field=field, shared=True)
 
     def _slab_sync(self, kind: str, field: str, part) -> None:
         """Data movement on a slab-backed ``whole_at_safepoints`` field.
@@ -358,120 +380,59 @@ class ExecutionContext:
         gathered-then-broadcast whole.
         """
         view = self.slab_whole[field]
+        comm = self.rankctx.comm
+        arr = getattr(self.instance, field)
+        layout = part.layout
+        axis = layout.axis
+        idx = layout.owned(arr.shape[axis], self.rank, self.nranks)
+        sl = (slice(None),) * axis + (idx,)
+        comm.barrier()
+        if kind == "scatter":
+            if self.rank == 0:
+                view[...] = arr
+        else:
+            view[sl] = arr[sl]
+        comm.barrier()
+        if kind == "allgather":
+            arr[...] = view
+        elif kind == "gather" and self.rank == 0:
+            arr[...] = view
+        elif kind == "scatter" and self.rank != 0:
+            arr[sl] = view[sl]
+        self.log.emit(kind, vtime=self.rankctx.clock.now,
+                      rank=self.rank, field=field, slab=True)
 
-        def _do() -> None:
-            comm = self.rankctx.comm
-            arr = getattr(self.instance, field)
-            layout = part.layout
-            axis = layout.axis
-            idx = layout.owned(arr.shape[axis], self.rank, self.nranks)
-            sl = (slice(None),) * axis + (idx,)
-            comm.barrier()
-            if kind == "scatter":
-                if self.rank == 0:
-                    view[...] = arr
-            else:
-                view[sl] = arr[sl]
-            comm.barrier()
-            if kind == "allgather":
-                arr[...] = view
-            elif kind == "gather" and self.rank == 0:
-                arr[...] = view
-            elif kind == "scatter" and self.rank != 0:
-                arr[sl] = view[sl]
-            self.log.emit(kind, vtime=self.rankctx.clock.now,
-                          rank=self.rank, field=field, slab=True)
-
-        self._rank_comm_guarded(_do)
-
-    def scatter_field(self, field: str) -> None:
-        if not (self.distributed):
+    def _message_sync(self, kind: str, field: str, part) -> None:
+        """Data movement as messages on the rank fabric, rooted at
+        member 0; allgather is gather then broadcast."""
+        comm = self.rankctx.comm
+        arr = getattr(self.instance, field)
+        if kind == "halo":
+            exchange_halo(comm, arr, part.layout)
             return
-        if self.replay_active():
-            return  # data will come from the snapshot at the restore point
-        part = self._part(field)
-        if self._shared(field):
-            self._shared_sync("scatter", field)
-            return
-        if field in self.slab_whole:
-            self._slab_sync("scatter", field, part)
-            return
-
-        def _do() -> None:
-            arr = getattr(self.instance, field)
-            scatter_inplace(self.rankctx.comm, arr, part.layout, root=0)
-            self.log.emit("scatter", vtime=self.rankctx.clock.now,
-                          rank=self.rank, field=field)
-
-        self._rank_comm_guarded(_do)
-
-    def gather_field(self, field: str) -> None:
-        if not (self.distributed):
-            return
-        if self.replay_active():
-            return
-        part = self._part(field)
-        if self._shared(field):
-            self._shared_sync("gather", field)
-            return
-        if field in self.slab_whole:
-            self._slab_sync("gather", field, part)
-            return
-
-        def _do() -> None:
-            arr = getattr(self.instance, field)
-            gather_inplace(self.rankctx.comm, arr, part.layout, root=0)
-            self.log.emit("gather", vtime=self.rankctx.clock.now,
-                          rank=self.rank, field=field)
-
-        self._rank_comm_guarded(_do)
-
-    def allgather_field(self, field: str) -> None:
-        """Whole-array refresh of a partitioned field on every member."""
-        if not (self.distributed):
-            return
-        if self.replay_active():
-            return
-        part = self._part(field)
-        if self._shared(field):
-            self._shared_sync("allgather", field)
-            return
-        if field in self.slab_whole:
-            self._slab_sync("allgather", field, part)
-            return
-
-        def _do() -> None:
-            comm = self.rankctx.comm
-            arr = getattr(self.instance, field)
+        if kind == "scatter":
+            scatter_inplace(comm, arr, part.layout, root=0)
+        else:
             gather_inplace(comm, arr, part.layout, root=0)
+        if kind == "allgather":
             full = comm.bcast(arr if self.rank == 0 else None, root=0)
             if self.rank != 0:
                 arr[...] = full
-            self.log.emit("allgather", vtime=self.rankctx.clock.now,
-                          rank=self.rank, field=field)
+        self.log.emit(kind, vtime=self.rankctx.clock.now,
+                      rank=self.rank, field=field)
 
-        self._rank_comm_guarded(_do)
+    def scatter_field(self, field: str) -> None:
+        self._move("scatter", field)
+
+    def gather_field(self, field: str) -> None:
+        self._move("gather", field)
+
+    def allgather_field(self, field: str) -> None:
+        """Whole-array refresh of a partitioned field on every member."""
+        self._move("allgather", field)
 
     def halo_field(self, field: str) -> None:
-        if not (self.distributed):
-            return
-        if self.replay_active():
-            return
-        part = self._part(field)
-        if not isinstance(part.layout, BlockLayout) or part.layout.halo < 1:
-            raise WeaveError(
-                f"HaloExchange needs BlockLayout(halo>=1) on {field!r}")
-        if self._shared(field):
-            # neighbour planes are the same physical pages: the exchange
-            # is purely the ordering barrier.
-            self._shared_sync("halo", field)
-            return
-
-        def _do() -> None:
-            exchange_halo(self.rankctx.comm, getattr(self.instance, field),
-                          part.layout)
-
-        self._rank_comm_guarded(_do)
+        self._move("halo", field)
 
     def reduce_result(self, value: Any,
                       combine: Callable[[Any, Any], Any] | None) -> Any:

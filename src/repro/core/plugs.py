@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 from repro.core.errors import WeaveError
 from repro.core.templates import (
     Partitioned,
-    Replicate,
     SafeData,
     Template,
 )
@@ -89,6 +88,3 @@ class PlugSet:
                 raise WeaveError(f"field {t.field!r} partitioned twice")
             out[t.field] = t
         return out
-
-    def is_replicated_class(self) -> bool:
-        return bool(self.of_type(Replicate))

@@ -15,6 +15,26 @@ Properties the paper requires and tests verify:
 * wrappers dispatch on the context's *current* mode at call time, which
   is what allows the same woven object to be reshaped while running.
 
+Eight templates are plain advice, and one factory, ``_wrap_advice``,
+weaves them all from one table (``_ADVICE``):
+
+=====================  ======  ===================================
+template               runs    ``ExecutionContext`` hook
+=====================  ======  ===================================
+``BarrierBefore``      before  ``barrier()``
+``BarrierAfter``       after   ``barrier()``
+``ScatterBefore``      before  ``scatter_field(field)``
+``GatherAfter``        after   ``gather_field(field)``
+``AllGatherAfter``     after   ``allgather_field(field)``
+``HaloExchangeBefore`` before  ``halo_field(field)``
+``SafePointBefore``    before  ``on_safepoint()``
+``SafePointAfter``     after   ``on_safepoint()``
+=====================  ======  ===================================
+
+The other eight (parallel region, for, synchronized, master, single,
+reduce, on-master, ignorable) change the method's control flow and keep
+a factory each.
+
 Wrapper nesting order follows ``Template.order`` (ascending = innermost):
 synchronized < master/single < halo < for < reduce < barrier < scatter/
 gather < safe point < parallel region < ignorable.
@@ -23,6 +43,7 @@ gather < safe point < parallel region < ignorable.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Any, Callable
 
 from repro.core.context import ExecutionContext
@@ -45,6 +66,7 @@ from repro.core.templates import (
     ScatterBefore,
     SingleMethod,
     SynchronizedMethod,
+    Template,
     ThreadLocal,
 )
 from repro.smp.team import current_worker
@@ -63,7 +85,8 @@ def _tid_getter():
 
 
 # ---------------------------------------------------------------------------
-# wrapper factories, one per method-join-point template
+# wrapper factories: one per template with its own control flow, and one
+# for every advice template
 # ---------------------------------------------------------------------------
 def _wrap_parallel(tmpl: ParallelMethod, inner: Callable) -> Callable:
     @functools.wraps(inner)
@@ -94,17 +117,13 @@ def _wrap_for(tmpl: ForMethod, inner: Callable) -> Callable:
             return inner(self, lo, hi, *args, **kwargs)
         base = getattr(type(self), "__pp_base__", type(self))
         key = f"{base.__name__}.{tmpl.method}"
-        calibrated = tmpl.cost_model == "calibrated"
         result = None
         for s, e in ctx.for_ranges(int(lo), int(hi), tmpl):
             with WallTimer() as t:
                 result = inner(self, s, e, *args, **kwargs)
-            if calibrated:
-                units = tmpl.units(s, e) if tmpl.units is not None else e - s
-                cost = GLOBAL_CALIBRATOR.charge_for(key, units, t.elapsed)
-            else:
-                cost = t.elapsed
-            ctx.clock().charge_compute(cost)
+            units = tmpl.units(s, e) if tmpl.units is not None else e - s
+            ctx.clock().charge_compute(
+                GLOBAL_CALIBRATOR.charge_for(key, units, t.elapsed))
         return result
 
     return wrapper
@@ -148,75 +167,6 @@ def _wrap_single(tmpl: SingleMethod, inner: Callable) -> Callable:
     return wrapper
 
 
-def _wrap_barrier_before(tmpl: BarrierBefore, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.barrier()
-        return inner(self, *args, **kwargs)
-
-    return wrapper
-
-
-def _wrap_barrier_after(tmpl: BarrierAfter, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        result = inner(self, *args, **kwargs)
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.barrier()
-        return result
-
-    return wrapper
-
-
-def _wrap_scatter_before(tmpl: ScatterBefore, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.scatter_field(tmpl.field)
-        return inner(self, *args, **kwargs)
-
-    return wrapper
-
-
-def _wrap_gather_after(tmpl: GatherAfter, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        result = inner(self, *args, **kwargs)
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.gather_field(tmpl.field)
-        return result
-
-    return wrapper
-
-
-def _wrap_allgather_after(tmpl: AllGatherAfter, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        result = inner(self, *args, **kwargs)
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.allgather_field(tmpl.field)
-        return result
-
-    return wrapper
-
-
-def _wrap_halo_before(tmpl: HaloExchangeBefore, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.halo_field(tmpl.field)
-        return inner(self, *args, **kwargs)
-
-    return wrapper
-
-
 def _wrap_reduce(tmpl: ReduceResult, inner: Callable) -> Callable:
     @functools.wraps(inner)
     def wrapper(self, *args, **kwargs):
@@ -246,29 +196,6 @@ def _wrap_on_master(tmpl: OnMaster, inner: Callable) -> Callable:
     return wrapper
 
 
-def _wrap_safepoint_after(tmpl: SafePointAfter, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        result = inner(self, *args, **kwargs)
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.on_safepoint()
-        return result
-
-    return wrapper
-
-
-def _wrap_safepoint_before(tmpl: SafePointBefore, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        ctx = _ctx_of(self)
-        if ctx is not None:
-            ctx.on_safepoint()
-        return inner(self, *args, **kwargs)
-
-    return wrapper
-
-
 def _wrap_ignorable(tmpl: IgnorableMethod, inner: Callable) -> Callable:
     @functools.wraps(inner)
     def wrapper(self, *args, **kwargs):
@@ -280,23 +207,63 @@ def _wrap_ignorable(tmpl: IgnorableMethod, inner: Callable) -> Callable:
     return wrapper
 
 
+#: advice templates: (runs "before" or "after" the method, the
+#: ExecutionContext hook it calls).  A template with a ``field`` passes
+#: it to the hook.
+_ADVICE: dict[type, tuple[str, str]] = {
+    BarrierBefore: ("before", "barrier"),
+    BarrierAfter: ("after", "barrier"),
+    ScatterBefore: ("before", "scatter_field"),
+    GatherAfter: ("after", "gather_field"),
+    AllGatherAfter: ("after", "allgather_field"),
+    HaloExchangeBefore: ("before", "halo_field"),
+    SafePointBefore: ("before", "on_safepoint"),
+    SafePointAfter: ("after", "on_safepoint"),
+}
+
+
+def _wrap_advice(tmpl: Template, inner: Callable) -> Callable:
+    """One context hook before or after ``inner``, per :data:`_ADVICE`.
+
+    After-advice reads the context only once the method has returned
+    (the method may bind or unbind it); with no context the method runs
+    alone.
+    """
+    when, hook = _ADVICE[type(tmpl)]
+    field = getattr(tmpl, "field", None)
+    advise = operator.methodcaller(hook, *(() if field is None else (field,)))
+
+    if when == "before":
+        @functools.wraps(inner)
+        def before(self, *args, **kwargs):
+            ctx = _ctx_of(self)
+            if ctx is not None:
+                advise(ctx)
+            return inner(self, *args, **kwargs)
+
+        return before
+
+    @functools.wraps(inner)
+    def after(self, *args, **kwargs):
+        result = inner(self, *args, **kwargs)
+        ctx = _ctx_of(self)
+        if ctx is not None:
+            advise(ctx)
+        return result
+
+    return after
+
+
 _FACTORIES: dict[type, Callable[[Any, Callable], Callable]] = {
-    AllGatherAfter: _wrap_allgather_after,
     ParallelMethod: _wrap_parallel,
     ForMethod: _wrap_for,
     SynchronizedMethod: _wrap_synchronized,
     MasterMethod: _wrap_master,
     SingleMethod: _wrap_single,
-    BarrierBefore: _wrap_barrier_before,
-    BarrierAfter: _wrap_barrier_after,
-    ScatterBefore: _wrap_scatter_before,
-    GatherAfter: _wrap_gather_after,
-    HaloExchangeBefore: _wrap_halo_before,
     ReduceResult: _wrap_reduce,
     OnMaster: _wrap_on_master,
-    SafePointAfter: _wrap_safepoint_after,
-    SafePointBefore: _wrap_safepoint_before,
     IgnorableMethod: _wrap_ignorable,
+    **dict.fromkeys(_ADVICE, _wrap_advice),
 }
 
 

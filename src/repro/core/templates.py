@@ -17,6 +17,15 @@ Distributed-memory templates (Section III.C) mirror the aggregate model:
 
 Checkpoint templates (Section IV.A): ``SafeData``, ``SafePointAfter`` /
 ``SafePointBefore``, ``IgnorableMethod``.
+
+A method template's join point is its ``method`` field
+(:meth:`Template.join_points`).  Eight of them are plain *advice* — one
+:class:`~repro.core.context.ExecutionContext` hook run before or after
+the method: ``BarrierBefore/After`` (``barrier``), ``ScatterBefore``,
+``GatherAfter``, ``AllGatherAfter``, ``HaloExchangeBefore`` (the field
+movements) and ``SafePointBefore/After`` (``on_safepoint``).  The
+weaver's advice table holds that mapping.  When several templates share
+a method, ``order`` fixes their nesting: ascending = innermost.
 """
 
 from __future__ import annotations
@@ -35,8 +44,10 @@ class Template:
     order: int = 50
 
     def join_points(self) -> list[str]:
-        """Method names this template wraps (empty for field templates)."""
-        return []
+        """Method names this template wraps: its ``method`` field, if it
+        has one (empty for field and class templates)."""
+        method = getattr(self, "method", None)
+        return [] if method is None else [method]
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +60,6 @@ class ParallelMethod(Template):
     method: str
     order = 90  # outermost: the region owns everything inside
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class ForMethod(Template):
@@ -62,30 +70,20 @@ class ForMethod(Template):
     is split among team threads per ``schedule``; in distributed memory it
     is restricted to the rank's partition of the layout of field
     ``align`` (or block-split over ranks when ``align`` is None); hybrid
-    composes both.
+    composes both.  Each chunk is charged to virtual time at the kernel's
+    calibrated uncontended rate (uniform cost per unit).
     """
 
     method: str
     schedule: Schedule = Schedule.STATIC
     chunk: int = 1
     align: str | None = None  # name of a Partitioned field to align with
-    #: "calibrated" charges chunks at the kernel's calibrated uncontended
-    #: rate (uniform cost per unit — right for regular kernels);
-    #: "measured" charges the raw per-chunk timing.
-    cost_model: str = "calibrated"
     #: optional work metric: units(lo, hi) -> work units in the chunk.
     #: Defaults to ``hi - lo``.  Declare it when per-index cost varies
     #: (e.g. triangular loops, skewed workloads) so the virtual-time model
     #: sees the imbalance the schedule is supposed to handle.
     units: Callable[[int, int], int] | None = None
     order = 40
-
-    def __post_init__(self) -> None:
-        if self.cost_model not in ("calibrated", "measured"):
-            raise ValueError(f"unknown cost model {self.cost_model!r}")
-
-    def join_points(self) -> list[str]:
-        return [self.method]
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,6 @@ class SynchronizedMethod(Template):
     lock: str | None = None  # lock name; defaults to the method name
     order = 20
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class MasterMethod(Template):
@@ -106,9 +101,6 @@ class MasterMethod(Template):
 
     method: str
     order = 30
-
-    def join_points(self) -> list[str]:
-        return [self.method]
 
 
 @dataclass(frozen=True)
@@ -118,9 +110,6 @@ class SingleMethod(Template):
     method: str
     order = 30
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class BarrierBefore(Template):
@@ -129,9 +118,6 @@ class BarrierBefore(Template):
     method: str
     order = 60
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class BarrierAfter(Template):
@@ -139,9 +125,6 @@ class BarrierAfter(Template):
 
     method: str
     order = 60
-
-    def join_points(self) -> list[str]:
-        return [self.method]
 
 
 @dataclass(frozen=True)
@@ -208,9 +191,6 @@ class ScatterBefore(Template):
     field: str
     order = 70
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class GatherAfter(Template):
@@ -219,9 +199,6 @@ class GatherAfter(Template):
     method: str
     field: str
     order = 70
-
-    def join_points(self) -> list[str]:
-        return [self.method]
 
 
 @dataclass(frozen=True)
@@ -237,9 +214,6 @@ class AllGatherAfter(Template):
     field: str
     order = 70
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class HaloExchangeBefore(Template):
@@ -252,9 +226,6 @@ class HaloExchangeBefore(Template):
     field: str
     order = 35
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class ReduceResult(Template):
@@ -263,9 +234,6 @@ class ReduceResult(Template):
     method: str
     combine: Callable[[Any, Any], Any] | None = None  # None = operator +
     order = 45
-
-    def join_points(self) -> list[str]:
-        return [self.method]
 
 
 @dataclass(frozen=True)
@@ -279,9 +247,6 @@ class OnMaster(Template):
     method: str
     broadcast: bool = False
     order = 30
-
-    def join_points(self) -> list[str]:
-        return [self.method]
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +271,6 @@ class SafePointAfter(Template):
     method: str
     order = 80
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class SafePointBefore(Template):
@@ -317,9 +279,6 @@ class SafePointBefore(Template):
     method: str
     order = 80
 
-    def join_points(self) -> list[str]:
-        return [self.method]
-
 
 @dataclass(frozen=True)
 class IgnorableMethod(Template):
@@ -327,6 +286,3 @@ class IgnorableMethod(Template):
 
     method: str
     order = 95  # outermost of all: replay skips everything beneath
-
-    def join_points(self) -> list[str]:
-        return [self.method]

@@ -67,14 +67,17 @@ class Mailbox:
         """Block until a matching message is available and remove it.
 
         Matching preserves per-(source, tag) FIFO order, which is all the
-        collectives and the aggregate protocol rely on.
+        collectives and the aggregate protocol rely on.  ``timeout``
+        bounds the whole call with one monotonic deadline: a put that
+        does not match wakes the receiver but does not extend its wait.
         """
-        from time import perf_counter
+        from time import monotonic, perf_counter
 
         from repro.trace.plane import tracer as trace_writer
 
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
+        deadline = None if timeout is None else monotonic() + timeout
         with self._cond:
             while True:
                 for i, m in enumerate(self._queue):
@@ -89,7 +92,9 @@ class Mailbox:
                         return msg
                 if self._closed:
                     raise MailboxClosed(f"mailbox {self.rank} is closed")
-                if not self._cond.wait(timeout):
+                left = None if deadline is None else deadline - monotonic()
+                if (left is not None and left <= 0) \
+                        or not self._cond.wait(left):
                     raise TimeoutError(
                         f"rank {self.rank}: no message from src={source} "
                         f"tag={tag} after {timeout}s "

@@ -3,6 +3,7 @@
 Usage::
 
     python tests/reach/report.py DUMP_DIR [--src src] [--flagged-only]
+    python tests/reach/report.py DUMP_DIR --check tests/reach/flagged.txt
 
 Reads every JSON dump ``sitecustomize.py`` wrote to ``DUMP_DIR``, lists
 every function and method under ``src/`` (by AST, so a function no run
@@ -10,6 +11,14 @@ imported still counts) and prints, per function, the entry labels
 (``REACH_ENTRY``) of the runs that reached it.  Two groups are flagged:
 functions reached by nothing, and functions reached only by runs whose
 label starts with ``tests``.  The last line is the totals.
+
+``--check FILE`` is the ratchet.  ``FILE`` lists flagged functions, one
+``path qualname`` a line (path relative to ``--src``, no line number,
+so unrelated edits do not churn it); ``#`` starts a comment, which is
+where a newly listed function's reason goes.  The check prints every
+function flagged now but not listed, in that format, and exits 1 if
+there is one.  Listed functions that are no longer flagged are only
+reported: a function may leave the list at any time.
 """
 
 from __future__ import annotations
@@ -57,14 +66,52 @@ def load_reach(dump_dir: Path) -> dict[tuple[str, str, int], set[str]]:
     return reach
 
 
+def read_listed(path: Path) -> set[str]:
+    """The ``path qualname`` keys of a ratchet file."""
+    keys = set()
+    for line in path.read_text().splitlines():
+        key = " ".join(line.split("#", 1)[0].split())
+        if key:
+            keys.add(key)
+    return keys
+
+
+def check(flagged: set[str], listed_file: Path) -> int:
+    """Fail on functions flagged now but not listed in ``listed_file``."""
+    listed = read_listed(listed_file)
+    new, gone = sorted(flagged - listed), sorted(listed - flagged)
+    if gone:
+        print(f"# listed but no longer flagged ({len(gone)}); they may "
+              f"leave {listed_file}:")
+        print("\n".join(gone))
+    if new:
+        print(f"# flagged but not listed ({len(new)}): reach each from a "
+              f"real entry point, delete it, or list it in {listed_file} "
+              f"with a reason:")
+        print("\n".join(new))
+        return 1
+    print(f"# ratchet holds: {len(flagged)} flagged, all listed")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dumps", type=Path)
     ap.add_argument("--src", type=Path, default=Path("src"))
     ap.add_argument("--flagged-only", action="store_true")
+    ap.add_argument("--check", type=Path, metavar="FILE")
     args = ap.parse_args(argv)
     reach = load_reach(args.dumps)
     defs = defined_functions(args.src)
+    if args.check is not None:
+        # a key is flagged if any def under it is: two defs may share a
+        # qualname in one file, and a reached one must not hide the other.
+        flagged = set()
+        for key in defs:
+            entries = reach.get(key, set())
+            if all(e.startswith(TESTS_PREFIX) for e in entries):
+                flagged.add(f"{key[0]} {key[1]}")
+        return check(flagged, args.check)
     nothing, tests_only = [], []
     for key in defs:
         entries = reach.get(key, set())

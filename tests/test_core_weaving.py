@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AllGatherAfter,
     BarrierAfter,
+    BarrierBefore,
     ExecConfig,
     ForMethod,
+    GatherAfter,
+    HaloExchangeBefore,
     IgnorableMethod,
     MasterMethod,
     ParallelMethod,
@@ -14,6 +18,8 @@ from repro.core import (
     PlugSet,
     SafeData,
     SafePointAfter,
+    SafePointBefore,
+    ScatterBefore,
     SingleMethod,
     SynchronizedMethod,
     ThreadLocal,
@@ -146,6 +152,96 @@ class TestWeaver:
         inst.scratch = 42  # descriptor path, outside any team
         assert inst.scratch == 42
         assert "_tls__scratch" in inst.__dict__
+
+
+class _Recorder:
+    """A fake execution context that records every advice hook call."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def barrier(self):
+        self.calls.append(("barrier",))
+
+    def on_safepoint(self):
+        self.calls.append(("on_safepoint",))
+
+    def __getattr__(self, hook):  # the four field movements
+        if not hook.endswith("_field"):
+            raise AttributeError(hook)
+        return lambda field: self.calls.append((hook, field))
+
+
+class Stepper:
+    def __init__(self):
+        self.calls = []
+
+    def step(self, x, scale=1):
+        self.calls.append(("step", x))
+        return x * scale
+
+
+#: every advice template: (template, runs before the method?, hook call)
+ADVICE = [
+    (BarrierBefore("step"), True, ("barrier",)),
+    (BarrierAfter("step"), False, ("barrier",)),
+    (ScatterBefore("step", "data"), True, ("scatter_field", "data")),
+    (GatherAfter("step", "data"), False, ("gather_field", "data")),
+    (AllGatherAfter("step", "data"), False, ("allgather_field", "data")),
+    (HaloExchangeBefore("step", "data"), True, ("halo_field", "data")),
+    (SafePointBefore("step"), True, ("on_safepoint",)),
+    (SafePointAfter("step"), False, ("on_safepoint",)),
+]
+
+
+class TestAdvice:
+    @staticmethod
+    def _bound(plugset):
+        obj = plug(Stepper, plugset)()
+        obj.__pp_ctx__ = _Recorder(obj.calls)
+        return obj
+
+    @pytest.mark.parametrize("tmpl,before,hook", ADVICE,
+                             ids=[type(t).__name__ for t, _, _ in ADVICE])
+    def test_hook_runs_on_its_side_of_the_method(self, tmpl, before, hook):
+        obj = self._bound(PlugSet(tmpl))
+        assert obj.step(3, scale=2) == 6
+        method = ("step", 3)
+        assert obj.calls == ([hook, method] if before else [method, hook])
+
+    @pytest.mark.parametrize("tmpl", [t for t, _, _ in ADVICE],
+                             ids=[type(t).__name__ for t, _, _ in ADVICE])
+    def test_without_context_only_the_method_runs(self, tmpl):
+        obj = plug(Stepper, PlugSet(tmpl))()
+        assert obj.step(4) == 4
+        assert obj.calls == [("step", 4)]
+
+    @pytest.mark.parametrize("tmpl,before,hook", ADVICE,
+                             ids=[type(t).__name__ for t, _, _ in ADVICE])
+    def test_context_is_read_after_the_method_returns(self, tmpl, before,
+                                                      hook):
+        # a method that binds the context sees its after-advice run, and
+        # its before-advice not.
+        class Binds(Stepper):
+            def step(self, x, scale=1):
+                self.__pp_ctx__ = _Recorder(self.calls)
+                return super().step(x, scale)
+
+        obj = plug(Binds, PlugSet(tmpl))()
+        obj.step(5)
+        assert obj.calls == ([("step", 5)] if before
+                             else [("step", 5), hook])
+
+    def test_advice_nests_by_template_order(self):
+        # declared outermost first; Template.order puts the barrier (60)
+        # innermost, the scatter (70) around it, the safe point (80)
+        # outermost.
+        obj = self._bound(PlugSet(SafePointAfter("step"),
+                                  ScatterBefore("step", "data"),
+                                  BarrierBefore("step")))
+        obj.step(1)
+        assert obj.calls == [("scatter_field", "data"), ("barrier",),
+                             ("step", 1), ("on_safepoint",)]
 
 
 class TestMakeContext:

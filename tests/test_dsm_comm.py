@@ -1,5 +1,8 @@
 """Tests for the distributed substrate: mailbox, communicator, cluster."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,30 @@ class TestMailbox:
         mb = Mailbox(1)
         with pytest.raises(TimeoutError):
             mb.get(timeout=0.05)
+
+    def test_get_timeout_is_not_restarted_by_other_traffic(self):
+        # a put that does not match wakes the receiver; it must not
+        # re-arm the receiver's full timeout.
+        mb = Mailbox(1)
+        stop = threading.Event()
+
+        def chatter():
+            end = time.monotonic() + 1.0
+            while time.monotonic() < end and not stop.is_set():
+                mb.put(self._msg(src=2, tag=3))
+                stop.wait(0.05)
+
+        t = threading.Thread(target=chatter)
+        t.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                mb.get(source=1, tag=7, timeout=0.3)
+            assert time.monotonic() - t0 < 0.6
+        finally:
+            stop.set()
+            t.join(timeout=5)
+        assert not t.is_alive()
 
     def test_closed_mailbox_raises(self):
         mb = Mailbox(1)
