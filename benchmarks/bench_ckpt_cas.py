@@ -89,7 +89,10 @@ def test_cas_vs_full_bytes_and_restore(benchmark, tmp_path):
         "Ckpt CAS", "Chunked object store vs container store "
         f"(STRATEGY_LOCAL, {RANKS}->{RANKS_AFTER} ranks)",
         ["scenario", "full bytes", "cas bytes", "reduction",
-         "full restore s", "cas restore s"])
+         "full restore s", "cas restore s"],
+        note="service-2job counts chunk refs against chunks stored; two "
+             "jobs' presence handshakes race, so it reads 1.0-1.72x from "
+             "run to run (not a gate)")
     headline: dict[str, float] = {}
 
     def experiment():

@@ -20,11 +20,13 @@ class FigureReport:
     """Collects labelled rows for one paper figure and renders a table."""
 
     def __init__(self, figure: str, title: str,
-                 columns: list[str]) -> None:
+                 columns: list[str], note: str = "") -> None:
         self.figure = figure
         self.title = title
         self.columns = columns
         self.rows: list[list[object]] = []
+        #: printed under the table and kept in the JSON, to read a row by.
+        self.note = note
 
     def add(self, *values: object) -> None:
         if len(values) != len(self.columns):
@@ -43,6 +45,8 @@ class FigureReport:
         for r in self.rows:
             lines.append("  ".join(_fmt(v).ljust(w)
                                    for v, w in zip(r, widths)))
+        if self.note:
+            lines.append(f"note: {self.note}")
         return "\n".join(lines)
 
     def emit(self, benchmark=None, json_name: str | None = None,
@@ -84,6 +88,8 @@ class FigureReport:
             "columns": self.columns,
             "rows": [[_jsonable(v) for v in r] for r in self.rows],
         }
+        if self.note:
+            doc["note"] = self.note
         if extra:
             doc["extra"] = {k: _jsonable(v) for k, v in extra.items()}
         if metrics is not None:

@@ -4,7 +4,7 @@
 checkpoint *files*.  Each field's portable encoding is cut into a
 header chunk and fixed 4 KiB data blocks (:mod:`repro.ckpt.chunker`),
 hashed straight from the field's memory, and the pieces land in a
-:class:`ChunkStore`, keyed by content digest.  The checkpoint
+:class:`ChunkStore`, keyed by SHA-256/160 digest.  The checkpoint
 file itself becomes a **recipe**: the ordinary checkpoint container
 with no sections, whose header maps every field to its ordered
 ``(digest, length)`` chunk refs.
@@ -62,7 +62,6 @@ does for a torn full snapshot.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import struct
@@ -223,14 +222,13 @@ class ChunkStore:
     def _write_pack(self, entries: list[tuple[str, int, Any]]) -> int:
         """One durable pack of ``(digest, flags, stored)``; its size.
 
-        Named by its table's hash, so identical batches race to
-        identical files.  Caller holds :attr:`lock`.
+        Named by its table's digest (16 hex digits), so identical
+        batches race to identical files.  Caller holds :attr:`lock`.
         """
         table = b"".join(
             _PACK_ENTRY.pack(bytes.fromhex(digest), flags, len(stored))
             for digest, flags, stored in entries)
-        name = hashlib.blake2b(table, digest_size=8).hexdigest() \
-            + _PACK_SUFFIX
+        name = chunk_digest(table)[:16] + _PACK_SUFFIX
         atomic_write_bytes(self.dir / name,
                            [_PACK_HEAD.pack(_PACK_MAGIC, len(entries)), table,
                             *(stored for _, _, stored in entries)])

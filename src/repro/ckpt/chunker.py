@@ -40,14 +40,15 @@ from repro.util.serialization import portable_pieces
 #: data block size in bytes (also the upper bound of every chunk).
 BLOCK = 4096
 
-#: digest identifying a chunk's content (hex).  BLAKE2b-160: far below
-#: the disk's own undetected-error rate, short enough for filenames.
+#: digest identifying a chunk's content (hex): SHA-256 cut to 160 bits,
+#: far below the disk's own undetected-error rate, short enough for
+#: filenames.  OpenSSL computes it, on the CPU's SHA extensions if any.
 DIGEST_SIZE = 20
 
 
 def chunk_digest(payload) -> str:
     """Content digest (hex) keying one chunk in the CAS."""
-    return hashlib.blake2b(payload, digest_size=DIGEST_SIZE).hexdigest()
+    return hashlib.sha256(payload).digest()[:DIGEST_SIZE].hex()
 
 
 def field_chunks(value: Any) -> list[tuple[str, memoryview]]:

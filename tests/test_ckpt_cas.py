@@ -21,7 +21,13 @@ The load-bearing guarantees:
   degrades to the previous checkpoint;
 * GC leaves zero unreferenced chunks after pruning and after a job
   namespace is torn down — and never frees a chunk another namespace
-  still references.
+  still references;
+* a chunk's key is SHA-256 cut to 20 bytes, and a directory keyed the
+  old way (BLAKE2b-160) fails closed: no field verifies, recovery
+  degrades, GC reclaims it once pruned;
+* the funnel's parent stores nothing from a write whose shipped chunk
+  is off its digest, and a chunk swept between the presence handshake
+  and the write is resent, not lost.
 """
 
 import hashlib
@@ -47,6 +53,7 @@ from repro.ckpt import (
 from repro.ckpt import cas as cas_mod
 from repro.ckpt import chunker
 from repro.ckpt.chunker import BLOCK, chunk_digest, chunk_refs, field_chunks
+from repro.ckpt.funnel import CheckpointFunnel, FunnelStore, funnel_shape
 from repro.ckpt.restore import FileRecord
 from repro.ckpt.snapshot import KIND_RECIPE, Snapshot, SnapshotCorrupt
 from repro.core import (
@@ -262,13 +269,19 @@ def _cut(blob: bytes) -> list[bytes]:
     return [blob[a:a + BLOCK] for a in range(0, len(blob), BLOCK)]
 
 
+def spec_digest(b: bytes) -> str:
+    """The chunk key, spelled out: SHA-256, first 20 bytes, hex."""
+    return hashlib.sha256(b).digest()[:20].hex()
+
+
 def reference_chunks(arr: np.ndarray) -> list[tuple[str, bytes]]:
     """An array's chunks cut from its joined ``dumps_portable`` bytes:
     the header (everything before the ``arr.nbytes`` of data), then the
-    data, each in fixed blocks, each keyed by BLAKE2b-160 of a copy."""
+    data, each in fixed blocks, each keyed by the digest spec applied
+    to a copy."""
     blob = dumps_portable(arr)
     head = len(blob) - arr.nbytes
-    return [(hashlib.blake2b(b, digest_size=20).hexdigest(), b)
+    return [(spec_digest(b), b)
             for b in _cut(blob[:head]) + _cut(blob[head:])]
 
 
@@ -298,6 +311,17 @@ def buffers(draw):
 
 
 class TestChunkerOracle:
+    @pytest.mark.parametrize("x", [
+        b"", b"\x00", np.random.default_rng(7).bytes(BLOCK),
+        memoryview(np.arange(3 * BLOCK // 8, dtype=">f8")),
+        memoryview(np.arange(1000, dtype=np.int64).byteswap())],
+        ids=["empty", "one-byte", "one-block", "big-endian", "byteswapped"])
+    def test_chunk_digest_is_the_spec(self, x):
+        """The CAS key is pinned: changing it orphans every stored
+        chunk, so it changes only with this test."""
+        assert chunk_digest(x) == spec_digest(bytes(x))
+        assert len(chunk_digest(x)) == 2 * chunker.DIGEST_SIZE
+
     @settings(max_examples=120, deadline=None)
     @given(data=buffers())
     def test_bounds_equal_the_reference_form(self, data):
@@ -851,6 +875,117 @@ class TestCorruptionIsolation:
         assert store.read(1).safepoint_count == 1
         latest = store.read_latest()
         assert latest is not None and latest.safepoint_count == 1
+
+
+def blake2b_160(payload) -> str:
+    """The chunk key directories were written with before SHA-256/160."""
+    return hashlib.blake2b(payload, digest_size=20).hexdigest()
+
+
+class TestBlake2bDirectories:
+    def test_blake2b_keyed_checkpoints_fail_closed(self, tmp_path,
+                                                   monkeypatch):
+        """A pack and a recipe keyed by BLAKE2b-160 (written byte for
+        byte as that store wrote them) sit beside an older checkpoint
+        keyed by SHA-256/160.  There is no reader for them: every
+        field fails verification, recovery degrades to the older
+        checkpoint, and GC reclaims the old pack once it is pruned."""
+        store = CasCheckpointStore(tmp_path / "c")
+        app = Drift(n=64)
+        store.write(snap_of(app, 1))
+        good = store.read(1).field_blobs()
+        app.grid[0, 0] += 1.0
+        app.step = 2
+        before = set(pack_files(store.cas))
+        with monkeypatch.context() as m:
+            m.setattr(chunker, "chunk_digest", blake2b_160)
+            m.setattr(cas_mod, "chunk_digest",  # the pack name: BLAKE2b-64
+                      lambda t: hashlib.blake2b(t, digest_size=8).hexdigest())
+            store.write(snap_of(app, 2))
+        (old_pack,) = set(pack_files(store.cas)) - before
+        assert store.verify(2) == ["grid", "state", "step"]
+        assert store.verify(1) == []
+        with pytest.raises(SnapshotCorrupt, match="failed content verif"):
+            store.read(2)
+        latest = store.read_latest()
+        assert latest.safepoint_count == 1 and latest.field_blobs() == good
+        store.write(snap_of(app, 3))
+        store.prune(keep=1)
+        assert not old_pack.exists()
+        assert store.unreferenced() == set() and store.gc() == (0, 0)
+        assert store.verify(3) == []
+
+
+# ---------------------------------------------------------------------------
+# the funnel's ingest checks (the parent side of a chunk-ref write)
+# ---------------------------------------------------------------------------
+def chunked(snap):
+    """``(recipe, chunks)`` of ``snap`` as a funnel worker ships them."""
+    recipe, chunks = {}, {}
+    for name, value in snap.fields.items():
+        pieces = field_chunks(value)
+        recipe[name] = [[d, len(p)] for d, p in pieces]
+        chunks.update((d, bytes(p)) for d, p in pieces)
+    return recipe, chunks
+
+
+class TestFunnelIngest:
+    def test_a_chunk_off_its_digest_stores_and_publishes_nothing(
+            self, tmp_path):
+        store = CasCheckpointStore(tmp_path / "c")
+        snap = snap_of(Drift(n=64), 1)
+        recipe, chunks = chunked(snap)
+        bad = recipe["grid"][3][0]
+        honest = chunks[bad]
+        chunks[bad] = honest[:100] + bytes([honest[100] ^ 1]) + honest[101:]
+        with pytest.raises(ChunkCorrupt, match=f"funnelled chunk {bad} "
+                                               "failed content verif"):
+            store.write_chunked(snap.header(KIND_RECIPE), recipe, chunks)
+        assert store.cas.digests() == set() and pack_files(store.cas) == []
+        assert store.counts() == []
+        chunks[bad] = honest  # the same write, honest, lands
+        store.write_chunked(snap.header(KIND_RECIPE), recipe, chunks)
+        assert store.read(1).field_blobs() == snap.field_blobs()
+
+    def test_a_chunk_swept_after_the_handshake_is_resent(self, tmp_path,
+                                                         monkeypatch):
+        """Checkpoint 1 retires and GC sweeps its chunks between the
+        presence handshake of checkpoint 2 (same bytes: nothing to ship)
+        and its write.  The parent raises ``CAS_CHUNK_MISSING``; the
+        worker resends every payload and the write lands."""
+        store = CasCheckpointStore(tmp_path / "c")
+        funnel = CheckpointFunnel()
+        funnel.register("", store)
+        client = FunnelStore(0, funnel.pipe(), **funnel_shape(store))
+        shipped, ship = [], client._ship
+
+        def counting_ship(snap, field_refs, payloads, needed):
+            shipped.append(len(needed))
+            return ship(snap, field_refs, payloads, needed)
+
+        missing = store.cas.missing
+
+        def handshake_then_gc(digests):
+            out = missing(digests)
+            if store.counts() == [1]:
+                store.path_for(1).unlink()
+                store.gc()
+            return out
+
+        monkeypatch.setattr(client, "_ship", counting_ship)
+        monkeypatch.setattr(store.cas, "missing", handshake_then_gc)
+        app = Drift(n=64)
+        n = len(chunked(snap_of(app, 1))[1])
+        funnel.start()
+        try:
+            client.write(snap_of(app, 1))
+            client.write(snap_of(app, 2))
+        finally:
+            funnel.stop()
+        assert shipped == [n, 0, n]
+        assert store.counts() == [2]
+        assert store.read(2).field_blobs() == snap_of(app, 2).field_blobs()
+        assert store.unreferenced() == set()
 
 
 # ---------------------------------------------------------------------------
