@@ -7,12 +7,11 @@ parallelisation against.  With ``ckpt_every=None`` they are the paper's
 fixed JGF versions (original benchmark, no fault tolerance): the
 comparators of Figure 9.
 
-These functions intentionally duplicate the SOR numerics: the point of
-the baseline is that a practitioner writing directly against the
-substrates produces tangled code (look at how checkpoint bookkeeping
-threads through every function here, versus the three declarations in
-``repro/apps/plugs/sor_plugs.py``), yet gains no performance over the
-woven version — which is the paper's headline claim.
+They call the woven app's own kernel (:func:`repro.apps.sor.relax_rows`),
+so both versions compute bit-identical grids at one calibrated rate.  The
+point is the code around it: checkpoint bookkeeping threads through every
+function here, versus three declarations in ``apps/plugs/sor_plugs.py``,
+yet gains no performance — the paper's headline claim.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.apps.sor import grid_checksum, init_grid, relax_rows
 from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.store import CheckpointStore
 from repro.dsm.comm import current_rank
@@ -28,7 +28,6 @@ from repro.dsm.partition import BlockLayout, exchange_halo, gather_inplace, \
     local_slice, scatter_inplace
 from repro.dsm.simcluster import SimCluster
 from repro.smp.team import ThreadTeam, current_worker
-from repro.util.rng import seeded_rng
 from repro.util.timing import WallTimer
 from repro.vtime.calibrate import GLOBAL_CALIBRATOR
 from repro.vtime.clock import VClock
@@ -54,29 +53,6 @@ class HandwrittenResult:
     breakdown: dict = field(default_factory=dict)
 
 
-def _init_grid(n: int, seed: int) -> np.ndarray:
-    return seeded_rng(seed).random((n, n)) * 1e-6
-
-
-def _relax_rows(G: np.ndarray, lo: int, hi: int, parity: int,
-                omega: float) -> None:
-    n = G.shape[0]
-    lo = max(lo, 1)
-    hi = min(hi, n - 1)
-    start = lo + ((parity - lo) % 2)
-    if start >= hi:
-        return
-    r = np.arange(start, hi, 2)
-    G[r, 1:-1] = ((1.0 - omega) * G[r, 1:-1]
-                  + omega * 0.25 * (G[r - 1, 1:-1] + G[r + 1, 1:-1]
-                                    + G[r, :-2] + G[r, 2:]))
-
-
-def _checksum(G: np.ndarray) -> float:
-    n = G.shape[0]
-    return float(np.abs(G).sum() / (n * n))
-
-
 # ---------------------------------------------------------------------------
 # sequential
 # ---------------------------------------------------------------------------
@@ -87,13 +63,13 @@ def run_sequential_sor(n: int = 100, iterations: int = 100,
                        ckpt_every: int | None = None) -> HandwrittenResult:
     machine = machine if machine is not None else MachineModel()
     clock = VClock()
-    G = _init_grid(n, seed)
+    G = init_grid(n, seed)
     count = 0
     checkpoints = 0
     for _ in range(iterations):
         with WallTimer() as t:
-            _relax_rows(G, 1, n - 1, 0, omega)
-            _relax_rows(G, 1, n - 1, 1, omega)
+            relax_rows(G, 1, n - 1, 0, omega)
+            relax_rows(G, 1, n - 1, 1, omega)
         _charge_relax(clock, 1, 2 * n - 3, t.elapsed)
         # --- invasive checkpoint code tangled into the domain loop ----
         count += 1
@@ -104,7 +80,7 @@ def run_sequential_sor(n: int = 100, iterations: int = 100,
             store.write(snap)
             clock.charge_io(machine.disk.write_cost(store.last_write_nbytes))
             checkpoints += 1
-    return HandwrittenResult(_checksum(G), clock.now, count, checkpoints,
+    return HandwrittenResult(grid_checksum(G), clock.now, count, checkpoints,
                              clock.snapshot())
 
 
@@ -126,7 +102,7 @@ def run_threads_sor(workers: int, n: int = 100, iterations: int = 100,
                     ckpt_every: int | None = None) -> HandwrittenResult:
     machine = machine if machine is not None else MachineModel()
     team = ThreadTeam(machine, size=workers)
-    G = _init_grid(n, seed)
+    G = init_grid(n, seed)
     state = {"count": 0, "checkpoints": 0}
 
     def save_if_due(sp_index: int, tm: ThreadTeam) -> bool:
@@ -146,13 +122,13 @@ def run_threads_sor(workers: int, n: int = 100, iterations: int = 100,
             for parity in (0, 1):
                 for s, e in team.worksharing(1, n - 1):
                     with WallTimer() as t:
-                        _relax_rows(G, s, e, parity, omega)
+                        relax_rows(G, s, e, parity, omega)
                     _charge_relax(current_worker().clock, s, e, t.elapsed)
                 team.barrier()
             team.safepoint(save_if_due)
 
     team.run_region(region)
-    return HandwrittenResult(_checksum(G), team.clock.now, state["count"],
+    return HandwrittenResult(grid_checksum(G), team.clock.now, state["count"],
                              state["checkpoints"], team.clock.snapshot())
 
 
@@ -170,7 +146,7 @@ def run_mpi_sor(nranks: int, n: int = 100, iterations: int = 100,
 
     def rank_entry():
         ctx = current_rank()
-        G = _init_grid(n, seed)
+        G = init_grid(n, seed)
         lo, hi = local_slice(n, ctx.rank, nranks)
         scatter_inplace(ctx.comm, G, layout, root=0)
         count = 0
@@ -179,7 +155,7 @@ def run_mpi_sor(nranks: int, n: int = 100, iterations: int = 100,
             for parity in (0, 1):
                 exchange_halo(ctx.comm, G, layout)
                 with WallTimer() as t:
-                    _relax_rows(G, lo, hi, parity, omega)
+                    relax_rows(G, lo, hi, parity, omega)
                 _charge_relax(ctx.clock, lo, hi, t.elapsed)
             count += 1
             ctx.clock.charge_compute(5e-8)
@@ -196,7 +172,7 @@ def run_mpi_sor(nranks: int, n: int = 100, iterations: int = 100,
                 checkpoints += 1
         gather_inplace(ctx.comm, G, layout, root=0)
         if ctx.rank == 0:
-            return _checksum(G), count, checkpoints
+            return grid_checksum(G), count, checkpoints
         return None
 
     results = cluster.run(rank_entry)
