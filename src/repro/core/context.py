@@ -30,6 +30,8 @@ import copy
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
+import numpy as np
+
 from repro.ckpt.failure import FailureInjector
 from repro.ckpt.policy import CheckpointPolicy, Never
 from repro.ckpt.replay import ReplayState, SafePointCounter
@@ -849,21 +851,17 @@ class ExecutionContext:
 
 
 def _contiguous_runs(indices) -> list[tuple[int, int]]:
-    """Collapse a sorted index vector into [start, stop) runs."""
-    runs: list[tuple[int, int]] = []
-    start = prev = None
-    for i in indices:
-        i = int(i)
-        if start is None:
-            start = prev = i
-        elif i == prev + 1:
-            prev = i
-        else:
-            runs.append((start, prev + 1))
-            start = prev = i
-    if start is not None:
-        runs.append((start, prev + 1))
-    return runs
+    """Collapse a sorted unique index vector into [start, stop) runs."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0:
+        return []
+    first, last = int(idx[0]), int(idx[-1])
+    if last - first == idx.size - 1:  # one run (a block layout): no cut
+        return [(first, last + 1)]
+    cuts = np.flatnonzero(np.diff(idx) != 1)
+    starts = [first, *idx[cuts + 1].tolist()]
+    stops = [*(idx[cuts] + 1).tolist(), last + 1]
+    return list(zip(starts, stops))
 
 
 def clone_policy(policy: CheckpointPolicy) -> CheckpointPolicy:

@@ -29,8 +29,9 @@ switched first) are buffered until this rank catches up.
 :class:`ProcCommunicator` subclasses :class:`Communicator`, swapping the
 transport and replacing the shared-clock barrier — in separate address
 spaces there is no clock list to ``sync_max`` over.  Ranks that share a
-host meet at a :class:`Fence` in shared memory (28–32 µs per barrier on
-two forked ranks of a 2-core VM, against 87–100 µs for two messages).
+host meet at a :class:`Fence` in shared memory (1.2–1.5 µs per bare
+barrier on two forked ranks of a 2-core VM, against 87–100 µs for two
+messages).
 The sockets fabric's members may sit on different hosts, so there the
 barrier stays message-based; both give the same epochs, bit for bit.
 """
@@ -69,6 +70,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: collective-plumbing tags private to the process transport.
 _TAG_BARRIER_IN = TAG_COLL + 20
 _TAG_BARRIER_OUT = TAG_COLL + 21
+#: how long a :class:`Fence` wait polls before it sleeps: about one
+#: block-and-wake of a rank (the sweep in README's "The rank barrier").
+SPIN_SECONDS = 25e-6
 
 
 class _Outbox:
@@ -295,12 +299,24 @@ class Fence:
     epoch.  Sized to the pre-sized fabric (a reshape changes only
     ``n``), built before any fork, shipped to a child only as a process
     argument.  Not the one-sided ``Communicator.fence``.
+
+    A wait spins, then blocks: it polls its semaphore without blocking
+    (``sem_trywait``, no syscall) for ``SPIN_SECONDS``, so a post to a
+    spinning peer costs no futex wake, and only then sleeps until the
+    deadline.  A fence spins only when its slots fit the CPUs this
+    process may run on; an oversubscribed fabric would spin against the
+    very peers it waits for.  The spin holds the GIL between the
+    interpreter's switch points (5 ms apart), so it delays the rank's
+    channel flusher thread by at most the budget.
     """
 
     def __init__(self, slots: int, ctx=None) -> None:
         ctx = ctx or mp.get_context()
         self._sems = [ctx.Semaphore(0) for _ in range(slots)]
         self._words = ctx.RawArray("d", slots)
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        self._spin = SPIN_SECONDS if slots <= (cpus or 1) else 0.0
         self.reset()
 
     def reset(self) -> None:
@@ -335,8 +351,14 @@ class Fence:
 
     def _wait(self, rank: int, n: int, deadline: float,
               timeout: float) -> None:
-        if self._sems[rank].acquire(
-                timeout=max(0.0, deadline - time.monotonic())):
+        sem = self._sems[rank]
+        if self._spin:
+            stop = time.perf_counter() + min(
+                self._spin, deadline - time.monotonic())
+            while time.perf_counter() < stop:
+                if sem.acquire(False):
+                    return
+        if sem.acquire(timeout=max(0.0, deadline - time.monotonic())):
             return
         missing = [r for r in range(n) if math.isnan(self._words[r])]
         raise TimeoutError(

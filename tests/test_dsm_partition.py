@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.context import _contiguous_runs
 from repro.dsm import (
     BlockLayout,
     CyclicLayout,
@@ -75,6 +76,59 @@ class TestLayoutOwnership:
         lay = BlockLayout(halo=2)
         assert lay.halo_bounds(10, 0, 2) == (0, 7)
         assert lay.halo_bounds(10, 1, 2) == (3, 10)
+
+
+def _runs_oracle(indices) -> list[tuple[int, int]]:
+    """The row-by-row loop ``core.context._contiguous_runs`` replaced."""
+    runs: list[tuple[int, int]] = []
+    start = prev = None
+    for i in indices:
+        i = int(i)
+        if start is None:
+            start = prev = i
+        elif i == prev + 1:
+            prev = i
+        else:
+            runs.append((start, prev + 1))
+            start = prev = i
+    if start is not None:
+        runs.append((start, prev + 1))
+    return runs
+
+
+@st.composite
+def _owned_rows(draw):
+    """A sorted unique index vector: arbitrary, or a layout's rows of a
+    rank clipped to a work-shared ``[lo, hi)`` as ``_rank_restrict``
+    does."""
+    if draw(st.booleans()):
+        return np.array(sorted(draw(st.sets(st.integers(0, 300),
+                                            max_size=60))), dtype=np.int64)
+    layout = draw(st.sampled_from([BlockLayout(), CyclicLayout(),
+                                   HybridLayout(block=2),
+                                   HybridLayout(block=5)]))
+    n = draw(st.integers(0, 200))
+    p = draw(st.integers(1, 6))
+    owned = layout.owned(n, draw(st.integers(0, p - 1)), p)
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    return owned[(owned >= lo) & (owned < hi)]
+
+
+class TestContiguousRuns:
+    @pytest.mark.parametrize("idx,runs", [
+        ([], []), ([4], [(4, 5)]), ([0, 1, 2], [(0, 3)]),
+        ([1, 3, 5], [(1, 2), (3, 4), (5, 6)]),
+        ([0, 1, 4, 5, 8], [(0, 2), (4, 6), (8, 9)])])
+    def test_examples(self, idx, runs):
+        assert _contiguous_runs(np.array(idx, dtype=np.int64)) == runs
+
+    @settings(deadline=None, max_examples=300)
+    @given(idx=_owned_rows())
+    def test_matches_the_row_loop(self, idx):
+        runs = _contiguous_runs(idx)
+        assert runs == _runs_oracle(idx)
+        assert all(type(a) is int and type(b) is int for a, b in runs)
 
 
 class TestInplaceMovements:

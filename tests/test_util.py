@@ -1,5 +1,8 @@
 """Tests for repro.util: timers, RNG, serialization, event log."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -55,6 +58,17 @@ class TestRng:
         b = [g.random(3) for g in spawn_rngs(11, 3)]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_import_loads_numpy_random(self):
+        """numpy loads ``numpy.random`` lazily: importing the helpers
+        loads it, so a launch's parent holds it before any rank forks."""
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.util.rng, sys; "
+             "print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "True"
 
 
 class TestSerialization:
