@@ -39,6 +39,7 @@ from repro.ckpt.snapshot import (
     SnapshotCorrupt,
     container_layout,
 )
+from repro.dsm.partition import contiguous_runs
 from repro.util.serialization import (
     loads_portable,
     npy_empty,
@@ -332,12 +333,9 @@ def owned_ranges(shape: tuple, itemsize: int, fortran: bool, axis: int,
     ax = len(shape) - 1 - axis if fortran else axis
     inner = math.prod(dims[ax + 1:]) * itemsize
     n = dims[ax]
-    idx = np.asarray(idx, dtype=np.int64)
-    if not len(idx) or not inner:
+    runs = contiguous_runs(idx)
+    if not runs or not inner:
         return []
-    cut = np.flatnonzero(np.diff(idx) != 1) + 1
-    runs = list(zip(idx[np.r_[0, cut]].tolist(),
-                    (idx[np.r_[cut - 1, len(idx) - 1]] + 1).tolist()))
     out: list[tuple[int, int]] = []
     for i in range(math.prod(dims[:ax])):
         for s, e in runs:

@@ -30,8 +30,6 @@ import copy
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.ckpt.failure import FailureInjector
 from repro.ckpt.policy import CheckpointPolicy, Never
 from repro.ckpt.replay import ReplayState, SafePointCounter
@@ -288,7 +286,7 @@ class ExecutionContext:
 
     def _rank_restrict(self, lo: int, hi: int, tmpl: "ForMethod"
                        ) -> list[tuple[int, int]]:
-        from repro.dsm.partition import local_slice
+        from repro.dsm.partition import contiguous_runs, local_slice
 
         r, p = self.rank, self.nranks
         part = self.partitioned.get(tmpl.align) if tmpl.align else None
@@ -300,7 +298,7 @@ class ExecutionContext:
         n = arr.shape[layout.axis]
         owned = layout.owned(n, r, p)
         owned = owned[(owned >= lo) & (owned < hi)]
-        return _contiguous_runs(owned)
+        return contiguous_runs(owned)
 
     # ------------------------------------------------------------------
     # distributed data movement (Scatter / Gather / Halo templates)
@@ -848,20 +846,6 @@ class ExecutionContext:
         self.log.emit("adapt_exit", vtime=self.clock().now, rank=self.rank,
                       count=count, to=str(new), restart=step.via_restart)
         raise AdaptationExit(snap if self.rank == 0 else None, step)
-
-
-def _contiguous_runs(indices) -> list[tuple[int, int]]:
-    """Collapse a sorted unique index vector into [start, stop) runs."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return []
-    first, last = int(idx[0]), int(idx[-1])
-    if last - first == idx.size - 1:  # one run (a block layout): no cut
-        return [(first, last + 1)]
-    cuts = np.flatnonzero(np.diff(idx) != 1)
-    starts = [first, *idx[cuts + 1].tolist()]
-    stops = [*(idx[cuts] + 1).tolist(), last + 1]
-    return list(zip(starts, stops))
 
 
 def clone_policy(policy: CheckpointPolicy) -> CheckpointPolicy:

@@ -42,6 +42,19 @@ def local_slice(n: int, rank: int, nranks: int) -> tuple[int, int]:
     return lo, lo + base + (1 if rank < extra else 0)
 
 
+def contiguous_runs(indices) -> list[tuple[int, int]]:
+    """Collapse a sorted unique index vector into ``[start, stop)`` runs."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if not idx.size:
+        return []
+    first, last = int(idx[0]), int(idx[-1])
+    if last - first == idx.size - 1:  # one run (a block layout): no cut
+        return [(first, last + 1)]
+    cut = np.flatnonzero(np.diff(idx) != 1)
+    return list(zip([first, *idx[cut + 1].tolist()],
+                    [*(idx[cut] + 1).tolist(), last + 1]))
+
+
 # ---------------------------------------------------------------------------
 # layouts
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.context import _contiguous_runs
 from repro.dsm import (
     BlockLayout,
     CyclicLayout,
@@ -15,6 +14,7 @@ from repro.dsm import (
 )
 from repro.dsm.comm import current_rank
 from repro.dsm.partition import (
+    contiguous_runs,
     exchange_halo,
     gather_inplace,
     scatter_inplace,
@@ -79,7 +79,7 @@ class TestLayoutOwnership:
 
 
 def _runs_oracle(indices) -> list[tuple[int, int]]:
-    """The row-by-row loop ``core.context._contiguous_runs`` replaced."""
+    """The row-by-row loop ``dsm.partition.contiguous_runs`` replaced."""
     runs: list[tuple[int, int]] = []
     start = prev = None
     for i in indices:
@@ -121,12 +121,12 @@ class TestContiguousRuns:
         ([1, 3, 5], [(1, 2), (3, 4), (5, 6)]),
         ([0, 1, 4, 5, 8], [(0, 2), (4, 6), (8, 9)])])
     def test_examples(self, idx, runs):
-        assert _contiguous_runs(np.array(idx, dtype=np.int64)) == runs
+        assert contiguous_runs(np.array(idx, dtype=np.int64)) == runs
 
     @settings(deadline=None, max_examples=300)
     @given(idx=_owned_rows())
     def test_matches_the_row_loop(self, idx):
-        runs = _contiguous_runs(idx)
+        runs = contiguous_runs(idx)
         assert runs == _runs_oracle(idx)
         assert all(type(a) is int and type(b) is int for a, b in runs)
 
