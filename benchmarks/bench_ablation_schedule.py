@@ -23,21 +23,17 @@ from repro.core import (
     plug,
 )
 from repro.smp.sched import Schedule
-from repro.vtime.calibrate import GLOBAL_CALIBRATOR
 from repro.vtime.machine import MachineModel
 
 MACHINE = MachineModel(nodes=1, cores_per_node=8)
 
-#: pinned per-unit cost of one term integration.  The static/dynamic
-#: comparison is a property of the modelled machine, so the rate is a
-#: constant, not whatever the host measured that run — together with
-#: virtual-clock-gated chunk handout this makes the ablation
-#: deterministic (it used to fail ~2/3 of runs on wall-clock noise).
-TERM_RATE = 50e-6
-
 
 class SkewedSeries(Series):
-    """Series whose term j costs up to ~8x the base term (imbalanced)."""
+    """Series whose term j costs up to ~8x the base term (imbalanced).
+
+    Its declared units are charged at ``Series.compute_terms``'s rate,
+    which the subclass inherits from the machine model's kernel table.
+    """
 
     def compute_terms(self, lo: int, hi: int) -> None:
         x = np.linspace(0.0, 2.0, self.m + 1)
@@ -74,8 +70,6 @@ def _plugs(schedule: Schedule, chunk: int, skewed: bool) -> PlugSet:
 
 
 def test_ablation_schedules(benchmark, tmp_path):
-    GLOBAL_CALIBRATOR.pin("Series.compute_terms", TERM_RATE)
-    GLOBAL_CALIBRATOR.pin("SkewedSeries.compute_terms", TERM_RATE)
     report = FigureReport(
         "Ablation schedule",
         "Static vs dynamic work sharing, uniform vs skewed terms "

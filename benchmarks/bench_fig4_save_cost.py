@@ -23,7 +23,6 @@ import pytest
 from conftest import (
     SOR_ITERS,
     SOR_N,
-    SOR_RELAX_RATE,
     le_config,
     p_config,
     run_pp_sor,
@@ -99,8 +98,9 @@ class StaticSOR(SOR):
 
 
 STATIC_SOR_CKPT = PlugSet(
-    # ForMethod charges the stencil compute to virtual time (pinned
-    # rate), which is the phase the async writer overlaps with.
+    # ForMethod charges the stencil compute to virtual time (StaticSOR
+    # inherits SOR.relax's table rate), which is the phase the async
+    # writer overlaps with.
     ForMethod("relax"),
     SafeData("G", "iterations_done", "table"),
     SafePointAfter("end_iteration"),
@@ -122,9 +122,6 @@ VARIANTS = [
 
 
 def test_fig4_incremental_async_variants(benchmark, tmp_path):
-    from repro.vtime.calibrate import GLOBAL_CALIBRATOR
-
-    GLOBAL_CALIBRATOR.pin("StaticSOR.relax", SOR_RELAX_RATE)
     machine = MachineModel(nodes=2, cores_per_node=24)
     report = FigureReport(
         "Figure 4b", "CAS + async checkpoint save cost "

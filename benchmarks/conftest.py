@@ -66,20 +66,3 @@ def p_config(p: int) -> ExecConfig:
 @pytest.fixture()
 def ckpt_dir(tmp_path):
     return tmp_path / "ckpt"
-
-
-#: pinned per-row-per-phase cost of the SOR stencil kernel.  The figure
-#: *ratios* depend on the compute : communication : disk proportions, so
-#: the compute rate is part of the machine model rather than a property
-#: of whichever host happens to run the suite.  7 us/row reproduces the
-#: paper's proportions at the N=700 harness size (see EXPERIMENTS.md).
-SOR_RELAX_RATE = 7e-6
-
-
-@pytest.fixture(scope="session", autouse=True)
-def calibrate_kernels():
-    """Pin the benchmark kernels' compute rates (deterministic figures)."""
-    from repro.vtime.calibrate import GLOBAL_CALIBRATOR
-
-    GLOBAL_CALIBRATOR.pin("SOR.relax", SOR_RELAX_RATE)
-    yield

@@ -7,11 +7,13 @@ parallelisation against.  With ``ckpt_every=None`` they are the paper's
 fixed JGF versions (original benchmark, no fault tolerance): the
 comparators of Figure 9.
 
-They call the woven app's own kernel (:func:`repro.apps.sor.relax_rows`),
-so both versions compute bit-identical grids at one calibrated rate.  The
-point is the code around it: checkpoint bookkeeping threads through every
-function here, versus three declarations in ``apps/plugs/sor_plugs.py``,
-yet gains no performance — the paper's headline claim.
+They call the woven app's own kernel (:func:`repro.apps.sor.relax_rows`)
+and charge it at the woven app's ``SOR.relax`` table rate, so both
+versions compute bit-identical grids in the same virtual compute time.
+The point is the code around it: checkpoint bookkeeping threads through
+every function here, versus three declarations in
+``apps/plugs/sor_plugs.py``, yet gains no performance — the paper's
+headline claim.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.sor import grid_checksum, init_grid, relax_rows
+from repro.apps.sor import SOR, grid_checksum, init_grid, relax_rows
 from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.store import CheckpointStore
 from repro.dsm.comm import current_rank
@@ -28,20 +30,13 @@ from repro.dsm.partition import BlockLayout, exchange_halo, gather_inplace, \
     local_slice, scatter_inplace
 from repro.dsm.simcluster import SimCluster
 from repro.smp.team import ThreadTeam, current_worker
-from repro.util.timing import WallTimer
-from repro.vtime.calibrate import GLOBAL_CALIBRATOR
 from repro.vtime.clock import VClock
-from repro.vtime.machine import MachineModel
-
-#: shared with the woven SOR so baseline and PP virtual times are charged
-#: from the same calibrated kernel rate (no cross-version noise bias).
-_RELAX_KEY = "SOR.relax"
+from repro.vtime.machine import MachineModel, kernel_cost
 
 
-def _charge_relax(clock, lo: int, hi: int, seconds: float) -> None:
+def _charge_relax(clock, lo: int, hi: int) -> None:
     """Charge one relax chunk; one unit = one row of one colour phase."""
-    clock.charge_compute(
-        GLOBAL_CALIBRATOR.charge_for(_RELAX_KEY, max(hi - lo, 0), seconds))
+    clock.charge_compute(kernel_cost(SOR, "relax", hi - lo))
 
 
 @dataclass
@@ -67,10 +62,9 @@ def run_sequential_sor(n: int = 100, iterations: int = 100,
     count = 0
     checkpoints = 0
     for _ in range(iterations):
-        with WallTimer() as t:
-            relax_rows(G, 1, n - 1, 0, omega)
-            relax_rows(G, 1, n - 1, 1, omega)
-        _charge_relax(clock, 1, 2 * n - 3, t.elapsed)
+        relax_rows(G, 1, n - 1, 0, omega)
+        relax_rows(G, 1, n - 1, 1, omega)
+        _charge_relax(clock, 1, 2 * n - 3)
         # --- invasive checkpoint code tangled into the domain loop ----
         count += 1
         clock.charge_compute(5e-8)  # safe-point counting
@@ -121,9 +115,8 @@ def run_threads_sor(workers: int, n: int = 100, iterations: int = 100,
         for _ in range(iterations):
             for parity in (0, 1):
                 for s, e in team.worksharing(1, n - 1):
-                    with WallTimer() as t:
-                        relax_rows(G, s, e, parity, omega)
-                    _charge_relax(current_worker().clock, s, e, t.elapsed)
+                    relax_rows(G, s, e, parity, omega)
+                    _charge_relax(current_worker().clock, s, e)
                 team.barrier()
             team.safepoint(save_if_due)
 
@@ -154,9 +147,8 @@ def run_mpi_sor(nranks: int, n: int = 100, iterations: int = 100,
         for _ in range(iterations):
             for parity in (0, 1):
                 exchange_halo(ctx.comm, G, layout)
-                with WallTimer() as t:
-                    relax_rows(G, lo, hi, parity, omega)
-                _charge_relax(ctx.clock, lo, hi, t.elapsed)
+                relax_rows(G, lo, hi, parity, omega)
+                _charge_relax(ctx.clock, lo, hi)
             count += 1
             ctx.clock.charge_compute(5e-8)
             if store is not None and ckpt_every and count % ckpt_every == 0:

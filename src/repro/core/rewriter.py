@@ -71,8 +71,7 @@ from repro.core.templates import (
 )
 from repro.smp.team import current_worker
 from repro.smp.tls import ThreadLocalField
-from repro.util.timing import WallTimer
-from repro.vtime.calibrate import GLOBAL_CALIBRATOR
+from repro.vtime.machine import kernel_cost
 
 
 def _ctx_of(instance: Any) -> ExecutionContext | None:
@@ -116,14 +115,11 @@ def _wrap_for(tmpl: ForMethod, inner: Callable) -> Callable:
         if ctx is None:
             return inner(self, lo, hi, *args, **kwargs)
         base = getattr(type(self), "__pp_base__", type(self))
-        key = f"{base.__name__}.{tmpl.method}"
         result = None
         for s, e in ctx.for_ranges(int(lo), int(hi), tmpl):
-            with WallTimer() as t:
-                result = inner(self, s, e, *args, **kwargs)
+            result = inner(self, s, e, *args, **kwargs)
             units = tmpl.units(s, e) if tmpl.units is not None else e - s
-            ctx.clock().charge_compute(
-                GLOBAL_CALIBRATOR.charge_for(key, units, t.elapsed))
+            ctx.clock().charge_compute(kernel_cost(base, tmpl.method, units))
         return result
 
     return wrapper

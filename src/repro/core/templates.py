@@ -70,8 +70,8 @@ class ForMethod(Template):
     is split among team threads per ``schedule``; in distributed memory it
     is restricted to the rank's partition of the layout of field
     ``align`` (or block-split over ranks when ``align`` is None); hybrid
-    composes both.  Each chunk is charged to virtual time at the kernel's
-    calibrated uncontended rate (uniform cost per unit).
+    composes both.  Each chunk is charged to virtual time as its work
+    units times the kernel's rate (:func:`repro.vtime.machine.kernel_cost`).
     """
 
     method: str

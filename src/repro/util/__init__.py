@@ -1,4 +1,4 @@
-"""Shared utilities: timing, deterministic RNG, event logging, serialization.
+"""Shared utilities: deterministic RNG, event logging, serialization.
 
 These helpers are intentionally dependency-free (numpy only) so that every
 other subpackage can import them without cycles.
@@ -12,12 +12,10 @@ from repro.util.serialization import (
     loads_portable,
     nbytes_of,
 )
-from repro.util.timing import WallTimer
 
 __all__ = [
     "Event",
     "EventLog",
-    "WallTimer",
     "crc32_of",
     "dumps_portable",
     "loads_portable",

@@ -44,7 +44,7 @@ class VClock:
 
     # ------------------------------------------------------------------
     def charge_compute(self, seconds: float) -> None:
-        """Charge a measured compute chunk (scaled by core contention)."""
+        """Charge a modelled compute chunk (scaled by core contention)."""
         if seconds < 0:
             raise ValueError("negative compute charge")
         dt = seconds * self.contention

@@ -180,6 +180,35 @@ class MachineModel:
         return replace(self, **kw)
 
 
+#: Virtual seconds per work unit of a work-shared (``ForMethod``) kernel,
+#: keyed ``"Class.method"``.  Compute time is part of the model, like the
+#: network and the disk: the figure ratios depend on the compute :
+#: communication : disk proportions, not on whichever host runs them.
+#: 7 us per SOR row of one colour phase reproduces the paper's
+#: proportions at the N=700 figure harness; 50 us is one Series term.
+KERNEL_RATES: dict[str, float] = {
+    "SOR.relax": 7e-6,
+    "Series.compute_terms": 50e-6,
+}
+#: per-unit rate of every kernel ``KERNEL_RATES`` does not list.
+DEFAULT_KERNEL_RATE = 1e-6
+
+
+def kernel_cost(cls: type, method: str, units: int) -> float:
+    """Virtual seconds that ``units`` work units of ``cls.method`` cost.
+
+    The rate is the first ``KERNEL_RATES`` entry along ``cls``'s MRO, so
+    a subclass charges its base's rate unless the table lists it itself.
+    """
+    if units <= 0:
+        return 0.0
+    for klass in cls.__mro__:
+        rate = KERNEL_RATES.get(f"{klass.__name__}.{method}")
+        if rate is not None:
+            return units * rate
+    return units * DEFAULT_KERNEL_RATE
+
+
 #: Per-backend cost-model calibration for process-rank substrates
 #: (consumed through ``ExecutionBackend.calibrate``): rank creation is a
 #: ``fork`` + interpreter warm-up, not a thread spawn, and every message

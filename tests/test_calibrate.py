@@ -1,100 +1,69 @@
-"""Tests for the compute-cost calibrator."""
+"""Tests for the compute-cost model: one constant rate table.
 
-import threading
+A work-shared chunk costs ``units x rate``, where the rate is the first
+``KERNEL_RATES`` entry along the domain class's MRO, else
+``DEFAULT_KERNEL_RATE``.  Nothing is measured, so the charge depends on
+the work alone.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.vtime.calibrate import (
-    _MIN_SAMPLE_SECONDS,
-    _MIN_SAMPLE_UNITS,
-    CostCalibrator,
-    GLOBAL_CALIBRATOR,
-)
+from repro.apps.series import Series
+from repro.apps.sor import SOR
+from repro.vtime.machine import DEFAULT_KERNEL_RATE, KERNEL_RATES, kernel_cost
 
 
-class TestObserve:
-    def test_min_rate_wins(self):
-        c = CostCalibrator()
-        c.observe("k", 100, 1.0)    # 10 ms/unit
-        c.observe("k", 100, 0.5)    # 5 ms/unit (less contended)
-        c.observe("k", 100, 2.0)    # contended: must not raise the rate
-        assert c.rate("k") == pytest.approx(0.005)
-
-    def test_tiny_samples_ignored(self):
-        c = CostCalibrator()
-        c.observe("k", _MIN_SAMPLE_UNITS - 1, 1.0)   # too few units
-        c.observe("k", 100, _MIN_SAMPLE_SECONDS / 2)  # too short
-        assert c.rate("k") is None
-        assert c.samples("k") == 0
-
-    def test_empty_chunk_cannot_zero_the_rate(self):
-        """The regression that motivated the floors: a body that
-        early-returns measures ~0 seconds over >0 units."""
-        c = CostCalibrator()
-        c.observe("k", 50, 0.5)
-        c.observe("k", 50, 0.0)  # early-returned chunk
-        assert c.rate("k") == pytest.approx(0.01)
-
-    def test_keys_independent(self):
-        c = CostCalibrator()
-        c.observe("a", 10, 1.0)
-        c.observe("b", 10, 0.1)
-        assert c.rate("a") == pytest.approx(0.1)
-        assert c.rate("b") == pytest.approx(0.01)
+class StaticSOR(SOR):
+    """A subclass that keeps the base's kernel."""
 
 
-class TestCost:
-    def test_calibrated_charge(self):
-        c = CostCalibrator()
-        c.observe("k", 100, 1.0)
-        assert c.cost("k", 50, measured=99.0) == pytest.approx(0.5)
+class SkewedSeries(Series):
+    """A subclass that overrides the kernel, not its table entry."""
 
-    def test_fallback_to_measured(self):
-        c = CostCalibrator()
-        assert c.cost("unknown", 50, measured=0.123) == pytest.approx(0.123)
-
-    def test_zero_units_returns_measured(self):
-        c = CostCalibrator()
-        c.observe("k", 100, 1.0)
-        assert c.cost("k", 0, measured=0.2) == pytest.approx(0.2)
-
-    def test_charge_for_combines(self):
-        c = CostCalibrator()
-        first = c.charge_for("k", 100, 1.0)
-        assert first == pytest.approx(1.0)  # observed and charged
-        second = c.charge_for("k", 100, 3.0)  # contended chunk
-        assert second == pytest.approx(1.0)  # charged at the min rate
-
-    def test_reset(self):
-        c = CostCalibrator()
-        c.observe("k", 100, 1.0)
-        c.reset()
-        assert c.rate("k") is None
-
-    @given(st.lists(st.floats(min_value=1e-4, max_value=10.0), min_size=1,
-                    max_size=20))
-    def test_rate_is_min_property(self, samples):
-        c = CostCalibrator()
-        for s in samples:
-            c.observe("k", 100, s)
-        assert c.rate("k") == pytest.approx(min(samples) / 100)
-
-    def test_thread_safety_smoke(self):
-        c = CostCalibrator()
-
-        def hammer(i):
-            for j in range(200):
-                c.charge_for("k", 100, 0.001 * (i + 1))
-
-        ts = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        assert c.rate("k") == pytest.approx(0.001 / 100)
+    def compute_terms(self, lo, hi):
+        return super().compute_terms(lo, hi)
 
 
-def test_global_calibrator_exists():
-    assert isinstance(GLOBAL_CALIBRATOR, CostCalibrator)
+class Unlisted:
+    def kernel(self, lo, hi):
+        pass
+
+
+class TestKernelCost:
+    def test_listed_key_charges_its_rate(self):
+        assert KERNEL_RATES["SOR.relax"] == 7e-6
+        assert KERNEL_RATES["Series.compute_terms"] == 50e-6
+        assert kernel_cost(SOR, "relax", 100) == 100 * 7e-6
+        assert kernel_cost(Series, "compute_terms", 3) == 3 * 50e-6
+
+    def test_subclass_inherits_base_rate(self):
+        assert kernel_cost(StaticSOR, "relax", 64) == \
+            kernel_cost(SOR, "relax", 64)
+
+    def test_overriding_subclass_inherits_base_rate(self):
+        assert kernel_cost(SkewedSeries, "compute_terms", 9) == \
+            kernel_cost(Series, "compute_terms", 9)
+
+    def test_subclass_entry_beats_base_entry(self, monkeypatch):
+        monkeypatch.setitem(KERNEL_RATES, "SkewedSeries.compute_terms", 2e-3)
+        assert kernel_cost(SkewedSeries, "compute_terms", 4) == 4 * 2e-3
+        assert kernel_cost(Series, "compute_terms", 4) == 4 * 50e-6
+
+    def test_unlisted_key_charges_default_rate(self):
+        assert kernel_cost(Unlisted, "kernel", 10) == 10 * DEFAULT_KERNEL_RATE
+        # a listed class, but not that method
+        assert kernel_cost(SOR, "end_iteration", 10) == \
+            10 * DEFAULT_KERNEL_RATE
+
+    @pytest.mark.parametrize("units", [0, -1, -100])
+    def test_no_work_charges_nothing(self, units):
+        assert kernel_cost(SOR, "relax", units) == 0.0
+        assert kernel_cost(Unlisted, "kernel", units) == 0.0
+
+    @given(st.integers(min_value=1, max_value=10**6))
+    def test_charge_is_linear_in_units(self, units):
+        assert kernel_cost(SOR, "relax", units) == units * 7e-6
+        assert kernel_cost(Unlisted, "kernel", units) == \
+            units * DEFAULT_KERNEL_RATE

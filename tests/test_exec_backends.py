@@ -6,19 +6,27 @@ The load-bearing guarantees of the exec package:
   sockets-fabric one included — run the same woven app to bit-identical
   results, with identical checkpoint contents at matching safe points;
 * virtual time is monotone across an adaptation chain that crosses
-  every backend;
+  every backend, and a pure function of (program, config, machine):
+  bit-identical run to run, in one process and in fresh interpreters;
 * backends own worker lifecycle — no team/rank threads, worker
   processes or shared-memory segments survive a phase;
 * a backend registered at run time (no ``core/`` changes) runs an
   application end-to-end, resolved by name through ``ExecConfig``.
 """
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.apps.moldyn import MolDyn
+from repro.apps.plugs.moldyn_plugs import MOLDYN_CKPT, MOLDYN_DIST
 from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
 from repro.apps.sor import SOR
 from repro.ckpt import EveryN
@@ -258,6 +266,96 @@ class TestBackendParity:
             left = [f for f in os.listdir("/dev/shm")
                     if f.startswith(shm.SHM_PREFIX)]
             assert left == [], f"leaked /dev/shm segments: {left}"
+
+
+# ---------------------------------------------------------------------------
+# virtual time as a function of (program, config, machine)
+# ---------------------------------------------------------------------------
+#: every stock backend at two lines of execution (hybrid: 2 x 2).
+VT_CONFIGS = [
+    ("sequential", ExecConfig.sequential()),
+    ("threads", ExecConfig.shared(2)),
+    ("simcluster", ExecConfig.distributed(2)),
+    ("hybrid", ExecConfig.hybrid(2, 2)),
+    ("multiproc", ExecConfig.distributed(2).with_backend("multiproc")),
+    ("sockets", ExecConfig.distributed(2).with_backend("sockets")),
+]
+VT_DISTRIBUTED = ("simcluster", "multiproc", "sockets")
+WOVEN_MOLDYN = plug(MolDyn, MOLDYN_DIST + MOLDYN_CKPT)
+
+#: the model's exact virtual seconds on two ranks.  Multiproc differs
+#: from simcluster (and sockets) by design, in either direction: a
+#: shared field's movement is a barrier only, a slab-backed whole's is
+#: two barriers (README, "Compute time is modelled").
+PINNED_VTIMES = {
+    "sor/simcluster/every=None": 0.03607372000000007,
+    "sor/multiproc/every=None": 0.03599261566666674,
+    "sor/simcluster/every=5": 0.07387432133333344,
+    "sor/multiproc/every=5": 0.07351178233333334,
+    "moldyn/simcluster": 0.0004145440000000002,
+    "moldyn/multiproc": 0.0004372158333333332,
+}
+
+
+def vtime_matrix() -> dict[str, str]:
+    """``float.hex`` of the virtual time of every matrix run, by label:
+    woven SOR 256x20 on every backend with and without a checkpoint
+    every 5 iterations, and MolDyn 64x8 on the distributed backends."""
+    out = {}
+    with tempfile.TemporaryDirectory() as d:
+        def vtime(woven, kwargs, config, tag, every=None):
+            rt = Runtime(machine=MACHINE, ckpt_dir=Path(d) / tag,
+                         policy=EveryN(every) if every else None)
+            return rt.run(woven, ctor_kwargs=kwargs, entry="execute",
+                          config=config, fresh=True).vtime.hex()
+
+        for label, config in VT_CONFIGS:
+            for every in (None, 5):
+                tag = f"sor/{label}/every={every}"
+                out[tag] = vtime(WOVEN, {"n": 256, "iterations": 20},
+                                 config, tag.replace("/", "-"), every)
+            if label in VT_DISTRIBUTED:
+                out[f"moldyn/{label}"] = vtime(
+                    WOVEN_MOLDYN, {"n": 64, "steps": 8}, config,
+                    f"moldyn-{label}")
+    return out
+
+
+def _matrix_in_fresh_interpreter(cwd) -> dict[str, str]:
+    code = ("import json, test_exec_backends as t; "
+            "print(json.dumps(t.vtime_matrix()))")
+    path = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def matrix():
+    return vtime_matrix()
+
+
+class TestVirtualTimeDeterminism:
+    """Compute is charged from the kernel rate table, never measured, so
+    no host speed, contention or process history reaches virtual time."""
+
+    def test_repeatable_in_one_process(self, matrix):
+        assert vtime_matrix() == matrix
+
+    def test_repeatable_in_fresh_interpreters(self, matrix, tmp_path):
+        first = _matrix_in_fresh_interpreter(tmp_path)
+        second = _matrix_in_fresh_interpreter(tmp_path)
+        assert first == second == matrix
+
+    def test_simcluster_and_sockets_agree_bit_for_bit(self, matrix):
+        for tag in ("sor/{}/every=None", "sor/{}/every=5", "moldyn/{}"):
+            assert matrix[tag.format("sockets")] == \
+                matrix[tag.format("simcluster")], tag
+
+    def test_pinned_model_values(self, matrix):
+        got = {tag: float.fromhex(matrix[tag]) for tag in PINNED_VTIMES}
+        assert got == PINNED_VTIMES
 
 
 class TestMultiprocStartMethods:

@@ -1,10 +1,9 @@
-"""Tests for repro.util: timers, RNG, serialization, event log."""
+"""Tests for repro.util: RNG, serialization, event log."""
 
 import os
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.util import (
     EventLog,
-    WallTimer,
     crc32_of,
     dumps_portable,
     loads_portable,
@@ -21,20 +19,6 @@ from repro.util import (
     seeded_rng,
     spawn_rngs,
 )
-
-
-class TestTimers:
-    def test_wall_timer_measures_sleep(self):
-        with WallTimer() as t:
-            time.sleep(0.02)
-        assert t.elapsed >= 0.015
-
-    def test_manual_start_stop(self):
-        t = WallTimer()
-        t.start()
-        elapsed = t.stop()
-        assert elapsed >= 0.0
-        assert t.elapsed == elapsed
 
 
 class TestRng:
