@@ -60,8 +60,10 @@ def test_fig4_save_cost(benchmark, tmp_path):
                                  policy=Never())
             _, res1 = run_pp_sor(config, tmp_path / f"f4-1-{label}",
                                  policy=AtCounts([CKPT_AT]))
-            ck = res1.events.of_kind("checkpoint")
-            io = ck[-1].data["save_seconds"] if ck else 0.0
+            # rank 0 (every context's rank outside a rank context)
+            # writes the file; other ranks log their ~2e-05 s share
+            io = next((e.data["save_seconds"] for e in
+                       res1.events.of_kind("checkpoint") if e.rank == 0), 0.0)
             report.add(label, res0.vtime, res1.vtime,
                        res1.vtime - res0.vtime, io)
         return report

@@ -63,7 +63,6 @@ does for a torn full snapshot.
 from __future__ import annotations
 
 import os
-import re
 import struct
 import threading
 from pathlib import Path
@@ -89,18 +88,13 @@ from repro.ckpt.snapshot import (
     encode_container,
     image_nbytes,
 )
-from repro.ckpt.store import CheckpointStore
+from repro.ckpt.store import PCR_NAME, CheckpointStore
 from repro.ckpt.writer import atomic_write_bytes
 from repro.util.serialization import (
     loads_portable,
     pack_section,
     unpack_section,
 )
-
-#: any recipe/checkpoint file in a shared directory — master, namespaced
-#: and sharded forms alike.  GC's mark phase scans them all: the CAS
-#: under a directory is one store for every sub-store above it.
-_ANY_PCR_RE = re.compile(r"^ckpt_\d{9}(\.j\w+)?(\.r\d+)?\.pcr$")
 
 #: pack file: head (magic, entry count), then ``count`` table entries
 #: (binary digest, storage flags, stored length), then the stored
@@ -783,7 +777,7 @@ class CasCheckpointStore(CheckpointStore):
         """
         live: set[str] = set()
         for name in os.listdir(self.dir):
-            if not _ANY_PCR_RE.match(name):
+            if not PCR_NAME.match(name):
                 continue
             try:
                 header, _ = decode_envelope((self.dir / name).read_bytes())

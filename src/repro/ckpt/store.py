@@ -20,9 +20,10 @@ The store has two orthogonal extensions:
 
 :class:`RunLedger` implements the paper's start-up protocol: "at
 application start-up, the pcr module verifies if the last execution was
-concluded without failures".  A run marks itself ``running`` on entry and
-``completed`` on clean exit; finding ``running`` on the next start means
-the previous execution crashed and replay mode is activated.
+concluded without failures".  A run marks itself ``running`` just before
+its first checkpoint publish and ``completed`` on clean exit over
+``running``; finding ``running`` on the next start means the previous
+execution crashed with a checkpoint on disk and replay mode is activated.
 """
 
 from __future__ import annotations
@@ -47,8 +48,12 @@ from repro.ckpt.writer import atomic_write_bytes
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ckpt.writer import AsyncCheckpointWriter
 
-_CKPT_RE = re.compile(r"^ckpt_(\d{9})\.pcr$")
-_ANY_CKPT_RE = re.compile(r"^ckpt_(\d{9})(\.r\d+)?\.pcr$")
+#: any checkpoint file name: count, ``.j<tag>`` namespace, ``.r<rank>`` shard
+PCR_NAME = re.compile(r"^ckpt_(\d{9})(\.j\w+)?(\.r\d+)?\.pcr$")
+
+
+def _ns_key(tag) -> str:
+    return "".join(c for c in str(tag) if c.isalnum())
 
 
 class CheckpointStore:
@@ -86,11 +91,9 @@ class CheckpointStore:
         self.shard_suffix = shard_suffix
         #: "" outside a namespace, ".j<tag>" inside one.
         self.ns_suffix = ns_suffix
-        ns = re.escape(ns_suffix)
-        self._name_re = re.compile(
-            rf"^ckpt_(\d{{9}}){ns}{re.escape(shard_suffix)}\.pcr$")
-        #: master + shard files of *this* namespace, shard rank captured.
-        self._any_re = re.compile(rf"^ckpt_(\d{{9}}){ns}(\.r\d+)?\.pcr$")
+        #: ``[hook]`` called before each checkpoint publish (set by
+        #: :meth:`RunLedger.begin`); shards share the cell, not the store.
+        self._publish: list = [None]
         self._shards: "dict[int, CheckpointStore]" = {}
         self._shard_lock = threading.Lock()
         self._namespaces: "dict[str, CheckpointStore]" = {}
@@ -132,6 +135,7 @@ class CheckpointStore:
             sub = self._shards.get(rank)
             if sub is None:
                 sub = self._make_shard(rank)
+                sub._publish = self._publish
                 self._shards[rank] = sub
             return sub
 
@@ -155,7 +159,7 @@ class CheckpointStore:
             raise ValueError("shard stores cannot be namespaced")
         if self.ns_suffix:
             raise ValueError("namespaces do not nest")
-        safe = "".join(c for c in str(tag) if c.isalnum())
+        safe = _ns_key(tag)
         if not safe:
             raise ValueError(f"namespace tag {tag!r} has no usable chars")
         with self._shard_lock:
@@ -164,6 +168,11 @@ class CheckpointStore:
                 sub = self._make_namespace(f".j{safe}")
                 self._namespaces[safe] = sub
             return sub
+
+    def drop_namespace(self, tag: str) -> None:
+        """Forget a finished job's cached namespace (its files stay)."""
+        with self._shard_lock:
+            self._namespaces.pop(_ns_key(tag), None)
 
     def _make_namespace(self, ns_suffix: str) -> "CheckpointStore":
         return CheckpointStore(self.dir,
@@ -177,6 +186,9 @@ class CheckpointStore:
     def _put(self, path: Path, image: list) -> None:
         """Persist one encoded image (a list of buffers), sync or via the
         async writer."""
+        hook = self._publish[0]
+        if hook is not None:
+            hook()
         if self.writer is not None:
             self.writer.submit(path, image)
         else:
@@ -200,12 +212,14 @@ class CheckpointStore:
 
     def counts(self) -> list[int]:
         """Safe-point counts of all stored checkpoints, ascending."""
-        out = []
+        return sorted(c for _, c, r in self._files() if r == self.shard_suffix)
+
+    def _files(self):
+        """``(name, count, shard suffix)`` of this namespace's files."""
         for name in os.listdir(self.dir):
-            m = self._name_re.match(name)
-            if m:
-                out.append(int(m.group(1)))
-        return sorted(out)
+            m = PCR_NAME.match(name)
+            if m and (m.group(2) or "") == self.ns_suffix:
+                yield name, int(m.group(1)), m.group(3) or ""
 
     def open(self, count: int) -> Record:
         """The checkpoint at ``count``, opened for a copy-once restore
@@ -249,11 +263,9 @@ class CheckpointStore:
         if self.shard_suffix:
             raise ValueError("shard stores hold one rank's files only")
         out: dict[int, list[int]] = {}
-        for name in os.listdir(self.dir):
-            m = self._any_re.match(name)
-            if m and m.group(2):
-                out.setdefault(int(m.group(1)), []).append(
-                    int(m.group(2)[2:]))
+        for _, count, shard in self._files():
+            if shard:
+                out.setdefault(count, []).append(int(shard[2:]))
         for ranks in out.values():
             ranks.sort()
         return out
@@ -347,9 +359,8 @@ class CheckpointStore:
             shards = list(self._shards.values())
         for sub in shards:
             sub.clear()
-        for name in os.listdir(self.dir):
-            m = self._any_re.match(name)
-            if m and m.group(2):
+        for name, _, shard in self._files():
+            if shard:
                 try:
                     (self.dir / name).unlink()
                 except OSError:
@@ -368,8 +379,31 @@ class RunLedger:
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.path = self.dir / name
+        self._lock = threading.Lock()
+        #: a run has yet to mark ``running``; the file says ``running``
+        self._armed = self._running = False
 
     # ------------------------------------------------------------------
+    def begin(self, store: CheckpointStore) -> bool:
+        """The pcr check, read once; arms the ``running`` mark on ``store``."""
+        self._running = self.previous_run_failed()
+        self._armed = True
+        store._publish[0] = self.publishing
+        return self._running
+
+    def publishing(self) -> None:
+        """Store hook: write ``running`` once per run (racers wait)."""
+        with self._lock:
+            if self._armed:
+                self.mark_running()
+                self._armed, self._running = False, True
+
+    def finish(self) -> None:
+        """End a run cleanly: ``completed``, only over ``running``."""
+        self._armed = False
+        if self._running:
+            self.mark_completed()
+
     def status(self) -> str:
         if not self.path.exists():
             return self.FRESH

@@ -287,7 +287,7 @@ class Runtime:
 
         # --- pcr start-up check (Figure 2 step 1) ----------------------
         replay: ReplayState | None = None
-        if self.ledger.previous_run_failed():
+        if self.ledger.begin(self.store):
             self.store.flush()  # surviving async writes become readable
             snap = self.store.read_latest()
             if snap is None:

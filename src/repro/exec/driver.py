@@ -4,7 +4,7 @@ The driver owns the part of the paper's Figure 2 that is independent of
 *how* a phase executes: launch the current configuration through the
 backend the registry resolves for it, then react to the phase outcome —
 
-* **completed** — flush checkpoints, mark the ledger, return;
+* **completed** — flush checkpoints, finish the ledger, return;
 * **adapted** — pay the live/restart transition cost, build the replay
   state (in-memory snapshot for live adaptations, the checkpoint read
   back from disk for restart-based ones) and relaunch in the new
@@ -12,8 +12,8 @@ backend the registry resolves for it, then react to the phase outcome —
   different shape;
 * **failed** — with ``auto_recover``, restart from the newest durable
   checkpoint, optionally in a different configuration (the paper's
-  Figure 6 experiment); otherwise re-raise with the ledger left
-  ``running`` so the next run replays.
+  Figure 6 experiment); otherwise re-raise with the ledger left as is:
+  ``running`` once a checkpoint was saved, so the next run replays.
 
 Reshape beats restart where the backend allows it: a backend that
 advertises ``Capabilities.elastic_ranks`` applies rank-count adaptation
@@ -93,7 +93,6 @@ class PhaseDriver:
         restarts = 0
 
         while True:
-            self.ledger.mark_running()
             backend = self.registry.resolve(config)
             spec = PhaseSpec(
                 woven=woven, ctor_args=ctor_args, ctor_kwargs=ctor_kwargs,
@@ -124,7 +123,7 @@ class PhaseDriver:
 
             if out.status == PHASE_COMPLETED:
                 store.flush()  # all checkpoints durable before "done"
-                self.ledger.mark_completed()
+                self.ledger.finish()
                 phases.append(PhaseReport(config, vtime, out.end_vtime,
                                           PHASE_COMPLETED))
                 return RunResult(value=out.value, vtime=out.end_vtime,
@@ -196,7 +195,7 @@ class PhaseDriver:
             # fully-written files.
             store.flush()
             if not auto_recover:
-                raise fail  # ledger stays "running": next run() replays
+                raise fail  # a "running" ledger makes the next run replay
             restarts += 1
             if restarts > max_restarts:
                 raise fail

@@ -364,6 +364,7 @@ class RuntimeService:
                     self.store.namespace(str(job.id)).clear()
                 except Exception:  # noqa: BLE001 - job teardown is
                     pass           # best-effort; the next GC catches up
+            self.store.drop_namespace(str(job.id))
             job.finished_at = time.monotonic()
             with self._lock:
                 self._running.pop(job.id, None)

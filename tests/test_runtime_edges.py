@@ -151,11 +151,26 @@ class TestRunResult:
             assert a.end_vtime <= b.start_vtime
 
     def test_ledger_completed_after_success(self, tmp_path):
+        """A run that saved a checkpoint marked ``running`` before it and
+        ends ``completed``."""
+        W = plug(SOR, SOR_CKPT)
+        rt = make_rt(tmp_path, policy=EveryN(5))
+        rt.run(W, ctor_kwargs={"n": N, "iterations": ITERS},
+               entry="execute", config=ExecConfig.sequential(), fresh=True)
+        assert rt.store.counts()
+        assert rt.ledger.status() == rt.ledger.COMPLETED
+        assert rt.ledger.attempts() == 1
+
+    def test_checkpoint_free_run_leaves_no_ledger(self, tmp_path):
+        """The ledger says ``running`` only once a checkpoint is about to
+        be published: a run that saves none leaves a fresh directory
+        fresh, with no status file at all."""
         W = plug(SOR, SOR_CKPT)
         rt = make_rt(tmp_path)
         rt.run(W, ctor_kwargs={"n": N, "iterations": ITERS},
                entry="execute", config=ExecConfig.sequential(), fresh=True)
-        assert rt.ledger.status() == rt.ledger.COMPLETED
+        assert rt.ledger.status() == rt.ledger.FRESH
+        assert not rt.ledger.path.exists()
 
     def test_default_tmp_ckpt_dir(self):
         rt = Runtime(machine=MACHINE)  # no ckpt_dir given
