@@ -38,10 +38,23 @@ def test_fig6_restart_with_more_resources(benchmark, tmp_path):
     # reconstruct the per-iteration series from rank-0 safe-point events,
     # keeping the *first* timestamp per count: replay re-passes counts
     # 1..25 in a bunch, but the observable timeline is when each
-    # iteration's work was really done.
+    # iteration's work was really done.  Past the restored checkpoint
+    # the stamp is the restarted phase's, the one that completed the
+    # iteration: the failed phase's stamps there are dropped at the
+    # restore.  (Rank 0 of the failed phase stamps count 26 only if it
+    # gets there before the failing peer's teardown stops it — a race
+    # that must not reach the table.)
     stamps: dict[int, float] = {}
-    for ev in res.events.of_kind("safepoint"):
-        stamps.setdefault(ev.data["count"], ev.vtime)
+    failed = False
+    for ev in res.events:
+        if ev.kind == "failure":
+            failed = True
+        elif ev.kind == "restore" and failed:
+            failed = False
+            stamps = {c: t for c, t in stamps.items()
+                      if c <= ev.data["count"]}
+        elif ev.kind == "safepoint":
+            stamps.setdefault(ev.data["count"], ev.vtime)
     counts = sorted(stamps)
     per_iter = {}
     for a, b in zip(counts, counts[1:]):

@@ -1,4 +1,4 @@
-"""Distributed-memory substrate: an in-process MPI-like simulated cluster.
+"""Distributed-memory substrate: an MPI-like communicator over rank fabrics.
 
 The paper's distributed execution model (Section III.C) is SPMD over
 *object aggregates*.  This package provides the substrate underneath:
@@ -6,7 +6,11 @@ The paper's distributed execution model (Section III.C) is SPMD over
 * :class:`Mailbox` / :class:`Communicator` — point-to-point messages with
   (source, tag) matching and the standard collectives (barrier, bcast,
   scatter(v), gather(v), reduce, allreduce, alltoall), with mpi4py-style
-  lower-case generic-object semantics.
+  lower-case generic-object semantics.  There is one mailbox class for
+  every fabric: a :class:`~repro.dsm.transport.Transport` builds each
+  rank's endpoints over thread queues (the simulated cluster), pipe
+  channels (:mod:`repro.dsm.procmail`, the process ranks) or TCP
+  (:mod:`repro.dsm.socketmail`).
 * partitioners — BLOCK / CYCLIC / HYBRID layouts over numpy arrays, with
   optional halo (ghost) rows for stencil codes, and exact round-trip
   ``gather(scatter(x)) == x``.

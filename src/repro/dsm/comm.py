@@ -1,4 +1,4 @@
-"""MPI-like communicator over in-process mailboxes, with virtual time.
+"""MPI-like communicator over per-rank mailboxes, with virtual time.
 
 API follows mpi4py's lower-case generic-object conventions (``send`` /
 ``recv`` / ``bcast`` / ``scatter`` / ``gather`` / ``reduce`` / ...): the
@@ -32,30 +32,19 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.dsm.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
+from repro.dsm.mailbox import ANY_SOURCE, ANY_TAG, Message, trace_writer
+from repro.dsm.transport import QueueTransport, Transport
 from repro.smp.barrier import AdaptiveBarrier
 from repro.util.serialization import nbytes_of
 from repro.vtime.clock import VClock
 from repro.vtime.machine import MachineModel
-
-_tracer = None
-
-
-def trace_writer():
-    """The calling thread's tracer.  Resolved on first use, not at
-    import: the trace plane sits on :mod:`repro.dsm.shmplane`, and this
-    module is part of the ``repro.dsm`` package import."""
-    global _tracer
-    if _tracer is None:
-        from repro.trace.plane import tracer as _tracer
-    return _tracer()
-
 
 #: reserved tag space for collective plumbing (user tags must be < this).
 TAG_COLL = 1 << 30
@@ -69,6 +58,12 @@ TAG_PUT = TAG_COLL + 6
 #: arrival): the fence still drains the envelope for clock coupling,
 #: but has nothing left to copy.
 PUT_APPLIED = "<put-applied>"
+
+#: posted into a closed thread-queue mailbox's channel to wake its
+#: blocked receiver: no receive matches a negative epoch and the drain
+#: drops it, so the receive loop's next turn raises ``MailboxClosed``.
+_WAKE = Message(src=ANY_SOURCE, dst=ANY_SOURCE, tag=ANY_TAG, payload=None,
+                nbytes=0, arrival=0.0, epoch=-1)
 
 _tl = threading.local()
 
@@ -91,10 +86,6 @@ class RankContext:
     clock: VClock
     comm: "Communicator"
 
-    @property
-    def is_root(self) -> bool:
-        return self.rank == 0
-
 
 def _copy_payload(obj: Any) -> Any:
     """Value semantics for the common payload shapes."""
@@ -114,24 +105,43 @@ def axis_write(arr: np.ndarray, idx, axis: int, vals) -> None:
 
 
 class Communicator:
-    """Collective + point-to-point communication among ``nranks`` ranks."""
+    """Collective + point-to-point communication among ``nranks`` ranks.
+
+    Built as is, it is the simulated cluster's: ``clocks`` is the
+    ranks' shared clock list, the barrier folds it under one thread
+    barrier, and the endpoints come from a :class:`QueueTransport` over
+    one thread ``queue.Queue`` per rank, shared by every rank thread.  A
+    per-process subclass passes no clocks and its own ``transport``,
+    with the ``rank`` whose endpoint list it takes and the membership
+    ``mail_epoch`` that rank joins at.
+    """
 
     def __init__(self, nranks: int, machine: MachineModel,
-                 clocks: Sequence[VClock]) -> None:
+                 clocks: Sequence[VClock], *,
+                 transport: Transport | None = None, rank: int = 0,
+                 mail_epoch: int = 0) -> None:
         if nranks < 1:
             raise ValueError("communicator needs at least one rank")
-        if len(clocks) != nranks:
-            raise ValueError("one clock per rank required")
+        if transport is None:
+            if len(clocks) != nranks:
+                raise ValueError("one clock per rank required")
+            transport = QueueTransport(
+                [queue.Queue() for _ in range(nranks)])
         self.nranks = nranks
         self.machine = machine
         self.clocks = list(clocks)
-        self.mailboxes = [Mailbox(r) for r in range(nranks)]
-        self._barrier = AdaptiveBarrier(nranks) if nranks > 1 else None
-        self._epoch = 0.0
+        self.transport = transport
+        self.mailboxes = transport.endpoints(rank)
+        if len(self.mailboxes) < nranks:
+            raise ValueError("transport fabric smaller than the membership")
         #: membership epoch stamped on every outgoing envelope; the
-        #: in-process transport never bumps it (rank threads die with
-        #: their membership), the process transports do.
-        self.mail_epoch = 0
+        #: thread fabric never bumps it (rank threads die with their
+        #: membership), the process fabrics do.
+        self.mail_epoch = mail_epoch
+        self.mailboxes[rank].set_epoch(mail_epoch)
+        self._barrier = (AdaptiveBarrier(nranks) if len(self.clocks) > 1
+                         else None)
+        self._epoch = 0.0
         #: one-sided windows, keyed ``(owner rank, name)``.  One shared
         #: dict in-process (all ranks of a simulated cluster see each
         #: other's windows directly); per-process transports hold only
@@ -148,8 +158,9 @@ class Communicator:
         return ctx
 
     def close(self) -> None:
-        for mb in self.mailboxes:
-            mb.close()
+        """Close every endpoint and wake the ranks blocked in a receive
+        (a failed rank's peers must not sleep out their deadline)."""
+        _shut(self.mailboxes, self.transport.channels)
         if self._barrier is not None:
             self._barrier.abort()
 
@@ -161,20 +172,21 @@ class Communicator:
 
         MUST be called while every current rank is quiescent (parked in
         the membership-switch barrier — the elastic protocol guarantees
-        this), with all mailboxes drained of user traffic.  Survivors
-        keep their rank ids and mailboxes; joiner mailboxes are created
-        fresh; retiree mailboxes are closed so a stray send to a retired
-        rank fails loudly instead of vanishing.
+        this), with all mailboxes drained of user traffic.  The
+        transport is rebuilt over the resized queue list: survivors keep
+        their rank ids, queues and mailboxes; joiners get fresh ones;
+        retiree mailboxes are closed so a stray send to a retired rank
+        fails loudly instead of vanishing.
         """
         if len(clocks) != new_n:
             raise ValueError("one clock per surviving/joining rank required")
-        if new_n > self.nranks:
-            self.mailboxes.extend(
-                Mailbox(r) for r in range(self.nranks, new_n))
-        else:
-            for mb in self.mailboxes[new_n:]:
-                mb.close()
-            del self.mailboxes[new_n:]
+        channels = self.transport.channels
+        _shut(self.mailboxes[new_n:], channels[new_n:])
+        self.transport = QueueTransport(
+            channels[:new_n]
+            + [queue.Queue() for _ in range(self.nranks, new_n)])
+        self.mailboxes = (self.mailboxes[:new_n]
+                          + self.transport.endpoints(0)[self.nranks:])
         self.clocks = list(clocks)
         self.nranks = new_n
         self._barrier = AdaptiveBarrier(new_n) if new_n > 1 else None
@@ -446,6 +458,14 @@ class Communicator:
             ctx.clock.wait_comm(msg.arrival)
             out[src] = self._ingress(msg)
         return out
+
+
+def _shut(mailboxes, channels) -> None:
+    """Close thread-queue endpoints, posting each channel one
+    :data:`_WAKE` for a receiver already blocked on it."""
+    for mb, ch in zip(mailboxes, channels):
+        mb.close()
+        ch.put(_WAKE)
 
 
 def _default_add(a: Any, b: Any) -> Any:

@@ -67,9 +67,6 @@ class Layout:
     def owned(self, n: int, rank: int, nranks: int) -> np.ndarray:
         raise NotImplementedError
 
-    def is_contiguous(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class BlockLayout(Layout):
@@ -87,9 +84,6 @@ class BlockLayout(Layout):
     def halo_bounds(self, n: int, rank: int, nranks: int) -> tuple[int, int]:
         lo, hi = local_slice(n, rank, nranks)
         return max(0, lo - self.halo), min(n, hi + self.halo)
-
-    def is_contiguous(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)

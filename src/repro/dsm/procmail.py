@@ -1,8 +1,8 @@
-"""Process-safe mailboxes: the multiprocessing transport for collectives.
+"""The multiprocessing transport for collectives.
 
-The in-process :class:`~repro.dsm.mailbox.Mailbox` gives every simulated
-rank selective receive over ``(source, tag)``; this module provides the
-same contract across *process* boundaries so the whole
+Every rank receives through the one :class:`~repro.dsm.mailbox.Mailbox`
+(selective receive over ``(source, tag)``); this module carries it
+across *process* boundaries so the whole
 :class:`~repro.dsm.comm.Communicator` algorithm layer (point-to-point,
 scatter/gather, halo exchange, reductions, one-sided put/fence)
 runs unchanged over real processes — the collectives are bridged, not
@@ -11,20 +11,18 @@ reimplemented.
 Transport: one :class:`Channel` per rank — a pipe whose ``put`` pickles
 and writes the frame in the calling thread, so an envelope is in the
 peer's pipe when ``put`` returns.  Any process may put into any rank's
-channel; only the owning rank gets from its own.  Because channel order
-is arrival order, not ``(source, tag)`` order, the owner keeps a local
-pending buffer for envelopes that did not match an outstanding
-selective receive.
+channel; only the owning rank gets from its own, through its mailbox's
+pending buffer.
 
-Matching is additionally **epoch-scoped**: every envelope carries the
-sender's membership epoch, and the receiver only matches envelopes of
-its *own* epoch.  The rank channels deliberately outlive elastic
-membership switches (the pre-sized fabric), so without the epoch a
-retired rank's still-queued frames could satisfy a later membership
-segment's selective receive on the same ``(source, tag)`` — a
-use-after-retire that shows up as silently wrong data.  Stale-epoch
-arrivals are dropped at the drain; future-epoch arrivals (a peer that
-switched first) are buffered until this rank catches up.
+Matching is **epoch-scoped**: every envelope carries the sender's
+membership epoch, and the receiver only matches envelopes of its *own*
+epoch.  The rank channels deliberately outlive elastic membership
+switches (the pre-sized fabric), so without the epoch a retired rank's
+still-queued frames could satisfy a later membership segment's
+selective receive on the same ``(source, tag)`` — a use-after-retire
+that shows up as silently wrong data.  Stale-epoch arrivals are dropped
+at the drain; future-epoch arrivals (a peer that switched first) are
+buffered until this rank catches up.
 
 :class:`ProcCommunicator` subclasses :class:`Communicator`, swapping the
 transport and replacing the shared-clock barrier — in separate address
@@ -52,11 +50,9 @@ from multiprocessing import util as _mputil
 from multiprocessing.reduction import ForkingPickler
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.dsm.comm import TAG_COLL, Communicator
 from repro.dsm.links import frame
-from repro.dsm.mailbox import ANY_SOURCE, ANY_TAG, MailboxClosed, Message
+from repro.dsm.mailbox import Message
 from repro.dsm.transport import QueueTransport, Transport
 from repro.telemetry import schema as _ts
 from repro.telemetry.plane import writer as telemetry_writer
@@ -366,166 +362,14 @@ class Fence:
             f"never arrived: {missing}")
 
 
-class ProcessMailbox:
-    """Selective receive for one rank over a :class:`Channel`.
-
-    The channel is duck-typed — ``put``, ``get(timeout=)`` and
-    ``get_nowait`` raising ``queue.Empty`` — so a thread ``queue.Queue``
-    or an ``mp.Queue`` serves too.  ``put`` may be called from any
-    process; ``get``/``poll`` only from the owning rank's process (the
-    pending buffer is process-local).
-    ``epoch`` scopes the match key: only envelopes stamped with the
-    mailbox's current epoch are eligible, stale ones are dead letters
-    (dropped on drain), future ones wait in the pending buffer for the
-    membership switch that makes them current.
-    """
-
-    def __init__(self, rank: int, channel, epoch: int = 0) -> None:
-        self.rank = rank
-        self.epoch = epoch
-        self._channel = channel
-        self._pending: list[Message] = []
-        self._closed = False
-        #: stale-epoch envelopes discarded (observability for tests).
-        self.stale_dropped = 0
-
-    # ------------------------------------------------------------------
-    def put(self, msg: Message) -> None:
-        if self._closed:
-            raise MailboxClosed(f"mailbox {self.rank} is closed")
-        self._channel.put(msg)
-
-    def set_epoch(self, epoch: int) -> None:
-        """Adopt a new membership epoch; purge newly-stale pendings."""
-        self.epoch = epoch
-        before = len(self._pending)
-        self._pending = [m for m in self._pending if m.epoch >= epoch]
-        self.stale_dropped += before - len(self._pending)
-
-    def _matches(self, m: Message, source: int, tag: int) -> bool:
-        return (m.epoch == self.epoch
-                and (source == ANY_SOURCE or m.src == source)
-                and (tag == ANY_TAG or m.tag == tag))
-
-    def _admit(self, m: Message) -> bool:
-        """Buffer a drained envelope; False when it was a stale-epoch
-        dead letter (a retired membership's frame — dropped so it can
-        never satisfy a later segment's selective receive)."""
-        if m.epoch < self.epoch:
-            self.stale_dropped += 1
-            return False
-        self._pending.append(m)
-        return True
-
-    def get(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-            timeout: float | None = 60.0) -> Message:
-        """Block until a matching envelope arrives and remove it.
-
-        Per-(source, tag) FIFO order is preserved: non-matching arrivals
-        are buffered in order and re-scanned first on the next call.
-
-        ``timeout`` bounds the *whole* call with one monotonic deadline:
-        every channel wait gets only the remaining budget, so a rank
-        waiting on a busy mailbox (non-matching envelopes trickling in)
-        cannot block past its deadline — each arrival used to restart
-        the full timeout.
-        """
-        tele = telemetry_writer()
-        tr = trace_writer()
-        if not tele.active and not tr.active:
-            return self._get(source, tag, timeout)
-        t0 = time.perf_counter()
-        try:
-            msg = self._get(source, tag, timeout)
-            # flow edge for the trace plane: the slice duration is the
-            # wait this receive paid (seq 0 = untraced envelope).
-            if tr.active and msg.seq > 0:
-                tr.recv(msg.src, msg.tag, msg.epoch, msg.seq, t0)
-            return msg
-        finally:
-            # wall time blocked on the channel: the mailbox-wait series
-            # (receiver-side skew signal, never charged to vtime).
-            if tele.active:
-                tele.inc(_ts.MAILBOX_WAIT_SECONDS,
-                         time.perf_counter() - t0)
-                tele.inc(_ts.MAILBOX_RECVS)
-
-    def _get(self, source: int, tag: int,
-             timeout: float | None) -> Message:
-        for i, m in enumerate(self._pending):
-            if self._matches(m, source, tag):
-                return self._pending.pop(i)
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while True:
-            if self._closed:
-                raise MailboxClosed(f"mailbox {self.rank} is closed")
-            if deadline is None:
-                remaining = None
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # expiry still owes one non-blocking poll: a match
-                    # already delivered to the channel (just not yet
-                    # drained into the pending buffer) must be returned,
-                    # exactly as timeout=0 on a bare queue would.
-                    while True:
-                        try:
-                            m = self._channel.get_nowait()
-                        except _queue.Empty:
-                            break
-                        if self._matches(m, source, tag):
-                            return m
-                        self._admit(m)
-                    raise TimeoutError(
-                        f"rank {self.rank}: no message from src={source} "
-                        f"tag={tag} after {timeout}s (pending: "
-                        f"{[(p.src, p.tag) for p in self._pending]})")
-            try:
-                m = self._channel.get(timeout=remaining)
-            except _queue.Empty:
-                continue  # deadline check above decides expiry
-            if self._matches(m, source, tag):
-                return m
-            self._admit(m)
-
-    def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking probe for a matching envelope."""
-        if any(self._matches(m, source, tag) for m in self._pending):
-            return True
-        while True:
-            try:
-                m = self._channel.get_nowait()
-            except _queue.Empty:
-                return False
-            if self._admit(m) and self._matches(m, source, tag):
-                return True
-
-    def close(self) -> None:
-        """Refuse further traffic; drop whatever the flusher still holds.
-
-        Called on the unwind path only — by then the phase outcome is
-        decided and in-flight envelopes are dead letters.  Cancelling the
-        flusher join keeps a worker's exit from blocking on a channel the
-        parent will never drain again.
-        """
-        self._closed = True
-        try:
-            self._channel.cancel_join_thread()
-        except (AttributeError, OSError):
-            pass
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-
 class ProcCommunicator(Communicator):
     """The MPI-like collective layer over per-rank process mailboxes.
 
     Inherits every algorithm (send/recv costs, the flat root-funnel
     collectives, the one-sided put/fence window protocol; the in-place
-    partition movements consume it unchanged); overrides construction
-    (no shared clock list), the barrier (epoch agreement through a
+    partition movements consume it unchanged) and the base constructor's
+    endpoint, epoch and window set-up (with no shared clock list);
+    overrides the barrier (epoch agreement through a
     :class:`Fence`, or through messages when there is none, instead of
     ``VClock.sync_max`` across threads), and — when a
     :class:`~repro.dsm.shm.DataPlane` is wired — the transport hooks:
@@ -555,21 +399,13 @@ class ProcCommunicator(Communicator):
             if channels is None or len(channels) < nranks:
                 raise ValueError("one channel per rank required")
             transport = QueueTransport(channels)
-        # deliberately NOT calling super().__init__: there is no clock
-        # list or thread barrier to build in a per-process communicator.
-        self.nranks = nranks
-        self.machine = machine
+        # no clocks: there is no clock list or thread barrier to build
+        # in a per-process communicator.
+        super().__init__(nranks, machine, (), transport=transport,
+                         rank=rank, mail_epoch=mail_epoch)
         self.plane = plane
-        self.transport = transport
-        self.mailboxes = transport.endpoints(rank)
-        if len(self.mailboxes) < nranks:
-            raise ValueError("transport fabric smaller than the membership")
-        self.mail_epoch = mail_epoch
-        self.mailboxes[rank].set_epoch(mail_epoch)
         self._fence = fence
         self._rank = rank
-        self._windows: dict[tuple[int, str], np.ndarray] = {}
-        self._win_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _egress(self, obj: Any, owned: bool, dest: int) -> Any:

@@ -16,7 +16,7 @@ endpoint list:
 Inbound frames are served by the rank's **progress thread**, one
 :class:`~repro.dsm.links.LinkLoop` however many peers connect, which
 *re-injects* each envelope into the rank's own channel: the receive
-side stays one :class:`~repro.dsm.procmail.ProcessMailbox` with its
+side stays one :class:`~repro.dsm.mailbox.Mailbox` with its
 selective-receive, FIFO-per-(source, tag), epoch-scoped and deadline
 semantics, and remote and local traffic are indistinguishable above
 the seam.  A ``TAG_PUT`` into a window the rank has exposed is applied
@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dsm.comm import PUT_APPLIED, TAG_PUT, axis_write
 from repro.dsm.links import LinkLoop, dial
-from repro.dsm.mailbox import Message
-from repro.dsm.procmail import ProcCommunicator, ProcessMailbox
+from repro.dsm.mailbox import Mailbox, Message
+from repro.dsm.procmail import ProcCommunicator
 from repro.dsm.transport import Transport
 from repro.telemetry import schema as _ts
 from repro.telemetry.plane import writer as telemetry_writer
@@ -122,7 +122,7 @@ class SocketTransport(Transport):
         out: list = []
         for r, ch in enumerate(self.channels):
             if r == self.rank or self.colocated(r):
-                out.append(ProcessMailbox(r, ch))
+                out.append(Mailbox(r, ch))
             else:
                 out.append(SocketPeer(self, r))
         return out

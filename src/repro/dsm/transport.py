@@ -6,11 +6,13 @@ process subclass) speaks to mailboxes only: it ``put``s envelopes into
 :class:`Transport` is the factory for that endpoint list — the one
 object that knows how bytes physically move:
 
-* :class:`QueueTransport` — one :class:`~repro.dsm.procmail.Channel`
-  (a pipe written in the sender's thread) per rank, every endpoint a
-  :class:`~repro.dsm.procmail.ProcessMailbox` (the shm
-  slab/borrow/inline tiers sit *above* this, in the data plane's
-  payload packing — the transport carries descriptors);
+* :class:`QueueTransport` — one channel per rank, every endpoint a
+  :class:`~repro.dsm.mailbox.Mailbox`: a thread ``queue.Queue`` for the
+  simulated cluster's rank threads, a
+  :class:`~repro.dsm.procmail.Channel` (a pipe written in the sender's
+  thread) for process ranks (the shm slab/borrow/inline tiers sit
+  *above* this, in the data plane's payload packing — the transport
+  carries descriptors);
 * :class:`~repro.dsm.socketmail.SocketTransport` — remote peers behind
   TCP links (:mod:`repro.dsm.links` frames), co-located peers (same
   physical node) still on channels + slabs, with one progress thread
@@ -25,7 +27,7 @@ The trace plane's cross-rank flow edges ride this seam for free: the
 ``(src, dst, tag, epoch, seq)`` message id is stamped into the
 :class:`~repro.dsm.mailbox.Message` envelope at the communicator's send
 chokepoints and read back at the mailbox ``get``s, so every fabric —
-queues, sockets, in-process lists — carries causal edges without any
+thread queues, pipes, sockets — carries causal edges without any
 transport-specific code.  A transport that re-frames envelopes (the
 socket progress thread's ``PUT_APPLIED`` rewrite) must preserve ``seq``.
 """
@@ -33,6 +35,8 @@ socket progress thread's ``PUT_APPLIED`` rewrite) must preserve ``seq``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+
+from repro.dsm.mailbox import Mailbox
 
 
 class Transport(ABC):
@@ -61,17 +65,15 @@ class Transport(ABC):
 
 
 class QueueTransport(Transport):
-    """The single-host process fabric: one channel per rank.
+    """The single-host fabric: one channel per rank.
 
-    The launches pass :class:`~repro.dsm.procmail.Channel` objects; any
-    object with the mailbox's duck-typed channel surface serves (the
-    tests use thread ``queue.Queue`` objects).
+    The process launches pass :class:`~repro.dsm.procmail.Channel`
+    objects, the simulated cluster thread ``queue.Queue`` objects; any
+    object with the mailbox's duck-typed channel surface serves.
     """
 
     def __init__(self, channels) -> None:
         self.channels = channels
 
     def endpoints(self, rank: int) -> list:
-        from repro.dsm.procmail import ProcessMailbox
-
-        return [ProcessMailbox(r, ch) for r, ch in enumerate(self.channels)]
+        return [Mailbox(r, ch) for r, ch in enumerate(self.channels)]

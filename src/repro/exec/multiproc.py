@@ -4,7 +4,7 @@ The first backend whose ranks actually run in parallel: each rank is a
 ``multiprocessing`` process (no GIL between ranks), partitioned fields
 live in ``multiprocessing.shared_memory`` segments every rank maps
 (:mod:`repro.dsm.shm`), and the rank collectives are bridged over
-process-safe mailboxes (:mod:`repro.dsm.procmail`) so the whole
+per-rank pipe channels (:mod:`repro.dsm.procmail`) so the whole
 ``Communicator`` algorithm layer runs unchanged.
 
 What stays in the parent, and why:

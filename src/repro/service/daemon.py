@@ -16,9 +16,9 @@ already exists.
 
 The scheduler thread admits queued jobs to free lanes, sizes each to
 its fair share of the fleet, and steers running jobs: a shrink when a
-higher-priority job waits on a full fleet (candidates priced with the
-advisor's ``transition_cost`` — cheapest membership transition first),
-a grow back when the queue drains and workers idle.
+higher-priority job waits on a full fleet (the smallest candidate
+first: its in-place shrink is the cheapest membership transition), a
+grow back when the queue drains and workers idle.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ import traceback
 
 from repro.ckpt.policy import Never
 from repro.ckpt.store import CheckpointStore, RunLedger
-from repro.core.advisor import SelfAdaptationAdvisor
 from repro.core.modes import ExecConfig, Mode
 from repro.core.rewriter import plug
 from repro.core.runtime import Runtime
 from repro.dsm.links import LinkLoop
-from repro.exec.multiproc import MultiprocessBackend
 from repro.exec.registry import BackendRegistry
 from repro.service.backend import FleetBackend
 from repro.service.fleet import WorkerFleet
@@ -43,14 +41,6 @@ from repro.service.scheduler import JobQueue, QueueFull
 from repro.service.steer import JobCancelled
 from repro.telemetry import CONTENT_TYPE, MetricsRegistry
 from repro.vtime.machine import MachineModel
-
-
-class _FleetPricing(MultiprocessBackend):
-    """Registry stand-in so ``transition_cost`` can resolve ``fleet``
-    configurations: same calibration and capabilities as the real
-    fleet backend, no fleet attached."""
-
-    name = "fleet"
 
 
 class RuntimeService:
@@ -81,10 +71,6 @@ class RuntimeService:
             self.store = CheckpointStore(self.ckpt_dir)
         self.queue = JobQueue(max_queue)
         self.join_timeout = join_timeout
-        pricing = BackendRegistry()
-        pricing.register(_FleetPricing(), mode=Mode.DISTRIBUTED)
-        #: prices grow/shrink candidates (modelled transition cost).
-        self.advisor = SelfAdaptationAdvisor(self.machine, registry=pricing)
         self._host = host
         self._lock = threading.Lock()
         self._lanes_free = set(range(lanes))
@@ -259,8 +245,11 @@ class RuntimeService:
         """Shrink a running job in place to free workers for ``waiting``.
 
         Candidates: running jobs at least as low-priority as the waiter
-        whose declared ``min_ranks`` leaves headroom; ranked by the
-        advisor's modelled transition cost, cheapest first.
+        whose declared ``min_ranks`` leaves headroom; the smallest is
+        shrunk (ties to the older job).  That is the advisor's order
+        too: a same-backend in-place shrink is priced two barriers of
+        the current membership, and the barrier cost rises strictly
+        with the rank count.
         """
         with self._lock:
             running = list(self._running.values())
@@ -276,10 +265,7 @@ class RuntimeService:
             blk = self.fleet.steer[job.lane]
             if not blk.acked() or job.resize_target == target:
                 continue  # one outstanding resize per job
-            cost = self.advisor.transition_cost(
-                ExecConfig.distributed(cur).with_backend("fleet"),
-                ExecConfig.distributed(target).with_backend("fleet"))
-            candidates.append((cost, job.id, job, target))
+            candidates.append((cur, job.id, job, target))
         if not candidates:
             return
         _, _, job, target = min(candidates)

@@ -11,8 +11,8 @@ each running or admissible job's fair share is ``workers // parties``,
 clamped to its declared range.  When a higher-priority job is waiting
 and the fleet has no idle workers, running jobs that declared
 ``min_ranks`` below their current size are candidates to shrink in
-place — ranked by the advisor's modelled
-:meth:`~repro.core.advisor.SelfAdaptationAdvisor.transition_cost`, so
+place — the smallest first, since an in-place shrink costs barriers of
+the current membership and the barrier cost rises with the rank count:
 the membership transition that frees workers cheapest is the one taken.
 The shrink is delivered through the job's steer block and executed by
 the elastic membership protocol at the job's next safe point; the freed

@@ -45,13 +45,6 @@ class SingleArbiter:
             owner = self._claimed.setdefault((key, occurrence), tid)
             return owner == tid
 
-    def forget_before(self, occurrence: int) -> None:
-        """Garbage-collect occurrences older than ``occurrence``."""
-        with self._guard:
-            stale = [k for k in self._claimed if k[1] < occurrence]
-            for k in stale:
-                del self._claimed[k]
-
     def reset(self) -> None:
         with self._guard:
             self._claimed.clear()

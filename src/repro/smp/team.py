@@ -61,10 +61,6 @@ def current_worker() -> "Worker | None":
     return getattr(_tl, "worker", None)
 
 
-def current_team() -> "ThreadTeam | None":
-    return getattr(_tl, "team", None)
-
-
 @dataclass
 class Worker:
     """One team member."""
@@ -259,7 +255,7 @@ class ThreadTeam:
             threads.append(th)
             th.start()
 
-        _tl.worker, _tl.team = master, self
+        _tl.worker = master
         master_exc: BaseException | None = None
         try:
             self._region_return = region.fn(*region.args, **region.kwargs)
@@ -267,7 +263,7 @@ class ThreadTeam:
             master_exc = exc
             self._barrier.abort()
         finally:
-            _tl.worker = _tl.team = None
+            _tl.worker = None
             # wait for every spawned thread, including replayers added later
             while True:
                 pending = [w.thread for w in self._workers
@@ -305,7 +301,7 @@ class ThreadTeam:
         return self._region_return
 
     def _worker_main(self, w: Worker, region: RegionState) -> None:
-        _tl.worker, _tl.team = w, self
+        _tl.worker = w
         try:
             region.fn(*region.args, **region.kwargs)
         except BaseException as exc:  # noqa: BLE001
@@ -313,7 +309,7 @@ class ThreadTeam:
             if self._barrier is not None:
                 self._barrier.abort()
         finally:
-            _tl.worker = _tl.team = None
+            _tl.worker = None
 
     # ------------------------------------------------------------------
     # in-region constructs (called from woven code)
@@ -385,10 +381,6 @@ class ThreadTeam:
         if w is None or self._region is None:
             return True
         return w.live and not w.replaying and self.live_rank(w) == 0
-
-    def worker_clock(self) -> VClock:
-        w = current_worker()
-        return w.clock if w is not None else self.clock
 
     # ------------------------------------------------------------------
     # safe points

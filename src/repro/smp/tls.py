@@ -64,13 +64,3 @@ class ThreadLocalField:
         for tid in tids:
             store.setdefault(tid, master)
 
-    def collapse_to_sequential(self, obj: Any) -> None:
-        """Keep only the master copy (used when a team is torn down)."""
-        store = obj.__dict__.get(self.slot)
-        if not store:
-            return
-        master = store.get(0, store.get(None, _MISSING))
-        store.clear()
-        if master is not _MISSING:
-            store[None] = master
-            store[0] = master

@@ -38,8 +38,8 @@ import numpy as np
 import pytest
 
 from repro.dsm.comm import RankContext, _bind
-from repro.dsm.mailbox import MailboxClosed, Message
-from repro.dsm.procmail import Channel, ProcCommunicator, ProcessMailbox
+from repro.dsm.mailbox import Mailbox, MailboxClosed, Message
+from repro.dsm.procmail import Channel, ProcCommunicator
 from repro.exec.multiproc import drain_queues
 from repro.vtime.clock import VClock
 from repro.vtime.machine import MachineModel
@@ -202,7 +202,7 @@ def _put(channel, obj) -> None:
 
 def _put_then_close_mailbox(channel, obj) -> None:
     channel.put(obj)
-    ProcessMailbox(0, channel).close()  # the unwind path
+    Mailbox(0, channel).close()  # the unwind path
 
 
 def test_sender_that_exits_after_an_oversized_put_still_delivers():
@@ -354,7 +354,7 @@ def test_channel_crosses_a_spawn_start_as_a_process_argument():
 
 def test_put_after_close_raises_mailbox_closed():
     ch = Channel(FORK)
-    mb = ProcessMailbox(0, ch)
+    mb = Mailbox(0, ch)
     mb.put(msg(1, 1, "before"))
     assert mb.get(source=1, tag=1, timeout=5.0).payload == "before"
     mb.close()

@@ -2,7 +2,7 @@
 
 Three layers under test:
 
-* :class:`~repro.dsm.procmail.ProcessMailbox` — the selective-receive
+* :class:`~repro.dsm.mailbox.Mailbox` — the selective-receive
   contract over a queue channel: per-(src, tag) FIFO under interleaved
   selective receives, ``poll`` drain behaviour, and the single
   monotonic deadline across the drain loop (a busy mailbox must not
@@ -39,8 +39,7 @@ from repro.core import (
     plug,
 )
 from repro.dsm import shm
-from repro.dsm.mailbox import Message
-from repro.dsm.procmail import ProcessMailbox
+from repro.dsm.mailbox import Mailbox, Message
 from repro.exec import build_default_registry
 from repro.exec.multiproc import MultiprocessBackend
 from repro.vtime import MachineModel
@@ -83,11 +82,11 @@ def msg(src, tag, payload=None):
 
 
 # ---------------------------------------------------------------------------
-# ProcessMailbox pending-buffer semantics
+# Mailbox pending-buffer semantics
 # ---------------------------------------------------------------------------
 class TestProcessMailbox:
     def test_fifo_per_src_tag_under_interleaved_selective_receives(self):
-        mb = ProcessMailbox(0, queue.Queue())
+        mb = Mailbox(0, queue.Queue())
         # interleaved streams from two sources and two tags
         for i in range(3):
             mb.put(msg(1, 7, ("a", i)))
@@ -105,7 +104,7 @@ class TestProcessMailbox:
             == [("c", 1), ("c", 2)]
 
     def test_poll_drains_channel_into_pending(self):
-        mb = ProcessMailbox(0, queue.Queue())
+        mb = Mailbox(0, queue.Queue())
         mb.put(msg(1, 1))
         mb.put(msg(2, 2))
         mb.put(msg(3, 3))
@@ -124,7 +123,7 @@ class TestProcessMailbox:
         just under the timeout pushed the deadline out indefinitely.
         """
         ch = queue.Queue()
-        mb = ProcessMailbox(0, ch)
+        mb = Mailbox(0, ch)
         stop = threading.Event()
 
         def trickle():  # non-matching traffic every 50 ms
@@ -152,7 +151,7 @@ class TestProcessMailbox:
         assert mb.get(source=1, tag=1).payload == 1
 
     def test_timeout_zero_and_expiry_message(self):
-        mb = ProcessMailbox(0, queue.Queue())
+        mb = Mailbox(0, queue.Queue())
         mb.put(msg(1, 5))
         with pytest.raises(TimeoutError, match="src=2"):
             mb.get(source=2, tag=5, timeout=0.05)

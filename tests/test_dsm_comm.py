@@ -1,5 +1,6 @@
 """Tests for the distributed substrate: mailbox, communicator, cluster."""
 
+import queue
 import threading
 import time
 
@@ -20,54 +21,58 @@ def run_spmd(nranks, fn, *args, machine=MACHINE):
 
 
 # ---------------------------------------------------------------------------
-# Mailbox
+# Mailbox over a thread queue (the simulated cluster's endpoint)
 # ---------------------------------------------------------------------------
+def thread_box():
+    return Mailbox(1, queue.Queue())
+
+
 class TestMailbox:
     def _msg(self, src=0, tag=0, payload="x"):
         return Message(src=src, dst=1, tag=tag, payload=payload, nbytes=1,
                        arrival=0.0)
 
     def test_fifo_per_source_tag(self):
-        mb = Mailbox(1)
+        mb = thread_box()
         mb.put(self._msg(payload="a"))
         mb.put(self._msg(payload="b"))
         assert mb.get(source=0, tag=0).payload == "a"
         assert mb.get(source=0, tag=0).payload == "b"
 
     def test_selective_receive_by_tag(self):
-        mb = Mailbox(1)
+        mb = thread_box()
         mb.put(self._msg(tag=1, payload="one"))
         mb.put(self._msg(tag=2, payload="two"))
         assert mb.get(tag=2).payload == "two"
         assert mb.get(tag=1).payload == "one"
 
     def test_selective_receive_by_source(self):
-        mb = Mailbox(1)
+        mb = thread_box()
         mb.put(self._msg(src=3, payload="from3"))
         mb.put(self._msg(src=5, payload="from5"))
         assert mb.get(source=5).payload == "from5"
 
     def test_wildcard_source(self):
-        mb = Mailbox(1)
+        mb = thread_box()
         mb.put(self._msg(src=7, payload="w"))
         assert mb.get(source=ANY_SOURCE).payload == "w"
 
     def test_poll(self):
-        mb = Mailbox(1)
+        mb = thread_box()
         assert not mb.poll()
         mb.put(self._msg(tag=4))
         assert mb.poll(tag=4)
         assert not mb.poll(tag=5)
 
     def test_get_timeout(self):
-        mb = Mailbox(1)
+        mb = thread_box()
         with pytest.raises(TimeoutError):
             mb.get(timeout=0.05)
 
     def test_get_timeout_is_not_restarted_by_other_traffic(self):
         # a put that does not match wakes the receiver; it must not
         # re-arm the receiver's full timeout.
-        mb = Mailbox(1)
+        mb = thread_box()
         stop = threading.Event()
 
         def chatter():
@@ -89,7 +94,7 @@ class TestMailbox:
         assert not t.is_alive()
 
     def test_closed_mailbox_raises(self):
-        mb = Mailbox(1)
+        mb = thread_box()
         mb.close()
         with pytest.raises(MailboxClosed):
             mb.get(timeout=1)
@@ -290,6 +295,25 @@ class TestSimCluster:
             run_spmd(4, entry)
         assert ei.value.rank == 2
         assert isinstance(ei.value.cause, KeyError)
+
+    def test_root_failure_releases_peers_blocked_in_recv(self):
+        """Rank 0 raises inside ``scatter`` while three peers wait in
+        its receive: the close wakes them at once, so the run ends with
+        the root cause instead of sleeping out the 60 s receive
+        deadline."""
+        def entry():
+            ctx = current_rank()
+            if ctx.rank == 0:
+                time.sleep(0.2)  # the peers are parked in recv by now
+                return ctx.comm.scatter([1, 2])  # 2 parts for 4 ranks
+            return ctx.comm.scatter(None)
+
+        t0 = time.monotonic()
+        with pytest.raises(RankFailure) as ei:
+            run_spmd(4, entry)
+        assert time.monotonic() - t0 < 5.0
+        assert ei.value.rank == 0
+        assert isinstance(ei.value.cause, ValueError)
 
     def test_over_decomposition_sets_contention(self):
         m = MachineModel(nodes=1, cores_per_node=2)

@@ -15,6 +15,8 @@ multi-megabyte pickles exactly).
 Tag-epoch scoping is covered here too: a dead membership's queued frames
 must never satisfy a later membership's selective receive on the same
 ``(source, tag)`` — the use-after-retire the epoch field exists to kill.
+So is the simulated cluster's teardown over thread queues: closing its
+communicator releases a receiver already blocked in ``get``.
 """
 
 import queue
@@ -24,10 +26,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.dsm.mailbox import Message
-from repro.dsm.procmail import Channel, ProcessMailbox
+from repro.dsm.comm import Communicator
+from repro.dsm.mailbox import Mailbox, MailboxClosed, Message
+from repro.dsm.procmail import Channel
 from repro.dsm.socketmail import SocketTransport
 from repro.dsm.transport import QueueTransport
+from repro.vtime import MachineModel, VClock
 
 NRANKS = 2
 
@@ -68,7 +72,7 @@ class _Fabric:
     def send(self, src: int, dst: int, m: Message) -> None:
         self.endpoints[src][dst].put(m)
 
-    def inbox(self, rank: int) -> ProcessMailbox:
+    def inbox(self, rank: int) -> Mailbox:
         return self.endpoints[rank][rank]
 
     def settle(self) -> None:
@@ -154,6 +158,41 @@ class TestTransportConformance:
         assert got == list(range(50))
 
 
+class TestThreadFabricClose:
+    """The simulated cluster's fabric: thread queues, closed by its
+    communicator when a rank fails."""
+
+    @staticmethod
+    def _comm():
+        return Communicator(NRANKS, MachineModel(),
+                            [VClock() for _ in range(NRANKS)])
+
+    def test_close_releases_a_blocked_receiver(self):
+        comm = self._comm()
+        got = []
+
+        def receive():
+            t0 = time.monotonic()
+            try:
+                comm.mailboxes[0].get(source=1, tag=3, timeout=60)
+            except MailboxClosed as exc:
+                got.append((exc, time.monotonic() - t0))
+
+        t = threading.Thread(target=receive)
+        t.start()
+        time.sleep(0.1)  # the receiver is blocked on its queue
+        comm.close()
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert len(got) == 1 and got[0][1] < 1.0
+
+    def test_put_after_close_raises(self):
+        comm = self._comm()
+        comm.close()
+        with pytest.raises(MailboxClosed):
+            comm.mailboxes[0].put(msg(1, 3))
+
+
 class TestSocketFraming:
     def test_frame_counts_track_remote_destinations(self):
         f = _Fabric("sockets")
@@ -173,7 +212,7 @@ class TestSocketFraming:
         t1 = SocketTransport(1, channels, lambda r: 0)
         try:
             eps = t0.endpoints(0)
-            assert all(isinstance(e, ProcessMailbox) for e in eps)
+            assert all(isinstance(e, Mailbox) for e in eps)
             eps[1].put(msg(0, 2, "local", dst=1))
             assert t1.endpoints(1)[1].get(source=0, tag=2,
                                           timeout=5.0).payload == "local"
@@ -212,7 +251,7 @@ class TestTagEpoch:
         envelope on the same (source, tag) must not be matched by the
         next membership segment's selective receive."""
         ch = queue.Queue()
-        mb = ProcessMailbox(0, ch)
+        mb = Mailbox(0, ch)
         ch.put(msg(2, 7, "old-membership", epoch=0))
         mb.set_epoch(1)  # the membership switched
         with pytest.raises(TimeoutError):
@@ -224,7 +263,7 @@ class TestTagEpoch:
             == "new-membership"
 
     def test_set_epoch_purges_already_buffered_stale_pendings(self):
-        mb = ProcessMailbox(0, queue.Queue())
+        mb = Mailbox(0, queue.Queue())
         mb.put(msg(1, 1, "a", epoch=0))
         mb.put(msg(1, 2, "b", epoch=0))
         assert not mb.poll(source=9)  # drain both into pending
@@ -237,7 +276,7 @@ class TestTagEpoch:
         """A peer that switched membership first may send ahead: its
         envelopes buffer (not drop) until this rank catches up."""
         ch = queue.Queue()
-        mb = ProcessMailbox(0, ch)
+        mb = Mailbox(0, ch)
         ch.put(msg(1, 4, "early", epoch=1))
         with pytest.raises(TimeoutError):
             mb.get(source=1, tag=4, timeout=0.1)
@@ -246,7 +285,7 @@ class TestTagEpoch:
         assert mb.get(source=1, tag=4, timeout=5.0).payload == "early"
 
     def test_poll_honours_epoch(self):
-        mb = ProcessMailbox(0, queue.Queue(), epoch=3)
+        mb = Mailbox(0, queue.Queue(), epoch=3)
         mb.put(msg(1, 1, epoch=2))
         assert not mb.poll(source=1, tag=1)
         assert mb.stale_dropped == 1
