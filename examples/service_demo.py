@@ -12,8 +12,7 @@ jobs it is the bill.  ``RuntimeService`` keeps the world warm:
   next job instead of unlink/re-allocate;
 * a **job queue** with admission control and fair-share elastic
   scheduling — a waiting higher-priority job shrinks a running elastic
-  job in place (the membership transition priced by the advisor), and
-  shrunken jobs grow back when the queue drains;
+  job in place, and shrunken jobs grow back when the queue drains;
 * a **client API** (submit/status/result/cancel) over a local socket,
   so any process can feed the warm world.
 

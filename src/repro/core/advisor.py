@@ -50,8 +50,7 @@ class SelfAdaptationAdvisor:
 
     def __init__(self, machine: MachineModel, max_pe: int | None = None,
                  window: int = 5, tolerance: float = 0.05,
-                 registry=None, transition_aware: bool = False,
-                 measured=None) -> None:
+                 registry=None, transition_aware: bool = False) -> None:
         from repro.exec.registry import default_registry
 
         if window < 2:
@@ -64,16 +63,9 @@ class SelfAdaptationAdvisor:
         #: gate ladder climbs on the modelled cost of *getting there*:
         #: a rung whose transition costs more than a whole measurement
         #: window of the current configuration cannot pay for its own
-        #: trial and is skipped (the advisor settles instead).  Uses the
-        #: per-backend calibrated machine model, so e.g. process-rank
-        #: relaunches (fork-class spawn costs) are priced honestly while
-        #: elastic in-place reshapes stay cheap.
+        #: trial and is skipped (the advisor settles instead).  Priced
+        #: on ``machine``, the model the run's clocks already use.
         self.transition_aware = transition_aware
-        #: a :class:`~repro.telemetry.measured.MeasuredRates` view over
-        #: the run's metrics registry, or ``None`` for calibration-only
-        #: ranking (the cold-start default; results are then identical
-        #: to the pre-telemetry advisor).
-        self.measured_rates = measured
         self.max_pe = max_pe if max_pe is not None else machine.total_cores
         self.registry = registry if registry is not None else default_registry()
         self.ladder = self._build_ladder()
@@ -95,11 +87,6 @@ class SelfAdaptationAdvisor:
         self.registry = registry
         self.ladder = self._build_ladder()
 
-    def use_measured(self, measured) -> None:
-        """Adopt a live measured-rates view (the runtime wires the
-        telemetry registry's view in when telemetry is enabled)."""
-        self.measured_rates = measured
-
     # ------------------------------------------------------------------
     def _build_ladder(self) -> list[ExecConfig]:
         """Candidate configurations in increasing parallelism, restricted
@@ -118,61 +105,18 @@ class SelfAdaptationAdvisor:
         return ladder
 
     # ------------------------------------------------------------------
-    # transition ranking (per-backend calibrated cost model)
+    # transition pricing (on the run's machine model)
     # ------------------------------------------------------------------
-    def _quiesce_cost(self, m: MachineModel, pe: int) -> float:
-        """The barrier (quiesce) term of an in-place reshape: the
-        calibrated prior, blended with the measured mean safe-point
-        latency when a :meth:`use_measured` view is wired in."""
-        calibrated = m.barrier_cost(pe)
-        if self.measured_rates is None:
-            return calibrated
-        return self.measured_rates.quiesce_cost(calibrated)
-
-    def rank_reshape_vs_relaunch(self, cur: ExecConfig,
-                                 target: ExecConfig
-                                 ) -> tuple[float, float]:
-        """Price both ways of reaching ``target``: ``(in_place_cost,
-        relaunch_cost)``.
-
-        The in-place price is a quiesce pair (measured-rate blended —
-        a load-skewed world pays real wall time to reach a safe point,
-        which calibration alone cannot see) plus spawns for grown
-        members only; the relaunch price re-spawns every processing
-        element and re-scatters state, and stays purely calibrated —
-        a fresh world has no measured history by definition.
-        """
-        from repro.core.errors import WeaveError
-
-        try:
-            backend = self.registry.resolve(target)
-        except WeaveError:
-            return float("inf"), float("inf")
-        m = backend.calibrate(self.machine)
-        pe_cur, pe_new = cur.processing_elements, target.processing_elements
-        # grown members are un-parked / thread-spawned, never forked
-        # (the elastic fabric pre-forks at launch), so the *base*
-        # spawn cost applies even on backends whose calibration
-        # prices rank creation at fork class.
-        in_place = (2 * self._quiesce_cost(m, max(pe_cur, pe_new))
-                    + self.machine.spawn_cost * max(0, pe_new - pe_cur))
-        relaunch = (m.spawn_cost * pe_new + 2 * m.barrier_cost(pe_new)
-                    + (pe_new - 1) * m.network.p2p_cost(0, same_node=False))
-        return in_place, relaunch
-
     def transition_cost(self, cur: ExecConfig, target: ExecConfig) -> float:
         """Modelled one-off cost of moving ``cur`` -> ``target``.
 
-        The target's backend supplies its calibrated
-        :class:`MachineModel` (``ExecutionBackend.calibrate``) and its
-        capabilities decide the transition kind: same mode and backend
-        with ``elastic_ranks`` (or a pure team resize) is an *in-place
-        reshape* — barrier pair plus spawns for the grown members only —
-        while everything else is a *relaunch* that re-spawns every
-        processing element and re-scatters state.  Both prices come from
-        :meth:`rank_reshape_vs_relaunch`, so measured safe-point rates
-        (when wired in) shift this ranking exactly as they shift the
-        explicit reshape-vs-relaunch comparison.
+        The target backend's capabilities decide the transition kind:
+        same mode and backend with ``elastic_ranks`` (or a pure team
+        resize) is an *in-place reshape* — a barrier pair plus spawns
+        for the grown members only — while everything else is a
+        *relaunch* that re-spawns every processing element and
+        re-scatters state.  Both are priced on :attr:`machine`; a target
+        no registered backend resolves costs ``inf``.
         """
         from repro.core.errors import WeaveError
 
@@ -181,13 +125,15 @@ class SelfAdaptationAdvisor:
         except WeaveError:
             return float("inf")
         caps = backend.capabilities(target)
-        in_place_cost, relaunch_cost = self.rank_reshape_vs_relaunch(
-            cur, target)
-        in_place = (
-            target.mode is cur.mode and target.backend == cur.backend
-            and (caps.elastic_ranks
-                 or (caps.team_regions and target.nranks == cur.nranks)))
-        return in_place_cost if in_place else relaunch_cost
+        m = self.machine
+        pe_cur, pe_new = cur.processing_elements, target.processing_elements
+        if (target.mode is cur.mode and target.backend == cur.backend
+                and (caps.elastic_ranks or (caps.team_regions
+                                            and target.nranks == cur.nranks))):
+            return (2 * m.barrier_cost(max(pe_cur, pe_new))
+                    + m.spawn_cost * max(0, pe_new - pe_cur))
+        return (m.spawn_cost * pe_new + 2 * m.barrier_cost(pe_new)
+                + (pe_new - 1) * m.network.p2p_cost(0, same_node=False))
 
     def _transition_affordable(self, cur: ExecConfig, target: ExecConfig,
                                per_iter: float) -> bool:

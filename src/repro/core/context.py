@@ -483,9 +483,8 @@ class ExecutionContext:
         try:
             return self._protocol_body(count)
         finally:
-            # wall-side only: the histogram feeds the advisor's measured
-            # quiesce cost; adaptation/failure unwinds still count — they
-            # are safe-point passes the world paid for.
+            # wall-side only; adaptation/failure unwinds still count —
+            # they are safe-point passes the world paid for.
             dt = perf_counter() - t0
             if tele.active:
                 tele.inc(_ts.SAFEPOINTS)

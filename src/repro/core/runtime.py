@@ -268,16 +268,6 @@ class Runtime:
             sync = getattr(advisor, "use_registry", None)
             if sync is not None:
                 sync(self.registry)
-        if advisor is not None and self.metrics is not None \
-                and getattr(advisor, "measured_rates", None) is None:
-            # close the loop: the advisor's transition ranking blends
-            # the live measured rates scraped into this run's registry
-            # (calibration remains the cold-start fallback).
-            wire = getattr(advisor, "use_measured", None)
-            if wire is not None:
-                from repro.telemetry import MeasuredRates
-
-                wire(MeasuredRates(self.metrics))
         ctor_kwargs = ctor_kwargs or {}
         plan = plan if plan is not None else AdaptationPlan()
         injector = injector if injector is not None else FailureInjector()

@@ -32,6 +32,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import operator
 import queue
 import threading
 from dataclasses import dataclass
@@ -428,7 +429,7 @@ class Communicator:
         """Fold ``op`` (default: +, elementwise for arrays) at ``root``:
         gather everything at the root and left-fold in rank order."""
         ctx = self._ctx()
-        fold = op if op is not None else _default_add
+        fold = op if op is not None else operator.add
         vals = self.gather(obj, root=root)
         if ctx.rank != root:
             return None
@@ -466,9 +467,3 @@ def _shut(mailboxes, channels) -> None:
     for mb, ch in zip(mailboxes, channels):
         mb.close()
         ch.put(_WAKE)
-
-
-def _default_add(a: Any, b: Any) -> Any:
-    if isinstance(a, np.ndarray):
-        return a + b
-    return a + b

@@ -231,19 +231,6 @@ class ExecutionBackend(ABC):
         created before returning, on every path.
         """
 
-    def calibrate(self, machine: MachineModel) -> MachineModel:
-        """Per-backend cost-model overrides for transition ranking.
-
-        The shared :class:`MachineModel` describes the simulated cluster;
-        a backend whose real substrate behaves differently (the
-        multiprocessing backend's fork + queue latency is nothing like
-        the modelled network) returns a copy with the relevant constants
-        replaced.  Consumed by the advisor when ranking reshape against
-        relaunch; the returned model never feeds the phase's virtual
-        clocks, so calibration cannot perturb cross-backend vtime parity.
-        """
-        return machine
-
     # ------------------------------------------------------------------
     # shared helpers for concrete backends
     # ------------------------------------------------------------------

@@ -88,10 +88,6 @@ from repro.exec.worker import (
     rank_main,
 )
 from repro.util.events import EventLog
-from repro.vtime.machine import (
-    PROCESS_RANKS_CALIBRATION,
-    PROCESS_RANKS_SHM_CALIBRATION,
-)
 
 #: once one rank reports a failure, how long its peers get to finish
 #: reporting before the parent terminates them (a rank-scoped failure
@@ -174,22 +170,6 @@ class MultiprocessBackend(ExecutionBackend):
     def capabilities(self, config: ExecConfig) -> Capabilities:
         return Capabilities(rank_collectives=True, shared_fields=True,
                             elastic_ranks=True)
-
-    def calibrate(self, machine):
-        """Fork + transport costs instead of the modelled network.
-
-        This backend's wall-clock behaviour is process creation plus
-        message transport on one host: pickling through OS pipes on the
-        queue path, slab memcpys with descriptor envelopes on the
-        shared-memory data plane.  The advisor ranks reshape against
-        relaunch with whichever constants match the configured transport
-        (see :data:`repro.vtime.machine.PROCESS_RANKS_CALIBRATION` /
-        :data:`repro.vtime.machine.PROCESS_RANKS_SHM_CALIBRATION`);
-        calibration never feeds a running phase's virtual clocks.
-        """
-        constants = (PROCESS_RANKS_SHM_CALIBRATION if self.data_plane
-                     else PROCESS_RANKS_CALIBRATION)
-        return machine.with_(**constants)
 
     def make_communicator(self, rank: int, nranks: int, machine,
                           wiring: RankWiring, plane, mail_epoch: int

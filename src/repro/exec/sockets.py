@@ -36,9 +36,7 @@ What changes against the parent class, and why:
 Results, checkpoint bytes and virtual time are identical to every
 other backend: the modelled :class:`~repro.vtime.machine.MachineModel`
 feeds the clocks, and the transport choice only moves wall-clock
-bytes.  ``calibrate`` hands the advisor wire-realistic constants
-(:data:`~repro.vtime.machine.SOCKET_RANKS_CALIBRATION`) for ranking
-adaptations; they never touch a running phase's clocks.
+bytes.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from repro.dsm.socketmail import HierarchicalCommunicator, SocketTransport
 from repro.exec.base import PhaseSpec
 from repro.exec.multiproc import MultiprocessBackend
 from repro.exec.worker import RankWiring
-from repro.vtime.machine import SOCKET_RANKS_CALIBRATION
 
 #: how long launch-time address exchange may take end to end.
 _RENDEZVOUS_SECONDS = 60.0
@@ -101,9 +98,6 @@ class SocketsBackend(MultiprocessBackend):
     def capabilities(self, config: ExecConfig) -> Capabilities:
         return Capabilities(rank_collectives=True, shared_fields=False,
                             elastic_ranks=False)
-
-    def calibrate(self, machine):
-        return machine.with_(**SOCKET_RANKS_CALIBRATION)
 
     def place_fields(self, ctx, instance, comm, launch_id: str
                      ) -> tuple[SegmentManager | None, dict]:

@@ -4,12 +4,9 @@ The observability subsystem: per-rank pages of fixed-slot counters /
 gauges / histograms (:mod:`~repro.telemetry.schema`) written lock-free
 from the hot paths (:mod:`~repro.telemetry.plane`), scraped by the
 parent into a :class:`MetricsRegistry` (:mod:`~repro.telemetry.
-registry`) that exports Prometheus text (:mod:`~repro.telemetry.prom`)
-and feeds the advisor's :class:`MeasuredRates` view
-(:mod:`~repro.telemetry.measured`).
+registry`) that exports Prometheus text (:mod:`~repro.telemetry.prom`).
 """
 
-from repro.telemetry.measured import MeasuredRates
 from repro.telemetry.plane import (
     NULL_WRITER,
     MetricSample,
@@ -30,7 +27,6 @@ from repro.telemetry import schema
 
 __all__ = [
     "CONTENT_TYPE",
-    "MeasuredRates",
     "MetricSample",
     "MetricsRegistry",
     "NULL_WRITER",

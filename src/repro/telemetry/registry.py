@@ -16,7 +16,7 @@ Everything the registry holds is exportable three ways with identical
 names and labels: Prometheus text exposition (:meth:`to_prometheus`),
 a picklable/JSONable :meth:`snapshot` (the service ``stats`` RPC, the
 ``RunResult.metrics`` property, ``BENCH_*.json``), and point lookups
-(:meth:`value`, :meth:`hist_totals`) for the advisor's measured rates.
+(:meth:`value`, :meth:`hist_totals`) for scripts and tests.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class MetricsRegistry:
                     source=source)
 
     # ------------------------------------------------------------------
-    # lookups (the advisor's measured-rates view reads these)
+    # point lookups
     # ------------------------------------------------------------------
     def _live_scalars(self) -> dict[Key, tuple[str, float]]:
         out = dict(self._scalars)
@@ -189,7 +189,7 @@ class MetricsRegistry:
                     labels: dict[str, str] | None = None
                     ) -> tuple[float, float]:
         """Aggregate ``(count, sum)`` over every matching histogram
-        series — the advisor's mean-latency input."""
+        series (``sum / count`` is the series' mean)."""
         want = dict(labels or {})
         count = total = 0.0
         with self._lock:

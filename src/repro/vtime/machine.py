@@ -173,12 +173,6 @@ class MachineModel:
             return 0.0
         return self.oversub_switch_cost
 
-    def with_(self, **kw) -> "MachineModel":
-        """Return a copy with some fields replaced (frozen dataclass)."""
-        from dataclasses import replace
-
-        return replace(self, **kw)
-
 
 #: Virtual seconds per work unit of a work-shared (``ForMethod``) kernel,
 #: keyed ``"Class.method"``.  Compute time is part of the model, like the
@@ -208,52 +202,6 @@ def kernel_cost(cls: type, method: str, units: int) -> float:
             return units * rate
     return units * DEFAULT_KERNEL_RATE
 
-
-#: Per-backend cost-model calibration for process-rank substrates
-#: (consumed through ``ExecutionBackend.calibrate``): rank creation is a
-#: ``fork`` + interpreter warm-up, not a thread spawn, and every message
-#: is a pickle through an OS pipe on one host — milliseconds and tens of
-#: microseconds where the simulated cluster models microseconds and a
-#: network.  The advisor ranks reshape-vs-relaunch transitions with
-#: these constants; they never feed a running phase's virtual clocks.
-PROCESS_RANKS_CALIBRATION: dict = {
-    "spawn_cost": 8e-3,  # fork + child start-up, JVM/job-submit class
-    "network": NetworkModel(
-        intra_latency=60e-6, intra_bandwidth=1.2e9,   # queue + pickle
-        inter_latency=60e-6, inter_bandwidth=1.2e9),  # one host: no tiers
-}
-
-#: The same substrate with the zero-copy shared-memory data plane
-#: enabled (the multiprocessing backend's default): large payloads are
-#: one memcpy into a pooled slab plus a ~200-byte descriptor envelope
-#: through the queue, so effective bandwidth approaches memcpy class
-#: while the envelope keeps a queue-round-trip latency floor.  Like its
-#: queue sibling, this only feeds ``SelfAdaptationAdvisor`` transition
-#: ranking through ``ExecutionBackend.calibrate`` — never the virtual
-#: clocks of a running phase, so cross-backend vtime parity holds.
-PROCESS_RANKS_SHM_CALIBRATION: dict = {
-    "spawn_cost": 8e-3,  # rank creation is unchanged by the data plane
-    "network": NetworkModel(
-        intra_latency=25e-6, intra_bandwidth=4.5e9,   # descriptor + memcpy
-        inter_latency=25e-6, inter_bandwidth=4.5e9),  # one host: no tiers
-}
-
-#: The sockets backend: rank processes reached over TCP, co-located
-#: ranks still riding the shared-memory data plane.  Intra-node edges
-#: are the slab/descriptor path (identical to the shm calibration);
-#: inter-node edges pay loopback/LAN TCP latency and a pickle-bounded
-#: stream bandwidth.  This is the first calibration whose two link
-#: classes actually differ — the advisor can finally price an
-#: inter-node edge above an intra-node one for a real substrate.  Like
-#: its siblings it feeds only transition ranking through
-#: ``ExecutionBackend.calibrate``, never a running phase's virtual
-#: clocks (cross-backend vtime parity is preserved by construction).
-SOCKET_RANKS_CALIBRATION: dict = {
-    "spawn_cost": 9e-3,  # fork + listener bind + address rendezvous
-    "network": NetworkModel(
-        intra_latency=25e-6, intra_bandwidth=4.5e9,   # descriptor + memcpy
-        inter_latency=90e-6, inter_bandwidth=280e6),  # TCP frame + pickle
-}
 
 #: The paper's testbed for the distributed experiments (2 x 24 cores).
 PAPER_CLUSTER = MachineModel(nodes=2, cores_per_node=24)

@@ -15,8 +15,8 @@ The load-bearing guarantees of :mod:`repro.elastic`:
   processes, no shared-memory segments outlive the run;
 * the move schedule a :class:`ReshapePlan` derives from the partition
   layouts reassembles exactly the regions each new owner needs;
-* the advisor's per-backend calibrated transition costs rank an
-  in-place reshape below a process relaunch.
+* the advisor prices transitions on the run's one machine model, and
+  an in-place reshape ranks below a process relaunch.
 """
 
 import multiprocessing
@@ -349,13 +349,27 @@ class TestReshapePlan:
 # per-backend cost-model calibration feeding the advisor
 # ---------------------------------------------------------------------------
 class TestTransitionCosts:
-    def test_multiproc_calibration_overrides_spawn_and_network(self):
-        base = MACHINE
-        cal = MultiprocessBackend().calibrate(base)
-        assert cal.spawn_cost > base.spawn_cost
-        assert cal.network.intra_latency > base.network.intra_latency
-        # calibration is a copy: the shared model is untouched
-        assert base.spawn_cost == MachineModel().spawn_cost
+    def test_costs_are_closed_forms_on_the_run_machine_model(self):
+        m = MACHINE
+        adv = SelfAdaptationAdvisor(m, max_pe=8)
+
+        def relaunch(pe):
+            return (m.spawn_cost * pe + 2 * m.barrier_cost(pe)
+                    + (pe - 1) * m.network.p2p_cost(0, same_node=False))
+
+        # multiproc is elastic: a grow is a barrier pair plus two spawns
+        assert adv.transition_cost(mp_cfg(2), mp_cfg(4)) \
+            == 2 * m.barrier_cost(4) + 2 * m.spawn_cost
+        assert adv.transition_cost(mp_cfg(4), mp_cfg(2)) \
+            == 2 * m.barrier_cost(4)
+        assert adv.transition_cost(ExecConfig.sequential(), mp_cfg(4)) \
+            == relaunch(4)
+        # sockets has no elastic ranks: every rank change relaunches
+        sk = ExecConfig.distributed(4).with_backend("sockets")
+        assert adv.transition_cost(
+            ExecConfig.distributed(2).with_backend("sockets"), sk) \
+            == relaunch(4)
+        assert adv.transition_cost(mp_cfg(2), sk) == relaunch(4)
 
     def test_reshape_ranks_below_relaunch_on_multiproc(self):
         adv = SelfAdaptationAdvisor(MACHINE, max_pe=8)
@@ -365,16 +379,17 @@ class TestTransitionCosts:
         assert in_place < relaunch
 
     def test_transition_aware_ladder_stops_when_spawn_dominates(self):
-        """With fork-class spawn costs and a tiny per-iteration time,
-        climbing into process ranks cannot amortise within a trial
-        window — the transition-aware advisor settles instead."""
+        """With a tiny per-iteration time, relaunching into process
+        ranks (a spawn per rank plus the barrier pair and scatter)
+        costs more than a whole trial window buys — the
+        transition-aware advisor settles instead."""
         reg = build_default_registry()
         reg.unregister("simcluster")  # distributed resolves to multiproc
         adv = SelfAdaptationAdvisor(MACHINE, max_pe=16, window=4,
                                     registry=reg, transition_aware=True)
         dist = [c for c in adv.ladder if c.nranks > 1]
         assert dist, "ladder lost its distributed rungs"
-        per_iter = 1e-4  # a window buys ~0.4ms: far below a fork fleet
+        per_iter = 1e-4  # a window buys 0.4 ms; 8 spawns alone cost ~1 ms
         assert not adv._transition_affordable(ExecConfig.shared(4),
                                               dist[0], per_iter)
         # a thread-team resize amortises fine at the same per-iter time

@@ -10,9 +10,6 @@ What must hold for a lock-free metrics plane to be trustworthy:
   are bit-identical with telemetry on or off (wall-side only, never a
   virtual clock), parked/un-parked and failed-rank paths account
   correctly, and no telemetry segment outlives its launch.
-* **Coupling** — the advisor's reshape-vs-relaunch ranking demonstrably
-  consumes measured safe-point rates: an injected load skew flips the
-  decision exactly when (and only when) measured rates are enabled.
 * **Exposition** — the Prometheus text round-trips a strict
   conformance parser, from both the registry and the service's
   ``serve_metrics`` endpoint; the ``stats`` RPC carries the snapshot
@@ -31,10 +28,8 @@ from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
 from repro.apps.sor import SOR
 from repro.ckpt import EveryN, FailureInjector
 from repro.core import AdaptStep, AdaptationPlan, ExecConfig, Runtime, plug
-from repro.core.advisor import SelfAdaptationAdvisor
 from repro.dsm import shm
 from repro.telemetry import (
-    MeasuredRates,
     MetricsRegistry,
     TelemetryPlane,
     parse_prometheus,
@@ -368,61 +363,6 @@ class TestIdempotentScrapes:
         reg.absorb_snapshot(snap, source="svc")
         reg.absorb_snapshot(snap, source="svc")
         assert reg.snapshot() == snap
-
-
-# ---------------------------------------------------------------------------
-# advisor coupling: measured rates flip the reshape-vs-relaunch ranking
-# ---------------------------------------------------------------------------
-class TestMeasuredRates:
-    def _skewed_registry(self, latency=0.5, samples=50) -> MetricsRegistry:
-        plane = TelemetryPlane.local(1, backend="skew")
-        w = plane.writer(0)
-        for _ in range(samples):
-            w.observe(schema.SAFEPOINT_LATENCY, latency)
-        reg = MetricsRegistry()
-        reg.absorb(plane.scrape())
-        return reg
-
-    def test_skew_flips_ranking_only_when_enabled(self):
-        """A world measuring 0.5 s to quiesce makes the in-place
-        reshape (two quiesce barriers) more expensive than a clean
-        relaunch — but only the measured-rates advisor can see it."""
-        cur, target = ExecConfig.distributed(2), ExecConfig.distributed(4)
-        calibrated = SelfAdaptationAdvisor(MACHINE)
-        measured = SelfAdaptationAdvisor(
-            MACHINE, measured=MeasuredRates(self._skewed_registry()))
-
-        ip_c, rl_c = calibrated.rank_reshape_vs_relaunch(cur, target)
-        ip_m, rl_m = measured.rank_reshape_vs_relaunch(cur, target)
-        # the relaunch price never blends: a fresh world has no history
-        assert rl_m == rl_c
-        # calibration alone prefers the in-place reshape ...
-        assert ip_c < rl_c
-        # ... the measured skew flips it
-        assert ip_m > rl_m
-        assert ip_m > ip_c
-
-    def test_cold_start_is_calibration_passthrough(self):
-        reg = MetricsRegistry()  # zero observations
-        adv = SelfAdaptationAdvisor(MACHINE, measured=MeasuredRates(reg))
-        bare = SelfAdaptationAdvisor(MACHINE)
-        cur, target = ExecConfig.distributed(2), ExecConfig.distributed(4)
-        assert adv.rank_reshape_vs_relaunch(cur, target) \
-            == bare.rank_reshape_vs_relaunch(cur, target)
-
-    def test_few_samples_blend_proportionally(self):
-        reg = self._skewed_registry(latency=0.5, samples=4)
-        rates = MeasuredRates(reg, min_samples=16)
-        # w = 4/16: a quarter of the way from calibration to measurement
-        assert rates.quiesce_cost(0.1) == pytest.approx(
-            0.75 * 0.1 + 0.25 * 0.5)
-
-    def test_runtime_wires_measured_rates_into_advisor(self, tmp_path):
-        advisor = SelfAdaptationAdvisor(MACHINE, max_pe=2)
-        assert advisor.measured_rates is None
-        _run_sor(tmp_path, "adv", ExecConfig.sequential(),
-                 advisor=advisor)
-        assert isinstance(advisor.measured_rates, MeasuredRates)
 
 
 # ---------------------------------------------------------------------------

@@ -114,12 +114,6 @@ class TestMachineModel:
         assert m.oversub_epoch_cost(4) == 0.0
         assert m.oversub_epoch_cost(5) > 0.0
 
-    def test_with_replaces_fields(self):
-        m = MachineModel(nodes=2, cores_per_node=4)
-        m2 = m.with_(nodes=3)
-        assert m2.nodes == 3 and m2.cores_per_node == 4
-        assert m.nodes == 2  # original untouched
-
     def test_disk_model_costs(self):
         m = MachineModel()
         one_mb = 1 << 20
