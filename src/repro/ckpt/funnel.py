@@ -21,12 +21,17 @@ namespaced store per service job) or its per-rank shard sub-store for
 virtual-time accounting matches a single-process run.  The bytes on
 disk are produced by the same store object under every backend.
 
-A snapshot crosses as one :class:`WireSnapshot`.  On a pipe link with
-a data plane (:class:`~repro.dsm.shm.DataPlane`) its large arrays — or
-its one buffer of CAS chunk payloads — ride leased slabs and the
-request carries only descriptors; the parent writes straight from
-read-only views of the slabs and recycles them in a ``finally``.  The
-RPC is synchronous, so the borrow is bounded; checkpoint bytes are
+A snapshot crosses as one :class:`WireSnapshot`.  On a pipe link a
+field that is a shared-field view crosses as a *borrowed region of its
+own segment* (a ``ShmRef`` of kind ``"borrow"``; placement lends the
+store its segments, :meth:`FunnelStore.lend`), so its bytes are not
+copied at all before the parent's store reads them.  With a data plane
+(:class:`~repro.dsm.shm.DataPlane`) the other large arrays — or the one
+buffer of missing CAS chunk payloads, packed straight from the pieces —
+ride leased slabs, copied once.  The request carries only descriptors;
+the parent writes straight from read-only views and recycles the slabs
+in a ``finally``.  The RPC is synchronous and the save is fenced until
+it returns, so both borrows are bounded; checkpoint bytes are
 bit-identical with and without the plane, over either link.
 
 When the master store is a :class:`~repro.ckpt.cas.CasCheckpointStore`
@@ -59,7 +64,8 @@ from repro.ckpt.cas import CasCheckpointStore
 from repro.ckpt.chunker import field_chunks
 from repro.ckpt.snapshot import KIND_FULL, KIND_RECIPE, Snapshot
 from repro.dsm.links import LinkLoop, dial
-from repro.dsm.shm import PoolClient, ShmRef
+from repro.dsm.shm import PoolClient, ShmRef, borrow_ref, count_tier
+from repro.telemetry import schema as _ts
 from repro.trace import schema as _tc
 from repro.trace.plane import tracer as trace_writer
 
@@ -98,13 +104,13 @@ class WireSnapshot:
     """One checkpoint as it crosses the funnel.
 
     A full write carries ``fields``: each value inline, or a
-    :class:`~repro.dsm.shm.ShmRef` when slab-packed (only C-contiguous
-    non-object arrays are, so the parent's views encode to
-    bit-identical bytes).  A CAS write carries ``refs``, the complete
-    recipe (field -> ordered ``(digest, length)`` refs), plus only the
-    chunks the presence handshake reported absent: one ``chunks``
-    buffer (inline or a ``ShmRef``) that ``index`` — ordered
-    ``(digest, length)`` — slices back apart.
+    :class:`~repro.dsm.shm.ShmRef` when borrowed from a lent segment or
+    slab-packed (only C-contiguous non-object arrays are either, so the
+    parent's views encode to bit-identical bytes).  A CAS write carries
+    ``refs``, the complete recipe (field -> ordered ``(digest, length)``
+    refs), plus only the chunks the presence handshake reported absent:
+    one ``chunks`` buffer (inline or a ``ShmRef``) that ``index`` —
+    ordered ``(digest, length)`` — slices back apart.
     """
 
     app: str
@@ -294,6 +300,9 @@ class FunnelStore:
         #: the rank's shared-memory data plane, wired post-fork by the
         #: worker; honoured only on a pipe link.
         self.plane: "DataPlane | None" = None
+        #: the shared segments placement lent this store, as
+        #: ``id(view) -> (name, size, view)`` (see :meth:`lend`).
+        self._lent: dict = {}
 
     # ------------------------------------------------------------------
     def shard(self, rank: int) -> "FunnelStore":
@@ -309,6 +318,23 @@ class FunnelStore:
             self._shard_cache[rank] = sub
         sub.plane = self.plane
         return sub
+
+    def lend(self, segments: list) -> None:
+        """Let writes ship views of these
+        :class:`~repro.dsm.shm.ShmSegment` objects as borrowed regions
+        instead of copies; ``lend([])`` takes them back.
+
+        Placement lends a rank's shared-field segments and takes them
+        back when it closes, so the store never pins a mapping past its
+        placement (a re-parked rank keeps its store across membership
+        segments).  A borrowed ref names the segment's whole size, so
+        the parent's attach cache keeps one mapping per segment whatever
+        array a job places in it.
+        """
+        self._lent = {}
+        for seg in segments:
+            view = seg.ndarray()
+            self._lent[id(view)] = (seg.name, seg.size, view)
 
     def lease_fields(self, specs: list) -> dict[str, str]:
         """Lease one service-arena segment per ``(field, shape, dtype)``
@@ -352,18 +378,30 @@ class FunnelStore:
         if self.chunked:
             nbytes = self._write_chunked(snap)
         else:
-            fields, plane = snap.fields, self._slabs()
+            plane = self._slabs()
             if plane is not None:
-                # large array fields ride slabs; the synchronous reply
-                # bounds the lease (the parent recycles before replying).
                 plane.start_pack()  # one snapshot = one lease budget
-                fields = {name: plane.pack_exact(value)
-                          for name, value in fields.items()}
+            fields = {name: self._wire_value(value, plane)
+                      for name, value in snap.fields.items()}
             nbytes = self._send_write(snap, fields=fields)
         # the funnel round-trip is the worker's real checkpoint-write
         # cost (pack + ship + parent write + reply), over either link.
         if tr.active:
             tr.span(_tc.CKPT_FUNNEL, tw0, a=float(nbytes))
+
+    def _wire_value(self, value, plane: "DataPlane | None"):
+        """What crosses the link for one field: a borrowed region of a
+        lent segment, else a slab copy (large arrays, with a plane),
+        else the value inline.  The synchronous reply bounds both
+        borrows (the parent recycles slabs before replying)."""
+        lent = self._root._lent
+        if lent and isinstance(value, np.ndarray):
+            ref = borrow_ref(lent, value)
+            if ref is not None:
+                count_tier(_ts.SEND_BYTES_BORROW, _ts.SEND_MSGS_BORROW,
+                           value.nbytes)
+                return ref
+        return value if plane is None else plane.pack_exact(value)
 
     # ------------------------------------------------------------------
     # the chunk-ref write protocol (CAS master store)
@@ -400,14 +438,19 @@ class FunnelStore:
 
     def _ship(self, snap: "Snapshot", field_refs: dict, payloads: dict,
               needed: list) -> int:
-        """One chunked-write RPC carrying the payloads of ``needed``."""
-        chunks: Any = (b"".join(payloads[d] for d in needed) if needed
-                       else None)
-        plane = self._slabs()
-        if plane is not None and chunks is not None:
-            # the missing chunks ride the slab plane as one buffer.
-            plane.start_pack()
-            chunks = plane.pack_exact(np.frombuffer(chunks, dtype=np.uint8))
+        """One chunked-write RPC carrying the payloads of ``needed``:
+        packed straight into one leased slab, or joined inline when no
+        slab takes them."""
+        chunks: Any = None
+        if needed:
+            pieces = [payloads[d] for d in needed]
+            plane = self._slabs()
+            if plane is not None:
+                plane.start_pack()
+                chunks = plane.pack_pieces(
+                    pieces, sum(len(p) for p in pieces))
+            if chunks is None:
+                chunks = b"".join(pieces)
         return self._send_write(
             snap, refs=field_refs, chunks=chunks,
             index=[(d, len(payloads[d])) for d in needed])

@@ -6,10 +6,15 @@ deliberately mode-independent (Section IV.A: "the checkpoint data is the
 same in all environments"), which is what lets a run checkpointed under
 MPI-style execution restart as a sequential or threaded run.
 
-Capture copies each field once into memory the snapshot owns (a plain
-array directly, anything else through its portable encoding), and a
-full save then hands the disk views of those copies: an encoded image is
-a *list of buffers*, never one ``bytes``.
+A save snapshots the live fields without copying them
+(:meth:`Snapshot.borrow`): every save is fenced until its store's
+``write`` returns, so no line of execution mutates a field while the
+store reads it, and a full save hands the disk views of the live
+arrays — an encoded image is a *list of buffers*, never one ``bytes``.
+A snapshot that outlives its safe point (an adaptation exit's, a
+baseline's) is taken with :meth:`Snapshot.capture` instead, which copies
+each field once into memory the snapshot owns (a plain array directly,
+anything else through its portable encoding).
 
 Container format (version 3)::
 
@@ -167,16 +172,32 @@ class Snapshot:
 
         Each value is copied once, immediately, into memory the snapshot
         owns — equal to its portable round trip — so later mutation of
-        the live object cannot corrupt a pending checkpoint.
+        the live object cannot corrupt a snapshot that outlives its safe
+        point.
+        """
+        snap = cls.borrow(instance, field_names, count, app, mode, **meta)
+        snap.fields = {f: portable_copy(v) for f, v in snap.fields.items()}
+        return snap
+
+    @classmethod
+    def borrow(cls, instance: Any, field_names: list[str], count: int,
+               app: str | None = None, mode: str = "sequential",
+               **meta: Any) -> "Snapshot":
+        """Snapshot ``field_names`` of ``instance`` as the live values,
+        uncopied.
+
+        Only for a save fenced until its ``store.write`` returns: the
+        store encodes or copies every byte before that, and nothing may
+        mutate the fields sooner.
         """
         missing = [f for f in field_names if not hasattr(instance, f)]
         if missing:
             raise AttributeError(
                 f"SafeData fields not present on instance: {missing}")
-        fields = {f: portable_copy(getattr(instance, f)) for f in field_names}
         return cls(app=app or type(instance).__name__,
-                   safepoint_count=count, fields=fields, mode=mode,
-                   meta=dict(meta))
+                   safepoint_count=count,
+                   fields={f: getattr(instance, f) for f in field_names},
+                   mode=mode, meta=dict(meta))
 
     def restore_into(self, instance: Any) -> None:
         """Write the saved field values back onto ``instance``."""
@@ -207,7 +228,7 @@ class Snapshot:
 
     def image(self, compress_min_bytes: int | None = None) -> list:
         """The full record as the buffers a store writes back to back
-        (plain arrays as views of the captured copies, not copies)."""
+        (plain arrays as views of the field values, not copies)."""
         pieces = {name: portable_pieces(value)
                   for name, value in self.fields.items()}
         return encode_container(self.header(KIND_FULL), pieces,

@@ -200,7 +200,8 @@ class CheckpointStore:
         With no writer attached the image is durable on return; with an
         async writer it is durable only after :meth:`flush`.  Either way
         nothing here keeps a reference to a field value once this
-        returns (the funnel writes straight from slab views).
+        returns: a save's snapshot borrows the live fields, and the
+        funnel writes straight from slab and segment views.
         """
         image = snap.image(self.compress_min_bytes)
         self.last_write_nbytes = image_nbytes(image)

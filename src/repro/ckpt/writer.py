@@ -5,8 +5,10 @@ synchronous write of the application data at the safe point.  Following
 the standard double-buffering discipline for overlapping I/O with
 computation, :class:`AsyncCheckpointWriter` lets ``CheckpointStore.write``
 return as soon as the image is handed over — ``submit`` joins its
-buffers into bytes the writer owns, the one in-memory copy on that path;
-a synchronous store writes the buffers straight to the file instead — and
+buffers into bytes the writer owns, the one in-memory copy on that path
+(the image views the live fields of a borrowed snapshot, and the save's
+fence lets the application mutate them once ``write`` returns); a
+synchronous store writes the buffers straight to the file instead — and
 a dedicated worker thread performs the atomic temp-file + fsync + rename
 sequence while the application computes on.
 
@@ -144,8 +146,9 @@ class AsyncCheckpointWriter:
 
         ``data`` is bytes or a list of buffers; it is joined into bytes
         the writer owns — the one in-memory copy on this path, needed
-        because the caller's buffers may be views of memory it recycles
-        on return (a funnel's slabs).  Returns once the bytes are
+        because the caller's buffers may be views of memory that changes
+        once it returns (live fields, a funnel's slabs or borrowed
+        segment regions).  Returns once the bytes are
         enqueued; blocks only when ``depth`` images are already queued
         behind the one in flight.
         """

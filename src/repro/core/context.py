@@ -558,23 +558,26 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def capture_snapshot(self, count: int, collect: bool = True) -> Snapshot:
+    def _snapshot(self, count: int, owned: bool) -> tuple[Snapshot, bool]:
         """Build the mode-independent (master-format) snapshot.
 
         In distributed modes, partitioned fields are first collected at
         member 0 so the snapshot is whole — "collecting the data and
         taking the snapshot at the master process ... mak[es] it possible
         to restart the application on any of the execution modes".
-        All ranks return a Snapshot object but only member 0's holds data.
+        ``owned`` takes it with :meth:`Snapshot.capture`, otherwise it
+        borrows the live fields.  Returns the snapshot and whether shared
+        pages are involved: the writer fence has then passed, and the
+        caller owes the reader fence once member 0 is done reading.
         """
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
         shared_involved = False
-        if collect and self.distributed:
+        if self.distributed:
             shared_involved = any(self._shared(f) for f in self.safedata)
             if shared_involved:
                 # fence writers: every rank's updates to the shared
-                # pages must land before member 0 copies them out.
+                # pages must land before member 0 reads them.
                 self.rankctx.comm.barrier()
             for f in self.safedata:
                 part = self.partitioned.get(f)
@@ -583,16 +586,26 @@ class ExecutionContext:
                     gather_inplace(self.rankctx.comm,
                                    getattr(self.instance, f),
                                    part.layout, root=0)
-        snap = Snapshot.capture(
-            self.instance, self.safedata, count,
-            mode=self.mode.value, nranks=self.nranks,
-            workers=self.config.workers)
-        if shared_involved:
-            # fence readers: no rank resumes mutating the shared pages
-            # until member 0's capture (an immediate encode) is done.
-            self.rankctx.comm.barrier()
+        take = Snapshot.capture if owned else Snapshot.borrow
+        snap = take(self.instance, self.safedata, count,
+                    mode=self.mode.value, nranks=self.nranks,
+                    workers=self.config.workers)
         if tr.active:
             tr.span(_tc.CAPTURE, tw0, a=self.clock().now, b=float(count))
+        return snap, shared_involved
+
+    def capture_snapshot(self, count: int) -> Snapshot:
+        """The snapshot an adaptation exit carries past its safe point.
+
+        Only member 0's snapshot holds data that outlives the exit, so
+        only member 0 copies the fields; the other members borrow theirs
+        (``AdaptationExit`` drops them).
+        """
+        snap, shared_involved = self._snapshot(count, owned=self.rank == 0)
+        if shared_involved:
+            # fence readers: no rank resumes mutating the shared pages
+            # until member 0's copy is done.
+            self.rankctx.comm.barrier()
         return snap
 
     def _take_checkpoint(self, count: int) -> None:
@@ -604,9 +617,19 @@ class ExecutionContext:
         t0 = self.clock().now
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
-        snap = self.capture_snapshot(count)
+        # a borrowed snapshot: the store has encoded or copied every byte
+        # by the time ``write`` returns, and nothing mutates the fields
+        # sooner (member 0 is in the write; peers wait at the fence).
+        snap, shared_involved = self._snapshot(count, owned=False)
         if self.rank == 0:
             self.store.write(snap)
+        if shared_involved:
+            # fence readers: no rank resumes mutating the shared pages
+            # until member 0's write has read them.  The charge follows
+            # the fence, as it did when the fence preceded the write, so
+            # every clock sees the same operations in the same order.
+            self.rankctx.comm.barrier()
+        if self.rank == 0:
             self._charge_write(self.store.last_write_nbytes)
             tele = telemetry_writer()
             tele.inc(_ts.CKPT_BYTES, float(self.store.last_write_nbytes))
@@ -685,7 +708,9 @@ class ExecutionContext:
         tr = trace_writer()
         tw0 = perf_counter() if tr.active else 0.0
         self.rankctx.comm.barrier()
-        snap = Snapshot.capture(
+        # borrowed: no rank mutates its fields until every shard write
+        # has returned and the closing barrier has passed.
+        snap = Snapshot.borrow(
             self.instance, self.safedata, count,
             mode=self.mode.value, nranks=self.nranks, shard=self.rank)
         shard.write(snap)

@@ -33,6 +33,10 @@ the rank channels' pipes.  Three tiers, picked per payload:
   because the fields whose movements could borrow are the very fields
   the multiprocessing backend already aliases into one shared segment,
   where scatter/halo degenerate to barriers and move no bytes at all.
+  The one stock borrower is the checkpoint funnel, which keeps its own
+  map of lent segments (``FunnelStore.lend``, :func:`borrow_ref`): a
+  save ships a shared field as a region of its segment, and the message
+  path never sees those segments.
 
 Ownership discipline (one unlinker, no resource-tracker noise):
 
@@ -191,6 +195,12 @@ class ShmSegment:
         _track(name)
         return cls(name, shape, dtype, shm)
 
+    @property
+    def size(self) -> int:
+        """The segment's size in bytes (an arena segment's whole
+        capacity class, not just the array it holds)."""
+        return self._shm.size
+
     # ------------------------------------------------------------------
     def ndarray(self) -> np.ndarray:
         """The full-size array view onto the shared pages (cached: every
@@ -348,7 +358,9 @@ class ShmRef:
     ``capacity`` is the slab's payload capacity, which only ever grows
     for a given name — so ``(name, capacity)`` identifies the segment
     *generation* and keeps receiver-side attach caches from resolving a
-    stale mapping after a regrow.
+    stale mapping after a regrow.  The checkpoint funnel's borrows name
+    their segment's whole size, so every region of one segment shares
+    one cached mapping.
     """
 
     name: str
@@ -553,9 +565,23 @@ class ShmLease:
         """Copy ``arr`` into the slab (the one send-side copy) and
         return the descriptor to put on the channel."""
         _raw(self._slab.view(arr.shape, arr.dtype))[...] = _raw(arr)
+        return self._ref(arr.shape, arr.dtype)
+
+    def fill_pieces(self, pieces: list, nbytes: int) -> ShmRef:
+        """Copy byte buffers totalling ``nbytes`` back to back into the
+        slab (one copy per byte, no joined intermediate); the descriptor
+        names them as one ``uint8`` array."""
+        out = self._slab.view((nbytes,), np.uint8)
+        at = 0
+        for piece in pieces:
+            n = len(piece)
+            out[at:at + n] = np.frombuffer(piece, dtype=np.uint8)
+            at += n
+        return self._ref((nbytes,), np.dtype(np.uint8))
+
+    def _ref(self, shape: tuple, dtype: np.dtype) -> ShmRef:
         return ShmRef(name=self._slab.name, capacity=self._slab.capacity,
-                      offset=_SLAB_HEADER, shape=tuple(arr.shape),
-                      dtype=arr.dtype)
+                      offset=_SLAB_HEADER, shape=tuple(shape), dtype=dtype)
 
     def cancel(self) -> None:
         """Release an unused lease (send aborted before the put)."""
@@ -617,6 +643,34 @@ class PoolClient:
         self._cache.clear()
 
 
+def borrow_ref(lent: dict, arr: np.ndarray) -> ShmRef | None:
+    """A ``"borrow"`` descriptor of ``arr``, or None.
+
+    ``lent`` maps ``id(base view)`` to ``(segment name, capacity, base
+    view)`` for views over shared segments; ``arr`` qualifies when it is
+    one of them, or a C-contiguous region of one.
+    """
+    base = arr.base if arr.base is not None else arr
+    entry = lent.get(id(base)) or lent.get(id(arr))
+    if entry is None or not arr.flags.c_contiguous:
+        return None
+    name, capacity, base_view = entry
+    off = (arr.__array_interface__["data"][0]
+           - base_view.__array_interface__["data"][0])
+    if off < 0 or off + arr.nbytes > base_view.nbytes:
+        return None
+    return ShmRef(name=name, capacity=capacity, offset=int(off),
+                  shape=tuple(arr.shape), dtype=arr.dtype, kind="borrow")
+
+
+def count_tier(bytes_slot: int, msgs_slot: int, nbytes: int) -> None:
+    """Count one send of ``nbytes`` under its data-plane tier."""
+    tele = telemetry_writer()
+    if tele.active:
+        tele.inc(bytes_slot, float(nbytes))
+        tele.inc(msgs_slot)
+
+
 class DataPlane:
     """Payload packing policy over one rank's pool + attach client.
 
@@ -663,20 +717,6 @@ class DataPlane:
         total = int(arr.nbytes) if nbytes is None else nbytes
         self._borrow[id(arr)] = (name, total, arr)
 
-    def _borrow_ref(self, arr: np.ndarray) -> ShmRef | None:
-        base = arr.base if arr.base is not None else arr
-        entry = self._borrow.get(id(base)) or self._borrow.get(id(arr))
-        if entry is None or not arr.flags.c_contiguous:
-            return None
-        name, capacity, base_view = entry
-        off = (arr.__array_interface__["data"][0]
-               - base_view.__array_interface__["data"][0])
-        if off < 0 or off + arr.nbytes > base_view.nbytes:
-            return None
-        return ShmRef(name=name, capacity=capacity, offset=int(off),
-                      shape=tuple(arr.shape), dtype=arr.dtype,
-                      kind="borrow")
-
     # ------------------------------------------------------------------
     def pack_lease(self, nbytes: int) -> "ShmLease | None":
         """Lease one slab for the payload currently being packed.
@@ -717,39 +757,45 @@ class DataPlane:
             lease = self.pack_lease(value.nbytes)
             if lease is not None:
                 self.slab_msgs += 1
-                self._count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB,
-                                 value.nbytes)
+                count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB,
+                           value.nbytes)
                 return lease.fill(value)
         return value
 
-    @staticmethod
-    def _count_tier(bytes_slot: int, msgs_slot: int, nbytes: int) -> None:
-        tele = telemetry_writer()
-        if tele.active:
-            tele.inc(bytes_slot, float(nbytes))
-            tele.inc(msgs_slot)
+    def pack_pieces(self, pieces: list, nbytes: int) -> ShmRef | None:
+        """Slab-pack byte buffers totalling ``nbytes`` as one ``uint8``
+        payload, copied straight from the pieces; None when the payload
+        is under the threshold or the ring is exhausted (the caller
+        ships it inline).  Shares :meth:`pack_exact`'s lease budget."""
+        if nbytes < self.threshold:
+            return None
+        lease = self.pack_lease(nbytes)
+        if lease is None:
+            return None
+        self.slab_msgs += 1
+        count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB, nbytes)
+        return lease.fill_pieces(pieces, nbytes)
 
     def _pack_array(self, arr: np.ndarray, owned: bool):
         if arr.dtype.hasobject or arr.nbytes < self.threshold:
             self.inline_msgs += 1
-            self._count_tier(_ts.SEND_BYTES_INLINE, _ts.SEND_MSGS_INLINE,
-                             arr.nbytes)
+            count_tier(_ts.SEND_BYTES_INLINE, _ts.SEND_MSGS_INLINE,
+                       arr.nbytes)
             return arr if owned else arr.copy()
-        ref = self._borrow_ref(arr)
+        ref = borrow_ref(self._borrow, arr)
         if ref is not None:
             self.borrow_msgs += 1
-            self._count_tier(_ts.SEND_BYTES_BORROW, _ts.SEND_MSGS_BORROW,
-                             arr.nbytes)
+            count_tier(_ts.SEND_BYTES_BORROW, _ts.SEND_MSGS_BORROW,
+                       arr.nbytes)
             return ref
         lease = self.pack_lease(arr.nbytes)
         if lease is None:  # ring exhausted: degrade, don't block forever
             self.inline_msgs += 1
-            self._count_tier(_ts.SEND_BYTES_INLINE, _ts.SEND_MSGS_INLINE,
-                             arr.nbytes)
+            count_tier(_ts.SEND_BYTES_INLINE, _ts.SEND_MSGS_INLINE,
+                       arr.nbytes)
             return arr if owned else arr.copy()
         self.slab_msgs += 1
-        self._count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB,
-                         arr.nbytes)
+        count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB, arr.nbytes)
         return lease.fill(arr)
 
     def _pack(self, obj, owned: bool):

@@ -374,6 +374,9 @@ def run_rank_segment(rank: int, env: WorkerEnv, wiring: RankWiring,
                 ReshapePlan(join_payload["old_n"], config.nranks),
                 join_payload["step"])
         reshaper.segment_meta = meta
+        if manager is not None:
+            # saves ship shared fields as borrowed regions of these.
+            store.lend([manager.get(f) for f in sorted(ctx.shared_fields)])
         ctx.bind(instance)
         result = getattr(instance, spec.entry)(*spec.entry_args)
         if rank == 0:
@@ -393,6 +396,7 @@ def run_rank_segment(rank: int, env: WorkerEnv, wiring: RankWiring,
             ctx.slab_whole = {}
             ctx.unbind()
         if manager is not None:
+            store.lend([])
             # release the views so the mappings can close; the instance
             # is dead after this line on every path.
             for f in manager.fields():
