@@ -8,8 +8,9 @@ over paths.  Two design points matter for the reproduction:
   (:func:`repro.util.rng.spawn_rngs` semantics), so the result is
   independent of how paths are distributed over threads/ranks — the mode
   equivalence tests rely on it;
-* the per-path results vector partitions block-wise, and the final
-  average is a ``ReduceResult`` over partial sums.
+* the per-path results vector partitions block-wise and is made whole
+  on every member after the work-shared loop (``AllGatherAfter``), so
+  the final average is computed from the whole vector.
 
 Domain code only — plugs in :mod:`repro.apps.plugs.montecarlo_plugs`.
 """
@@ -61,10 +62,6 @@ class MonteCarloPricer:
 
     def batch_done(self) -> None:
         self.paths_done += self.npaths
-
-    def partial_sum(self, lo: int, hi: int) -> float:
-        """Partial reduction over a path range (used by the dist plug)."""
-        return float(self.returns[lo:hi].sum())
 
     # ------------------------------------------------------------------
     def average_return(self) -> float:

@@ -42,22 +42,15 @@ from repro.core.templates import (
     GatherAfter,
     HaloExchangeBefore,
     IgnorableMethod,
-    LocalField,
-    MasterMethod,
-    OnMaster,
     ParallelMethod,
     Partitioned,
-    ReduceResult,
     Replicate,
     Replicated,
     SafeData,
     SafePointAfter,
-    SafePointBefore,
     ScatterBefore,
     SingleMethod,
-    SynchronizedMethod,
     Template,
-    ThreadLocal,
 )
 
 __all__ = [
@@ -75,15 +68,11 @@ __all__ = [
     "GatherAfter",
     "HaloExchangeBefore",
     "IgnorableMethod",
-    "LocalField",
-    "MasterMethod",
     "Mode",
-    "OnMaster",
     "ParallelMethod",
     "Partitioned",
     "PhaseReport",
     "PlugSet",
-    "ReduceResult",
     "Replicate",
     "Replicated",
     "RunResult",
@@ -92,12 +81,9 @@ __all__ = [
     "STRATEGY_MASTER",
     "SafeData",
     "SafePointAfter",
-    "SafePointBefore",
     "ScatterBefore",
     "SingleMethod",
-    "SynchronizedMethod",
     "Template",
-    "ThreadLocal",
     "WeaveError",
     "is_woven",
     "make_context",

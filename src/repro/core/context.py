@@ -237,19 +237,6 @@ class ExecutionContext:
             if not self.replay_active():
                 self.rankctx.comm.barrier()
 
-    def lock(self, name: str):
-        if self.team is not None:
-            return self.team.locks().lock(name)
-        import threading
-
-        return threading.RLock()
-
-    def is_master_thread(self) -> bool:
-        return self.team.is_master() if self.team is not None else True
-
-    def is_master_rank(self) -> bool:
-        return self.rank == 0
-
     # ------------------------------------------------------------------
     # work sharing (ForMethod)
     # ------------------------------------------------------------------
@@ -433,18 +420,6 @@ class ExecutionContext:
 
     def halo_field(self, field: str) -> None:
         self._move("halo", field)
-
-    def reduce_result(self, value: Any,
-                      combine: Callable[[Any, Any], Any] | None) -> Any:
-        if not (self.distributed):
-            return value
-        if self.replay_active():
-            return value
-        if self.team is not None and self.team.in_region():
-            raise WeaveError(
-                "ReduceResult inside a hybrid parallel region is not "
-                "supported; call the reduced method at rank level")
-        return self.rankctx.comm.allreduce(value, op=combine)
 
     # ------------------------------------------------------------------
     # the safe-point protocol
@@ -653,11 +628,11 @@ class ExecutionContext:
         Synchronous stores pay the full disk write inline.  With an async
         writer the critical path pays only the in-memory buffer copy; the
         disk time overlaps the compute that follows.  The model mirrors
-        the writer's real backpressure — ``depth`` images may be queued
-        behind the one in flight, writes are serialised, and a submission
-        into a full queue stalls until the earliest pending write lands —
-        so ``ckpt_async_depth`` changes modelled cost exactly as it
-        changes the real writer's blocking.
+        the writer's real backpressure — up to ``writer.depth`` images may
+        be queued behind the one in flight, writes are serialised, and a
+        submission into a full queue stalls until the earliest pending
+        write lands — so the writer's depth changes modelled cost exactly
+        as it changes the real writer's blocking.
 
         ``store`` selects the store whose write is being charged (a
         per-rank shard store under STRATEGY_LOCAL); default is the master
@@ -756,12 +731,7 @@ class ExecutionContext:
         if self.distributed:
             comm = self.rankctx.comm
             if self.rank == 0 and snap is not None:
-                if snap.meta.get("from_disk"):
-                    self.clock().charge_io(self.machine.disk.read_cost(
-                        snap.meta.get("disk_nbytes", snap.nbytes)))
-                if snap.meta.get("cas_fetches"):
-                    telemetry_writer().inc(
-                        _ts.CKPT_FETCHES, float(snap.meta["cas_fetches"]))
+                self._charge_read(snap)
                 self._restore_into_root(snap)
             for f in self.safedata:
                 if self._shared(f):
@@ -780,18 +750,23 @@ class ExecutionContext:
         else:
             if snap is None:
                 return  # pure call-stack replay: data is already in place
-            if snap.meta.get("from_disk"):
-                self.clock().charge_io(self.machine.disk.read_cost(
-                    snap.meta.get("disk_nbytes", snap.nbytes)))
-            if snap.meta.get("cas_fetches"):
-                telemetry_writer().inc(
-                    _ts.CKPT_FETCHES, float(snap.meta["cas_fetches"]))
+            self._charge_read(snap)
             snap.restore_into(self.instance)
         if tr.active:
             tr.span(_tc.RESTORE, tw0, a=self.clock().now, b=float(count))
         self.log.emit("restore", vtime=self.clock().now, rank=self.rank,
                       count=count, nbytes=snap.nbytes if snap else 0,
                       load_seconds=self.clock().now - t0)
+
+    def _charge_read(self, snap: Snapshot) -> None:
+        """Book the read of the snapshot being restored: disk time when
+        it came from a file, and the CAS chunk fetches it took."""
+        if snap.meta.get("from_disk"):
+            self.clock().charge_io(self.machine.disk.read_cost(
+                snap.meta.get("disk_nbytes", snap.nbytes)))
+        if snap.meta.get("cas_fetches"):
+            telemetry_writer().inc(
+                _ts.CKPT_FETCHES, float(snap.meta["cas_fetches"]))
 
     def _restore_into_root(self, snap: Snapshot) -> None:
         """Member 0's restore, keeping shared views bound.
@@ -863,7 +838,6 @@ class ExecutionContext:
                 # the relaunch reads this file straight back: it must be
                 # durable (and its vtime fully paid) before we unwind.
                 self.ckpt_flush_barrier()
-            snap.meta["from_disk"] = True
         tr = trace_writer()
         if tr.active:
             tr.instant(_tc.ADAPT_EXIT, a=self.clock().now, b=float(count))

@@ -15,7 +15,7 @@ Properties the paper requires and tests verify:
 * wrappers dispatch on the context's *current* mode at call time, which
   is what allows the same woven object to be reshaped while running.
 
-Eight templates are plain advice, and one factory, ``_wrap_advice``,
+Seven templates are plain advice, and one factory, ``_wrap_advice``,
 weaves them all from one table (``_ADVICE``):
 
 =====================  ======  ===================================
@@ -27,17 +27,15 @@ template               runs    ``ExecutionContext`` hook
 ``GatherAfter``        after   ``gather_field(field)``
 ``AllGatherAfter``     after   ``allgather_field(field)``
 ``HaloExchangeBefore`` before  ``halo_field(field)``
-``SafePointBefore``    before  ``on_safepoint()``
 ``SafePointAfter``     after   ``on_safepoint()``
 =====================  ======  ===================================
 
-The other eight (parallel region, for, synchronized, master, single,
-reduce, on-master, ignorable) change the method's control flow and keep
-a factory each.
+The other four (parallel region, for, single, ignorable) change the
+method's control flow and keep a factory each.
 
 Wrapper nesting order follows ``Template.order`` (ascending = innermost):
-synchronized < master/single < halo < for < reduce < barrier < scatter/
-gather < safe point < parallel region < ignorable.
+single < halo < for < barrier < scatter/gather < safe point < parallel
+region < ignorable.
 """
 
 from __future__ import annotations
@@ -57,30 +55,17 @@ from repro.core.templates import (
     GatherAfter,
     HaloExchangeBefore,
     IgnorableMethod,
-    MasterMethod,
-    OnMaster,
     ParallelMethod,
-    ReduceResult,
     SafePointAfter,
-    SafePointBefore,
     ScatterBefore,
     SingleMethod,
-    SynchronizedMethod,
     Template,
-    ThreadLocal,
 )
-from repro.smp.team import current_worker
-from repro.smp.tls import ThreadLocalField
 from repro.vtime.machine import kernel_cost
 
 
 def _ctx_of(instance: Any) -> ExecutionContext | None:
     return getattr(instance, "__pp_ctx__", None)
-
-
-def _tid_getter():
-    w = current_worker()
-    return w.tid if w is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +110,6 @@ def _wrap_for(tmpl: ForMethod, inner: Callable) -> Callable:
     return wrapper
 
 
-def _wrap_synchronized(tmpl: SynchronizedMethod, inner: Callable) -> Callable:
-    lock_name = tmpl.lock or tmpl.method
-
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        ctx = _ctx_of(self)
-        if ctx is None:
-            return inner(self, *args, **kwargs)
-        with ctx.lock(lock_name):
-            return inner(self, *args, **kwargs)
-
-    return wrapper
-
-
-def _wrap_master(tmpl: MasterMethod, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        ctx = _ctx_of(self)
-        if ctx is None or ctx.is_master_thread():
-            return inner(self, *args, **kwargs)
-        return None
-
-    return wrapper
-
-
 def _wrap_single(tmpl: SingleMethod, inner: Callable) -> Callable:
     @functools.wraps(inner)
     def wrapper(self, *args, **kwargs):
@@ -159,35 +119,6 @@ def _wrap_single(tmpl: SingleMethod, inner: Callable) -> Callable:
         if ctx.team.single_claim(tmpl.method):
             return inner(self, *args, **kwargs)
         return None
-
-    return wrapper
-
-
-def _wrap_reduce(tmpl: ReduceResult, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        result = inner(self, *args, **kwargs)
-        ctx = _ctx_of(self)
-        if ctx is None:
-            return result
-        return ctx.reduce_result(result, tmpl.combine)
-
-    return wrapper
-
-
-def _wrap_on_master(tmpl: OnMaster, inner: Callable) -> Callable:
-    @functools.wraps(inner)
-    def wrapper(self, *args, **kwargs):
-        ctx = _ctx_of(self)
-        if ctx is None:
-            return inner(self, *args, **kwargs)
-        result = None
-        if ctx.is_master_rank() and ctx.is_master_thread():
-            result = inner(self, *args, **kwargs)
-        if tmpl.broadcast and ctx.rankctx is not None \
-                and not ctx.replay_active() and not ctx.in_region():
-            result = ctx.rankctx.comm.bcast(result, root=0)
-        return result
 
     return wrapper
 
@@ -213,7 +144,6 @@ _ADVICE: dict[type, tuple[str, str]] = {
     GatherAfter: ("after", "gather_field"),
     AllGatherAfter: ("after", "allgather_field"),
     HaloExchangeBefore: ("before", "halo_field"),
-    SafePointBefore: ("before", "on_safepoint"),
     SafePointAfter: ("after", "on_safepoint"),
 }
 
@@ -253,11 +183,7 @@ def _wrap_advice(tmpl: Template, inner: Callable) -> Callable:
 _FACTORIES: dict[type, Callable[[Any, Callable], Callable]] = {
     ParallelMethod: _wrap_parallel,
     ForMethod: _wrap_for,
-    SynchronizedMethod: _wrap_synchronized,
-    MasterMethod: _wrap_master,
     SingleMethod: _wrap_single,
-    ReduceResult: _wrap_reduce,
-    OnMaster: _wrap_on_master,
     IgnorableMethod: _wrap_ignorable,
     **dict.fromkeys(_ADVICE, _wrap_advice),
 }
@@ -293,8 +219,6 @@ def plug(cls: type, plugset: PlugSet) -> type:
                 raise WeaveError(f"no wrapper for template {tmpl!r}")
             wrapped = factory(tmpl, wrapped)
         namespace[method] = wrapped
-    for tls in plugset.of_type(ThreadLocal):
-        namespace[tls.field] = ThreadLocalField(tls.field, _tid_getter)
     woven = type(f"{cls.__name__}_PP", (cls,), namespace)
     woven.__pp_base__ = cls
     woven.__pp_plugs__ = plugset

@@ -113,7 +113,6 @@ class Runtime:
                  ckpt_delta: bool = False,
                  ckpt_compress_min_bytes: int | None = None,
                  ckpt_async: bool = False,
-                 ckpt_async_depth: int = 2,
                  ckpt_cas: bool = False,
                  registry=None,
                  store: CheckpointStore | None = None,
@@ -142,8 +141,7 @@ class Runtime:
             self.store = CheckpointStore(
                 ckpt_dir, compress_min_bytes=ckpt_compress_min_bytes)
         if ckpt_async and store is None:
-            self.store.attach_writer(AsyncCheckpointWriter(
-                depth=ckpt_async_depth))
+            self.store.attach_writer(AsyncCheckpointWriter())
         self.ledger = ledger if ledger is not None else RunLedger(ckpt_dir)
         self.policy = policy if policy is not None else Never()
         self.ckpt_strategy = ckpt_strategy

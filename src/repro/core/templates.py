@@ -3,35 +3,35 @@
 A *template* names a join point in the domain-specific class (a method
 execution or a field) and a parallelisation / checkpointing behaviour to
 weave there.  Templates are pure declarations: the weaver
-(:mod:`repro.core.rewriter`) turns them into method wrappers and field
-descriptors on a generated subclass, leaving the base class untouched.
+(:mod:`repro.core.rewriter`) turns them into method wrappers on a
+generated subclass, leaving the base class untouched.  A template exists
+only while some plug set outside the tests declares it.
 
 Shared-memory templates (Section III.B) mirror OpenMP:
-``ParallelMethod``, ``ForMethod`` (work sharing), ``SynchronizedMethod``,
-``MasterMethod``, ``SingleMethod``, ``BarrierBefore/After``,
-``ThreadLocal``.
+``ParallelMethod``, ``ForMethod`` (work sharing), ``SingleMethod``,
+``BarrierBefore/After``.
 
 Distributed-memory templates (Section III.C) mirror the aggregate model:
-``Replicate``, ``Partitioned``, ``ScatterBefore``, ``GatherAfter``,
-``HaloExchangeBefore``, ``ReduceResult``, ``OnMaster``.
+``Replicate``, ``Partitioned``, ``Replicated``, ``ScatterBefore``,
+``GatherAfter``, ``AllGatherAfter``, ``HaloExchangeBefore``.
 
-Checkpoint templates (Section IV.A): ``SafeData``, ``SafePointAfter`` /
-``SafePointBefore``, ``IgnorableMethod``.
+Checkpoint templates (Section IV.A): ``SafeData``, ``SafePointAfter``,
+``IgnorableMethod``.
 
 A method template's join point is its ``method`` field
-(:meth:`Template.join_points`).  Eight of them are plain *advice* — one
+(:meth:`Template.join_points`).  Seven of them are plain *advice* — one
 :class:`~repro.core.context.ExecutionContext` hook run before or after
 the method: ``BarrierBefore/After`` (``barrier``), ``ScatterBefore``,
 ``GatherAfter``, ``AllGatherAfter``, ``HaloExchangeBefore`` (the field
-movements) and ``SafePointBefore/After`` (``on_safepoint``).  The
-weaver's advice table holds that mapping.  When several templates share
-a method, ``order`` fixes their nesting: ascending = innermost.
+movements) and ``SafePointAfter`` (``on_safepoint``).  The weaver's
+advice table holds that mapping.  When several templates share a
+method, ``order`` fixes their nesting: ascending = innermost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.dsm.partition import Layout
 from repro.smp.sched import Schedule
@@ -87,23 +87,6 @@ class ForMethod(Template):
 
 
 @dataclass(frozen=True)
-class SynchronizedMethod(Template):
-    """Execute ``method`` in mutual exclusion within the team."""
-
-    method: str
-    lock: str | None = None  # lock name; defaults to the method name
-    order = 20
-
-
-@dataclass(frozen=True)
-class MasterMethod(Template):
-    """Only the team's master thread executes ``method``."""
-
-    method: str
-    order = 30
-
-
-@dataclass(frozen=True)
 class SingleMethod(Template):
     """Exactly one team thread executes each occurrence of ``method``."""
 
@@ -127,13 +110,6 @@ class BarrierAfter(Template):
     order = 60
 
 
-@dataclass(frozen=True)
-class ThreadLocal(Template):
-    """Give each team thread a private copy of object field ``field``."""
-
-    field: str
-
-
 # ---------------------------------------------------------------------------
 # distributed-memory templates
 # ---------------------------------------------------------------------------
@@ -152,7 +128,7 @@ class Partitioned(Template):
 
     Also consulted by run-time adaptation (Section IV.B): partitioned
     fields are scattered/gathered when the aggregate is created/merged,
-    replicated fields are copied, local fields left alone.
+    other fields are copied.
 
     ``whole_at_safepoints`` declares that by the time any safe point is
     reached the field has been re-assembled on every member (e.g. an
@@ -168,13 +144,6 @@ class Partitioned(Template):
 @dataclass(frozen=True)
 class Replicated(Template):
     """Field ``field`` holds the same value on every aggregate member."""
-
-    field: str
-
-
-@dataclass(frozen=True)
-class LocalField(Template):
-    """Field ``field`` is private to each member (adaptation ignores it)."""
 
     field: str
 
@@ -227,28 +196,6 @@ class HaloExchangeBefore(Template):
     order = 35
 
 
-@dataclass(frozen=True)
-class ReduceResult(Template):
-    """Combine per-member return values of ``method`` into one value."""
-
-    method: str
-    combine: Callable[[Any, Any], Any] | None = None  # None = operator +
-    order = 45
-
-
-@dataclass(frozen=True)
-class OnMaster(Template):
-    """Delegate ``method`` to member 0 (and team master in hybrid).
-
-    Other members skip it and receive the result only when ``broadcast``
-    is set.  Typical use: progress reporting, result output.
-    """
-
-    method: str
-    broadcast: bool = False
-    order = 30
-
-
 # ---------------------------------------------------------------------------
 # checkpoint templates
 # ---------------------------------------------------------------------------
@@ -267,14 +214,6 @@ class SafeData(Template):
 @dataclass(frozen=True)
 class SafePointAfter(Template):
     """A safe point occurs after each execution of ``method``."""
-
-    method: str
-    order = 80
-
-
-@dataclass(frozen=True)
-class SafePointBefore(Template):
-    """A safe point occurs before each execution of ``method``."""
 
     method: str
     order = 80

@@ -122,6 +122,14 @@ def _untrack(name: str) -> None:
         _live.discard(name)
 
 
+def _close(shm: shared_memory.SharedMemory) -> None:
+    """Drop a mapping; a still-exported view pins it until it dies."""
+    try:
+        shm.close()
+    except BufferError:
+        pass
+
+
 def new_launch_id(ns: str = "") -> str:
     """A name component unique to one phase launch of this process.
 
@@ -219,10 +227,7 @@ class ShmSegment:
         way (POSIX allows unlink while mapped).
         """
         self._view = None
-        try:
-            self._shm.close()
-        except BufferError:
-            pass  # a live view still pins the buffer; process exit unmaps
+        _close(self._shm)
         _untrack(self.name)
 
     def unlink(self) -> None:
@@ -356,11 +361,10 @@ class ShmRef:
     synchronisation bounds the borrow).
 
     ``capacity`` is the slab's payload capacity, which only ever grows
-    for a given name — so ``(name, capacity)`` identifies the segment
-    *generation* and keeps receiver-side attach caches from resolving a
-    stale mapping after a regrow.  The checkpoint funnel's borrows name
-    their segment's whole size, so every region of one segment shares
-    one cached mapping.
+    for a given name — so a receiver whose cached mapping of that name
+    has another capacity drops it and attaches the new *generation*.
+    The checkpoint funnel's borrows name their segment's whole size, so
+    every region of one segment shares one cached mapping.
     """
 
     name: str
@@ -407,10 +411,7 @@ class _Slab:
 
     def close(self) -> None:
         self._flag = None
-        try:
-            self.shm.close()
-        except BufferError:
-            pass
+        _close(self.shm)
         _untrack(self.name)
 
     def unlink(self) -> None:
@@ -434,12 +435,11 @@ class BufferPool:
 
     Slabs are created lazily and grow geometrically: a free slot whose
     capacity is too small is unlinked and re-created (same name,
-    strictly larger capacity — receivers key attach caches by
-    ``(name, capacity)`` so a regrown generation can never be confused
-    with a stale mapping).  The pool survives elastic park / un-park
-    cycles — it belongs to the process, not the membership — and the
-    parent unlinks the whole deterministic name grid in its launch
-    ``finally`` (:func:`unlink_pool`), so a crashed rank leaks nothing.
+    strictly larger capacity, which tells a receiver its cached mapping
+    is stale).  The pool survives elastic park / un-park cycles — it
+    belongs to the process, not the membership — and the parent unlinks
+    the whole deterministic name grid in its launch ``finally``
+    (:func:`unlink_pool`), so a crashed rank leaks nothing.
     """
 
     def __init__(self, launch_id: str, rank: int,
@@ -591,23 +591,25 @@ class ShmLease:
 class PoolClient:
     """Receiver-side attach cache over peers' slabs and borrowed segments.
 
-    Maps ``(name, capacity)`` — the segment generation — to a live
-    mapping, so repeated traffic through the same ring re-uses the mmap
-    instead of paying an attach per message.
+    Maps a segment name to ``(capacity, mapping)`` of its latest
+    generation: traffic through one ring re-uses the mmap, and a regrown
+    slab replaces its unlinked predecessor's mapping.
     """
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[str, int], shared_memory.SharedMemory] = {}
+        self._cache: dict[str, tuple[int, shared_memory.SharedMemory]] = {}
 
     # ------------------------------------------------------------------
     def _mapping(self, ref: ShmRef) -> shared_memory.SharedMemory:
-        key = (ref.name, ref.capacity)
-        shm = self._cache.get(key)
-        if shm is None:
-            with _no_resource_tracking():
-                shm = shared_memory.SharedMemory(name=ref.name)
-            self._cache[key] = shm
-            _track(ref.name)
+        capacity, shm = self._cache.get(ref.name, (None, None))
+        if capacity == ref.capacity:
+            return shm
+        if shm is not None:
+            _close(shm)  # the owner regrew (and unlinked) this slab
+        with _no_resource_tracking():
+            shm = shared_memory.SharedMemory(name=ref.name)
+        self._cache[ref.name] = (ref.capacity, shm)
+        _track(ref.name)
         return shm
 
     def view(self, ref: ShmRef) -> np.ndarray:
@@ -634,11 +636,8 @@ class PoolClient:
         return arr
 
     def close_all(self) -> None:
-        for (name, _), shm in self._cache.items():
-            try:
-                shm.close()
-            except BufferError:
-                pass
+        for name, (_, shm) in self._cache.items():
+            _close(shm)
             _untrack(name)
         self._cache.clear()
 

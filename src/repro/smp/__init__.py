@@ -2,8 +2,8 @@
 
 Provides the execution model of Section III.B of the paper: a master thread
 spawns a team to execute a *parallel method* (region); inside the region,
-work-sharing constructs split loops among team members, ``synchronized`` /
-``single`` / ``master`` methods arbitrate access, and barriers synchronise.
+work-sharing constructs split loops among team members, ``single``
+methods run on one member, and barriers synchronise.
 
 The team is *malleable* (Section IV.B): at adaptation points it can grow —
 new threads replay the region body to rebuild their call stack and then go
@@ -15,17 +15,14 @@ of the parallel region".
 
 from repro.smp.barrier import AdaptiveBarrier
 from repro.smp.sched import Schedule, iter_chunks, static_slice
-from repro.smp.sync import SingleArbiter, TeamLocks
+from repro.smp.sync import SingleArbiter
 from repro.smp.team import RegionState, ThreadTeam, Worker, current_worker
-from repro.smp.tls import ThreadLocalField
 
 __all__ = [
     "AdaptiveBarrier",
     "RegionState",
     "Schedule",
     "SingleArbiter",
-    "TeamLocks",
-    "ThreadLocalField",
     "ThreadTeam",
     "Worker",
     "current_worker",

@@ -1,7 +1,4 @@
-"""Data-sharing arbitration: synchronized / single / master support.
-
-``TeamLocks`` backs the ``SynchronizedMethod`` template: one reentrant lock
-per declared method (or lock name), shared by the whole team.
+"""Data-sharing arbitration: ``single`` support.
 
 ``SingleArbiter`` backs the ``SingleMethod`` template: for each dynamic
 occurrence of a single-region, exactly one live thread executes it.  An
@@ -15,21 +12,6 @@ encountered by all threads in the same order).
 from __future__ import annotations
 
 import threading
-
-
-class TeamLocks:
-    """Named reentrant locks shared across a team."""
-
-    def __init__(self) -> None:
-        self._guard = threading.Lock()
-        self._locks: dict[str, threading.RLock] = {}
-
-    def lock(self, name: str) -> threading.RLock:
-        with self._guard:
-            lk = self._locks.get(name)
-            if lk is None:
-                lk = self._locks[name] = threading.RLock()
-            return lk
 
 
 class SingleArbiter:

@@ -17,7 +17,7 @@ Execution model (paper Section III.B + IV.B):
 Malleability:
 
 * **growth** — new members are spawned in *replay* mode: they re-execute
-  the region body skipping work shares, barriers and single/master blocks,
+  the region body skipping work shares, barriers and single blocks,
   counting region safe points, and go live when they reach the count at
   which the team is parked (the paper's replay of the parallel region to
   rebuild each new thread's call stack).  The team waits for them, so the
@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable
 
 from repro.smp.barrier import AdaptiveBarrier, BrokenTeamBarrier
 from repro.smp.sched import Schedule, SharedLoop, iter_chunks, static_slice
-from repro.smp.sync import SingleArbiter, TeamLocks
+from repro.smp.sync import SingleArbiter
 from repro.util.events import EventLog
 from repro.vtime.clock import VClock
 from repro.vtime.machine import MachineModel
@@ -124,7 +124,6 @@ class ThreadTeam:
         self._req_lock = threading.Lock()
         self._pending_flag = False  # fast-path check, CPython-atomic read
         self._errors: list[BaseException] = []
-        self._locks = TeamLocks()
         self._next_tid = 0
         self._epoch = 0.0
         self._region_return: Any = None
@@ -154,9 +153,6 @@ class ThreadTeam:
     def live_rank(self, w: Worker) -> int:
         """Position of ``w`` among live members (work-sharing index)."""
         return self.live_workers().index(w)
-
-    def locks(self) -> TeamLocks:
-        return self._locks
 
     # ------------------------------------------------------------------
     # lifecycle

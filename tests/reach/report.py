@@ -16,9 +16,11 @@ label starts with ``tests``.  The last line is the totals.
 ``path qualname`` a line (path relative to ``--src``, no line number,
 so unrelated edits do not churn it); ``#`` starts a comment, which is
 where a newly listed function's reason goes.  The check prints every
-function flagged now but not listed, in that format, and exits 1 if
-there is one.  Listed functions that are no longer flagged are only
-reported: a function may leave the list at any time.
+function flagged now but not listed, in that format, and every listed
+function that no longer exists under ``--src`` (deleted or renamed),
+and exits 1 if there is either.  Listed functions that still exist but
+are no longer flagged are only reported: a reached function may leave
+the list at any time.
 """
 
 from __future__ import annotations
@@ -76,10 +78,12 @@ def read_listed(path: Path) -> set[str]:
     return keys
 
 
-def check(flagged: set[str], listed_file: Path) -> int:
-    """Fail on functions flagged now but not listed in ``listed_file``."""
+def check(flagged: set[str], defined: set[str], listed_file: Path) -> int:
+    """Fail on functions flagged now but not listed in ``listed_file``,
+    and on listed functions that are not ``defined`` any more."""
     listed = read_listed(listed_file)
-    new, gone = sorted(flagged - listed), sorted(listed - flagged)
+    new, stale = sorted(flagged - listed), sorted(listed - defined)
+    gone = sorted((listed & defined) - flagged)
     if gone:
         print(f"# listed but no longer flagged ({len(gone)}); they may "
               f"leave {listed_file}:")
@@ -89,6 +93,11 @@ def check(flagged: set[str], listed_file: Path) -> int:
               f"real entry point, delete it, or list it in {listed_file} "
               f"with a reason:")
         print("\n".join(new))
+    if stale:
+        print(f"# listed but defined nowhere under the source tree "
+              f"({len(stale)}): remove them from {listed_file}:")
+        print("\n".join(stale))
+    if new or stale:
         return 1
     print(f"# ratchet holds: {len(flagged)} flagged, all listed")
     return 0
@@ -111,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
             entries = reach.get(key, set())
             if all(e.startswith(TESTS_PREFIX) for e in entries):
                 flagged.add(f"{key[0]} {key[1]}")
-        return check(flagged, args.check)
+        return check(flagged, {f"{path} {qual}" for path, qual, _ in defs},
+                     args.check)
     nothing, tests_only = [], []
     for key in defs:
         entries = reach.get(key, set())

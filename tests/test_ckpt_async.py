@@ -167,7 +167,7 @@ class TestAsyncVtimeModel:
         assert ctx.clock().now == pytest.approx(copy + write)
 
     def test_deeper_queue_defers_stalls(self, tmp_path):
-        """ckpt_async_depth is part of the cost model: a deeper queue
+        """The writer's depth is part of the cost model: a deeper queue
         absorbs the same burst with less critical-path time."""
         nb = 1_000_000
 

@@ -206,6 +206,33 @@ class TestBufferPool:
             pool.unlink_all()
         assert_no_segments()
 
+    def test_regrown_slab_replaces_the_clients_old_mapping(self):
+        # the owner unlinks a slot's old generation when it regrows it;
+        # a client that kept its mapping would pin those pages for its
+        # whole life (the fleet funnel's client lives as long as the
+        # fleet).
+        pool = shm.BufferPool(shm.new_launch_id(), 0, slots=1)
+        client = shm.PoolClient()
+        try:
+            small = np.arange(64 * 1024 // 8, dtype=np.float64)
+            big = np.arange(256 * 1024 // 8, dtype=np.float64)
+            ref1 = pool.lease(small.nbytes).fill(small)
+            assert np.array_equal(client.fetch(ref1), small)
+            ref2 = pool.lease(big.nbytes).fill(big)
+            assert (ref2.name, ref1.capacity, ref2.capacity) == (
+                ref1.name, 64 * 1024, 256 * 1024)
+            assert np.array_equal(client.fetch(ref2), big)
+            assert len(client._cache) == 1
+            if os.path.exists("/proc/self/maps"):
+                with open("/proc/self/maps") as fh:
+                    stale = [line for line in fh
+                             if ref1.name in line and "(deleted)" in line]
+                assert stale == []
+        finally:
+            client.close_all()
+            pool.unlink_all()
+        assert_no_segments()
+
     def test_exhausted_ring_degrades_instead_of_blocking(self):
         pool = shm.BufferPool(shm.new_launch_id(), 0, slots=2,
                               lease_timeout=0.1)

@@ -12,17 +12,13 @@ from repro.core import (
     GatherAfter,
     HaloExchangeBefore,
     IgnorableMethod,
-    MasterMethod,
     ParallelMethod,
     Partitioned,
     PlugSet,
     SafeData,
     SafePointAfter,
-    SafePointBefore,
     ScatterBefore,
     SingleMethod,
-    SynchronizedMethod,
-    ThreadLocal,
     WeaveError,
     is_woven,
     make_context,
@@ -39,16 +35,12 @@ class Toy:
         self.n = n
         self.data = np.zeros(n)
         self.hits = 0
-        self.scratch = 0
 
     def work(self, lo, hi):
         self.data[lo:hi] += 1.0
 
     def bump(self):
         self.hits += 1
-
-    def report(self):
-        return "report"
 
     def step(self):
         pass
@@ -127,31 +119,26 @@ class TestWeaver:
             plug(Toy, PlugSet(ForMethod("work"), ForMethod("work")))
 
     def test_base_class_untouched(self):
-        before = Toy.__dict__["work"]
-        plug(Toy, PlugSet(ForMethod("work"), SynchronizedMethod("bump")))
-        assert Toy.__dict__["work"] is before
-        assert "work" not in (k for k in []) or True
+        before = dict(Toy.__dict__)
+        W = plug(Toy, PlugSet(ForMethod("work"), SingleMethod("bump"),
+                              BarrierAfter("step")))
+        assert dict(Toy.__dict__) == before
+        assert not is_woven(Toy)
+        assert {"work", "bump", "step"} <= set(W.__dict__)
 
     def test_woven_without_context_behaves_like_base(self):
         """The pluggability guarantee: no context -> strict sequential."""
         W = plug(Toy, PlugSet(ForMethod("work"), BarrierAfter("work"),
-                              SynchronizedMethod("bump"),
-                              MasterMethod("report"),
+                              SingleMethod("bump"),
                               IgnorableMethod("step")))
         t_plain, t_woven = Toy(), W()
         t_plain.work(0, 16)
         t_woven.work(0, 16)
         np.testing.assert_array_equal(t_plain.data, t_woven.data)
-        assert t_woven.report() == "report"
         t_woven.bump()
-        assert t_woven.hits == 1
-
-    def test_thread_local_descriptor_installed(self):
-        W = plug(Toy, PlugSet(ThreadLocal("scratch")))
-        inst = W()
-        inst.scratch = 42  # descriptor path, outside any team
-        assert inst.scratch == 42
-        assert "_tls__scratch" in inst.__dict__
+        t_woven.bump()
+        assert t_woven.hits == 2  # no context: a single runs every call
+        assert t_woven.step() is None
 
 
 class _Recorder:
@@ -189,7 +176,6 @@ ADVICE = [
     (GatherAfter("step", "data"), False, ("gather_field", "data")),
     (AllGatherAfter("step", "data"), False, ("allgather_field", "data")),
     (HaloExchangeBefore("step", "data"), True, ("halo_field", "data")),
-    (SafePointBefore("step"), True, ("on_safepoint",)),
     (SafePointAfter("step"), False, ("on_safepoint",)),
 ]
 
@@ -319,25 +305,8 @@ class TestSmpSemantics:
                             config=ExecConfig.shared(4), fresh=True)
         np.testing.assert_array_equal(res.value, np.ones(32))
 
-    def test_synchronized_prevents_races(self):
-        class App(Toy):
-            def drive(self):
-                self.region()
-                return self.hits
-
-            def region(self):
-                for _ in range(200):
-                    self.bump()
-
-        ps = PlugSet(ParallelMethod("region"), SynchronizedMethod("bump"))
-        W = plug(App, ps)
-        from repro.core import Runtime
-
-        res = Runtime().run(W, ctor_args=(4,), entry="drive",
-                            config=ExecConfig.shared(4), fresh=True)
-        assert res.value == 4 * 200  # every increment survived
-
     def test_master_and_single(self):
+        """One team member is the master, and one runs each single."""
         import threading
 
         lock = threading.Lock()
@@ -349,55 +318,19 @@ class TestSmpSemantics:
                 return calls
 
             def region(self):
-                self.master_part()
+                if self.__pp_ctx__.team.is_master():
+                    with lock:
+                        calls["master"] += 1
                 self.single_part()
-
-            def master_part(self):
-                with lock:
-                    calls["master"] += 1
 
             def single_part(self):
                 with lock:
                     calls["single"] += 1
 
-        ps = PlugSet(ParallelMethod("region"), MasterMethod("master_part"),
-                     SingleMethod("single_part"))
+        ps = PlugSet(ParallelMethod("region"), SingleMethod("single_part"))
         W = plug(App, ps)
         from repro.core import Runtime
 
         res = Runtime().run(W, ctor_args=(4,), entry="drive",
                             config=ExecConfig.shared(6), fresh=True)
         assert res.value == {"master": 1, "single": 1}
-
-    def test_thread_local_isolates_writes(self):
-        import threading
-
-        seen = []
-        lock = threading.Lock()
-
-        class App(Toy):
-            def drive(self):
-                self.scratch = -1  # master/sequential value
-                self.region()
-                return sorted(seen)
-
-            def region(self):
-                from repro.smp.team import current_worker
-
-                w = current_worker()
-                self.scratch = w.tid * 100  # private per thread
-                self.sync()
-                with lock:
-                    seen.append(self.scratch)
-
-            def sync(self):
-                pass
-
-        ps = PlugSet(ParallelMethod("region"), ThreadLocal("scratch"),
-                     BarrierAfter("sync"))
-        W = plug(App, ps)
-        from repro.core import Runtime
-
-        res = Runtime().run(W, ctor_args=(4,), entry="drive",
-                            config=ExecConfig.shared(3), fresh=True)
-        assert res.value == [0, 100, 200]  # no thread saw another's write

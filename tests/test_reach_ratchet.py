@@ -73,3 +73,11 @@ def test_a_function_may_leave_the_list(tree, capsys):
     assert code == 0
     assert "no longer flagged (1)" in out
     assert "pkg/mod.py used" in out.splitlines()
+
+
+def test_fails_on_a_listed_function_that_no_longer_exists(tree, capsys):
+    code, out = _check(tree, "pkg/mod.py dead\npkg/mod.py only_tested\n"
+                             "pkg/mod.py gone\n", capsys)
+    assert code == 1
+    assert "defined nowhere" in out
+    assert out.splitlines()[-1] == "pkg/mod.py gone"

@@ -1,159 +1,19 @@
-"""Tests for the remaining distributed templates: OnMaster, ReduceResult,
-and the aggregate field-role declarations used by adaptation."""
+"""Tests for the aggregate field-role declarations used by adaptation."""
 
-import pytest
-
-from repro.core import (
-    ExecConfig,
-    OnMaster,
-    ParallelMethod,
-    PlugSet,
-    ReduceResult,
-    Runtime,
-    SafeData,
-    SafePointAfter,
-    WeaveError,
-    plug,
-)
-from repro.vtime import MachineModel
-
-MACHINE = MachineModel(nodes=2, cores_per_node=4)
-
-
-class Summer:
-    """Each member contributes its rank-dependent share."""
-
-    def __init__(self):
-        self.calls = []
-        self.done = 0
-
-    def execute(self):
-        part = self.partial()
-        self.report("finished")
-        self.finish()
-        return part
-
-    def partial(self):
-        # rank-dependent value injected by the context (monkey-style read)
-        ctx = getattr(self, "__pp_ctx__", None)
-        return (ctx.rank + 1) if ctx is not None else 1
-
-    def report(self, msg):
-        self.calls.append(msg)
-        return f"reported:{msg}"
-
-    def finish(self):
-        self.done += 1
-
-
-class TestReduceResult:
-    def _woven(self, combine=None):
-        return plug(Summer, PlugSet(
-            ReduceResult("partial", combine=combine),
-            SafeData("done"), SafePointAfter("finish")))
-
-    def test_default_sum_across_members(self, tmp_path):
-        W = self._woven()
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c")
-        res = rt.run(W, entry="execute", config=ExecConfig.distributed(4),
-                     fresh=True)
-        assert res.value == 1 + 2 + 3 + 4  # allreduce of rank+1
-
-    def test_custom_combine(self, tmp_path):
-        W = self._woven(combine=max)
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c")
-        res = rt.run(W, entry="execute", config=ExecConfig.distributed(3),
-                     fresh=True)
-        assert res.value == 3
-
-    def test_sequential_passthrough(self, tmp_path):
-        W = self._woven()
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c")
-        res = rt.run(W, entry="execute", config=ExecConfig.sequential(),
-                     fresh=True)
-        assert res.value == 1
-
-    def test_rejected_inside_hybrid_region(self, tmp_path):
-        class App(Summer):
-            def region(self):
-                return self.partial()
-
-            def execute(self):
-                out = self.region()
-                self.finish()
-                return out
-
-        W = plug(App, PlugSet(ParallelMethod("region"),
-                              ReduceResult("partial"),
-                              SafeData("done"), SafePointAfter("finish")))
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c")
-        with pytest.raises(Exception) as ei:
-            rt.run(W, entry="execute", config=ExecConfig.hybrid(2, 2),
-                   fresh=True)
-        assert "ReduceResult" in str(ei.value) or isinstance(
-            ei.value, WeaveError)
-
-
-class TestOnMaster:
-    def test_only_member_zero_executes(self, tmp_path):
-        W = plug(Summer, PlugSet(OnMaster("report"),
-                                 SafeData("done"), SafePointAfter("finish")))
-
-        calls_by_rank = {}
-
-        class Spy(W):
-            def execute(self):
-                out = self.report("hello")
-                self.finish()
-                ctx = self.__pp_ctx__
-                calls_by_rank[ctx.rank] = list(self.calls)
-                return out
-
-        Spy.__pp_base__ = W.__pp_base__  # keep weaver metadata coherent
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c")
-        rt.run(Spy, entry="execute", config=ExecConfig.distributed(3),
-               fresh=True)
-        assert calls_by_rank[0] == ["hello"]
-        assert calls_by_rank[1] == [] and calls_by_rank[2] == []
-
-    def test_broadcast_result(self, tmp_path):
-        W = plug(Summer, PlugSet(OnMaster("report", broadcast=True),
-                                 SafeData("done"), SafePointAfter("finish")))
-
-        returned = {}
-
-        class Spy(W):
-            def execute(self):
-                out = self.report("msg")
-                self.finish()
-                returned[self.__pp_ctx__.rank] = out
-                return out
-
-        Spy.__pp_base__ = W.__pp_base__
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c")
-        rt.run(Spy, entry="execute", config=ExecConfig.distributed(3),
-               fresh=True)
-        assert all(v == "reported:msg" for v in returned.values())
-
-    def test_sequential_executes_normally(self, tmp_path):
-        W = plug(Summer, PlugSet(OnMaster("report"),
-                                 SafeData("done"), SafePointAfter("finish")))
-        rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c")
-        res = rt.run(W, entry="execute", config=ExecConfig.sequential(),
-                     fresh=True)
-        assert res.value == 1
+from repro.core import PlugSet, Replicated, SafePointAfter, plug
 
 
 class TestFieldRoles:
     def test_replicated_and_local_markers_weave(self):
-        from repro.core import LocalField, Replicated
+        """``Replicated`` is declared; a field no template names is local
+        to each member."""
 
         class Obj:
             def step(self):
                 pass
 
-        ps = PlugSet(Replicated("a"), LocalField("b"),
-                     SafePointAfter("step"))
-        W = plug(Obj, ps)
-        assert len(W.__pp_plugs__.of_type(Replicated)) == 1
-        assert len(W.__pp_plugs__.of_type(LocalField)) == 1
+        W = plug(Obj, PlugSet(Replicated("a"), SafePointAfter("step")))
+        plugs = W.__pp_plugs__
+        assert [t.field for t in plugs.of_type(Replicated)] == ["a"]
+        assert plugs.partitioned_fields() == {}
+        assert plugs.safedata_fields() == []
