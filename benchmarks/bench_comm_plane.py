@@ -4,10 +4,7 @@ Every payload the multiprocessing backend moves between rank processes
 used to be pickled through a ``multiprocessing.Queue``: a pickle, a
 pipe write, a pipe read and an unpickle per message.  The shared-memory
 data plane (:mod:`repro.dsm.shm`) replaces that with one memcpy into a
-pooled slab plus a ~200-byte descriptor through the queue — and, for
-payloads that are already views of a registered shared segment, with a
-*borrowed* descriptor whose landing assignment is a single
-segment-to-segment region copy (zero intermediate copies).
+pooled slab plus a ~200-byte descriptor through the queue.
 
 This benchmark drives the real transport — ``ProcCommunicator`` over
 forked rank processes — through the paper's data movements
@@ -88,14 +85,7 @@ def _movement_worker(rank, nranks, channels, launch_id, transport,
     document from the run.
 
     ``transport``: ``"queue"`` pickles every payload through the pipes,
-    ``"slab"`` moves large arrays through pooled slabs, ``"direct"``
-    additionally places the root's field in a shared segment registered
-    as borrowable — scatter descriptors then reference the *source*
-    segment and each receiver's landing assignment is one
-    segment-to-segment region copy, zero intermediate copies.  (The
-    scatter-side borrow is protocol-safe because the barrier after the
-    scatter bounds it: nothing writes the source regions until every
-    receiver has landed its copy.)
+    ``"slab"`` moves large arrays through pooled slabs.
     """
     plane = None
     if transport != "queue":
@@ -114,19 +104,8 @@ def _movement_worker(rank, nranks, channels, launch_id, transport,
     clock = VClock()
     _bind(RankContext(rank=rank, nranks=nranks, clock=clock, comm=comm))
     layout = BlockLayout(axis=0, halo=HALO)
-    seg = None
     if rank == 0:
-        if transport == "direct":
-            seg = shm.ShmSegment.allocate(
-                shm.segment_name(launch_id, "field"), (ROWS, COLS),
-                np.float64)
-            arr = seg.ndarray()
-            arr[...] = np.arange(ROWS * COLS, dtype=np.float64
-                                 ).reshape(ROWS, COLS)
-            plane.register_borrow(arr, seg.name)
-        else:
-            arr = np.arange(ROWS * COLS, dtype=np.float64
-                            ).reshape(ROWS, COLS)
+        arr = np.arange(ROWS * COLS, dtype=np.float64).reshape(ROWS, COLS)
     else:
         arr = np.zeros((ROWS, COLS))
     try:
@@ -134,7 +113,7 @@ def _movement_worker(rank, nranks, channels, launch_id, transport,
         t0 = time.perf_counter()
         for _ in range(ROUNDS):
             scatter_inplace(comm, arr, layout, root=0)
-            comm.barrier()  # bounds the direct arm's source borrows
+            comm.barrier()
             exchange_halo(comm, arr, layout)
             gather_inplace(comm, arr, layout, root=0)
         comm.barrier()
@@ -149,7 +128,7 @@ def _movement_worker(rank, nranks, channels, launch_id, transport,
         if trplane is not None:
             trecs = trplane.scrape().get(rank, [])
         out_queue.put((rank, wall, clock.now, checksum,
-                       plane.stats() if plane else None, snap, trecs))
+                       plane.pool.leases if plane else 0, snap, trecs))
     finally:
         _bind(None)
         if tplane is not None:
@@ -160,8 +139,6 @@ def _movement_worker(rank, nranks, channels, launch_id, transport,
             trplane.close()
         if plane is not None:
             plane.close()
-        if seg is not None:
-            seg.unlink()
 
 
 def _ckpt_worker(rank, nranks, link, launch_id, use_plane, out_queue):
@@ -227,7 +204,6 @@ def _launch(target, nranks, transport, store=None, telemetry=False,
         if funnel is not None:
             funnel.stop()
         shm.unlink_pool(launch_id, nranks)
-        shm.unlink_by_name(shm.segment_name(launch_id, "field"))
 
 
 def _no_leaks():
@@ -244,29 +220,23 @@ def test_comm_plane(benchmark, tmp_path):
         f"{ROUNDS} rounds of scatter+halo+gather over a "
         f"{ROWS}x{COLS} float64 field, and {CKPT_ROUNDS} funnelled "
         f"checkpoint collections of {CKPT_FIELDS}x{CKPT_ROWS}x{COLS}",
-        ["workload", "ranks", "queue_s", "shm_s", "direct_s", "speedup"])
+        ["workload", "ranks", "queue_s", "shm_s", "speedup"])
 
     def experiment():
         rows = {}
         for nranks in RANK_COUNTS:
             q = _launch(_movement_worker, nranks, "queue")
             s = _launch(_movement_worker, nranks, "slab")
-            d = _launch(_movement_worker, nranks, "direct")
             q_wall = max(r[1] for r in q)
             s_wall = max(r[1] for r in s)
-            d_wall = max(r[1] for r in d)
             # transport independence: same data, same modelled time
-            assert s[0][3] == q[0][3] == d[0][3], \
-                "transports diverged on data"
-            assert s[0][2] == pytest.approx(q[0][2]) \
-                and d[0][2] == pytest.approx(q[0][2]), \
+            assert s[0][3] == q[0][3], "transports diverged on data"
+            assert s[0][2] == pytest.approx(q[0][2]), \
                 "transports diverged on virtual time"
-            assert s[0][4]["slab"] > 0, f"plane never engaged: {s[0][4]}"
-            assert d[0][4]["borrow"] > 0, \
-                f"direct path never engaged: {d[0][4]}"
-            rows[("scatter+halo", nranks)] = (q_wall, s_wall, d_wall)
+            assert s[0][4] > 0, "plane never engaged: no slab leased"
+            rows[("scatter+halo", nranks)] = (q_wall, s_wall)
             report.add("scatter+halo+gather", nranks, q_wall, s_wall,
-                       d_wall, q_wall / s_wall)
+                       q_wall / s_wall)
         for nranks in RANK_COUNTS:
             store_q = CheckpointStore(tmp_path / f"q{nranks}")
             store_s = CheckpointStore(tmp_path / f"s{nranks}")
@@ -281,25 +251,20 @@ def test_comm_plane(benchmark, tmp_path):
                 "checkpoint bytes diverged across transports"
             rows[("ckpt", nranks)] = (q_wall, s_wall)
             report.add("ckpt-collection", nranks, q_wall, s_wall,
-                       float("nan"), q_wall / s_wall)
+                       q_wall / s_wall)
         return rows
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    q4, s4, d4 = rows[("scatter+halo", 4)]
+    q_wall, s_wall = rows[("scatter+halo", 4)]
     report.emit(benchmark, json_name="comm_plane",
-                extra={"speedup_slab_4r": q4 / s4,
-                       "speedup_direct_4r": q4 / d4})
+                extra={"speedup_slab_4r": q_wall / s_wall})
     _no_leaks()
 
     # the headline: >= 2x wall on large-array scatter+halo at 4+ ranks
-    q_wall, s_wall, d_wall = rows[("scatter+halo", 4)]
     assert s_wall * 2.0 <= q_wall, (
         f"shm transport only {q_wall / s_wall:.2f}x faster than queue "
         f"pickling on scatter+halo at 4 ranks ({s_wall:.3f}s vs "
         f"{q_wall:.3f}s)")
-    assert d_wall * 2.0 <= q_wall, (
-        f"direct transport only {q_wall / d_wall:.2f}x faster than "
-        f"queue pickling at 4 ranks")
     # the funnel path must not regress; its measured edge is ~1.2x
     # (encode + disk dominate), so gate with noise headroom instead of
     # a zero-margin strict win a loaded CI runner would flake on.

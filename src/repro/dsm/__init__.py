@@ -4,9 +4,9 @@ The paper's distributed execution model (Section III.C) is SPMD over
 *object aggregates*.  This package provides the substrate underneath:
 
 * :class:`Mailbox` / :class:`Communicator` — point-to-point messages with
-  (source, tag) matching and the standard collectives (barrier, bcast,
-  scatter(v), gather(v), reduce, allreduce, alltoall), with mpi4py-style
-  lower-case generic-object semantics.  There is one mailbox class for
+  (source, tag) matching and the flat root-funnel collectives (barrier,
+  bcast, gather, reduce, allreduce), with mpi4py-style lower-case
+  generic-object semantics.  There is one mailbox class for
   every fabric: a :class:`~repro.dsm.transport.Transport` builds each
   rank's endpoints over thread queues (the simulated cluster), pipe
   channels (:mod:`repro.dsm.procmail`, the process ranks) or TCP

@@ -1,7 +1,7 @@
 """MPI-like communicator over per-rank mailboxes, with virtual time.
 
 API follows mpi4py's lower-case generic-object conventions (``send`` /
-``recv`` / ``bcast`` / ``scatter`` / ``gather`` / ``reduce`` / ...): the
+``recv`` / ``bcast`` / ``gather`` / ``reduce`` / ...): the
 object is an argument, the received object is the return value.  numpy
 arrays travel by reference but are defensively copied at the send side, so
 ranks never alias each other's buffers (value semantics, like real MPI).
@@ -275,12 +275,6 @@ class Communicator:
                else self.machine.network.inter_latency))
         return self._ingress(msg)
 
-    def sendrecv(self, obj: Any, dest: int, source: int,
-                 tag: int = 0) -> Any:
-        """Paired exchange that cannot deadlock (send is asynchronous)."""
-        self.send(obj, dest, tag)
-        return self.recv(source=source, tag=tag)
-
     # ------------------------------------------------------------------
     # one-sided windows (OpenSHMEM-style put / fence)
     # ------------------------------------------------------------------
@@ -388,19 +382,6 @@ class Communicator:
             return obj
         return self.recv(source=root, tag=TAG_COLL + 1)
 
-    def scatter(self, parts: Sequence[Any] | None, root: int = 0) -> Any:
-        ctx = self._ctx()
-        if ctx.rank == root:
-            if parts is None or len(parts) != self.nranks:
-                raise ValueError(
-                    f"root must supply exactly {self.nranks} parts")
-            mine = parts[root]
-            for r in range(self.nranks):
-                if r != root:
-                    self.send(parts[r], r, TAG_COLL + 2)
-            return _copy_payload(mine)
-        return self.recv(source=root, tag=TAG_COLL + 2)
-
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         ctx = self._ctx()
         if ctx.rank == root:
@@ -420,10 +401,6 @@ class Communicator:
         self.send(obj, root, TAG_COLL + 3)
         return None
 
-    def allgather(self, obj: Any) -> list[Any]:
-        got = self.gather(obj, root=0)
-        return self.bcast(got, root=0)
-
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None,
                root: int = 0) -> Any | None:
         """Fold ``op`` (default: +, elementwise for arrays) at ``root``:
@@ -442,23 +419,6 @@ class Communicator:
     def allreduce(self, obj: Any,
                   op: Callable[[Any, Any], Any] | None = None) -> Any:
         return self.bcast(self.reduce(obj, op=op, root=0), root=0)
-
-    def alltoall(self, parts: Sequence[Any]) -> list[Any]:
-        ctx = self._ctx()
-        if len(parts) != self.nranks:
-            raise ValueError(f"need exactly {self.nranks} parts")
-        out: list[Any] = [None] * self.nranks
-        out[ctx.rank] = _copy_payload(parts[ctx.rank])
-        for r in range(self.nranks):
-            if r != ctx.rank:
-                self.send(parts[r], r, TAG_COLL + 4)
-        for src in range(self.nranks):
-            if src == ctx.rank:
-                continue
-            msg = self.mailboxes[ctx.rank].get(source=src, tag=TAG_COLL + 4)
-            ctx.clock.wait_comm(msg.arrival)
-            out[src] = self._ingress(msg)
-        return out
 
 
 def _shut(mailboxes, channels) -> None:

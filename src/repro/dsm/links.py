@@ -10,7 +10,10 @@ frames.  Frames are ``multiprocessing.connection``'s (a ``!i`` size, or
 read into its buffer, sized from the frame header, and only whole
 frames are served, so a peer that stalls or dies mid-frame costs only
 its own link.  ``serve(link, obj)`` returns the reply (or None) and
-must not block: what has to wait is :meth:`LinkLoop.hold`-ed.
+must not block: what has to wait is :meth:`LinkLoop.hold`-ed.  Replies
+are written without blocking too: what the socket buffer does not take
+at once waits on the link, which is read again only once it is sent, so
+a peer that stops reading holds up only itself.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ def dial(address: tuple[str, int], timeout: float = 30.0) -> Connection:
 class _Link:
     """A listener, or a connection and the frame it is part-way through:
     ``buf`` holds the size header, the large size, or the body (stage
-    0, 1, 2) of ``size`` bytes, ``got`` of them read so far."""
+    0, 1, 2) of ``size`` bytes, ``got`` of them read so far; ``out``
+    holds the reply bytes the peer has not yet taken."""
 
     conn: Any  # a listening socket, or a Connection
     serve: Callable
@@ -77,6 +81,7 @@ class _Link:
     stage: int = 0
     size: int = _SIZE.size
     got: int = 0
+    out: deque = field(default_factory=deque)
 
 
 def _expect(link: _Link, stage: int, size: int) -> None:
@@ -166,15 +171,18 @@ class LinkLoop:
                 link = self._adds.popleft()
                 self._sel.register(link.conn, selectors.EVENT_READ, link)
                 if isinstance(link.conn, Connection):
+                    os.set_blocking(link.conn.fileno(), False)
                     self.links.append(link.conn)
             timeout = (max(0.0, min(h[2] for h in self._held)
                            - time.monotonic()) if self._held else None)
-            for key, _ in self._sel.select(timeout):
+            for key, events in self._sel.select(timeout):
                 link = key.data
                 if link is None:
                     self._wake_r.recv(4096)
                 elif isinstance(link.conn, socket.socket):
                     self._accept(link)
+                elif events & selectors.EVENT_WRITE:
+                    self._flush(link)
                 else:
                     self._read(link)
             self._release()
@@ -184,7 +192,6 @@ class LinkLoop:
             sock, _ = listener.conn.accept()
         except OSError:  # already gone
             return
-        sock.setblocking(True)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         link = _Link(Connection(sock.detach()), listener.serve, listener.http)
         if link.http:
@@ -202,6 +209,8 @@ class LinkLoop:
         try:
             n = os.readv(link.conn.fileno(),
                          [memoryview(link.buf)[link.got:]])
+        except BlockingIOError:
+            return
         except OSError:
             n = 0
         if n == 0:  # EOF, maybe mid-frame: the peer is gone
@@ -247,17 +256,37 @@ class LinkLoop:
         link only."""
         try:
             reply = work()
-            if link is None or reply is None:
+            if link is None or reply is None or link.conn.closed:
                 return
-            if not link.http:
-                link.conn.send(reply)
-                return
-            out = memoryview(reply)
-            while out:
-                out = out[os.write(link.conn.fileno(), out):]
-            self._drop(link)
+            link.out.append(memoryview(reply if link.http else frame(reply)))
+            if len(link.out) == 1:
+                self._flush(link)
         except Exception as exc:  # noqa: BLE001 - the loop keeps serving
             if not isinstance(exc, (OSError, EOFError)):
                 traceback.print_exc()  # a bug, not a peer that left
             if link is not None:
                 self._drop(link)
+
+    def _flush(self, link: _Link) -> None:
+        """Write the link's pending replies until the socket buffer is
+        full; wait for it to drain, not for the next request, until all
+        are sent (an HTTP link then closes)."""
+        try:
+            while link.out:
+                try:
+                    n = os.write(link.conn.fileno(), link.out[0])
+                except BlockingIOError:
+                    break
+                if n < len(link.out[0]):
+                    link.out[0] = link.out[0][n:]
+                else:
+                    link.out.popleft()
+        except OSError:  # the peer is gone
+            self._drop(link)
+            return
+        if not link.out and link.http:
+            self._drop(link)
+            return
+        want = selectors.EVENT_WRITE if link.out else selectors.EVENT_READ
+        if self._sel.get_key(link.conn).events != want:
+            self._sel.modify(link.conn, want, link)

@@ -82,7 +82,7 @@ class Mailbox:
     ``get_nowait`` raising ``queue.Empty`` — so a thread ``queue.Queue``
     (the simulated cluster), a :class:`~repro.dsm.procmail.Channel` or
     an ``mp.Queue`` serves.  ``put`` may be called from any thread or
-    process; ``get``/``poll`` only from the owning rank (the pending
+    process; ``get`` only from the owning rank (the pending
     buffer is local to it).  Because channel order is arrival order,
     not ``(source, tag)`` order, the owner keeps that pending buffer for
     envelopes that did not match an outstanding selective receive.
@@ -202,18 +202,6 @@ class Mailbox:
                 return m
             self._admit(m)
 
-    def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking probe for a matching envelope."""
-        if any(self._matches(m, source, tag) for m in self._pending):
-            return True
-        while True:
-            try:
-                m = self._channel.get_nowait()
-            except _queue.Empty:
-                return False
-            if self._admit(m) and self._matches(m, source, tag):
-                return True
-
     def close(self) -> None:
         """Refuse further traffic; drop whatever the flusher still holds.
 
@@ -229,6 +217,3 @@ class Mailbox:
             self._channel.cancel_join_thread()
         except (AttributeError, OSError):
             pass
-
-    def __len__(self) -> int:
-        return len(self._pending)

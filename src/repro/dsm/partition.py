@@ -122,23 +122,11 @@ def _put(arr: np.ndarray, idx: np.ndarray, axis: int,
 # in-place movements (full-size array on every rank)
 # ---------------------------------------------------------------------------
 def scatter_inplace(comm: "Communicator", arr: np.ndarray, layout: Layout,
-                    root: int = 0, release_fence: bool = False
-                    ) -> tuple[int, int] | np.ndarray:
+                    root: int = 0) -> tuple[int, int] | np.ndarray:
     """Update each rank's owned region (incl. halo) from root's array.
 
     Returns this rank's owned index description: ``(lo, hi)`` bounds for
     block layouts, else the owned index vector.
-
-    ``release_fence`` (SPMD: every rank passes the same value) appends a
-    barrier that happens-after every receive.  That is the borrow
-    release point: a root whose ``arr`` is borrow-registered on the data
-    plane (``DataPlane.register_borrow``) ships block partitions as
-    zero-copy *views of its own array*, and the barrier is what makes
-    that safe — no receiver can still be reading the region when root
-    writes it next.  Only the root knows whether the array is
-    registered, so the fence cannot be auto-detected (asymmetric
-    barriers deadlock); the default keeps the historical cost profile
-    for callers that never borrow.
     """
     from repro.dsm.comm import current_rank
 
@@ -153,8 +141,6 @@ def scatter_inplace(comm: "Communicator", arr: np.ndarray, layout: Layout,
                 lo, hi = layout.halo_bounds(n, r, comm.nranks)
                 sl: list = [slice(None)] * arr.ndim
                 sl[layout.axis] = slice(lo, hi)
-                # a contiguous view of root's array: rides the borrow
-                # tier when the caller registered ``arr`` (and fences)
                 comm.send(arr[tuple(sl)], r, _TAG_SCATTER)
         else:
             lo, hi = layout.halo_bounds(n, ctx.rank, comm.nranks)
@@ -162,8 +148,6 @@ def scatter_inplace(comm: "Communicator", arr: np.ndarray, layout: Layout,
             sl = [slice(None)] * arr.ndim
             sl[layout.axis] = slice(lo, hi)
             arr[tuple(sl)] = part
-        if release_fence:
-            comm.barrier()
         return layout.bounds(n, ctx.rank, comm.nranks)
     # cyclic / hybrid
     if ctx.rank == root:
@@ -177,8 +161,6 @@ def scatter_inplace(comm: "Communicator", arr: np.ndarray, layout: Layout,
         idx = layout.owned(n, ctx.rank, comm.nranks)
         part = comm.recv(source=root, tag=_TAG_SCATTER)
         _put(arr, idx, layout.axis, part)
-    if release_fence:
-        comm.barrier()
     return layout.owned(n, ctx.rank, comm.nranks)
 
 

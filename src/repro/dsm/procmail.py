@@ -374,13 +374,10 @@ class ProcCommunicator(Communicator):
     ``VClock.sync_max`` across threads), and — when a
     :class:`~repro.dsm.shm.DataPlane` is wired — the transport hooks:
     large array payloads, puts included, cross as shared-memory slab
-    descriptors instead of pickles through the channel pipes (and, for
-    movement code that opted a source segment in via
-    ``DataPlane.register_borrow``, as borrowed regions with zero
-    intermediate copies).  Virtual time is charged on the logical
-    payload before packing, so the cost model cannot tell the
-    transports apart (cross-backend vtime parity is preserved by
-    construction).
+    descriptors instead of pickles through the channel pipes.  Virtual
+    time is charged on the logical payload before packing, so the cost
+    model cannot tell the transports apart (cross-backend vtime parity
+    is preserved by construction).
 
     The endpoint fabric comes from a :class:`Transport` (defaulting to
     :class:`QueueTransport` over ``channels``); it may be pre-sized
@@ -486,9 +483,3 @@ class ProcCommunicator(Communicator):
             nbytes=8, arrival=now, epoch=self.mail_epoch))
         return self.mailboxes[rank].get(
             source=0, tag=_TAG_BARRIER_OUT).payload
-
-    def close(self) -> None:
-        """Close this process's endpoints (unwind path)."""
-        for mb in self.mailboxes:
-            mb.close()
-        self.transport.close()

@@ -13,7 +13,7 @@ outlives a launch.
 It also owns the **message data plane** (:class:`BufferPool`,
 :class:`DataPlane`): large array payloads between processes travel
 through pooled shared-memory slabs instead of being pickled through
-the rank channels' pipes.  Three tiers, picked per payload:
+the rank channels' pipes.  Two tiers, picked per payload:
 
 * **inline** — payloads under :data:`SHM_THRESHOLD` are pickled through
   the channel as before (a descriptor round-trip costs more than it
@@ -22,21 +22,15 @@ the rank channels' pipes.  Three tiers, picked per payload:
   its per-rank ring and the channel carries only a tiny
   :class:`ShmRef` descriptor; the receiver copies out of the slab and
   recycles it.  Two memcpys replace pickle + pipe write + pipe read +
-  unpickle;
-* **direct** — when the payload is itself a contiguous view of a
-  registered shared segment (and the surrounding protocol bounds the
-  borrow with a synchronisation point), the descriptor references the
-  *source* segment region and the receiver's landing assignment is a
-  single segment-to-segment region copy: **zero** intermediate copies.
-  Opt-in (:meth:`DataPlane.register_borrow`) for movement code that can
-  prove the bound — stock backend runs take only the first two tiers,
-  because the fields whose movements could borrow are the very fields
-  the multiprocessing backend already aliases into one shared segment,
-  where scatter/halo degenerate to barriers and move no bytes at all.
-  The one stock borrower is the checkpoint funnel, which keeps its own
-  map of lent segments (``FunnelStore.lend``, :func:`borrow_ref`): a
-  save ships a shared field as a region of its segment, and the message
-  path never sees those segments.
+  unpickle.
+
+The message path has no zero-copy tier: a field whose movements could
+ship as regions of a shared segment is one the multiprocessing backend
+already aliases into that segment, so its scatter/halo are barriers and
+move no bytes.  The one borrower of shared segments is the checkpoint
+funnel, which keeps its own map of lent segments (``FunnelStore.lend``,
+:func:`borrow_ref`): a save ships a shared field as a region of its
+segment.
 
 Ownership discipline (one unlinker, no resource-tracker noise):
 
@@ -302,9 +296,6 @@ class SegmentManager:
         for seg in self._segments.values():
             seg.close()
 
-    def __len__(self) -> int:
-        return len(self._segments)
-
 
 # ---------------------------------------------------------------------------
 # the message data plane: pooled slabs + payload descriptors
@@ -322,6 +313,10 @@ POOL_SLOTS = 16
 
 #: smallest slab payload capacity; slabs grow geometrically from here.
 MIN_SLAB = 1 << 16
+
+#: how long a lease waits for a receiver to recycle a slot of an
+#: exhausted ring before the payload degrades to the inline path.
+LEASE_TIMEOUT = 2.0
 
 #: slab header: one int64 free/leased flag, padded to a cache line so
 #: the payload starts aligned.
@@ -355,10 +350,9 @@ class ShmRef:
     This is what actually crosses the queue in place of the array: ~200
     pickled bytes regardless of payload size.  ``kind`` selects the
     receive discipline — ``"slab"`` payloads are copied out and the slot
-    recycled (header word reset); ``"borrow"`` payloads are views of a
-    long-lived registered segment, returned to the consumer read-only
-    with no release protocol (the surrounding algorithm's
-    synchronisation bounds the borrow).
+    recycled (header word reset); ``"borrow"`` payloads are regions of a
+    checkpoint funnel's lent segment, read in place with no release
+    protocol (the save's fence bounds the borrow).
 
     ``capacity`` is the slab's payload capacity, which only ever grows
     for a given name — so a receiver whose cached mapping of that name
@@ -442,27 +436,17 @@ class BufferPool:
     (:func:`unlink_pool`), so a crashed rank leaks nothing.
     """
 
-    def __init__(self, launch_id: str, rank: int,
-                 slots: int = POOL_SLOTS, min_slab: int = MIN_SLAB,
-                 lease_timeout: float = 2.0) -> None:
-        if not (1 <= slots <= POOL_SLOTS):
-            # the parent's crash sweep (unlink_pool) only covers the
-            # POOL_SLOTS name grid; a wider ring would leak segments.
-            raise ValueError(
-                f"slots must be in 1..{POOL_SLOTS}, got {slots}")
+    def __init__(self, launch_id: str, rank: int) -> None:
         self.launch_id = launch_id
         self.rank = rank
-        self.slots = slots
-        self.min_slab = min_slab
-        self.lease_timeout = lease_timeout
-        self._slabs: list[_Slab | None] = [None] * self.slots
+        self._slabs: list[_Slab | None] = [None] * POOL_SLOTS
         #: ring statistics (leases served / ring-exhausted fallbacks).
         self.leases = 0
         self.fallbacks = 0
 
     # ------------------------------------------------------------------
     def _capacity_for(self, nbytes: int) -> int:
-        cap = self.min_slab
+        cap = MIN_SLAB
         while cap < nbytes:
             cap <<= 1
         return cap
@@ -481,14 +465,14 @@ class BufferPool:
         """Claim a slab able to hold ``nbytes``; None when the ring is
         exhausted (caller falls back to inline).
 
-        ``wait`` bounds exhaustion with ``lease_timeout`` — worthwhile
+        ``wait`` bounds exhaustion with :data:`LEASE_TIMEOUT` — worthwhile
         only when other slots are held by receivers of *earlier*
         messages, who will recycle them.  A caller that has leased the
         whole ring for one still-unshipped payload passes ``wait=False``
         (nothing can free a slot until the payload ships, so waiting is
         a deterministic stall).
         """
-        deadline = time.monotonic() + self.lease_timeout
+        deadline = time.monotonic() + LEASE_TIMEOUT
         while True:
             grow_slot = empty_slot = None
             for i, slab in enumerate(self._slabs):
@@ -533,7 +517,7 @@ class BufferPool:
         for slab in self._slabs:
             if slab is not None:
                 slab.close()
-        self._slabs = [None] * self.slots
+        self._slabs = [None] * POOL_SLOTS
 
     def unlink_all(self) -> None:
         """Owner-side teardown for pools outside a backend launch
@@ -542,8 +526,8 @@ class BufferPool:
         for slab in self._slabs:
             if slab is not None:
                 slab.unlink()
-        self._slabs = [None] * self.slots
-        for s in range(self.slots):
+        self._slabs = [None] * POOL_SLOTS
+        for s in range(POOL_SLOTS):
             unlink_by_name(pool_slab_name(self.launch_id, self.rank, s))
 
 
@@ -674,8 +658,8 @@ class DataPlane:
     """Payload packing policy over one rank's pool + attach client.
 
     ``outbound`` turns a payload into what actually crosses the queue
-    (inline copy, slab ref, or borrowed ref); ``inbound`` resolves it
-    back on the receiving side.  Containers (tuples / lists / dicts)
+    (inline copy or slab ref); ``inbound`` resolves it back on the
+    receiving side.  Containers (tuples / lists / dicts)
     are walked recursively, so collective payloads like
     ``(meta, part)`` keep their shape while their arrays ride the
     slabs.  The vtime cost model never sees any of this — senders
@@ -683,38 +667,14 @@ class DataPlane:
     virtual time is transport-independent by construction.
     """
 
-    def __init__(self, pool: BufferPool,
-                 threshold: int | None = None) -> None:
+    def __init__(self, pool: BufferPool) -> None:
         self.pool = pool
         self.client = PoolClient()
-        self.threshold = SHM_THRESHOLD if threshold is None else threshold
-        #: id(array) -> (segment name, capacity, base view) of arrays a
-        #: caller declared borrowable (direct path; see register_borrow).
-        self._borrow: dict[int, tuple[str, int, np.ndarray]] = {}
         #: slabs leased for the payload currently being packed (one
         #: outbound/pack call): once it reaches the ring size, further
         #: leases stop waiting — every slot is held by *this* unshipped
         #: payload, so no receiver can recycle one.
         self._pack_leases = 0
-        self.slab_msgs = 0
-        self.borrow_msgs = 0
-        self.inline_msgs = 0
-
-    # ------------------------------------------------------------------
-    def register_borrow(self, arr: np.ndarray, name: str,
-                        nbytes: int | None = None) -> None:
-        """Declare ``arr`` (a view over shared segment ``name``) safe to
-        send by reference.
-
-        The caller asserts the protocol invariant: between a send of any
-        view into ``arr`` and the next write to the sent region there is
-        a synchronisation point that happens-after every matching
-        receive (a barrier, a blocking ack, a paired exchange).  Only
-        opt-in movement code uses this — the generic send path never
-        borrows.
-        """
-        total = int(arr.nbytes) if nbytes is None else nbytes
-        self._borrow[id(arr)] = (name, total, arr)
 
     # ------------------------------------------------------------------
     def pack_lease(self, nbytes: int) -> "ShmLease | None":
@@ -727,8 +687,7 @@ class DataPlane:
         to the inline path immediately instead of stalling out the
         timeout per remaining array.
         """
-        lease = self.pool.lease(
-            nbytes, wait=self._pack_leases < self.pool.slots)
+        lease = self.pool.lease(nbytes, wait=self._pack_leases < POOL_SLOTS)
         if lease is not None:
             self._pack_leases += 1
         return lease
@@ -752,10 +711,9 @@ class DataPlane:
         """
         if (isinstance(value, np.ndarray) and value.flags.c_contiguous
                 and not value.dtype.hasobject
-                and value.nbytes >= self.threshold):
+                and value.nbytes >= SHM_THRESHOLD):
             lease = self.pack_lease(value.nbytes)
             if lease is not None:
-                self.slab_msgs += 1
                 count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB,
                            value.nbytes)
                 return lease.fill(value)
@@ -766,34 +724,21 @@ class DataPlane:
         payload, copied straight from the pieces; None when the payload
         is under the threshold or the ring is exhausted (the caller
         ships it inline).  Shares :meth:`pack_exact`'s lease budget."""
-        if nbytes < self.threshold:
+        if nbytes < SHM_THRESHOLD:
             return None
         lease = self.pack_lease(nbytes)
         if lease is None:
             return None
-        self.slab_msgs += 1
         count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB, nbytes)
         return lease.fill_pieces(pieces, nbytes)
 
     def _pack_array(self, arr: np.ndarray, owned: bool):
-        if arr.dtype.hasobject or arr.nbytes < self.threshold:
-            self.inline_msgs += 1
+        lease = (None if arr.dtype.hasobject or arr.nbytes < SHM_THRESHOLD
+                 else self.pack_lease(arr.nbytes))
+        if lease is None:  # small, or the ring is exhausted: inline
             count_tier(_ts.SEND_BYTES_INLINE, _ts.SEND_MSGS_INLINE,
                        arr.nbytes)
             return arr if owned else arr.copy()
-        ref = borrow_ref(self._borrow, arr)
-        if ref is not None:
-            self.borrow_msgs += 1
-            count_tier(_ts.SEND_BYTES_BORROW, _ts.SEND_MSGS_BORROW,
-                       arr.nbytes)
-            return ref
-        lease = self.pack_lease(arr.nbytes)
-        if lease is None:  # ring exhausted: degrade, don't block forever
-            self.inline_msgs += 1
-            count_tier(_ts.SEND_BYTES_INLINE, _ts.SEND_MSGS_INLINE,
-                       arr.nbytes)
-            return arr if owned else arr.copy()
-        self.slab_msgs += 1
         count_tier(_ts.SEND_BYTES_SLAB, _ts.SEND_MSGS_SLAB, arr.nbytes)
         return lease.fill(arr)
 
@@ -812,27 +757,15 @@ class DataPlane:
         return self._pack(obj, owned)
 
     def inbound(self, obj):
-        """Resolve a received payload back into arrays.
-
-        Slab refs are copied out and recycled immediately; borrowed
-        refs come back as read-only views, so the consumer's landing
-        assignment *is* the single segment-to-segment region copy.
-        """
+        """Resolve a received payload back into arrays: slab refs are
+        copied out and recycled immediately."""
         if isinstance(obj, ShmRef):
-            if obj.kind == "borrow":
-                return self.client.view(obj)
             return self.client.fetch(obj)
         if isinstance(obj, (list, tuple)):
             return type(obj)(self.inbound(x) for x in obj)
         if isinstance(obj, dict):
             return {k: self.inbound(v) for k, v in obj.items()}
         return obj
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, int]:
-        return {"slab": self.slab_msgs, "borrow": self.borrow_msgs,
-                "inline": self.inline_msgs,
-                "fallbacks": self.pool.fallbacks}
 
     def close(self) -> None:
         self.client.close_all()

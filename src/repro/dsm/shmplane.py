@@ -163,16 +163,6 @@ class RankPlane:
         """A process-local plane (thread substrates; no segment)."""
         return cls(max_ranks, **schema)
 
-    @classmethod
-    def create(cls, launch_id: str, max_ranks: int, **schema):
-        """Allocate the launch's segment of this kind (parent side)."""
-        return cls(max_ranks, launch_id=launch_id, create=True, **schema)
-
-    @classmethod
-    def attach(cls, launch_id: str, max_ranks: int, **schema):
-        """Map the launch's existing segment (rank-process side)."""
-        return cls(max_ranks, launch_id=launch_id, **schema)
-
     # ------------------------------------------------------------------
     def region(self, rank: int) -> np.ndarray:
         if not (0 <= rank < self.max_ranks):

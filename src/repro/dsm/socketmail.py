@@ -70,9 +70,6 @@ class SocketPeer:
     def put(self, msg: Message) -> None:
         self._transport.send_frame(self.rank, msg)
 
-    def close(self) -> None:  # the transport owns the connections
-        pass
-
 
 class SocketTransport(Transport):
     """One rank's hybrid fabric: channels within the node, TCP across.

@@ -10,7 +10,7 @@ object that knows how bytes physically move:
   :class:`~repro.dsm.mailbox.Mailbox`: a thread ``queue.Queue`` for the
   simulated cluster's rank threads, a
   :class:`~repro.dsm.procmail.Channel` (a pipe written in the sender's
-  thread) for process ranks (the shm slab/borrow/inline tiers sit
+  thread) for process ranks (the shm slab/inline tiers sit
   *above* this, in the data plane's payload packing — the transport
   carries descriptors);
 * :class:`~repro.dsm.socketmail.SocketTransport` — remote peers behind
@@ -59,9 +59,6 @@ class Transport(ABC):
         The topology tests assert on this: co-located traffic
         must never show up here."""
         return {}
-
-    def close(self) -> None:
-        """Release connections/threads the transport owns (idempotent)."""
 
 
 class QueueTransport(Transport):

@@ -148,13 +148,9 @@ def _move_payload(arr: np.ndarray, idx: np.ndarray, axis: int):
     """Source-side packing of one move: ``(values, owned, put_idx)``.
 
     A contiguous index run becomes a *slice view* of the field with
-    ``(lo, hi)`` bounds — when the owning rank registered the field's
-    segment on its data plane (``DataPlane.register_borrow``) that view
-    ships as a zero-copy borrowed region, and the choreography's
-    trailing barrier (:func:`join_rendezvous` / the backends' shrink
-    barrier) is the borrow's release fence.  Non-contiguous runs fall
-    back to a fresh ``np.take`` staging buffer (owned: no defensive
-    copy needed).
+    ``(lo, hi)`` bounds (the send copies it, or packs it into a slab).
+    Non-contiguous runs fall back to a fresh ``np.take`` staging buffer
+    (owned: no defensive copy needed).
     """
     idx = np.asarray(idx)
     if idx.size and np.array_equal(

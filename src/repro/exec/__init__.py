@@ -28,7 +28,6 @@ from repro.exec.registry import (
     BackendRegistry,
     build_default_registry,
     default_registry,
-    register_backend,
 )
 from repro.exec.sequential import SequentialBackend
 from repro.exec.sockets import SocketsBackend
@@ -52,5 +51,4 @@ __all__ = [
     "ThreadTeamBackend",
     "build_default_registry",
     "default_registry",
-    "register_backend",
 ]

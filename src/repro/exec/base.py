@@ -209,13 +209,6 @@ class ExecutionBackend(ABC):
     #: registry name; must be unique within a registry.
     name: str = "abstract"
 
-    #: semantic modes this backend can launch even when it is not the
-    #: mode's default — consulted by ``BackendRegistry.supports`` (and
-    #: through it the advisor ladder and Grid mapping policies), and by
-    #: ``resolve`` as a fallback when a mode has no default registered.
-    #: Mode defaults need not repeat themselves here.
-    modes: tuple = ()
-
     @abstractmethod
     def capabilities(self, config: ExecConfig) -> Capabilities:
         """Coordination services the context may rely on under this

@@ -66,7 +66,7 @@ from multiprocessing.connection import Connection, wait
 from repro.ckpt.failure import InjectedFailure
 from repro.ckpt.funnel import CheckpointFunnel
 from repro.core.errors import AdaptationExit
-from repro.core.modes import Capabilities, ExecConfig, Mode
+from repro.core.modes import Capabilities, ExecConfig
 from repro.dsm import shm
 from repro.dsm.procmail import Channel, Fence, ProcCommunicator
 from repro.dsm.simcluster import RankFailure
@@ -137,35 +137,22 @@ class MultiprocessBackend(ExecutionBackend):
     instead), shared fields yes, elastic ranks yes (parked-process
     membership transitions).
 
-    ``max_ranks`` optionally widens the pre-sized elastic fabric beyond
-    what the adaptation plan implies (for externally requested grows);
-    a reshape past the fabric falls back to relaunch.
-
-    ``data_plane`` (default on) routes large array payloads — collective
-    traffic and funnelled checkpoint snapshots — through pooled
-    shared-memory slabs instead of pickling them through the channel
-    pipes; ``plane_threshold`` overrides the inline/slab crossover
-    (bytes).  Results, checkpoint bytes and virtual time are identical
-    either way: only the wall-clock transport changes.
+    The fabric is pre-sized from the adaptation plan (a reshape past it
+    falls back to relaunch).  Large array payloads — collective traffic
+    and funnelled checkpoint snapshots — ride pooled shared-memory slabs
+    instead of pickles through the channel pipes (``shm.DataPlane``, at
+    ``shm.SHM_THRESHOLD`` bytes and up).  Results, checkpoint bytes and
+    virtual time do not depend on the transport: only wall time does.
     """
 
     name = "multiproc"
-    #: modes this backend can launch when pinned by name (consulted by
-    #: ``BackendRegistry.supports`` / the advisor ladder).
-    modes = (Mode.DISTRIBUTED,)
     #: worker process name prefix (leak checks key on it).
     proc_prefix = "mp-rank-"
 
     def __init__(self, start_method: str | None = None,
-                 join_timeout: float = 120.0,
-                 max_ranks: int | None = None,
-                 data_plane: bool = True,
-                 plane_threshold: int | None = None) -> None:
+                 join_timeout: float = 120.0) -> None:
         self.start_method = start_method or preferred_start_method()
         self.join_timeout = join_timeout
-        self.max_ranks = max_ranks
-        self.data_plane = data_plane
-        self.plane_threshold = plane_threshold
 
     def capabilities(self, config: ExecConfig) -> Capabilities:
         return Capabilities(rank_collectives=True, shared_fields=True,
@@ -211,8 +198,6 @@ class MultiprocessBackend(ExecutionBackend):
             if (c.mode is spec.config.mode and c.backend == spec.config.backend
                     and not s.via_restart and s.in_place is not False):
                 best = max(best, c.nranks)
-        if self.max_ranks is not None:
-            best = max(best, self.max_ranks)
         return best
 
     def launch(self, spec: PhaseSpec, services: PhaseServices

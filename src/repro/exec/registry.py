@@ -9,17 +9,17 @@ Resolution order for a configuration:
    the backend registered as that mode's default.
 
 The process-wide :func:`default_registry` comes pre-populated with the
-four stock backends.  Registering a new backend is one call and touches
-nothing in ``core/``::
+six stock backends, with a default for each of the four modes.
+Registering a new backend is one call and touches nothing in ``core/``::
 
-    from repro.exec import register_backend
-    register_backend(MyMultiprocessBackend())          # by name only
-    register_backend(MyMpiBackend(), mode=Mode.DISTRIBUTED,
-                     replace=True)                     # new mode default
+    from repro.exec import default_registry
+    default_registry().register(MyMultiprocessBackend())   # by name only
+    default_registry().register(MyMpiBackend(), mode=Mode.DISTRIBUTED,
+                                replace=True)              # new default
 
-Advisors and resource managers consult ``supports(mode)`` so adaptation
-ladders and Grid mapping policies only ever propose configurations that
-can actually be launched.
+Advisors and resource managers consult ``supports(mode)`` (the mode has
+a default) so adaptation ladders and Grid mapping policies only ever
+propose configurations that can actually be launched.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ class BackendRegistry:
             self._by_mode[mode] = backend
         return backend
 
-    def unregister(self, name: str) -> None:
-        backend = self._by_name.pop(name, None)
-        if backend is None:
-            return
-        for mode, b in list(self._by_mode.items()):
-            if b is backend:
-                del self._by_mode[mode]
-
     # ------------------------------------------------------------------
     def resolve(self, config: ExecConfig) -> ExecutionBackend:
         """The backend that launches ``config`` (name beats mode)."""
@@ -85,43 +77,14 @@ class BackendRegistry:
                     f"registered: {sorted(self._by_name)}") from None
         backend = self._by_mode.get(config.mode)
         if backend is None:
-            backend = self._named_for_mode(config.mode)
-        if backend is None:
             raise WeaveError(
                 f"no execution backend registered for mode "
                 f"{config.mode.value!r}")
         return backend
 
-    def _named_for_mode(self, mode: Mode) -> ExecutionBackend | None:
-        """A named backend declaring ``mode`` launchable (stable pick)."""
-        for name in sorted(self._by_name):
-            if mode in self._by_name[name].modes:
-                return self._by_name[name]
-        return None
-
     def supports(self, mode: Mode) -> bool:
-        """Can *some* registered backend launch ``mode``?
-
-        True for the mode's default and for any named backend declaring
-        the mode in its ``modes`` — so advisor ladders and mapping
-        policies keep proposing e.g. distributed shapes while an
-        alternative distributed backend (multiprocessing) is registered,
-        even with the stock one removed.
-        """
-        return mode in self._by_mode or self._named_for_mode(mode) is not None
-
-    def has(self, name: str) -> bool:
-        return name in self._by_name
-
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
-    def copy(self) -> "BackendRegistry":
-        """A detached registry with the same entries (test isolation)."""
-        out = BackendRegistry()
-        out._by_name = dict(self._by_name)
-        out._by_mode = dict(self._by_mode)
-        return out
+        """Does ``mode`` have a default backend to launch it?"""
+        return mode in self._by_mode
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +96,7 @@ def build_default_registry() -> BackendRegistry:
     The simulated cluster stays the DISTRIBUTED default (virtual-time
     fidelity); the real multiprocessing and sockets backends are
     registered by name — ``ExecConfig.distributed(n)
-    .with_backend("multiproc")`` / ``.with_backend("sockets")`` — and
-    serve as distributed fallbacks when the simulated one is
-    unregistered.
+    .with_backend("multiproc")`` / ``.with_backend("sockets")``.
     """
     from repro.exec.cluster import SimClusterBackend
     from repro.exec.hybrid import HybridBackend
@@ -163,9 +124,3 @@ def default_registry() -> BackendRegistry:
     if _default is None:
         _default = build_default_registry()
     return _default
-
-
-def register_backend(backend: ExecutionBackend, mode: Mode | None = None,
-                     replace: bool = False) -> ExecutionBackend:
-    """Register ``backend`` in the process-wide default registry."""
-    return default_registry().register(backend, mode=mode, replace=replace)

@@ -75,13 +75,9 @@ class SocketsBackend(MultiprocessBackend):
     def __init__(self, start_method: str | None = None,
                  join_timeout: float = 120.0,
                  ranks_per_node: int = 2,
-                 hosts: list[str] | None = None,
-                 data_plane: bool = True,
-                 plane_threshold: int | None = None) -> None:
+                 hosts: list[str] | None = None) -> None:
         super().__init__(start_method=start_method,
-                         join_timeout=join_timeout, max_ranks=None,
-                         data_plane=data_plane,
-                         plane_threshold=plane_threshold)
+                         join_timeout=join_timeout)
         if ranks_per_node < 1:
             raise ValueError("ranks_per_node must be >= 1")
         self.ranks_per_node = ranks_per_node

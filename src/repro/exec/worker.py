@@ -323,7 +323,7 @@ def wait_for_control(channel) -> dict:
 def run_rank_segment(rank: int, env: WorkerEnv, wiring: RankWiring,
                      store: FunnelStore, log: EventLog,
                      join_payload: dict | None,
-                     plane: shm.DataPlane | None) -> tuple:
+                     plane: shm.DataPlane) -> tuple:
     """One active segment of a rank's life: entry to report (or re-park).
 
     Initial members run the phase entry directly; un-parked joiners run
@@ -444,10 +444,8 @@ def rank_main(rank: int, env: WorkerEnv, wiring: RankWiring,
     join_payload: dict | None = None
     log = EventLog()
     own_plane = plane is None
-    if own_plane and env.backend.data_plane:
-        plane = shm.DataPlane(
-            shm.BufferPool(env.launch_id, rank),
-            threshold=env.backend.plane_threshold)
+    if own_plane:
+        plane = shm.DataPlane(shm.BufferPool(env.launch_id, rank))
     store = FunnelStore(rank, wiring.funnel, job=env.job, **env.funnel)
     store.plane = plane  # snapshot bytes ride the slab pool too
     # map the parent's plane segments and claim this rank's regions.  A
@@ -488,5 +486,5 @@ def rank_main(rank: int, env: WorkerEnv, wiring: RankWiring,
             return "done"
     finally:
         planes.close()
-        if own_plane and plane is not None:
+        if own_plane:
             plane.close()

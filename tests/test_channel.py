@@ -78,8 +78,8 @@ def _exchange(rank: int, channels, out) -> None:
     comm = ProcCommunicator(rank, 2, MACHINE, channels)  # no data plane
     _bind(RankContext(rank=rank, nranks=2, clock=VClock(), comm=comm))
     try:
-        got = comm.sendrecv(np.full(MIB // 8, float(rank)), dest=1 - rank,
-                            source=1 - rank)
+        comm.send(np.full(MIB // 8, float(rank)), dest=1 - rank)
+        got = comm.recv(source=1 - rank)
         out.put((rank, float(got[0]), got.nbytes))
     finally:
         _bind(None)

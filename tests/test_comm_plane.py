@@ -4,17 +4,18 @@ Three layers under test:
 
 * :class:`~repro.dsm.mailbox.Mailbox` — the selective-receive
   contract over a queue channel: per-(src, tag) FIFO under interleaved
-  selective receives, ``poll`` drain behaviour, and the single
+  selective receives, a zero-timeout probe's drain behaviour, and the single
   monotonic deadline across the drain loop (a busy mailbox must not
   extend the timeout);
 * :class:`~repro.dsm.shm.BufferPool` / :class:`~repro.dsm.shm.DataPlane`
   — slab lease/recycle lifecycle, ring growth and exhaustion fallback,
   leak checks on clean exit, after a rank failure, and across an
-  elastic park/un-park cycle;
-* end-to-end parity — the multiprocessing backend with the plane on
-  produces bit-identical results and identical checkpoint bytes to the
-  plane-off (queue-pickle) transport and to the threaded backends, and
-  the paper's flat root-funnel collectives give closed-form values.
+  elastic park/un-park cycle, and the checkpoint funnel's borrowed
+  segment regions;
+* end-to-end — the multiprocessing backend's funnelled structured field
+  keeps its dtype, and the paper's flat root-funnel collectives give
+  closed-form values.  (Byte identity across transports is the
+  six-backend parity matrix's: tests/test_exec_backends.py.)
 """
 
 import os
@@ -40,8 +41,7 @@ from repro.core import (
 )
 from repro.dsm import shm
 from repro.dsm.mailbox import Mailbox, Message
-from repro.exec import build_default_registry
-from repro.exec.multiproc import MultiprocessBackend
+from repro.telemetry import MetricsRegistry
 from repro.vtime import MachineModel
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
@@ -108,11 +108,12 @@ class TestProcessMailbox:
         mb.put(msg(1, 1))
         mb.put(msg(2, 2))
         mb.put(msg(3, 3))
-        assert not mb.poll(source=9)       # drained everything, no match
-        assert len(mb) == 3                # ... into the pending buffer
-        assert mb.poll(source=2, tag=2)    # matches from pending only
-        assert mb.poll(source=1)
-        # drained envelopes are still retrievable in order
+        with pytest.raises(TimeoutError):  # a zero-timeout get polls:
+            mb.get(source=9, timeout=0)    # drained everything, no match
+        assert len(mb._pending) == 3       # ... into the pending buffer
+        # drained envelopes are still retrievable, from pending only
+        assert mb.get(source=2, tag=2, timeout=0).src == 2
+        assert mb.get(source=1, timeout=0).src == 1
         assert mb.get(source=3, tag=3).src == 3
 
     def test_deadline_spans_the_whole_drain_loop(self):
@@ -155,7 +156,7 @@ class TestProcessMailbox:
         mb.put(msg(1, 5))
         with pytest.raises(TimeoutError, match="src=2"):
             mb.get(source=2, tag=5, timeout=0.05)
-        assert len(mb) == 1  # buffered, not dropped
+        assert len(mb._pending) == 1  # buffered, not dropped
         # an expired deadline still owes one non-blocking poll: a match
         # already sitting in the channel must be returned, not timed out
         mb.put(msg(3, 5))
@@ -206,12 +207,14 @@ class TestBufferPool:
             pool.unlink_all()
         assert_no_segments()
 
-    def test_regrown_slab_replaces_the_clients_old_mapping(self):
+    def test_regrown_slab_replaces_the_clients_old_mapping(self,
+                                                            monkeypatch):
         # the owner unlinks a slot's old generation when it regrows it;
         # a client that kept its mapping would pin those pages for its
         # whole life (the fleet funnel's client lives as long as the
-        # fleet).
-        pool = shm.BufferPool(shm.new_launch_id(), 0, slots=1)
+        # fleet).  A one-slot ring makes the second lease regrow it.
+        monkeypatch.setattr(shm, "POOL_SLOTS", 1)
+        pool = shm.BufferPool(shm.new_launch_id(), 0)
         client = shm.PoolClient()
         try:
             small = np.arange(64 * 1024 // 8, dtype=np.float64)
@@ -233,10 +236,12 @@ class TestBufferPool:
             pool.unlink_all()
         assert_no_segments()
 
-    def test_exhausted_ring_degrades_instead_of_blocking(self):
-        pool = shm.BufferPool(shm.new_launch_id(), 0, slots=2,
-                              lease_timeout=0.1)
-        plane = shm.DataPlane(pool, threshold=16)
+    def test_exhausted_ring_degrades_instead_of_blocking(self,
+                                                         monkeypatch):
+        monkeypatch.setattr(shm, "POOL_SLOTS", 2)
+        monkeypatch.setattr(shm, "LEASE_TIMEOUT", 0.1)
+        pool = shm.BufferPool(shm.new_launch_id(), 0)
+        plane = shm.DataPlane(pool)
         try:
             l1, l2 = pool.lease(1024), pool.lease(1024)
             assert l1 is not None and l2 is not None
@@ -244,10 +249,10 @@ class TestBufferPool:
             assert pool.lease(1024) is None  # both slots in flight
             assert time.monotonic() - t0 < 1.0
             # the plane falls back to the inline path on exhaustion
-            arr = np.arange(100.0)
+            arr = np.arange(shm.SHM_THRESHOLD / 8)
             out = plane.outbound(arr)
             assert isinstance(out, np.ndarray)
-            assert plane.stats()["fallbacks"] >= 1
+            assert pool.fallbacks >= 1
             l1.cancel()
             l2.cancel()
         finally:
@@ -268,9 +273,9 @@ class TestBufferPool:
 
     def test_plane_container_roundtrip_and_owned_semantics(self):
         pool = shm.BufferPool(shm.new_launch_id(), 0)
-        plane = shm.DataPlane(pool, threshold=1 << 10)
+        plane = shm.DataPlane(pool)
         try:
-            a = np.random.rand(40, 40)
+            a = np.random.rand(64, 64)  # exactly SHM_THRESHOLD bytes
             payload = (("shape", a.shape), [a, np.arange(4)], {"x": a * 2})
             out = plane.outbound(payload)
             assert isinstance(out[1][0], shm.ShmRef)
@@ -320,21 +325,23 @@ class TestBufferPool:
             pool.unlink_all()
         assert_no_segments()
 
-    def test_one_payload_larger_than_the_ring_never_stalls(self):
+    def test_one_payload_larger_than_the_ring_never_stalls(self,
+                                                           monkeypatch):
         """A single payload with more large arrays than the ring has
         slots can never be satisfied by a recycle (nothing ships until
         packing finishes), so the overflow must go inline immediately
         instead of waiting out the lease timeout per array."""
-        pool = shm.BufferPool(shm.new_launch_id(), 0, slots=2,
-                              lease_timeout=5.0)
-        plane = shm.DataPlane(pool, threshold=1 << 10)
+        monkeypatch.setattr(shm, "POOL_SLOTS", 2)
+        monkeypatch.setattr(shm, "LEASE_TIMEOUT", 5.0)
+        pool = shm.BufferPool(shm.new_launch_id(), 0)
+        plane = shm.DataPlane(pool)
         try:
             payload = [np.random.rand(64, 64) for _ in range(6)]
             t0 = time.monotonic()
             out = plane.outbound(payload)
             assert time.monotonic() - t0 < 1.0, "pack stalled on leases"
             assert sum(isinstance(x, shm.ShmRef) for x in out) == 2
-            assert plane.stats()["fallbacks"] == 4
+            assert pool.fallbacks == 4
             back = plane.inbound(out)
             for a, b in zip(back, payload):
                 assert np.array_equal(a, b)
@@ -346,78 +353,101 @@ class TestBufferPool:
         assert_no_segments()
 
     def test_borrow_refs_are_zero_copy_views(self):
+        """The checkpoint funnel's lent segments (``FunnelStore.lend``):
+        a contiguous region of one ships as a ``"borrow"`` ref, which
+        the parent's client reads in place, with no slab and no
+        release protocol."""
         launch = shm.new_launch_id()
-        pool = shm.BufferPool(launch, 0)
-        plane = shm.DataPlane(pool, threshold=64)
+        client = shm.PoolClient()
         seg = shm.ShmSegment.allocate(shm.segment_name(launch, "F"),
                                       (32, 16), np.float64)
         try:
             src = seg.ndarray()
             src[...] = np.random.rand(32, 16)
-            plane.register_borrow(src, seg.name)
-            ref = plane.outbound(src[4:12])
+            lent = {id(src): (seg.name, seg.size, src)}
+            ref = shm.borrow_ref(lent, src[4:12])
             assert isinstance(ref, shm.ShmRef) and ref.kind == "borrow"
-            assert pool.in_flight() == 0  # no slab was touched
-            view = plane.inbound(ref)
+            view = client.view(ref)
             assert not view.flags.writeable
             assert np.array_equal(view, src[4:12])
             # the view aliases the source pages: a write shows through
             src[4, 0] = -1.0
             assert view[0, 0] == -1.0
-            # non-contiguous views fall back to the slab/inline path
-            assert not isinstance(plane.outbound(src[:, 2:5]), shm.ShmRef) \
-                or plane.outbound(src[:, 2:5]).kind == "slab"
+            head = src.copy()
+            client.release(ref)  # a borrow has no header word to reset
+            np.testing.assert_array_equal(src, head)
+            del view
+            # non-contiguous regions and unlent arrays do not qualify
+            assert shm.borrow_ref(lent, src[:, 2:5]) is None
+            assert shm.borrow_ref(lent, np.zeros((4, 16))) is None
         finally:
-            plane.close()
+            client.close_all()
             seg.unlink()
-            pool.unlink_all()
         assert_no_segments()
 
 
 # ---------------------------------------------------------------------------
 # end-to-end: the multiprocessing backend over the plane
 # ---------------------------------------------------------------------------
-def run_sor(tmp_path, tag, config, registry=None, **kw):
+def run_sor(tmp_path, tag, config, ckpt_strategy="master", **kw):
     rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / tag,
-                 policy=kw.pop("policy", EveryN(3)), registry=registry,
-                 ckpt_strategy=kw.pop("ckpt_strategy", "master"))
+                 policy=EveryN(3), ckpt_strategy=ckpt_strategy)
     res = rt.run(WOVEN, ctor_kwargs={"n": N, "iterations": ITERS},
                  entry="execute", config=config, fresh=True, **kw)
     return rt, res
 
 
-def ckpt_bytes(rt):
-    return {p.name: p.read_bytes() for p in sorted(rt.store.dir.iterdir())
-            if p.is_file()}
+def field_blobs(rt):
+    """Every checkpoint's field bytes: the master store's, and each
+    rank's shard's."""
+    out = {("", c): rt.store.read(c).field_blobs()
+           for c in rt.store.counts()}
+    for c, ranks in rt.store.shard_counts().items():
+        for rank in ranks:
+            out[(rank, c)] = rt.store.shard(rank).read(c).field_blobs()
+    return out
+
+
+def slab_sends(res) -> float:
+    reg = MetricsRegistry()
+    reg.absorb_snapshot(res.metrics)
+    return reg.value("repro_dsm_send_msgs_total", {"tier": "slab"})
 
 
 class TestPlaneParity:
-    def test_plane_on_off_bit_identical_results_and_checkpoints(self,
-                                                                tmp_path):
-        """The transport must be invisible: same value, same vtime, same
-        checkpoint bytes, with the slab path actually exercised
-        (threshold 1 KiB puts every SOR payload on the slabs)."""
-        reg_on = build_default_registry()
-        reg_on.register(MultiprocessBackend(plane_threshold=1 << 10),
-                        replace=True)
-        reg_off = build_default_registry()
-        reg_off.register(MultiprocessBackend(data_plane=False),
-                         replace=True)
-        cfg = ExecConfig.distributed(3).with_backend("multiproc")
-        rt_on, res_on = run_sor(tmp_path, "on", cfg, reg_on)
-        rt_off, res_off = run_sor(tmp_path, "off", cfg, reg_off)
+    """The plane-on arm is the sockets backend: its fields are private,
+    so its co-located ranks move SOR rows through messages, which ride
+    the slabs once the threshold is patched to 1 KiB before the ranks
+    fork.  The plane-off arm is the simulated cluster, which has no
+    plane."""
+
+    @staticmethod
+    def _parity(tmp_path, monkeypatch, strategy):
+        monkeypatch.setattr(shm, "SHM_THRESHOLD", 1 << 10)
+        rt_on, res_on = run_sor(
+            tmp_path, "on", ExecConfig.distributed(3).with_backend(
+                "sockets"), ckpt_strategy=strategy)
+        rt_off, res_off = run_sor(tmp_path, "off", ExecConfig.distributed(3),
+                                  ckpt_strategy=strategy)
+        assert slab_sends(res_on) > 0, "the plane never engaged"
         assert res_on.value == res_off.value == pytest.approx(REF)
-        # vtime is charged off measured (host-dependent) kernel rates in
-        # worker processes, so exact equality is not meaningful here —
-        # what must hold is that both transports charge the same *model*
-        # (asserted bit-exactly by the checkpoint bytes below, and by
-        # the pinned-rate comparison in bench_comm_plane.py).
-        assert res_on.vtime > 0 and res_off.vtime > 0
-        on, off = ckpt_bytes(rt_on), ckpt_bytes(rt_off)
+        assert res_on.vtime == res_off.vtime
+        on, off = field_blobs(rt_on), field_blobs(rt_off)
         assert on.keys() == off.keys() and len(on) > 0
-        for name in on:
-            assert on[name] == off[name], f"checkpoint {name} diverged"
-        assert_no_segments()
+        assert on == off
+
+    def test_plane_on_off_bit_identical_results_and_checkpoints(
+            self, tmp_path, monkeypatch):
+        """The transport must be invisible: same value, same virtual
+        time, same checkpoint field bytes."""
+        self._parity(tmp_path, monkeypatch, "master")
+
+    def test_plane_parity_under_local_shard_strategy(self, tmp_path,
+                                                     monkeypatch):
+        """The same, for every rank's checkpoint shard."""
+        from repro.core.context import STRATEGY_LOCAL
+
+        self._parity(tmp_path, monkeypatch, STRATEGY_LOCAL)
 
     def test_funnelled_structured_field_keeps_its_dtype(self, tmp_path):
         """A structured SafeData field past the slab threshold rides the
@@ -434,54 +464,31 @@ class TestPlaneParity:
         np.testing.assert_array_equal(tags["x"], np.arange(TAG_N) / 4)
         assert_no_segments()
 
-    def test_plane_parity_under_local_shard_strategy(self, tmp_path):
-        from repro.core.context import STRATEGY_LOCAL
-
-        reg_on = build_default_registry()
-        reg_on.register(MultiprocessBackend(plane_threshold=1 << 10),
-                        replace=True)
-        reg_off = build_default_registry()
-        reg_off.register(MultiprocessBackend(data_plane=False),
-                         replace=True)
-        cfg = ExecConfig.distributed(3).with_backend("multiproc")
-        rt_on, res_on = run_sor(tmp_path, "l-on", cfg, reg_on,
-                                ckpt_strategy=STRATEGY_LOCAL)
-        rt_off, res_off = run_sor(tmp_path, "l-off", cfg, reg_off,
-                                  ckpt_strategy=STRATEGY_LOCAL)
-        assert res_on.value == res_off.value == pytest.approx(REF)
-        on, off = ckpt_bytes(rt_on), ckpt_bytes(rt_off)
-        assert on.keys() == off.keys() and len(on) > 0
-        for name in on:
-            assert on[name] == off[name]
-        assert_no_segments()
-
-    def test_pool_survives_elastic_park_unpark_without_leaks(self,
-                                                             tmp_path):
+    def test_pool_survives_elastic_park_unpark_without_leaks(
+            self, tmp_path, monkeypatch):
         """Grow + shrink membership transitions with a forced-low
-        threshold: slabs are leased on both sides of each transition and
-        every segment is gone afterwards."""
-        reg = build_default_registry()
-        reg.register(MultiprocessBackend(plane_threshold=1 << 10),
-                     replace=True)
+        threshold (patched before the ranks fork): slabs are leased on
+        both sides of each transition and every segment is gone
+        afterwards."""
+        monkeypatch.setattr(shm, "SHM_THRESHOLD", 1 << 10)
         cfg = ExecConfig.distributed(2).with_backend("multiproc")
         plan = AdaptationPlan([
             AdaptStep(at=3, config=ExecConfig.distributed(4)
                       .with_backend("multiproc")),
             AdaptStep(at=7, config=cfg)])
-        rt, res = run_sor(tmp_path, "elastic", cfg, reg, plan=plan)
+        rt, res = run_sor(tmp_path, "elastic", cfg, plan=plan)
         assert res.value == pytest.approx(REF)
         assert res.relaunches == 0
         assert len(res.in_place_reshapes) == 2
         assert_no_segments()
 
-    def test_plane_survives_rank_failure_and_recovery(self, tmp_path):
+    def test_plane_survives_rank_failure_and_recovery(self, tmp_path,
+                                                      monkeypatch):
         """An injected rank failure mid-phase: the driver restarts from
         the checkpoint and no slab or segment outlives the launch."""
-        reg = build_default_registry()
-        reg.register(MultiprocessBackend(plane_threshold=1 << 10),
-                     replace=True)
+        monkeypatch.setattr(shm, "SHM_THRESHOLD", 1 << 10)
         cfg = ExecConfig.distributed(3).with_backend("multiproc")
-        rt, res = run_sor(tmp_path, "fail", cfg, reg,
+        rt, res = run_sor(tmp_path, "fail", cfg,
                           injector=FailureInjector(fail_at=6, rank=1),
                           auto_recover=True)
         assert res.value == pytest.approx(REF)
@@ -505,7 +512,7 @@ class TestFlatCollectives:
             b = c.bcast(np.arange(4.0) if ctx.rank == 1 else None, root=1)
             g = c.gather(np.arange(6.0) * (ctx.rank + 1), root=0)
             r = c.reduce(float(ctx.rank + 1), root=0)
-            ag = c.allgather(ctx.rank * 2)
+            ag = c.allreduce(ctx.rank * 2)
             return (b.tolist(),
                     None if g is None else [x.tolist() for x in g],
                     r, ag)
@@ -519,7 +526,7 @@ class TestFlatCollectives:
         gathered = [[float(i * (r + 1)) for i in range(6)]
                     for r in range(nranks)]
         total = nranks * (nranks + 1) / 2
-        evens = [2 * r for r in range(nranks)]
+        evens = nranks * (nranks - 1)  # the sum of 2r
         assert got[0] == ([0.0, 1.0, 2.0, 3.0], gathered, total, evens)
         for rank in range(1, nranks):
             assert got[rank] == ([0.0, 1.0, 2.0, 3.0], None, None, evens)

@@ -10,6 +10,7 @@ import pytest
 from repro.dsm import Communicator, Mailbox, Message, RankFailure, SimCluster
 from repro.dsm.comm import current_rank
 from repro.dsm.mailbox import ANY_SOURCE, MailboxClosed
+from repro.dsm.partition import BlockLayout, gather_inplace, scatter_inplace
 from repro.vtime import MachineModel
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
@@ -58,11 +59,14 @@ class TestMailbox:
         assert mb.get(source=ANY_SOURCE).payload == "w"
 
     def test_poll(self):
+        """A zero-timeout get is the mailbox's non-blocking poll."""
         mb = thread_box()
-        assert not mb.poll()
+        with pytest.raises(TimeoutError):
+            mb.get(timeout=0)
         mb.put(self._msg(tag=4))
-        assert mb.poll(tag=4)
-        assert not mb.poll(tag=5)
+        with pytest.raises(TimeoutError):
+            mb.get(tag=5, timeout=0)
+        assert mb.get(tag=4, timeout=0).tag == 4
 
     def test_get_timeout(self):
         mb = thread_box()
@@ -168,7 +172,8 @@ class TestPointToPoint:
             ctx = current_rank()
             right = (ctx.rank + 1) % ctx.nranks
             left = (ctx.rank - 1) % ctx.nranks
-            return ctx.comm.sendrecv(ctx.rank, dest=right, source=left, tag=5)
+            ctx.comm.send(ctx.rank, dest=right, tag=5)  # never blocks
+            return ctx.comm.recv(source=left, tag=5)
 
         _, res = run_spmd(4, entry)
         assert res == [3, 0, 1, 2]
@@ -188,25 +193,27 @@ class TestCollectives:
         assert all(r == {"k": [1, 2]} for r in res)
 
     def test_scatter_gather_roundtrip(self):
+        """The in-place movements every run uses: root scatters its
+        rows, each rank rewrites its own, root gathers them back."""
         def entry():
             ctx = current_rank()
-            parts = [i * 10 for i in range(ctx.nranks)] if ctx.rank == 0 else None
-            mine = ctx.comm.scatter(parts, root=0)
-            assert mine == ctx.rank * 10
-            return ctx.comm.gather(mine, root=0)
+            arr = (np.arange(40.0).reshape(10, 4) if ctx.rank == 0
+                   else np.zeros((10, 4)))
+            lo, hi = scatter_inplace(ctx.comm, arr, BlockLayout(axis=0),
+                                     root=0)
+            assert arr[lo:hi].sum() == np.arange(40.0).reshape(
+                10, 4)[lo:hi].sum()
+            arr[lo:hi] += 100 * ctx.rank
+            gather_inplace(ctx.comm, arr, BlockLayout(axis=0), root=0)
+            return ctx.comm.gather((lo, hi), root=0), arr
 
         _, res = run_spmd(4, entry)
-        assert res[0] == [0, 10, 20, 30]
-        assert res[1] is None
-
-    def test_scatter_wrong_length_rejected(self):
-        def entry():
-            ctx = current_rank()
-            parts = [1, 2] if ctx.rank == 0 else None
-            ctx.comm.scatter(parts, root=0)
-
-        with pytest.raises(RankFailure):
-            run_spmd(3, entry)
+        bounds, arr = res[0]
+        expect = np.arange(40.0).reshape(10, 4)
+        for r, (lo, hi) in enumerate(bounds):
+            expect[lo:hi] += 100 * r
+        np.testing.assert_array_equal(arr, expect)
+        assert res[1][0] is None
 
     def test_reduce_sum_default(self):
         def entry():
@@ -233,23 +240,6 @@ class TestCollectives:
         _, res = run_spmd(3, entry)
         for r in res:
             np.testing.assert_array_equal(r, np.full(3, 3.0))
-
-    def test_allgather(self):
-        def entry():
-            ctx = current_rank()
-            return ctx.comm.allgather(ctx.rank * 2)
-
-        _, res = run_spmd(3, entry)
-        assert all(r == [0, 2, 4] for r in res)
-
-    def test_alltoall(self):
-        def entry():
-            ctx = current_rank()
-            parts = [f"{ctx.rank}->{d}" for d in range(ctx.nranks)]
-            return ctx.comm.alltoall(parts)
-
-        _, res = run_spmd(3, entry)
-        assert res[1] == ["0->1", "1->1", "2->1"]
 
     def test_barrier_syncs_clocks(self):
         def entry():
@@ -297,16 +287,15 @@ class TestSimCluster:
         assert isinstance(ei.value.cause, KeyError)
 
     def test_root_failure_releases_peers_blocked_in_recv(self):
-        """Rank 0 raises inside ``scatter`` while three peers wait in
-        its receive: the close wakes them at once, so the run ends with
-        the root cause instead of sleeping out the 60 s receive
-        deadline."""
+        """Rank 0 raises while three peers wait in their receive from
+        it: the close wakes them at once, so the run ends with the root
+        cause instead of sleeping out the 60 s receive deadline."""
         def entry():
             ctx = current_rank()
             if ctx.rank == 0:
                 time.sleep(0.2)  # the peers are parked in recv by now
-                return ctx.comm.scatter([1, 2])  # 2 parts for 4 ranks
-            return ctx.comm.scatter(None)
+                raise ValueError("root failed before sending")
+            return ctx.comm.recv(source=0)
 
         t0 = time.monotonic()
         with pytest.raises(RankFailure) as ei:

@@ -33,6 +33,7 @@ from repro.core import (
     AdaptStep,
     AdaptationPlan,
     ExecConfig,
+    Mode,
     Runtime,
     plug,
 )
@@ -40,7 +41,13 @@ from repro.core.advisor import SelfAdaptationAdvisor
 from repro.dsm import shm
 from repro.dsm.partition import BlockLayout, CyclicLayout, HybridLayout
 from repro.elastic import ReshapePlan
-from repro.exec import MultiprocessBackend, build_default_registry
+from repro.exec import (
+    BackendRegistry,
+    MultiprocessBackend,
+    SequentialBackend,
+    ThreadTeamBackend,
+    build_default_registry,
+)
 from repro.vtime import MachineModel
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
@@ -383,8 +390,10 @@ class TestTransitionCosts:
         ranks (a spawn per rank plus the barrier pair and scatter)
         costs more than a whole trial window buys — the
         transition-aware advisor settles instead."""
-        reg = build_default_registry()
-        reg.unregister("simcluster")  # distributed resolves to multiproc
+        reg = BackendRegistry()  # distributed resolves to multiproc
+        reg.register(SequentialBackend(), mode=Mode.SEQUENTIAL)
+        reg.register(ThreadTeamBackend(), mode=Mode.SHARED)
+        reg.register(MultiprocessBackend(), mode=Mode.DISTRIBUTED)
         adv = SelfAdaptationAdvisor(MACHINE, max_pe=16, window=4,
                                     registry=reg, transition_aware=True)
         dist = [c for c in adv.ladder if c.nranks > 1]
@@ -422,10 +431,3 @@ class TestFabricSizing:
         ])
         spec = PhaseSpec(woven=WOVEN, config=mp_cfg(2), plan=plan)
         assert backend._fabric_size(spec) == 6
-
-    def test_explicit_max_ranks_widens_fabric(self):
-        from repro.exec.base import PhaseSpec
-
-        backend = MultiprocessBackend(max_ranks=5)
-        spec = PhaseSpec(woven=WOVEN, config=mp_cfg(2))
-        assert backend._fabric_size(spec) == 5

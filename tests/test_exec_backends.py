@@ -44,6 +44,7 @@ from repro.core import (
 from repro.core.advisor import SelfAdaptationAdvisor
 from repro.dsm import shm
 from repro.exec import (
+    BackendRegistry,
     HybridBackend,
     MultiprocessBackend,
     SequentialBackend,
@@ -74,6 +75,18 @@ ALL_CONFIGS = [
     ("multiproc", MULTIPROC),
     ("sockets", SOCKETS),
 ]
+
+
+def registry(*entries) -> BackendRegistry:
+    """A registry of ``(backend, mode default or None)`` entries."""
+    reg = BackendRegistry()
+    for backend, mode in entries:
+        reg.register(backend, mode=mode)
+    return reg
+
+
+SEQ = (SequentialBackend(), Mode.SEQUENTIAL)
+THREADS = (ThreadTeamBackend(), Mode.SHARED)
 
 
 def run_sor(tmp_path, config, tag, **kw):
@@ -112,9 +125,8 @@ class TestRegistry:
             reg.resolve(ExecConfig.sequential().with_backend("nope"))
 
     def test_unsupported_mode_rejected(self):
-        reg = build_default_registry()
-        reg.unregister("hybrid")
-        assert not reg.supports(Mode.HYBRID)
+        reg = registry(SEQ, THREADS, (HybridBackend(), None))
+        assert not reg.supports(Mode.HYBRID)  # named, but no default
         with pytest.raises(WeaveError, match="no execution backend"):
             reg.resolve(ExecConfig.hybrid(2, 2))
 
@@ -156,28 +168,26 @@ class TestRegistry:
 
     def test_multiproc_registered_by_name_not_mode_default(self):
         reg = build_default_registry()
-        assert reg.has("multiproc")
         assert isinstance(reg.resolve(MULTIPROC), MultiprocessBackend)
         # the simulated cluster stays the DISTRIBUTED default
         assert isinstance(reg.resolve(ExecConfig.distributed(2)),
                           SimClusterBackend)
 
     def test_named_backend_keeps_mode_launchable(self):
-        """supports() and resolve() fall back to a named backend that
-        declares the mode, so unregistering the simulated cluster does
-        not strand distributed configurations."""
-        reg = build_default_registry()
-        reg.unregister("simcluster")
-        assert reg.supports(Mode.DISTRIBUTED)
-        assert isinstance(reg.resolve(ExecConfig.distributed(2)),
-                          MultiprocessBackend)
-        reg.unregister("multiproc")  # next name down the ladder
-        assert isinstance(reg.resolve(ExecConfig.distributed(2)),
-                          SocketsBackend)
-        reg.unregister("sockets")
-        assert not reg.supports(Mode.DISTRIBUTED)
+        """Without the simulated cluster, a named backend keeps
+        DISTRIBUTED launchable as the mode's default (the service's
+        per-job registry registers its fleet backend so); registered by
+        name alone it is reached by name only."""
+        named = registry(SEQ, (MultiprocessBackend(), None),
+                         (SocketsBackend(), None))
+        assert not named.supports(Mode.DISTRIBUTED)
         with pytest.raises(WeaveError, match="no execution backend"):
-            reg.resolve(ExecConfig.distributed(2))
+            named.resolve(ExecConfig.distributed(2))
+        assert isinstance(named.resolve(MULTIPROC), MultiprocessBackend)
+        default = registry(SEQ, (MultiprocessBackend(), Mode.DISTRIBUTED))
+        assert default.supports(Mode.DISTRIBUTED)
+        assert isinstance(default.resolve(ExecConfig.distributed(2)),
+                          MultiprocessBackend)
 
     def test_context_defaults_caps_from_mode(self):
         ctx = ExecutionContext(ExecConfig.sequential())
@@ -445,10 +455,8 @@ class TestFifthBackend:
 # ---------------------------------------------------------------------------
 class TestRegistryAwareSelection:
     def test_advisor_ladder_skips_unregistered_modes(self):
-        reg = build_default_registry()
-        reg.unregister("simcluster")
-        reg.unregister("multiproc")
-        reg.unregister("sockets")  # all three distributed-capable backends
+        reg = registry(SEQ, THREADS, (HybridBackend(), Mode.HYBRID),
+                       (MultiprocessBackend(), None))  # no DISTRIBUTED
         adv = SelfAdaptationAdvisor(MACHINE, max_pe=16, registry=reg)
         assert all(c.mode is not Mode.DISTRIBUTED for c in adv.ladder)
         assert any(c.mode is Mode.SHARED for c in adv.ladder)
@@ -457,8 +465,8 @@ class TestRegistryAwareSelection:
         """With only the multiprocessing backend left for DISTRIBUTED,
         the ladder still climbs into distributed shapes — and the
         registry resolves them to real processes."""
-        reg = build_default_registry()
-        reg.unregister("simcluster")
+        reg = registry(SEQ, THREADS,
+                       (MultiprocessBackend(), Mode.DISTRIBUTED))
         adv = SelfAdaptationAdvisor(MACHINE, max_pe=16, registry=reg)
         dist = [c for c in adv.ladder if c.mode is Mode.DISTRIBUTED]
         assert dist, "ladder lost its distributed rungs"
@@ -468,11 +476,7 @@ class TestRegistryAwareSelection:
     def test_runtime_syncs_advisor_to_its_registry(self, tmp_path):
         """A default-constructed advisor is re-anchored on the runtime's
         own registry, so it never proposes an unlaunchable config."""
-        reg = build_default_registry()
-        reg.unregister("threads")
-        reg.unregister("simcluster")
-        reg.unregister("multiproc")
-        reg.unregister("sockets")
+        reg = registry(SEQ, (HybridBackend(), Mode.HYBRID))
         adv = SelfAdaptationAdvisor(MACHINE, max_pe=8, window=3)
         assert any(c.mode is Mode.SHARED for c in adv.ladder)  # global view
         rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "sync",
@@ -485,16 +489,20 @@ class TestRegistryAwareSelection:
         assert all(c == ExecConfig.sequential() for c in adv.ladder)
 
     def test_mapping_policy_degrades_without_backends(self):
-        reg = build_default_registry()
-        full = MappingPolicy(MACHINE, allow_hybrid=True, registry=reg)
-        assert full.config_for(8) == ExecConfig.hybrid(2, 4)
-        reg.unregister("hybrid")
-        assert full.config_for(8) == ExecConfig.distributed(8)
-        reg.unregister("simcluster")
-        # the named multiprocessing backend keeps DISTRIBUTED launchable
-        assert full.config_for(8) == ExecConfig.distributed(8)
-        reg.unregister("multiproc")
-        reg.unregister("sockets")  # the last distributed-capable name
-        assert full.config_for(8) == ExecConfig.shared(4)  # capped at node
-        reg.unregister("threads")
-        assert full.config_for(8) == ExecConfig.sequential()
+        def config_for(*entries):
+            return MappingPolicy(MACHINE, allow_hybrid=True,
+                                 registry=registry(*entries)).config_for(8)
+
+        dist = (SimClusterBackend(), Mode.DISTRIBUTED)
+        assert config_for(SEQ, THREADS, dist,
+                          (HybridBackend(), Mode.HYBRID)) \
+            == ExecConfig.hybrid(2, 4)
+        assert config_for(SEQ, THREADS, dist) == ExecConfig.distributed(8)
+        # a process backend as the default keeps DISTRIBUTED launchable
+        assert config_for(SEQ, THREADS,
+                          (MultiprocessBackend(), Mode.DISTRIBUTED)) \
+            == ExecConfig.distributed(8)
+        # registered by name only, it does not
+        assert config_for(SEQ, THREADS, (MultiprocessBackend(), None)) \
+            == ExecConfig.shared(4)  # capped at one node
+        assert config_for(SEQ) == ExecConfig.sequential()

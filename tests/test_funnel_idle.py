@@ -318,10 +318,10 @@ def test_failed_write_still_recycles_the_slabs(slab_spy, monkeypatch,
                 client.write(Snapshot(app="T", safepoint_count=1,
                                       fields={"G": grid, "step": 1}))
         assert pool.in_flight() == 0
-        assert client.plane.slab_msgs == 1
+        assert pool.leases == 1
         client.write(Snapshot(app="T", safepoint_count=2,
                               fields={"G": grid + 1, "step": 2}))
-        assert pool.in_flight() == 0 and client.plane.slab_msgs == 2
+        assert pool.in_flight() == 0 and pool.leases == 2
         assert store.counts() == [2]
         np.testing.assert_array_equal(store.read(2).fields["G"], grid + 1)
     finally:
@@ -354,11 +354,11 @@ def test_failed_chunked_write_still_recycles_the_slab(slab_spy, monkeypatch,
                                match="failed in parent(.|\n)*No space left"):
                 client.write(Snapshot(app="T", safepoint_count=1,
                                       fields={"G": grid, "step": 1}))
-        assert pool.in_flight() == 0 and client.plane.slab_msgs == 1
+        assert pool.in_flight() == 0 and pool.leases == 1
         assert [w for w in slab_spy.views if w() is not None] == []
         client.write(Snapshot(app="T", safepoint_count=2,
                               fields={"G": grid + 1, "step": 2}))
-        assert pool.in_flight() == 0 and client.plane.slab_msgs == 2
+        assert pool.in_flight() == 0 and pool.leases == 2
         assert [w for w in slab_spy.views if w() is not None] == []
         assert store.counts() == [2]
         np.testing.assert_array_equal(store.read(2).fields["G"], grid + 1)

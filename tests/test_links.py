@@ -194,6 +194,51 @@ class TestLoop:
         finally:
             loop.stop(5.0)
 
+    def test_a_client_that_never_reads_its_reply_holds_up_no_other(self):
+        """A 64 MiB reply to a client that never reads it waits on that
+        client's link; the loop answers the next client at once and
+        still stops."""
+        big = bytes(64 << 20)
+
+        def serve(_conn, obj):
+            return big if obj == "big" else ("got", obj)
+
+        loop = LinkLoop("test-no-reader")
+        address = loop.bind("127.0.0.1", serve)
+        loop.start()
+        stopped = False
+        try:
+            a, b = dial(address), dial(address)
+            a.send("big")  # and never read
+            time.sleep(0.2)  # the loop is part-way through the reply
+            t0 = time.monotonic()
+            b.send("small")
+            assert b.poll(1.0), "the small reply waited behind the big one"
+            assert b.recv() == ("got", "small")
+            assert time.monotonic() - t0 < 1.0
+            stopped = loop.stop(5.0)
+            assert stopped
+            a.close()
+            b.close()
+        finally:
+            if not stopped:
+                loop.stop(5.0)
+
+    def test_a_reply_larger_than_the_socket_buffer_arrives_whole(self):
+        big = np.arange(4 << 20, dtype=np.float64)  # 32 MiB
+
+        loop = LinkLoop("test-big-reply")
+        address = loop.bind("127.0.0.1", lambda _conn, obj: big[obj:])
+        loop.start()
+        try:
+            conn = dial(address)
+            for start in (0, 1):  # a second reply on the same link
+                conn.send(start)
+                assert np.array_equal(conn.recv(), big[start:])
+            conn.close()
+        finally:
+            loop.stop(5.0)
+
     def test_stop_returns_at_once_and_closes_every_link(self):
         for _ in range(10):
             loop, address, _ = _echo_loop()

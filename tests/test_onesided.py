@@ -233,7 +233,7 @@ class TestHierarchicalTopology:
             b = comm.bcast(np.arange(5.0) if rank == 1 else None, root=1)
             g = comm.gather(arr, root=0)
             s = comm.reduce(arr, root=0)
-            ag = comm.allgather(float(rank) / 3.0)
+            ag = comm.allreduce(float(rank) / 3.0)
             return (b.tobytes(),
                     None if g is None else [x.tobytes() for x in g],
                     None if s is None else s.tobytes(), ag)

@@ -116,7 +116,8 @@ def _open_plane(shared: bool, n: int):
     if not shared:
         return PairPlane.local(n, backend="t"), None
     launch_id = shm.new_launch_id()
-    return PairPlane.create(launch_id, n, backend="t"), launch_id
+    plane = PairPlane(n, launch_id=launch_id, create=True, backend="t")
+    return plane, launch_id
 
 
 def _ppshm_names() -> list[str]:
@@ -208,11 +209,11 @@ class TestRegionLifecycle:
     def test_attach_by_name_sees_creator_writes_and_unlink_is_clean(self):
         launch_id = shm.new_launch_id()
         name = shm.segment_name(launch_id, PairPlane.kind)
-        plane = PairPlane.create(launch_id, 2, backend="t")
+        plane = PairPlane(2, launch_id=launch_id, create=True, backend="t")
         try:
             assert name in shm.live_segments()
             plane.writer(0).store(3.0)
-            peer = PairPlane.attach(launch_id, 2)
+            peer = PairPlane(2, launch_id=launch_id)
             try:
                 assert peer.scrape() == {0: (3.0, 6.0, True)}
                 # ... and the other way: one buffer, two mappings
@@ -227,7 +228,7 @@ class TestRegionLifecycle:
         assert not any(launch_id in n for n in _ppshm_names())
         # the creator is the sole unlinker: the name is really gone
         with pytest.raises(FileNotFoundError):
-            PairPlane.attach(launch_id, 2)
+            PairPlane(2, launch_id=launch_id)
 
     def test_binder_is_thread_local_with_a_null_default(self):
         null = shmplane.NullWriter()
@@ -315,7 +316,7 @@ class TestRegionHammer:
         writers: dict[int, tuple] = {}
 
         def setup(rank):
-            own = PairPlane.attach(launch_id, self.WRITERS) \
+            own = PairPlane(self.WRITERS, launch_id=launch_id) \
                 if launch_id is not None else plane
             writers[rank] = (own, own.writer(rank))
 

@@ -139,13 +139,13 @@ class TestHammer:
     @needs_fork
     def test_process_hammer_exact_totals(self):
         launch_id = shm.new_launch_id("hammer")
-        plane = TelemetryPlane.create(launch_id, WRITERS,
-                                      backend="hammer")
+        plane = TelemetryPlane(WRITERS, launch_id=launch_id, create=True,
+                               backend="hammer")
         ctx = mp.get_context("fork")
         barrier = ctx.Barrier(WRITERS)
 
         def pound(rank):
-            child = TelemetryPlane.attach(launch_id, WRITERS)
+            child = TelemetryPlane(WRITERS, launch_id=launch_id)
             w = child.writer(rank)
             barrier.wait()
             for _ in range(INCS):

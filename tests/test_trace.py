@@ -139,12 +139,13 @@ class TestHammer:
     @needs_fork
     def test_process_hammer_wrap_and_exact_tail(self):
         launch_id = shm.new_launch_id("tracehammer")
-        plane = TracePlane.create(launch_id, WRITERS, capacity=CAP)
+        plane = TracePlane(WRITERS, launch_id=launch_id, create=True,
+                           capacity=CAP)
         ctx = mp.get_context("fork")
         barrier = ctx.Barrier(WRITERS)
 
         def pound(rank):
-            child = TracePlane.attach(launch_id, WRITERS, capacity=CAP)
+            child = TracePlane(WRITERS, launch_id=launch_id, capacity=CAP)
             barrier.wait()
             _pound(child, rank)
             child.close()

@@ -129,9 +129,10 @@ class TestTransportConformance:
         fabric.settle()
         inbox = fabric.inbox(0)
         deadline = time.monotonic() + 5.0
-        while not inbox.poll(source=1, tag=1):
+        while not inbox._pending:  # a zero-timeout get is the poll
             assert time.monotonic() < deadline, "envelope never arrived"
-        assert not inbox.poll(source=9)  # no match, nothing dropped
+            with pytest.raises(TimeoutError):
+                inbox.get(source=9, timeout=0)  # no match, nothing dropped
         assert inbox.get(source=1, tag=1, timeout=5.0).payload == "x"
 
     def test_deadline_is_one_monotonic_budget(self, fabric):
@@ -266,10 +267,11 @@ class TestTagEpoch:
         mb = Mailbox(0, queue.Queue())
         mb.put(msg(1, 1, "a", epoch=0))
         mb.put(msg(1, 2, "b", epoch=0))
-        assert not mb.poll(source=9)  # drain both into pending
-        assert len(mb) == 2
+        with pytest.raises(TimeoutError):
+            mb.get(source=9, timeout=0)  # drain both into pending
+        assert len(mb._pending) == 2
         mb.set_epoch(1)
-        assert len(mb) == 0
+        assert mb._pending == []
         assert mb.stale_dropped == 2
 
     def test_future_epoch_frames_wait_for_the_switch(self):
@@ -280,17 +282,18 @@ class TestTagEpoch:
         ch.put(msg(1, 4, "early", epoch=1))
         with pytest.raises(TimeoutError):
             mb.get(source=1, tag=4, timeout=0.1)
-        assert mb.stale_dropped == 0 and len(mb) == 1  # buffered, kept
+        assert mb.stale_dropped == 0 and len(mb._pending) == 1  # kept
         mb.set_epoch(1)
         assert mb.get(source=1, tag=4, timeout=5.0).payload == "early"
 
     def test_poll_honours_epoch(self):
         mb = Mailbox(0, queue.Queue(), epoch=3)
         mb.put(msg(1, 1, epoch=2))
-        assert not mb.poll(source=1, tag=1)
+        with pytest.raises(TimeoutError):  # a zero-timeout get polls
+            mb.get(source=1, tag=1, timeout=0)
         assert mb.stale_dropped == 1
         mb.put(msg(1, 1, epoch=3))
-        assert mb.poll(source=1, tag=1)
+        assert mb.get(source=1, tag=1, timeout=0).epoch == 3
 
 
 # ---------------------------------------------------------------------------
