@@ -143,7 +143,7 @@ def _movement_worker(rank, nranks, channels, launch_id, transport,
 
 def _ckpt_worker(rank, nranks, link, launch_id, use_plane, out_queue):
     """Rank 0 funnels snapshots to the parent store; peers idle."""
-    store_client = FunnelStore(rank, link, is_async=False, depth=0)
+    store_client = FunnelStore(rank, link, is_async=False)
     plane = None
     if use_plane:
         plane = shm.DataPlane(shm.BufferPool(launch_id, rank))

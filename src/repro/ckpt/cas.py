@@ -244,15 +244,6 @@ class ChunkStore:
             index = self._entries()
             return [d for d in dict.fromkeys(digests) if d not in index]
 
-    def locate(self, digest: str) -> tuple[Path, int, int]:
-        """``(file, offset, length)`` of one chunk's stored payload."""
-        with self.lock:
-            try:
-                name, offset, length, _ = self._entries()[digest]
-            except KeyError:
-                raise _absent(digest) from None
-            return self.dir / name, offset, length
-
     def digests(self) -> set[str]:
         """Every chunk currently stored."""
         with self.lock:
@@ -510,10 +501,6 @@ class RecipeRecord(Record):
         st.restore_fetches_total += self.fetches
         st.restore_seconds_total += perf_counter() - self._t0
 
-    def _lost(self, name: str, exc: Exception) -> SnapshotCorrupt:
-        return SnapshotCorrupt(f"field {name!r} of checkpoint {self.count} "
-                               f"lost a chunk: {exc}")
-
     def _refs(self, name: str) -> list:
         refs = self.recipe.get(name)
         if not refs:
@@ -525,7 +512,9 @@ class RecipeRecord(Record):
         """Raise for a lost chunk; count each chunk's first read."""
         for digest, stored in got.items():
             if isinstance(stored, ChunkCorrupt):
-                raise self._lost(name, stored) from stored
+                raise SnapshotCorrupt(
+                    f"field {name!r} of checkpoint {self.count} lost a "
+                    f"chunk: {stored}") from stored
             if digest not in self._stored:
                 self._stored.add(digest)
                 self.nbytes_read += stored
@@ -592,7 +581,8 @@ class CasCheckpointStore(CheckpointStore):
     Drop-in for :class:`~repro.ckpt.store.CheckpointStore`: same file
     naming, pruning, shard and namespace mechanics — but ``write``
     emits a recipe plus one pack of the chunks the CAS lacks, and
-    ``read`` fetches and verifies chunks in disk order.  Shards and
+    ``open`` returns a :class:`RecipeRecord`, which fetches and verifies
+    chunks in disk order.  Shards and
     namespaces share the parent's :class:`ChunkStore`, which is where
     the cross-rank and cross-job dedup comes from — and whose lock
     orders every publish against every GC.
@@ -615,16 +605,10 @@ class CasCheckpointStore(CheckpointStore):
         self.restore_seconds_total = 0.0
 
     # ------------------------------------------------------------------
-    def _make_shard(self, rank: int) -> "CasCheckpointStore":
+    def _sibling(self, **suffixes) -> "CasCheckpointStore":
         return CasCheckpointStore(
             self.dir, compress_min_bytes=self.compress_min_bytes,
-            shard_suffix=f".r{rank}", ns_suffix=self.ns_suffix,
-            cas=self.cas)
-
-    def _make_namespace(self, ns_suffix: str) -> "CasCheckpointStore":
-        return CasCheckpointStore(
-            self.dir, compress_min_bytes=self.compress_min_bytes,
-            ns_suffix=ns_suffix, cas=self.cas)
+            cas=self.cas, **suffixes)
 
     # ------------------------------------------------------------------
     # write path
@@ -731,21 +715,6 @@ class CasCheckpointStore(CheckpointStore):
         if not isinstance(rec.header.get("recipe"), dict):
             raise SnapshotCorrupt(f"recipe missing from checkpoint {count}")
         return RecipeRecord(self, rec.header, count, rec.nbytes_read)
-
-    def read(self, count: int) -> Snapshot:
-        from repro.trace import schema as _tc
-        from repro.trace.plane import tracer as trace_writer
-
-        tr = trace_writer()
-        tw0 = perf_counter() if tr.active else 0.0
-        with self.open(count) as rec:
-            snap = rec.snapshot()
-        if rec.fetches:
-            snap.meta["cas_fetches"] = rec.fetches
-        if tr.active:
-            tr.span(_tc.CKPT_FETCH, tw0, a=float(rec.fetches),
-                    b=float(count))
-        return snap
 
     # ------------------------------------------------------------------
     def verify(self, count: int) -> list[str]:

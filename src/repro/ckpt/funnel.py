@@ -91,11 +91,10 @@ STOP_TIMEOUT_SECONDS = 30.0
 
 def funnel_shape(store: "CheckpointStore") -> dict:
     """What a worker-side :class:`FunnelStore` must mirror of the
-    master store, as its keyword arguments: the async writer's view
-    for the cost model, and whether the master is a chunk store (writes
-    then speak the chunk-ref protocol)."""
+    master store, as its keyword arguments: whether writes are async
+    (for the cost model), and whether the master is a chunk store
+    (writes then speak the chunk-ref protocol)."""
     return {"is_async": store.is_async,
-            "depth": store.writer.depth if store.is_async else 0,
             "cas": isinstance(store, CasCheckpointStore)}
 
 
@@ -121,13 +120,6 @@ class WireSnapshot:
     refs: dict[str, list] | None = None
     chunks: Any = None
     index: list | None = None
-
-
-@dataclass
-class _WriterShim:
-    """Enough of ``AsyncCheckpointWriter`` for the cost model's view."""
-
-    depth: int
 
 
 class CheckpointFunnel:
@@ -270,11 +262,10 @@ class FunnelStore:
     ``(host, port)``, dialled on first use (after fork).  ``write`` /
     ``flush`` round-trip through the parent; ``shard(rank)`` returns a
     view whose writes land in the job store's shard sub-store over the
-    same link.  Reads are parent-only by design — the driver performs
-    them — so they raise here.
+    same link.  A worker never reads: the driver, in the parent, does.
     """
 
-    def __init__(self, rank: int, link, is_async: bool, depth: int,
+    def __init__(self, rank: int, link, is_async: bool,
                  shard_rank: int | None = None, cas: bool = False,
                  job: str = "") -> None:
         self.rank = rank
@@ -289,7 +280,6 @@ class FunnelStore:
         # shard sub-stores are synchronous in the master implementation;
         # mirror that so the worker's cost accounting branches match.
         self.is_async = is_async and shard_rank is None
-        self.writer = _WriterShim(depth) if self.is_async else None
         self.last_write_nbytes = 0
         self.last_write_kind = KIND_FULL
         self.last_write_stats: dict | None = None
@@ -312,8 +302,7 @@ class FunnelStore:
         sub = self._shard_cache.get(rank)
         if sub is None:
             sub = FunnelStore(rank=self.rank, link=self._link, is_async=False,
-                              depth=0, shard_rank=rank,
-                              cas=self.chunked, job=self.job)
+                              shard_rank=rank, cas=self.chunked, job=self.job)
             sub._root = self
             self._shard_cache[rank] = sub
         sub.plane = self.plane
@@ -457,10 +446,3 @@ class FunnelStore:
 
     def flush(self) -> None:
         self._rpc(_OP_FLUSH, None)
-
-    # ------------------------------------------------------------------
-    def read(self, *args):
-        raise NotImplementedError(
-            "checkpoint reads happen in the parent process (PhaseDriver)")
-
-    read_latest = counts = read

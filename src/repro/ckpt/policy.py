@@ -38,23 +38,18 @@ class CheckpointPolicy(ABC):
         if count > self._last_taken:
             self._last_taken = count
 
-    def reset(self, last_taken: int = -1) -> None:
-        """Re-arm the policy (e.g. after a restart at a given count)."""
-        self._last_taken = last_taken
-
 
 class EveryN(CheckpointPolicy):
-    """Checkpoint every ``n`` safe points (offset by ``phase``)."""
+    """Checkpoint every ``n`` safe points."""
 
-    def __init__(self, n: int, phase: int = 0) -> None:
+    def __init__(self, n: int) -> None:
         super().__init__()
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        self.phase = phase
 
     def _due(self, count: int) -> bool:
-        return count > 0 and (count - self.phase) % self.n == 0
+        return count > 0 and count % self.n == 0
 
 
 class AtCounts(CheckpointPolicy):

@@ -16,7 +16,6 @@ already in place) — ``snapshot=None`` expresses that.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
 
 from repro.ckpt.snapshot import Snapshot
 
@@ -38,52 +37,33 @@ class SafePointCounter:
             self._count += 1
             return self._count
 
-    def set(self, value: int) -> None:
-        with self._lock:
-            if value < self._count:
-                raise ValueError("safe-point counter cannot move backwards")
-            self._count = value
-
-    def reset(self, value: int = 0) -> None:
-        with self._lock:
-            self._count = int(value)
-
 
 class ReplayState:
     """Replay-to-safe-point driver.
 
-    ``on_restore(snapshot)`` is called exactly once, at the safe point whose
-    count matches ``target`` (the paper's step 4: "the checkpoint data is
-    loaded and execution proceeds normally from that point").
+    :meth:`observe_safepoint` says, exactly once, when the safe point
+    whose count matches ``target`` is reached, and the context then runs
+    :meth:`complete` (the paper's step 4: "the checkpoint data is loaded
+    and execution proceeds normally from that point").
     """
 
-    def __init__(self, target: int, snapshot: Snapshot | None = None,
-                 on_restore: Callable[[Snapshot | None], None] | None = None
+    def __init__(self, target: int, snapshot: Snapshot | None = None
                  ) -> None:
         if target < 0:
             raise ValueError("replay target must be >= 0")
         self.target = target
         self.snapshot = snapshot
-        self.on_restore = on_restore
         self._active = target > 0
-        self._restored = False
 
     @classmethod
-    def from_snapshot(cls, snapshot: Snapshot,
-                      on_restore: Callable[[Snapshot | None], None] | None = None
-                      ) -> "ReplayState":
-        return cls(target=snapshot.safepoint_count, snapshot=snapshot,
-                   on_restore=on_restore)
+    def from_snapshot(cls, snapshot: Snapshot) -> "ReplayState":
+        return cls(target=snapshot.safepoint_count, snapshot=snapshot)
 
     # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
         """True while methods should be skipped (replay in progress)."""
         return self._active
-
-    @property
-    def restored(self) -> bool:
-        return self._restored
 
     def observe_safepoint(self, count: int) -> bool:
         """Notify the replay driver that safe point ``count`` was reached.
@@ -97,9 +77,6 @@ class ReplayState:
         if count < self.target:
             return False
         self._active = False
-        self._restored = True
-        if self.on_restore is not None:
-            self.on_restore(self.snapshot)
         return True
 
     def complete(self, ctx, count: int) -> None:
@@ -112,8 +89,3 @@ class ReplayState:
         its partitions from the surviving owners rather than a snapshot.
         """
         ctx._restore(self.snapshot, count)
-
-    def restore_into(self, instance: Any) -> None:
-        """Convenience: apply the snapshot's fields to ``instance``."""
-        if self.snapshot is not None:
-            self.snapshot.restore_into(instance)

@@ -19,8 +19,7 @@ still streams its whole section (the CRC covers all of it), with the
 rows it did not own read into a small reused scratch buffer.
 
 zlib-flagged sections and pickled values take the decode path: the
-value is decoded whole, and ``fill`` copies out of it (the base-class
-fallbacks).
+value is decoded whole, and ``fill`` copies out of it.
 """
 
 from __future__ import annotations
@@ -108,12 +107,16 @@ def sized_header(prefix, nbytes: int, what: str):
 class Record:
     """An opened checkpoint: header read, field payloads still on disk.
 
-    A subclass finds an array field's header (:meth:`_head`) and reads
-    data byte ranges straight into a buffer (:meth:`_read_data`); any
-    field it cannot do that for is decoded whole (:meth:`_whole`) and
-    copied from.  ``nbytes_read`` counts the bytes taken off the disk so
-    far (what the restore cost model charges); ``fetches`` counts CAS
-    chunks read.
+    A reader (:class:`FileRecord`, :class:`~repro.ckpt.cas.RecipeRecord`)
+    provides four hooks: ``_head(name)``, the ``npy_header`` of an array
+    field whose data it can read in place, checked against the stored
+    size (None for the decode path); ``_read_data(name, start, raw,
+    ranges)``, data byte ``ranges`` (the encoding's data starting at
+    ``start``) straight into the same ranges of ``raw``, verified;
+    ``_whole(name)``, the decode path, one field decoded from its whole
+    payload; and ``close()``.  ``nbytes_read`` counts the bytes taken
+    off the disk so far (what the restore cost model charges);
+    ``fetches`` counts CAS chunks read.
     """
 
     def __init__(self, header: dict, nbytes_read: int = 0) -> None:
@@ -128,25 +131,6 @@ class Record:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def close(self) -> None:
-        pass
-
-    # ------------------------------------------------------------------
-    def _head(self, name: str) -> tuple[np.dtype, tuple, bool, int] | None:
-        """``npy_header`` of a field whose data :meth:`_read_data` reads,
-        checked against its stored size; None for the decode path."""
-        return None
-
-    def _read_data(self, name: str, start: int, raw: np.ndarray,
-                   ranges: list[tuple[int, int]]) -> None:
-        """Data byte ``ranges`` (the encoding's data starting at
-        ``start``) straight into the same ranges of ``raw``, verified."""
-        raise NotImplementedError
-
-    def _whole(self, name: str) -> Any:
-        """The decode path: field ``name`` decoded from its whole payload."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def value(self, name: str) -> Any:
@@ -186,7 +170,7 @@ class Record:
                 raw[a:b] = src[a:b]
 
     def _decode(self, name: str) -> Any:
-        """:meth:`_whole`, kept for the decode-path ``spec``/``fill``."""
+        """``_whole``, kept for the decode-path ``spec``/``fill``."""
         if name not in self._decoded:
             self._decoded[name] = self._whole(name)
         return self._decoded[name]
@@ -198,22 +182,9 @@ class Record:
         snap = Snapshot(app=h["app"], safepoint_count=h["safepoint_count"],
                         fields=fields, mode=h["mode"], meta=h["meta"])
         snap.meta["disk_nbytes"] = self.nbytes_read
+        if self.fetches:
+            snap.meta["cas_fetches"] = self.fetches
         return snap
-
-
-class MemoryRecord(Record):
-    """A checkpoint already decoded in memory: the reference the on-disk
-    records are checked against."""
-
-    def __init__(self, snap: Snapshot) -> None:
-        super().__init__(snap.header(), int(snap.meta.get("disk_nbytes", 0)))
-        self._snap = snap
-
-    def _whole(self, name: str) -> Any:
-        return self._snap.fields[name]
-
-    def snapshot(self) -> Snapshot:
-        return self._snap
 
 
 class FileRecord(Record):
@@ -353,19 +324,18 @@ def assemble(records: list[Record], partitioned: dict) -> Snapshot:
 
     A partitioned array is allocated once; each rank's shard fills in
     the rows that rank owned, and rank 0's every row no other rank owned.
-    Any other field is rank 0's copy.  A shard whose array disagrees
+    Any other field, a partitioned one whose value is not an array
+    included, is rank 0's copy.  A shard whose array disagrees
     with rank 0's in dtype, shape or order is :class:`SnapshotCorrupt`.
     """
     root, nranks = records[0], len(records)
     fields: dict[str, Any] = {}
     for name in root.fields:
         part = partitioned.get(name)
-        if part is None or part.whole_at_safepoints:
-            fields[name] = root.value(name)
-            continue
-        spec = root.spec(name)
+        spec = None if part is None or part.whole_at_safepoints \
+            else root.spec(name)
         if spec is None:
-            fields[name] = _assemble_values(records, name, part)
+            fields[name] = root.value(name)
             continue
         dtype, shape, fortran = spec
         whole, raw = npy_empty(dtype, shape, fortran)
@@ -395,19 +365,3 @@ def assemble(records: list[Record], partitioned: dict) -> Snapshot:
     return Snapshot(app=h["app"], safepoint_count=h["safepoint_count"],
                     fields=fields, mode=h["mode"], meta=meta)
 
-
-def _assemble_values(records: list[Record], name: str, part) -> Any:
-    """The decode path of :func:`assemble`: a field that is not a plain
-    array (an object array, say) is recombined from decoded values."""
-    value = records[0].value(name)
-    if not isinstance(value, np.ndarray):
-        return value  # replicated: any shard's copy is it
-    whole = value.copy()
-    axis = part.layout.axis
-    n = whole.shape[axis]
-    sl: list = [slice(None)] * whole.ndim
-    for r, rec in enumerate(records):
-        idx = part.layout.owned(n, r, len(records))
-        sl[axis] = idx
-        whole[tuple(sl)] = np.take(rec.value(name), idx, axis=axis)
-    return whole

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 from repro.ckpt.restore import Record, assemble, open_file
 from repro.ckpt.snapshot import (
     KIND_FULL,
+    KIND_RECIPE,
     Snapshot,
     SnapshotCorrupt,
     image_nbytes,
@@ -48,8 +49,9 @@ from repro.ckpt.writer import atomic_write_bytes
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ckpt.writer import AsyncCheckpointWriter
 
-#: any checkpoint file name: count, ``.j<tag>`` namespace, ``.r<rank>`` shard
-PCR_NAME = re.compile(r"^ckpt_(\d{9})(\.j\w+)?(\.r\d+)?\.pcr$")
+#: any checkpoint file name: count, ``.j<tag>`` namespace, ``.t<token>``
+#: run, ``.r<rank>`` shard
+PCR_NAME = re.compile(r"^ckpt_(\d{9})(\.j\w+)?(\.t[0-9a-f]+)?(\.r\d+)?\.pcr$")
 
 
 def _ns_key(tag) -> str:
@@ -70,6 +72,12 @@ class CheckpointStore:
     same mechanism as shards, one level up — a namespaced store sees
     only its own files, the master sees none of them, and a namespaced
     store can itself shard, so STRATEGY_LOCAL works inside a namespace.
+
+    The run token (:meth:`RunLedger.begin`) names the run that writes:
+    ``ckpt_<count>[.j<tag>].t<token>[.r<rank>].pcr``.  A store lists,
+    reads and prunes only its run's files, so a restart never restores
+    another run's checkpoint; a store no ledger began has no token and
+    sees only token-less files.  :meth:`clear` sweeps every run's.
     """
 
     def __init__(self, directory: str | os.PathLike,
@@ -91,9 +99,10 @@ class CheckpointStore:
         self.shard_suffix = shard_suffix
         #: "" outside a namespace, ".j<tag>" inside one.
         self.ns_suffix = ns_suffix
-        #: ``[hook]`` called before each checkpoint publish (set by
-        #: :meth:`RunLedger.begin`); shards share the cell, not the store.
-        self._publish: list = [None]
+        #: ``[hook, token]``: the hook called before each checkpoint
+        #: publish and the run token, both set by :meth:`RunLedger.begin`;
+        #: shards share the cell, not the store.
+        self._run: list = [None, None]
         self._shards: "dict[int, CheckpointStore]" = {}
         self._shard_lock = threading.Lock()
         self._namespaces: "dict[str, CheckpointStore]" = {}
@@ -134,16 +143,18 @@ class CheckpointStore:
         with self._shard_lock:
             sub = self._shards.get(rank)
             if sub is None:
-                sub = self._make_shard(rank)
-                sub._publish = self._publish
+                sub = self._sibling(shard_suffix=f".r{rank}",
+                                    ns_suffix=self.ns_suffix)
+                sub._run = self._run
                 self._shards[rank] = sub
             return sub
 
-    def _make_shard(self, rank: int) -> "CheckpointStore":
+    def _sibling(self, **suffixes) -> "CheckpointStore":
+        """A store of the same kind over the same directory: a shard or
+        a namespace, named by ``suffixes``."""
         return CheckpointStore(self.dir,
                                compress_min_bytes=self.compress_min_bytes,
-                               shard_suffix=f".r{rank}",
-                               ns_suffix=self.ns_suffix)
+                               **suffixes)
 
     # ------------------------------------------------------------------
     def namespace(self, tag: str) -> "CheckpointStore":
@@ -165,7 +176,7 @@ class CheckpointStore:
         with self._shard_lock:
             sub = self._namespaces.get(safe)
             if sub is None:
-                sub = self._make_namespace(f".j{safe}")
+                sub = self._sibling(ns_suffix=f".j{safe}")
                 self._namespaces[safe] = sub
             return sub
 
@@ -174,19 +185,19 @@ class CheckpointStore:
         with self._shard_lock:
             self._namespaces.pop(_ns_key(tag), None)
 
-    def _make_namespace(self, ns_suffix: str) -> "CheckpointStore":
-        return CheckpointStore(self.dir,
-                               compress_min_bytes=self.compress_min_bytes,
-                               ns_suffix=ns_suffix)
+    def _token(self) -> str:
+        """The run's file-name tag: ``.t<token>``, "" without a token."""
+        token = self._run[1]
+        return f".t{token}" if token else ""
 
     def path_for(self, count: int) -> Path:
-        return self.dir / (f"ckpt_{count:09d}"
-                           f"{self.ns_suffix}{self.shard_suffix}.pcr")
+        return self.dir / (f"ckpt_{count:09d}{self.ns_suffix}"
+                           f"{self._token()}{self.shard_suffix}.pcr")
 
     def _put(self, path: Path, image: list) -> None:
         """Persist one encoded image (a list of buffers), sync or via the
         async writer."""
-        hook = self._publish[0]
+        hook = self._run[0]
         if hook is not None:
             hook()
         if self.writer is not None:
@@ -215,12 +226,15 @@ class CheckpointStore:
         """Safe-point counts of all stored checkpoints, ascending."""
         return sorted(c for _, c, r in self._files() if r == self.shard_suffix)
 
-    def _files(self):
-        """``(name, count, shard suffix)`` of this namespace's files."""
+    def _files(self, every_run: bool = False):
+        """``(name, count, shard suffix)`` of this namespace's files: the
+        run's own, or ``every_run``'s."""
+        token = self._token()
         for name in os.listdir(self.dir):
             m = PCR_NAME.match(name)
-            if m and (m.group(2) or "") == self.ns_suffix:
-                yield name, int(m.group(1)), m.group(3) or ""
+            if m and (m.group(2) or "") == self.ns_suffix and (
+                    every_run or (m.group(3) or "") == token):
+                yield name, int(m.group(1)), m.group(4) or ""
 
     def open(self, count: int) -> Record:
         """The checkpoint at ``count``, opened for a copy-once restore
@@ -228,6 +242,11 @@ class CheckpointStore:
         return open_file(self.path_for(count))
 
     def read(self, count: int) -> Snapshot:
+        """The checkpoint at ``count``, every field restored.
+
+        Traced as ``ckpt_read`` (bytes off the disk) for a container and
+        ``ckpt_fetch`` (chunks read) for a recipe.
+        """
         from repro.trace import schema as _tc
         from repro.trace.plane import tracer as trace_writer
 
@@ -239,8 +258,12 @@ class CheckpointStore:
         # (compression makes this differ from the payload size); the
         # restore cost model charges these.
         if tr.active:
-            tr.span(_tc.CKPT_READ, tw0, a=float(snap.meta["disk_nbytes"]),
-                    b=float(count))
+            if rec.header.get("kind") == KIND_RECIPE:
+                tr.span(_tc.CKPT_FETCH, tw0, a=float(rec.fetches),
+                        b=float(count))
+            else:
+                tr.span(_tc.CKPT_READ, tw0,
+                        a=float(snap.meta["disk_nbytes"]), b=float(count))
         return snap
 
     def read_latest(self) -> Snapshot | None:
@@ -351,17 +374,11 @@ class CheckpointStore:
                 pass
 
     def clear(self) -> None:
-        self.prune(keep=0)
-        if self.shard_suffix:
-            return
-        # clear live shard sub-stores, then sweep leftover shard files
-        # from ranks of earlier runs.
-        with self._shard_lock:
-            shards = list(self._shards.values())
-        for sub in shards:
-            sub.clear()
-        for name, _, shard in self._files():
-            if shard:
+        """Delete this namespace's checkpoint files, every run's and
+        every rank's (a shard store: its own rank's)."""
+        self.flush()
+        for name, _, shard in self._files(every_run=True):
+            if shard == self.shard_suffix or not self.shard_suffix:
                 try:
                     (self.dir / name).unlink()
                 except OSError:
@@ -369,7 +386,14 @@ class CheckpointStore:
 
 
 class RunLedger:
-    """Start/finish status of the application across executions."""
+    """Start/finish status of the application across executions.
+
+    The file also holds the run token the store names its files with.
+    A run that starts over a ledger that does not say ``running`` mints
+    a fresh token, written with ``running`` at its first publish; a run
+    that starts over ``running`` continues that run and keeps its token.
+    An unreadable file counts as ``running`` with no token.
+    """
 
     RUNNING = "running"
     COMPLETED = "completed"
@@ -383,20 +407,25 @@ class RunLedger:
         self._lock = threading.Lock()
         #: a run has yet to mark ``running``; the file says ``running``
         self._armed = self._running = False
+        #: the token :meth:`begin` handed the store (None: no token)
+        self.token: str | None = None
 
     # ------------------------------------------------------------------
     def begin(self, store: CheckpointStore) -> bool:
-        """The pcr check, read once; arms the ``running`` mark on ``store``."""
+        """The pcr check, read once; hands ``store`` the run token and
+        arms the ``running`` mark on it."""
         self._running = self.previous_run_failed()
+        self.token = (self._read() or {}).get("token") if self._running \
+            else os.urandom(4).hex()
         self._armed = True
-        store._publish[0] = self.publishing
+        store._run[:] = [self.publishing, self.token]
         return self._running
 
     def publishing(self) -> None:
         """Store hook: write ``running`` once per run (racers wait)."""
         with self._lock:
             if self._armed:
-                self.mark_running()
+                self._mark(self.RUNNING, 1, self.token)
                 self._armed, self._running = False, True
 
     def finish(self) -> None:
@@ -405,39 +434,45 @@ class RunLedger:
         if self._running:
             self.mark_completed()
 
-    def status(self) -> str:
+    def _read(self) -> dict | None:
+        """The file's contents: {} with no file, None if unreadable."""
         if not self.path.exists():
-            return self.FRESH
+            return {}
         try:
-            return json.loads(self.path.read_text()).get("status", self.FRESH)
+            return json.loads(self.path.read_text())
         except (json.JSONDecodeError, OSError):
-            # a torn status write is itself evidence of a crash
-            return self.RUNNING
+            return None
+
+    def status(self) -> str:
+        doc = self._read()
+        # a torn status write is itself evidence of a crash
+        return self.RUNNING if doc is None else doc.get("status", self.FRESH)
 
     def previous_run_failed(self) -> bool:
         """The pcr start-up check: did the last execution crash?"""
         return self.status() == self.RUNNING
 
-    def attempts(self) -> int:
-        if not self.path.exists():
-            return 0
-        try:
-            return int(json.loads(self.path.read_text()).get("attempts", 0))
-        except (json.JSONDecodeError, OSError):
-            return 0
-
     # ------------------------------------------------------------------
     def mark_running(self) -> None:
-        self._write({"status": self.RUNNING, "attempts": self.attempts() + 1})
+        """``running``, keeping the file's token."""
+        self._mark(self.RUNNING, 1)
 
     def mark_completed(self) -> None:
-        self._write({"status": self.COMPLETED, "attempts": self.attempts()})
+        """``completed``, keeping the file's token."""
+        self._mark(self.COMPLETED, 0)
 
     def reset(self) -> None:
         if self.path.exists():
             self.path.unlink()
 
-    def _write(self, payload: dict) -> None:
+    def _mark(self, status: str, attempt: int,
+              token: str | None = None) -> None:
+        doc = self._read() or {}
+        payload = {"status": status,
+                   "attempts": int(doc.get("attempts", 0)) + attempt}
+        token = token or doc.get("token")
+        if token:
+            payload["token"] = token
         # fsync before the rename (and the directory after), matching
         # CheckpointStore: the status file exists precisely to survive
         # crashes, so it must not itself be tearable by one.

@@ -14,7 +14,7 @@ sequence while the application computes on.
 
 Correctness contract:
 
-* ``submit`` applies backpressure: at most ``depth`` images may be
+* ``submit`` applies backpressure: at most :data:`DEPTH` images may be
   queued behind the one being written, so a checkpoint storm cannot
   grow memory without bound — the safe point blocks exactly when the
   queue is full, which is also when the virtual-time cost model
@@ -46,6 +46,10 @@ from repro.trace.plane import tracer as trace_writer
 #: ~4 KiB entries) coalesce into few syscalls, pieces larger than it
 #: (a captured array) go to the file directly.
 WRITE_BUFFER_BYTES = 1 << 20
+
+#: images an :class:`AsyncCheckpointWriter` queues behind the one being
+#: written (its double buffer; the cost model charges the same depth).
+DEPTH = 2
 
 
 def _pieces(data) -> Sequence:
@@ -108,11 +112,8 @@ class AsyncWriteFailed(RuntimeError):
 class AsyncCheckpointWriter:
     """Bounded-queue background writer with a ``flush()`` barrier."""
 
-    def __init__(self, depth: int = 2) -> None:
-        if depth < 1:
-            raise ValueError("writer depth must be >= 1")
-        self.depth = depth
-        self._q: queue.Queue = queue.Queue(maxsize=depth)
+    def __init__(self) -> None:
+        self._q: queue.Queue = queue.Queue(maxsize=DEPTH)
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._error: BaseException | None = None
@@ -149,7 +150,7 @@ class AsyncCheckpointWriter:
         because the caller's buffers may be views of memory that changes
         once it returns (live fields, a funnel's slabs or borrowed
         segment regions).  Returns once the bytes are
-        enqueued; blocks only when ``depth`` images are already queued
+        enqueued; blocks only when :data:`DEPTH` images are already queued
         behind the one in flight.
         """
         if self._closed:
@@ -168,15 +169,12 @@ class AsyncCheckpointWriter:
         tr = trace_writer()
         if tr.active:
             tw0 = perf_counter()
-            pending = float(self.pending())
+            pending = float(self._q.unfinished_tasks)
             self._q.join()
             tr.span(_tc.CKPT_FLUSH, tw0, a=pending)
         else:
             self._q.join()
         self._raise_pending()
-
-    def pending(self) -> int:
-        return self._q.unfinished_tasks
 
     def close(self) -> None:
         """Drain, stop the worker thread, and surface any pending error."""

@@ -30,6 +30,7 @@ import copy
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.ckpt import writer as ckpt_writer
 from repro.ckpt.failure import FailureInjector
 from repro.ckpt.policy import CheckpointPolicy, Never
 from repro.ckpt.replay import ReplayState, SafePointCounter
@@ -628,11 +629,9 @@ class ExecutionContext:
         Synchronous stores pay the full disk write inline.  With an async
         writer the critical path pays only the in-memory buffer copy; the
         disk time overlaps the compute that follows.  The model mirrors
-        the writer's real backpressure — up to ``writer.depth`` images may
-        be queued behind the one in flight, writes are serialised, and a
-        submission into a full queue stalls until the earliest pending
-        write lands — so the writer's depth changes modelled cost exactly
-        as it changes the real writer's blocking.
+        the writer's real backpressure: up to ``ckpt_writer.DEPTH`` images
+        queue behind the one in flight, writes are serialised, and a
+        submission into a full queue stalls until the earliest one lands.
 
         ``store`` selects the store whose write is being charged (a
         per-rank shard store under STRATEGY_LOCAL); default is the master
@@ -646,7 +645,7 @@ class ExecutionContext:
             return
         clk.charge_io(self.machine.disk.copy_cost(nbytes))
         pending = [d for d in self._async_pending if d > clk.now]
-        if len(pending) > store.writer.depth:
+        if len(pending) > ckpt_writer.DEPTH:
             clk.charge_io(pending[0] - clk.now)  # queue full: wait one out
             pending = pending[1:]
         start = max(clk.now, pending[-1] if pending else 0.0)

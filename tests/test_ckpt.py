@@ -1,6 +1,8 @@
 """Tests for the checkpoint substrate: snapshot, store, ledger, policy,
 replay, failure injection."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -175,9 +177,9 @@ class TestRunLedger:
         ledger = RunLedger(tmp_path)
         ledger.mark_running()
         ledger.mark_running()
-        assert ledger.attempts() == 2
+        assert json.loads(ledger.path.read_text())["attempts"] == 2
         ledger.mark_completed()
-        assert ledger.attempts() == 2
+        assert json.loads(ledger.path.read_text())["attempts"] == 2
 
     def test_torn_status_counts_as_crash(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -207,11 +209,6 @@ class TestPolicies:
         assert not p.due(2)  # barrier action re-run must not re-checkpoint
         assert p.due(4)
 
-    def test_every_n_phase(self):
-        p = EveryN(10, phase=3)
-        assert p.due(13)
-        assert not p.due(10)
-
     def test_every_n_validation(self):
         with pytest.raises(ValueError):
             EveryN(0)
@@ -223,13 +220,6 @@ class TestPolicies:
     def test_never(self):
         p = Never()
         assert not any(p.due(c) for c in range(1, 100))
-
-    def test_reset_rearms(self):
-        p = EveryN(5)
-        p.mark_taken(10)
-        assert not p.due(5)
-        p.reset()
-        assert p.due(5)
 
     @given(st.integers(1, 20), st.integers(1, 200))
     def test_every_n_deterministic(self, n, count):
@@ -245,10 +235,8 @@ class TestReplay:
         c = SafePointCounter()
         assert c.increment() == 1
         assert c.increment() == 2
-        with pytest.raises(ValueError):
-            c.set(1)
-        c.set(10)
-        assert c.count == 10
+        assert c.count == 2
+        assert SafePointCounter(10).increment() == 11
 
     def test_replay_restores_at_target(self):
         t = Thing()
@@ -256,15 +244,20 @@ class TestReplay:
         t.G[:] = -5.0
         t.step = 0
         restored = []
-        rs = ReplayState.from_snapshot(
-            snap, on_restore=lambda s: (s.restore_into(t),
-                                        restored.append(True)))
+
+        class Context:  # the hook ``complete`` drives, as core's does
+            def _restore(self, snapshot, count):
+                snapshot.restore_into(t)
+                restored.append(count)
+
+        rs = ReplayState.from_snapshot(snap)
         assert rs.active
         assert not rs.observe_safepoint(1)
         assert not rs.observe_safepoint(2)
         assert rs.observe_safepoint(3)  # fires exactly here
-        assert not rs.active and rs.restored
-        assert restored == [True]
+        assert not rs.active and restored == []
+        rs.complete(Context(), 3)
+        assert restored == [3]
         assert t.step == 7
         np.testing.assert_array_equal(t.G, np.arange(12.0).reshape(3, 4))
 

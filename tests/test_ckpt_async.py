@@ -13,6 +13,7 @@ from repro.ckpt import (
     RunLedger,
     Snapshot,
 )
+from repro.ckpt import writer
 from repro.core.context import ExecutionContext
 from repro.core.modes import ExecConfig
 from repro.vtime.machine import MachineModel
@@ -36,7 +37,7 @@ class TestWriter:
         w.close()
 
     def test_many_writes_all_land(self, tmp_path):
-        w = AsyncCheckpointWriter(depth=2)
+        w = AsyncCheckpointWriter()
         for i in range(20):
             w.submit(tmp_path / f"f{i}.bin", bytes([i]) * 100)
         w.flush()
@@ -67,10 +68,6 @@ class TestWriter:
         w.close()
         with pytest.raises(RuntimeError):
             w.submit(tmp_path / "b.bin", b"z")
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            AsyncCheckpointWriter(depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +117,10 @@ class TestAsyncStore:
 # the double-buffer vtime cost model
 # ---------------------------------------------------------------------------
 class TestAsyncVtimeModel:
-    def _ctx(self, tmp_path, asynchronous, depth=2):
+    def _ctx(self, tmp_path, asynchronous):
         store = CheckpointStore(tmp_path)
         if asynchronous:
-            store.attach_writer(AsyncCheckpointWriter(depth=depth))
+            store.attach_writer(AsyncCheckpointWriter())
         machine = MachineModel()
         ctx = ExecutionContext(config=ExecConfig.sequential(),
                                machine=machine, store=store)
@@ -144,8 +141,8 @@ class TestAsyncVtimeModel:
 
     def test_queue_absorbs_writes_up_to_depth(self, tmp_path):
         """Submissions only pay the copy while the bounded queue has
-        room: depth images queued behind the one in flight."""
-        ctx, machine = self._ctx(tmp_path, asynchronous=True, depth=2)
+        room: DEPTH (2) images queued behind the one in flight."""
+        ctx, machine = self._ctx(tmp_path, asynchronous=True)
         nb = 1_000_000
         for _ in range(3):  # 1 in flight + 2 queued: no stall yet
             ctx._charge_write(nb)
@@ -156,24 +153,25 @@ class TestAsyncVtimeModel:
         """With the queue full, submit waits for the earliest pending
         write — async degrades gracefully to disk pacing, never to
         unbounded queueing."""
-        ctx, machine = self._ctx(tmp_path, asynchronous=True, depth=1)
+        ctx, machine = self._ctx(tmp_path, asynchronous=True)
         nb = 1_000_000
         copy = machine.disk.copy_cost(nb)
         write = machine.disk.write_cost(nb)
         ctx._charge_write(nb)   # in flight
         ctx._charge_write(nb)   # queued
-        assert ctx.clock().now == pytest.approx(2 * copy)
+        ctx._charge_write(nb)   # queued
+        assert ctx.clock().now == pytest.approx(3 * copy)
         ctx._charge_write(nb)   # queue full: waits for the first write
         assert ctx.clock().now == pytest.approx(copy + write)
 
-    def test_deeper_queue_defers_stalls(self, tmp_path):
+    def test_deeper_queue_defers_stalls(self, tmp_path, monkeypatch):
         """The writer's depth is part of the cost model: a deeper queue
         absorbs the same burst with less critical-path time."""
         nb = 1_000_000
 
         def burst(depth):
-            ctx, _ = self._ctx(tmp_path / f"d{depth}",
-                               asynchronous=True, depth=depth)
+            monkeypatch.setattr(writer, "DEPTH", depth)
+            ctx, _ = self._ctx(tmp_path / f"d{depth}", asynchronous=True)
             for _ in range(5):
                 ctx._charge_write(nb)
             return ctx.clock().now

@@ -102,9 +102,17 @@ def run_sor(tmp_path, config, tag, **kw):
     return rt, res
 
 
+def locate(cas, digest):
+    """``(pack file, offset, stored length)`` of one chunk, read off the
+    chunk store's index."""
+    with cas.lock:
+        name, offset, length, _ = cas._entries()[digest]
+    return cas.dir / name, offset, length
+
+
 def flip_stored_byte(cas, digest, bit):
     """Damage the middle byte of one chunk's stored payload in place."""
-    path, offset, length = cas.locate(digest)
+    path, offset, length = locate(cas, digest)
     raw = bytearray(path.read_bytes())
     raw[offset + length // 2] ^= bit
     path.write_bytes(bytes(raw))
@@ -558,7 +566,7 @@ class TestPacks:
         assert reopened.digests() == {d for d, _ in chunks} | {extra[0]}
         for digest, payload in chunks + [extra]:
             assert reopened.fetch(digest)[0] == payload
-            path, offset, length = reopened.locate(digest)
+            path, offset, length = locate(reopened, digest)
             assert path.read_bytes()[offset:offset + length] == payload
 
     def test_storage_flags_survive_the_table(self, tmp_path):
@@ -567,7 +575,7 @@ class TestPacks:
         cas.put_many([(chunk_digest(squashy), squashy),
                       (chunk_digest(noisy), noisy)])
         reopened = ChunkStore(tmp_path / "cas")
-        assert reopened.locate(chunk_digest(squashy))[2] < len(squashy)
+        assert locate(reopened, chunk_digest(squashy))[2] < len(squashy)
         assert reopened.fetch(chunk_digest(squashy))[0] == squashy
         assert reopened.fetch(chunk_digest(noisy))[0] == noisy
 
@@ -624,8 +632,8 @@ class TestPacks:
         reopened = CasCheckpointStore(tmp_path / "c")
         lost = store.cas.digests() - reopened.cas.digests()
         assert lost and all(
-            store.cas.locate(d)[0] == victim
-            and sum(store.cas.locate(d)[1:]) > cut for d in lost)
+            locate(store.cas, d)[0] == victim
+            and sum(locate(store.cas, d)[1:]) > cut for d in lost)
         expected = sorted(
             name for name, value in snap_of(app, 2).fields.items()
             if lost & {d for d, _ in field_chunks(value)})

@@ -9,7 +9,7 @@ import pytest
 
 from repro.ckpt import CasCheckpointStore, CheckpointStore, Snapshot
 from repro.ckpt.snapshot import SnapshotCorrupt, decode_envelope
-from test_ckpt_cas import flip_stored_byte
+from test_ckpt_cas import flip_stored_byte, locate
 
 STORES = {"full": CheckpointStore, "cas": CasCheckpointStore}
 
@@ -38,7 +38,7 @@ def stored(store, count):
     for name, refs in header["recipe"].items():
         out[name] = []
         for digest, length in refs:
-            path, offset, nbytes = store.cas.locate(digest)
+            path, offset, nbytes = locate(store.cas, digest)
             raw = path.read_bytes()[offset:offset + nbytes]
             # an entry is only ever compressed when that shrinks it
             out[name].append((nbytes < length, raw))

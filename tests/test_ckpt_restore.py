@@ -31,7 +31,7 @@ from repro.ckpt import (
 from repro.ckpt import cas as cas_mod
 from repro.ckpt import restore
 from repro.ckpt.chunker import BLOCK, field_chunks
-from repro.ckpt.restore import MemoryRecord, assemble, owned_ranges
+from repro.ckpt.restore import owned_ranges
 from repro.ckpt.snapshot import Snapshot, SnapshotCorrupt
 from repro.core import STRATEGY_LOCAL, ExecConfig, Runtime, plug
 from repro.dsm.partition import BlockLayout, CyclicLayout, HybridLayout
@@ -218,7 +218,9 @@ def test_a_flipped_block_names_its_field(tmp_path):
 @given(small_arrays(), st.data())
 def test_fill_writes_exactly_the_asked_ranges(tmp_path_factory, arr, data):
     """Every record kind's ``fill`` writes the asked byte ranges of the
-    field's data and leaves every other byte of the buffer alone."""
+    field's data and leaves every other byte of the buffer alone: in
+    place (a container, a recipe) and through the decode path (a
+    container's zlib section)."""
     snap = _capture({"G": arr})
     blob = dumps_portable(snap.fields["G"])
     want = np.frombuffer(blob, np.uint8)[npy_header(blob)[3]:]
@@ -229,15 +231,19 @@ def test_fill_writes_exactly_the_asked_ranges(tmp_path_factory, arr, data):
     mask = np.zeros(want.nbytes, bool)
     for a, b in ranges:
         mask[a:b] = True
-    for kind, cls in STORES.items():
-        store = cls(tmp_path_factory.mktemp(kind))
+    stores = {kind: cls(tmp_path_factory.mktemp(kind))
+              for kind, cls in STORES.items()}
+    stores["zlib"] = CheckpointStore(tmp_path_factory.mktemp("zlib"),
+                                     compress_min_bytes=1)
+    for kind, store in stores.items():
         store.write(snap)
-        for rec in (store.open(7), MemoryRecord(snap)):
-            with rec:
-                raw = np.full(want.nbytes, 0xA5, np.uint8)
-                rec.fill("G", raw, ranges)
-                assert (raw[mask] == want[mask]).all()
-                assert (raw[~mask] == 0xA5).all()
+        with store.open(7) as rec:
+            # the padded .npy header always shrinks: a zlib section
+            assert (rec._head("G") is None) == (kind == "zlib")
+            raw = np.full(want.nbytes, 0xA5, np.uint8)
+            rec.fill("G", raw, ranges)
+            assert (raw[mask] == want[mask]).all()
+            assert (raw[~mask] == 0xA5).all()
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +281,34 @@ def test_assembly_takes_each_ranks_owned_rows(tmp_path_factory, layout,
     assert dumps_portable(snap.fields["G"]) == dumps_portable(want)
     assert snap.fields["it"] == 5 and "shard" not in snap.meta
     assert snap.meta["assembled_from_shards"] == nranks
-    # the decode path (records already in memory) agrees byte for byte
-    mem = assemble([MemoryRecord(_capture({"G": a, "it": 5}, 3))
-                    for a in arrays], {"G": part})
-    assert dumps_portable(mem.fields["G"]) == dumps_portable(want)
+    # the decode path (zlib sections on disk) agrees byte for byte
+    zlib = CheckpointStore(tmp_path_factory.mktemp("zlib"),
+                           compress_min_bytes=1)
+    for r, arr in enumerate(arrays):
+        zlib.shard(r).write(_capture({"G": arr, "it": 5}, 3,
+                                     nranks=nranks, shard=r))
+    decoded = zlib.assemble_from_shards(3, {"G": part})
+    assert dumps_portable(decoded.fields["G"]) == dumps_portable(want)
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_a_partitioned_value_that_is_no_array_is_rank_0s(tmp_path, kind):
+    """A partitioned field saved as a pickled value has no ``spec``: the
+    assembled checkpoint holds rank 0's copy, decoded from its shard on
+    disk.  (An object array never reaches a shard: the portable encoding
+    refuses to pickle one.)"""
+    part = SimpleNamespace(layout=BlockLayout(axis=0),
+                           whole_at_safepoints=False)
+    store = STORES[kind](tmp_path)
+    for r in range(3):
+        store.shard(r).write(_capture(
+            {"T": [(r, i) for i in range(8)], "G": np.full(6, float(r))},
+            3, nranks=3, shard=r))
+    snap = store.assemble_from_shards(3, {"T": part, "G": part})
+    assert snap.fields["T"] == [(0, i) for i in range(8)]
+    np.testing.assert_array_equal(snap.fields["G"], [0, 0, 1, 1, 2, 2])
+    with pytest.raises(ValueError, match="Object arrays"):
+        _capture({"T": np.array([(0, 1), None], dtype=object)})
 
 
 @pytest.mark.parametrize("shape,fortran,axis,idx,want", [

@@ -118,7 +118,7 @@ def test_slow_parent_write_records_no_torn_grid(variant, tmp_path,
                                                 sequential_grids):
     store = SlowStore(tmp_path)
     if variant == "master-async":
-        store.attach_writer(AsyncCheckpointWriter(depth=2))
+        store.attach_writer(AsyncCheckpointWriter())
     strategy = STRATEGY_LOCAL if variant == "local" else STRATEGY_MASTER
     rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path, store=store,
                  policy=EveryN(EVERY), ckpt_strategy=strategy)
@@ -182,7 +182,7 @@ def test_lend_ships_regions_until_taken_back():
         shm.segment_name(shm.new_launch_id("lend"), "G"), (16, 8), "<f8")
     ours, theirs = mp.Pipe()
     try:
-        store = FunnelStore(0, theirs, is_async=False, depth=0)
+        store = FunnelStore(0, theirs, is_async=False)
         view = seg.ndarray()
         store.lend([seg])
         ref = store.shard(1)._wire_value(view[2:4], None)

@@ -94,8 +94,7 @@ def test_fleet_funnel_serves_after_idling(tmp_path):
     funnel = CheckpointFunnel(arena=arena)
     store = CheckpointStore(tmp_path).namespace("7")
     funnel.register("j7", store)
-    client = FunnelStore(0, funnel.pipe(), is_async=False, depth=0,
-                         job="j7")
+    client = FunnelStore(0, funnel.pipe(), is_async=False, job="j7")
     funnel.start()
     try:
         time.sleep(QUIET)
@@ -117,8 +116,7 @@ def test_fleet_funnel_serves_after_idling(tmp_path):
 def test_unanswered_request_names_the_funnel_and_the_op(link, monkeypatch):
     monkeypatch.setattr(funnel_mod, "ACK_TIMEOUT_SECONDS", 0.05)
     funnel = CheckpointFunnel()         # never started: nobody answers
-    client = FunnelStore(2, _link(funnel, link), is_async=False, depth=0,
-                         job="j1")
+    client = FunnelStore(2, _link(funnel, link), is_async=False, job="j1")
     try:
         with pytest.raises(TimeoutError,
                            match=r"checkpoint funnel: no reply to 'flush'"

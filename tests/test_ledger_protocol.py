@@ -13,6 +13,7 @@ OSDI 2014 — here at the granularity of one atomic write).
 from __future__ import annotations
 
 import gc
+import json
 import multiprocessing as mp
 import os
 import sys
@@ -28,7 +29,13 @@ import repro.ckpt.store as store_mod
 import repro.ckpt.writer as writer_mod
 from repro.apps.plugs.sor_plugs import SOR_ADAPTIVE
 from repro.apps.sor import SOR
-from repro.ckpt import EveryN, FailureInjector, InjectedFailure
+from repro.ckpt import (
+    AtCounts,
+    EveryN,
+    FailureInjector,
+    InjectedFailure,
+    Snapshot,
+)
 from repro.ckpt.cas import CasCheckpointStore
 from repro.ckpt.store import RunLedger
 from repro.core import STRATEGY_LOCAL, ExecConfig, Runtime, plug
@@ -181,7 +188,7 @@ def test_racing_first_shard_saves_mark_running_once(tmp_path, monkeypatch,
     running = [i for i, (p, data) in enumerate(rec.writes)
                if p.name == LEDGER and b"running" in data]
     assert len(running) == 1 and running[0] < publishes[0], names
-    assert rt.ledger.attempts() == 1
+    assert json.loads(rt.ledger.path.read_text())["attempts"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,86 @@ def test_crash_before_first_save_never_restores_another_runs_checkpoint(
     res = rt.run(WOVEN, **seq, **_kw(2))
     assert res.events.of_kind("restore") == []
     assert res.value == _plain(2)
+
+
+def _run(rt, seed, **kw):
+    return rt.run(WOVEN, config=ExecConfig.sequential(), **kw, **_kw(seed))
+
+
+def test_a_restart_restores_only_its_own_runs_checkpoints(tmp_path):
+    """Run A (seed 1) completes with checkpoints up to 20; run B (seed 2)
+    crashes at 7 after saving 5; run C (seed 2) restarts B.  Without a
+    run token C restored A's count 20 and returned A's grid's value."""
+    rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c", policy=EveryN(5))
+    assert _run(rt, 1).value == _plain(1)
+    with pytest.raises(InjectedFailure):
+        _run(rt, 2, injector=FailureInjector(fail_at=7))
+    res = _run(rt, 2)
+    assert [e.data["count"] for e in res.events.of_kind("restore")] == [5]
+    assert res.value == _plain(2)
+    # A's count 20 and C's stand side by side, each under its run's token
+    assert len(list((tmp_path / "c").glob("ckpt_000000020.t*.pcr"))) == 2
+
+
+@needs_fork
+@pytest.mark.parametrize("cas", [False, True], ids=["full", "cas"])
+def test_a_restart_assembles_only_its_own_runs_shards(tmp_path, cas):
+    """The same three runs on multiproc(2) with per-rank shards: C's
+    shard set at 5 is B's own, and A's complete sets at 10..20 are
+    another run's, so none of them is a candidate."""
+    config = ExecConfig.distributed(2).with_backend("multiproc")
+    rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c", policy=EveryN(5),
+                 ckpt_strategy=STRATEGY_LOCAL, ckpt_cas=cas)
+    kw = dict(config=config, **_kw(1))
+    assert rt.run(WOVEN, **kw).value == _plain(1)
+    kw = dict(config=config, **_kw(2))
+    with pytest.raises(InjectedFailure):
+        rt.run(WOVEN, injector=FailureInjector(fail_at=7), **kw)
+    res = rt.run(WOVEN, **kw)
+    assert [e.data["count"] for e in res.events.of_kind("restore")] \
+        == [5, 5]  # one per rank
+    assert res.value == _plain(2)
+
+
+def test_a_resumed_ledger_keeps_its_token_round_after_round(tmp_path):
+    """The bench's recover pattern: one crash, then rounds of
+    ``mark_running`` on the completed ledger plus a run, each in a new
+    ``Runtime``.  Every round continues the crashed run and restores its
+    checkpoint; none mints a token of its own."""
+    def runtime():
+        return Runtime(machine=MACHINE, ckpt_dir=tmp_path / "c",
+                       policy=AtCounts([5]))
+
+    rt = runtime()
+    with pytest.raises(InjectedFailure):
+        _run(rt, 2, injector=FailureInjector(fail_at=7))
+    token = rt.ledger.token
+    for _ in range(2):
+        rt = runtime()
+        rt.ledger.mark_running()
+        res = _run(rt, 2)
+        assert [e.data["count"] for e in res.events.of_kind("restore")] \
+            == [5]
+        assert res.value == _plain(2)
+        assert rt.ledger.token == token
+        assert rt.ledger.status() == RunLedger.COMPLETED
+
+
+def test_a_token_less_file_matches_only_a_token_less_ledger(tmp_path):
+    """Files written before run tokens (or by a store no ledger began)
+    restore only under a ledger that has no token either."""
+    store = store_mod.CheckpointStore(tmp_path)
+    store.write(Snapshot(app="P", safepoint_count=4, fields={"x": 1},
+                         mode="sequential"))
+    old = RunLedger(tmp_path)
+    old.path.write_text('{"status": "running", "attempts": 1}')
+    assert old.begin(store) and old.token is None
+    assert store.counts() == [4]
+    old.path.write_text(
+        '{"status": "running", "attempts": 1, "token": "0a1b2c3d"}')
+    assert RunLedger(tmp_path).begin(store)
+    assert store.counts() == [] and store.read_latest() is None
+    assert RunLedger(tmp_path).status() == RunLedger.RUNNING
 
 
 CRASH_CASES = [

@@ -1,6 +1,7 @@
 """Runtime edge cases: validation, recovery limits, strategies, results."""
 
 import gc
+import json
 
 import pytest
 
@@ -159,7 +160,7 @@ class TestRunResult:
                entry="execute", config=ExecConfig.sequential(), fresh=True)
         assert rt.store.counts()
         assert rt.ledger.status() == rt.ledger.COMPLETED
-        assert rt.ledger.attempts() == 1
+        assert json.loads(rt.ledger.path.read_text())["attempts"] == 1
 
     def test_checkpoint_free_run_leaves_no_ledger(self, tmp_path):
         """The ledger says ``running`` only once a checkpoint is about to

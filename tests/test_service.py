@@ -266,14 +266,15 @@ def test_checkpoint_namespaces_isolate_jobs(tmp_path):
                     policy=EveryN(4))
         for jid in (a, b):
             assert client.result(jid, timeout=120.0)["status"] == "done"
-        sa = svc.store.namespace(str(a))
-        sb = svc.store.namespace(str(b))
-        assert sa.counts() and sa.counts() == sb.counts()
-        assert svc.store.counts() == [], \
+        # count -> file, whatever run token the job's ledger minted
+        sa, sb = ({c: svc.store.dir / name for name, c, _ in
+                   svc.store.namespace(str(j))._files(every_run=True)}
+                  for j in (a, b))
+        assert sa and sorted(sa) == sorted(sb)
+        assert list(svc.store._files(every_run=True)) == [], \
             "job checkpoints leaked into the master namespace"
-        for count in sa.counts():
-            assert sa.path_for(count).read_bytes() != \
-                sb.path_for(count).read_bytes(), \
+        for count in sa:
+            assert sa[count].read_bytes() != sb[count].read_bytes(), \
                 f"jobs aliased checkpoint bytes at count {count}"
     _no_leaks()
 

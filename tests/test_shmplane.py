@@ -400,7 +400,7 @@ class TestWorkerEnv:
         assert (back.launch_id, back.max_ranks, back.backend.name) \
             == ("abc-0", 3, "multiproc")
         assert back.telemetry is True and back.trace == 0
-        assert back.funnel == {"is_async": False, "depth": 0, "cas": False}
+        assert back.funnel == {"is_async": False, "cas": False}
 
     def test_one_tracing_field_carries_the_ring_capacity(self, tmp_path):
         flight = TraceCollector(flight=True)
