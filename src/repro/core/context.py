@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.ckpt import writer as ckpt_writer
 from repro.ckpt.failure import FailureInjector
@@ -42,8 +42,11 @@ from repro.core.modes import Capabilities, ExecConfig, Mode
 from repro.dsm.comm import RankContext
 from repro.dsm.partition import (
     BlockLayout,
+    clip_runs,
+    contiguous_runs,
     exchange_halo,
     gather_inplace,
+    local_slice,
     scatter_inplace,
 )
 from repro.smp.team import ThreadTeam, current_worker
@@ -136,6 +139,9 @@ class ExecutionContext:
         #: yet finished; mirrors the writer's bounded queue so the model
         #: stalls exactly when the real submit() would block.
         self._async_pending: list[float] = []
+        #: whole-axis row runs by ``(align, n, rank, nranks)`` (a reshape
+        #: changes the key, so nothing is invalidated).
+        self._rank_runs: dict[tuple, list[tuple[int, int]]] = {}
 
         if self.caps.team_regions:
             self.team = team if team is not None else ThreadTeam(
@@ -274,19 +280,18 @@ class ExecutionContext:
 
     def _rank_restrict(self, lo: int, hi: int, tmpl: "ForMethod"
                        ) -> list[tuple[int, int]]:
-        from repro.dsm.partition import contiguous_runs, local_slice
-
         r, p = self.rank, self.nranks
         part = self.partitioned.get(tmpl.align) if tmpl.align else None
         if part is None:
             s, e = local_slice(hi - lo, r, p)
             return [(lo + s, lo + e)] if s < e else []
-        layout = part.layout
-        arr = getattr(self.instance, tmpl.align)
-        n = arr.shape[layout.axis]
-        owned = layout.owned(n, r, p)
-        owned = owned[(owned >= lo) & (owned < hi)]
-        return contiguous_runs(owned)
+        n = getattr(self.instance, tmpl.align).shape[part.layout.axis]
+        key = (tmpl.align, n, r, p)
+        runs = self._rank_runs.get(key)
+        if runs is None:
+            runs = self._rank_runs[key] = contiguous_runs(
+                part.layout.owned(n, r, p))
+        return clip_runs(runs, lo, hi)
 
     # ------------------------------------------------------------------
     # distributed data movement (Scatter / Gather / Halo templates)
@@ -299,21 +304,6 @@ class ExecutionContext:
                 f"Gather/Halo templates require a Partitioned declaration")
         return part
 
-    def _rank_comm_guarded(self, op: Callable[..., None], *args) -> None:
-        """Run a rank-level collective, ``op(*args)``, exactly once per rank.
-
-        Outside a team region the rank thread runs it directly.  Inside a
-        hybrid region only the team master performs communication, with
-        team barriers fencing it so every thread observes the moved data.
-        """
-        if self.team is not None and self.team.in_region():
-            self.team.barrier()
-            if self.team.is_master():
-                op(*args)
-            self.team.barrier()
-        else:
-            op(*args)
-
     def _shared(self, field: str) -> bool:
         """Is ``field`` one physically shared copy across ranks?"""
         return self.caps.shared_fields and field in self.shared_fields
@@ -325,7 +315,9 @@ class ExecutionContext:
         (the data will come from the snapshot at the restore point).
         Otherwise one of three paths runs once per rank: a shared field
         only synchronises, a slab-backed whole (not for halo) moves
-        through its slab, and anything else moves as messages.
+        through its slab, and anything else moves as messages.  Inside a
+        hybrid region only the team master moves data, with team
+        barriers fencing it so every thread observes the moved data.
         """
         if not self.distributed or self.replay_active():
             return
@@ -340,7 +332,13 @@ class ExecutionContext:
             sync = self._slab_sync
         else:
             sync = self._message_sync
-        self._rank_comm_guarded(sync, kind, field, part)
+        if not self.in_region():
+            sync(kind, field, part)
+            return
+        self.team.barrier()  # type: ignore[union-attr]
+        if self.team.is_master():  # type: ignore[union-attr]
+            sync(kind, field, part)
+        self.team.barrier()  # type: ignore[union-attr]
 
     def _shared_sync(self, kind: str, field: str, part) -> None:
         """Data movement on a shared field: synchronisation only.
@@ -348,11 +346,13 @@ class ExecutionContext:
         Every rank reads and writes the same pages (for halo, neighbour
         planes are the same physical pages), so scatter / gather / halo
         reduce to a barrier that orders the writes of the producing
-        ranks before the reads of the consuming ones.
+        ranks before the reads of the consuming ones.  No halo event:
+        movement events are per run, as on the message path.
         """
         self.rankctx.comm.barrier()
-        self.log.emit(kind, vtime=self.rankctx.clock.now,
-                      rank=self.rank, field=field, shared=True)
+        if kind != "halo":
+            self.log.emit(kind, vtime=self.rankctx.clock.now,
+                          rank=self.rank, field=field, shared=True)
 
     def _slab_sync(self, kind: str, field: str, part) -> None:
         """Data movement on a slab-backed ``whole_at_safepoints`` field.

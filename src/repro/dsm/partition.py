@@ -19,7 +19,9 @@ layout, axis, rank count and array shape.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,6 +55,24 @@ def contiguous_runs(indices) -> list[tuple[int, int]]:
     cut = np.flatnonzero(np.diff(idx) != 1)
     return list(zip([first, *idx[cut + 1].tolist()],
                     [*(idx[cut] + 1).tolist(), last + 1]))
+
+
+_START, _STOP = itemgetter(0), itemgetter(1)
+
+
+def clip_runs(runs: list[tuple[int, int]], lo: int, hi: int
+              ) -> list[tuple[int, int]]:
+    """The parts of sorted disjoint ``[start, stop)`` runs inside
+    ``[lo, hi)``: a bisection on each end, so a call costs the runs it
+    returns, not the runs owned."""
+    if lo >= hi:
+        return []
+    out = runs[bisect_right(runs, lo, key=_STOP):
+               bisect_left(runs, hi, key=_START)]
+    if out:
+        out[0] = (max(out[0][0], lo), out[0][1])
+        out[-1] = (out[-1][0], min(out[-1][1], hi))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,9 @@ class ProcCommunicator(Communicator):
         self.plane = plane
         self._fence = fence
         self._rank = rank
+        #: membership size -> (barrier cost, oversubscription epoch cost);
+        #: pure functions of the frozen machine model.
+        self._epoch_costs: dict[int, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     def _egress(self, obj: Any, owned: bool, dest: int) -> Any:
@@ -450,13 +453,17 @@ class ProcCommunicator(Communicator):
         n = self.nranks
         if n == 1:
             return
+        costs = self._epoch_costs.get(n)
+        if costs is None:
+            costs = self._epoch_costs[n] = (
+                self.machine.barrier_cost(n),
+                self.machine.oversub_epoch_cost(n))
         clk = ctx.clock
         t0 = time.perf_counter()
         if self._fence is not None:
-            epoch = self._fence.sync(ctx.rank, n, clk.now,
-                                    self.machine.barrier_cost(n))
+            epoch = self._fence.sync(ctx.rank, n, clk.now, costs[0])
         else:
-            epoch = self._message_epoch(ctx.rank, clk.now)
+            epoch = self._message_epoch(ctx.rank, clk.now, costs[0])
         tele = telemetry_writer()
         if tele.active:
             tele.inc(_ts.BARRIER_WAIT_SECONDS, time.perf_counter() - t0)
@@ -464,15 +471,15 @@ class ProcCommunicator(Communicator):
         if tr.active:
             tr.span(_trs.BARRIER, t0, a=epoch, b=float(n))
         clk.advance_to(epoch)
-        clk.charge_comm(self.machine.oversub_epoch_cost(n))
+        clk.charge_comm(costs[1])
 
-    def _message_epoch(self, rank: int, now: float) -> float:
+    def _message_epoch(self, rank: int, now: float, cost: float) -> float:
         if rank == 0:
             arrivals = [now]
             for src in range(1, self.nranks):
                 msg = self.mailboxes[0].get(source=src, tag=_TAG_BARRIER_IN)
                 arrivals.append(msg.payload)
-            epoch = max(arrivals) + self.machine.barrier_cost(self.nranks)
+            epoch = max(arrivals) + cost
             for r in range(1, self.nranks):
                 self.mailboxes[r].put(Message(
                     src=0, dst=r, tag=_TAG_BARRIER_OUT, payload=epoch,

@@ -100,7 +100,6 @@ class SimCluster:
                     raise RankFailure(-1, TimeoutError(f"{th.name} hung"))
         if self._errors:
             raise self._pick_error()
-        self.log.emit("cluster_done", vtime=self.max_time, ranks=self.nranks)
         return list(self._results)
 
     def _rank_main(self, rank: int, entry: Callable[..., Any],

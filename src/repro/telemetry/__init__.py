@@ -16,12 +16,7 @@ from repro.telemetry.plane import (
     bind,
     writer,
 )
-from repro.telemetry.prom import (
-    CONTENT_TYPE,
-    PromParseError,
-    parse_prometheus,
-    to_prometheus,
-)
+from repro.telemetry.prom import CONTENT_TYPE, to_prometheus
 from repro.telemetry.registry import MetricsRegistry, snapshot_samples
 from repro.telemetry import schema
 
@@ -31,11 +26,9 @@ __all__ = [
     "MetricsRegistry",
     "NULL_WRITER",
     "NullWriter",
-    "PromParseError",
     "TelemetryPlane",
     "TelemetryWriter",
     "bind",
-    "parse_prometheus",
     "schema",
     "snapshot_samples",
     "to_prometheus",

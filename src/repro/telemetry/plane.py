@@ -90,16 +90,23 @@ writer, bind = shmplane.binder(NULL_WRITER)
 
 
 class TelemetryWriter(shmplane.RegionWriter):
-    """One rank's lock-free write handle onto its own page."""
+    """One rank's lock-free write handle onto its own page.
+
+    Slot stores go through a ``memoryview`` of the page, which reads and
+    writes plain floats where numpy would box a scalar per access.  The
+    view pins the page's mapping, so it dies with the writer: the
+    owning thread unbinds before its plane closes.
+    """
 
     def __init__(self, page: np.ndarray, rank: int) -> None:
         super().__init__(page, rank)
+        self._words = memoryview(page).cast("B").cast("d")
         #: wall anchor for the vtime-vs-wall skew gauge.
         self.bound_at = perf_counter()
 
     # -- seqlocked slot mutations (single writer: this rank) -----------
     def inc(self, slot: int, value: float = 1.0) -> None:
-        p = self._region
+        p = self._words
         o = SCHEMA[slot].offset
         s = p[o] + 1.0
         p[o] = s            # odd: write in progress
@@ -107,7 +114,7 @@ class TelemetryWriter(shmplane.RegionWriter):
         p[o] = s + 1.0      # even: consistent
 
     def set(self, slot: int, value: float) -> None:
-        p = self._region
+        p = self._words
         o = SCHEMA[slot].offset
         s = p[o] + 1.0
         p[o] = s
@@ -116,7 +123,7 @@ class TelemetryWriter(shmplane.RegionWriter):
 
     def observe(self, slot: int, value: float) -> None:
         spec = SCHEMA[slot]
-        p = self._region
+        p = self._words
         o = spec.offset
         s = p[o] + 1.0
         p[o] = s

@@ -1,10 +1,13 @@
 """Tests for data layouts and scatter/gather/halo movements."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ExecConfig, ExecutionContext, ForMethod, Partitioned
 from repro.dsm import (
     BlockLayout,
     CyclicLayout,
@@ -12,14 +15,14 @@ from repro.dsm import (
     SimCluster,
     local_slice,
 )
-from repro.dsm.comm import current_rank
+from repro.dsm.comm import RankContext, current_rank
 from repro.dsm.partition import (
     contiguous_runs,
     exchange_halo,
     gather_inplace,
     scatter_inplace,
 )
-from repro.vtime import MachineModel
+from repro.vtime import MachineModel, VClock
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
 
@@ -129,6 +132,56 @@ class TestContiguousRuns:
         runs = contiguous_runs(idx)
         assert runs == _runs_oracle(idx)
         assert all(type(a) is int and type(b) is int for a, b in runs)
+
+
+def _restrict_oracle(layout, n, r, p, lo, hi) -> list[tuple[int, int]]:
+    """``ExecutionContext._rank_restrict`` before it kept a rank's runs
+    per membership: the owned rows rebuilt, masked and cut per call."""
+    owned = layout.owned(n, r, p)
+    return contiguous_runs(owned[(owned >= lo) & (owned < hi)])
+
+
+RESTRICT_LAYOUTS = [BlockLayout(halo=1), CyclicLayout(),
+                    HybridLayout(block=2), HybridLayout(block=5)]
+RELAX = ForMethod("relax", align="G")
+
+
+def _restrict_context(layout, n: int, r: int, p: int) -> ExecutionContext:
+    """Rank ``r`` of ``p`` over a field ``G`` of ``n`` rows."""
+    ctx = ExecutionContext(ExecConfig.distributed(p),
+                           partitioned={"G": Partitioned("G", layout)},
+                           rankctx=RankContext(r, p, VClock(), None))
+    ctx.bind(SimpleNamespace(G=np.zeros((n, 1))))
+    return ctx
+
+
+class TestRankRestrict:
+    @settings(deadline=None, max_examples=300)
+    @given(layout=st.sampled_from(RESTRICT_LAYOUTS), n=st.integers(0, 300),
+           data=st.data())
+    def test_matches_the_uncached_rows(self, layout, n, data):
+        p = data.draw(st.integers(1, 5))
+        r = data.draw(st.integers(0, p - 1))
+        window = st.integers(0, n).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo, n)))
+        ctx = _restrict_context(layout, n, r, p)
+        for lo, hi in data.draw(st.lists(window, min_size=1, max_size=4)):
+            assert ctx._rank_restrict(lo, hi, RELAX) == \
+                _restrict_oracle(layout, n, r, p, lo, hi)
+
+    @pytest.mark.parametrize("layout", RESTRICT_LAYOUTS)
+    def test_one_context_follows_membership_changes(self, layout):
+        """nranks 2 -> 3 -> 2 as an in-place reshape adopts it, then a
+        longer field: no call returns a previous membership's rows."""
+        ctx = _restrict_context(layout, 97, 0, 2)
+        for n, p in ((97, 2), (97, 3), (97, 2), (120, 2)):
+            ctx.instance.G = np.zeros((n, 1))
+            ctx.rankctx.nranks = p
+            for r in range(p):
+                ctx.rankctx.rank = r
+                for lo, hi in ((0, n), (1, n - 1), (10, 40), (50, 50)):
+                    assert ctx._rank_restrict(lo, hi, RELAX) == \
+                        _restrict_oracle(layout, n, r, p, lo, hi), (n, p, r)
 
 
 class TestInplaceMovements:

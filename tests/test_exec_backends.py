@@ -21,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,25 @@ class TestBackendParity:
             ref = blobs["sequential"]
             for label, b in blobs.items():
                 assert b == ref, f"checkpoint {count} differs in {label}"
+
+    def test_distributed_event_streams_match(self, tmp_path):
+        """Movement events are per run, on every path: a shared field's
+        halo logs none, as the message path never did, so the three
+        distributed fabrics log the same kinds, each as often."""
+        iters, every, nranks = 10, 5, 2
+        kinds = {}
+        for label in ("simcluster", "multiproc", "sockets"):
+            config = ExecConfig.distributed(nranks)
+            if label != "simcluster":
+                config = config.with_backend(label)
+            rt = Runtime(machine=MACHINE, ckpt_dir=tmp_path / label,
+                         policy=EveryN(every))
+            res = rt.run(WOVEN, ctor_kwargs={"n": 64, "iterations": iters},
+                         entry="execute", config=config, fresh=True)
+            kinds[label] = Counter(e.kind for e in res.events)
+        assert kinds["multiproc"] == kinds["simcluster"] == kinds["sockets"]
+        assert kinds["simcluster"]["safepoint"] == iters  # rank 0's
+        assert kinds["simcluster"]["checkpoint"] == iters // every * nranks
 
     def test_adaptation_chain_monotone_vtime(self, tmp_path):
         """One run crossing every backend — real processes included:

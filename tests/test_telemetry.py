@@ -29,13 +29,9 @@ from repro.apps.sor import SOR
 from repro.ckpt import EveryN, FailureInjector
 from repro.core import AdaptStep, AdaptationPlan, ExecConfig, Runtime, plug
 from repro.dsm import shm
-from repro.telemetry import (
-    MetricsRegistry,
-    TelemetryPlane,
-    parse_prometheus,
-    schema,
-)
+from repro.telemetry import MetricsRegistry, TelemetryPlane, schema
 from repro.vtime import MachineModel
+from promparse import parse_prometheus
 
 MACHINE = MachineModel(nodes=2, cores_per_node=4)
 N, ITERS = 40, 12
